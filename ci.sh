@@ -60,3 +60,19 @@ git diff --exit-code -- results/exp_telemetry.csv || {
          "committed results are stale — rerun and commit them)." >&2
     exit 1
 }
+
+# Benchmark smoke run: perfbench/ builds against the workspace crates by
+# path and checks every round's outputs, so a store or engine API change
+# that breaks it, or a change that makes a workload's output wrong, fails
+# here. Two seconds per workload; the timings themselves are not gated.
+for workload in ingest healthy durable linnos; do
+    result="$(python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+    echo "perfbench ${workload}: ${result}"
+    case "${result}" in
+        *'"correct": true'*) ;;
+        *)
+            echo "perfbench ${workload} did not report \"correct\": true." >&2
+            exit 1
+            ;;
+    esac
+done

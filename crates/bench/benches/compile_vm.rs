@@ -94,6 +94,11 @@ fn vm_execution(c: &mut Criterion) {
     store.save("x", 0.5);
     let mut vm = Vm::new();
     let mut deltas = vec![DeltaState::default(); compiled[0].rules.len()];
+    let slots: Vec<_> = compiled[0]
+        .rules
+        .iter()
+        .map(|rule| store.bind(&rule.program.keys))
+        .collect();
     c.bench_function("vm_evaluate_all_large_rules", |b| {
         b.iter(|| {
             let mut violated = false;
@@ -101,7 +106,7 @@ fn vm_execution(c: &mut Criterion) {
                 let r = vm.run(
                     &rule.program,
                     &mut EvalCtx {
-                        store: &store,
+                        slots: &slots[i],
                         now: Nanos::from_secs(10),
                         args: &[512.0, 2048.0, 2048.0],
                         deltas: &mut deltas[i],
@@ -115,13 +120,14 @@ fn vm_execution(c: &mut Criterion) {
 
     let small = compile_str(SMALL).unwrap();
     store.save("false_submit_rate", 0.01);
+    let small_slots = store.bind(&small[0].rules[0].program.keys);
     let mut delta = DeltaState::default();
     c.bench_function("vm_evaluate_listing2_rule", |b| {
         b.iter(|| {
             let r = vm.run(
                 &small[0].rules[0].program,
                 &mut EvalCtx {
-                    store: &store,
+                    slots: &small_slots,
                     now: Nanos::from_secs(10),
                     args: &[],
                     deltas: &mut delta,

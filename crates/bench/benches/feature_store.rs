@@ -16,6 +16,12 @@ fn scalar_ops(c: &mut Criterion) {
     });
     c.bench_function("store_load", |b| b.iter(|| black_box(store.load("key"))));
     c.bench_function("store_incr", |b| b.iter(|| store.incr("counter", 1.0)));
+    // The bound-slot path monitors and hot writers use: no key hashing.
+    let slot = store.slot("key");
+    c.bench_function("store_slot_save", |b| {
+        b.iter(|| store.save_slot(&slot, black_box(2.5)))
+    });
+    c.bench_function("store_slot_load", |b| b.iter(|| black_box(slot.load())));
 }
 
 fn series_ops(c: &mut Criterion) {
@@ -62,7 +68,8 @@ fn sketch_ops(c: &mut Criterion) {
 
 fn contention(c: &mut Criterion) {
     // Two writer threads hammer disjoint keys while the benched thread
-    // reads: the sharded-lock design should keep reads cheap.
+    // reads: writers lock only their own slots, and a bound-slot read takes
+    // no lock at all.
     let store = Arc::new(FeatureStore::new());
     store.save("read_key", 1.0);
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -81,6 +88,10 @@ fn contention(c: &mut Criterion) {
     }
     c.bench_function("store_load_under_write_contention", |b| {
         b.iter(|| black_box(store.load("read_key")))
+    });
+    let slot = store.slot("read_key");
+    c.bench_function("store_slot_load_under_write_contention", |b| {
+        b.iter(|| black_box(slot.load()))
     });
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     for w in writers {

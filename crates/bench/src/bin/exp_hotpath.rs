@@ -1,6 +1,6 @@
 //! E11: hot-path overhaul — batched indexed dispatch + fused VM vs the
-//! pre-overhaul ingestion path, sharded feature-store scaling, and WAL
-//! group-commit coalescing.
+//! pre-overhaul ingestion path, feature-store scaling, and WAL group-commit
+//! coalescing.
 //!
 //! Three sections:
 //!
@@ -16,9 +16,9 @@
 //!    buffer. Both runs must be observationally identical — same
 //!    violations, same store state, same deterministic stats; only wall
 //!    time may differ.
-//! 2. **Store scaling**: the lock-striped, Fx-hashed store is hammered
-//!    with the same per-thread op mix on 1 thread and on 4 threads;
-//!    scaling is the aggregate-throughput ratio.
+//! 2. **Store scaling**: the store's string API is hammered with the same
+//!    per-thread op mix on 1 thread and on 4 threads; scaling is the
+//!    aggregate-throughput ratio.
 //! 3. **Group commit**: one write history journaled at group sizes 1, 8,
 //!    and 64; coalescing shrinks the log while replay recovers identical
 //!    state.

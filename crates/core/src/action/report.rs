@@ -5,7 +5,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use simkernel::{KernelLog, LogLevel, Nanos};
 
-use crate::store::FeatureStore;
+use crate::store::Slot;
 
 /// A shared, thread-safe wrapper around the kernel log for violation reports.
 ///
@@ -24,7 +24,8 @@ use crate::store::FeatureStore;
 /// let sink = ReportSink::new();
 /// let store = FeatureStore::new();
 /// store.save("rate", 0.2);
-/// sink.report(Nanos::from_secs(1), "gr", "rate too high", &["rate".into()], &store);
+/// let slots = store.bind(&["rate".into()]);
+/// sink.report(Nanos::from_secs(1), "gr", "rate too high", &slots);
 /// assert_eq!(sink.records().len(), 1);
 /// assert!(sink.records()[0].message.contains("rate=0.2"));
 /// ```
@@ -47,19 +48,12 @@ impl ReportSink {
     }
 
     /// Logs a violation report from guardrail `source`, appending the
-    /// current values of `keys` from the feature store.
-    pub fn report(
-        &self,
-        at: Nanos,
-        source: &str,
-        message: &str,
-        keys: &[String],
-        store: &FeatureStore,
-    ) {
+    /// current values of the keys bound to `slots` (absent keys read 0).
+    pub fn report(&self, at: Nanos, source: &str, message: &str, slots: &[Slot]) {
         let mut text = String::from(message);
-        for key in keys {
-            let value = store.load(key).unwrap_or(0.0);
-            text.push_str(&format!(" {key}={value}"));
+        for slot in slots {
+            let value = slot.load().unwrap_or(0.0);
+            text.push_str(&format!(" {}={value}", slot.key()));
         }
         self.log.lock().log(at, LogLevel::Warn, source, text);
     }
@@ -99,6 +93,7 @@ impl ReportSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::FeatureStore;
 
     #[test]
     fn report_snapshots_keys() {
@@ -106,13 +101,8 @@ mod tests {
         let store = FeatureStore::new();
         store.save("a", 1.0);
         store.save("b", 2.5);
-        sink.report(
-            Nanos::ZERO,
-            "g",
-            "violation",
-            &["a".into(), "b".into(), "missing".into()],
-            &store,
-        );
+        let slots = store.bind(&["a".into(), "b".into(), "missing".into()]);
+        sink.report(Nanos::ZERO, "g", "violation", &slots);
         let recs = sink.records();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].message, "violation a=1 b=2.5 missing=0");
@@ -132,9 +122,8 @@ mod tests {
     #[test]
     fn bounded_capacity_drops() {
         let sink = ReportSink::with_capacity(1);
-        let store = FeatureStore::new();
-        sink.report(Nanos::ZERO, "g", "one", &[], &store);
-        sink.report(Nanos::ZERO, "g", "two", &[], &store);
+        sink.report(Nanos::ZERO, "g", "one", &[]);
+        sink.report(Nanos::ZERO, "g", "two", &[]);
         assert_eq!(sink.len(), 1);
         assert_eq!(sink.dropped(), 1);
         assert_eq!(sink.records()[0].message, "two");

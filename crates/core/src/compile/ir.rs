@@ -96,8 +96,9 @@ pub enum Op {
 impl Op {
     /// The static cost of the instruction in the verifier's fuel model.
     ///
-    /// Feature-store reads cost more than ALU operations (a shard lock plus a
-    /// hash lookup); windowed aggregates cost the most (they scan samples).
+    /// Feature-store reads cost more than ALU operations (a read through the
+    /// key's store slot; EWMA and histogram reads take the slot's lock);
+    /// windowed aggregates cost the most (they scan samples).
     pub fn cost(self) -> u64 {
         match self {
             Op::Agg { .. } | Op::Quantile { .. } => 16,
@@ -331,7 +332,9 @@ impl FusedOp {
 pub struct Program {
     /// The instruction stream (executed from index 0 to the end).
     pub ops: Vec<Op>,
-    /// Interned feature-store keys referenced by `Load`/`Agg`/... indices.
+    /// The key table: feature-store key names referenced by `Load`/`Agg`/...
+    /// indices. Installing the program binds it to store slots
+    /// ([`crate::FeatureStore::bind`]); the VM reads only through those.
     pub keys: Vec<String>,
     /// The fused fast stream, derived from `ops` by
     /// [`crate::compile::opt::fuse_program`] *after* verification. Empty

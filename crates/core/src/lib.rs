@@ -83,5 +83,5 @@ pub use monitor::resilience::{RecoveryConfig, RuntimeConfig};
 pub use monitor::supervisor::{Supervisor, SupervisorConfig};
 pub use policy::{FallbackPolicy, GuardedPolicy, LearnedPolicy, PolicyRegistry};
 pub use store::durable::{DurabilityConfig, DurableStore, MemBackend, PersistBackend};
-pub use store::FeatureStore;
+pub use store::{FeatureStore, Slot};
 pub use telemetry::{Telemetry, TelemetrySnapshot};

@@ -19,7 +19,7 @@ use crate::monitor::resilience::{FailMode, ResilienceConfig, RuntimeConfig};
 use crate::monitor::violation::{TriggerKind, Violation, ViolationLog};
 use crate::policy::PolicyRegistry;
 use crate::store::fxhash::FxHashMap;
-use crate::store::FeatureStore;
+use crate::store::{FeatureStore, Slot};
 use crate::telemetry::{
     ActionKind, Telemetry, TelemetryDelta, TraceKind, NO_MONITOR, RESERVED_PREFIX,
 };
@@ -100,8 +100,39 @@ struct PendingRetrain {
     next_attempt: Nanos,
 }
 
+/// One action's store slots, bound when its monitor is installed.
+struct ActionSlots {
+    /// The operand program's key table (`DEPRIORITIZE` steps, `SAVE` and
+    /// `RECORD` value); empty for actions without an operand.
+    operand: Box<[Slot]>,
+    /// The keys the action names: the `REPORT` dump list, or the one
+    /// `SAVE`/`RECORD` destination.
+    keys: Box<[Slot]>,
+}
+
+impl ActionSlots {
+    fn bind(store: &FeatureStore, action: &CompiledAction) -> Self {
+        let (operand, keys): (Option<&Program>, &[String]) = match action {
+            CompiledAction::Report { keys, .. } => (None, keys),
+            CompiledAction::Deprioritize { steps, .. } => (steps.as_ref(), &[]),
+            CompiledAction::Save { key, value } | CompiledAction::Record { key, value } => {
+                (Some(value), std::slice::from_ref(key))
+            }
+            CompiledAction::Replace { .. } | CompiledAction::Retrain { .. } => (None, &[]),
+        };
+        ActionSlots {
+            operand: operand.map(|p| store.bind(&p.keys)).unwrap_or_default(),
+            keys: store.bind(keys),
+        }
+    }
+}
+
 struct Monitor {
     compiled: CompiledGuardrail,
+    /// Each rule program's key table, bound to store slots at install.
+    rule_slots: Vec<Box<[Slot]>>,
+    /// Each action's slots, bound at install.
+    action_slots: Vec<ActionSlots>,
     rule_deltas: Vec<DeltaState>,
     action_deltas: Vec<DeltaState>,
     hysteresis: HysteresisState,
@@ -310,11 +341,23 @@ impl MonitorEngine {
         for hook in &compiled.hooks {
             self.hooks.entry(hook.clone()).or_default().push(idx);
         }
+        let rule_slots = compiled
+            .rules
+            .iter()
+            .map(|r| self.store.bind(&r.program.keys))
+            .collect();
+        let action_slots = compiled
+            .actions
+            .iter()
+            .map(|a| ActionSlots::bind(&self.store, a))
+            .collect();
         let rule_deltas = vec![DeltaState::default(); compiled.rules.len()];
         let action_deltas = vec![DeltaState::default(); compiled.actions.len()];
         let all_fused = compiled.rules.iter().all(|r| !r.program.fused.is_empty());
         self.monitors.push(Monitor {
             compiled,
+            rule_slots,
+            action_slots,
             rule_deltas,
             action_deltas,
             hysteresis: HysteresisState::new(Hysteresis::default()),
@@ -632,9 +675,9 @@ impl MonitorEngine {
         {
             let monitor = &mut self.monitors[midx];
             let vm = &mut self.vm;
-            let store = &self.store;
             let limit = self.rule_fuel_limit;
             for (i, rule) in monitor.compiled.rules.iter().enumerate() {
+                let slots = &monitor.rule_slots[i];
                 let deltas = &mut monitor.rule_deltas[i];
                 // Isolate the evaluation: a fuel-starved or panicking rule
                 // must fault *this monitor*, never take down the engine.
@@ -642,7 +685,7 @@ impl MonitorEngine {
                     vm.try_run(
                         &rule.program,
                         &mut EvalCtx {
-                            store,
+                            slots,
                             now,
                             args,
                             deltas,
@@ -739,7 +782,6 @@ impl MonitorEngine {
                 watchdog.max_consecutive_faults
             ),
             &[],
-            &self.store,
         );
         if watchdog.fail_mode == FailMode::FailClosed {
             // The property can no longer be checked: presume it violated
@@ -751,10 +793,9 @@ impl MonitorEngine {
     /// Evaluates an action operand with the same containment as rule
     /// evaluation: a fuel-starved or panicking operand yields an error the
     /// caller reports and skips, instead of taking down the engine.
-    #[allow(clippy::too_many_arguments)]
     fn eval_operand(
         vm: &mut Vm,
-        store: &FeatureStore,
+        slots: &[Slot],
         program: &Program,
         now: Nanos,
         args: &[f64],
@@ -765,7 +806,7 @@ impl MonitorEngine {
             vm.try_run(
                 program,
                 &mut EvalCtx {
-                    store,
+                    slots,
                     now,
                     args,
                     deltas,
@@ -781,9 +822,35 @@ impl MonitorEngine {
     }
 
     fn dispatch_actions(&mut self, midx: usize, now: Nanos, args: &[f64]) {
-        let actions = self.monitors[midx].compiled.actions.clone();
-        let name = self.monitors[midx].compiled.name.clone();
-        for (aidx, action) in actions.iter().enumerate() {
+        // Borrow the engine field by field so the monitor's actions are
+        // walked in place while the outbox, reports and counters are
+        // written.
+        let MonitorEngine {
+            store,
+            registry,
+            reports,
+            outbox,
+            limiter,
+            monitors,
+            vm,
+            stats,
+            resilience,
+            rule_fuel_limit,
+            pending_retrains,
+            telemetry,
+            tdelta,
+            ..
+        } = self;
+        let Monitor {
+            compiled,
+            action_slots,
+            action_deltas,
+            overhead,
+            ..
+        } = &mut monitors[midx];
+        let name = &compiled.name;
+        for (aidx, (action, slots)) in compiled.actions.iter().zip(action_slots.iter()).enumerate()
+        {
             let mut fuel = 0u64;
             let kind = match action {
                 CompiledAction::Report { .. } => ActionKind::Report,
@@ -793,59 +860,66 @@ impl MonitorEngine {
                 CompiledAction::Save { .. } => ActionKind::Save,
                 CompiledAction::Record { .. } => ActionKind::Record,
             };
+            let mut operand = |program: &Program| {
+                Self::eval_operand(
+                    vm,
+                    &slots.operand,
+                    program,
+                    now,
+                    args,
+                    &mut action_deltas[aidx],
+                    *rule_fuel_limit,
+                )
+            };
             match action {
-                CompiledAction::Report { message, keys } => {
-                    self.reports.report(now, &name, message, keys, &self.store);
+                CompiledAction::Report { message, .. } => {
+                    reports.report(now, name, message, &slots.keys);
                 }
                 CompiledAction::Replace { slot, variant } => {
-                    let outcome = if self.resilience.replace_fallback {
+                    let outcome = if resilience.replace_fallback {
                         // Fail-safe chain: a missing variant degrades to the
                         // slot's registered default instead of doing nothing.
-                        self.registry
-                            .replace_with_fallback(slot, variant)
-                            .map(|chosen| {
-                                if &chosen != variant {
-                                    self.reports.info(
-                                        now,
-                                        &name,
-                                        format!(
-                                            "REPLACE '{slot}': variant '{variant}' missing, \
-                                             fell back to '{chosen}'"
-                                        ),
-                                    );
-                                }
-                            })
+                        registry.replace_with_fallback(slot, variant).map(|chosen| {
+                            if &chosen != variant {
+                                reports.info(
+                                    now,
+                                    name,
+                                    format!(
+                                        "REPLACE '{slot}': variant '{variant}' missing, \
+                                         fell back to '{chosen}'"
+                                    ),
+                                );
+                            }
+                        })
                     } else {
-                        self.registry.replace(slot, variant)
+                        registry.replace(slot, variant)
                     };
                     if let Err(e) = outcome {
                         // A REPLACE against an unknown slot is a deployment
                         // bug; surface it in the report log rather than
                         // crashing the monitor (crash-free semantics, §4.2).
-                        self.reports
-                            .info(now, &name, format!("REPLACE failed: {e}"));
+                        reports.info(now, name, format!("REPLACE failed: {e}"));
                     }
                 }
                 CompiledAction::Retrain { model } => {
-                    if self.limiter.request(model, now).is_ok() {
-                        self.outbox.push(
+                    if limiter.request(model, now).is_ok() {
+                        outbox.push(
                             now,
                             Command::Retrain {
                                 guardrail: name.clone(),
                                 model: model.clone(),
                             },
                         );
-                        self.stats.commands_emitted += 1;
-                    } else if let Some(retry) = self.resilience.retrain_retry {
+                        stats.commands_emitted += 1;
+                    } else if let Some(retry) = resilience.retrain_retry {
                         // Rejected: schedule a backoff retry instead of
                         // dropping the request, unless one is already queued
                         // for this model (no point stacking duplicates).
-                        let queued = self
-                            .pending_retrains
+                        let queued = pending_retrains
                             .iter()
-                            .any(|p| p.model == *model && p.guardrail == name);
+                            .any(|p| p.model == *model && p.guardrail == *name);
                         if !queued {
-                            self.pending_retrains.push(PendingRetrain {
+                            pending_retrains.push(PendingRetrain {
                                 guardrail: name.clone(),
                                 model: model.clone(),
                                 attempt: 0,
@@ -856,36 +930,26 @@ impl MonitorEngine {
                 }
                 CompiledAction::Deprioritize { target, steps } => {
                     let steps_value = match steps {
-                        Some(program) => {
-                            match Self::eval_operand(
-                                &mut self.vm,
-                                &self.store,
-                                program,
-                                now,
-                                args,
-                                &mut self.monitors[midx].action_deltas[aidx],
-                                self.rule_fuel_limit,
-                            ) {
-                                Ok(r) => {
-                                    fuel += r.fuel;
-                                    r.value.round().clamp(i32::MIN as f64, i32::MAX as f64) as i32
-                                }
-                                Err(reason) => {
-                                    self.reports.info(
-                                        now,
-                                        &name,
-                                        format!(
-                                            "DEPRIORITIZE operand fault: {reason}; \
-                                             action skipped"
-                                        ),
-                                    );
-                                    continue;
-                                }
+                        Some(program) => match operand(program) {
+                            Ok(r) => {
+                                fuel += r.fuel;
+                                r.value.round().clamp(i32::MIN as f64, i32::MAX as f64) as i32
                             }
-                        }
+                            Err(reason) => {
+                                reports.info(
+                                    now,
+                                    name,
+                                    format!(
+                                        "DEPRIORITIZE operand fault: {reason}; \
+                                         action skipped"
+                                    ),
+                                );
+                                continue;
+                            }
+                        },
                         None => 5,
                     };
-                    self.outbox.push(
+                    outbox.push(
                         now,
                         Command::Deprioritize {
                             guardrail: name.clone(),
@@ -893,61 +957,41 @@ impl MonitorEngine {
                             steps: steps_value,
                         },
                     );
-                    self.stats.commands_emitted += 1;
+                    stats.commands_emitted += 1;
                 }
-                CompiledAction::Save { key, value } => {
-                    match Self::eval_operand(
-                        &mut self.vm,
-                        &self.store,
-                        value,
-                        now,
-                        args,
-                        &mut self.monitors[midx].action_deltas[aidx],
-                        self.rule_fuel_limit,
-                    ) {
-                        Ok(r) => {
-                            fuel += r.fuel;
-                            self.store.save(key, r.value);
-                        }
-                        Err(reason) => {
-                            self.reports.info(
-                                now,
-                                &name,
-                                format!("SAVE operand fault: {reason}; action skipped"),
-                            );
-                            continue;
-                        }
+                CompiledAction::Save { value, .. } => match operand(value) {
+                    Ok(r) => {
+                        fuel += r.fuel;
+                        store.save_slot(&slots.keys[0], r.value);
                     }
-                }
-                CompiledAction::Record { key, value } => {
-                    match Self::eval_operand(
-                        &mut self.vm,
-                        &self.store,
-                        value,
-                        now,
-                        args,
-                        &mut self.monitors[midx].action_deltas[aidx],
-                        self.rule_fuel_limit,
-                    ) {
-                        Ok(r) => {
-                            fuel += r.fuel;
-                            self.store.record(key, now, r.value);
-                        }
-                        Err(reason) => {
-                            self.reports.info(
-                                now,
-                                &name,
-                                format!("RECORD operand fault: {reason}; action skipped"),
-                            );
-                            continue;
-                        }
+                    Err(reason) => {
+                        reports.info(
+                            now,
+                            name,
+                            format!("SAVE operand fault: {reason}; action skipped"),
+                        );
+                        continue;
                     }
-                }
+                },
+                CompiledAction::Record { value, .. } => match operand(value) {
+                    Ok(r) => {
+                        fuel += r.fuel;
+                        store.record_slot(&slots.keys[0], now, r.value);
+                    }
+                    Err(reason) => {
+                        reports.info(
+                            now,
+                            name,
+                            format!("RECORD operand fault: {reason}; action skipped"),
+                        );
+                        continue;
+                    }
+                },
             }
-            self.monitors[midx].overhead.charge_action(fuel);
-            self.tdelta.actions[kind as usize] += 1;
-            self.tdelta.action_fuel += fuel;
-            if let Some(t) = &self.telemetry {
+            overhead.charge_action(fuel);
+            tdelta.actions[kind as usize] += 1;
+            tdelta.action_fuel += fuel;
+            if let Some(t) = telemetry {
                 t.mark(now, TraceKind::Action, midx as u32, kind as usize as f64);
             }
         }
@@ -1949,5 +1993,52 @@ guardrail low-false-submit {
         // Fires at 100, 101, 102 — not 103 times from t=0.
         assert_eq!(engine.stats().evaluations, 3);
         assert_eq!(engine.monitor_names(), vec!["g".to_string()]);
+    }
+
+    #[test]
+    fn installing_binds_slots_without_creating_entries() {
+        use crate::store::durable::{MemBackend, PersistBackend, Region};
+        use crate::store::snapshot::Snapshot;
+        let backend = Arc::new(MemBackend::new());
+        let medium: Arc<dyn PersistBackend> = backend.clone();
+        let (durable, _) =
+            crate::DurableStore::open(medium, crate::DurabilityConfig::default()).unwrap();
+        let store = durable.store();
+        let mut engine =
+            MonitorEngine::with_parts(Arc::clone(&store), Arc::new(PolicyRegistry::new()));
+        engine
+            .install_str(
+                r#"guardrail g {
+                    trigger: { TIMER(0, 1s) },
+                    rule: {
+                        LOAD(rate) <= 0.05
+                        AVG(lat, 10s) < 100
+                        DELTA(errs) == 0
+                    },
+                    action: {
+                        REPORT("rate high", rate, seen)
+                        SAVE(ml_enabled, LOAD(fallback))
+                        RECORD(trips, EWMA(smoothed))
+                    }
+                }"#,
+            )
+            .unwrap();
+        // Every key above is now bound to a slot, yet nothing was written.
+        assert!(store.keys().is_empty(), "keys: {:?}", store.keys());
+        assert_eq!(store.len(), 0);
+        assert!(store.scalars().is_empty());
+        assert_eq!(durable.seq(), 0, "interning journals nothing");
+        durable.compact().unwrap();
+        let snapshot = Snapshot::decode(&backend.load(Region::Snapshot).unwrap()).unwrap();
+        assert!(snapshot.entries.is_empty());
+        // The bound slots are the store's: a string-API write is what the
+        // monitor reads, and its actions write where the string API looks.
+        store.save("rate", 0.5);
+        engine.advance_to(Nanos::ZERO);
+        assert_eq!(engine.stats().violations, 1);
+        assert_eq!(store.load("ml_enabled"), Some(0.0));
+        assert_eq!(store.keys(), ["ml_enabled", "rate", "trips"]);
+        let reports = engine.reports().records();
+        assert_eq!(reports[0].message, "rate high rate=0.5 seen=0");
     }
 }

@@ -50,7 +50,7 @@ pub enum Region {
 /// A persistence medium with three byte regions.
 ///
 /// `append` must be atomic with respect to other appends (the journal hook
-/// runs under the store's shard locks, from multiple writer threads).
+/// runs under the store's per-key slot locks, from multiple writer threads).
 pub trait PersistBackend: Send + Sync + std::fmt::Debug {
     /// Reads the full contents of `region` (empty if never written).
     fn load(&self, region: Region) -> Result<Vec<u8>>;
@@ -346,7 +346,7 @@ impl SaveJournal for WalAppender {
         if self.group_commit <= 1 {
             self.append_frame(&encode_frame(&record), 1);
         } else {
-            // Same-key writes are serialized by the store's shard lock, so
+            // Same-key writes are serialized by the store's slot lock, so
             // records for one key always land in the buffer in seq order;
             // cross-key interleaving is harmless (post-state replay).
             // The append happens under the buffer lock so group frames land

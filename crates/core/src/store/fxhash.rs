@@ -1,15 +1,13 @@
-//! Fast, non-cryptographic string hashing for the store hot path.
+//! Fast, non-cryptographic string hashing for key lookups.
 //!
 //! `std`'s default `HashMap` hasher (SipHash-1-3) is DoS-resistant but costs
-//! tens of nanoseconds per short key — material when every `SAVE`/`LOAD` in
-//! the monitor hot path hashes its key twice (shard selection + map lookup).
-//! Feature-store keys come from compiled guardrail specs and instrumented
-//! kernel code, not from untrusted input, so a multiply-xor hash in the
-//! Firefox/rustc "Fx" style is safe here and several times faster.
-//!
-//! The same 64-bit hash drives both shard selection (top bits, folded onto
-//! the shard mask) and the per-shard map (via [`FxBuildHasher`]), so a store
-//! operation pays for exactly one pass over the key bytes.
+//! tens of nanoseconds per short key. Feature-store keys and hook names come
+//! from compiled guardrail specs and instrumented kernel code, not from
+//! untrusted input, so a multiply-xor hash in the Firefox/rustc "Fx" style
+//! is safe here and several times faster. It backs the store's intern index
+//! (string-keyed calls hash the key to pick a stripe and again inside the
+//! stripe's table; bound slots never hash) and the engine's hook dispatch
+//! index.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -70,19 +68,14 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` keyed by the fast hasher.
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
-/// Hashes a key the same way the per-shard maps do (one pass over the
-/// bytes); used for shard selection so the bytes are only walked once
-/// conceptually — and cheaply in practice.
-#[inline]
-pub fn hash_key(key: &str) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(key.as_bytes());
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::BuildHasher;
+
+    fn hash_key(key: &str) -> u64 {
+        FxBuildHasher::default().hash_one(key)
+    }
 
     #[test]
     fn deterministic_and_distinct() {
@@ -109,30 +102,5 @@ mod tests {
         for i in 0..100u32 {
             assert_eq!(m.get(&format!("key{i}")), Some(&i));
         }
-    }
-
-    #[test]
-    fn spreads_across_low_bits() {
-        // Shard selection folds the hash onto a small mask; typical store
-        // keys must not all land in one shard.
-        use std::collections::HashSet;
-        let shards: HashSet<u64> = [
-            "ml_enabled",
-            "false_submit_rate",
-            "sched.wait_p99",
-            "io.lat",
-            "retrain.count",
-            "slot.learned",
-            "poison_count",
-            "mem.rss",
-        ]
-        .iter()
-        .map(|k| hash_key(k) >> 60)
-        .collect();
-        assert!(
-            shards.len() >= 4,
-            "keys clump into {} shard(s)",
-            shards.len()
-        );
     }
 }

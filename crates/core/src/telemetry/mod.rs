@@ -9,7 +9,7 @@
 //!    fixed log-scale-bucket histograms. The engine, VM dispatch, feature
 //!    store, and WAL all record into pre-registered handles
 //!    ([`EngineMetrics`]): per-guardrail eval wall time, fuel burned,
-//!    fused-vs-fallback dispatch counts, store shard contention, WAL
+//!    fused-vs-fallback dispatch counts, store saves, WAL
 //!    bytes/flushes/group sizes, and action firings by kind.
 //! 2. **A trace ring** ([`TraceRing`]): a lock-free, bounded,
 //!    overwrite-oldest ring of spans and events (eval start/end, violation,
@@ -136,8 +136,6 @@ pub struct EngineMetrics {
     pub actions: [Arc<Counter>; 6],
     /// Feature-store scalar writes (copied from the store at publish).
     pub store_saves: Arc<Gauge>,
-    /// Feature-store shard-lock contention events (copied at publish).
-    pub store_contention: Arc<Gauge>,
     /// WAL bytes appended (copied from the durable store at publish).
     pub wal_bytes: Arc<Gauge>,
     /// WAL frame flushes (copied at publish).
@@ -171,7 +169,6 @@ impl EngineMetrics {
                 registry.counter("actions/record"),
             ],
             store_saves: registry.gauge("store/saves"),
-            store_contention: registry.gauge("store/shard_contention"),
             wal_bytes: registry.gauge("wal/bytes"),
             wal_flushes: registry.gauge("wal/flushes"),
             wal_group_hist: registry.histogram("wal/group_records_hist"),
@@ -378,7 +375,6 @@ impl Telemetry {
     /// hosts can call it directly.
     pub fn observe_store(&self, store: &FeatureStore) {
         self.m.store_saves.set(store.saves_total() as f64);
-        self.m.store_contention.set(store.contention_total() as f64);
     }
 
     /// Copies a durable store's always-on WAL counters into the registered

@@ -1,6 +1,7 @@
 //! The monitor virtual machine.
 //!
-//! Executes verified [`Program`]s against the feature store. Arithmetic is
+//! Executes verified [`Program`]s against the feature store, through the
+//! store slots the program's key table was bound to. Arithmetic is
 //! total (division/modulo by zero yield 0, NaN comparisons are false), and
 //! the interpreter charges fuel per instruction so the engine can account
 //! monitoring overhead (property P5). A verified program cannot fail:
@@ -11,21 +12,32 @@ use std::collections::HashMap;
 use simkernel::Nanos;
 
 use crate::compile::ir::{FusedOp, Op, Program};
-use crate::store::FeatureStore;
+use crate::store::Slot;
 
 /// Per-program persistent state for `DELTA(key)`: last-seen scalar values.
 pub type DeltaState = HashMap<u16, f64>;
 
 /// The evaluation context a program runs in.
 pub struct EvalCtx<'a> {
-    /// The feature store (reads only; writes happen through actions).
-    pub store: &'a FeatureStore,
+    /// The program's key table bound to store slots
+    /// ([`crate::FeatureStore::bind`]): key index `k` reads `slots[k]`.
+    /// Reads only; writes happen through actions.
+    pub slots: &'a [Slot],
     /// Current simulated time (anchors windowed aggregates).
     pub now: Nanos,
     /// Trigger arguments (empty under TIMER triggers).
     pub args: &'a [f64],
     /// Persistent `DELTA` state for this program.
     pub deltas: &'a mut DeltaState,
+}
+
+impl EvalCtx<'_> {
+    /// The slot bound to key index `k`; the verifier guarantees every key
+    /// operand indexes the program's key table.
+    #[inline]
+    fn slot(&self, k: u16) -> &Slot {
+        &self.slots[usize::from(k)]
+    }
 }
 
 /// The result of one program evaluation.
@@ -88,11 +100,13 @@ impl std::error::Error for VmFault {}
 /// ).unwrap();
 /// let store = FeatureStore::new();
 /// store.save("x", 0.2);
+/// let program = &compiled[0].rules[0].program;
+/// let slots = store.bind(&program.keys);
 /// let mut vm = Vm::new();
 /// let mut deltas = Default::default();
 /// let result = vm.run(
-///     &compiled[0].rules[0].program,
-///     &mut EvalCtx { store: &store, now: Nanos::ZERO, args: &[], deltas: &mut deltas },
+///     program,
+///     &mut EvalCtx { slots: &slots, now: Nanos::ZERO, args: &[], deltas: &mut deltas },
 /// );
 /// assert!(!result.as_bool()); // 0.2 > 0.05: the rule does not hold.
 /// ```
@@ -114,7 +128,8 @@ impl Vm {
     /// # Panics
     ///
     /// Panics on stack underflow or malformed jumps, which the verifier
-    /// excludes; running an unverified program is a programming error.
+    /// excludes; running an unverified program is a programming error. Also
+    /// panics when `ctx.slots` was not bound from this program's key table.
     pub fn run(&mut self, program: &Program, ctx: &mut EvalCtx<'_>) -> EvalResult {
         self.exec(program, ctx, None)
             .expect("unlimited fuel cannot exhaust")
@@ -177,7 +192,7 @@ impl Vm {
             let mut next = pc + 1;
             match fop {
                 FusedOp::LoadCmpConst { key, cmp, constant } => {
-                    let v = ctx.store.load(program.key(key)).unwrap_or(0.0);
+                    let v = ctx.slot(key).load().unwrap_or(0.0);
                     self.stack
                         .push(if cmp.eval(v, constant) { 1.0 } else { 0.0 });
                 }
@@ -191,10 +206,10 @@ impl Vm {
                     arith,
                     constant,
                 } => {
-                    let v = ctx.store.load(program.key(key)).unwrap_or(0.0);
+                    let v = ctx.slot(key).load().unwrap_or(0.0);
                     self.stack.push(arith.eval(v, constant));
                 }
-                FusedOp::Plain(op) => self.step(op, program, ctx, &mut next),
+                FusedOp::Plain(op) => self.step(op, ctx, &mut next),
             }
             pc = next;
         }
@@ -221,7 +236,7 @@ impl Vm {
                 }
             }
             let mut next = pc + 1;
-            self.step(op, program, ctx, &mut next);
+            self.step(op, ctx, &mut next);
             pc = next;
         }
         let value = self.stack.pop().unwrap_or(0.0);
@@ -232,12 +247,10 @@ impl Vm {
     /// fall-through successor index and is overwritten by taken jumps; in
     /// the fused stream, jump operands were rewritten to fused indices at
     /// fusion time, so the same step function serves both loops.
-    fn step(&mut self, op: Op, program: &Program, ctx: &mut EvalCtx<'_>, next: &mut usize) {
+    fn step(&mut self, op: Op, ctx: &mut EvalCtx<'_>, next: &mut usize) {
         match op {
             Op::Push(v) => self.stack.push(v),
-            Op::Load(k) => self
-                .stack
-                .push(ctx.store.load(program.key(k)).unwrap_or(0.0)),
+            Op::Load(k) => self.stack.push(ctx.slot(k).load().unwrap_or(0.0)),
             Op::Arg(i) => self
                 .stack
                 .push(ctx.args.get(usize::from(i)).copied().unwrap_or(0.0)),
@@ -245,24 +258,20 @@ impl Vm {
                 kind,
                 key,
                 window_ns,
-            } => self.stack.push(ctx.store.aggregate(
+            } => self.stack.push(ctx.slot(key).aggregate(
                 kind,
-                program.key(key),
                 Nanos::from_nanos(window_ns),
                 ctx.now,
             )),
-            Op::Quantile { key, q, window_ns } => self.stack.push(ctx.store.quantile(
-                program.key(key),
+            Op::Quantile { key, q, window_ns } => self.stack.push(ctx.slot(key).quantile(
                 q,
                 Nanos::from_nanos(window_ns),
                 ctx.now,
             )),
-            Op::Ewma(k) => self.stack.push(ctx.store.ewma(program.key(k))),
-            Op::Hist { key, q } => self
-                .stack
-                .push(ctx.store.hist_quantile(program.key(key), q)),
+            Op::Ewma(k) => self.stack.push(ctx.slot(k).ewma()),
+            Op::Hist { key, q } => self.stack.push(ctx.slot(key).hist_quantile(q)),
             Op::Delta(k) => {
-                let current = ctx.store.load(program.key(k)).unwrap_or(0.0);
+                let current = ctx.slot(k).load().unwrap_or(0.0);
                 let last = ctx.deltas.insert(k, current).unwrap_or(current);
                 self.stack.push(current - last);
             }
@@ -347,14 +356,16 @@ mod tests {
     use crate::compile::lower::lower_expr;
     use crate::compile::opt::fold_expr;
     use crate::spec::ast::{AggKind, BinOp, Expr, UnOp};
+    use crate::store::FeatureStore;
 
     fn eval_with(store: &FeatureStore, now: Nanos, args: &[f64], e: &Expr) -> EvalResult {
         let program = lower_expr(&fold_expr(e)).unwrap();
+        let slots = store.bind(&program.keys);
         let mut deltas = DeltaState::default();
         Vm::new().run(
             &program,
             &mut EvalCtx {
-                store,
+                slots: &slots,
                 now,
                 args,
                 deltas: &mut deltas,
@@ -440,13 +451,14 @@ mod tests {
         let store = FeatureStore::new();
         store.save("errors", 10.0);
         let program = lower_expr(&Expr::Delta("errors".into())).unwrap();
+        let slots = store.bind(&program.keys);
         let mut deltas = DeltaState::default();
         let mut vm = Vm::new();
         let mut run = |deltas: &mut DeltaState| {
             vm.run(
                 &program,
                 &mut EvalCtx {
-                    store: &store,
+                    slots: &slots,
                     now: Nanos::ZERO,
                     args: &[],
                     deltas,
@@ -525,11 +537,12 @@ mod tests {
         let e = Expr::bin(BinOp::Le, Expr::Load("x".into()), num(0.05));
         let program = lower_expr(&e).unwrap();
         let store = FeatureStore::new();
+        let slots = store.bind(&program.keys);
         let mut deltas = DeltaState::default();
         let r = Vm::new().run(
             &program,
             &mut EvalCtx {
-                store: &store,
+                slots: &slots,
                 now: Nanos::ZERO,
                 args: &[],
                 deltas: &mut deltas,
@@ -543,10 +556,11 @@ mod tests {
         let e = Expr::bin(BinOp::Le, Expr::Load("x".into()), num(0.05));
         let program = lower_expr(&e).unwrap();
         let store = FeatureStore::new();
+        let slots = store.bind(&program.keys);
         let mut deltas = DeltaState::default();
         let mut vm = Vm::new();
         let mut ctx = EvalCtx {
-            store: &store,
+            slots: &slots,
             now: Nanos::ZERO,
             args: &[],
             deltas: &mut deltas,
@@ -593,6 +607,7 @@ mod tests {
             let base = lower_expr(e).unwrap();
             let mut fused = base.clone();
             fused.fused = fuse_program(&base);
+            let slots = store.bind(&base.keys);
             assert!(
                 !fused.fused.is_empty(),
                 "every case exercises the fused loop"
@@ -603,7 +618,7 @@ mod tests {
                 let r_base = Vm::new().run(
                     &base,
                     &mut EvalCtx {
-                        store: &store,
+                        slots: &slots,
                         now: Nanos::ZERO,
                         args,
                         deltas: &mut d1,
@@ -612,7 +627,7 @@ mod tests {
                 let r_fused = Vm::new().run(
                     &fused,
                     &mut EvalCtx {
-                        store: &store,
+                        slots: &slots,
                         now: Nanos::ZERO,
                         args,
                         deltas: &mut d2,
@@ -635,17 +650,18 @@ mod tests {
         let mut fused = base.clone();
         fused.fused = fuse_program(&base);
         let store = FeatureStore::new();
+        let slots = store.bind(&base.keys);
         for limit in 0..=base.worst_case_fuel() + 1 {
             let mut d1 = DeltaState::default();
             let mut d2 = DeltaState::default();
             let mut ctx1 = EvalCtx {
-                store: &store,
+                slots: &slots,
                 now: Nanos::ZERO,
                 args: &[],
                 deltas: &mut d1,
             };
             let mut ctx2 = EvalCtx {
-                store: &store,
+                slots: &slots,
                 now: Nanos::ZERO,
                 args: &[],
                 deltas: &mut d2,
@@ -669,11 +685,12 @@ mod tests {
         let rhs = Expr::bin(BinOp::Lt, Expr::Load("b".into()), num(1.0));
         let program = lower_expr(&Expr::bin(BinOp::And, lhs, rhs)).unwrap();
         let store = FeatureStore::new();
+        let slots = store.bind(&program.keys);
         let mut deltas = DeltaState::default();
         let r = Vm::new().run(
             &program,
             &mut EvalCtx {
-                store: &store,
+                slots: &slots,
                 now: Nanos::ZERO,
                 args: &[],
                 deltas: &mut deltas,

@@ -1,7 +1,9 @@
 //! Property tests for the crash-consistent store: WAL replay is idempotent
 //! and matches the write history, compaction at any point recovers the same
 //! state (snapshot + WAL-suffix equivalence), and a torn WAL tail recovers
-//! exactly a prefix of the history.
+//! exactly a prefix of the history. The same recovered ≡ uninterrupted
+//! equivalence holds when writers go through slot handles bound before the
+//! first write.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -9,7 +11,8 @@ use std::sync::Arc;
 use guardrails::store::durable::{
     DurabilityConfig, DurableStore, MemBackend, PersistBackend, RecoveryReport,
 };
-use guardrails::FeatureStore;
+use guardrails::telemetry::is_reserved;
+use guardrails::{FeatureStore, Slot};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -54,6 +57,54 @@ fn apply(store: &FeatureStore, writes: &[(usize, f64)]) {
     for &(k, v) in writes {
         store.save(KEYS[k], v);
     }
+}
+
+/// Keys for slot-store histories: the plain keys plus one reserved
+/// telemetry key, which must never reach the journal.
+const SLOT_KEYS: [&str; 5] = [
+    "false_submit_rate",
+    "ml_enabled",
+    "violations",
+    "qdepth",
+    "__telemetry/engine/evaluations",
+];
+
+/// One slot-store write: `(key, value, via_slot, incr)`.
+type SlotWrite = (usize, f64, bool, bool);
+
+/// Applies a history, each write through the slot handle or by name, as
+/// `SAVE` or `incr` as the write says.
+fn apply_mixed(store: &FeatureStore, slots: &[Slot], writes: &[SlotWrite]) {
+    for &(k, v, via_slot, incr) in writes {
+        match (via_slot, incr) {
+            (true, false) => store.save_slot(&slots[k], v),
+            (true, true) => {
+                store.incr_slot(&slots[k], v);
+            }
+            (false, false) => store.save(SLOT_KEYS[k], v),
+            (false, true) => {
+                store.incr(SLOT_KEYS[k], v);
+            }
+        }
+    }
+}
+
+/// The durable part of an uninterrupted run of `writes`: a journal-free
+/// store's scalars minus the reserved namespace.
+fn uninterrupted(writes: &[SlotWrite]) -> Vec<(String, f64)> {
+    let store = FeatureStore::new();
+    let slots: Vec<Slot> = SLOT_KEYS.iter().map(|k| store.slot(k)).collect();
+    apply_mixed(&store, &slots, writes);
+    let mut scalars = sorted_scalars(&store);
+    scalars.retain(|(key, _)| !is_reserved(key));
+    scalars
+}
+
+fn journaled_writes(writes: &[SlotWrite]) -> u64 {
+    writes
+        .iter()
+        .filter(|&&(k, ..)| !is_reserved(SLOT_KEYS[k]))
+        .count() as u64
 }
 
 proptest! {
@@ -246,5 +297,48 @@ proptest! {
         prop_assert!(!report.tainted());
         prop_assert_eq!(report.wal_records_quarantined, poisoned as u64);
         prop_assert_eq!(sorted_scalars(&durable.store()), model(&history));
+    }
+
+    #[test]
+    fn journaled_slot_writes_recover_like_an_uninterrupted_run(
+        writes in vec((0usize..SLOT_KEYS.len(), -1e6f64..1e6, any::<bool>(), any::<bool>()), 0..40),
+        group in 1usize..6,
+    ) {
+        let backend = Arc::new(MemBackend::new());
+        {
+            let (durable, _) = open_grouped(&backend, group);
+            let store = durable.store();
+            let slots: Vec<Slot> = SLOT_KEYS.iter().map(|k| store.slot(k)).collect();
+            prop_assert_eq!(durable.seq(), 0, "binding slots journals nothing");
+            apply_mixed(&store, &slots, &writes);
+            prop_assert_eq!(durable.seq(), journaled_writes(&writes));
+        }
+        let (durable, report) = open_grouped(&backend, group);
+        prop_assert!(!report.tainted());
+        prop_assert_eq!(report.wal_records_applied, journaled_writes(&writes));
+        prop_assert_eq!(sorted_scalars(&durable.store()), uninterrupted(&writes));
+    }
+
+    #[test]
+    fn compaction_keeps_bound_slots_journaled(
+        writes in vec((0usize..SLOT_KEYS.len(), -1e6f64..1e6, any::<bool>(), any::<bool>()), 1..40),
+        group in 1usize..6,
+        cut in 0usize..40,
+    ) {
+        let cut = cut % (writes.len() + 1);
+        let backend = Arc::new(MemBackend::new());
+        {
+            let (durable, _) = open_grouped(&backend, group);
+            let store = durable.store();
+            let slots: Vec<Slot> = SLOT_KEYS.iter().map(|k| store.slot(k)).collect();
+            apply_mixed(&store, &slots, &writes[..cut]);
+            durable.compact().unwrap();
+            // The handles bound before the compaction keep journaling.
+            apply_mixed(&store, &slots, &writes[cut..]);
+        }
+        let (durable, report) = open_grouped(&backend, group);
+        prop_assert!(!report.tainted());
+        prop_assert_eq!(report.wal_records_applied, journaled_writes(&writes[cut..]));
+        prop_assert_eq!(sorted_scalars(&durable.store()), uninterrupted(&writes));
     }
 }

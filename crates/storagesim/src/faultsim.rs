@@ -41,7 +41,7 @@ use simkernel::{MovingAverage, Nanos};
 use crate::array::FlashArray;
 use crate::device::FlashDeviceConfig;
 use crate::linnos::LinnosClassifier;
-use crate::sim::{LinnosSimConfig, LISTING_2_SPEC};
+use crate::sim::{FalseSubmitWindow, LinnosSimConfig, LISTING_2_SPEC};
 use crate::workload::Workload;
 
 /// Latency-SLO guardrail for the transient device faults. A brownout slows
@@ -297,8 +297,10 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
     };
     engine.apply_runtime(&runtime);
     let store = engine.store();
-    store.save("ml_enabled", 1.0);
-    store.save("false_submit_rate", 0.0);
+    let ml_enabled = store.slot("ml_enabled");
+    let false_submit_rate = store.slot("false_submit_rate");
+    store.save_slot(&ml_enabled, 1.0);
+    store.save_slot(&false_submit_rate, 0.0);
 
     // Install the guardrail(s) the scenario exercises.
     let registry = engine.registry();
@@ -358,7 +360,7 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
     let mut injector = FaultInjector::new(plan);
 
     let uses_registry_gate = matches!(kind, FaultKind::ReplaceTargetMissing);
-    let mut recent_false: std::collections::VecDeque<bool> = std::collections::VecDeque::new();
+    let mut recent_false = FalseSubmitWindow::new(base.rate_window);
     let mut moving = MovingAverage::new(base.moving_avg_window);
     let mut health_ewma = 0.0f64;
     let mut trained = false;
@@ -495,7 +497,7 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
         }
 
         // Post-advance state tracking.
-        if ml_off_at.is_none() && !store.flag("ml_enabled") {
+        if ml_off_at.is_none() && !ml_enabled.flag() {
             ml_off_at = Some(now);
         }
         if uses_registry_gate
@@ -518,7 +520,7 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
 
         // The datapath decision.
         let ml_on = trained
-            && store.flag("ml_enabled")
+            && ml_enabled.flag()
             && (!uses_registry_gate || registry.is_active("io_submit", VARIANT_LEARNED));
         let mut proba = f64::NAN;
         let classifier_ref = &mut classifier;
@@ -543,19 +545,14 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
                 health_ewma = 0.98 * health_ewma + 0.02 * proba;
                 store.save("prediction_health", health_ewma);
             }
-            recent_false.push_back(outcome.false_submit);
-        }
-        if recent_false.len() > base.rate_window {
-            recent_false.pop_front();
+            recent_false.push(outcome.false_submit);
         }
         let saves_dropped = injector.is_active(
             now,
             |k| matches!(k, FaultKind::DroppedSaves { key } if key == "false_submit_rate"),
         );
-        if !recent_false.is_empty() && !saves_dropped {
-            let rate =
-                recent_false.iter().filter(|&&b| b).count() as f64 / recent_false.len() as f64;
-            store.save("false_submit_rate", rate);
+        if let Some(rate) = recent_false.rate().filter(|_| !saves_dropped) {
+            store.save_slot(&false_submit_rate, rate);
         }
 
         let avg = moving.push(outcome.latency.as_micros_f64());
@@ -569,7 +566,7 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
         }
     }
     engine.advance_to(timeline.total);
-    if ml_off_at.is_none() && !store.flag("ml_enabled") {
+    if ml_off_at.is_none() && !ml_enabled.flag() {
         ml_off_at = Some(timeline.total);
     }
 
@@ -585,7 +582,7 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
             let store_finite = store.load("prediction_health").is_some_and(f64::is_finite);
             if !store_finite {
                 None
-            } else if store.flag("ml_enabled") {
+            } else if ml_enabled.flag() {
                 Some(fault_end)
             } else {
                 ml_off_at
@@ -618,7 +615,7 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
         retrains_applied,
         post_fault_latency_us: mean_us(post_fault_lat),
         healthy_latency_us: mean_us(healthy_lat),
-        ml_enabled_at_end: store.flag("ml_enabled"),
+        ml_enabled_at_end: ml_enabled.flag(),
         wedged: recovery.is_none(),
     }
 }

@@ -51,5 +51,5 @@ pub use recovery::{
     recovery_matrix, run_crash_loop, run_crash_pair, run_crash_scenario, run_no_crash_reference,
     RecoveryRunReport,
 };
-pub use sim::{run_fig2, LinnosSim, LinnosSimConfig, SimReport};
+pub use sim::{run_fig2, FalseSubmitWindow, LinnosSim, LinnosSimConfig, SimReport};
 pub use workload::{Workload, WorkloadConfig};

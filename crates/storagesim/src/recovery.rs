@@ -38,7 +38,6 @@
 //! ([`Supervisor`]), after which the system keeps serving I/O on the safe
 //! fallback policy with no learned path and no monitors.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use guardrails::fault::FaultKind;
@@ -48,12 +47,13 @@ use guardrails::monitor::{
 };
 use guardrails::policy::{PolicyRegistry, VARIANT_LEARNED};
 use guardrails::store::durable::{DurableStore, MemBackend};
+use guardrails::store::Slot;
 use simkernel::Nanos;
 
 use crate::array::FlashArray;
 use crate::faultsim::{fault_label, FAILOVER_QUALITY_SPEC};
 use crate::linnos::LinnosClassifier;
-use crate::sim::{LinnosSimConfig, LISTING_2_SPEC};
+use crate::sim::{FalseSubmitWindow, LinnosSimConfig, LISTING_2_SPEC};
 use crate::workload::Workload;
 
 /// End of the training phase.
@@ -138,6 +138,9 @@ struct Node {
     engine: Option<MonitorEngine>,
     durable: Option<DurableStore>,
     store: Arc<guardrails::store::FeatureStore>,
+    /// The per-I/O keys, interned in `store`.
+    ml_enabled: Slot,
+    false_submit_rate: Slot,
     registry: Arc<PolicyRegistry>,
     /// `stats().violations` right after boot/restore, to delta against.
     violations_at_boot: u64,
@@ -226,6 +229,8 @@ impl Driver {
         Node {
             engine: Some(engine),
             durable,
+            ml_enabled: store.slot("ml_enabled"),
+            false_submit_rate: store.slot("false_submit_rate"),
             store,
             registry,
             violations_at_boot,
@@ -277,6 +282,8 @@ impl Driver {
         Node {
             engine: None,
             durable,
+            ml_enabled: store.slot("ml_enabled"),
+            false_submit_rate: store.slot("false_submit_rate"),
             store,
             registry,
             violations_at_boot: 0,
@@ -382,7 +389,7 @@ fn run_plan(
     let mut state = NodeState::Up(Box::new(driver.boot(Nanos::ZERO, true)));
     let mut crash_idx = 0usize;
     // Monitor-side telemetry: dies with the node.
-    let mut recent_false: VecDeque<bool> = VecDeque::new();
+    let mut recent_false = FalseSubmitWindow::new(base.rate_window);
     let mut trained = false;
     let mut shifted = false;
     let mut disabled_once = false;
@@ -457,10 +464,9 @@ fn run_plan(
         }
 
         // The datapath decision, gated by the (possibly restored) state.
-        let ml_on = trained
-            && node.store.flag("ml_enabled")
-            && node.registry.is_active(SLOT, VARIANT_LEARNED);
-        if !disabled_once && trained && !node.store.flag("ml_enabled") {
+        let ml_on =
+            trained && node.ml_enabled.flag() && node.registry.is_active(SLOT, VARIANT_LEARNED);
+        if !disabled_once && trained && !node.ml_enabled.flag() {
             disabled_once = true;
             driver.report.disabled_at = Some(now);
         }
@@ -479,15 +485,10 @@ fn run_plan(
 
         // Telemetry for Listing 2 (same pipeline as `sim`).
         if ml_on {
-            recent_false.push_back(outcome.false_submit);
+            recent_false.push(outcome.false_submit);
         }
-        if recent_false.len() > base.rate_window {
-            recent_false.pop_front();
-        }
-        if !recent_false.is_empty() {
-            let rate =
-                recent_false.iter().filter(|&&b| b).count() as f64 / recent_false.len() as f64;
-            node.store.save("false_submit_rate", rate);
+        if let Some(rate) = recent_false.rate() {
+            node.store.save_slot(&node.false_submit_rate, rate);
         }
 
         ios += 1;
@@ -516,7 +517,7 @@ fn run_plan(
             engine.advance_to(TOTAL);
             driver.report.violations += engine.stats().violations - node.violations_at_boot;
         }
-        driver.report.ml_enabled_at_end = node.store.flag("ml_enabled");
+        driver.report.ml_enabled_at_end = node.ml_enabled.flag();
         driver.report.slot_learned_at_end = node.registry.is_active(SLOT, VARIANT_LEARNED);
     }
     driver.report.healthy_latency_us = mean_us(healthy_lat);

@@ -16,6 +16,8 @@
 //!    `ml_enabled` off; the policy falls back to default submission and the
 //!    moving average recovers. Without the guardrail it stays degraded.
 
+use std::collections::VecDeque;
+
 use guardrails::monitor::MonitorEngine;
 use guardrails::{Telemetry, TelemetrySnapshot};
 use simkernel::{MovingAverage, Nanos};
@@ -202,15 +204,17 @@ impl LinnosSim {
     /// Runs to completion and reports.
     pub fn run(mut self) -> SimReport {
         let store = self.engine.store();
-        store.save("ml_enabled", 1.0);
-        store.save("false_submit_rate", 0.0);
+        let ml_enabled = store.slot("ml_enabled");
+        let false_submit_rate = store.slot("false_submit_rate");
+        store.save_slot(&ml_enabled, 1.0);
+        store.save_slot(&false_submit_rate, 0.0);
 
         let total = self.config.total();
         let shift_at = self.config.shift_at();
         let warmup_end = self.config.warmup;
 
         let mut moving = MovingAverage::new(self.config.moving_avg_window);
-        let mut recent_false: std::collections::VecDeque<bool> = std::collections::VecDeque::new();
+        let mut recent_false = FalseSubmitWindow::new(self.config.rate_window);
         let mut series = Vec::new();
         let mut ios: u64 = 0;
         let mut trained = false;
@@ -239,7 +243,7 @@ impl LinnosSim {
             // concurrently with the datapath.
             self.engine.advance_to(now);
 
-            let ml_on = trained && store.flag("ml_enabled");
+            let ml_on = trained && ml_enabled.flag();
             let classifier = &mut self.classifier;
             let outcome = self
                 .array
@@ -258,15 +262,10 @@ impl LinnosSim {
             // rate describes the *model's* false submits, so it only
             // accumulates while the learned path is making decisions.
             if ml_on {
-                recent_false.push_back(outcome.false_submit);
+                recent_false.push(outcome.false_submit);
             }
-            if recent_false.len() > self.config.rate_window {
-                recent_false.pop_front();
-            }
-            if !recent_false.is_empty() {
-                let rate =
-                    recent_false.iter().filter(|&&b| b).count() as f64 / recent_false.len() as f64;
-                store.save("false_submit_rate", rate);
+            if let Some(rate) = recent_false.rate() {
+                store.save_slot(&false_submit_rate, rate);
             }
 
             let avg = moving.push(outcome.latency.as_micros_f64());
@@ -287,7 +286,7 @@ impl LinnosSim {
             healthy,
             shifted: shifted_stats,
             violations: violations.len(),
-            ml_enabled_at_end: store.flag("ml_enabled"),
+            ml_enabled_at_end: ml_enabled.flag(),
             telemetry: self
                 .engine
                 .telemetry()
@@ -313,9 +312,81 @@ pub fn run_fig2(config: LinnosSimConfig) -> (SimReport, SimReport) {
     (guarded, unguarded)
 }
 
+/// The false-submit rate over the last `capacity` learned-path I/Os — the
+/// observable feature Listing 2's rule reads (§5). Keeps a running count of
+/// the false submits in the window, so each I/O costs O(1).
+#[derive(Clone, Debug)]
+pub struct FalseSubmitWindow {
+    recent: VecDeque<bool>,
+    capacity: usize,
+    false_submits: usize,
+}
+
+impl FalseSubmitWindow {
+    /// An empty window over the last `capacity` outcomes.
+    pub fn new(capacity: usize) -> Self {
+        FalseSubmitWindow {
+            recent: VecDeque::with_capacity(capacity + 1),
+            capacity,
+            false_submits: 0,
+        }
+    }
+
+    /// Records one learned-path I/O, evicting the oldest beyond capacity.
+    pub fn push(&mut self, false_submit: bool) {
+        self.recent.push_back(false_submit);
+        self.false_submits += usize::from(false_submit);
+        if self.recent.len() > self.capacity && self.recent.pop_front() == Some(true) {
+            self.false_submits -= 1;
+        }
+    }
+
+    /// Forgets every outcome (the monitor-side state of a crashed node).
+    pub fn clear(&mut self) {
+        self.recent.clear();
+        self.false_submits = 0;
+    }
+
+    /// False submits over window length; `None` while the window is empty.
+    pub fn rate(&self) -> Option<f64> {
+        (!self.recent.is_empty()).then(|| self.false_submits as f64 / self.recent.len() as f64)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn false_submit_window_matches_a_recount() {
+        // The running count must give exactly the rate a full recount of
+        // the last `capacity` outcomes gives, bit for bit.
+        for capacity in [0, 1, 3, 16] {
+            let mut window = FalseSubmitWindow::new(capacity);
+            let mut naive: VecDeque<bool> = VecDeque::new();
+            let mut x = 0x9E37_79B9u32;
+            for i in 0..200 {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                let outcome = x.is_multiple_of(3);
+                window.push(outcome);
+                naive.push_back(outcome);
+                if naive.len() > capacity {
+                    naive.pop_front();
+                }
+                let expected = (!naive.is_empty())
+                    .then(|| naive.iter().filter(|&&b| b).count() as f64 / naive.len() as f64);
+                assert_eq!(
+                    window.rate().map(f64::to_bits),
+                    expected.map(f64::to_bits),
+                    "capacity {capacity}, step {i}"
+                );
+            }
+            window.clear();
+            assert_eq!(window.rate(), None);
+        }
+    }
 
     fn quick_config() -> LinnosSimConfig {
         LinnosSimConfig {

@@ -189,12 +189,13 @@ fn arb_spec() -> impl Strategy<Value = Spec> {
 }
 
 fn eval(program: &Program, store: &FeatureStore, args: &[f64]) -> f64 {
+    let slots = store.bind(&program.keys);
     let mut deltas = DeltaState::default();
     Vm::new()
         .run(
             program,
             &mut EvalCtx {
-                store,
+                slots: &slots,
                 now: Nanos::from_secs(1),
                 args,
                 deltas: &mut deltas,
@@ -294,11 +295,12 @@ proptest! {
         for (i, key) in program.keys.iter().enumerate() {
             store.save(key, values[i % values.len()]);
         }
+        let slots = store.bind(&program.keys);
         let mut deltas = DeltaState::default();
         let result = Vm::new().run(
             &program,
             &mut EvalCtx {
-                store: &store,
+                slots: &slots,
                 now: Nanos::from_secs(1),
                 args: &[],
                 deltas: &mut deltas,
