@@ -41,7 +41,8 @@ cargo bench -p gr-bench >/dev/null
 
 # E11 determinism + hot-path invariants: the binary asserts that batched
 # ingestion is observationally identical to (and >=3x faster than) the
-# legacy path and that group commit shrinks the WAL; its CSV holds only
+# legacy per-event path (unoptimized monitors, per-event drain, re-enacted
+# clock reads and hook lookup) and that group commit shrinks the WAL; its CSV holds only
 # deterministic columns and must be byte-identical on every run.
 cargo run --release -p gr-bench --bin exp_hotpath >/dev/null
 git diff --exit-code -- results/exp_hotpath.csv || {

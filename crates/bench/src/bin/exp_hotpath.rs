@@ -1,4 +1,4 @@
-//! E11: hot-path overhaul — batched indexed dispatch + fused VM vs the
+//! E11: hot-path overhaul — batched indexed dispatch + optimized monitors vs the
 //! pre-overhaul ingestion path, feature-store scaling, and WAL group-commit
 //! coalescing.
 //!
@@ -7,12 +7,12 @@
 //! 1. **Event ingestion** (single thread): the same deterministic event
 //!    stream is ingested twice. The *legacy* run reproduces the
 //!    pre-overhaul engine's per-event costs: monitors compiled without
-//!    fusion, one `on_function` call per event, a fresh drain per event,
+//!    the optimizer, one `on_function` call per event, a fresh drain per event,
 //!    plus the two per-evaluation wall-clock reads and the SipHash
 //!    hook-table lookup the old engine performed (both were removed by the
 //!    overhaul, so they are re-enacted explicitly here — see
 //!    `legacy_overhead`). The *overhauled* run uses `on_function_batch`
-//!    over 256-event batches, fused superinstructions, and a reused drain
+//!    over 256-event batches, optimized monitors, and a reused drain
 //!    buffer. Both runs must be observationally identical — same
 //!    violations, same store state, same deterministic stats; only wall
 //!    time may differ.
@@ -46,8 +46,8 @@ const EVENTS: usize = 100_000;
 const BATCH: usize = 256;
 const HOT_HOOK: &str = "io_submit";
 
-/// Four monitors on the hot hook (argument rules fuse to single
-/// superinstructions; the store rule fuses a load-compare) plus bystanders
+/// Four monitors on the hot hook (argument rules lower to single
+/// superinstructions; the store rule to a load-compare) plus bystanders
 /// on other hooks so dispatch exercises index misses too.
 const SPECS: &str = r#"
 guardrail io-size { trigger: { FUNCTION(io_submit) }, rule: { ARG(0) <= 4096 }, action: { RECORD(oversized, 1) } }
@@ -79,14 +79,13 @@ fn workload() -> Vec<[f64; 2]> {
         .collect()
 }
 
-fn build_engine(fuse: bool) -> MonitorEngine {
+fn build_engine(optimize: bool) -> MonitorEngine {
     let mut engine = MonitorEngine::with_parts(
         Arc::new(FeatureStore::new()),
         Arc::new(PolicyRegistry::new()),
     );
     let opts = CompileOptions {
-        optimize: fuse,
-        fuse,
+        optimize,
         ..CompileOptions::default()
     };
     let checked = parse_and_check(SPECS).expect("specs parse");
@@ -123,8 +122,8 @@ fn legacy_overhead(hook_table: &HashMap<String, Vec<usize>>) {
     }
 }
 
-/// Legacy ingestion: per-event delivery, unfused monitors, fresh drain per
-/// event.
+/// Legacy ingestion: per-event delivery, unoptimized monitors, fresh drain
+/// per event.
 fn run_legacy(events: &[[f64; 2]]) -> (MonitorEngine, u64) {
     let mut engine = build_engine(false);
     let hook_table: HashMap<String, Vec<usize>> = [
@@ -147,9 +146,9 @@ fn run_legacy(events: &[[f64; 2]]) -> (MonitorEngine, u64) {
     (engine, wall)
 }
 
-/// Overhauled ingestion: fused monitors, 256-event batches, reused buffers.
-/// Telemetry rides along (E12 shows it costs < 3%) so the fused-vs-fallback
-/// dispatch split is visible on stderr; its counters never enter the CSV.
+/// Overhauled ingestion: optimized monitors, 256-event batches, reused
+/// buffers. Telemetry rides along (E12 shows it costs < 3%); its counters
+/// never enter the CSV.
 fn run_hot(events: &[[f64; 2]]) -> (MonitorEngine, u64) {
     let mut engine = build_engine(true);
     engine.set_telemetry(Telemetry::new());
@@ -275,13 +274,6 @@ fn main() {
     ));
 
     eprintln!("[exp_hotpath] ingestion: legacy {legacy_wall} ns, overhauled {hot_wall} ns");
-    if let Some(t) = hot_engine.telemetry() {
-        let snap = t.snapshot();
-        eprintln!(
-            "[exp_hotpath] dispatch: {} fused, {} fallback evaluations",
-            snap.fused_evals, snap.fallback_evals
-        );
-    }
 
     // ---- Section 2: store scaling --------------------------------------
     const STORE_OPS: usize = 400_000;

@@ -8,13 +8,20 @@
 
 use std::fmt;
 
-use crate::spec::ast::AggKind;
+use crate::spec::ast::{AggKind, BinOp};
 
 /// One bytecode instruction.
 ///
 /// Booleans are represented as `0.0` / `1.0` on the stack; the verifier
 /// tracks boolean-ness statically so the encoding never leaks into rule
 /// semantics.
+///
+/// The dominant rule shapes — `LOAD(key) <= c`, `ARG(i) > c`,
+/// `LOAD(key) / c` — are chosen at lowering as superinstructions
+/// ([`Op::LoadCmp`], [`Op::ArgCmp`], [`Op::LoadArith`]): one dispatch whose
+/// operands live in the instruction itself. They are ordinary instructions
+/// of the one stream the verifier certifies and the VM runs, and each costs
+/// the sum of the load, push and operator it stands for.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Op {
     /// Push an immediate.
@@ -59,30 +66,40 @@ pub enum Op {
     Neg,
     /// Boolean negation (`0.0` ↔ `1.0`).
     Not,
-    /// Pop `b`, pop `a`, push `a + b`.
-    Add,
-    /// Pop `b`, pop `a`, push `a - b`.
-    Sub,
-    /// Pop `b`, pop `a`, push `a * b`.
-    Mul,
-    /// Pop `b`, pop `a`, push `a / b` (0 when `b == 0`: total semantics).
-    Div,
-    /// Pop `b`, pop `a`, push `a % b` (0 when `b == 0`).
-    Mod,
-    /// Pop `hi`, `lo`, `x`; push `clamp(x, lo, max(lo, hi))`.
+    /// Pop `b`, pop `a`, push `a <arith> b` ([`ArithKind::eval`]).
+    Arith(ArithKind),
+    /// Pop `hi`, `lo`, `x`; push [`clamp`]`(x, lo, hi)`.
     Clamp,
-    /// Pop `b`, pop `a`, push `a < b` (NaN compares false).
-    Lt,
-    /// Pop `b`, pop `a`, push `a <= b`.
-    Le,
-    /// Pop `b`, pop `a`, push `a > b`.
-    Gt,
-    /// Pop `b`, pop `a`, push `a >= b`.
-    Ge,
-    /// Pop `b`, pop `a`, push `a == b`.
-    Eq,
-    /// Pop `b`, pop `a`, push `a != b`.
-    Ne,
+    /// Pop `b`, pop `a`, push `a <cmp> b` ([`CmpKind::eval`]).
+    Cmp(CmpKind),
+    /// Push `LOAD(key) <cmp> constant` (`Load; Push; Cmp` in one dispatch).
+    LoadCmp {
+        /// Interned key index.
+        key: u16,
+        /// Which comparison.
+        cmp: CmpKind,
+        /// The immediate right-hand side.
+        constant: f64,
+    },
+    /// Push `ARG(arg) <cmp> constant` (`Arg; Push; Cmp` in one dispatch).
+    ArgCmp {
+        /// Trigger-argument index.
+        arg: u8,
+        /// Which comparison.
+        cmp: CmpKind,
+        /// The immediate right-hand side.
+        constant: f64,
+    },
+    /// Push `LOAD(key) <arith> constant` (`Load; Push; Arith` in one
+    /// dispatch).
+    LoadArith {
+        /// Interned key index.
+        key: u16,
+        /// Which operation.
+        arith: ArithKind,
+        /// The immediate right-hand side.
+        constant: f64,
+    },
     /// Jump to the absolute instruction index if the top of stack is falsy,
     /// *without popping* (short-circuit `&&`). Forward-only.
     JumpIfFalsePeek(u16),
@@ -98,12 +115,18 @@ impl Op {
     ///
     /// Feature-store reads cost more than ALU operations (a read through the
     /// key's store slot; EWMA and histogram reads take the slot's lock);
-    /// windowed aggregates cost the most (they scan samples).
+    /// windowed aggregates cost the most (they scan samples). A
+    /// superinstruction costs the sum of its parts, so choosing one at
+    /// lowering never moves a fuel total.
     pub fn cost(self) -> u64 {
         match self {
             Op::Agg { .. } | Op::Quantile { .. } => 16,
             Op::Hist { .. } => 8,
+            // Load (4) + push (1) + operator (1).
+            Op::LoadCmp { .. } | Op::LoadArith { .. } => 6,
             Op::Load(_) | Op::Ewma(_) | Op::Delta(_) => 4,
+            // Arg (1) + push (1) + compare (1).
+            Op::ArgCmp { .. } => 3,
             _ => 1,
         }
     }
@@ -118,19 +141,12 @@ impl Op {
             | Op::Quantile { .. }
             | Op::Ewma(_)
             | Op::Hist { .. }
-            | Op::Delta(_) => 1,
+            | Op::Delta(_)
+            | Op::LoadCmp { .. }
+            | Op::ArgCmp { .. }
+            | Op::LoadArith { .. } => 1,
             Op::Abs | Op::Neg | Op::Not => 0,
-            Op::Add
-            | Op::Sub
-            | Op::Mul
-            | Op::Div
-            | Op::Mod
-            | Op::Lt
-            | Op::Le
-            | Op::Gt
-            | Op::Ge
-            | Op::Eq
-            | Op::Ne => -1,
+            Op::Arith(_) | Op::Cmp(_) => -1,
             Op::Clamp => -2,
             Op::JumpIfFalsePeek(_) | Op::JumpIfTruePeek(_) => 0,
             Op::Pop => -1,
@@ -138,7 +154,7 @@ impl Op {
     }
 }
 
-/// A comparison selector for fused superinstructions.
+/// A comparison operator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CmpKind {
     /// `<`
@@ -156,19 +172,21 @@ pub enum CmpKind {
 }
 
 impl CmpKind {
-    /// The stack op this selector stands in for.
-    pub fn op(self) -> Op {
-        match self {
-            CmpKind::Lt => Op::Lt,
-            CmpKind::Le => Op::Le,
-            CmpKind::Gt => Op::Gt,
-            CmpKind::Ge => Op::Ge,
-            CmpKind::Eq => Op::Eq,
-            CmpKind::Ne => Op::Ne,
-        }
+    /// The comparison a binary operator denotes, if it is one.
+    pub fn from_binop(op: BinOp) -> Option<Self> {
+        Some(match op {
+            BinOp::Lt => CmpKind::Lt,
+            BinOp::Le => CmpKind::Le,
+            BinOp::Gt => CmpKind::Gt,
+            BinOp::Ge => CmpKind::Ge,
+            BinOp::Eq => CmpKind::Eq,
+            BinOp::Ne => CmpKind::Ne,
+            _ => return None,
+        })
     }
 
-    /// Evaluates the comparison with the VM's NaN-is-false semantics.
+    /// Evaluates the comparison. A NaN operand makes every comparison —
+    /// `!=` included — false, keeping rules total.
     #[inline]
     pub fn eval(self, a: f64, b: f64) -> bool {
         if a.is_nan() || b.is_nan() {
@@ -184,21 +202,20 @@ impl CmpKind {
         }
     }
 
-    /// Maps a comparison stack op to its selector.
-    pub fn from_op(op: Op) -> Option<Self> {
-        Some(match op {
-            Op::Lt => CmpKind::Lt,
-            Op::Le => CmpKind::Le,
-            Op::Gt => CmpKind::Gt,
-            Op::Ge => CmpKind::Ge,
-            Op::Eq => CmpKind::Eq,
-            Op::Ne => CmpKind::Ne,
-            _ => return None,
-        })
+    /// The listing mnemonic (`lt`, `le`, ...).
+    pub fn name(self) -> &'static str {
+        match self {
+            CmpKind::Lt => "lt",
+            CmpKind::Le => "le",
+            CmpKind::Gt => "gt",
+            CmpKind::Ge => "ge",
+            CmpKind::Eq => "eq",
+            CmpKind::Ne => "ne",
+        }
     }
 }
 
-/// An arithmetic selector for fused superinstructions.
+/// An arithmetic operator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ArithKind {
     /// `+`
@@ -214,18 +231,20 @@ pub enum ArithKind {
 }
 
 impl ArithKind {
-    /// The stack op this selector stands in for.
-    pub fn op(self) -> Op {
-        match self {
-            ArithKind::Add => Op::Add,
-            ArithKind::Sub => Op::Sub,
-            ArithKind::Mul => Op::Mul,
-            ArithKind::Div => Op::Div,
-            ArithKind::Mod => Op::Mod,
-        }
+    /// The arithmetic operation a binary operator denotes, if it is one.
+    pub fn from_binop(op: BinOp) -> Option<Self> {
+        Some(match op {
+            BinOp::Add => ArithKind::Add,
+            BinOp::Sub => ArithKind::Sub,
+            BinOp::Mul => ArithKind::Mul,
+            BinOp::Div => ArithKind::Div,
+            BinOp::Mod => ArithKind::Mod,
+            _ => return None,
+        })
     }
 
-    /// Evaluates the operation with the VM's total-arithmetic semantics.
+    /// Evaluates the operation with total semantics: division and modulo
+    /// by zero yield 0.
     #[inline]
     pub fn eval(self, a: f64, b: f64) -> f64 {
         match self {
@@ -249,82 +268,27 @@ impl ArithKind {
         }
     }
 
-    /// Maps an arithmetic stack op to its selector.
-    pub fn from_op(op: Op) -> Option<Self> {
-        Some(match op {
-            Op::Add => ArithKind::Add,
-            Op::Sub => ArithKind::Sub,
-            Op::Mul => ArithKind::Mul,
-            Op::Div => ArithKind::Div,
-            Op::Mod => ArithKind::Mod,
-            _ => return None,
-        })
-    }
-}
-
-/// One instruction of the fused fast stream (see [`crate::compile::opt::fuse_program`]).
-///
-/// The dominant rule shapes — `LOAD(key) <= const`, `ARG(i) > const`,
-/// `LOAD(key) / const` — each cost three stack dispatches and four stack
-/// moves in the base encoding. Superinstructions collapse them into one
-/// dispatch whose operands live in the instruction itself (register style:
-/// the intermediate values never touch the operand stack). Everything else
-/// falls back to [`FusedOp::Plain`], executed by the ordinary stack
-/// machinery, so the fast stream is always exactly equivalent to `ops`.
-///
-/// Each fused instruction charges the *sum* of its constituent ops' fuel,
-/// so dynamic fuel accounting (and fuel-limit faulting) is unchanged.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FusedOp {
-    /// `Load(key); Push(constant); <cmp>` in one dispatch.
-    LoadCmpConst {
-        /// Interned key index.
-        key: u16,
-        /// Which comparison.
-        cmp: CmpKind,
-        /// The immediate right-hand side.
-        constant: f64,
-    },
-    /// `Arg(arg); Push(constant); <cmp>` in one dispatch.
-    ArgCmpConst {
-        /// Trigger-argument index.
-        arg: u8,
-        /// Which comparison.
-        cmp: CmpKind,
-        /// The immediate right-hand side.
-        constant: f64,
-    },
-    /// `Load(key); Push(constant); <arith>` in one dispatch.
-    LoadArithConst {
-        /// Interned key index.
-        key: u16,
-        /// Which operation.
-        arith: ArithKind,
-        /// The immediate right-hand side.
-        constant: f64,
-    },
-    /// Any other op, executed by the stack fallback path. Jump targets
-    /// are rewritten to fused-stream indices.
-    Plain(Op),
-}
-
-impl FusedOp {
-    /// Fuel cost: the sum of the constituent base ops, so the fused stream
-    /// charges exactly what the base stream would.
-    pub fn cost(self) -> u64 {
+    /// The listing mnemonic (`add`, `sub`, ...).
+    pub fn name(self) -> &'static str {
         match self {
-            FusedOp::LoadCmpConst { cmp, .. } => {
-                Op::Load(0).cost() + Op::Push(0.0).cost() + cmp.op().cost()
-            }
-            FusedOp::ArgCmpConst { cmp, .. } => {
-                Op::Arg(0).cost() + Op::Push(0.0).cost() + cmp.op().cost()
-            }
-            FusedOp::LoadArithConst { arith, .. } => {
-                Op::Load(0).cost() + Op::Push(0.0).cost() + arith.op().cost()
-            }
-            FusedOp::Plain(op) => op.cost(),
+            ArithKind::Add => "add",
+            ArithKind::Sub => "sub",
+            ArithKind::Mul => "mul",
+            ArithKind::Div => "div",
+            ArithKind::Mod => "mod",
         }
     }
+}
+
+/// `CLAMP(x, lo, hi)`: `x` limited to `[lo, max(lo, hi)]`, so inverted
+/// bounds clamp to `lo`. Total: a NaN `lo` yields NaN (which every
+/// enclosing comparison treats as false) where `f64::clamp` would panic.
+#[inline]
+pub fn clamp(x: f64, lo: f64, hi: f64) -> f64 {
+    if lo.is_nan() {
+        return f64::NAN;
+    }
+    x.clamp(lo, hi.max(lo))
 }
 
 /// A compiled, executable program: instructions plus an interned key table.
@@ -336,10 +300,6 @@ pub struct Program {
     /// indices. Installing the program binds it to store slots
     /// ([`crate::FeatureStore::bind`]); the VM reads only through those.
     pub keys: Vec<String>,
-    /// The fused fast stream, derived from `ops` by
-    /// [`crate::compile::opt::fuse_program`] *after* verification. Empty
-    /// when fusion has not run; the VM then interprets `ops` directly.
-    pub fused: Vec<FusedOp>,
 }
 
 impl Program {
@@ -351,39 +311,6 @@ impl Program {
     /// Static worst-case fuel for one evaluation (sum of instruction costs).
     pub fn worst_case_fuel(&self) -> u64 {
         self.ops.iter().map(|op| op.cost()).sum()
-    }
-
-    /// Renders the fused fast stream as a numbered listing, the companion
-    /// to the `Display` impl's base-op listing (used by the compiler golden
-    /// tests). Returns the empty string when fusion has not run.
-    pub fn fused_listing(&self) -> String {
-        use fmt::Write as _;
-        let mut out = String::new();
-        for (i, op) in self.fused.iter().enumerate() {
-            let rendered = match op {
-                FusedOp::LoadCmpConst { key, cmp, constant } => format!(
-                    "load.cmp {} {} {constant}",
-                    self.key(*key),
-                    format!("{:?}", cmp.op()).to_lowercase()
-                ),
-                FusedOp::ArgCmpConst { arg, cmp, constant } => format!(
-                    "arg.cmp {arg} {} {constant}",
-                    format!("{:?}", cmp.op()).to_lowercase()
-                ),
-                FusedOp::LoadArithConst {
-                    key,
-                    arith,
-                    constant,
-                } => format!(
-                    "load.arith {} {} {constant}",
-                    self.key(*key),
-                    format!("{:?}", arith.op()).to_lowercase()
-                ),
-                FusedOp::Plain(op) => format!("plain {op:?}").to_lowercase(),
-            };
-            let _ = writeln!(out, "{i:4}: {rendered}");
-        }
-        out
     }
 
     /// Number of instructions.
@@ -419,6 +346,19 @@ impl fmt::Display for Program {
                 Op::Ewma(k) => format!("ewma {}", self.key(*k)),
                 Op::Hist { key, q } => format!("hist {} q={q}", self.key(*key)),
                 Op::Delta(k) => format!("delta {}", self.key(*k)),
+                Op::Arith(arith) => arith.name().to_string(),
+                Op::Cmp(cmp) => cmp.name().to_string(),
+                Op::LoadCmp { key, cmp, constant } => {
+                    format!("load.cmp {} {} {constant}", self.key(*key), cmp.name())
+                }
+                Op::ArgCmp { arg, cmp, constant } => {
+                    format!("arg.cmp {arg} {} {constant}", cmp.name())
+                }
+                Op::LoadArith {
+                    key,
+                    arith,
+                    constant,
+                } => format!("load.arith {} {} {constant}", self.key(*key), arith.name()),
                 Op::JumpIfFalsePeek(t) => format!("jz.peek -> {t}"),
                 Op::JumpIfTruePeek(t) => format!("jnz.peek -> {t}"),
                 other => format!("{other:?}").to_lowercase(),
@@ -435,7 +375,7 @@ mod tests {
 
     #[test]
     fn costs_rank_memory_ops_above_alu() {
-        assert!(Op::Load(0).cost() > Op::Add.cost());
+        assert!(Op::Load(0).cost() > Op::Arith(ArithKind::Add).cost());
         assert!(
             Op::Agg {
                 kind: AggKind::Avg,
@@ -450,7 +390,7 @@ mod tests {
     #[test]
     fn stack_effects_sum_to_one_for_simple_program() {
         // push 1; push 2; add  =>  net effect +1 (the result).
-        let net: i32 = [Op::Push(1.0), Op::Push(2.0), Op::Add]
+        let net: i32 = [Op::Push(1.0), Op::Push(2.0), Op::Arith(ArithKind::Add)]
             .iter()
             .map(|op| op.stack_effect())
             .sum();
@@ -460,9 +400,8 @@ mod tests {
     #[test]
     fn worst_case_fuel_sums_costs() {
         let p = Program {
-            ops: vec![Op::Push(1.0), Op::Load(0), Op::Add],
+            ops: vec![Op::Push(1.0), Op::Load(0), Op::Arith(ArithKind::Add)],
             keys: vec!["k".into()],
-            fused: vec![],
         };
         assert_eq!(p.worst_case_fuel(), 1 + 4 + 1);
         assert_eq!(p.len(), 3);
@@ -472,13 +411,53 @@ mod tests {
     #[test]
     fn display_renders_disassembly() {
         let p = Program {
-            ops: vec![Op::Load(0), Op::Push(0.05), Op::Le],
+            ops: vec![
+                Op::LoadCmp {
+                    key: 0,
+                    cmp: CmpKind::Le,
+                    constant: 0.05,
+                },
+                Op::ArgCmp {
+                    arg: 0,
+                    cmp: CmpKind::Lt,
+                    constant: 4096.0,
+                },
+                Op::LoadArith {
+                    key: 0,
+                    arith: ArithKind::Div,
+                    constant: 4.0,
+                },
+                Op::Load(0),
+                Op::Push(0.05),
+                Op::Cmp(CmpKind::Le),
+                Op::Arith(ArithKind::Add),
+            ],
             keys: vec!["false_submit_rate".into()],
-            fused: vec![],
         };
         let text = p.to_string();
-        assert!(text.contains("load false_submit_rate"), "{text}");
-        assert!(text.contains("push 0.05"), "{text}");
-        assert!(text.contains("le"), "{text}");
+        for line in [
+            "   0: load.cmp false_submit_rate le 0.05",
+            "   1: arg.cmp 0 lt 4096",
+            "   2: load.arith false_submit_rate div 4",
+            "   3: load false_submit_rate",
+            "   4: push 0.05",
+            "   5: le",
+            "   6: add",
+        ] {
+            assert!(text.lines().any(|l| l == line), "{line:?} in\n{text}");
+        }
+    }
+
+    #[test]
+    fn clamp_is_total() {
+        assert_eq!(clamp(5.0, 0.0, 2.0), 2.0);
+        assert_eq!(clamp(-1.0, 0.0, 2.0), 0.0);
+        // Inverted bounds clamp to `lo`.
+        assert_eq!(clamp(5.0, 3.0, 1.0), 3.0);
+        // A NaN `hi` collapses to `lo`; a NaN `x` stays NaN.
+        assert_eq!(clamp(5.0, 3.0, f64::NAN), 3.0);
+        assert!(clamp(f64::NAN, 0.0, 1.0).is_nan());
+        // A NaN `lo` yields NaN instead of panicking.
+        assert!(clamp(1.0, f64::NAN, 5.0).is_nan());
     }
 }

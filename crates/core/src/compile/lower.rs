@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use crate::compile::ir::{Op, Program};
+use crate::compile::ir::{ArithKind, CmpKind, Op, Program};
 use crate::error::{GuardrailError, Result};
 use crate::spec::ast::{BinOp, Expr, UnOp};
 use crate::spec::check::const_fold;
@@ -10,7 +10,10 @@ use crate::spec::check::const_fold;
 /// Lowers one (checked, symbol-free) expression into a [`Program`].
 ///
 /// Short-circuit `&&`/`||` compile to forward peek-jumps; all feature-store
-/// keys are interned into the program's key table.
+/// keys are interned into the program's key table. `LOAD(k) <cmp> c`,
+/// `ARG(i) <cmp> c` and `LOAD(k) <arith> c` lower to one superinstruction
+/// each. Jump targets are patched after emission, so no jump can land
+/// inside one.
 pub fn lower_expr(e: &Expr) -> Result<Program> {
     let mut l = Lowerer {
         ops: Vec::new(),
@@ -21,9 +24,6 @@ pub fn lower_expr(e: &Expr) -> Result<Program> {
     Ok(Program {
         ops: l.ops,
         keys: l.keys,
-        // Fusion runs after verification (see `compile_guardrail`), so the
-        // verifier always sees — and certifies — the base stream.
-        fused: Vec::new(),
     })
 }
 
@@ -58,12 +58,7 @@ impl Lowerer {
                 let id = self.intern(k)?;
                 self.ops.push(Op::Load(id));
             }
-            Expr::Arg(i) => {
-                let idx = u8::try_from(*i).map_err(|_| {
-                    GuardrailError::Config(format!("ARG index {i} exceeds the argument budget"))
-                })?;
-                self.ops.push(Op::Arg(idx));
-            }
+            Expr::Arg(i) => self.ops.push(Op::Arg(arg_index(*i)?)),
             Expr::Ewma(k) => {
                 let id = self.intern(k)?;
                 self.ops.push(Op::Ewma(id));
@@ -135,22 +130,35 @@ impl Lowerer {
                 self.ops[patch] = Op::JumpIfTruePeek(target);
             }
             Expr::Binary(op, l, r) => {
-                self.emit(l)?;
-                self.emit(r)?;
-                self.ops.push(match op {
-                    BinOp::Add => Op::Add,
-                    BinOp::Sub => Op::Sub,
-                    BinOp::Mul => Op::Mul,
-                    BinOp::Div => Op::Div,
-                    BinOp::Mod => Op::Mod,
-                    BinOp::Lt => Op::Lt,
-                    BinOp::Le => Op::Le,
-                    BinOp::Gt => Op::Gt,
-                    BinOp::Ge => Op::Ge,
-                    BinOp::Eq => Op::Eq,
-                    BinOp::Ne => Op::Ne,
-                    BinOp::And | BinOp::Or => unreachable!("handled above"),
-                });
+                let cmp = CmpKind::from_binop(*op);
+                let arith = ArithKind::from_binop(*op);
+                let op = match (&**l, &**r, cmp, arith) {
+                    (Expr::Load(k), &Expr::Number(constant), Some(cmp), _) => Op::LoadCmp {
+                        key: self.intern(k)?,
+                        cmp,
+                        constant,
+                    },
+                    (Expr::Arg(i), &Expr::Number(constant), Some(cmp), _) => Op::ArgCmp {
+                        arg: arg_index(*i)?,
+                        cmp,
+                        constant,
+                    },
+                    (Expr::Load(k), &Expr::Number(constant), _, Some(arith)) => Op::LoadArith {
+                        key: self.intern(k)?,
+                        arith,
+                        constant,
+                    },
+                    _ => {
+                        self.emit(l)?;
+                        self.emit(r)?;
+                        match (cmp, arith) {
+                            (Some(cmp), _) => Op::Cmp(cmp),
+                            (_, Some(arith)) => Op::Arith(arith),
+                            _ => unreachable!("&& and || handled above"),
+                        }
+                    }
+                };
+                self.ops.push(op);
             }
         }
         Ok(())
@@ -160,6 +168,11 @@ impl Lowerer {
         u16::try_from(self.ops.len())
             .map_err(|_| GuardrailError::Config("rule program too large for jump encoding".into()))
     }
+}
+
+fn arg_index(i: u32) -> Result<u8> {
+    u8::try_from(i)
+        .map_err(|_| GuardrailError::Config(format!("ARG index {i} exceeds the argument budget")))
 }
 
 fn const_window(e: &Expr) -> Result<u64> {
@@ -186,7 +199,14 @@ mod tests {
     fn lowers_listing2_rule() {
         let e = Expr::bin(BinOp::Le, load("false_submit_rate"), Expr::Number(0.05));
         let p = lower_expr(&e).unwrap();
-        assert_eq!(p.ops, vec![Op::Load(0), Op::Push(0.05), Op::Le]);
+        assert_eq!(
+            p.ops,
+            vec![Op::LoadCmp {
+                key: 0,
+                cmp: CmpKind::Le,
+                constant: 0.05
+            }]
+        );
         assert_eq!(p.keys, vec!["false_submit_rate".to_string()]);
     }
 
@@ -195,7 +215,70 @@ mod tests {
         let e = Expr::bin(BinOp::Lt, load("x"), load("x"));
         let p = lower_expr(&e).unwrap();
         assert_eq!(p.keys.len(), 1);
-        assert_eq!(p.ops, vec![Op::Load(0), Op::Load(0), Op::Lt]);
+        assert_eq!(p.ops, vec![Op::Load(0), Op::Load(0), Op::Cmp(CmpKind::Lt)]);
+    }
+
+    /// Each superinstruction shape lowers to exactly one instruction that
+    /// costs what its load/arg, push and operator cost apart; every other
+    /// binary shape stays on the plain stack ops.
+    #[test]
+    fn superinstruction_shapes_lower_to_one_op() {
+        let n = Expr::Number;
+        let cases: Vec<(Expr, Vec<Op>)> = vec![
+            (
+                Expr::bin(BinOp::Le, load("rate"), n(0.05)),
+                vec![Op::LoadCmp {
+                    key: 0,
+                    cmp: CmpKind::Le,
+                    constant: 0.05,
+                }],
+            ),
+            (
+                Expr::bin(BinOp::Gt, Expr::Arg(1), n(10.0)),
+                vec![Op::ArgCmp {
+                    arg: 1,
+                    cmp: CmpKind::Gt,
+                    constant: 10.0,
+                }],
+            ),
+            (
+                Expr::bin(BinOp::Div, load("k"), n(2.0)),
+                vec![Op::LoadArith {
+                    key: 0,
+                    arith: ArithKind::Div,
+                    constant: 2.0,
+                }],
+            ),
+            (
+                Expr::bin(BinOp::Lt, load("x"), load("y")),
+                vec![Op::Load(0), Op::Load(1), Op::Cmp(CmpKind::Lt)],
+            ),
+            (
+                Expr::bin(BinOp::Lt, n(1.0), load("x")),
+                vec![Op::Push(1.0), Op::Load(0), Op::Cmp(CmpKind::Lt)],
+            ),
+            (
+                Expr::bin(BinOp::Add, Expr::Arg(0), n(2.0)),
+                vec![Op::Arg(0), Op::Push(2.0), Op::Arith(ArithKind::Add)],
+            ),
+        ];
+        for (e, expected) in cases {
+            let p = lower_expr(&e).unwrap();
+            assert_eq!(p.ops, expected, "lowering {e:?}");
+            if let [single] = p.ops[..] {
+                let parts = match single {
+                    Op::LoadCmp { cmp, .. } => [Op::Load(0), Op::Push(0.0), Op::Cmp(cmp)],
+                    Op::ArgCmp { cmp, .. } => [Op::Arg(0), Op::Push(0.0), Op::Cmp(cmp)],
+                    Op::LoadArith { arith, .. } => [Op::Load(0), Op::Push(0.0), Op::Arith(arith)],
+                    other => panic!("not a superinstruction: {other:?}"),
+                };
+                assert_eq!(
+                    single.cost(),
+                    parts.iter().map(|op| op.cost()).sum::<u64>(),
+                    "cost of {single:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -203,10 +286,10 @@ mod tests {
         let lhs = Expr::bin(BinOp::Lt, load("a"), Expr::Number(1.0));
         let rhs = Expr::bin(BinOp::Lt, load("b"), Expr::Number(2.0));
         let p = lower_expr(&Expr::bin(BinOp::And, lhs, rhs)).unwrap();
-        // load a; push 1; lt; jz.peek end; pop; load b; push 2; lt; end:
-        assert_eq!(p.ops[3], Op::JumpIfFalsePeek(8));
-        assert_eq!(p.ops[4], Op::Pop);
-        assert_eq!(p.len(), 8);
+        // load.cmp a lt 1; jz.peek end; pop; load.cmp b lt 2; end:
+        assert_eq!(p.ops[1], Op::JumpIfFalsePeek(4));
+        assert_eq!(p.ops[2], Op::Pop);
+        assert_eq!(p.len(), 4);
     }
 
     #[test]

@@ -25,9 +25,6 @@ pub struct CompileOptions {
     /// Run the AST optimizer before lowering (on by default; the E2 ablation
     /// bench measures its effect).
     pub optimize: bool,
-    /// Derive the fused superinstruction stream after verification (on by
-    /// default; the E11 hot-path experiment ablates it).
-    pub fuse: bool,
     /// Verifier resource limits.
     pub limits: VerifyLimits,
 }
@@ -36,7 +33,6 @@ impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
             optimize: true,
-            fuse: true,
             limits: VerifyLimits::default(),
         }
     }
@@ -143,13 +139,8 @@ pub fn compile_guardrail(g: &CheckedGuardrail, opts: &CompileOptions) -> Result<
         } else {
             rule.clone()
         };
-        let mut program = lower::lower_expr(&folded)?;
+        let program = lower::lower_expr(&folded)?;
         let report = verify_named(&program, ExpectedType::Bool, &opts.limits, &g.name)?;
-        // Fuse only after the verifier has certified the base stream; the
-        // fused stream is a derived encoding of the same program.
-        if opts.fuse {
-            program.fused = opt::fuse_program(&program);
-        }
         rules.push(CompiledRule {
             program,
             source,
@@ -182,11 +173,8 @@ fn compile_action(
         } else {
             e.clone()
         };
-        let mut program = lower::lower_expr(&folded)?;
+        let program = lower::lower_expr(&folded)?;
         verify_named(&program, expect, &opts.limits, &g.name)?;
-        if opts.fuse {
-            program.fused = opt::fuse_program(&program);
-        }
         Ok(program)
     };
     Ok(match action {
@@ -228,7 +216,7 @@ fn compile_action(
 ///     "guardrail g { trigger: { TIMER(0, 1s) }, rule: { LOAD(x) < 1 }, action: { REPORT(\"x\") } }",
 /// ).unwrap();
 /// assert_eq!(compiled[0].name, "g");
-/// assert_eq!(compiled[0].rules[0].program.len(), 3);
+/// assert_eq!(compiled[0].rules[0].program.len(), 1);
 /// ```
 pub fn compile_str(source: &str) -> Result<Vec<CompiledGuardrail>> {
     let checked = crate::spec::parse_and_check(source)?;
@@ -238,7 +226,7 @@ pub fn compile_str(source: &str) -> Result<Vec<CompiledGuardrail>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::ir::Op;
+    use crate::compile::ir::{CmpKind, Op};
 
     #[test]
     fn compiles_listing_2() {
@@ -255,7 +243,11 @@ mod tests {
         assert_eq!(g.timers[0].interval, Nanos::from_secs(1));
         assert_eq!(
             g.rules[0].program.ops,
-            vec![Op::Load(0), Op::Push(0.05), Op::Le]
+            vec![Op::LoadCmp {
+                key: 0,
+                cmp: CmpKind::Le,
+                constant: 0.05
+            }]
         );
         assert_eq!(g.rules[0].source, "LOAD(false_submit_rate) <= 0.05");
         match &g.actions[0] {
@@ -283,7 +275,11 @@ mod tests {
         assert!(optimized[0].rules[0].program.len() < unoptimized[0].rules[0].program.len());
         assert_eq!(
             optimized[0].rules[0].program.ops,
-            vec![Op::Load(0), Op::Push(2500.0), Op::Lt]
+            vec![Op::LoadCmp {
+                key: 0,
+                cmp: CmpKind::Lt,
+                constant: 2500.0
+            }]
         );
     }
 
@@ -330,5 +326,53 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn nan_clamp_bound_in_spec_text_does_not_panic_the_compiler() {
+        // The optimizer folds the CLAMP to NaN; the verifier then rejects
+        // the non-finite immediate. Either outcome is fine, a panic is not.
+        let result = std::panic::catch_unwind(|| {
+            compile_str(
+                "guardrail g { trigger: { TIMER(0,1) }, rule: { CLAMP(1, 1e308 * 10 - 1e308 * 10, 5) < LOAD(x) }, action: { REPORT(m) } }",
+            )
+            .map(|_| ())
+        });
+        assert!(result.is_ok(), "compile_str panicked");
+    }
+
+    #[test]
+    fn optimizer_keeps_nan_comparisons_false() {
+        use crate::store::FeatureStore;
+        use crate::vm::{DeltaState, EvalCtx, Vm};
+        let src = "guardrail g { trigger: { TIMER(0,1) }, rule: { (1e308 * 10 - 1e308 * 10) != 1 || LOAD(x) > 5 }, action: { REPORT(m) } }";
+        let checked = crate::spec::parse_and_check(src).unwrap();
+        let store = FeatureStore::new();
+        store.save("x", 1.0);
+        let value = |optimize| {
+            let compiled = compile(
+                &checked,
+                &CompileOptions {
+                    optimize,
+                    ..CompileOptions::default()
+                },
+            )
+            .unwrap();
+            let program = &compiled[0].rules[0].program;
+            let slots = store.bind(&program.keys);
+            Vm::new()
+                .run(
+                    program,
+                    &mut EvalCtx {
+                        slots: &slots,
+                        now: Nanos::ZERO,
+                        args: &[],
+                        deltas: &mut DeltaState::default(),
+                    },
+                )
+                .value
+        };
+        assert_eq!(value(false), 0.0, "NaN != 1 is false, and 1 > 5 is false");
+        assert_eq!(value(true), value(false));
     }
 }

@@ -1,17 +1,13 @@
-//! Compile-time optimization: AST constant folding and bytecode fusion.
+//! Compile-time optimization: AST constant folding.
 //!
-//! Two passes bracket lowering. [`fold_expr`] runs *before* lowering —
-//! constant folding and boolean simplification keep the bytecode minimal.
-//! [`fuse_program`] runs *after* verification — it derives a fused fast
-//! stream of superinstructions ([`FusedOp`]) from the verified stack ops,
-//! so the verifier's static guarantees always refer to the base encoding
-//! while the interpreter dispatches the dominant `LOAD(k) <= c` /
-//! `ARG(i) > c` / `LOAD(k) / c` shapes in a single step. Both matter
-//! because every monitor evaluation runs on a kernel hot path (property
-//! P5), and both are semantics-preserving under the language's total
-//! arithmetic (division by zero yields 0).
+//! [`fold_expr`] runs *before* lowering: constant folding and boolean
+//! simplification keep the bytecode minimal, which matters because every
+//! monitor evaluation runs on a kernel hot path (property P5). Folding
+//! evaluates operators through the same functions the VM uses
+//! ([`CmpKind::eval`], [`ArithKind::eval`], [`clamp`]), so a folded rule
+//! gives exactly the result the unfolded one would.
 
-use crate::compile::ir::{ArithKind, CmpKind, FusedOp, Op, Program};
+use crate::compile::ir::{clamp, ArithKind, CmpKind};
 use crate::spec::ast::{BinOp, Expr, UnOp};
 
 /// Recursively folds constant sub-expressions and simplifies boolean logic.
@@ -24,7 +20,7 @@ pub fn fold_expr(e: &Expr) -> Expr {
         Expr::Clamp(x, lo, hi) => {
             let (x, lo, hi) = (fold_expr(x), fold_expr(lo), fold_expr(hi));
             if let (Expr::Number(x), Expr::Number(lo), Expr::Number(hi)) = (&x, &lo, &hi) {
-                return Expr::Number(x.clamp(*lo, hi.max(*lo)));
+                return Expr::Number(clamp(*x, *lo, *hi));
             }
             Expr::Clamp(Box::new(x), Box::new(lo), Box::new(hi))
         }
@@ -64,20 +60,13 @@ fn fold_binary(op: BinOp, l: Expr, r: Expr) -> Expr {
     // Pure constant folding.
     if let (Expr::Number(a), Expr::Number(b)) = (&l, &r) {
         let (a, b) = (*a, *b);
-        return match op {
-            Add => Expr::Number(a + b),
-            Sub => Expr::Number(a - b),
-            Mul => Expr::Number(a * b),
-            Div => Expr::Number(if b == 0.0 { 0.0 } else { a / b }),
-            Mod => Expr::Number(if b == 0.0 { 0.0 } else { a % b }),
-            Lt => Expr::Bool(a < b),
-            Le => Expr::Bool(a <= b),
-            Gt => Expr::Bool(a > b),
-            Ge => Expr::Bool(a >= b),
-            Eq => Expr::Bool(a == b),
-            Ne => Expr::Bool(a != b),
-            And | Or => Expr::Binary(op, Box::new(l), Box::new(r)),
-        };
+        if let Some(arith) = ArithKind::from_binop(op) {
+            return Expr::Number(arith.eval(a, b));
+        }
+        if let Some(cmp) = CmpKind::from_binop(op) {
+            return Expr::Bool(cmp.eval(a, b));
+        }
+        return Expr::Binary(op, Box::new(l), Box::new(r));
     }
     if let (Expr::Bool(a), Expr::Bool(b)) = (&l, &r) {
         let (a, b) = (*a, *b);
@@ -107,87 +96,6 @@ fn fold_binary(op: BinOp, l: Expr, r: Expr) -> Expr {
         (Div, _, Expr::Number(one)) if *one == 1.0 => l,
         _ => Expr::Binary(op, Box::new(l), Box::new(r)),
     }
-}
-
-/// Derives the fused fast stream for a *verified* program.
-///
-/// Peephole-fuses the three-instruction windows
-///
-/// | window                         | superinstruction                |
-/// |--------------------------------|---------------------------------|
-/// | `Load k; Push c; <cmp>`        | [`FusedOp::LoadCmpConst`]       |
-/// | `Arg i; Push c; <cmp>`         | [`FusedOp::ArgCmpConst`]        |
-/// | `Load k; Push c; <arith>`      | [`FusedOp::LoadArithConst`]     |
-///
-/// into single dispatches; every other instruction becomes
-/// [`FusedOp::Plain`]. A window is only fused when none of its interior
-/// instructions is a jump target (short-circuit `&&`/`||` may land
-/// mid-window), and jump operands are rewritten from base-stream to
-/// fused-stream indices. Fused instructions charge the summed fuel of
-/// their constituents, so dynamic fuel accounting — including fuel-limit
-/// faulting — is identical to the base stream.
-pub fn fuse_program(program: &Program) -> Vec<FusedOp> {
-    let ops = &program.ops;
-    // Jump targets in the base stream: fusing across one would change
-    // where a short-circuit jump lands.
-    let mut is_target = vec![false; ops.len() + 1];
-    for op in ops {
-        if let Op::JumpIfFalsePeek(t) | Op::JumpIfTruePeek(t) = op {
-            is_target[usize::from(*t)] = true;
-        }
-    }
-
-    let mut fused = Vec::with_capacity(ops.len());
-    // Base-stream index -> fused-stream index, for jump rewriting. One
-    // extra slot maps the end-of-program target.
-    let mut new_index = vec![0u16; ops.len() + 1];
-    let mut i = 0usize;
-    while i < ops.len() {
-        new_index[i] = fused.len() as u16;
-        let window = (ops[i], ops.get(i + 1), ops.get(i + 2));
-        let fusible_window = !is_target[i + 1] && i + 2 < ops.len() && !is_target[i + 2];
-        let fused_op = if fusible_window {
-            match window {
-                (Op::Load(key), Some(&Op::Push(constant)), Some(&op3)) => {
-                    if let Some(cmp) = CmpKind::from_op(op3) {
-                        Some(FusedOp::LoadCmpConst { key, cmp, constant })
-                    } else {
-                        ArithKind::from_op(op3).map(|arith| FusedOp::LoadArithConst {
-                            key,
-                            arith,
-                            constant,
-                        })
-                    }
-                }
-                (Op::Arg(arg), Some(&Op::Push(constant)), Some(&op3)) => {
-                    CmpKind::from_op(op3).map(|cmp| FusedOp::ArgCmpConst { arg, cmp, constant })
-                }
-                _ => None,
-            }
-        } else {
-            None
-        };
-        match fused_op {
-            Some(f) => {
-                fused.push(f);
-                i += 3;
-            }
-            None => {
-                fused.push(FusedOp::Plain(ops[i]));
-                i += 1;
-            }
-        }
-    }
-    new_index[ops.len()] = fused.len() as u16;
-
-    // Rewrite jump operands onto the fused stream. Targets are never
-    // interior to a fused window (checked above), so the map is exact.
-    for op in &mut fused {
-        if let FusedOp::Plain(Op::JumpIfFalsePeek(t) | Op::JumpIfTruePeek(t)) = op {
-            *t = new_index[usize::from(*t)];
-        }
-    }
-    fused
 }
 
 #[cfg(test)]
@@ -284,157 +192,5 @@ mod tests {
         let e = Expr::Clamp(Box::new(num(5.0)), Box::new(num(3.0)), Box::new(num(1.0)));
         // hi < lo: clamp uses max(lo, hi) so this folds to 3 instead of panicking.
         assert_eq!(fold_expr(&e), num(3.0));
-    }
-
-    fn program(ops: Vec<Op>, keys: Vec<&str>) -> Program {
-        Program {
-            ops,
-            keys: keys.into_iter().map(String::from).collect(),
-            fused: vec![],
-        }
-    }
-
-    #[test]
-    fn fuses_load_compare_const() {
-        let p = program(vec![Op::Load(0), Op::Push(0.05), Op::Le], vec!["rate"]);
-        assert_eq!(
-            fuse_program(&p),
-            vec![FusedOp::LoadCmpConst {
-                key: 0,
-                cmp: CmpKind::Le,
-                constant: 0.05
-            }]
-        );
-    }
-
-    #[test]
-    fn fuses_arg_compare_and_load_arith() {
-        let p = program(
-            vec![
-                Op::Arg(1),
-                Op::Push(10.0),
-                Op::Gt,
-                Op::Load(0),
-                Op::Push(2.0),
-                Op::Div,
-                Op::Add,
-            ],
-            vec!["k"],
-        );
-        assert_eq!(
-            fuse_program(&p),
-            vec![
-                FusedOp::ArgCmpConst {
-                    arg: 1,
-                    cmp: CmpKind::Gt,
-                    constant: 10.0
-                },
-                FusedOp::LoadArithConst {
-                    key: 0,
-                    arith: ArithKind::Div,
-                    constant: 2.0
-                },
-                FusedOp::Plain(Op::Add),
-            ]
-        );
-    }
-
-    #[test]
-    fn fused_fuel_equals_base_fuel() {
-        let p = program(
-            vec![
-                Op::Load(0),
-                Op::Push(1.0),
-                Op::Lt,
-                Op::Arg(0),
-                Op::Push(2.0),
-                Op::Mul,
-                Op::Pop,
-            ],
-            vec!["k"],
-        );
-        let fused = fuse_program(&p);
-        let fused_fuel: u64 = fused.iter().map(|f| f.cost()).sum();
-        assert_eq!(fused_fuel, p.worst_case_fuel());
-    }
-
-    #[test]
-    fn short_circuit_programs_fuse_both_operands() {
-        // `a < 1 && b < 2` lowers to two fusible compare windows around a
-        // peek-jump and a pop; the jump target (end of program) must be
-        // remapped onto the fused stream.
-        let lhs = Expr::bin(BinOp::Lt, Expr::Load("a".into()), num(1.0));
-        let rhs = Expr::bin(BinOp::Lt, Expr::Load("b".into()), num(2.0));
-        let p = crate::compile::lower::lower_expr(&Expr::bin(BinOp::And, lhs, rhs)).unwrap();
-        let fused = fuse_program(&p);
-        assert_eq!(
-            fused,
-            vec![
-                FusedOp::LoadCmpConst {
-                    key: 0,
-                    cmp: CmpKind::Lt,
-                    constant: 1.0
-                },
-                FusedOp::Plain(Op::JumpIfFalsePeek(4)),
-                FusedOp::Plain(Op::Pop),
-                FusedOp::LoadCmpConst {
-                    key: 1,
-                    cmp: CmpKind::Lt,
-                    constant: 2.0
-                },
-            ]
-        );
-        // Both streams charge identical worst-case fuel.
-        assert_eq!(
-            fused.iter().map(|f| f.cost()).sum::<u64>(),
-            p.worst_case_fuel()
-        );
-    }
-
-    #[test]
-    fn does_not_fuse_a_window_containing_a_jump_target() {
-        // Target index 3 lands in the middle of the otherwise fusible
-        // [Load, Push, Le] window at indices 2..5.
-        let p = program(
-            vec![
-                Op::Push(1.0),
-                Op::JumpIfTruePeek(3),
-                Op::Load(0),
-                Op::Push(0.05),
-                Op::Le,
-                Op::Pop,
-            ],
-            vec!["k"],
-        );
-        let fused = fuse_program(&p);
-        assert!(
-            fused.iter().all(|f| matches!(f, FusedOp::Plain(_))),
-            "no window may swallow the jump target: {fused:?}"
-        );
-        assert_eq!(fused[1], FusedOp::Plain(Op::JumpIfTruePeek(3)));
-    }
-
-    #[test]
-    fn rewrites_jump_operands_onto_the_fused_stream() {
-        // Hand-built: jump over a fusible window straight to the end.
-        let p = program(
-            vec![
-                Op::Load(0),
-                Op::Push(0.0),
-                Op::Eq,
-                Op::JumpIfTruePeek(7),
-                Op::Pop,
-                Op::Arg(0),
-                Op::Not,
-            ],
-            vec!["k"],
-        );
-        let fused = fuse_program(&p);
-        // ops 0..3 fuse into one instruction, so the jump target 7 (end of
-        // program) becomes the fused end index.
-        assert_eq!(
-            fused[1],
-            FusedOp::Plain(Op::JumpIfTruePeek(fused.len() as u16))
-        );
     }
 }

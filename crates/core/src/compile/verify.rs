@@ -11,6 +11,9 @@
 //! - operand types are consistent (no arithmetic on booleans), and
 //! - the program leaves exactly one value of the expected type.
 //!
+//! The verifier checks the one instruction stream the VM executes,
+//! superinstructions included, so its bounds describe what runs.
+//!
 //! A verified program cannot fail at runtime: the VM's arithmetic is total
 //! (division by zero yields 0) and every other error class is excluded here.
 //! This is the "reason about their correctness and crash-free semantics"
@@ -18,6 +21,10 @@
 
 use crate::compile::ir::{Op, Program};
 use crate::error::{GuardrailError, Result};
+
+/// Maximum numeric arguments a tracepoint passes to its monitors: `ARG(i)`
+/// verifies only for `i` below this.
+pub const MAX_TRACE_ARGS: usize = 8;
 
 /// Resource limits the verifier enforces.
 #[derive(Clone, Copy, Debug)]
@@ -147,9 +154,7 @@ pub fn verify_named(
         let mut jump_to: Option<usize> = None;
         match op {
             Op::Push(v) => {
-                if !v.is_finite() {
-                    return Err(err(format!("non-finite immediate at instruction {i}")));
-                }
+                check_immediate(v, i, &err)?;
                 stack.push(Ty::Any);
             }
             Op::Load(k) | Op::Ewma(k) | Op::Delta(k) => {
@@ -157,11 +162,22 @@ pub fn verify_named(
                 stack.push(Ty::Num);
             }
             Op::Arg(a) => {
-                if usize::from(a) >= simkernel::hook::MAX_TRACE_ARGS {
-                    return Err(err(format!(
-                        "ARG({a}) exceeds the tracepoint argument budget at instruction {i}"
-                    )));
-                }
+                check_arg(a, i, &err)?;
+                stack.push(Ty::Num);
+            }
+            Op::LoadCmp { key, constant, .. } => {
+                check_key(program, key, i, &err)?;
+                check_immediate(constant, i, &err)?;
+                stack.push(Ty::Bool);
+            }
+            Op::ArgCmp { arg, constant, .. } => {
+                check_arg(arg, i, &err)?;
+                check_immediate(constant, i, &err)?;
+                stack.push(Ty::Bool);
+            }
+            Op::LoadArith { key, constant, .. } => {
+                check_key(program, key, i, &err)?;
+                check_immediate(constant, i, &err)?;
                 stack.push(Ty::Num);
             }
             Op::Agg { key, window_ns, .. } => {
@@ -206,7 +222,7 @@ pub fn verify_named(
                 }
                 stack.push(Ty::Bool);
             }
-            Op::Add | Op::Sub | Op::Mul | Op::Div | Op::Mod => {
+            Op::Arith(_) => {
                 let b = pop(&mut stack)?;
                 let a = pop(&mut stack)?;
                 if !a.accepts_num() || !b.accepts_num() {
@@ -223,7 +239,7 @@ pub fn verify_named(
                 }
                 stack.push(Ty::Num);
             }
-            Op::Lt | Op::Le | Op::Gt | Op::Ge | Op::Eq | Op::Ne => {
+            Op::Cmp(_) => {
                 let b = pop(&mut stack)?;
                 let a = pop(&mut stack)?;
                 if a.merge(b).is_none() {
@@ -316,6 +332,22 @@ fn check_key(
     Ok(())
 }
 
+fn check_arg(a: u8, i: usize, err: &impl Fn(String) -> GuardrailError) -> Result<()> {
+    if usize::from(a) >= MAX_TRACE_ARGS {
+        return Err(err(format!(
+            "ARG({a}) exceeds the tracepoint argument budget at instruction {i}"
+        )));
+    }
+    Ok(())
+}
+
+fn check_immediate(v: f64, i: usize, err: &impl Fn(String) -> GuardrailError) -> Result<()> {
+    if !v.is_finite() {
+        return Err(err(format!("non-finite immediate at instruction {i}")));
+    }
+    Ok(())
+}
+
 fn merge_state(
     slot: &mut Option<Vec<Ty>>,
     incoming: &[Ty],
@@ -348,6 +380,7 @@ fn merge_state(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::ir::{ArithKind, CmpKind};
     use crate::compile::lower::lower_expr;
     use crate::spec::ast::{BinOp, Expr};
 
@@ -367,9 +400,9 @@ mod tests {
             Expr::Number(0.05),
         );
         let report = verify_rule(&e).unwrap();
-        assert_eq!(report.instrs, 3);
-        assert_eq!(report.max_stack_depth, 2);
-        assert!(report.worst_case_fuel >= 6);
+        assert_eq!(report.instrs, 1);
+        assert_eq!(report.max_stack_depth, 1);
+        assert_eq!(report.worst_case_fuel, 6);
     }
 
     #[test]
@@ -389,9 +422,8 @@ mod tests {
     #[test]
     fn rejects_stack_underflow() {
         let p = Program {
-            ops: vec![Op::Add],
+            ops: vec![Op::Arith(ArithKind::Add)],
             keys: vec![],
-            fused: vec![],
         };
         let err = verify(&p, ExpectedType::Num, &limits()).unwrap_err();
         assert!(format!("{err}").contains("underflow"), "{err}");
@@ -402,7 +434,6 @@ mod tests {
         let p = Program {
             ops: vec![Op::Push(1.0), Op::JumpIfTruePeek(0)],
             keys: vec![],
-            fused: vec![],
         };
         let err = verify(&p, ExpectedType::Bool, &limits()).unwrap_err();
         assert!(format!("{err}").contains("backward"), "{err}");
@@ -413,7 +444,6 @@ mod tests {
         let p = Program {
             ops: vec![Op::Load(3)],
             keys: vec!["only".into()],
-            fused: vec![],
         };
         assert!(verify(&p, ExpectedType::Num, &limits()).is_err());
     }
@@ -423,7 +453,6 @@ mod tests {
         let p = Program {
             ops: vec![Op::Push(1.0), Op::Push(2.0)],
             keys: vec![],
-            fused: vec![],
         };
         let err = verify(&p, ExpectedType::Num, &limits()).unwrap_err();
         assert!(format!("{err}").contains("exactly one"), "{err}");
@@ -433,9 +462,14 @@ mod tests {
     fn rejects_type_confusion() {
         // Arithmetic on a comparison result.
         let p = Program {
-            ops: vec![Op::Load(0), Op::Load(0), Op::Lt, Op::Load(0), Op::Add],
+            ops: vec![
+                Op::Load(0),
+                Op::Load(0),
+                Op::Cmp(CmpKind::Lt),
+                Op::Load(0),
+                Op::Arith(ArithKind::Add),
+            ],
             keys: vec!["k".into()],
-            fused: vec![],
         };
         let err = verify(&p, ExpectedType::Num, &limits()).unwrap_err();
         assert!(format!("{err}").contains("arithmetic on boolean"), "{err}");
@@ -443,7 +477,6 @@ mod tests {
         let p = Program {
             ops: vec![Op::Load(0), Op::Not],
             keys: vec!["k".into()],
-            fused: vec![],
         };
         assert!(verify(&p, ExpectedType::Bool, &limits()).is_err());
     }
@@ -453,15 +486,13 @@ mod tests {
         let num = Program {
             ops: vec![Op::Load(0)],
             keys: vec!["k".into()],
-            fused: vec![],
         };
         assert!(verify(&num, ExpectedType::Bool, &limits()).is_err());
         assert!(verify(&num, ExpectedType::Num, &limits()).is_ok());
         assert!(verify(&num, ExpectedType::Either, &limits()).is_ok());
         let boolean = Program {
-            ops: vec![Op::Load(0), Op::Push(1.0), Op::Lt],
+            ops: vec![Op::Load(0), Op::Push(1.0), Op::Cmp(CmpKind::Lt)],
             keys: vec!["k".into()],
-            fused: vec![],
         };
         assert!(verify(&boolean, ExpectedType::Num, &limits()).is_err());
         assert!(verify(&boolean, ExpectedType::Bool, &limits()).is_ok());
@@ -472,13 +503,9 @@ mod tests {
         let mut ops = vec![Op::Push(0.0)];
         for _ in 0..100 {
             ops.push(Op::Push(1.0));
-            ops.push(Op::Add);
+            ops.push(Op::Arith(ArithKind::Add));
         }
-        let p = Program {
-            ops,
-            keys: vec![],
-            fused: vec![],
-        };
+        let p = Program { ops, keys: vec![] };
         let tight = VerifyLimits {
             max_instrs: 10,
             ..VerifyLimits::default()
@@ -495,11 +522,7 @@ mod tests {
     #[test]
     fn enforces_stack_limit() {
         let ops: Vec<Op> = (0..20).map(|_| Op::Push(1.0)).collect();
-        let p = Program {
-            ops,
-            keys: vec![],
-            fused: vec![],
-        };
+        let p = Program { ops, keys: vec![] };
         let tight = VerifyLimits {
             max_stack: 4,
             ..VerifyLimits::default()
@@ -517,7 +540,6 @@ mod tests {
                 window_ns: 1,
             }],
             keys: vec!["k".into()],
-            fused: vec![],
         };
         assert!(verify(&p, ExpectedType::Num, &limits()).is_err());
         let p = Program {
@@ -527,7 +549,6 @@ mod tests {
                 window_ns: 0,
             }],
             keys: vec!["k".into()],
-            fused: vec![],
         };
         assert!(verify(&p, ExpectedType::Num, &limits()).is_err());
     }
@@ -539,8 +560,47 @@ mod tests {
         let p = Program {
             ops: vec![Op::Push(f64::NAN)],
             keys: vec![],
-            fused: vec![],
         };
         assert!(verify(&p, ExpectedType::Num, &limits()).is_err());
+    }
+
+    #[test]
+    fn superinstructions_keep_the_checks_of_their_parts() {
+        let one = |op: Op| Program {
+            ops: vec![op],
+            keys: vec!["k".into()],
+        };
+        let load_cmp = |key, constant| Op::LoadCmp {
+            key,
+            cmp: CmpKind::Le,
+            constant,
+        };
+        let arg_cmp = |arg, constant| Op::ArgCmp {
+            arg,
+            cmp: CmpKind::Gt,
+            constant,
+        };
+        let load_arith = |key, constant| Op::LoadArith {
+            key,
+            arith: ArithKind::Div,
+            constant,
+        };
+        // Well-formed: comparisons yield booleans, arithmetic a number.
+        assert!(verify(&one(load_cmp(0, 0.05)), ExpectedType::Bool, &limits()).is_ok());
+        assert!(verify(&one(arg_cmp(7, 1.0)), ExpectedType::Bool, &limits()).is_ok());
+        assert!(verify(&one(load_arith(0, 4.0)), ExpectedType::Num, &limits()).is_ok());
+        assert!(verify(&one(load_cmp(0, 0.05)), ExpectedType::Num, &limits()).is_err());
+        assert!(verify(&one(load_arith(0, 4.0)), ExpectedType::Bool, &limits()).is_err());
+        // Key, argument and immediate checks.
+        for (op, expect) in [
+            (load_cmp(1, 0.05), ExpectedType::Bool),
+            (load_arith(1, 4.0), ExpectedType::Num),
+            (arg_cmp(MAX_TRACE_ARGS as u8, 1.0), ExpectedType::Bool),
+            (load_cmp(0, f64::NAN), ExpectedType::Bool),
+            (arg_cmp(0, f64::INFINITY), ExpectedType::Bool),
+            (load_arith(0, f64::NEG_INFINITY), ExpectedType::Num),
+        ] {
+            assert!(verify(&one(op), expect, &limits()).is_err(), "{op:?}");
+        }
     }
 }

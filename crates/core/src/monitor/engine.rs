@@ -146,10 +146,6 @@ struct Monitor {
     watchdog_tripped: bool,
     /// When set, a tripped monitor is re-enabled at this time.
     probation_until: Option<Nanos>,
-    /// Whether every rule program has a fused fast stream (cached at
-    /// install so the telemetry fused-vs-fallback split costs nothing on
-    /// the hot path).
-    all_fused: bool,
 }
 
 /// The guardrail monitor engine.
@@ -353,7 +349,6 @@ impl MonitorEngine {
             .collect();
         let rule_deltas = vec![DeltaState::default(); compiled.rules.len()];
         let action_deltas = vec![DeltaState::default(); compiled.actions.len()];
-        let all_fused = compiled.rules.iter().all(|r| !r.program.fused.is_empty());
         self.monitors.push(Monitor {
             compiled,
             rule_slots,
@@ -367,7 +362,6 @@ impl MonitorEngine {
             consecutive_faults: 0,
             watchdog_tripped: false,
             probation_until: None,
-            all_fused,
         });
         Ok(MonitorId(idx))
     }
@@ -664,11 +658,6 @@ impl MonitorEngine {
         }
         self.stats.evaluations += 1;
         self.tdelta.evaluations += 1;
-        if self.monitors[midx].all_fused {
-            self.tdelta.fused_evals += 1;
-        } else {
-            self.tdelta.fallback_evals += 1;
-        }
         let mut fuel = 0u64;
         let mut failed: Option<usize> = None;
         let mut fault: Option<String> = None;
@@ -1625,6 +1614,25 @@ guardrail low-false-submit {
     }
 
     #[test]
+    fn nan_clamp_bound_is_a_false_rule_not_a_fault() {
+        let mut engine = MonitorEngine::new();
+        engine
+            .install_str(
+                "guardrail g { trigger: { TIMER(0, 1s) }, rule: { CLAMP(LOAD(x), LOAD(a) * 10 - LOAD(a) * 10, 5) < 1 }, action: { REPORT(m) } }",
+            )
+            .unwrap();
+        engine.store().save("a", 1e308);
+        engine.advance_to(Nanos::from_secs(3));
+        let stats = engine.stats();
+        assert_eq!(stats.evaluations, 4);
+        assert_eq!(
+            stats.rule_faults, 0,
+            "the VM evaluated CLAMP without panicking"
+        );
+        assert_eq!(stats.violations, 4, "CLAMP(.., NaN, ..) < 1 is false");
+    }
+
+    #[test]
     fn rejected_retrains_retry_with_backoff() {
         use crate::monitor::resilience::{ResilienceConfig, RetryPolicy};
         let mut engine = MonitorEngine::new();
@@ -1922,11 +1930,6 @@ guardrail low-false-submit {
         assert_eq!(snap.trips, 3);
         assert!(snap.rule_fuel > 0);
         assert!(snap.action_fuel > 0, "SAVE operand fuel counted");
-        assert_eq!(
-            snap.fused_evals + snap.fallback_evals,
-            snap.evaluations,
-            "every evaluation is classified"
-        );
         assert_eq!(
             snap.actions[ActionKind::Save as usize],
             3,

@@ -10,6 +10,7 @@ use std::collections::HashMap;
 
 use simkernel::Nanos;
 
+use crate::compile::ir::{clamp, ArithKind};
 use crate::error::{GuardrailError, Result};
 use crate::spec::ast::{ActionStmt, BinOp, Expr, Guardrail, Spec, Trigger, UnOp};
 
@@ -421,32 +422,10 @@ pub fn const_fold(e: &Expr) -> Option<f64> {
         Expr::Number(n) => Some(*n),
         Expr::Unary(UnOp::Neg, x) => Some(-const_fold(x)?),
         Expr::Abs(x) => Some(const_fold(x)?.abs()),
-        Expr::Clamp(x, lo, hi) => {
-            let (x, lo, hi) = (const_fold(x)?, const_fold(lo)?, const_fold(hi)?);
-            Some(x.clamp(lo, hi.max(lo)))
-        }
-        Expr::Binary(op, l, r) if op.is_arithmetic() => {
-            let (l, r) = (const_fold(l)?, const_fold(r)?);
-            Some(match op {
-                BinOp::Add => l + r,
-                BinOp::Sub => l - r,
-                BinOp::Mul => l * r,
-                BinOp::Div => {
-                    if r == 0.0 {
-                        0.0
-                    } else {
-                        l / r
-                    }
-                }
-                BinOp::Mod => {
-                    if r == 0.0 {
-                        0.0
-                    } else {
-                        l % r
-                    }
-                }
-                _ => unreachable!("arithmetic filtered above"),
-            })
+        Expr::Clamp(x, lo, hi) => Some(clamp(const_fold(x)?, const_fold(lo)?, const_fold(hi)?)),
+        Expr::Binary(op, l, r) => {
+            let arith = ArithKind::from_binop(*op)?;
+            Some(arith.eval(const_fold(l)?, const_fold(r)?))
         }
         _ => None,
     }

@@ -6,11 +6,11 @@
 //! time goes. This module closes that gap with three pieces:
 //!
 //! 1. **A metrics registry** ([`MetricsRegistry`]) of counters, gauges, and
-//!    fixed log-scale-bucket histograms. The engine, VM dispatch, feature
-//!    store, and WAL all record into pre-registered handles
+//!    fixed log-scale-bucket histograms. The engine, feature store, and
+//!    WAL all record into pre-registered handles
 //!    ([`EngineMetrics`]): per-guardrail eval wall time, fuel burned,
-//!    fused-vs-fallback dispatch counts, store saves, WAL
-//!    bytes/flushes/group sizes, and action firings by kind.
+//!    store saves, WAL bytes/flushes/group sizes, and action firings by
+//!    kind.
 //! 2. **A trace ring** ([`TraceRing`]): a lock-free, bounded,
 //!    overwrite-oldest ring of spans and events (eval start/end, violation,
 //!    action, checkpoint, restart) with text and JSON exporters.
@@ -116,10 +116,6 @@ pub struct EngineMetrics {
     pub rule_fuel: Arc<Counter>,
     /// Fuel burned by action operand programs.
     pub action_fuel: Arc<Counter>,
-    /// Evaluations dispatched through fused superinstruction programs.
-    pub fused_evals: Arc<Counter>,
-    /// Evaluations dispatched through the base (fallback) opcode loop.
-    pub fallback_evals: Arc<Counter>,
     /// Batches ingested via `on_function_batch`.
     pub batches: Arc<Counter>,
     /// Events ingested across all batches.
@@ -152,8 +148,6 @@ impl EngineMetrics {
             trips: registry.counter("engine/trips"),
             rule_fuel: registry.counter("engine/rule_fuel"),
             action_fuel: registry.counter("engine/action_fuel"),
-            fused_evals: registry.counter("vm/fused_evals"),
-            fallback_evals: registry.counter("vm/fallback_evals"),
             batches: registry.counter("engine/batches"),
             batch_events: registry.counter("engine/batch_events"),
             eval_wall_ns: registry.counter("engine/eval_wall_ns"),
@@ -189,10 +183,6 @@ impl EngineMetrics {
 pub struct TelemetryDelta {
     /// Rule-set evaluations performed.
     pub evaluations: u64,
-    /// Evaluations dispatched through fused programs.
-    pub fused_evals: u64,
-    /// Evaluations dispatched through the base opcode loop.
-    pub fallback_evals: u64,
     /// Fuel burned by rule programs.
     pub rule_fuel: u64,
     /// Violations detected.
@@ -212,8 +202,6 @@ impl TelemetryDelta {
     pub fn apply(&self, m: &EngineMetrics) {
         for (count, counter) in [
             (self.evaluations, &m.evaluations),
-            (self.fused_evals, &m.fused_evals),
-            (self.fallback_evals, &m.fallback_evals),
             (self.rule_fuel, &m.rule_fuel),
             (self.violations, &m.violations),
             (self.trips, &m.trips),
@@ -249,10 +237,6 @@ pub struct TelemetrySnapshot {
     pub rule_fuel: u64,
     /// Fuel burned by action operands.
     pub action_fuel: u64,
-    /// Fused-program evaluations.
-    pub fused_evals: u64,
-    /// Base-loop evaluations.
-    pub fallback_evals: u64,
     /// Action firings by kind, indexed by [`ActionKind`].
     pub actions: [u64; 6],
     /// Trace events recorded that are not wall-time spans (violations,
@@ -305,8 +289,6 @@ impl Telemetry {
             trips: self.m.trips.get(),
             rule_fuel: self.m.rule_fuel.get(),
             action_fuel: self.m.action_fuel.get(),
-            fused_evals: self.m.fused_evals.get(),
-            fallback_evals: self.m.fallback_evals.get(),
             actions: [
                 self.m.actions[0].get(),
                 self.m.actions[1].get(),

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use simkernel::Nanos;
 
-use crate::compile::ir::{FusedOp, Op, Program};
+use crate::compile::ir::{clamp, Op, Program};
 use crate::store::Slot;
 
 /// Per-program persistent state for `DELTA(key)`: last-seen scalar values.
@@ -37,6 +37,12 @@ impl EvalCtx<'_> {
     #[inline]
     fn slot(&self, k: u16) -> &Slot {
         &self.slots[usize::from(k)]
+    }
+
+    /// Trigger argument `i`, or 0 when the trigger passed fewer.
+    #[inline]
+    fn arg(&self, i: u8) -> f64 {
+        self.args.get(usize::from(i)).copied().unwrap_or(0.0)
     }
 }
 
@@ -131,7 +137,7 @@ impl Vm {
     /// excludes; running an unverified program is a programming error. Also
     /// panics when `ctx.slots` was not bound from this program's key table.
     pub fn run(&mut self, program: &Program, ctx: &mut EvalCtx<'_>) -> EvalResult {
-        self.exec(program, ctx, None)
+        self.try_run(program, ctx, None)
             .expect("unlimited fuel cannot exhaust")
     }
 
@@ -141,83 +147,12 @@ impl Vm {
     /// `fuel_limit` before the program finishes; the engine's watchdog uses
     /// this to detect rules that can no longer complete within budget
     /// instead of letting them run unbounded.
+    ///
+    /// One loop, one flat `match` over the verified stream. Superinstructions
+    /// keep their operands in the instruction and their intermediates in
+    /// locals, so the dominant `LOAD(k) <= c` rule is one dispatch and one
+    /// stack push; each is charged its full cost before it runs.
     pub fn try_run(
-        &mut self,
-        program: &Program,
-        ctx: &mut EvalCtx<'_>,
-        fuel_limit: Option<u64>,
-    ) -> Result<EvalResult, VmFault> {
-        self.exec(program, ctx, fuel_limit)
-    }
-
-    fn exec(
-        &mut self,
-        program: &Program,
-        ctx: &mut EvalCtx<'_>,
-        fuel_limit: Option<u64>,
-    ) -> Result<EvalResult, VmFault> {
-        if program.fused.is_empty() {
-            self.exec_base(program, ctx, fuel_limit)
-        } else {
-            self.exec_fused(program, ctx, fuel_limit)
-        }
-    }
-
-    /// The fused fast loop: superinstructions keep their operands in the
-    /// instruction and their intermediates in locals (register style), so
-    /// the dominant `LOAD(k) <= c` rule shape is one dispatch and one stack
-    /// push instead of three dispatches and four stack moves. Anything not
-    /// fused executes through the same stack machinery as
-    /// [`Vm::exec_base`] via [`FusedOp::Plain`]. Each fused instruction
-    /// charges the summed fuel of its constituents, so fuel totals — and
-    /// fuel-limit faulting — match the base stream exactly.
-    fn exec_fused(
-        &mut self,
-        program: &Program,
-        ctx: &mut EvalCtx<'_>,
-        fuel_limit: Option<u64>,
-    ) -> Result<EvalResult, VmFault> {
-        self.stack.clear();
-        let mut fuel = 0u64;
-        let mut pc = 0usize;
-        let fused = &program.fused;
-        while pc < fused.len() {
-            let fop = fused[pc];
-            fuel += fop.cost();
-            if let Some(limit) = fuel_limit {
-                if fuel > limit {
-                    return Err(VmFault::FuelExhausted { used: fuel, limit });
-                }
-            }
-            let mut next = pc + 1;
-            match fop {
-                FusedOp::LoadCmpConst { key, cmp, constant } => {
-                    let v = ctx.slot(key).load().unwrap_or(0.0);
-                    self.stack
-                        .push(if cmp.eval(v, constant) { 1.0 } else { 0.0 });
-                }
-                FusedOp::ArgCmpConst { arg, cmp, constant } => {
-                    let v = ctx.args.get(usize::from(arg)).copied().unwrap_or(0.0);
-                    self.stack
-                        .push(if cmp.eval(v, constant) { 1.0 } else { 0.0 });
-                }
-                FusedOp::LoadArithConst {
-                    key,
-                    arith,
-                    constant,
-                } => {
-                    let v = ctx.slot(key).load().unwrap_or(0.0);
-                    self.stack.push(arith.eval(v, constant));
-                }
-                FusedOp::Plain(op) => self.step(op, ctx, &mut next),
-            }
-            pc = next;
-        }
-        let value = self.stack.pop().unwrap_or(0.0);
-        Ok(EvalResult { value, fuel })
-    }
-
-    fn exec_base(
         &mut self,
         program: &Program,
         ctx: &mut EvalCtx<'_>,
@@ -235,89 +170,92 @@ impl Vm {
                     return Err(VmFault::FuelExhausted { used: fuel, limit });
                 }
             }
-            let mut next = pc + 1;
-            self.step(op, ctx, &mut next);
-            pc = next;
+            pc += 1;
+            match op {
+                Op::Push(v) => self.stack.push(v),
+                Op::Load(k) => self.stack.push(ctx.slot(k).load().unwrap_or(0.0)),
+                Op::Arg(i) => self.stack.push(ctx.arg(i)),
+                Op::Agg {
+                    kind,
+                    key,
+                    window_ns,
+                } => self.stack.push(ctx.slot(key).aggregate(
+                    kind,
+                    Nanos::from_nanos(window_ns),
+                    ctx.now,
+                )),
+                Op::Quantile { key, q, window_ns } => self.stack.push(ctx.slot(key).quantile(
+                    q,
+                    Nanos::from_nanos(window_ns),
+                    ctx.now,
+                )),
+                Op::Ewma(k) => self.stack.push(ctx.slot(k).ewma()),
+                Op::Hist { key, q } => self.stack.push(ctx.slot(key).hist_quantile(q)),
+                Op::Delta(k) => {
+                    let current = ctx.slot(k).load().unwrap_or(0.0);
+                    let last = ctx.deltas.insert(k, current).unwrap_or(current);
+                    self.stack.push(current - last);
+                }
+                Op::Abs => {
+                    let x = self.pop();
+                    self.stack.push(x.abs());
+                }
+                Op::Neg => {
+                    let x = self.pop();
+                    self.stack.push(-x);
+                }
+                Op::Not => {
+                    let x = self.pop();
+                    self.push_bool(x == 0.0);
+                }
+                Op::Arith(arith) => {
+                    let b = self.pop();
+                    let a = self.pop();
+                    self.stack.push(arith.eval(a, b));
+                }
+                Op::Clamp => {
+                    let hi = self.pop();
+                    let lo = self.pop();
+                    let x = self.pop();
+                    self.stack.push(clamp(x, lo, hi));
+                }
+                Op::Cmp(cmp) => {
+                    let b = self.pop();
+                    let a = self.pop();
+                    self.push_bool(cmp.eval(a, b));
+                }
+                Op::LoadCmp { key, cmp, constant } => {
+                    let v = ctx.slot(key).load().unwrap_or(0.0);
+                    self.push_bool(cmp.eval(v, constant));
+                }
+                Op::ArgCmp { arg, cmp, constant } => {
+                    self.push_bool(cmp.eval(ctx.arg(arg), constant));
+                }
+                Op::LoadArith {
+                    key,
+                    arith,
+                    constant,
+                } => {
+                    let v = ctx.slot(key).load().unwrap_or(0.0);
+                    self.stack.push(arith.eval(v, constant));
+                }
+                Op::JumpIfFalsePeek(t) => {
+                    if self.peek() == 0.0 {
+                        pc = usize::from(t);
+                    }
+                }
+                Op::JumpIfTruePeek(t) => {
+                    if self.peek() != 0.0 {
+                        pc = usize::from(t);
+                    }
+                }
+                Op::Pop => {
+                    self.pop();
+                }
+            }
         }
         let value = self.stack.pop().unwrap_or(0.0);
         Ok(EvalResult { value, fuel })
-    }
-
-    /// Executes one base op against the stack. `next` arrives as the
-    /// fall-through successor index and is overwritten by taken jumps; in
-    /// the fused stream, jump operands were rewritten to fused indices at
-    /// fusion time, so the same step function serves both loops.
-    fn step(&mut self, op: Op, ctx: &mut EvalCtx<'_>, next: &mut usize) {
-        match op {
-            Op::Push(v) => self.stack.push(v),
-            Op::Load(k) => self.stack.push(ctx.slot(k).load().unwrap_or(0.0)),
-            Op::Arg(i) => self
-                .stack
-                .push(ctx.args.get(usize::from(i)).copied().unwrap_or(0.0)),
-            Op::Agg {
-                kind,
-                key,
-                window_ns,
-            } => self.stack.push(ctx.slot(key).aggregate(
-                kind,
-                Nanos::from_nanos(window_ns),
-                ctx.now,
-            )),
-            Op::Quantile { key, q, window_ns } => self.stack.push(ctx.slot(key).quantile(
-                q,
-                Nanos::from_nanos(window_ns),
-                ctx.now,
-            )),
-            Op::Ewma(k) => self.stack.push(ctx.slot(k).ewma()),
-            Op::Hist { key, q } => self.stack.push(ctx.slot(key).hist_quantile(q)),
-            Op::Delta(k) => {
-                let current = ctx.slot(k).load().unwrap_or(0.0);
-                let last = ctx.deltas.insert(k, current).unwrap_or(current);
-                self.stack.push(current - last);
-            }
-            Op::Abs => {
-                let x = self.pop();
-                self.stack.push(x.abs());
-            }
-            Op::Neg => {
-                let x = self.pop();
-                self.stack.push(-x);
-            }
-            Op::Not => {
-                let x = self.pop();
-                self.stack.push(if x == 0.0 { 1.0 } else { 0.0 });
-            }
-            Op::Add => self.binary(|a, b| a + b),
-            Op::Sub => self.binary(|a, b| a - b),
-            Op::Mul => self.binary(|a, b| a * b),
-            Op::Div => self.binary(|a, b| if b == 0.0 { 0.0 } else { a / b }),
-            Op::Mod => self.binary(|a, b| if b == 0.0 { 0.0 } else { a % b }),
-            Op::Clamp => {
-                let hi = self.pop();
-                let lo = self.pop();
-                let x = self.pop();
-                self.stack.push(x.clamp(lo, hi.max(lo)));
-            }
-            Op::Lt => self.compare(|a, b| a < b),
-            Op::Le => self.compare(|a, b| a <= b),
-            Op::Gt => self.compare(|a, b| a > b),
-            Op::Ge => self.compare(|a, b| a >= b),
-            Op::Eq => self.compare(|a, b| a == b),
-            Op::Ne => self.compare(|a, b| a != b),
-            Op::JumpIfFalsePeek(t) => {
-                if self.peek() == 0.0 {
-                    *next = usize::from(t);
-                }
-            }
-            Op::JumpIfTruePeek(t) => {
-                if self.peek() != 0.0 {
-                    *next = usize::from(t);
-                }
-            }
-            Op::Pop => {
-                self.pop();
-            }
-        }
     }
 
     fn pop(&mut self) -> f64 {
@@ -331,22 +269,8 @@ impl Vm {
             .expect("verified program cannot peek empty stack")
     }
 
-    fn binary(&mut self, f: impl Fn(f64, f64) -> f64) {
-        let b = self.pop();
-        let a = self.pop();
-        self.stack.push(f(a, b));
-    }
-
-    fn compare(&mut self, f: impl Fn(f64, f64) -> bool) {
-        let b = self.pop();
-        let a = self.pop();
-        // NaN operands make every comparison false, keeping rules total.
-        let result = if a.is_nan() || b.is_nan() {
-            false
-        } else {
-            f(a, b)
-        };
-        self.stack.push(if result { 1.0 } else { 0.0 });
+    fn push_bool(&mut self, b: bool) {
+        self.stack.push(if b { 1.0 } else { 0.0 });
     }
 }
 
@@ -576,107 +500,6 @@ mod tests {
         assert!(fault.to_string().contains("fuel exhausted"));
         // No limit never faults.
         assert!(vm.try_run(&program, &mut ctx, None).is_ok());
-    }
-
-    #[test]
-    fn fused_stream_matches_base_stream_bit_for_bit() {
-        use crate::compile::opt::fuse_program;
-        let store = FeatureStore::new();
-        store.save("x", 0.2);
-        store.save("b", -3.5);
-        let cases = [
-            Expr::bin(BinOp::Le, Expr::Load("x".into()), num(0.05)),
-            Expr::bin(BinOp::Gt, Expr::Arg(0), num(1.0)),
-            Expr::bin(
-                BinOp::Lt,
-                Expr::bin(BinOp::Div, Expr::Load("x".into()), num(4.0)),
-                num(0.1),
-            ),
-            Expr::bin(
-                BinOp::And,
-                Expr::bin(BinOp::Lt, Expr::Load("x".into()), num(1.0)),
-                Expr::bin(BinOp::Lt, Expr::Load("b".into()), num(2.0)),
-            ),
-            Expr::bin(
-                BinOp::Or,
-                Expr::bin(BinOp::Ge, Expr::Load("x".into()), num(1.0)),
-                Expr::bin(BinOp::Ne, Expr::Arg(1), num(0.0)),
-            ),
-        ];
-        for e in &cases {
-            let base = lower_expr(e).unwrap();
-            let mut fused = base.clone();
-            fused.fused = fuse_program(&base);
-            let slots = store.bind(&base.keys);
-            assert!(
-                !fused.fused.is_empty(),
-                "every case exercises the fused loop"
-            );
-            for args in [&[][..], &[2.0, 5.0][..]] {
-                let mut d1 = DeltaState::default();
-                let mut d2 = DeltaState::default();
-                let r_base = Vm::new().run(
-                    &base,
-                    &mut EvalCtx {
-                        slots: &slots,
-                        now: Nanos::ZERO,
-                        args,
-                        deltas: &mut d1,
-                    },
-                );
-                let r_fused = Vm::new().run(
-                    &fused,
-                    &mut EvalCtx {
-                        slots: &slots,
-                        now: Nanos::ZERO,
-                        args,
-                        deltas: &mut d2,
-                    },
-                );
-                assert_eq!(r_base, r_fused, "for {e:?} with args {args:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_stream_faults_exactly_when_base_stream_faults() {
-        use crate::compile::opt::fuse_program;
-        let e = Expr::bin(
-            BinOp::And,
-            Expr::bin(BinOp::Lt, Expr::Load("a".into()), num(1.0)),
-            Expr::bin(BinOp::Lt, Expr::Load("b".into()), num(2.0)),
-        );
-        let base = lower_expr(&e).unwrap();
-        let mut fused = base.clone();
-        fused.fused = fuse_program(&base);
-        let store = FeatureStore::new();
-        let slots = store.bind(&base.keys);
-        for limit in 0..=base.worst_case_fuel() + 1 {
-            let mut d1 = DeltaState::default();
-            let mut d2 = DeltaState::default();
-            let mut ctx1 = EvalCtx {
-                slots: &slots,
-                now: Nanos::ZERO,
-                args: &[],
-                deltas: &mut d1,
-            };
-            let mut ctx2 = EvalCtx {
-                slots: &slots,
-                now: Nanos::ZERO,
-                args: &[],
-                deltas: &mut d2,
-            };
-            let r_base = Vm::new().try_run(&base, &mut ctx1, Some(limit));
-            let r_fused = Vm::new().try_run(&fused, &mut ctx2, Some(limit));
-            assert_eq!(
-                r_base.is_err(),
-                r_fused.is_err(),
-                "fault parity at limit {limit}"
-            );
-            if let (Ok(a), Ok(b)) = (r_base, r_fused) {
-                assert_eq!(a, b, "result parity at limit {limit}");
-            }
-        }
     }
 
     #[test]

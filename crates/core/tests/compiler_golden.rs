@@ -1,10 +1,10 @@
 //! Golden-file tests for the spec compiler.
 //!
 //! Each `tests/golden/*.spec` source is compiled twice — once with the
-//! optimizer and fuser off (the raw lowered IR) and once with the default
-//! pipeline (optimized IR plus the fused superinstruction stream) — and the
-//! rendered listings are compared byte-for-byte against the committed
-//! `.base.txt` / `.fused.txt` goldens. Any compiler change that moves an
+//! optimizer off (the raw lowered IR) and once with the default pipeline
+//! (the optimized IR) — and the rendered listings, superinstructions
+//! included, are compared byte-for-byte against the committed `.base.txt` /
+//! `.default.txt` goldens. Any compiler change that moves an
 //! instruction shows up as a readable diff here, not as a silent behavior
 //! shift.
 //!
@@ -19,6 +19,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use guardrails::compile::ir::Op;
 use guardrails::compile::{compile, CompileOptions, CompiledAction};
 use guardrails::spec::parse_and_check;
 use simkernel::Nanos;
@@ -35,9 +36,8 @@ fn render_nanos(n: Nanos) -> String {
     }
 }
 
-/// Renders every compiled guardrail: triggers, per-rule listings (base ops
-/// plus the fused stream when present), and actions with their operand
-/// programs. The format is line-oriented so golden diffs read naturally.
+/// Renders every compiled guardrail: triggers, per-rule listings, and
+/// actions with their operand programs. The format is line-oriented so golden diffs read naturally.
 fn render(source: &str, opts: &CompileOptions) -> String {
     let checked = parse_and_check(source).expect("golden spec parses");
     let compiled = compile(&checked, opts).expect("golden spec compiles");
@@ -67,12 +67,6 @@ fn render(source: &str, opts: &CompileOptions) -> String {
             );
             for line in rule.program.to_string().lines() {
                 let _ = writeln!(out, "    {line}");
-            }
-            if !rule.program.fused.is_empty() {
-                let _ = writeln!(out, "    fused:");
-                for line in rule.program.fused_listing().lines() {
-                    let _ = writeln!(out, "    {line}");
-                }
             }
         }
         for (i, action) in g.actions.iter().enumerate() {
@@ -139,7 +133,6 @@ fn check_golden(name: &str, rendered: &str) {
 fn base_options() -> CompileOptions {
     CompileOptions {
         optimize: false,
-        fuse: false,
         ..CompileOptions::default()
     }
 }
@@ -151,10 +144,10 @@ fn listing1_lowered_ir_matches_golden() {
 }
 
 #[test]
-fn listing1_fused_pipeline_matches_golden() {
+fn listing1_default_pipeline_matches_golden() {
     let source = std::fs::read_to_string(golden_dir().join("listing1.spec")).unwrap();
     check_golden(
-        "listing1.fused.txt",
+        "listing1.default.txt",
         &render(&source, &CompileOptions::default()),
     );
 }
@@ -166,23 +159,26 @@ fn listing2_lowered_ir_matches_golden() {
 }
 
 #[test]
-fn listing2_fused_pipeline_matches_golden() {
+fn listing2_default_pipeline_matches_golden() {
     let source = std::fs::read_to_string(golden_dir().join("listing2.spec")).unwrap();
     check_golden(
-        "listing2.fused.txt",
+        "listing2.default.txt",
         &render(&source, &CompileOptions::default()),
     );
 }
 
-/// The goldens themselves must stay honest: the fused pipeline's programs
-/// must carry a non-empty fused stream for the simple comparison rules,
-/// and base compilation must carry none.
+/// The goldens themselves must stay honest: Listing 2's rule is the
+/// dominant `LOAD(k) <= c` shape, so both pipelines must lower it to one
+/// load-compare superinstruction.
 #[test]
-fn golden_specs_exercise_both_streams() {
+fn golden_specs_exercise_superinstructions() {
     let source = std::fs::read_to_string(golden_dir().join("listing2.spec")).unwrap();
     let checked = parse_and_check(&source).unwrap();
-    let fused = compile(&checked, &CompileOptions::default()).unwrap();
-    assert!(!fused[0].rules[0].program.fused.is_empty());
-    let base = compile(&checked, &base_options()).unwrap();
-    assert!(base[0].rules[0].program.fused.is_empty());
+    for opts in [CompileOptions::default(), base_options()] {
+        let compiled = compile(&checked, &opts).unwrap();
+        assert!(matches!(
+            compiled[0].rules[0].program.ops[..],
+            [Op::LoadCmp { .. }]
+        ));
+    }
 }

@@ -6,7 +6,7 @@
 //! queried inside a simulation loop. This crate implements them from scratch:
 //! a row-major matrix type, a multi-layer perceptron with backpropagation,
 //! SGD/Adam optimizers, logistic regression, online feature standardization,
-//! a replay buffer, multi-armed bandits, and classification metrics.
+//! a replay buffer, tabular Q-learning, and classification metrics.
 //!
 //! The models are deliberately *imperfect in realistic ways* — they are
 //! trained on data from the simulation and degrade under distribution shift,
@@ -14,8 +14,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bandit;
-pub mod dataset;
 pub mod linear;
 pub mod loss;
 pub mod metrics;
@@ -26,8 +24,6 @@ pub mod replay;
 pub mod scaler;
 pub mod tensor;
 
-pub use bandit::{EpsilonGreedy, Ucb1};
-pub use dataset::Dataset;
 pub use linear::LogisticRegression;
 pub use loss::Loss;
 pub use metrics::ConfusionMatrix;

@@ -3,11 +3,10 @@
 //! The OS Guardrails paper compiles guardrail specifications into monitors that
 //! run *inside* the kernel, attached to tracepoints and timers. This crate
 //! provides the kernel-shaped substrate those monitors attach to in this
-//! reproduction: a nanosecond-resolution simulated clock, a discrete-event
-//! queue, task control blocks with priorities (the surface the `DEPRIORITIZE`
-//! action manipulates), named tracepoints (the surface `FUNCTION` triggers
-//! attach to), a deterministic RNG for workload generation, a bounded kernel
-//! log, and lightweight metric helpers.
+//! reproduction: a nanosecond-resolution simulated clock, task control blocks
+//! with priorities (the surface the `DEPRIORITIZE` action manipulates), a
+//! deterministic RNG for workload generation, a bounded kernel log, and
+//! lightweight metric helpers.
 //!
 //! Everything is deterministic given a seed: simulations in the evaluation can
 //! be replayed exactly, which addresses one of the debuggability concerns (§1
@@ -15,16 +14,12 @@
 
 #![warn(missing_docs)]
 
-pub mod event;
-pub mod hook;
 pub mod log;
 pub mod metrics;
 pub mod rng;
 pub mod task;
 pub mod time;
 
-pub use event::{EventLoop, EventQueue};
-pub use hook::{TraceEvent, TraceRegistry, TraceSink};
 pub use log::{KernelLog, LogLevel, LogRecord};
 pub use metrics::{JainIndex, MovingAverage, RunningStats};
 pub use rng::DetRng;

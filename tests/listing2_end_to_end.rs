@@ -29,10 +29,11 @@ fn listing2_compiles_to_a_tiny_verified_monitor() {
     assert_eq!(g.name, "low-false-submit");
     assert_eq!(g.timers.len(), 1);
     assert_eq!(g.timers[0].interval, Nanos::from_secs(1));
-    // The whole rule is three instructions; the verifier bounded it.
-    assert_eq!(g.rules[0].program.len(), 3);
+    // The whole rule is one load-compare superinstruction; the verifier
+    // bounded it.
+    assert_eq!(g.rules[0].program.len(), 1);
     assert!(g.rules[0].report.worst_case_fuel < 10);
-    assert_eq!(g.rules[0].report.max_stack_depth, 2);
+    assert_eq!(g.rules[0].report.max_stack_depth, 1);
 }
 
 #[test]

@@ -1,6 +1,8 @@
 //! Property-based tests over the guardrail language pipeline:
-//! pretty-print/parse round-trips, total evaluation, and
-//! optimizer semantics preservation.
+//! pretty-print/parse round-trips, total evaluation, optimizer semantics
+//! preservation, and the VM against a reference evaluator.
+
+use std::collections::HashMap;
 
 use guardrails::compile::ir::Program;
 use guardrails::compile::lower::lower_expr;
@@ -117,20 +119,44 @@ fn arb_num_expr() -> impl Strategy<Value = Expr> {
     })
 }
 
+const COMPARISONS: [BinOp; 6] = [
+    BinOp::Lt,
+    BinOp::Le,
+    BinOp::Gt,
+    BinOp::Ge,
+    BinOp::Eq,
+    BinOp::Ne,
+];
+
+const ARITHMETIC: [BinOp; 5] = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Mod];
+
+/// The shapes lowering turns into superinstructions — `LOAD(k) <cmp> c`,
+/// `ARG(i) <cmp> c`, and `(LOAD(k) <arith> c) <cmp> c` — over a three-key
+/// pool, so keys also repeat within a rule.
+fn arb_superinstruction_cmp() -> impl Strategy<Value = Expr> {
+    let key = || (0usize..3).prop_map(|i| ["a", "b", "c"][i].to_string());
+    let lhs = prop_oneof![
+        key().prop_map(Expr::Load),
+        (0u32..8).prop_map(Expr::Arg),
+        (key(), 0usize..5, arb_number()).prop_map(|(k, op, c)| Expr::bin(
+            ARITHMETIC[op],
+            Expr::Load(k),
+            Expr::Number(c)
+        )),
+    ];
+    (lhs, 0usize..6, arb_number())
+        .prop_map(|(lhs, op, c)| Expr::bin(COMPARISONS[op], lhs, Expr::Number(c)))
+}
+
 /// Boolean expressions built over numeric comparisons.
 fn arb_bool_expr() -> impl Strategy<Value = Expr> {
-    let cmp = (arb_num_expr(), arb_num_expr(), 0usize..6).prop_map(|(a, b, op)| {
-        let op = [
-            BinOp::Lt,
-            BinOp::Le,
-            BinOp::Gt,
-            BinOp::Ge,
-            BinOp::Eq,
-            BinOp::Ne,
-        ][op];
-        Expr::bin(op, a, b)
-    });
-    let leaf = prop_oneof![cmp, any::<bool>().prop_map(Expr::Bool)];
+    let cmp = (arb_num_expr(), arb_num_expr(), 0usize..6)
+        .prop_map(|(a, b, op)| Expr::bin(COMPARISONS[op], a, b));
+    let leaf = prop_oneof![
+        cmp,
+        arb_superinstruction_cmp(),
+        any::<bool>().prop_map(Expr::Bool)
+    ];
     leaf.prop_recursive(2, 12, 2, |inner| {
         prop_oneof![
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::bin(BinOp::And, a, b)),
@@ -202,6 +228,166 @@ fn eval(program: &Program, store: &FeatureStore, args: &[f64]) -> f64 {
             },
         )
         .value
+}
+
+/// Values a feature or trigger argument may hold, non-finite ones
+/// included (the store under test has quarantine off).
+fn arb_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        -1e6..1e6f64,
+        Just(0.0),
+        Just(1.0),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(1e308),
+    ]
+}
+
+/// What one key holds: `(kind, values)` with kind 0 absent, 1 scalar,
+/// 2 series, 3 EWMA, 4 histogram.
+fn arb_contents() -> impl Strategy<Value = Vec<(usize, Vec<f64>)>> {
+    proptest::collection::vec((0usize..5, proptest::collection::vec(arb_value(), 1..6)), 4)
+}
+
+/// The evaluation time; series samples are recorded up to one second
+/// before it.
+const NOW: Nanos = Nanos::from_secs(10);
+
+/// A store with quarantine off, holding `contents[i % len]` at the `i`-th
+/// key of `keys`.
+fn populate(keys: &[String], contents: &[(usize, Vec<f64>)]) -> FeatureStore {
+    let store = FeatureStore::new();
+    store.set_quarantine(false);
+    for (i, key) in keys.iter().enumerate() {
+        let (kind, values) = &contents[i % contents.len()];
+        for (j, &v) in values.iter().enumerate() {
+            match kind {
+                1 => store.save(key, v),
+                2 => store.record(key, Nanos::from_millis(9_000 + 200 * j as u64), v),
+                3 => store.ewma_update(key, v, 0.5),
+                4 => store.hist_observe(key, v),
+                _ => {}
+            }
+        }
+    }
+    store
+}
+
+/// A test-only evaluator over `Expr`, written from the language definition
+/// rather than from the compiler or the VM: comparisons with a NaN operand
+/// are false, `/` and `%` by 0 give 0, `CLAMP(x, lo, hi)` limits `x` to
+/// `[lo, max(lo, hi)]` (NaN when `x` or `lo` is NaN), `&&`/`||`
+/// short-circuit left to right, absent keys and arguments read 0, loads
+/// and aggregates read the store through its string API, and `DELTA(k)`
+/// is the change in `LOAD(k)` since the previous `DELTA(k)` read (0 on the
+/// first).
+struct Reference<'a> {
+    store: &'a FeatureStore,
+    args: &'a [f64],
+    deltas: HashMap<String, f64>,
+}
+
+impl Reference<'_> {
+    fn truth(&mut self, e: &Expr) -> bool {
+        match e {
+            Expr::Bool(b) => *b,
+            Expr::Unary(UnOp::Not, x) => !self.truth(x),
+            Expr::Binary(BinOp::And, l, r) => self.truth(l) && self.truth(r),
+            Expr::Binary(BinOp::Or, l, r) => self.truth(l) || self.truth(r),
+            Expr::Binary(op, l, r) => {
+                let (a, b) = (self.num(l), self.num(r));
+                if a.is_nan() || b.is_nan() {
+                    return false;
+                }
+                match op {
+                    BinOp::Lt => a < b,
+                    BinOp::Le => a <= b,
+                    BinOp::Gt => a > b,
+                    BinOp::Ge => a >= b,
+                    BinOp::Eq => a == b,
+                    BinOp::Ne => a != b,
+                    other => panic!("{other:?} is not a comparison"),
+                }
+            }
+            other => panic!("not a boolean expression: {other:?}"),
+        }
+    }
+
+    fn num(&mut self, e: &Expr) -> f64 {
+        let window = |w: &Expr| Nanos::from_nanos(const_number(w) as u64);
+        match e {
+            Expr::Number(n) => *n,
+            Expr::Load(k) => self.store.load(k).unwrap_or(0.0),
+            Expr::Arg(i) => self.args.get(*i as usize).copied().unwrap_or(0.0),
+            Expr::Ewma(k) => self.store.ewma(k),
+            Expr::Delta(k) => {
+                let current = self.store.load(k).unwrap_or(0.0);
+                let last = self.deltas.insert(k.clone(), current).unwrap_or(current);
+                current - last
+            }
+            Expr::Aggregate {
+                kind,
+                key,
+                window: w,
+            } => self.store.aggregate(*kind, key, window(w), NOW),
+            Expr::Quantile { key, q, window: w } => {
+                self.store.quantile(key, const_number(q), window(w), NOW)
+            }
+            Expr::Hist { key, q } => self.store.hist_quantile(key, const_number(q)),
+            Expr::Abs(x) => self.num(x).abs(),
+            Expr::Unary(UnOp::Neg, x) => -self.num(x),
+            Expr::Clamp(x, lo, hi) => {
+                let (x, lo, hi) = (self.num(x), self.num(lo), self.num(hi));
+                if x.is_nan() || lo.is_nan() {
+                    return f64::NAN;
+                }
+                let hi = if hi >= lo { hi } else { lo };
+                if x < lo {
+                    lo
+                } else if x > hi {
+                    hi
+                } else {
+                    x
+                }
+            }
+            Expr::Binary(op, l, r) => {
+                let (a, b) = (self.num(l), self.num(r));
+                match op {
+                    BinOp::Add => a + b,
+                    BinOp::Sub => a - b,
+                    BinOp::Mul => a * b,
+                    BinOp::Div if b == 0.0 => 0.0,
+                    BinOp::Div => a / b,
+                    BinOp::Mod if b == 0.0 => 0.0,
+                    BinOp::Mod => a % b,
+                    other => panic!("{other:?} is not arithmetic"),
+                }
+            }
+            other => panic!("not a numeric expression: {other:?}"),
+        }
+    }
+}
+
+/// The generators only put literals where the language requires constants
+/// (windows, quantiles).
+fn const_number(e: &Expr) -> f64 {
+    match e {
+        Expr::Number(n) => *n,
+        other => panic!("expected a literal, got {other:?}"),
+    }
+}
+
+/// The rule as the engine installs it: folded, lowered, verified.
+fn install(rule: &Expr) -> Program {
+    let program = lower_expr(&fold_expr(rule)).expect("lowers");
+    verify(&program, ExpectedType::Bool, &VerifyLimits::default()).expect("verifies");
+    program
+}
+
+/// Every key `rule` reads (lowering without folding keeps them all).
+fn rule_keys(rule: &Expr) -> Vec<String> {
+    lower_expr(rule).expect("lowers").keys
 }
 
 proptest! {
@@ -307,5 +493,82 @@ proptest! {
             },
         );
         prop_assert!(result.fuel <= program.worst_case_fuel());
+    }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The VM running the installed program agrees with the reference
+    /// evaluator, over two evaluations with the store's scalars and the
+    /// arguments changed in between (so `DELTA` state carries over).
+    #[test]
+    fn vm_matches_reference_evaluator(
+        rule in arb_bool_expr(),
+        contents in arb_contents(),
+        rewrites in proptest::collection::vec(arb_value(), 4),
+        args in proptest::collection::vec(arb_value(), 2..9),
+    ) {
+        let program = install(&rule);
+        let keys = rule_keys(&rule);
+        let store = populate(&keys, &contents);
+        let slots = store.bind(&program.keys);
+        let mut vm_deltas = DeltaState::default();
+        let mut reference = Reference { store: &store, args: &args, deltas: HashMap::new() };
+        for round in 0..2 {
+            if round == 1 {
+                for (i, key) in keys.iter().enumerate() {
+                    if contents[i % contents.len()].0 == 1 {
+                        store.save(key, rewrites[i % rewrites.len()]);
+                    }
+                }
+            }
+            let got = Vm::new()
+                .run(
+                    &program,
+                    &mut EvalCtx { slots: &slots, now: NOW, args: &args, deltas: &mut vm_deltas },
+                )
+                .value;
+            let want = if reference.truth(&rule) { 1.0 } else { 0.0 };
+            prop_assert_eq!(got, want, "round {} of {:?}\n{}", round, rule, program);
+        }
+    }
+
+    /// A dynamic fuel limit faults an evaluation exactly when the
+    /// unlimited run burns more than the limit, and otherwise changes
+    /// nothing.
+    #[test]
+    fn fuel_limit_faults_exactly_when_exceeded(
+        rule in arb_bool_expr(),
+        contents in arb_contents(),
+        args in proptest::collection::vec(arb_value(), 2..9),
+    ) {
+        let program = install(&rule);
+        let store = populate(&rule_keys(&rule), &contents);
+        let slots = store.bind(&program.keys);
+        let mut vm = Vm::new();
+        let mut run = |limit: Option<u64>| {
+            vm.try_run(
+                &program,
+                &mut EvalCtx {
+                    slots: &slots,
+                    now: NOW,
+                    args: &args,
+                    deltas: &mut DeltaState::default(),
+                },
+                limit,
+            )
+        };
+        let full = run(None).expect("no limit never faults");
+        for limit in 0..=program.worst_case_fuel() + 1 {
+            match run(Some(limit)) {
+                Err(_) => prop_assert!(full.fuel > limit, "faulted at limit {} with fuel {}", limit, full.fuel),
+                Ok(r) => {
+                    prop_assert!(full.fuel <= limit, "limit {} not enforced", limit);
+                    prop_assert_eq!(r, full);
+                }
+            }
+        }
     }
 }
