@@ -34,6 +34,20 @@ git diff --exit-code -- results/exp_recovery.csv || {
     exit 1
 }
 
+# E5, E7, E8 and E9 are seeded and wall-clock-free as well. E7, E8 and E9
+# read the engine's counters (evaluations, modelled overhead, rule faults,
+# watchdog trips, retrain retries), so a change to how the engine counts
+# shows up here. About 5 s for the four.
+for experiment in exp_subsystems exp_dependency exp_incremental exp_faults; do
+    cargo run --release -p gr-bench --bin "${experiment}" >/dev/null
+    git diff --exit-code -- "results/${experiment}.csv" || {
+        echo "${experiment}.csv changed: the experiment is no longer" \
+             "deterministic (or the committed results are stale — rerun and" \
+             "commit them)." >&2
+        exit 1
+    }
+done
+
 # Criterion smoke run: the offline criterion shim caps every benchmark at a
 # ~25ms budget, so the whole suite is a fast sanity pass that the bench
 # targets still run (the numbers themselves are not gated).

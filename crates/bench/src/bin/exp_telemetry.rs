@@ -214,8 +214,7 @@ fn main() {
     let on_print = fingerprint(&on_engine);
     let identical = off_print == on_print;
 
-    let telemetry = on_engine.telemetry().expect("telemetry attached");
-    let snap: TelemetrySnapshot = telemetry.snapshot();
+    let snap: TelemetrySnapshot = on_engine.telemetry_snapshot();
     csv.push_str(&format!("ingest,events,{EVENTS}\n"));
     csv.push_str(&format!("ingest,batch_size,{BATCH}\n"));
     csv.push_str(&format!("ingest,evaluations,{}\n", snap.evaluations));
@@ -232,9 +231,8 @@ fn main() {
     );
 
     // ---- Section 2: the overhead guardrail ------------------------------
-    let t = Telemetry::new();
     let mut engine = MonitorEngine::new();
-    engine.set_telemetry(Arc::clone(&t));
+    engine.set_telemetry(Telemetry::new());
     // Republish the reserved keys once per simulated millisecond so the
     // budget rule always reads a fresh fraction.
     engine.set_telemetry_publish_interval(Some(Nanos::from_millis(1)));

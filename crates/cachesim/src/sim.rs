@@ -95,8 +95,7 @@ pub fn run_cache_sim(config: CacheSimConfig) -> CacheReport {
         Arc::new(guardrails::FeatureStore::new()),
         Arc::clone(&registry),
     );
-    let telemetry = Telemetry::new();
-    engine.set_telemetry(Arc::clone(&telemetry));
+    engine.set_telemetry(Telemetry::new());
     if config.with_guardrail {
         engine
             .install_str(P4_CACHE_GUARDRAIL)
@@ -223,7 +222,7 @@ pub fn run_cache_sim(config: CacheSimConfig) -> CacheReport {
         shadow_random_phase2: 0.0_f64.max(shadow_random.hit_rate()),
         violations: engine.violations().len(),
         learned_active_at_end: registry.is_active("cache_policy", VARIANT_LEARNED),
-        telemetry: telemetry.snapshot(),
+        telemetry: engine.telemetry_snapshot(),
     }
 }
 

@@ -38,13 +38,12 @@ guardrail bystander {
 }
 "#;
 
-fn fresh_engine() -> (MonitorEngine, Arc<Telemetry>) {
+fn fresh_engine() -> MonitorEngine {
     let registry = Arc::new(PolicyRegistry::new());
     let mut engine = MonitorEngine::with_parts(Arc::new(guardrails::FeatureStore::new()), registry);
-    let telemetry = Telemetry::new();
-    engine.set_telemetry(Arc::clone(&telemetry));
+    engine.set_telemetry(Telemetry::new());
     engine.install_str(SPECS).unwrap();
-    (engine, telemetry)
+    engine
 }
 
 /// One generated access: a time step, the object size offered to the
@@ -83,7 +82,7 @@ struct Observable {
     telemetry: TelemetrySnapshot,
 }
 
-fn observe(engine: &MonitorEngine, telemetry: &Telemetry) -> Observable {
+fn observe(engine: &MonitorEngine) -> Observable {
     let mut scalars = engine.store().scalars();
     scalars.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
     let mut stats = engine.stats();
@@ -93,7 +92,7 @@ fn observe(engine: &MonitorEngine, telemetry: &Telemetry) -> Observable {
         scalars,
         total_violations: engine.violation_log().total(),
         stats,
-        telemetry: telemetry.snapshot(),
+        telemetry: engine.telemetry_snapshot(),
     }
 }
 
@@ -166,14 +165,11 @@ proptest! {
         accesses in accesses(),
         cuts in vec(0usize..61, 0..6),
     ) {
-        let (mut sequential, seq_telemetry) = fresh_engine();
-        let (mut batched, bat_telemetry) = fresh_engine();
+        let mut sequential = fresh_engine();
+        let mut batched = fresh_engine();
         run_sequential_chunked(&mut sequential, &accesses, &cuts);
         run_batched(&mut batched, &accesses, &cuts);
-        prop_assert_eq!(
-            observe(&sequential, &seq_telemetry),
-            observe(&batched, &bat_telemetry)
-        );
+        prop_assert_eq!(observe(&sequential), observe(&batched));
         prop_assert_eq!(
             sequential.drain_commands(),
             batched.drain_commands(),
@@ -185,14 +181,11 @@ proptest! {
     fn single_event_batches_match_plain_on_function(accesses in accesses()) {
         // Degenerate chunking: every batch holds exactly one event — the
         // contract `on_function` itself relies on.
-        let (mut sequential, seq_telemetry) = fresh_engine();
-        let (mut batched, bat_telemetry) = fresh_engine();
+        let mut sequential = fresh_engine();
+        let mut batched = fresh_engine();
         let cuts: Vec<usize> = (0..=accesses.len()).collect();
         run_sequential_chunked(&mut sequential, &accesses, &cuts);
         run_batched(&mut batched, &accesses, &cuts);
-        prop_assert_eq!(
-            observe(&sequential, &seq_telemetry),
-            observe(&batched, &bat_telemetry)
-        );
+        prop_assert_eq!(observe(&sequential), observe(&batched));
     }
 }

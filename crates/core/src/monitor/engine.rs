@@ -21,7 +21,7 @@ use crate::policy::PolicyRegistry;
 use crate::store::fxhash::FxHashMap;
 use crate::store::{FeatureStore, Slot};
 use crate::telemetry::{
-    ActionKind, Telemetry, TelemetryDelta, TraceKind, NO_MONITOR, RESERVED_PREFIX,
+    ActionKind, Telemetry, TelemetrySnapshot, TraceKind, NO_MONITOR, RESERVED_PREFIX,
 };
 use crate::vm::{DeltaState, EvalCtx, Vm};
 
@@ -29,7 +29,8 @@ use crate::vm::{DeltaState, EvalCtx, Vm};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct MonitorId(usize);
 
-/// Aggregate engine statistics.
+/// Aggregate engine statistics: a view over the monitors' accounts, read
+/// with [`MonitorEngine::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Rule-set evaluations performed.
@@ -47,18 +48,39 @@ pub struct EngineStats {
     /// `RETRAIN` retry attempts serviced (successful or not).
     pub retrain_retries: u64,
     /// Cumulative measured wall time spent in rule evaluation, in
-    /// nanoseconds (the engine-wide P5 figure; per-monitor splits live in
-    /// [`OverheadAccount`] via [`MonitorEngine::overhead_reports`]).
+    /// nanoseconds: the sum of the monitors' [`OverheadAccount::wall_ns`]
+    /// (see [`MonitorEngine::overhead_reports`]). Time in which no monitor
+    /// evaluated is not counted.
     pub eval_wall_ns: u64,
 }
 
 impl EngineStats {
-    /// Mean measured wall time per rule-set evaluation, in nanoseconds.
-    pub fn mean_eval_ns(&self) -> f64 {
-        if self.evaluations == 0 {
-            0.0
-        } else {
-            self.eval_wall_ns as f64 / self.evaluations as f64
+    /// Applies `op` field by field (wrapping add or subtract).
+    fn zip_with(self, other: EngineStats, op: fn(u64, u64) -> u64) -> EngineStats {
+        EngineStats {
+            evaluations: op(self.evaluations, other.evaluations),
+            violations: op(self.violations, other.violations),
+            trips: op(self.trips, other.trips),
+            commands_emitted: op(self.commands_emitted, other.commands_emitted),
+            rule_faults: op(self.rule_faults, other.rule_faults),
+            watchdog_trips: op(self.watchdog_trips, other.watchdog_trips),
+            retrain_retries: op(self.retrain_retries, other.retrain_retries),
+            eval_wall_ns: op(self.eval_wall_ns, other.eval_wall_ns),
+        }
+    }
+}
+
+impl From<OverheadAccount> for EngineStats {
+    fn from(a: OverheadAccount) -> Self {
+        EngineStats {
+            evaluations: a.evaluations,
+            violations: a.violations,
+            trips: a.trips,
+            commands_emitted: a.commands_emitted,
+            rule_faults: a.rule_faults,
+            watchdog_trips: a.watchdog_trips,
+            retrain_retries: a.retrain_retries,
+            eval_wall_ns: a.wall_ns,
         }
     }
 }
@@ -93,6 +115,9 @@ impl TriggerRef<'_> {
 /// A `RETRAIN` awaiting its backoff-scheduled retry.
 #[derive(Clone, Debug)]
 struct PendingRetrain {
+    /// The requesting monitor, charged for the retries and the command.
+    /// Monitors are tombstoned, never removed, so the index stays valid.
+    monitor: usize,
     guardrail: String,
     model: String,
     /// Retries already spent (0 = first retry pending).
@@ -173,21 +198,18 @@ pub struct MonitorEngine {
     violations: ViolationLog,
     vm: Vm,
     now: Nanos,
-    stats: EngineStats,
+    /// Added to the accounts' sum by [`MonitorEngine::stats`]; set by
+    /// `restore` so the stats continue from the checkpoint.
+    carried: EngineStats,
     resilience: ResilienceConfig,
     /// Dynamic per-evaluation rule fuel budget (fault-injection knob; the
     /// verifier's static bound still applies regardless).
     rule_fuel_limit: Option<u64>,
     pending_retrains: Vec<PendingRetrain>,
-    /// Optional observability bundle. `None` (the default) keeps the hot
-    /// path exactly as before: one pointer-is-none check per site.
+    /// Optional observability bundle: the registry's own metrics and the
+    /// trace ring. `None` (the default) costs one pointer-is-none check per
+    /// site; counting does not depend on it.
     telemetry: Option<Arc<Telemetry>>,
-    /// Plain-integer counter accumulator, flushed to the attached
-    /// telemetry's atomics at the end of every engine entry point. Bumped
-    /// unconditionally (register adds), so the telemetry-off hot path pays
-    /// nothing measurable and the telemetry-on path avoids per-evaluation
-    /// atomic RMWs.
-    tdelta: TelemetryDelta,
     /// When set, `advance_to` republishes telemetry into the store's
     /// reserved namespace at this cadence (default off: published values
     /// include wall time, which deterministic hosts must opt into).
@@ -226,27 +248,20 @@ impl MonitorEngine {
             violations: ViolationLog::default(),
             vm: Vm::new(),
             now: Nanos::ZERO,
-            stats: EngineStats::default(),
+            carried: EngineStats::default(),
             resilience: ResilienceConfig::default(),
             rule_fuel_limit: None,
             pending_retrains: Vec::new(),
             telemetry: None,
-            tdelta: TelemetryDelta::default(),
             publish_interval: None,
             next_publish: Nanos::ZERO,
         }
     }
 
-    /// Attaches an observability bundle. Counters and trace events are
-    /// recorded from this point on; pass a bundle shared with the durable
-    /// store's host to get WAL metrics in the same registry.
+    /// Attaches an observability bundle. Registry metrics and trace events
+    /// are recorded from this point on.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         self.telemetry = Some(telemetry);
-    }
-
-    /// The attached observability bundle, if any.
-    pub fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        self.telemetry.clone()
     }
 
     /// Enables (or, with `None`, disables) periodic self-publication: every
@@ -356,7 +371,7 @@ impl MonitorEngine {
             rule_deltas,
             action_deltas,
             hysteresis: HysteresisState::new(Hysteresis::default()),
-            overhead: OverheadAccount::new(),
+            overhead: OverheadAccount::default(),
             enabled: true,
             retired: false,
             consecutive_faults: 0,
@@ -494,7 +509,8 @@ impl MonitorEngine {
             if p.next_attempt > now {
                 return true;
             }
-            self.stats.retrain_retries += 1;
+            let account = &mut self.monitors[p.monitor].overhead;
+            account.retrain_retries += 1;
             if self.limiter.request(&p.model, now).is_ok() {
                 self.outbox.push(
                     now,
@@ -503,7 +519,7 @@ impl MonitorEngine {
                         model: p.model.clone(),
                     },
                 );
-                self.stats.commands_emitted += 1;
+                account.commands_emitted += 1;
                 return false;
             }
             p.attempt += 1;
@@ -537,7 +553,8 @@ impl MonitorEngine {
     /// once, the wall clock is read twice per *batch* instead of twice per
     /// evaluation, and no per-event allocations occur. The measured batch
     /// wall time is apportioned across the evaluating monitors by their
-    /// evaluation counts (modelled fuel accounting is exact either way).
+    /// evaluation counts (see [`MonitorEngine::apportion_wall`]; modelled
+    /// fuel accounting is exact either way).
     pub fn on_function_batch(&mut self, hook: &str, events: &[FnEvent<'_>]) {
         if events.is_empty() {
             return;
@@ -561,7 +578,7 @@ impl MonitorEngine {
         if let Some(t) = &self.telemetry {
             t.m.batches.inc();
             t.m.batch_events.add(events.len() as u64);
-            t.mark(
+            t.trace.record(
                 self.now,
                 TraceKind::EvalStart,
                 NO_MONITOR,
@@ -576,37 +593,44 @@ impl MonitorEngine {
             }
         }
         let wall_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.stats.eval_wall_ns += wall_ns;
         if let Some(t) = &self.telemetry {
-            t.m.eval_wall_ns.add(wall_ns);
             t.m.eval_wall_hist.observe(wall_ns);
-            t.mark(self.now, TraceKind::EvalEnd, NO_MONITOR, wall_ns as f64);
+            t.trace
+                .record(self.now, TraceKind::EvalEnd, NO_MONITOR, wall_ns as f64);
         }
-        let evaluated: u64 = subscribers
-            .iter()
-            .zip(&evals_before)
-            .map(|(&m, &before)| self.monitors[m].overhead.evaluations - before)
-            .sum();
-        for (&midx, &before) in subscribers.iter().zip(&evals_before) {
-            let share = self.monitors[midx].overhead.evaluations - before;
-            if let Some(charge) = (wall_ns * share).checked_div(evaluated) {
-                self.monitors[midx].overhead.charge_wall(charge);
-            }
-        }
+        self.apportion_wall(&subscribers, &evals_before, wall_ns);
         if let Some(list) = self.hooks.get_mut(hook) {
             *list = subscribers;
         }
-        self.flush_telemetry_delta();
     }
 
-    /// Flushes the accumulated counter delta into the attached telemetry
-    /// (discarding it when none is attached). Runs at the end of every
-    /// evaluating entry point, so totals are exact at every API boundary.
-    #[inline]
-    fn flush_telemetry_delta(&mut self) {
-        let delta = std::mem::take(&mut self.tdelta);
-        if let Some(t) = &self.telemetry {
-            delta.apply(&t.m);
+    /// Charges `wall_ns` to the monitors in `subscribers` in proportion to
+    /// the evaluations each ran since `evals_before` (its evaluation count
+    /// when the clock started). The shares sum to exactly `wall_ns`: the
+    /// rounding remainder goes to the last monitor that evaluated. Charges
+    /// nothing when none evaluated.
+    fn apportion_wall(&mut self, subscribers: &[usize], evals_before: &[u64], wall_ns: u64) {
+        let share_of = |m: &Monitor, before: u64| m.overhead.evaluations - before;
+        let evaluated: u64 = subscribers
+            .iter()
+            .zip(evals_before)
+            .map(|(&m, &before)| share_of(&self.monitors[m], before))
+            .sum();
+        let (mut evals_left, mut wall_left) = (evaluated, wall_ns);
+        for (&midx, &before) in subscribers.iter().zip(evals_before) {
+            let monitor = &mut self.monitors[midx];
+            let share = share_of(monitor, before);
+            if share == 0 {
+                continue;
+            }
+            evals_left -= share;
+            let charge = if evals_left == 0 {
+                wall_left
+            } else {
+                (u128::from(wall_ns) * u128::from(share) / u128::from(evaluated)) as u64
+            };
+            wall_left -= charge;
+            monitor.overhead.wall_ns += charge;
         }
     }
 
@@ -615,23 +639,19 @@ impl MonitorEngine {
     fn evaluate(&mut self, midx: usize, now: Nanos, args: &[f64], trigger: TriggerRef<'_>) {
         let evals_before = self.monitors[midx].overhead.evaluations;
         if let Some(t) = &self.telemetry {
-            t.mark(now, TraceKind::EvalStart, midx as u32, 1.0);
+            t.trace.record(now, TraceKind::EvalStart, midx as u32, 1.0);
         }
         let started = std::time::Instant::now();
         self.evaluate_inner(midx, now, args, trigger);
         let wall_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        if self.monitors[midx].overhead.evaluations > evals_before {
-            self.stats.eval_wall_ns += wall_ns;
-            self.monitors[midx].overhead.charge_wall(wall_ns);
-            if let Some(t) = &self.telemetry {
-                t.m.eval_wall_ns.add(wall_ns);
+        if let Some(t) = &self.telemetry {
+            if self.monitors[midx].overhead.evaluations > evals_before {
                 t.m.eval_wall_hist.observe(wall_ns);
             }
+            t.trace
+                .record(now, TraceKind::EvalEnd, midx as u32, wall_ns as f64);
         }
-        if let Some(t) = &self.telemetry {
-            t.mark(now, TraceKind::EvalEnd, midx as u32, wall_ns as f64);
-        }
-        self.flush_telemetry_delta();
+        self.apportion_wall(&[midx], &[evals_before], wall_ns);
     }
 
     fn evaluate_inner(&mut self, midx: usize, now: Nanos, args: &[f64], trigger: TriggerRef<'_>) {
@@ -656,8 +676,6 @@ impl MonitorEngine {
             self.reports
                 .info(now, &name, "watchdog probation over, monitor re-enabled");
         }
-        self.stats.evaluations += 1;
-        self.tdelta.evaluations += 1;
         let mut fuel = 0u64;
         let mut failed: Option<usize> = None;
         let mut fault: Option<String> = None;
@@ -703,8 +721,9 @@ impl MonitorEngine {
         }
         // Wall time is charged by the caller (per evaluation on the timer
         // path, per batch on the function path); fuel is charged here.
-        self.monitors[midx].overhead.charge_rules(fuel, 0);
-        self.tdelta.rule_fuel += fuel;
+        let account = &mut self.monitors[midx].overhead;
+        account.evaluations += 1;
+        account.rule_fuel += fuel;
 
         if let Some(reason) = fault {
             self.on_rule_fault(midx, now, args, &reason);
@@ -717,10 +736,10 @@ impl MonitorEngine {
             self.monitors[midx].hysteresis.observe(false, now);
             return;
         };
-        self.stats.violations += 1;
-        self.tdelta.violations += 1;
+        self.monitors[midx].overhead.violations += 1;
         if let Some(t) = &self.telemetry {
-            t.mark(now, TraceKind::Violation, midx as u32, rule_index as f64);
+            t.trace
+                .record(now, TraceKind::Violation, midx as u32, rule_index as f64);
         }
         let fire = self.monitors[midx].hysteresis.observe(true, now);
         let (name, rule_source) = {
@@ -736,8 +755,7 @@ impl MonitorEngine {
             actions_fired: fire,
         });
         if fire {
-            self.stats.trips += 1;
-            self.tdelta.trips += 1;
+            self.monitors[midx].overhead.trips += 1;
             self.dispatch_actions(midx, now, args);
         }
     }
@@ -747,7 +765,7 @@ impl MonitorEngine {
     /// that keeps faulting instead of leaving it silently wedged. Fail-closed
     /// watchdogs dispatch the monitor's actions once on the way down.
     fn on_rule_fault(&mut self, midx: usize, now: Nanos, args: &[f64], reason: &str) {
-        self.stats.rule_faults += 1;
+        self.monitors[midx].overhead.rule_faults += 1;
         self.monitors[midx].consecutive_faults += 1;
         let name = self.monitors[midx].compiled.name.clone();
         self.reports
@@ -762,7 +780,7 @@ impl MonitorEngine {
         m.enabled = false;
         m.watchdog_tripped = true;
         m.probation_until = watchdog.probation.map(|p| now + p);
-        self.stats.watchdog_trips += 1;
+        m.overhead.watchdog_trips += 1;
         self.reports.report(
             now,
             &name,
@@ -822,12 +840,10 @@ impl MonitorEngine {
             limiter,
             monitors,
             vm,
-            stats,
             resilience,
             rule_fuel_limit,
             pending_retrains,
             telemetry,
-            tdelta,
             ..
         } = self;
         let Monitor {
@@ -899,7 +915,7 @@ impl MonitorEngine {
                                 model: model.clone(),
                             },
                         );
-                        stats.commands_emitted += 1;
+                        overhead.commands_emitted += 1;
                     } else if let Some(retry) = resilience.retrain_retry {
                         // Rejected: schedule a backoff retry instead of
                         // dropping the request, unless one is already queued
@@ -909,6 +925,7 @@ impl MonitorEngine {
                             .any(|p| p.model == *model && p.guardrail == *name);
                         if !queued {
                             pending_retrains.push(PendingRetrain {
+                                monitor: midx,
                                 guardrail: name.clone(),
                                 model: model.clone(),
                                 attempt: 0,
@@ -946,7 +963,7 @@ impl MonitorEngine {
                             steps: steps_value,
                         },
                     );
-                    stats.commands_emitted += 1;
+                    overhead.commands_emitted += 1;
                 }
                 CompiledAction::Save { value, .. } => match operand(value) {
                     Ok(r) => {
@@ -977,11 +994,11 @@ impl MonitorEngine {
                     }
                 },
             }
-            overhead.charge_action(fuel);
-            tdelta.actions[kind as usize] += 1;
-            tdelta.action_fuel += fuel;
+            overhead.actions[kind as usize] += 1;
+            overhead.action_fuel += fuel;
             if let Some(t) = telemetry {
-                t.mark(now, TraceKind::Action, midx as u32, kind as usize as f64);
+                t.trace
+                    .record(now, TraceKind::Action, midx as u32, kind as usize as f64);
             }
         }
     }
@@ -1012,48 +1029,106 @@ impl MonitorEngine {
         &self.violations
     }
 
-    /// Aggregate engine statistics.
+    /// The field-wise sum of every monitor's account, retired monitors
+    /// included.
+    fn account_sum(&self) -> OverheadAccount {
+        let mut sum = OverheadAccount::default();
+        for m in &self.monitors {
+            sum.merge(&m.overhead);
+        }
+        sum
+    }
+
+    /// Aggregate engine statistics: the sum of every monitor's account
+    /// (retired monitors included), continuing from the checkpoint after a
+    /// [`MonitorEngine::restore`].
     pub fn stats(&self) -> EngineStats {
-        self.stats
+        self.carried
+            .zip_with(self.account_sum().into(), u64::wrapping_add)
+    }
+
+    /// The deterministic counter summary: the sum of every monitor's
+    /// account since install (a restore does not carry counts into it),
+    /// plus the attached trace ring's non-span events (0 without
+    /// telemetry).
+    pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
+        let sum = self.account_sum();
+        let trace_marks = self.telemetry.as_ref().map_or(0, |t| {
+            t.trace
+                .snapshot()
+                .iter()
+                .filter(|e| !matches!(e.kind, TraceKind::EvalStart | TraceKind::EvalEnd))
+                .count() as u64
+        });
+        TelemetrySnapshot {
+            evaluations: sum.evaluations,
+            violations: sum.violations,
+            trips: sum.trips,
+            rule_fuel: sum.rule_fuel,
+            action_fuel: sum.action_fuel,
+            actions: sum.actions,
+            trace_marks,
+        }
     }
 
     /// Publishes the attached telemetry into the feature store's reserved
-    /// `__telemetry/` namespace: every registry metric (see
-    /// [`Telemetry::publish_registry`]), the store's own write counters,
-    /// and per-guardrail P5 accounts under
-    /// `__telemetry/guardrail/<name>/{evaluations,rule_fuel,action_fuel,
-    /// wall_ns,modeled_ns,overhead_fraction}`. The fraction is
-    /// `modeled_ns / now` — fuel-modeled, so it is deterministic and safe
-    /// for guardrail rules to `LOAD` (the measured `wall_ns` key is the
-    /// nondeterministic companion). No-op without telemetry attached.
+    /// `__telemetry/` namespace:
+    /// - every registry metric (see [`Telemetry::publish_registry`]);
+    /// - the sum of the monitors' accounts under
+    ///   `__telemetry/engine/{evaluations,violations,trips,rule_fuel,
+    ///   action_fuel,eval_wall_ns}` and `__telemetry/actions/<kind>`;
+    /// - the store's write count under `__telemetry/store/saves`;
+    /// - per-guardrail P5 accounts under
+    ///   `__telemetry/guardrail/<name>/{evaluations,rule_fuel,action_fuel,
+    ///   wall_ns,modeled_ns,overhead_fraction}`. The fraction is
+    ///   `modeled_ns / now` — fuel-modeled, so it is deterministic and safe
+    ///   for guardrail rules to `LOAD` (the measured `wall_ns` key is the
+    ///   nondeterministic companion).
+    ///
+    /// No-op without telemetry attached.
     pub fn publish_telemetry(&self) {
         let Some(t) = &self.telemetry else {
             return;
         };
-        t.observe_store(&self.store);
+        // Read before this publish adds its own writes.
+        let saves = self.store.saves_total();
         t.publish_registry(&self.store);
-        let now_ns = self.now.as_nanos();
-        for m in &self.monitors {
-            if m.retired {
-                continue;
-            }
-            let base = format!("{RESERVED_PREFIX}guardrail/{}", m.compiled.name);
-            let o = &m.overhead;
-            let modeled_ns = o.modeled().as_nanos();
-            let fraction = if now_ns == 0 {
-                0.0
-            } else {
-                modeled_ns as f64 / now_ns as f64
+        let save = |name: &str, value: f64| {
+            self.store.save(&format!("{RESERVED_PREFIX}{name}"), value);
+        };
+        let sum = self.account_sum();
+        for (name, value) in [
+            ("engine/evaluations", sum.evaluations),
+            ("engine/violations", sum.violations),
+            ("engine/trips", sum.trips),
+            ("engine/rule_fuel", sum.rule_fuel),
+            ("engine/action_fuel", sum.action_fuel),
+            ("engine/eval_wall_ns", sum.wall_ns),
+            ("store/saves", saves),
+        ] {
+            save(name, value as f64);
+        }
+        for kind in ActionKind::ALL {
+            save(
+                &format!("actions/{}", kind.name()),
+                sum.actions[kind as usize] as f64,
+            );
+        }
+        for m in self.monitors.iter().filter(|m| !m.retired) {
+            let report = OverheadReport {
+                guardrail: m.compiled.name.clone(),
+                account: m.overhead,
             };
+            let o = &report.account;
             for (suffix, value) in [
                 ("evaluations", o.evaluations as f64),
                 ("rule_fuel", o.rule_fuel as f64),
                 ("action_fuel", o.action_fuel as f64),
                 ("wall_ns", o.wall_ns as f64),
-                ("modeled_ns", modeled_ns as f64),
-                ("overhead_fraction", fraction),
+                ("modeled_ns", o.modeled().as_nanos() as f64),
+                ("overhead_fraction", report.fraction_of(self.now)),
             ] {
-                self.store.save(&format!("{base}/{suffix}"), value);
+                save(&format!("guardrail/{}/{suffix}", report.guardrail), value);
             }
         }
     }
@@ -1088,11 +1163,12 @@ impl MonitorEngine {
     pub fn checkpoint(&self) -> EngineCheckpoint {
         if let Some(t) = &self.telemetry {
             t.m.checkpoints.inc();
-            t.mark(self.now, TraceKind::Checkpoint, NO_MONITOR, 0.0);
+            t.trace
+                .record(self.now, TraceKind::Checkpoint, NO_MONITOR, 0.0);
         }
         EngineCheckpoint {
             now: self.now,
-            stats: self.stats,
+            stats: self.stats(),
             slots: self.registry.active_variants(),
             monitors: self
                 .monitors
@@ -1139,11 +1215,16 @@ impl MonitorEngine {
             m.hysteresis = HysteresisState::from_snapshot(&mc.hysteresis);
         }
         self.now = self.now.max(checkpoint.now);
-        self.stats = checkpoint.stats;
+        // Continue the stats from the checkpoint: `stats()` equals
+        // `checkpoint.stats` now, whatever this engine counted before.
+        self.carried = checkpoint
+            .stats
+            .zip_with(self.account_sum().into(), u64::wrapping_sub);
         self.fast_forward_timers();
         if let Some(t) = &self.telemetry {
             t.m.restores.inc();
-            t.mark(self.now, TraceKind::Restart, NO_MONITOR, 0.0);
+            t.trace
+                .record(self.now, TraceKind::Restart, NO_MONITOR, 0.0);
         }
         Ok(())
     }
@@ -1924,7 +2005,7 @@ guardrail low-false-submit {
         let store = engine.store();
         store.save("false_submit_rate", 0.2); // Always violating.
         engine.advance_to(Nanos::from_secs(2));
-        let snap = t.snapshot();
+        let snap = engine.telemetry_snapshot();
         assert_eq!(snap.evaluations, 3, "ticks at 0, 1, 2");
         assert_eq!(snap.violations, 3);
         assert_eq!(snap.trips, 3);
@@ -1934,6 +2015,20 @@ guardrail low-false-submit {
             snap.actions[ActionKind::Save as usize],
             3,
             "SAVE fired each tick"
+        );
+        assert_eq!(snap.trace_marks, 6, "violations and actions; no eval spans");
+        // An engine without telemetry counts the same, and the two engines'
+        // different wall times never enter the snapshot.
+        let mut plain = MonitorEngine::new();
+        plain.install_str(LISTING_2).unwrap();
+        plain.store().save("false_submit_rate", 0.2);
+        plain.advance_to(Nanos::from_secs(2));
+        assert_eq!(
+            plain.telemetry_snapshot(),
+            TelemetrySnapshot {
+                trace_marks: 0,
+                ..snap
+            }
         );
         let events = t.trace.snapshot();
         assert!(events.iter().any(|e| e.kind == TraceKind::Violation));
@@ -1951,6 +2046,66 @@ guardrail low-false-submit {
     }
 
     #[test]
+    fn stats_are_the_sum_of_the_accounts_and_survive_restore() {
+        let mut engine = MonitorEngine::new();
+        engine.install_str(LISTING_2).unwrap();
+        engine
+            .install_str(
+                "guardrail dep { trigger: { TIMER(0, 1s) }, rule: { LOAD(x) > 0 }, action: { DEPRIORITIZE(t, 3) } }",
+            )
+            .unwrap();
+        engine.store().save("false_submit_rate", 0.5);
+        engine.advance_to(Nanos::from_secs(2));
+        engine.uninstall("dep").unwrap();
+        engine.advance_to(Nanos::from_secs(3));
+        let mut sum = OverheadAccount::default();
+        for report in engine.overhead_reports() {
+            sum.merge(&report.account);
+        }
+        assert_eq!(engine.stats(), EngineStats::from(sum), "retired included");
+        assert_eq!(engine.stats().evaluations, 7);
+        assert_eq!(engine.stats().commands_emitted, 3);
+        // A restore into an engine that already counted continues from the
+        // checkpoint, not from the sum of both histories.
+        let checkpoint = engine.checkpoint();
+        let mut used = MonitorEngine::new();
+        used.install_str(LISTING_2).unwrap();
+        used.advance_to(Nanos::from_secs(1));
+        used.restore(&checkpoint).unwrap();
+        assert_eq!(used.stats(), checkpoint.stats);
+        used.advance_to(Nanos::from_secs(4));
+        assert_eq!(used.stats().evaluations, checkpoint.stats.evaluations + 1);
+        assert_eq!(
+            used.telemetry_snapshot().evaluations,
+            3,
+            "the snapshot counts this engine's evaluations only"
+        );
+    }
+
+    #[test]
+    fn apportioned_wall_shares_sum_to_the_measured_time() {
+        let mut engine = MonitorEngine::new();
+        for name in ["a", "b", "c"] {
+            engine
+                .install_str(&format!(
+                    "guardrail {name} {{ trigger: {{ FUNCTION(h) }}, rule: {{ ARG(0) >= 0 }}, action: {{ REPORT(m) }} }}"
+                ))
+                .unwrap();
+        }
+        for (midx, evals) in [(0, 1), (1, 0), (2, 2)] {
+            engine.monitors[midx].overhead.evaluations = evals;
+        }
+        // 3 evaluations share 100 ns: 33 to the first, the remainder (67)
+        // to the last monitor that evaluated, nothing to the idle one.
+        engine.apportion_wall(&[0, 1, 2], &[0, 0, 0], 100);
+        let wall: Vec<u64> = engine.monitors.iter().map(|m| m.overhead.wall_ns).collect();
+        assert_eq!(wall, [33, 0, 67]);
+        // No evaluations since the clock started: nothing is charged.
+        engine.apportion_wall(&[0, 1, 2], &[1, 0, 2], 1_000);
+        assert_eq!(engine.stats().eval_wall_ns, 100);
+    }
+
+    #[test]
     fn publish_telemetry_exposes_loadable_reserved_keys() {
         let t = Telemetry::new();
         let mut engine = MonitorEngine::new();
@@ -1960,7 +2115,38 @@ guardrail low-false-submit {
         store.save("false_submit_rate", 0.2);
         engine.advance_to(Nanos::from_secs(2));
         engine.publish_telemetry();
+        let mut published: Vec<String> = store
+            .keys()
+            .into_iter()
+            .filter(|k| k.starts_with(RESERVED_PREFIX))
+            .collect();
+        published.sort();
+        let mut expected: Vec<String> = "actions/deprioritize actions/record actions/replace \
+             actions/report actions/retrain actions/save engine/action_fuel engine/batch_events \
+             engine/batches engine/checkpoints engine/eval_wall_ns engine/eval_wall_ns_hist/count \
+             engine/eval_wall_ns_hist/p50 engine/eval_wall_ns_hist/p95 \
+             engine/eval_wall_ns_hist/p99 engine/eval_wall_ns_hist/sum engine/evaluations \
+             engine/restores engine/rule_fuel engine/trips engine/violations \
+             guardrail/low-false-submit/action_fuel guardrail/low-false-submit/evaluations \
+             guardrail/low-false-submit/modeled_ns guardrail/low-false-submit/overhead_fraction \
+             guardrail/low-false-submit/rule_fuel guardrail/low-false-submit/wall_ns store/saves \
+             trace/overwritten trace/recorded"
+            .split_whitespace()
+            .map(|k| format!("{RESERVED_PREFIX}{k}"))
+            .collect();
+        expected.sort();
+        assert_eq!(published, expected);
+        assert!(
+            published.iter().all(|k| !k.contains("/wal/")),
+            "no WAL keys"
+        );
         assert_eq!(store.load("__telemetry/engine/evaluations"), Some(3.0));
+        assert_eq!(store.load("__telemetry/actions/save"), Some(3.0));
+        assert_eq!(
+            store.load("__telemetry/store/saves"),
+            Some(4.0),
+            "one host write and three SAVE actions"
+        );
         assert_eq!(
             store.load("__telemetry/guardrail/low-false-submit/evaluations"),
             Some(3.0)

@@ -16,54 +16,46 @@ use simkernel::Nanos;
 /// right order of magnitude for an eBPF-style monitor on modern hardware.
 pub const NS_PER_FUEL: u64 = 2;
 
-/// The overhead account of one monitor.
-#[derive(Clone, Copy, Debug, Default)]
+/// The overhead account of one monitor: the engine's only counters.
+///
+/// Every evaluation, violation, trip, fault, fuel unit, action and measured
+/// nanosecond is counted once, here, on the monitor it belongs to. The
+/// engine-wide figures ([`crate::monitor::EngineStats`], the telemetry
+/// snapshot and the published `__telemetry/engine/*` keys) are sums of
+/// these accounts, read on demand.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OverheadAccount {
-    /// Rule evaluations performed.
+    /// Rule-set evaluations performed.
     pub evaluations: u64,
+    /// Violations detected (rule false).
+    pub violations: u64,
+    /// Violations whose actions fired (post-hysteresis).
+    pub trips: u64,
+    /// Deferred commands emitted to the outbox.
+    pub commands_emitted: u64,
+    /// Rule evaluations aborted by a fault (fuel exhaustion or panic).
+    pub rule_faults: u64,
+    /// Times the watchdog disabled this monitor.
+    pub watchdog_trips: u64,
+    /// `RETRAIN` retry attempts serviced (successful or not).
+    pub retrain_retries: u64,
     /// Total fuel consumed by rule evaluations.
     pub rule_fuel: u64,
     /// Total fuel consumed by action operand programs.
     pub action_fuel: u64,
-    /// Actions dispatched.
-    pub actions_dispatched: u64,
-    /// Measured wall time spent evaluating, in nanoseconds.
+    /// Actions dispatched, by kind, indexed by
+    /// [`crate::telemetry::ActionKind`].
+    pub actions: [u64; 6],
+    /// Measured wall time spent evaluating, in nanoseconds. Only wall time
+    /// in which this monitor evaluated is charged: a batch in which no
+    /// subscriber evaluates charges nothing.
     pub wall_ns: u64,
 }
 
 impl OverheadAccount {
-    /// Creates an empty account.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Charges one rule evaluation.
-    pub fn charge_rules(&mut self, fuel: u64, wall_ns: u64) {
-        self.evaluations += 1;
-        self.rule_fuel += fuel;
-        self.wall_ns += wall_ns;
-    }
-
-    /// Charges measured wall time without counting an evaluation (the
-    /// engine's batch ingestion path reads the clock once per batch and
-    /// apportions the elapsed time afterwards).
-    pub fn charge_wall(&mut self, wall_ns: u64) {
-        self.wall_ns += wall_ns;
-    }
-
-    /// Mean measured wall time per evaluation, in nanoseconds.
-    pub fn mean_eval_ns(&self) -> f64 {
-        if self.evaluations == 0 {
-            0.0
-        } else {
-            self.wall_ns as f64 / self.evaluations as f64
-        }
-    }
-
-    /// Charges one action dispatch.
-    pub fn charge_action(&mut self, fuel: u64) {
-        self.actions_dispatched += 1;
-        self.action_fuel += fuel;
+    /// Actions dispatched, all kinds.
+    pub fn actions_dispatched(&self) -> u64 {
+        self.actions.iter().sum()
     }
 
     /// Total fuel (rules + actions).
@@ -85,12 +77,20 @@ impl OverheadAccount {
         }
     }
 
-    /// Merges another account into this one.
+    /// Merges another account into this one, field by field.
     pub fn merge(&mut self, other: &OverheadAccount) {
         self.evaluations += other.evaluations;
+        self.violations += other.violations;
+        self.trips += other.trips;
+        self.commands_emitted += other.commands_emitted;
+        self.rule_faults += other.rule_faults;
+        self.watchdog_trips += other.watchdog_trips;
+        self.retrain_retries += other.retrain_retries;
         self.rule_fuel += other.rule_fuel;
         self.action_fuel += other.action_fuel;
-        self.actions_dispatched += other.actions_dispatched;
+        for (mine, theirs) in self.actions.iter_mut().zip(other.actions) {
+            *mine += theirs;
+        }
         self.wall_ns += other.wall_ns;
     }
 }
@@ -120,48 +120,75 @@ mod tests {
     use super::*;
 
     #[test]
-    fn charges_accumulate() {
-        let mut a = OverheadAccount::new();
-        a.charge_rules(10, 100);
-        a.charge_rules(6, 50);
-        a.charge_action(4);
-        assert_eq!(a.evaluations, 2);
-        assert_eq!(a.rule_fuel, 16);
-        assert_eq!(a.action_fuel, 4);
+    fn derived_figures_follow_the_counters() {
+        let a = OverheadAccount {
+            evaluations: 2,
+            rule_fuel: 16,
+            action_fuel: 4,
+            actions: [1, 0, 0, 0, 2, 0],
+            wall_ns: 150,
+            ..OverheadAccount::default()
+        };
         assert_eq!(a.total_fuel(), 20);
-        assert_eq!(a.actions_dispatched, 1);
-        assert_eq!(a.wall_ns, 150);
+        assert_eq!(a.actions_dispatched(), 3);
         assert_eq!(a.modeled(), Nanos::from_nanos(20 * NS_PER_FUEL));
         assert_eq!(a.modeled_per_evaluation(), Nanos::from_nanos(20));
     }
 
     #[test]
     fn empty_account_is_zero() {
-        let a = OverheadAccount::new();
+        let a = OverheadAccount::default();
         assert_eq!(a.modeled(), Nanos::ZERO);
         assert_eq!(a.modeled_per_evaluation(), Nanos::ZERO);
+        assert_eq!(a.actions_dispatched(), 0);
     }
 
     #[test]
     fn merge_sums_fields() {
-        let mut a = OverheadAccount::new();
-        a.charge_rules(10, 5);
-        let mut b = OverheadAccount::new();
-        b.charge_rules(20, 7);
-        b.charge_action(3);
+        let mut a = OverheadAccount {
+            evaluations: 1,
+            rule_fuel: 10,
+            wall_ns: 5,
+            actions: [0, 0, 0, 0, 1, 0],
+            ..OverheadAccount::default()
+        };
+        let b = OverheadAccount {
+            evaluations: 1,
+            violations: 1,
+            trips: 1,
+            commands_emitted: 1,
+            rule_faults: 1,
+            watchdog_trips: 1,
+            retrain_retries: 1,
+            rule_fuel: 20,
+            action_fuel: 3,
+            actions: [0, 0, 0, 0, 1, 1],
+            wall_ns: 7,
+        };
         a.merge(&b);
-        assert_eq!(a.evaluations, 2);
+        assert_eq!(
+            a,
+            OverheadAccount {
+                evaluations: 2,
+                rule_fuel: 30,
+                wall_ns: 12,
+                actions: [0, 0, 0, 0, 2, 1],
+                ..b
+            }
+        );
         assert_eq!(a.total_fuel(), 33);
-        assert_eq!(a.wall_ns, 12);
     }
 
     #[test]
     fn fraction_of_interval() {
-        let mut account = OverheadAccount::new();
-        account.charge_rules(500, 0); // Modelled 1000ns.
         let report = OverheadReport {
             guardrail: "g".into(),
-            account,
+            // Modelled 1000ns.
+            account: OverheadAccount {
+                evaluations: 1,
+                rule_fuel: 500,
+                ..OverheadAccount::default()
+            },
         };
         assert!((report.fraction_of(Nanos::from_micros(100)) - 0.01).abs() < 1e-12);
         assert_eq!(report.fraction_of(Nanos::ZERO), 0.0);

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::error::{GuardrailError, Result};
-use crate::telemetry::{is_reserved, LogHistogram};
+use crate::telemetry::is_reserved;
 
 use super::snapshot::Snapshot;
 use super::wal::{decode_stream, encode_frame, encode_group_frame, WalRecord, WalStop};
@@ -290,24 +290,11 @@ struct WalAppender {
     /// Records buffered for the next group frame (empty when
     /// `group_commit == 1`).
     pending: Mutex<Vec<WalRecord>>,
-    /// Frame bytes appended to the backend since open (always counted; one
-    /// relaxed add per append, which is already a backend call).
-    bytes_appended: AtomicU64,
-    /// Backend append calls (frames) since open.
-    frames_appended: AtomicU64,
-    /// Distribution of records per appended frame (single-record frames
-    /// observe 1; group frames observe the group size).
-    group_hist: LogHistogram,
 }
 
 impl WalAppender {
-    /// Appends one encoded frame carrying `records` WAL records, updating
-    /// the always-on WAL metrics.
-    fn append_frame(&self, frame: &[u8], records: u64) {
-        self.bytes_appended
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        self.frames_appended.fetch_add(1, Ordering::Relaxed);
-        self.group_hist.observe(records);
+    /// Appends one encoded frame, noting a failed append.
+    fn append_frame(&self, frame: &[u8]) {
         if self.backend.append(Region::Wal, frame).is_err() {
             self.append_failed.store(true, Ordering::Relaxed);
         }
@@ -321,9 +308,8 @@ impl WalAppender {
             return;
         }
         let frame = encode_group_frame(&pending);
-        let records = pending.len() as u64;
         pending.clear();
-        self.append_frame(&frame, records);
+        self.append_frame(&frame);
     }
 }
 
@@ -344,7 +330,7 @@ impl SaveJournal for WalAppender {
             value,
         };
         if self.group_commit <= 1 {
-            self.append_frame(&encode_frame(&record), 1);
+            self.append_frame(&encode_frame(&record));
         } else {
             // Same-key writes are serialized by the store's slot lock, so
             // records for one key always land in the buffer in seq order;
@@ -355,9 +341,8 @@ impl SaveJournal for WalAppender {
             pending.push(record);
             if pending.len() >= self.group_commit {
                 let frame = encode_group_frame(&pending);
-                let records = pending.len() as u64;
                 pending.clear();
-                self.append_frame(&frame, records);
+                self.append_frame(&frame);
             }
         }
         self.since_compact.fetch_add(1, Ordering::Relaxed);
@@ -441,9 +426,6 @@ impl DurableStore {
             append_failed: AtomicBool::new(false),
             group_commit: config.group_commit.max(1),
             pending: Mutex::new(Vec::new()),
-            bytes_appended: AtomicU64::new(0),
-            frames_appended: AtomicU64::new(0),
-            group_hist: LogHistogram::new(),
         });
         store.set_journal(Some(appender.clone()));
         Ok((
@@ -476,21 +458,6 @@ impl DurableStore {
     /// `true` once any WAL append has failed (the store kept serving).
     pub fn append_failed(&self) -> bool {
         self.appender.append_failed.load(Ordering::Relaxed)
-    }
-
-    /// WAL frame bytes appended to the backend since open.
-    pub fn wal_bytes_appended(&self) -> u64 {
-        self.appender.bytes_appended.load(Ordering::Relaxed)
-    }
-
-    /// WAL frames (backend append calls) since open.
-    pub fn wal_frames_appended(&self) -> u64 {
-        self.appender.frames_appended.load(Ordering::Relaxed)
-    }
-
-    /// Distribution of records per appended frame (group-commit sizes).
-    pub fn wal_group_hist(&self) -> &LogHistogram {
-        &self.appender.group_hist
     }
 
     /// Records buffered for the next group frame but not yet durable.

@@ -1,8 +1,8 @@
-//! Metric primitives: counters, gauges, and log-scale histograms.
+//! Metric primitives: counters and log-scale histograms.
 //!
-//! Everything here is a thin wrapper over `AtomicU64` so the hot path —
-//! engine evaluation, store writes, WAL appends — can record without
-//! allocating, locking, or branching on more than an `Option` check.
+//! Everything here is a thin wrapper over `AtomicU64` so the engine's entry
+//! points can record without allocating, locking, or branching on more
+//! than an `Option` check.
 //! Registration (which does allocate) happens once at telemetry
 //! construction; handles are `Arc`s shared between the registry (for
 //! export) and the instrumented component (for recording).
@@ -37,34 +37,6 @@ impl Counter {
     /// The current total.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins instantaneous value (stored as `f64` bits).
-#[derive(Debug)]
-pub struct Gauge(AtomicU64);
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge(AtomicU64::new(0f64.to_bits()))
-    }
-}
-
-impl Gauge {
-    /// Creates a gauge at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&self, value: f64) {
-        self.0.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
@@ -140,16 +112,6 @@ impl LogHistogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Mean sample value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let count = self.count();
-        if count == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / count as f64
-        }
-    }
-
     /// The upper bound of the bucket containing quantile `q` (clamped to
     /// `[0, 1]`); 0 when empty. Log-scale buckets bound the answer to a
     /// factor of two, which is the right fidelity for "is P99 overhead
@@ -169,25 +131,6 @@ impl LogHistogram {
         }
         u64::MAX
     }
-
-    /// Per-bucket counts (diagnostics / export).
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Overwrites this histogram with `other`'s current contents. Used at
-    /// publish time to mirror a histogram owned by another component (the
-    /// WAL appender's group-size distribution) into a registered handle.
-    pub fn copy_from(&self, other: &LogHistogram) {
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.sum
-            .store(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
 }
 
 /// An exported metric value.
@@ -195,8 +138,6 @@ impl LogHistogram {
 pub enum MetricValue {
     /// A counter total.
     Counter(u64),
-    /// A gauge reading.
-    Gauge(f64),
     /// A histogram summary: `(count, sum, p50, p95, p99)`.
     Histogram {
         /// Samples recorded.
@@ -214,7 +155,6 @@ pub enum MetricValue {
 
 enum Registered {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<LogHistogram>),
 }
 
@@ -253,15 +193,6 @@ impl MetricsRegistry {
         handle
     }
 
-    /// Registers a gauge and returns its recording handle.
-    pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
-        let handle = Arc::new(Gauge::new());
-        self.entries
-            .write()
-            .push((name, Registered::Gauge(Arc::clone(&handle))));
-        handle
-    }
-
     /// Registers a log-scale histogram and returns its recording handle.
     pub fn histogram(&self, name: &'static str) -> Arc<LogHistogram> {
         let handle = Arc::new(LogHistogram::new());
@@ -279,7 +210,6 @@ impl MetricsRegistry {
             .map(|(name, metric)| {
                 let value = match metric {
                     Registered::Counter(c) => MetricValue::Counter(c.get()),
-                    Registered::Gauge(g) => MetricValue::Gauge(g.get()),
                     Registered::Histogram(h) => MetricValue::Histogram {
                         count: h.count(),
                         sum: h.sum(),
@@ -299,15 +229,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        assert_eq!(g.get(), 0.0);
-        g.set(2.5);
-        assert_eq!(g.get(), 2.5);
     }
 
     #[test]
@@ -333,26 +259,21 @@ mod tests {
         assert_eq!(h.sum(), 1060);
         assert!(h.quantile(0.5) >= 20);
         assert!(h.quantile(1.0) >= 1000);
-        assert_eq!(h.mean(), 265.0);
         let empty = LogHistogram::new();
         assert_eq!(empty.quantile(0.99), 0);
-        assert_eq!(empty.mean(), 0.0);
     }
 
     #[test]
     fn registry_snapshot_reads_everything() {
         let reg = MetricsRegistry::new();
         let c = reg.counter("evals");
-        let g = reg.gauge("load");
         let h = reg.histogram("lat");
         c.add(3);
-        g.set(0.7);
         h.observe(100);
         let snap = reg.snapshot();
-        assert_eq!(snap.len(), 3);
+        assert_eq!(snap.len(), 2);
         assert_eq!(snap[0], ("evals", MetricValue::Counter(3)));
-        assert_eq!(snap[1], ("load", MetricValue::Gauge(0.7)));
-        match &snap[2].1 {
+        match &snap[1].1 {
             MetricValue::Histogram { count, sum, .. } => {
                 assert_eq!((*count, *sum), (1, 100));
             }

@@ -10,11 +10,17 @@
 //! batch instead of once per evaluation, and wall time is machine noise by
 //! definition. Everything a decision, a report, or a replay can observe is
 //! bit-identical.
+//!
+//! Each property also checks that the engine-wide figures are sums of the
+//! per-monitor accounts: on an engine that was never restored, `stats()`
+//! and `telemetry_snapshot()` equal the accounts' sum, and the monitors'
+//! wall-time shares add up exactly to the wall time the engine measured.
 
 use std::sync::Arc;
 
 use guardrails::monitor::engine::{EngineStats, FnEvent, MonitorEngine};
-use guardrails::PolicyRegistry;
+use guardrails::monitor::OverheadAccount;
+use guardrails::{PolicyRegistry, Telemetry, TelemetrySnapshot};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use simkernel::Nanos;
@@ -43,6 +49,7 @@ guardrail bystander {
 fn fresh_engine() -> MonitorEngine {
     let registry = Arc::new(PolicyRegistry::new());
     let mut engine = MonitorEngine::with_parts(Arc::new(guardrails::FeatureStore::new()), registry);
+    engine.set_telemetry(Telemetry::new());
     engine.install_str(SPECS).unwrap();
     engine
 }
@@ -88,6 +95,36 @@ fn observe(engine: &MonitorEngine) -> Observable {
         total_violations: engine.violation_log().total(),
         stats,
     }
+}
+
+/// Checks that `engine` (never restored) reports the sum of its monitors'
+/// accounts as its stats (wall time included) and telemetry snapshot, and
+/// that the monitors' wall-time shares add up to the wall time the engine
+/// measured: the published account sum equals the published sum of the
+/// registry's wall-time histogram. Publishing writes reserved keys into the
+/// store, so call this after comparing store contents.
+fn check_counts_are_account_sums(engine: &MonitorEngine) {
+    let mut sum = OverheadAccount::default();
+    for report in engine.overhead_reports() {
+        sum.merge(&report.account);
+    }
+    prop_assert_eq!(engine.stats(), EngineStats::from(sum));
+    let snapshot = engine.telemetry_snapshot();
+    prop_assert_eq!(
+        snapshot,
+        TelemetrySnapshot {
+            evaluations: sum.evaluations,
+            violations: sum.violations,
+            trips: sum.trips,
+            rule_fuel: sum.rule_fuel,
+            action_fuel: sum.action_fuel,
+            actions: sum.actions,
+            trace_marks: snapshot.trace_marks,
+        }
+    );
+    engine.publish_telemetry();
+    let load = |key: &str| engine.store().load(&format!("__telemetry/engine/{key}"));
+    prop_assert_eq!(load("eval_wall_ns"), load("eval_wall_ns_hist/sum"));
 }
 
 /// Drives `engine` through `steps` sequentially: one `on_function` per event.
@@ -192,6 +229,8 @@ proptest! {
             batched.drain_commands(),
             "deferred commands must match"
         );
+        check_counts_are_account_sums(&sequential);
+        check_counts_are_account_sums(&batched);
     }
 
     #[test]
@@ -205,6 +244,8 @@ proptest! {
         run_sequential(&mut sequential, &steps, Nanos::ZERO);
         run_batched(&mut batched, &steps, &cuts, Nanos::ZERO);
         prop_assert_eq!(observe(&sequential), observe(&batched));
+        check_counts_are_account_sums(&sequential);
+        check_counts_are_account_sums(&batched);
     }
 
     #[test]
@@ -248,5 +289,6 @@ proptest! {
         seq_obs.total_violations = 0;
         res_obs.total_violations = 0;
         prop_assert_eq!(seq_obs, res_obs);
+        check_counts_are_account_sums(&sequential);
     }
 }

@@ -12,6 +12,7 @@ use guardrails::store::durable::{
 use guardrails::store::snapshot::Snapshot;
 use guardrails::store::wal::{encode_frame, WalRecord};
 use guardrails::telemetry::{is_reserved, LogHistogram, Telemetry, TraceKind, TraceRing};
+use guardrails::{MonitorEngine, PolicyRegistry};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use simkernel::Nanos;
@@ -171,9 +172,10 @@ fn reserved_saves_never_grow_the_wal() {
     );
 }
 
-/// A full `publish_registry` burst — every metric the engine registers —
-/// journals nothing, and compaction plus reopen leaves no telemetry residue
-/// in durable state.
+/// A full `publish_telemetry` burst — every key the engine publishes:
+/// registry metrics, the accounts' sums, the store's write count and the
+/// per-guardrail accounts — journals nothing, and compaction plus reopen
+/// leaves no telemetry residue in durable state.
 #[test]
 fn published_telemetry_does_not_survive_compact_and_reopen() {
     let backend = Arc::new(MemBackend::new());
@@ -181,17 +183,30 @@ fn published_telemetry_does_not_survive_compact_and_reopen() {
         let durable = open_mem(&backend);
         let store = durable.store();
         store.save("user_key", 7.0);
+        let mut engine =
+            MonitorEngine::with_parts(Arc::clone(&store), Arc::new(PolicyRegistry::new()));
+        engine.set_telemetry(Telemetry::new());
+        engine
+            .install_str(
+                "guardrail g { trigger: { TIMER(0, 1s) }, rule: { LOAD(user_key) < 5 }, action: { SAVE(fired, 1) } }",
+            )
+            .expect("spec installs");
+        engine.advance_to(Nanos::from_secs(3));
+        assert_eq!(engine.stats().evaluations, 4);
         let wal_before = backend.wal_len();
 
-        let telemetry = Telemetry::new();
-        telemetry.m.evaluations.add(41);
-        telemetry.m.eval_wall_hist.observe(1000);
-        telemetry.publish_registry(&store);
+        engine.publish_telemetry();
         assert_eq!(backend.wal_len(), wal_before, "publishing journals nothing");
-        assert!(
-            store.scalars().iter().any(|(k, _)| is_reserved(k)),
-            "the publish did land in the store"
-        );
+        for key in [
+            "__telemetry/engine/evaluations",
+            "__telemetry/engine/batches",
+            "__telemetry/actions/save",
+            "__telemetry/store/saves",
+            "__telemetry/guardrail/g/overhead_fraction",
+        ] {
+            assert!(store.load(key).is_some(), "{key} was published");
+        }
+        assert_eq!(store.load("__telemetry/engine/evaluations"), Some(4.0));
 
         durable.compact().expect("compact");
     }
@@ -202,6 +217,7 @@ fn published_telemetry_does_not_survive_compact_and_reopen() {
         "telemetry resurrected through the snapshot: {scalars:?}"
     );
     assert_eq!(reopened.store().load("user_key"), Some(7.0));
+    assert_eq!(reopened.store().load("fired"), Some(1.0));
 }
 
 /// A legacy WAL carrying a reserved-key record (written before the

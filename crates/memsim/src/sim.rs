@@ -135,8 +135,7 @@ pub fn run_tiering_sim(config: TieringSimConfig) -> TieringReport {
         Arc::new(guardrails::FeatureStore::new()),
         Arc::clone(&registry),
     );
-    let telemetry = Telemetry::new();
-    engine.set_telemetry(Arc::clone(&telemetry));
+    engine.set_telemetry(Telemetry::new());
     if config.with_guardrails {
         engine.install_str(P3_GUARDRAIL).expect("P3 spec compiles");
         engine.install_str(P4_GUARDRAIL).expect("P4 spec compiles");
@@ -285,7 +284,7 @@ pub fn run_tiering_sim(config: TieringSimConfig) -> TieringReport {
         swaps: registry.swap_count("mem_policy"),
         learned_active_at_end: registry.is_active("mem_policy", VARIANT_LEARNED),
         retrained,
-        telemetry: telemetry.snapshot(),
+        telemetry: engine.telemetry_snapshot(),
     }
 }
 

@@ -117,8 +117,7 @@ pub fn run_cc_sim(config: CcSimConfig) -> CcReport {
         Arc::new(guardrails::FeatureStore::new()),
         Arc::clone(&registry),
     );
-    let telemetry = Telemetry::new();
-    engine.set_telemetry(Arc::clone(&telemetry));
+    engine.set_telemetry(Telemetry::new());
     let store = engine.store();
 
     let mut link = Link::new(config.link, config.seed);
@@ -213,7 +212,7 @@ pub fn run_cc_sim(config: CcSimConfig) -> CcReport {
         violations: engine.violations().len(),
         learned_active_at_end: registry.is_active("cc_policy", VARIANT_LEARNED),
         series,
-        telemetry: telemetry.snapshot(),
+        telemetry: engine.telemetry_snapshot(),
     }
 }
 

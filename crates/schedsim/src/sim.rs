@@ -1,8 +1,6 @@
 //! The scheduling simulation: starvation under a learned scheduler, and the
 //! P6 guardrail that bounds it with `DEPRIORITIZE`.
 
-use std::sync::Arc;
-
 use guardrails::action::Command;
 use guardrails::monitor::MonitorEngine;
 use guardrails::{Telemetry, TelemetrySnapshot};
@@ -124,8 +122,7 @@ pub struct SchedReport {
 /// Panics if the built-in guardrail spec fails to compile (a crate bug).
 pub fn run_sched_sim(config: SchedSimConfig) -> SchedReport {
     let mut engine = MonitorEngine::new();
-    let telemetry = Telemetry::new();
-    engine.set_telemetry(Arc::clone(&telemetry));
+    engine.set_telemetry(Telemetry::new());
     if config.with_guardrail {
         engine.install_str(P6_GUARDRAIL).expect("P6 spec compiles");
     }
@@ -299,7 +296,7 @@ pub fn run_sched_sim(config: SchedSimConfig) -> SchedReport {
         jain: JainIndex::of(&shares),
         violations: engine.violations().len(),
         commands_applied,
-        telemetry: telemetry.snapshot(),
+        telemetry: engine.telemetry_snapshot(),
     }
 }
 

@@ -287,11 +287,7 @@ impl LinnosSim {
             shifted: shifted_stats,
             violations: violations.len(),
             ml_enabled_at_end: ml_enabled.flag(),
-            telemetry: self
-                .engine
-                .telemetry()
-                .map(|t| t.snapshot())
-                .unwrap_or_default(),
+            telemetry: self.engine.telemetry_snapshot(),
         }
     }
 }
