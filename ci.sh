@@ -48,6 +48,18 @@ for experiment in exp_subsystems exp_dependency exp_incremental exp_faults; do
     }
 done
 
+# Examples: `cargo test` compiles them but nothing runs them, and several
+# unwrap the paths they demonstrate (crash_recovery decodes and restores an
+# engine checkpoint through a durable store). Each must exit 0; about a
+# second for all of them once built.
+for example in examples/*.rs; do
+    name="$(basename "${example}" .rs)"
+    cargo run --release --quiet --example "${name}" >/dev/null || {
+        echo "example ${name} exited non-zero." >&2
+        exit 1
+    }
+done
+
 # Criterion smoke run: the offline criterion shim caps every benchmark at a
 # ~25ms budget, so the whole suite is a fast sanity pass that the bench
 # targets still run (the numbers themselves are not gated).

@@ -93,7 +93,11 @@ fn vm_execution(c: &mut Criterion) {
     store.save("err_budget", 100.0);
     store.save("x", 0.5);
     let mut vm = Vm::new();
-    let mut deltas = vec![DeltaState::default(); compiled[0].rules.len()];
+    let mut deltas: Vec<DeltaState> = compiled[0]
+        .rules
+        .iter()
+        .map(|rule| DeltaState::for_program(&rule.program))
+        .collect();
     let slots: Vec<_> = compiled[0]
         .rules
         .iter()
@@ -121,7 +125,7 @@ fn vm_execution(c: &mut Criterion) {
     let small = compile_str(SMALL).unwrap();
     store.save("false_submit_rate", 0.01);
     let small_slots = store.bind(&small[0].rules[0].program.keys);
-    let mut delta = DeltaState::default();
+    let mut delta = DeltaState::for_program(&small[0].rules[0].program);
     c.bench_function("vm_evaluate_listing2_rule", |b| {
         b.iter(|| {
             let r = vm.run(

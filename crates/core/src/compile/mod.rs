@@ -83,6 +83,28 @@ pub enum CompiledAction {
     },
 }
 
+impl CompiledAction {
+    /// The operand program, for the actions that take one (`DEPRIORITIZE`
+    /// with explicit steps, `SAVE`, `RECORD`).
+    pub fn operand(&self) -> Option<&Program> {
+        match self {
+            CompiledAction::Deprioritize { steps, .. } => steps.as_ref(),
+            CompiledAction::Save { value, .. } | CompiledAction::Record { value, .. } => {
+                Some(value)
+            }
+            CompiledAction::Report { .. }
+            | CompiledAction::Replace { .. }
+            | CompiledAction::Retrain { .. } => None,
+        }
+    }
+}
+
+/// The program of an action without an operand: no instructions, no keys.
+static NO_PROGRAM: Program = Program {
+    ops: Vec::new(),
+    keys: Vec::new(),
+};
+
 /// A rule compiled to bytecode, with its source text for diagnostics.
 #[derive(Clone, Debug)]
 pub struct CompiledRule {
@@ -113,6 +135,18 @@ impl CompiledGuardrail {
     /// Static worst-case fuel to evaluate all rules once.
     pub fn worst_case_rule_fuel(&self) -> u64 {
         self.rules.iter().map(|r| r.report.worst_case_fuel).sum()
+    }
+
+    /// Every program of the guardrail: one per rule, then one per action
+    /// (the empty program for an action without an operand). A monitor's
+    /// `DELTA` state and its checkpoint address programs in this order.
+    pub fn programs(&self) -> impl Iterator<Item = &Program> {
+        let rules = self.rules.iter().map(|r| &r.program);
+        let actions = self
+            .actions
+            .iter()
+            .map(|a| a.operand().unwrap_or(&NO_PROGRAM));
+        rules.chain(actions)
     }
 
     /// The evaluation period of the fastest timer, if any timer exists.
@@ -367,7 +401,7 @@ mod tests {
                         slots: &slots,
                         now: Nanos::ZERO,
                         args: &[],
-                        deltas: &mut DeltaState::default(),
+                        deltas: &mut DeltaState::for_program(program),
                     },
                 )
                 .value

@@ -1,8 +1,6 @@
 //! The monitor engine: trigger scheduling, evaluation, and action dispatch.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use simkernel::Nanos;
 
@@ -12,10 +10,11 @@ use crate::action::{Command, CommandOutbox};
 use crate::compile::ir::Program;
 use crate::compile::{compile_str, CompiledAction, CompiledGuardrail};
 use crate::error::{GuardrailError, Result};
-use crate::monitor::checkpoint::{EngineCheckpoint, MonitorCheckpoint};
-use crate::monitor::hysteresis::{Hysteresis, HysteresisState};
+use crate::monitor::checkpoint::EngineCheckpoint;
+use crate::monitor::hysteresis::Hysteresis;
 use crate::monitor::overhead::{OverheadAccount, OverheadReport};
 use crate::monitor::resilience::{FailMode, ResilienceConfig, RuntimeConfig};
+use crate::monitor::state::{self, MonitorState, PendingRetrain};
 use crate::monitor::violation::{TriggerKind, Violation, ViolationLog};
 use crate::policy::PolicyRegistry;
 use crate::store::fxhash::FxHashMap;
@@ -25,12 +24,8 @@ use crate::telemetry::{
 };
 use crate::vm::{DeltaState, EvalCtx, Vm};
 
-/// An opaque handle to an installed monitor.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct MonitorId(usize);
-
-/// Aggregate engine statistics: a view over the monitors' accounts, read
-/// with [`MonitorEngine::stats`].
+/// Aggregate engine statistics: a view over the accounts, read with
+/// [`MonitorEngine::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Rule-set evaluations performed.
@@ -48,26 +43,9 @@ pub struct EngineStats {
     /// `RETRAIN` retry attempts serviced (successful or not).
     pub retrain_retries: u64,
     /// Cumulative measured wall time spent in rule evaluation, in
-    /// nanoseconds: the sum of the monitors' [`OverheadAccount::wall_ns`]
-    /// (see [`MonitorEngine::overhead_reports`]). Time in which no monitor
-    /// evaluated is not counted.
+    /// nanoseconds: the sum of the accounts' [`OverheadAccount::wall_ns`].
+    /// Time in which no monitor evaluated is not counted.
     pub eval_wall_ns: u64,
-}
-
-impl EngineStats {
-    /// Applies `op` field by field (wrapping add or subtract).
-    fn zip_with(self, other: EngineStats, op: fn(u64, u64) -> u64) -> EngineStats {
-        EngineStats {
-            evaluations: op(self.evaluations, other.evaluations),
-            violations: op(self.violations, other.violations),
-            trips: op(self.trips, other.trips),
-            commands_emitted: op(self.commands_emitted, other.commands_emitted),
-            rule_faults: op(self.rule_faults, other.rule_faults),
-            watchdog_trips: op(self.watchdog_trips, other.watchdog_trips),
-            retrain_retries: op(self.retrain_retries, other.retrain_retries),
-            eval_wall_ns: op(self.eval_wall_ns, other.eval_wall_ns),
-        }
-    }
 }
 
 impl From<OverheadAccount> for EngineStats {
@@ -112,19 +90,6 @@ impl TriggerRef<'_> {
     }
 }
 
-/// A `RETRAIN` awaiting its backoff-scheduled retry.
-#[derive(Clone, Debug)]
-struct PendingRetrain {
-    /// The requesting monitor, charged for the retries and the command.
-    /// Monitors are tombstoned, never removed, so the index stays valid.
-    monitor: usize,
-    guardrail: String,
-    model: String,
-    /// Retries already spent (0 = first retry pending).
-    attempt: u32,
-    next_attempt: Nanos,
-}
-
 /// One action's store slots, bound when its monitor is installed.
 struct ActionSlots {
     /// The operand program's key table (`DEPRIORITIZE` steps, `SAVE` and
@@ -137,40 +102,46 @@ struct ActionSlots {
 
 impl ActionSlots {
     fn bind(store: &FeatureStore, action: &CompiledAction) -> Self {
-        let (operand, keys): (Option<&Program>, &[String]) = match action {
-            CompiledAction::Report { keys, .. } => (None, keys),
-            CompiledAction::Deprioritize { steps, .. } => (steps.as_ref(), &[]),
-            CompiledAction::Save { key, value } | CompiledAction::Record { key, value } => {
-                (Some(value), std::slice::from_ref(key))
+        let keys: &[String] = match action {
+            CompiledAction::Report { keys, .. } => keys,
+            CompiledAction::Save { key, .. } | CompiledAction::Record { key, .. } => {
+                std::slice::from_ref(key)
             }
-            CompiledAction::Replace { .. } | CompiledAction::Retrain { .. } => (None, &[]),
+            CompiledAction::Deprioritize { .. }
+            | CompiledAction::Replace { .. }
+            | CompiledAction::Retrain { .. } => &[],
         };
         ActionSlots {
-            operand: operand.map(|p| store.bind(&p.keys)).unwrap_or_default(),
+            operand: action
+                .operand()
+                .map(|p| store.bind(&p.keys))
+                .unwrap_or_default(),
             keys: store.bind(keys),
         }
     }
 }
 
+/// An installed monitor: what was fixed at install, and its state.
 struct Monitor {
     compiled: CompiledGuardrail,
     /// Each rule program's key table, bound to store slots at install.
     rule_slots: Vec<Box<[Slot]>>,
     /// Each action's slots, bound at install.
     action_slots: Vec<ActionSlots>,
-    rule_deltas: Vec<DeltaState>,
-    action_deltas: Vec<DeltaState>,
-    hysteresis: HysteresisState,
-    overhead: OverheadAccount,
-    enabled: bool,
-    /// Uninstalled monitors are tombstoned (their heap entries drain lazily).
-    retired: bool,
-    /// Rule faults since the last clean evaluation (watchdog input).
-    consecutive_faults: u32,
-    /// Set once the watchdog disables this monitor.
-    watchdog_tripped: bool,
-    /// When set, a tripped monitor is re-enabled at this time.
-    probation_until: Option<Nanos>,
+    /// The CRC-32 of the spec's timers and programs (see
+    /// [`crate::monitor::checkpoint`]), computed on first use: only
+    /// checkpoint and restore read it, so install does not pay for it.
+    fingerprint: OnceLock<u32>,
+    /// Everything that evolves.
+    state: MonitorState,
+}
+
+impl Monitor {
+    fn fingerprint(&self) -> u32 {
+        *self
+            .fingerprint
+            .get_or_init(|| state::fingerprint(&self.compiled))
+    }
 }
 
 /// The guardrail monitor engine.
@@ -187,10 +158,8 @@ pub struct MonitorEngine {
     reports: ReportSink,
     outbox: CommandOutbox,
     limiter: RetrainLimiter,
+    /// The installed monitors, in installation order.
     monitors: Vec<Monitor>,
-    names: HashMap<String, usize>,
-    /// Min-heap of (due, monitor, timer-index).
-    timers: BinaryHeap<Reverse<(Nanos, usize, usize)>>,
     /// The hook→subscribers dispatch index: one fast-hash lookup per event
     /// (or per batch) resolves every monitor attached to a tracepoint.
     /// Maintained incrementally by `install`/`uninstall`.
@@ -198,14 +167,12 @@ pub struct MonitorEngine {
     violations: ViolationLog,
     vm: Vm,
     now: Nanos,
-    /// Added to the accounts' sum by [`MonitorEngine::stats`]; set by
-    /// `restore` so the stats continue from the checkpoint.
-    carried: EngineStats,
+    /// The summed accounts of uninstalled monitors.
+    retired: OverheadAccount,
     resilience: ResilienceConfig,
     /// Dynamic per-evaluation rule fuel budget (fault-injection knob; the
     /// verifier's static bound still applies regardless).
     rule_fuel_limit: Option<u64>,
-    pending_retrains: Vec<PendingRetrain>,
     /// Optional observability bundle: the registry's own metrics and the
     /// trace ring. `None` (the default) costs one pointer-is-none check per
     /// site; counting does not depend on it.
@@ -242,16 +209,13 @@ impl MonitorEngine {
             outbox: CommandOutbox::default(),
             limiter: RetrainLimiter::default_policy(),
             monitors: Vec::new(),
-            names: HashMap::new(),
-            timers: BinaryHeap::new(),
             hooks: FxHashMap::default(),
             violations: ViolationLog::default(),
             vm: Vm::new(),
             now: Nanos::ZERO,
-            carried: EngineStats::default(),
+            retired: OverheadAccount::default(),
             resilience: ResilienceConfig::default(),
             rule_fuel_limit: None,
-            pending_retrains: Vec::new(),
             telemetry: None,
             publish_interval: None,
             next_publish: Nanos::ZERO,
@@ -309,12 +273,12 @@ impl MonitorEngine {
     /// Whether the watchdog has disabled guardrail `name`.
     pub fn watchdog_tripped(&self, name: &str) -> Result<bool> {
         let idx = self.lookup(name)?;
-        Ok(self.monitors[idx].watchdog_tripped)
+        Ok(self.monitors[idx].state.watchdog_tripped)
     }
 
     /// `RETRAIN` retries currently waiting on backoff.
     pub fn pending_retrains(&self) -> usize {
-        self.pending_retrains.len()
+        self.monitors.iter().map(|m| m.state.retrains.len()).sum()
     }
 
     /// The shared feature store.
@@ -333,22 +297,11 @@ impl MonitorEngine {
     }
 
     /// Installs a compiled guardrail; names must be unique per engine.
-    pub fn install(&mut self, compiled: CompiledGuardrail) -> Result<MonitorId> {
-        if self.names.contains_key(&compiled.name) {
-            return Err(GuardrailError::Config(format!(
-                "guardrail '{}' is already installed",
-                compiled.name
-            )));
+    pub fn install(&mut self, compiled: CompiledGuardrail) -> Result<()> {
+        if self.lookup(&compiled.name).is_ok() {
+            return Err(already_installed(&compiled.name));
         }
         let idx = self.monitors.len();
-        self.names.insert(compiled.name.clone(), idx);
-        for (t, timer) in compiled.timers.iter().enumerate() {
-            // A monitor installed after its start time begins at "now".
-            let first = timer.start.max(self.now);
-            if first <= timer.stop {
-                self.timers.push(Reverse((first, idx, t)));
-            }
-        }
         for hook in &compiled.hooks {
             self.hooks.entry(hook.clone()).or_default().push(idx);
         }
@@ -362,42 +315,40 @@ impl MonitorEngine {
             .iter()
             .map(|a| ActionSlots::bind(&self.store, a))
             .collect();
-        let rule_deltas = vec![DeltaState::default(); compiled.rules.len()];
-        let action_deltas = vec![DeltaState::default(); compiled.actions.len()];
         self.monitors.push(Monitor {
+            fingerprint: OnceLock::new(),
+            state: MonitorState::new(&compiled, self.now),
             compiled,
             rule_slots,
             action_slots,
-            rule_deltas,
-            action_deltas,
-            hysteresis: HysteresisState::new(Hysteresis::default()),
-            overhead: OverheadAccount::default(),
-            enabled: true,
-            retired: false,
-            consecutive_faults: 0,
-            watchdog_tripped: false,
-            probation_until: None,
         });
-        Ok(MonitorId(idx))
+        Ok(())
     }
 
-    /// Parses, checks, compiles, verifies, and installs guardrail source.
-    pub fn install_str(&mut self, source: &str) -> Result<Vec<MonitorId>> {
-        compile_str(source)?
-            .into_iter()
-            .map(|g| self.install(g))
-            .collect()
+    /// Parses, checks, compiles, verifies, and installs guardrail source,
+    /// all or nothing: if any name is already installed, none is.
+    pub fn install_str(&mut self, source: &str) -> Result<()> {
+        let compiled = compile_str(source)?;
+        if let Some(taken) = compiled.iter().find(|g| self.lookup(&g.name).is_ok()) {
+            return Err(already_installed(&taken.name));
+        }
+        compiled.into_iter().try_for_each(|g| self.install(g))
     }
 
     /// Uninstalls a guardrail at runtime (§6: "update guardrails at runtime
-    /// without requiring a kernel reboot"). Its overhead account remains
-    /// available post-mortem; its name becomes reusable immediately.
+    /// without requiring a kernel reboot"). The monitor and its pending
+    /// retries are removed, its name becomes reusable immediately, and its
+    /// account is folded into the engine-wide counters ([`Self::stats`]):
+    /// it no longer appears in [`Self::overhead_reports`].
     pub fn uninstall(&mut self, name: &str) -> Result<()> {
         let idx = self.lookup(name)?;
-        self.names.remove(name);
-        self.monitors[idx].retired = true;
+        let removed = self.monitors.remove(idx);
+        self.retired.merge(&removed.state.account);
         for subscribers in self.hooks.values_mut() {
             subscribers.retain(|&m| m != idx);
+            for m in subscribers.iter_mut().filter(|m| **m > idx) {
+                *m -= 1;
+            }
         }
         Ok(())
     }
@@ -405,23 +356,20 @@ impl MonitorEngine {
     /// Atomically updates guardrails at runtime: compiles `source` first
     /// (nothing changes on a compile error), then replaces any installed
     /// guardrail with a matching name and installs the rest fresh.
-    pub fn update_str(&mut self, source: &str) -> Result<Vec<MonitorId>> {
-        let compiled = compile_str(source)?;
-        compiled
-            .into_iter()
-            .map(|g| {
-                if self.names.contains_key(&g.name) {
-                    self.uninstall(&g.name)?;
-                }
-                self.install(g)
-            })
-            .collect()
+    pub fn update_str(&mut self, source: &str) -> Result<()> {
+        for g in compile_str(source)? {
+            if self.lookup(&g.name).is_ok() {
+                self.uninstall(&g.name)?;
+            }
+            self.install(g)?;
+        }
+        Ok(())
     }
 
     /// Sets the hysteresis configuration of an installed guardrail.
     pub fn set_hysteresis(&mut self, name: &str, config: Hysteresis) -> Result<()> {
         let idx = self.lookup(name)?;
-        self.monitors[idx].hysteresis.set_config(config);
+        self.monitors[idx].state.hysteresis.set_config(config);
         Ok(())
     }
 
@@ -430,7 +378,7 @@ impl MonitorEngine {
     /// Manually enabling a monitor also clears any watchdog trip state.
     pub fn set_enabled(&mut self, name: &str, enabled: bool) -> Result<()> {
         let idx = self.lookup(name)?;
-        let m = &mut self.monitors[idx];
+        let m = &mut self.monitors[idx].state;
         m.enabled = enabled;
         if enabled {
             m.consecutive_faults = 0;
@@ -441,17 +389,16 @@ impl MonitorEngine {
     }
 
     fn lookup(&self, name: &str) -> Result<usize> {
-        self.names
-            .get(name)
-            .copied()
+        self.monitors
+            .iter()
+            .position(|m| m.compiled.name == name)
             .ok_or_else(|| GuardrailError::Config(format!("no installed guardrail '{name}'")))
     }
 
-    /// Installed (non-retired) guardrail names, in installation order.
+    /// Installed guardrail names, in installation order.
     pub fn monitor_names(&self) -> Vec<String> {
         self.monitors
             .iter()
-            .filter(|m| !m.retired)
             .map(|m| m.compiled.name.clone())
             .collect()
     }
@@ -465,23 +412,13 @@ impl MonitorEngine {
     /// due on the way (in timestamp order) and servicing any backoff-scheduled
     /// `RETRAIN` retries that come due alongside them.
     pub fn advance_to(&mut self, now: Nanos) {
-        while let Some(&Reverse((due, midx, tidx))) = self.timers.peek() {
-            if due > now {
-                break;
-            }
-            self.timers.pop();
-            if self.monitors[midx].retired {
-                // Tombstoned by `uninstall`: drop the timer chain.
-                continue;
-            }
+        while let Some((due, midx, tidx)) = self.next_tick().filter(|&(due, ..)| due <= now) {
             self.now = due;
             self.service_retrain_retries(due);
             self.evaluate(midx, due, &[], TriggerRef::Timer);
-            let timer = self.monitors[midx].compiled.timers[tidx];
-            let next = due + timer.interval;
-            if next <= timer.stop {
-                self.timers.push(Reverse((next, midx, tidx)));
-            }
+            let m = &mut self.monitors[midx];
+            let timer = m.compiled.timers[tidx];
+            m.state.next_due[tidx] = Some(due + timer.interval).filter(|&next| next <= timer.stop);
         }
         self.now = self.now.max(now);
         self.service_retrain_retries(self.now);
@@ -493,51 +430,71 @@ impl MonitorEngine {
         }
     }
 
+    /// The earliest pending timer tick as `(due, monitor, timer)`. Ties go
+    /// to the earlier-installed monitor, then to its earlier timer.
+    fn next_tick(&self) -> Option<(Nanos, usize, usize)> {
+        let mut next: Option<(Nanos, usize, usize)> = None;
+        for (midx, m) in self.monitors.iter().enumerate() {
+            for (tidx, &due) in m.state.next_due.iter().enumerate() {
+                match (due, next) {
+                    (Some(due), Some((earliest, ..))) if due >= earliest => {}
+                    (Some(due), _) => next = Some((due, midx, tidx)),
+                    (None, _) => {}
+                }
+            }
+        }
+        next
+    }
+
     /// Re-requests pending `RETRAIN`s whose backoff has elapsed; emits the
     /// command on acceptance, reschedules with doubled backoff on another
     /// rejection, and gives up (with a log line) past the attempt budget.
     fn service_retrain_retries(&mut self, now: Nanos) {
-        if self.pending_retrains.is_empty() {
+        if self.monitors.iter().all(|m| m.state.retrains.is_empty()) {
             return;
         }
         let Some(retry) = self.resilience.retrain_retry else {
-            self.pending_retrains.clear();
+            for m in &mut self.monitors {
+                m.state.retrains.clear();
+            }
             return;
         };
-        let mut pending = std::mem::take(&mut self.pending_retrains);
-        pending.retain_mut(|p| {
-            if p.next_attempt > now {
-                return true;
-            }
-            let account = &mut self.monitors[p.monitor].overhead;
-            account.retrain_retries += 1;
-            if self.limiter.request(&p.model, now).is_ok() {
-                self.outbox.push(
-                    now,
-                    Command::Retrain {
-                        guardrail: p.guardrail.clone(),
-                        model: p.model.clone(),
-                    },
-                );
-                account.commands_emitted += 1;
-                return false;
-            }
-            p.attempt += 1;
-            if p.attempt >= retry.max_attempts {
-                self.reports.info(
-                    now,
-                    &p.guardrail,
-                    format!(
-                        "RETRAIN {} gave up after {} attempts",
-                        p.model, retry.max_attempts
-                    ),
-                );
-                return false;
-            }
-            p.next_attempt = now + retry.backoff(p.attempt);
-            true
-        });
-        self.pending_retrains = pending;
+        for m in &mut self.monitors {
+            let name = &m.compiled.name;
+            let state = &mut m.state;
+            let account = &mut state.account;
+            state.retrains.retain_mut(|p| {
+                if p.next_attempt > now {
+                    return true;
+                }
+                account.retrain_retries += 1;
+                if self.limiter.request(&p.model, now).is_ok() {
+                    self.outbox.push(
+                        now,
+                        Command::Retrain {
+                            guardrail: name.clone(),
+                            model: p.model.clone(),
+                        },
+                    );
+                    account.commands_emitted += 1;
+                    return false;
+                }
+                p.attempt += 1;
+                if p.attempt >= retry.max_attempts {
+                    self.reports.info(
+                        now,
+                        name,
+                        format!(
+                            "RETRAIN {} gave up after {} attempts",
+                            p.model, retry.max_attempts
+                        ),
+                    );
+                    return false;
+                }
+                p.next_attempt = now + retry.backoff(p.attempt);
+                true
+            });
+        }
     }
 
     /// Delivers a tracepoint firing to every guardrail attached to `hook`.
@@ -573,7 +530,7 @@ impl MonitorEngine {
         let subscribers = std::mem::take(self.hooks.get_mut(hook).expect("checked above"));
         let evals_before: Vec<u64> = subscribers
             .iter()
-            .map(|&m| self.monitors[m].overhead.evaluations)
+            .map(|&m| self.monitors[m].state.account.evaluations)
             .collect();
         if let Some(t) = &self.telemetry {
             t.m.batches.inc();
@@ -610,7 +567,7 @@ impl MonitorEngine {
     /// rounding remainder goes to the last monitor that evaluated. Charges
     /// nothing when none evaluated.
     fn apportion_wall(&mut self, subscribers: &[usize], evals_before: &[u64], wall_ns: u64) {
-        let share_of = |m: &Monitor, before: u64| m.overhead.evaluations - before;
+        let share_of = |m: &Monitor, before: u64| m.state.account.evaluations - before;
         let evaluated: u64 = subscribers
             .iter()
             .zip(evals_before)
@@ -630,14 +587,14 @@ impl MonitorEngine {
                 (u128::from(wall_ns) * u128::from(share) / u128::from(evaluated)) as u64
             };
             wall_left -= charge;
-            monitor.overhead.wall_ns += charge;
+            monitor.state.account.wall_ns += charge;
         }
     }
 
     /// Timer-path evaluation wrapper: measures wall time around one
     /// evaluation (the batch path measures once per batch instead).
     fn evaluate(&mut self, midx: usize, now: Nanos, args: &[f64], trigger: TriggerRef<'_>) {
-        let evals_before = self.monitors[midx].overhead.evaluations;
+        let evals_before = self.monitors[midx].state.account.evaluations;
         if let Some(t) = &self.telemetry {
             t.trace.record(now, TraceKind::EvalStart, midx as u32, 1.0);
         }
@@ -645,7 +602,7 @@ impl MonitorEngine {
         self.evaluate_inner(midx, now, args, trigger);
         let wall_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         if let Some(t) = &self.telemetry {
-            if self.monitors[midx].overhead.evaluations > evals_before {
+            if self.monitors[midx].state.account.evaluations > evals_before {
                 t.m.eval_wall_hist.observe(wall_ns);
             }
             t.trace
@@ -655,37 +612,38 @@ impl MonitorEngine {
     }
 
     fn evaluate_inner(&mut self, midx: usize, now: Nanos, args: &[f64], trigger: TriggerRef<'_>) {
-        if self.monitors[midx].retired {
-            return;
-        }
-        if !self.monitors[midx].enabled {
+        let Monitor {
+            compiled,
+            rule_slots,
+            state,
+            ..
+        } = &mut self.monitors[midx];
+        if !state.enabled {
             // A watchdog-tripped monitor on probation self-heals: re-enable
             // and let this evaluation proceed. A persistent fault re-trips.
-            let due = self.monitors[midx]
-                .probation_until
-                .is_some_and(|p| now >= p);
-            if !(self.monitors[midx].watchdog_tripped && due) {
+            let due = state.probation_until.is_some_and(|p| now >= p);
+            if !(state.watchdog_tripped && due) {
                 return;
             }
-            let m = &mut self.monitors[midx];
-            m.enabled = true;
-            m.watchdog_tripped = false;
-            m.consecutive_faults = 0;
-            m.probation_until = None;
-            let name = m.compiled.name.clone();
-            self.reports
-                .info(now, &name, "watchdog probation over, monitor re-enabled");
+            state.enabled = true;
+            state.watchdog_tripped = false;
+            state.consecutive_faults = 0;
+            state.probation_until = None;
+            self.reports.info(
+                now,
+                &compiled.name,
+                "watchdog probation over, monitor re-enabled",
+            );
         }
         let mut fuel = 0u64;
         let mut failed: Option<usize> = None;
         let mut fault: Option<String> = None;
         {
-            let monitor = &mut self.monitors[midx];
             let vm = &mut self.vm;
             let limit = self.rule_fuel_limit;
-            for (i, rule) in monitor.compiled.rules.iter().enumerate() {
-                let slots = &monitor.rule_slots[i];
-                let deltas = &mut monitor.rule_deltas[i];
+            for (i, rule) in compiled.rules.iter().enumerate() {
+                let slots = &rule_slots[i];
+                let deltas = &mut state.deltas[i];
                 // Isolate the evaluation: a fuel-starved or panicking rule
                 // must fault *this monitor*, never take down the engine.
                 let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -721,41 +679,38 @@ impl MonitorEngine {
         }
         // Wall time is charged by the caller (per evaluation on the timer
         // path, per batch on the function path); fuel is charged here.
-        let account = &mut self.monitors[midx].overhead;
-        account.evaluations += 1;
-        account.rule_fuel += fuel;
+        state.account.evaluations += 1;
+        state.account.rule_fuel += fuel;
 
         if let Some(reason) = fault {
             self.on_rule_fault(midx, now, args, &reason);
             return;
         }
-        self.monitors[midx].consecutive_faults = 0;
+        state.consecutive_faults = 0;
 
         let Some(rule_index) = failed else {
             // Healthy evaluation still feeds the hysteresis window.
-            self.monitors[midx].hysteresis.observe(false, now);
+            state.hysteresis.observe(false, now);
             return;
         };
-        self.monitors[midx].overhead.violations += 1;
+        state.account.violations += 1;
         if let Some(t) = &self.telemetry {
             t.trace
                 .record(now, TraceKind::Violation, midx as u32, rule_index as f64);
         }
-        let fire = self.monitors[midx].hysteresis.observe(true, now);
-        let (name, rule_source) = {
-            let m = &self.monitors[midx].compiled;
-            (m.name.clone(), m.rules[rule_index].source.clone())
-        };
+        let fire = state.hysteresis.observe(true, now);
+        if fire {
+            state.account.trips += 1;
+        }
         self.violations.push(Violation {
             at: now,
-            guardrail: name,
+            guardrail: compiled.name.clone(),
             rule_index,
-            rule_source,
+            rule_source: compiled.rules[rule_index].source.clone(),
             trigger: trigger.to_kind(),
             actions_fired: fire,
         });
         if fire {
-            self.monitors[midx].overhead.trips += 1;
             self.dispatch_actions(midx, now, args);
         }
     }
@@ -765,25 +720,26 @@ impl MonitorEngine {
     /// that keeps faulting instead of leaving it silently wedged. Fail-closed
     /// watchdogs dispatch the monitor's actions once on the way down.
     fn on_rule_fault(&mut self, midx: usize, now: Nanos, args: &[f64], reason: &str) {
-        self.monitors[midx].overhead.rule_faults += 1;
-        self.monitors[midx].consecutive_faults += 1;
-        let name = self.monitors[midx].compiled.name.clone();
+        let Monitor {
+            compiled, state, ..
+        } = &mut self.monitors[midx];
+        state.account.rule_faults += 1;
+        state.consecutive_faults += 1;
         self.reports
-            .info(now, &name, format!("rule fault: {reason}"));
+            .info(now, &compiled.name, format!("rule fault: {reason}"));
         let Some(watchdog) = self.resilience.watchdog else {
             return;
         };
-        if self.monitors[midx].consecutive_faults < watchdog.max_consecutive_faults {
+        if state.consecutive_faults < watchdog.max_consecutive_faults {
             return;
         }
-        let m = &mut self.monitors[midx];
-        m.enabled = false;
-        m.watchdog_tripped = true;
-        m.probation_until = watchdog.probation.map(|p| now + p);
-        m.overhead.watchdog_trips += 1;
+        state.enabled = false;
+        state.watchdog_tripped = true;
+        state.probation_until = watchdog.probation.map(|p| now + p);
+        state.account.watchdog_trips += 1;
         self.reports.report(
             now,
-            &name,
+            &compiled.name,
             &format!(
                 "watchdog disabled monitor after {} consecutive rule faults ({reason})",
                 watchdog.max_consecutive_faults
@@ -842,18 +798,24 @@ impl MonitorEngine {
             vm,
             resilience,
             rule_fuel_limit,
-            pending_retrains,
             telemetry,
             ..
         } = self;
         let Monitor {
             compiled,
             action_slots,
-            action_deltas,
-            overhead,
+            state,
             ..
         } = &mut monitors[midx];
         let name = &compiled.name;
+        let MonitorState {
+            deltas,
+            account,
+            retrains,
+            ..
+        } = state;
+        // Action programs follow the rules' in the monitor's DELTA state.
+        let action_deltas = &mut deltas[compiled.rules.len()..];
         for (aidx, (action, slots)) in compiled.actions.iter().zip(action_slots.iter()).enumerate()
         {
             let mut fuel = 0u64;
@@ -915,18 +877,13 @@ impl MonitorEngine {
                                 model: model.clone(),
                             },
                         );
-                        overhead.commands_emitted += 1;
+                        account.commands_emitted += 1;
                     } else if let Some(retry) = resilience.retrain_retry {
                         // Rejected: schedule a backoff retry instead of
                         // dropping the request, unless one is already queued
                         // for this model (no point stacking duplicates).
-                        let queued = pending_retrains
-                            .iter()
-                            .any(|p| p.model == *model && p.guardrail == *name);
-                        if !queued {
-                            pending_retrains.push(PendingRetrain {
-                                monitor: midx,
-                                guardrail: name.clone(),
+                        if !retrains.iter().any(|p| p.model == *model) {
+                            retrains.push(PendingRetrain {
                                 model: model.clone(),
                                 attempt: 0,
                                 next_attempt: now + retry.backoff(0),
@@ -963,7 +920,7 @@ impl MonitorEngine {
                             steps: steps_value,
                         },
                     );
-                    overhead.commands_emitted += 1;
+                    account.commands_emitted += 1;
                 }
                 CompiledAction::Save { value, .. } => match operand(value) {
                     Ok(r) => {
@@ -994,8 +951,8 @@ impl MonitorEngine {
                     }
                 },
             }
-            overhead.actions[kind as usize] += 1;
-            overhead.action_fuel += fuel;
+            account.actions[kind as usize] += 1;
+            account.action_fuel += fuel;
             if let Some(t) = telemetry {
                 t.trace
                     .record(now, TraceKind::Action, midx as u32, kind as usize as f64);
@@ -1029,28 +986,26 @@ impl MonitorEngine {
         &self.violations
     }
 
-    /// The field-wise sum of every monitor's account, retired monitors
-    /// included.
+    /// The field-wise sum of the retired total and every installed
+    /// monitor's account.
     fn account_sum(&self) -> OverheadAccount {
-        let mut sum = OverheadAccount::default();
+        let mut sum = self.retired;
         for m in &self.monitors {
-            sum.merge(&m.overhead);
+            sum.merge(&m.state.account);
         }
         sum
     }
 
-    /// Aggregate engine statistics: the sum of every monitor's account
-    /// (retired monitors included), continuing from the checkpoint after a
-    /// [`MonitorEngine::restore`].
+    /// Aggregate engine statistics: the sum of every account, uninstalled
+    /// monitors' included. The accounts are checkpointed, so after a
+    /// [`MonitorEngine::restore`] the stats continue from the checkpoint.
     pub fn stats(&self) -> EngineStats {
-        self.carried
-            .zip_with(self.account_sum().into(), u64::wrapping_add)
+        self.account_sum().into()
     }
 
-    /// The deterministic counter summary: the sum of every monitor's
-    /// account since install (a restore does not carry counts into it),
-    /// plus the attached trace ring's non-span events (0 without
-    /// telemetry).
+    /// The deterministic counter summary: the sum of every account, as in
+    /// [`MonitorEngine::stats`], plus the attached trace ring's non-span
+    /// events (0 without telemetry).
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         let sum = self.account_sum();
         let trace_marks = self.telemetry.as_ref().map_or(0, |t| {
@@ -1114,11 +1069,7 @@ impl MonitorEngine {
                 sum.actions[kind as usize] as f64,
             );
         }
-        for m in self.monitors.iter().filter(|m| !m.retired) {
-            let report = OverheadReport {
-                guardrail: m.compiled.name.clone(),
-                account: m.overhead,
-            };
+        for report in self.overhead_reports() {
             let o = &report.account;
             for (suffix, value) in [
                 ("evaluations", o.evaluations as f64),
@@ -1133,33 +1084,34 @@ impl MonitorEngine {
         }
     }
 
-    /// Per-monitor overhead accounts (P5).
+    /// The installed monitors' overhead accounts (P5), in installation
+    /// order.
     pub fn overhead_reports(&self) -> Vec<OverheadReport> {
         self.monitors
             .iter()
             .map(|m| OverheadReport {
                 guardrail: m.compiled.name.clone(),
-                account: m.overhead,
+                account: m.state.account,
             })
             .collect()
     }
 
-    /// Total modelled monitoring time across all monitors.
+    /// Total modelled monitoring time, uninstalled monitors included.
     pub fn total_modeled_overhead(&self) -> Nanos {
-        self.monitors.iter().map(|m| m.overhead.modeled()).sum()
+        self.account_sum().modeled()
     }
 
     /// Violations suppressed by hysteresis for `name`.
     pub fn suppressed(&self, name: &str) -> Result<u64> {
         let idx = self.lookup(name)?;
-        Ok(self.monitors[idx].hysteresis.suppressed())
+        Ok(self.monitors[idx].state.hysteresis.suppressed())
     }
 
     /// Captures the engine state that must survive a crash: the clock,
-    /// aggregate stats, every live monitor's hysteresis/watchdog/enabled
-    /// state, and the active variant of every policy slot. Take a
-    /// checkpoint after `advance_to`/`on_function` returns — never
-    /// mid-dispatch.
+    /// every installed monitor's [`MonitorState`] with its name and
+    /// fingerprint, the retired total, and the active variant of every
+    /// policy slot. Take a checkpoint after `advance_to`/`on_function`
+    /// returns — never mid-dispatch.
     pub fn checkpoint(&self) -> EngineCheckpoint {
         if let Some(t) = &self.telemetry {
             t.m.checkpoints.inc();
@@ -1168,59 +1120,67 @@ impl MonitorEngine {
         }
         EngineCheckpoint {
             now: self.now,
-            stats: self.stats(),
             slots: self.registry.active_variants(),
+            retired: self.retired,
             monitors: self
                 .monitors
                 .iter()
-                .filter(|m| !m.retired)
-                .map(|m| MonitorCheckpoint {
-                    name: m.compiled.name.clone(),
-                    enabled: m.enabled,
-                    watchdog_tripped: m.watchdog_tripped,
-                    consecutive_faults: m.consecutive_faults,
-                    probation_until: m.probation_until,
-                    hysteresis: m.hysteresis.snapshot(),
+                .map(|m| {
+                    (
+                        m.compiled.name.clone(),
+                        Some(m.fingerprint()),
+                        m.state.clone(),
+                    )
                 })
                 .collect(),
         }
     }
 
-    /// Restores a checkpoint into this engine.
+    /// Restores a checkpoint into this engine, all or nothing: on `Err`
+    /// the engine and its policy registry are unchanged.
     ///
     /// Call after reinstalling the same guardrail specs into a freshly
-    /// built engine: monitors are matched by name (a checkpointed monitor
-    /// whose spec is no longer installed is skipped — the operator changed
-    /// the deployment, which wins over history). Policy slots are re-pinned
-    /// to their checkpointed active variants, so a `REPLACE` decision made
-    /// before the crash holds after it. Timers fast-forward to the first
-    /// tick strictly after the checkpoint instant — missed ticks are *not*
-    /// replayed (their inputs are gone; re-running them against current
-    /// state would double-fire actions).
+    /// built engine. A checkpointed state is assigned to the installed
+    /// monitor with the same name and fingerprint; one without such a
+    /// monitor (uninstalled, or its spec changed — the deployment wins over
+    /// history) has its account folded into the retired total, which the
+    /// checkpoint's replaces. Installed monitors the checkpoint does not
+    /// cover keep their state. Policy slots are re-pinned to their
+    /// checkpointed active variants, so a `REPLACE` decision made before
+    /// the crash holds after it; slots this registry lacks are skipped.
+    ///
+    /// Every timer then moves to the first tick of its own phase strictly
+    /// after the checkpoint instant — missed ticks are *not* replayed (their
+    /// inputs are gone; re-running them against current state would
+    /// double-fire actions).
+    ///
+    /// Fails when a known slot lacks its checkpointed variant, or when a
+    /// state does not fit its monitor's timers and programs.
     pub fn restore(&mut self, checkpoint: &EngineCheckpoint) -> Result<()> {
-        for (slot, variant) in &checkpoint.slots {
-            if self.registry.active(slot).is_some() {
-                self.registry.replace(slot, variant)?;
+        let mut retired = checkpoint.retired;
+        let mut restored = Vec::new();
+        for (name, fingerprint, state) in &checkpoint.monitors {
+            match self.lookup(name) {
+                Ok(idx) if fingerprint.is_none_or(|f| f == self.monitors[idx].fingerprint()) => {
+                    let fitted =
+                        state.fitted_to(&self.monitors[idx].compiled, fingerprint.is_none())?;
+                    restored.push((idx, fitted));
+                }
+                _ => retired.merge(&state.account),
             }
         }
-        for mc in &checkpoint.monitors {
-            let Some(&idx) = self.names.get(&mc.name) else {
-                continue;
-            };
-            let m = &mut self.monitors[idx];
-            m.enabled = mc.enabled;
-            m.watchdog_tripped = mc.watchdog_tripped;
-            m.consecutive_faults = mc.consecutive_faults;
-            m.probation_until = mc.probation_until;
-            m.hysteresis = HysteresisState::from_snapshot(&mc.hysteresis);
+        self.registry.pin_variants(&checkpoint.slots)?;
+        for (idx, state) in restored {
+            self.monitors[idx].state = state;
         }
+        self.retired = retired;
         self.now = self.now.max(checkpoint.now);
-        // Continue the stats from the checkpoint: `stats()` equals
-        // `checkpoint.stats` now, whatever this engine counted before.
-        self.carried = checkpoint
-            .stats
-            .zip_with(self.account_sum().into(), u64::wrapping_sub);
-        self.fast_forward_timers();
+        let now = self.now;
+        for m in &mut self.monitors {
+            for (due, timer) in m.state.next_due.iter_mut().zip(&m.compiled.timers) {
+                *due = due.and_then(|anchor| state::first_tick_after(anchor, timer, now));
+            }
+        }
         if let Some(t) = &self.telemetry {
             t.m.restores.inc();
             t.trace
@@ -1228,38 +1188,11 @@ impl MonitorEngine {
         }
         Ok(())
     }
+}
 
-    /// Rebuilds the timer heap so every chain resumes at its first tick
-    /// strictly after `self.now`, preserving each timer's original phase
-    /// (`start + k·interval`).
-    fn fast_forward_timers(&mut self) {
-        let now = self.now;
-        let mut timers = BinaryHeap::new();
-        for (midx, m) in self.monitors.iter().enumerate() {
-            if m.retired {
-                continue;
-            }
-            for (tidx, timer) in m.compiled.timers.iter().enumerate() {
-                let first = if timer.start > now {
-                    timer.start
-                } else {
-                    let interval = timer.interval.as_nanos().max(1);
-                    let elapsed = now.as_nanos() - timer.start.as_nanos();
-                    let k = elapsed / interval + 1;
-                    Nanos::from_nanos(
-                        timer
-                            .start
-                            .as_nanos()
-                            .saturating_add(interval.saturating_mul(k)),
-                    )
-                };
-                if first <= timer.stop {
-                    timers.push(Reverse((first, midx, tidx)));
-                }
-            }
-        }
-        self.timers = timers;
-    }
+/// The error for installing a name that is already installed.
+fn already_installed(name: &str) -> GuardrailError {
+    GuardrailError::Config(format!("guardrail '{name}' is already installed"))
 }
 
 #[cfg(test)]
@@ -1844,11 +1777,22 @@ guardrail low-false-submit {
             ),
             "pending commands from the uninstalled monitor still drain"
         );
-        // And its overhead account remains readable post-mortem.
+        // Its account leaves the per-monitor reports but stays counted in
+        // the engine-wide figures.
         assert!(engine
             .overhead_reports()
             .iter()
-            .any(|r| r.guardrail == "dep" && r.account.evaluations > 0));
+            .all(|r| r.guardrail != "dep"));
+        let live: u64 = engine
+            .overhead_reports()
+            .iter()
+            .map(|r| r.account.evaluations)
+            .sum();
+        assert_eq!(
+            engine.stats().evaluations,
+            live + 3,
+            "dep ticked at 0, 1, 2"
+        );
     }
 
     #[test]
@@ -1956,7 +1900,7 @@ guardrail low-false-submit {
         restarted.advance_to(Nanos::from_secs(5));
         assert_eq!(
             restarted.stats().evaluations,
-            checkpoint.stats.evaluations,
+            checkpoint.stats().evaluations,
             "disabled monitor does not evaluate after restore"
         );
     }
@@ -1980,7 +1924,7 @@ guardrail low-false-submit {
         restarted.advance_to(Nanos::from_secs(3));
         assert_eq!(
             restarted.stats().evaluations,
-            checkpoint.stats.evaluations + 1
+            checkpoint.stats().evaluations + 1
         );
     }
 
@@ -2058,7 +2002,7 @@ guardrail low-false-submit {
         engine.advance_to(Nanos::from_secs(2));
         engine.uninstall("dep").unwrap();
         engine.advance_to(Nanos::from_secs(3));
-        let mut sum = OverheadAccount::default();
+        let mut sum = engine.retired;
         for report in engine.overhead_reports() {
             sum.merge(&report.account);
         }
@@ -2072,13 +2016,13 @@ guardrail low-false-submit {
         used.install_str(LISTING_2).unwrap();
         used.advance_to(Nanos::from_secs(1));
         used.restore(&checkpoint).unwrap();
-        assert_eq!(used.stats(), checkpoint.stats);
+        assert_eq!(used.stats(), checkpoint.stats());
         used.advance_to(Nanos::from_secs(4));
-        assert_eq!(used.stats().evaluations, checkpoint.stats.evaluations + 1);
+        assert_eq!(used.stats().evaluations, checkpoint.stats().evaluations + 1);
         assert_eq!(
             used.telemetry_snapshot().evaluations,
-            3,
-            "the snapshot counts this engine's evaluations only"
+            used.stats().evaluations,
+            "the snapshot continues from the checkpoint too"
         );
     }
 
@@ -2093,12 +2037,16 @@ guardrail low-false-submit {
                 .unwrap();
         }
         for (midx, evals) in [(0, 1), (1, 0), (2, 2)] {
-            engine.monitors[midx].overhead.evaluations = evals;
+            engine.monitors[midx].state.account.evaluations = evals;
         }
         // 3 evaluations share 100 ns: 33 to the first, the remainder (67)
         // to the last monitor that evaluated, nothing to the idle one.
         engine.apportion_wall(&[0, 1, 2], &[0, 0, 0], 100);
-        let wall: Vec<u64> = engine.monitors.iter().map(|m| m.overhead.wall_ns).collect();
+        let wall: Vec<u64> = engine
+            .monitors
+            .iter()
+            .map(|m| m.state.account.wall_ns)
+            .collect();
         assert_eq!(wall, [33, 0, 67]);
         // No evaluations since the clock started: nothing is charged.
         engine.apportion_wall(&[0, 1, 2], &[1, 0, 2], 1_000);
@@ -2182,6 +2130,185 @@ guardrail low-false-submit {
         // Fires at 100, 101, 102 — not 103 times from t=0.
         assert_eq!(engine.stats().evaluations, 3);
         assert_eq!(engine.monitor_names(), vec!["g".to_string()]);
+    }
+
+    #[test]
+    fn delta_state_survives_restore() {
+        const SPEC: &str = "guardrail hb { trigger: { TIMER(0, 1s) }, rule: { DELTA(heartbeat) != 0 }, action: { REPORT(stale) } }";
+        // Ten ticks with the heartbeat bumped before each. With a restart,
+        // the engine is checkpointed after that tick and replaced by a
+        // fresh one over the same store.
+        let violations = |restart_after: Option<u64>| {
+            let mut engine = MonitorEngine::new();
+            engine.install_str(SPEC).unwrap();
+            for tick in 0..10 {
+                engine.store().save("heartbeat", tick as f64 + 1.0);
+                engine.advance_to(Nanos::from_secs(tick));
+                if restart_after == Some(tick) {
+                    let checkpoint = engine.checkpoint();
+                    let decoded = EngineCheckpoint::decode(&checkpoint.encode()).unwrap();
+                    assert_eq!(decoded, checkpoint, "the encoding is lossless");
+                    let mut restarted =
+                        MonitorEngine::with_parts(engine.store(), engine.registry());
+                    restarted.install_str(SPEC).unwrap();
+                    restarted.restore(&decoded).unwrap();
+                    engine = restarted;
+                }
+            }
+            engine.stats().violations
+        };
+        assert_eq!(
+            violations(None),
+            1,
+            "only the first read has no previous value"
+        );
+        assert_eq!(
+            violations(Some(4)),
+            1,
+            "no false stale alarm after the restore"
+        );
+    }
+
+    #[test]
+    fn late_installed_timer_keeps_its_phase_across_restore() {
+        const SPEC: &str =
+            "guardrail g { trigger: { TIMER(0, 1s) }, rule: { LOAD(x) > 0 }, action: { REPORT(m) } }";
+        // Installed at 0.5 s, the monitor ticks on the half second; the rule
+        // always fails, so every tick records a violation.
+        let ticks_after_3s = |restart: bool| -> Vec<Nanos> {
+            let mut engine = MonitorEngine::new();
+            engine.advance_to(Nanos::from_millis(500));
+            engine.install_str(SPEC).unwrap();
+            engine.advance_to(Nanos::from_secs(3));
+            if restart {
+                let checkpoint = engine.checkpoint();
+                engine = MonitorEngine::new();
+                engine.install_str(SPEC).unwrap();
+                engine.restore(&checkpoint).unwrap();
+            }
+            let seen = engine.violations().len();
+            engine.advance_to(Nanos::from_secs(6));
+            engine.violations()[seen..].iter().map(|v| v.at).collect()
+        };
+        let expected = [3_500, 4_500, 5_500].map(Nanos::from_millis).to_vec();
+        assert_eq!(ticks_after_3s(false), expected);
+        assert_eq!(ticks_after_3s(true), expected);
+    }
+
+    #[test]
+    fn repeated_updates_keep_one_monitor() {
+        let function_spec =
+            "guardrail f { trigger: { FUNCTION(h) }, rule: { ARG(0) < 1 }, action: { REPORT(m) } }";
+        let mut engine = MonitorEngine::new();
+        for _ in 0..100 {
+            engine.update_str(LISTING_2).unwrap();
+            engine.update_str(function_spec).unwrap();
+        }
+        assert_eq!(engine.monitors.len(), 2);
+        assert_eq!(engine.hooks["h"], [1]);
+        engine.on_function("h", Nanos::ZERO, &[5.0]);
+        assert_eq!(engine.stats().violations, 1);
+    }
+
+    #[test]
+    fn uninstall_reindexes_the_dispatch_index() {
+        let mut engine = MonitorEngine::new();
+        for name in ["a", "b", "c"] {
+            engine
+                .install_str(&format!(
+                    "guardrail {name} {{ trigger: {{ FUNCTION(h) }}, rule: {{ ARG(0) < 1 }}, action: {{ RECORD({name}_hits, 1) }} }}"
+                ))
+                .unwrap();
+        }
+        engine.on_function("h", Nanos::ZERO, &[5.0]);
+        engine.uninstall("a").unwrap();
+        engine.on_function("h", Nanos::from_secs(1), &[5.0]);
+        let evaluations: Vec<(String, u64)> = engine
+            .overhead_reports()
+            .into_iter()
+            .map(|r| (r.guardrail, r.account.evaluations))
+            .collect();
+        assert_eq!(evaluations, [("b".to_string(), 2), ("c".to_string(), 2)]);
+        assert_eq!(
+            engine.stats().evaluations,
+            5,
+            "a's one evaluation is retired"
+        );
+        assert!(engine.watchdog_tripped("a").is_err());
+    }
+
+    #[test]
+    fn changed_spec_restores_with_fresh_delta_state() {
+        let spec = |bound: u32| {
+            format!("guardrail g {{ trigger: {{ TIMER(0, 1s) }}, rule: {{ DELTA(x) < {bound} }}, action: {{ REPORT(jump) }} }}")
+        };
+        let mut engine = MonitorEngine::new();
+        engine.install_str(&spec(3)).unwrap();
+        engine.store().save("x", 1.0);
+        engine.advance_to(Nanos::from_secs(2));
+        let checkpoint = engine.checkpoint();
+        engine.store().save("x", 6.0);
+        // The same spec restores its DELTA state and sees the jump from 1
+        // to 6 on its next tick.
+        let restarted = |source: &str| {
+            let mut restarted = MonitorEngine::with_parts(engine.store(), engine.registry());
+            restarted.install_str(source).unwrap();
+            restarted.restore(&checkpoint).unwrap();
+            assert_eq!(restarted.stats(), checkpoint.stats());
+            restarted.advance_to(Nanos::from_secs(3));
+            restarted
+        };
+        let same = restarted(&spec(3));
+        assert_eq!(same.stats().violations, 1);
+        // A changed spec is a different monitor: its predecessor's account
+        // is retired, and its DELTA state starts fresh (reads 0).
+        let changed = restarted(&spec(4));
+        assert_eq!(changed.overhead_reports()[0].account.evaluations, 1);
+        assert_eq!(
+            changed.stats().evaluations,
+            checkpoint.stats().evaluations + 1
+        );
+        assert_eq!(changed.stats().violations, 0);
+    }
+
+    #[test]
+    fn install_str_is_all_or_nothing() {
+        let guardrail = |name: &str| {
+            format!("guardrail {name} {{ trigger: {{ TIMER(0, 1s) }}, rule: {{ LOAD(x) >= 0 }}, action: {{ REPORT(m) }} }}")
+        };
+        let mut engine = MonitorEngine::new();
+        engine.install_str(&guardrail("b")).unwrap();
+        let both = format!("{} {}", guardrail("a"), guardrail("b"));
+        assert!(engine.install_str(&both).is_err());
+        assert_eq!(engine.monitor_names(), ["b"]);
+    }
+
+    #[test]
+    fn failed_restore_leaves_the_engine_unchanged() {
+        let spec = "guardrail g { trigger: { TIMER(0, 1s) }, rule: { LOAD(x) > 0 }, action: { REPLACE(a, safe) REPLACE(b, extra) } }";
+        let boot = |b_variants: &[&str]| {
+            let mut engine = MonitorEngine::new();
+            let registry = engine.registry();
+            registry.register("a", &["learned", "safe"]).unwrap();
+            registry.register("b", b_variants).unwrap();
+            engine.install_str(spec).unwrap();
+            engine
+                .set_hysteresis("g", Hysteresis::cooldown(Nanos::from_secs(100)))
+                .unwrap();
+            engine
+        };
+        let mut engine = boot(&["learned", "extra"]);
+        engine.advance_to(Nanos::from_secs(3));
+        assert_eq!(engine.suppressed("g").unwrap(), 3);
+        let checkpoint = engine.checkpoint();
+        // The restarted registry lacks slot b's checkpointed variant.
+        let mut restarted = boot(&["learned"]);
+        let before = restarted.checkpoint();
+        assert!(restarted.restore(&checkpoint).is_err());
+        assert_eq!(restarted.checkpoint(), before);
+        assert!(restarted.registry().is_active("a", "learned"));
+        assert_eq!(restarted.now(), Nanos::ZERO);
+        assert_eq!(restarted.suppressed("g").unwrap(), 0);
     }
 
     #[test]

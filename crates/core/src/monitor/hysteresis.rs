@@ -66,13 +66,16 @@ impl Hysteresis {
     }
 }
 
-/// The runtime state tracking recent evaluations for one guardrail.
-#[derive(Clone, Debug, Default)]
+/// The runtime state tracking recent evaluations for one guardrail. All of
+/// it is checkpointed: a restarted monitor neither re-fires inside a
+/// cooldown nor forgets a partially accumulated N-of-M streak.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct HysteresisState {
-    config: Hysteresis,
-    recent: VecDeque<bool>,
-    last_fire: Option<Nanos>,
-    suppressed: u64,
+    pub(crate) config: Hysteresis,
+    /// The recent-evaluation window, oldest first.
+    pub(crate) recent: VecDeque<bool>,
+    pub(crate) last_fire: Option<Nanos>,
+    pub(crate) suppressed: u64,
 }
 
 impl HysteresisState {
@@ -132,42 +135,6 @@ impl HysteresisState {
     pub fn last_fire(&self) -> Option<Nanos> {
         self.last_fire
     }
-
-    /// Captures the full state for an engine checkpoint.
-    pub fn snapshot(&self) -> HysteresisSnapshot {
-        HysteresisSnapshot {
-            config: self.config,
-            recent: self.recent.iter().copied().collect(),
-            last_fire: self.last_fire,
-            suppressed: self.suppressed,
-        }
-    }
-
-    /// Rebuilds state from a checkpoint snapshot.
-    pub fn from_snapshot(snapshot: &HysteresisSnapshot) -> Self {
-        HysteresisState {
-            config: snapshot.config,
-            recent: snapshot.recent.iter().copied().collect(),
-            last_fire: snapshot.last_fire,
-            suppressed: snapshot.suppressed,
-        }
-    }
-}
-
-/// A plain-data capture of [`HysteresisState`] for checkpoint/restore: the
-/// debounce window, cooldown phase, and suppression counter all survive a
-/// crash, so a restarted monitor neither re-fires inside a cooldown nor
-/// forgets a partially-accumulated N-of-M streak.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HysteresisSnapshot {
-    /// The configuration in force at checkpoint time.
-    pub config: Hysteresis,
-    /// The recent-evaluation window, oldest first.
-    pub recent: Vec<bool>,
-    /// When actions last fired, if ever.
-    pub last_fire: Option<Nanos>,
-    /// Violations suppressed so far.
-    pub suppressed: u64,
 }
 
 #[cfg(test)]

@@ -10,15 +10,17 @@ pub mod engine;
 pub mod hysteresis;
 pub mod overhead;
 pub mod resilience;
+pub mod state;
 pub mod supervisor;
 pub mod violation;
 
-pub use checkpoint::{EngineCheckpoint, MonitorCheckpoint};
-pub use engine::{EngineStats, MonitorEngine, MonitorId};
-pub use hysteresis::{Hysteresis, HysteresisSnapshot, HysteresisState};
+pub use checkpoint::EngineCheckpoint;
+pub use engine::{EngineStats, MonitorEngine};
+pub use hysteresis::{Hysteresis, HysteresisState};
 pub use overhead::{OverheadAccount, OverheadReport, NS_PER_FUEL};
 pub use resilience::{
     FailMode, RecoveryConfig, ResilienceConfig, RetryPolicy, RuntimeConfig, WatchdogConfig,
 };
+pub use state::{MonitorState, PendingRetrain};
 pub use supervisor::{fail_closed, RestartDecision, Supervisor, SupervisorConfig, SupervisorState};
 pub use violation::{TriggerKind, Violation, ViolationLog};

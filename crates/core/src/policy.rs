@@ -224,6 +224,34 @@ impl PolicyRegistry {
         Ok(())
     }
 
+    /// Re-pins every slot in `active` that this registry has to its listed
+    /// variant, all or nothing: if a known slot lacks its variant, nothing
+    /// changes and the call fails. Slots this registry lacks are skipped.
+    /// Restoring an engine checkpoint uses this to re-apply `REPLACE`
+    /// decisions (see [`PolicyRegistry::active_variants`]).
+    pub fn pin_variants(&self, active: &[(String, String)]) -> Result<()> {
+        let mut slots = self.slots.write();
+        for (slot, variant) in active {
+            if let Some(s) = slots.get(slot) {
+                if !s.variants.contains(variant) {
+                    return Err(GuardrailError::Config(format!(
+                        "slot '{slot}' has no variant '{variant}' (variants: {:?})",
+                        s.variants
+                    )));
+                }
+            }
+        }
+        for (slot, variant) in active {
+            if let Some(s) = slots.get_mut(slot) {
+                if s.active != *variant {
+                    s.active.clone_from(variant);
+                    s.swaps += 1;
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Returns every slot's active variant, sorted by slot name — the
     /// registry state an engine checkpoint persists so a `REPLACE` decision
     /// survives a crash.

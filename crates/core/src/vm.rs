@@ -7,15 +7,62 @@
 //! monitoring overhead (property P5). A verified program cannot fail:
 //! [`Vm::run`] on one always returns a value.
 
-use std::collections::HashMap;
-
 use simkernel::Nanos;
 
 use crate::compile::ir::{clamp, Op, Program};
 use crate::store::Slot;
 
-/// Per-program persistent state for `DELTA(key)`: last-seen scalar values.
-pub type DeltaState = HashMap<u16, f64>;
+/// Per-program persistent state for `DELTA(key)`: the last value read for
+/// each entry of the program's key table, `None` until the first read. A
+/// NaN last value still counts as read.
+#[derive(Clone, Debug)]
+pub struct DeltaState(Box<[Option<f64>]>);
+
+impl DeltaState {
+    /// Fresh state for `program`, sized to its key table.
+    pub fn for_program(program: &Program) -> Self {
+        Self::with_len(program.keys.len())
+    }
+
+    /// Fresh state for a key table of `len` entries.
+    pub(crate) fn with_len(len: usize) -> Self {
+        DeltaState(vec![None; len].into_boxed_slice())
+    }
+
+    /// The size of the key table this state covers.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The keys read so far, as `(key index, last value)` in key order.
+    pub(crate) fn seen(&self) -> impl Iterator<Item = (u16, f64)> + '_ {
+        self.0
+            .iter()
+            .enumerate()
+            .filter_map(|(k, v)| v.map(|v| (k as u16, v)))
+    }
+
+    /// Sets the last value of key index `k`; `false` when `k` is outside
+    /// the key table.
+    pub(crate) fn set(&mut self, k: u16, value: f64) -> bool {
+        match self.0.get_mut(usize::from(k)) {
+            Some(entry) => {
+                *entry = Some(value);
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+/// Two states are equal when they cover the same key table and have read
+/// the same values, bit for bit (so a NaN last value equals itself).
+impl PartialEq for DeltaState {
+    fn eq(&self, other: &Self) -> bool {
+        let bits = |v: &Option<f64>| v.map(f64::to_bits);
+        self.0.iter().map(bits).eq(other.0.iter().map(bits))
+    }
+}
 
 /// The evaluation context a program runs in.
 pub struct EvalCtx<'a> {
@@ -97,7 +144,7 @@ impl std::error::Error for VmFault {}
 ///
 /// ```
 /// use guardrails::compile::compile_str;
-/// use guardrails::vm::{EvalCtx, Vm};
+/// use guardrails::vm::{DeltaState, EvalCtx, Vm};
 /// use guardrails::FeatureStore;
 /// use simkernel::Nanos;
 ///
@@ -109,7 +156,7 @@ impl std::error::Error for VmFault {}
 /// let program = &compiled[0].rules[0].program;
 /// let slots = store.bind(&program.keys);
 /// let mut vm = Vm::new();
-/// let mut deltas = Default::default();
+/// let mut deltas = DeltaState::for_program(program);
 /// let result = vm.run(
 ///     program,
 ///     &mut EvalCtx { slots: &slots, now: Nanos::ZERO, args: &[], deltas: &mut deltas },
@@ -193,7 +240,9 @@ impl Vm {
                 Op::Hist { key, q } => self.stack.push(ctx.slot(key).hist_quantile(q)),
                 Op::Delta(k) => {
                     let current = ctx.slot(k).load().unwrap_or(0.0);
-                    let last = ctx.deltas.insert(k, current).unwrap_or(current);
+                    let last = ctx.deltas.0[usize::from(k)]
+                        .replace(current)
+                        .unwrap_or(current);
                     self.stack.push(current - last);
                 }
                 Op::Abs => {
@@ -285,7 +334,7 @@ mod tests {
     fn eval_with(store: &FeatureStore, now: Nanos, args: &[f64], e: &Expr) -> EvalResult {
         let program = lower_expr(&fold_expr(e)).unwrap();
         let slots = store.bind(&program.keys);
-        let mut deltas = DeltaState::default();
+        let mut deltas = DeltaState::for_program(&program);
         Vm::new().run(
             &program,
             &mut EvalCtx {
@@ -376,7 +425,7 @@ mod tests {
         store.save("errors", 10.0);
         let program = lower_expr(&Expr::Delta("errors".into())).unwrap();
         let slots = store.bind(&program.keys);
-        let mut deltas = DeltaState::default();
+        let mut deltas = DeltaState::for_program(&program);
         let mut vm = Vm::new();
         let mut run = |deltas: &mut DeltaState| {
             vm.run(
@@ -462,7 +511,7 @@ mod tests {
         let program = lower_expr(&e).unwrap();
         let store = FeatureStore::new();
         let slots = store.bind(&program.keys);
-        let mut deltas = DeltaState::default();
+        let mut deltas = DeltaState::for_program(&program);
         let r = Vm::new().run(
             &program,
             &mut EvalCtx {
@@ -481,7 +530,7 @@ mod tests {
         let program = lower_expr(&e).unwrap();
         let store = FeatureStore::new();
         let slots = store.bind(&program.keys);
-        let mut deltas = DeltaState::default();
+        let mut deltas = DeltaState::for_program(&program);
         let mut vm = Vm::new();
         let mut ctx = EvalCtx {
             slots: &slots,
@@ -509,7 +558,7 @@ mod tests {
         let program = lower_expr(&Expr::bin(BinOp::And, lhs, rhs)).unwrap();
         let store = FeatureStore::new();
         let slots = store.bind(&program.keys);
-        let mut deltas = DeltaState::default();
+        let mut deltas = DeltaState::for_program(&program);
         let r = Vm::new().run(
             &program,
             &mut EvalCtx {

@@ -19,15 +19,16 @@
 use std::sync::Arc;
 
 use guardrails::monitor::engine::{EngineStats, FnEvent, MonitorEngine};
-use guardrails::monitor::OverheadAccount;
+use guardrails::monitor::{EngineCheckpoint, OverheadAccount};
 use guardrails::{PolicyRegistry, Telemetry, TelemetrySnapshot};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use simkernel::Nanos;
 
-/// Two monitors on the hot hook (one argument-driven, one store-driven,
-/// with actions that feed back into the store) plus a bystander on another
-/// hook, so dispatch-index lookups are exercised with misses.
+/// Three monitors on the hot hook (one argument-driven, one store-driven,
+/// with actions that feed back into the store, and one whose `DELTA` state
+/// must carry across a restore) plus a bystander on another hook, so
+/// dispatch-index lookups are exercised with misses.
 const SPECS: &str = r#"
 guardrail io-bound {
     trigger: { FUNCTION(io_submit) },
@@ -38,6 +39,11 @@ guardrail queue-sane {
     trigger: { FUNCTION(io_submit) },
     rule: { LOAD(qdepth) < 32 },
     action: { RECORD(qdepth_violations, 1) }
+}
+guardrail qdepth-jump {
+    trigger: { FUNCTION(io_submit) },
+    rule: { DELTA(qdepth) < 16 },
+    action: { RECORD(qdepth_jumps, 1) }
 }
 guardrail bystander {
     trigger: { FUNCTION(other_hook) },
@@ -254,17 +260,18 @@ proptest! {
         second in steps(),
         cuts in vec(0usize..61, 0..4),
     ) {
-        // Run the first half, checkpoint the batched engine, restore into a
-        // fresh engine sharing the same store, then run the second half.
-        // The restored engine must still match a sequential run that never
-        // restarted.
+        // Run the first half, checkpoint the batched engine, restore the
+        // decoded checkpoint into a fresh engine sharing the same store,
+        // then run the second half. The restored engine must still match a
+        // sequential run that never restarted.
         let mut sequential = fresh_engine();
         let mut batched = fresh_engine();
         let mid_seq = run_sequential_chunked(&mut sequential, &first, &cuts, Nanos::ZERO);
         let mid_bat = run_batched(&mut batched, &first, &cuts, Nanos::ZERO);
         prop_assert_eq!(mid_seq, mid_bat);
 
-        let checkpoint = batched.checkpoint();
+        let checkpoint = EngineCheckpoint::decode(&batched.checkpoint().encode()).unwrap();
+        prop_assert_eq!(&checkpoint, &batched.checkpoint());
         let mut restored =
             MonitorEngine::with_parts(batched.store(), batched.registry());
         restored.install_str(SPECS).unwrap();

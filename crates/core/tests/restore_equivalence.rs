@@ -1,0 +1,180 @@
+//! Property test: an engine restarted from a checkpoint behaves exactly
+//! like one that never stopped. Both engines see the same store writes,
+//! tracepoint firings and clock; one of them is checkpointed at a random
+//! step, its checkpoint encoded and decoded, and a fresh engine with the
+//! same specs restores it and carries on. From then on the two must agree
+//! on every violation, every store value and every counter.
+//!
+//! The specs cover what a restart could lose: `DELTA` state in a rule and
+//! in an action operand, a windowed aggregate, N-of-M hysteresis, and a
+//! timer installed mid-period (its phase must survive the restart).
+
+use std::sync::Arc;
+
+use guardrails::monitor::{EngineCheckpoint, EngineStats, Hysteresis, MonitorEngine};
+use guardrails::{FeatureStore, PolicyRegistry};
+use proptest::collection::vec;
+use proptest::prelude::*;
+use simkernel::Nanos;
+
+/// Installed at t = 0.
+const SPECS: &str = r#"
+guardrail heartbeat {
+    trigger: { TIMER(0, 100ms) },
+    rule: { DELTA(beats) != 0 },
+    action: { RECORD(stale, 1) }
+}
+guardrail queue-jump {
+    trigger: { FUNCTION(io) },
+    rule: { DELTA(qdepth) < 8 },
+    action: { SAVE(last_jump, DELTA(qdepth)) }
+}
+"#;
+
+/// Installed at a generated offset, so its ticks sit mid-period.
+const LATE_SPEC: &str = r#"
+guardrail latency-slo {
+    trigger: { TIMER(0, 250ms) },
+    rule: { AVG(lat, 1s) < 60 },
+    action: { SAVE(slo_breaches, LOAD(slo_breaches) + 1) }
+}
+"#;
+
+/// One generated step: a time advance, whether the heartbeat moves, a
+/// latency sample and a queue depth, then one `io` firing.
+#[derive(Clone, Debug)]
+struct Step {
+    dt_ms: u64,
+    beat: bool,
+    lat: f64,
+    qdepth: f64,
+}
+
+fn steps() -> impl Strategy<Value = Vec<Step>> {
+    vec(
+        (1u64..120, any::<bool>(), 0.0f64..100.0, 0.0f64..32.0).prop_map(
+            |(dt_ms, beat, lat, qdepth)| Step {
+                dt_ms,
+                beat,
+                lat,
+                qdepth,
+            },
+        ),
+        1..80,
+    )
+}
+
+fn install_specs(engine: &mut MonitorEngine) {
+    engine.install_str(SPECS).unwrap();
+}
+
+fn install_late_spec(engine: &mut MonitorEngine) {
+    engine.install_str(LATE_SPEC).unwrap();
+    engine
+        .set_hysteresis("latency-slo", Hysteresis::n_of_m(2, 3))
+        .unwrap();
+}
+
+/// Drives `engine` through one step at `now`.
+fn step(engine: &mut MonitorEngine, step: &Step, now: Nanos, beats: &mut f64) {
+    let store = engine.store();
+    if step.beat {
+        *beats += 1.0;
+        store.save("beats", *beats);
+    }
+    store.record("lat", now, step.lat);
+    store.save("qdepth", step.qdepth);
+    engine.on_function("io", now, &[]);
+    engine.advance_to(now);
+}
+
+/// Runs `steps`, installing the late spec once the clock passes
+/// `install_at`. With `restart_after = Some(k)`, the engine is replaced
+/// after step `k` by a fresh one that restores its decoded checkpoint.
+/// Returns the engine and the checkpoint instant (`None` without restart).
+fn run(
+    steps: &[Step],
+    install_at: Nanos,
+    restart_after: Option<usize>,
+) -> (MonitorEngine, Option<Nanos>) {
+    let store = Arc::new(FeatureStore::new());
+    let registry = Arc::new(PolicyRegistry::new());
+    let mut engine = MonitorEngine::with_parts(Arc::clone(&store), Arc::clone(&registry));
+    install_specs(&mut engine);
+    let mut now = Nanos::ZERO;
+    let mut beats = 0.0;
+    let mut late_installed = false;
+    let mut restarted_at = None;
+    for (i, s) in steps.iter().enumerate() {
+        now += Nanos::from_millis(s.dt_ms);
+        if !late_installed && now >= install_at {
+            engine.advance_to(install_at);
+            install_late_spec(&mut engine);
+            late_installed = true;
+        }
+        step(&mut engine, s, now, &mut beats);
+        if restart_after == Some(i) {
+            let checkpoint = EngineCheckpoint::decode(&engine.checkpoint().encode()).unwrap();
+            engine = MonitorEngine::with_parts(Arc::clone(&store), Arc::clone(&registry));
+            install_specs(&mut engine);
+            if late_installed {
+                install_late_spec(&mut engine);
+            }
+            engine.restore(&checkpoint).unwrap();
+            restarted_at = Some(checkpoint.now);
+        }
+    }
+    (engine, restarted_at)
+}
+
+/// Everything observable except measured wall time and the violations
+/// logged before the restart.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    violations: Vec<(Nanos, String, bool)>,
+    scalars: Vec<(String, f64)>,
+    stats: EngineStats,
+}
+
+fn observe(engine: &MonitorEngine, since: Nanos) -> Observed {
+    let violations = engine
+        .violations()
+        .into_iter()
+        .filter(|v| v.at > since)
+        .map(|v| (v.at, v.guardrail, v.actions_fired))
+        .collect();
+    let mut scalars = engine.store().scalars();
+    scalars.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut stats = engine.stats();
+    stats.eval_wall_ns = 0;
+    Observed {
+        violations,
+        scalars,
+        stats,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn a_restored_engine_matches_an_uninterrupted_one(
+        steps in steps(),
+        install_ms in 1u64..250,
+        restart in 0usize..80,
+    ) {
+        let install_at = Nanos::from_millis(install_ms);
+        let restart_after = restart % steps.len();
+        let (uninterrupted, _) = run(&steps, install_at, None);
+        let (restored, restarted_at) = run(&steps, install_at, Some(restart_after));
+        let since = restarted_at.expect("the run restarted");
+        prop_assert_eq!(observe(&restored, since), observe(&uninterrupted, since));
+        let stale = |e: &MonitorEngine| e.store().aggregate(
+            guardrails::spec::ast::AggKind::Count,
+            "stale",
+            Nanos::from_secs(1_000),
+            e.now(),
+        );
+        prop_assert_eq!(stale(&restored), stale(&uninterrupted));
+    }
+}

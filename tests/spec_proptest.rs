@@ -216,7 +216,7 @@ fn arb_spec() -> impl Strategy<Value = Spec> {
 
 fn eval(program: &Program, store: &FeatureStore, args: &[f64]) -> f64 {
     let slots = store.bind(&program.keys);
-    let mut deltas = DeltaState::default();
+    let mut deltas = DeltaState::for_program(program);
     Vm::new()
         .run(
             program,
@@ -482,7 +482,7 @@ proptest! {
             store.save(key, values[i % values.len()]);
         }
         let slots = store.bind(&program.keys);
-        let mut deltas = DeltaState::default();
+        let mut deltas = DeltaState::for_program(&program);
         let result = Vm::new().run(
             &program,
             &mut EvalCtx {
@@ -514,7 +514,7 @@ proptest! {
         let keys = rule_keys(&rule);
         let store = populate(&keys, &contents);
         let slots = store.bind(&program.keys);
-        let mut vm_deltas = DeltaState::default();
+        let mut vm_deltas = DeltaState::for_program(&program);
         let mut reference = Reference { store: &store, args: &args, deltas: HashMap::new() };
         for round in 0..2 {
             if round == 1 {
@@ -555,7 +555,7 @@ proptest! {
                     slots: &slots,
                     now: NOW,
                     args: &args,
-                    deltas: &mut DeltaState::default(),
+                    deltas: &mut DeltaState::for_program(&program),
                 },
                 limit,
             )
