@@ -37,8 +37,10 @@ git diff --exit-code -- results/exp_recovery.csv || {
 # E5, E7, E8 and E9 are seeded and wall-clock-free as well. E7, E8 and E9
 # read the engine's counters (evaluations, modelled overhead, rule faults,
 # watchdog trips, retrain retries), so a change to how the engine counts
-# shows up here. About 5 s for the four.
-for experiment in exp_subsystems exp_dependency exp_incremental exp_faults; do
+# shows up here. E4 (drift detection), the hedged-probe ablation and the
+# Figure 1 property table are seeded too. About 7 s for the seven.
+for experiment in exp_subsystems exp_dependency exp_incremental exp_faults \
+        exp_drift exp_probe_ablation fig1_properties; do
     cargo run --release -p gr-bench --bin "${experiment}" >/dev/null
     git diff --exit-code -- "results/${experiment}.csv" || {
         echo "${experiment}.csv changed: the experiment is no longer" \

@@ -8,9 +8,13 @@
 //!   with [`DurabilityConfig::group_commit`] > 1 the appender instead
 //!   buffers records and commits them as one checksummed *group frame*
 //!   (one append, one CRC per group; a crash loses the in-flight group
-//!   atomically — the whole group or none of it);
+//!   atomically — the whole group or none of it). The appender assigns the
+//!   sequence number and appends under one lock, writing the frame in
+//!   place into a reused buffer, so **log order is sequence order** and it
+//!   always knows the byte length of the log on the medium;
 //! - [`DurableStore::compact`] folds the scalar state into a snapshot and
-//!   truncates the WAL; a crash between the two steps is harmless because
+//!   cuts the WAL at the byte offset the snapshot covers, keeping the bytes
+//!   after it verbatim; a crash between the two steps is harmless because
 //!   frames carry sequence numbers and replay skips those the snapshot
 //!   already covers;
 //! - [`DurableStore::open`] replays snapshot + WAL suffix idempotently and
@@ -22,9 +26,14 @@
 //! experiments mutate directly (torn tails, snapshot bit flips);
 //! [`FileBackend`] persists to three files in a directory for real
 //! deployments.
+//!
+//! Lock order: the compaction lock, then a key's slot lock, then the
+//! appender's tail lock, then the backend's region lock.
+//! [`DurableStore::compact`] never calls into the store while it holds the
+//! tail lock.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -33,7 +42,7 @@ use crate::error::{GuardrailError, Result};
 use crate::telemetry::is_reserved;
 
 use super::snapshot::Snapshot;
-use super::wal::{decode_stream, encode_frame, encode_group_frame, WalRecord, WalStop};
+use super::wal::{decode_stream, put_frame, put_record, WalStop};
 use super::{FeatureStore, SaveJournal};
 
 /// The logical storage regions a backend provides.
@@ -51,6 +60,11 @@ pub enum Region {
 ///
 /// `append` must be atomic with respect to other appends (the journal hook
 /// runs under the store's per-key slot locks, from multiple writer threads).
+/// An `append` that fails should leave the region as it was: the durable
+/// store counts the WAL's length from the appends that succeeded. (It cuts
+/// back what a failed WAL append left behind, and refuses to compact a log
+/// whose length differs from that count, but a backend that restores the
+/// region itself needs neither.)
 pub trait PersistBackend: Send + Sync + std::fmt::Debug {
     /// Reads the full contents of `region` (empty if never written).
     fn load(&self, region: Region) -> Result<Vec<u8>>;
@@ -193,8 +207,16 @@ impl PersistBackend for FileBackend {
             .append(true)
             .open(&path)
             .map_err(|e| GuardrailError::Persist(format!("open {}: {e}", path.display())))?;
-        file.write_all(bytes)
-            .map_err(|e| GuardrailError::Persist(format!("append {}: {e}", path.display())))
+        let before = file
+            .metadata()
+            .map_err(|e| GuardrailError::Persist(format!("stat {}: {e}", path.display())))?
+            .len();
+        file.write_all(bytes).map_err(|e| {
+            // `write_all` may have written part of `bytes` (a full disk):
+            // drop that part so the region is as it was.
+            let _ = file.set_len(before);
+            GuardrailError::Persist(format!("append {}: {e}", path.display()))
+        })
     }
 
     fn replace(&self, region: Region, bytes: &[u8]) -> Result<()> {
@@ -278,74 +300,85 @@ impl RecoveryReport {
 #[derive(Debug)]
 struct WalAppender {
     backend: Arc<dyn PersistBackend>,
-    /// Last sequence number assigned (frames are 1-based).
-    seq: AtomicU64,
-    /// Records appended since the last compaction.
-    since_compact: AtomicU64,
+    /// Sequence assignment, buffering and appending, under one lock.
+    tail: Mutex<Tail>,
     /// Set when an append fails; the store keeps serving (availability over
     /// durability for a *monitoring* substrate) but the failure is visible.
     append_failed: AtomicBool,
     /// Group-commit size (1 = append every record immediately).
     group_commit: usize,
-    /// Records buffered for the next group frame (empty when
-    /// `group_commit == 1`).
-    pending: Mutex<Vec<WalRecord>>,
+}
+
+/// The appender's mutable end of the log.
+#[derive(Debug, Default)]
+struct Tail {
+    /// Last sequence number assigned (frames are 1-based).
+    seq: u64,
+    /// The sequence number the last compaction's snapshot covered (or the
+    /// one recovered at open): [`DurableStore::maybe_compact`] counts its
+    /// record budget from here.
+    compacted_seq: u64,
+    /// Reused buffer each frame is written into before its append.
+    frame: Vec<u8>,
+    /// Record payloads buffered for the next frame, back to back.
+    group: Vec<u8>,
+    /// How many records `group` holds.
+    grouped: usize,
+    /// Bytes of WAL on the medium: always a frame boundary, advanced only
+    /// by an append that succeeded.
+    logged: usize,
 }
 
 impl WalAppender {
-    /// Appends one encoded frame, noting a failed append.
-    fn append_frame(&self, frame: &[u8]) {
-        if self.backend.append(Region::Wal, frame).is_err() {
-            self.append_failed.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// Appends all buffered records as one group frame. No-op when the
-    /// buffer is empty.
-    fn flush(&self) {
-        let mut pending = self.pending.lock();
-        if pending.is_empty() {
+    /// Appends the buffered records as one frame (a plain frame for one
+    /// record, a group frame for more). No-op when nothing is buffered.
+    fn flush(&self, tail: &mut Tail) {
+        if tail.grouped == 0 {
             return;
         }
-        let frame = encode_group_frame(&pending);
-        pending.clear();
-        self.append_frame(&frame);
+        tail.frame.clear();
+        put_frame(&mut tail.frame, tail.grouped, &tail.group);
+        tail.group.clear();
+        tail.grouped = 0;
+        match self.backend.append(Region::Wal, &tail.frame) {
+            Ok(()) => tail.logged += tail.frame.len(),
+            Err(_) => {
+                self.append_failed.store(true, Ordering::Relaxed);
+                // The failed append may have written part of the frame: cut
+                // the log back to its last whole frame, or later frames would
+                // land behind the stray bytes and be lost at the next open.
+                // If this fails too, `compact` sees the length mismatch and
+                // refuses to cut.
+                if let Ok(wal) = self.backend.load(Region::Wal) {
+                    if wal.len() > tail.logged {
+                        let _ = self.backend.replace(Region::Wal, &wal[..tail.logged]);
+                    }
+                }
+            }
+        }
     }
 }
 
 impl std::fmt::Debug for DurableStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurableStore")
-            .field("seq", &self.appender.seq.load(Ordering::Relaxed))
+            .field("seq", &self.seq())
             .finish()
     }
 }
 
 impl SaveJournal for WalAppender {
     fn record_save(&self, key: &str, value: f64) {
-        let seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
-        let record = WalRecord {
-            seq,
-            key: key.to_string(),
-            value,
-        };
-        if self.group_commit <= 1 {
-            self.append_frame(&encode_frame(&record));
-        } else {
-            // Same-key writes are serialized by the store's slot lock, so
-            // records for one key always land in the buffer in seq order;
-            // cross-key interleaving is harmless (post-state replay).
-            // The append happens under the buffer lock so group frames land
-            // in the log in the order their groups filled.
-            let mut pending = self.pending.lock();
-            pending.push(record);
-            if pending.len() >= self.group_commit {
-                let frame = encode_group_frame(&pending);
-                pending.clear();
-                self.append_frame(&frame);
-            }
+        // Numbering and appending under one lock puts frames in the log in
+        // sequence order, whichever thread writes.
+        let mut guard = self.tail.lock();
+        let tail = &mut *guard;
+        tail.seq += 1;
+        put_record(&mut tail.group, tail.seq, key, value);
+        tail.grouped += 1;
+        if tail.grouped >= self.group_commit {
+            self.flush(tail);
         }
-        self.since_compact.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -355,6 +388,10 @@ pub struct DurableStore {
     backend: Arc<dyn PersistBackend>,
     appender: Arc<WalAppender>,
     config: DurabilityConfig,
+    /// Held for a whole compaction: two at once could land their snapshots
+    /// in the other order, or cut the log at an offset the other already
+    /// moved.
+    compacting: Mutex<()>,
 }
 
 impl DurableStore {
@@ -421,11 +458,14 @@ impl DurableStore {
 
         let appender = Arc::new(WalAppender {
             backend: Arc::clone(&backend),
-            seq: AtomicU64::new(max_seq),
-            since_compact: AtomicU64::new(0),
+            tail: Mutex::new(Tail {
+                seq: max_seq,
+                compacted_seq: max_seq,
+                logged: decoded.valid_len,
+                ..Tail::default()
+            }),
             append_failed: AtomicBool::new(false),
             group_commit: config.group_commit.max(1),
-            pending: Mutex::new(Vec::new()),
         });
         store.set_journal(Some(appender.clone()));
         Ok((
@@ -434,6 +474,7 @@ impl DurableStore {
                 backend,
                 appender,
                 config,
+                compacting: Mutex::new(()),
             },
             report,
         ))
@@ -452,7 +493,7 @@ impl DurableStore {
 
     /// The last WAL sequence number assigned.
     pub fn seq(&self) -> u64 {
-        self.appender.seq.load(Ordering::SeqCst)
+        self.appender.tail.lock().seq
     }
 
     /// `true` once any WAL append has failed (the store kept serving).
@@ -463,50 +504,79 @@ impl DurableStore {
     /// Records buffered for the next group frame but not yet durable.
     /// Always 0 when `group_commit <= 1`.
     pub fn pending_records(&self) -> usize {
-        self.appender.pending.lock().len()
+        self.appender.tail.lock().grouped
     }
 
     /// Forces the group-commit buffer out as one group frame. Hosts call
     /// this at natural durability points (end of a batch, before replying
     /// to a client). No-op when nothing is buffered.
     pub fn flush(&self) {
-        self.appender.flush();
+        self.appender.flush(&mut self.appender.tail.lock());
     }
 
-    /// Folds the current scalar state into a snapshot and truncates the
-    /// WAL. Crash-ordered: the snapshot lands before the truncate, and
-    /// frames the snapshot already covers are skipped by seq on replay.
+    /// Folds the current scalar state into a snapshot and cuts the WAL at
+    /// the byte offset the snapshot covers.
+    ///
+    /// 1. Under the tail lock: flush the group buffer, so every assigned
+    ///    sequence number has been appended, and read the last sequence
+    ///    number and the log's length — the *cut*. Log order is sequence
+    ///    order, so every frame before the cut holds a record the snapshot
+    ///    covers and every frame after it one it does not.
+    /// 2. Without it: read the scalars and write the snapshot. Writes that
+    ///    land meanwhile are applied to the store and appended after the
+    ///    cut; replaying them over the snapshot is idempotent.
+    /// 3. Under the tail lock again: check that the WAL is as long as the
+    ///    appends wrote it, then replace it with its bytes after the cut.
+    ///    Holding the lock from load to replace means no append can land in
+    ///    between and be overwritten.
+    ///
+    /// Crash-ordered: the snapshot lands before the cut, and frames the
+    /// snapshot already covers are skipped by seq on replay. Nothing is
+    /// decoded or re-checksummed, so the bytes after the cut are kept
+    /// verbatim: damage there (say, bytes a failed append left behind) is
+    /// still found and reported by the next [`DurableStore::open`] rather
+    /// than dropped here without a word.
+    ///
+    /// Fails without cutting when the WAL's length is not the one the
+    /// successful appends add up to (bytes some failed append left and the
+    /// appender could not cut back, or a writer other than this store): a
+    /// cut at the counted offset would no longer fall on a frame boundary.
     pub fn compact(&self) -> Result<()> {
-        // Flush the group buffer first so compaction maintains a single
-        // invariant: every assigned sequence number is in the snapshot or
-        // in the on-medium log, never parked in memory across a compact.
-        self.appender.flush();
-        let seq = self.seq();
+        let _compacting = self.compacting.lock();
+        let (seq, cut) = {
+            let mut tail = self.appender.tail.lock();
+            self.appender.flush(&mut tail);
+            (tail.seq, tail.logged)
+        };
         // Reserved telemetry keys are process-lifetime observations; they
         // never enter the WAL and must not enter snapshots either.
         let mut entries = self.store.scalars();
         entries.retain(|(key, _)| !is_reserved(key));
         let snapshot = Snapshot { seq, entries };
         self.backend.replace(Region::Snapshot, &snapshot.encode())?;
-        // Records appended after `seq` was read must survive the truncate:
-        // rewrite the WAL keeping only frames with seq > snapshot seq.
-        let wal_bytes = self.backend.load(Region::Wal)?;
-        let decoded = decode_stream(&wal_bytes);
-        let mut keep = Vec::new();
-        for record in &decoded.records {
-            if record.seq > seq {
-                keep.extend_from_slice(&encode_frame(record));
-            }
+        let mut tail = self.appender.tail.lock();
+        let wal = self.backend.load(Region::Wal)?;
+        if wal.len() != tail.logged {
+            return Err(GuardrailError::Persist(format!(
+                "WAL holds {} bytes, not the {} appended to it; not cutting",
+                wal.len(),
+                tail.logged
+            )));
         }
-        self.backend.replace(Region::Wal, &keep)?;
-        self.appender.since_compact.store(0, Ordering::Relaxed);
+        self.backend.replace(Region::Wal, &wal[cut..])?;
+        tail.logged -= cut;
+        tail.compacted_seq = seq;
         Ok(())
     }
 
     /// Compacts when the configured record budget has been reached. Call
     /// from the host's main loop. Returns `true` when a compaction ran.
     pub fn maybe_compact(&self) -> Result<bool> {
-        if self.appender.since_compact.load(Ordering::Relaxed) < self.config.snapshot_every {
+        let since = {
+            let tail = self.appender.tail.lock();
+            tail.seq - tail.compacted_seq
+        };
+        if since < self.config.snapshot_every {
             return Ok(false);
         }
         self.compact()?;
@@ -528,7 +598,7 @@ impl Drop for DurableStore {
     fn drop(&mut self) {
         // An orderly shutdown flushes the group buffer — only a real crash
         // (or `mem::forget`) loses the in-flight group.
-        self.appender.flush();
+        self.flush();
         // Detach the journal so a store Arc that outlives this DurableStore
         // does not keep appending to a log nobody will compact.
         self.store.set_journal(None);
@@ -538,6 +608,7 @@ impl Drop for DurableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::wal::{encode_frame, WalRecord};
 
     fn open_mem(backend: &Arc<MemBackend>) -> (DurableStore, RecoveryReport) {
         let b: Arc<dyn PersistBackend> = backend.clone();
@@ -680,6 +751,22 @@ mod tests {
         assert_eq!(report.wal_records_skipped, 2, "overlap skipped by seq");
         assert_eq!(report.wal_records_applied, 0);
         assert_eq!(durable.store().load("k"), Some(2.0));
+    }
+
+    #[test]
+    fn compaction_refuses_a_log_it_did_not_write() {
+        let backend = Arc::new(MemBackend::new());
+        let (durable, _) = open_mem(&backend);
+        let store = durable.store();
+        store.save("a", 1.0);
+        // Bytes this store never appended (say, what a failed append left
+        // and could not cut back), then one more frame: the counted length
+        // now ends inside that frame.
+        backend.append(Region::Wal, b"junk").unwrap();
+        store.save("b", 2.0);
+        let wal = backend.load(Region::Wal).unwrap();
+        assert!(durable.compact().is_err());
+        assert_eq!(backend.load(Region::Wal).unwrap(), wal, "nothing cut");
     }
 
     #[test]

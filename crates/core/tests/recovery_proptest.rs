@@ -3,13 +3,18 @@
 //! state (snapshot + WAL-suffix equivalence), and a torn WAL tail recovers
 //! exactly a prefix of the history. The same recovered ≡ uninterrupted
 //! equivalence holds when writers go through slot handles bound before the
-//! first write.
+//! first write. The appender's bytes are pinned to literal frames and to a
+//! frame encoder spelled out here from the documented layout, and a
+//! compaction leaves exactly the records its snapshot does not cover.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use guardrails::store::durable::{
-    DurabilityConfig, DurableStore, MemBackend, PersistBackend, RecoveryReport,
+    DurabilityConfig, DurableStore, MemBackend, PersistBackend, RecoveryReport, Region,
+};
+use guardrails::store::wal::{
+    crc32, decode_stream, encode_frame, encode_group_frame, WalRecord, WalStop,
 };
 use guardrails::telemetry::is_reserved;
 use guardrails::{FeatureStore, Slot};
@@ -57,6 +62,92 @@ fn apply(store: &FeatureStore, writes: &[(usize, f64)]) {
     for &(k, v) in writes {
         store.save(KEYS[k], v);
     }
+}
+
+/// The WAL records `writes` journal when the first of them takes sequence
+/// number `first_seq`.
+fn records(writes: &[(usize, f64)], first_seq: u64) -> Vec<WalRecord> {
+    writes
+        .iter()
+        .zip(first_seq..)
+        .map(|(&(k, value), seq)| WalRecord {
+            seq,
+            key: KEYS[k].to_string(),
+            value,
+        })
+        .collect()
+}
+
+/// One plain WAL frame, written out by hand from the layout in the `wal`
+/// module docs rather than through the crate's frame writer:
+/// `[0x57A1][payload_len][seq][value bits][key_len][key][crc32(payload)]`.
+fn reference_frame(record: &WalRecord) -> Vec<u8> {
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&record.seq.to_le_bytes());
+    payload.extend_from_slice(&record.value.to_bits().to_le_bytes());
+    payload.extend_from_slice(&(record.key.len() as u32).to_le_bytes());
+    payload.extend_from_slice(record.key.as_bytes());
+    let mut frame = vec![0xA1, 0x57];
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+    frame
+}
+
+/// `{seq 1, "k" = 1.0}` as a plain frame.
+const PLAIN_FRAME: [u8; 31] = [
+    0xa1, 0x57, // magic
+    0x15, 0x00, 0x00, 0x00, // payload length 21
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // seq 1
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, // 1.0
+    0x01, 0x00, 0x00, 0x00, 0x6b, // "k"
+    0xd4, 0x58, 0x8c, 0xa8, // crc32
+];
+
+/// `{seq 2, "k" = 2.0}` and `{seq 3, "ab" = -0.5}` as one group frame.
+const GROUP_FRAME: [u8; 57] = [
+    0xa2, 0x57, // magic
+    0x2f, 0x00, 0x00, 0x00, // payload length 47
+    0x02, 0x00, 0x00, 0x00, // two records
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // seq 2
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, // 2.0
+    0x01, 0x00, 0x00, 0x00, 0x6b, // "k"
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // seq 3
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0xbf, // -0.5
+    0x02, 0x00, 0x00, 0x00, 0x61, 0x62, // "ab"
+    0x0a, 0x2f, 0x8b, 0x35, // crc32
+];
+
+fn record(seq: u64, key: &str, value: f64) -> WalRecord {
+    WalRecord {
+        seq,
+        key: key.to_string(),
+        value,
+    }
+}
+
+#[test]
+fn wal_frames_match_literal_bytes() {
+    let plain = record(1, "k", 1.0);
+    let group = [record(2, "k", 2.0), record(3, "ab", -0.5)];
+    assert_eq!(reference_frame(&plain), PLAIN_FRAME);
+    assert_eq!(encode_frame(&plain), PLAIN_FRAME);
+    assert_eq!(encode_group_frame(&group), GROUP_FRAME);
+    // The appender: a flushed lone record goes out as a plain frame, a
+    // full group as a group frame.
+    let backend = Arc::new(MemBackend::new());
+    {
+        let (durable, _) = open_grouped(&backend, 2);
+        let store = durable.store();
+        store.save("k", 1.0);
+        durable.flush();
+        store.save("k", 2.0);
+        store.save("ab", -0.5);
+    }
+    assert_eq!(
+        backend.load(Region::Wal).unwrap(),
+        [&PLAIN_FRAME[..], &GROUP_FRAME[..]].concat()
+    );
 }
 
 /// Keys for slot-store histories: the plain keys plus one reserved
@@ -162,6 +253,47 @@ proptest! {
         prop_assert!(!report.tainted());
         prop_assert_eq!(report.wal_records_applied, (writes.len() - cut) as u64);
         prop_assert_eq!(sorted_scalars(&a.store()), sorted_scalars(&b.store()));
+    }
+
+    #[test]
+    fn the_appender_writes_the_reference_frames(
+        writes in vec((0usize..KEYS.len(), -1e6f64..1e6), 0..40),
+    ) {
+        let backend = Arc::new(MemBackend::new());
+        {
+            let (durable, _) = open_grouped(&backend, 1);
+            apply(&durable.store(), &writes);
+        }
+        let wal = backend.load(Region::Wal).unwrap();
+        let history = records(&writes, 1);
+        let expected: Vec<u8> = history.iter().flat_map(reference_frame).collect();
+        prop_assert_eq!(&wal, &expected);
+        let decoded = decode_stream(&wal);
+        prop_assert_eq!(decoded.stop, WalStop::Clean);
+        prop_assert_eq!(decoded.records, history);
+    }
+
+    #[test]
+    fn compaction_leaves_exactly_the_records_after_the_snapshot(
+        writes in vec((0usize..KEYS.len(), -1e6f64..1e6), 0..40),
+        group in 1usize..6,
+        cut in 0usize..40,
+    ) {
+        let cut = cut % (writes.len() + 1);
+        let backend = Arc::new(MemBackend::new());
+        {
+            let (durable, _) = open_grouped(&backend, group);
+            let store = durable.store();
+            apply(&store, &writes[..cut]);
+            durable.compact().unwrap();
+            apply(&store, &writes[cut..]);
+        }
+        let decoded = decode_stream(&backend.load(Region::Wal).unwrap());
+        prop_assert_eq!(decoded.stop, WalStop::Clean);
+        prop_assert_eq!(decoded.records, records(&writes[cut..], cut as u64 + 1));
+        let (_, report) = open_grouped(&backend, group);
+        prop_assert_eq!(report.snapshot_seq, cut as u64);
+        prop_assert_eq!(report.wal_records_skipped, 0);
     }
 
     #[test]
