@@ -37,10 +37,13 @@ git diff --exit-code -- results/exp_recovery.csv || {
 # E5, E7, E8 and E9 are seeded and wall-clock-free as well. E7, E8 and E9
 # read the engine's counters (evaluations, modelled overhead, rule faults,
 # watchdog trips, retrain retries), so a change to how the engine counts
-# shows up here. E4 (drift detection), the hedged-probe ablation and the
-# Figure 1 property table are seeded too. About 7 s for the seven.
+# shows up here. E4 (drift detection), the hedged-probe ablation, both
+# Figure 1 tables, Figure 2 (the LinnOS run: a change to the learned model's
+# arithmetic shows up here) and E6 (oscillation) are seeded too. About 7 s
+# for the ten.
 for experiment in exp_subsystems exp_dependency exp_incremental exp_faults \
-        exp_drift exp_probe_ablation fig1_properties; do
+        exp_drift exp_probe_ablation fig1_properties fig1_actions fig2_linnos \
+        exp_oscillation; do
     cargo run --release -p gr-bench --bin "${experiment}" >/dev/null
     git diff --exit-code -- "results/${experiment}.csv" || {
         echo "${experiment}.csv changed: the experiment is no longer" \

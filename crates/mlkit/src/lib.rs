@@ -27,7 +27,7 @@ pub mod tensor;
 pub use linear::LogisticRegression;
 pub use loss::Loss;
 pub use metrics::ConfusionMatrix;
-pub use mlp::{Activation, Mlp, MlpConfig, OutputCorruption};
+pub use mlp::{Activation, InferenceBuffers, Mlp, MlpConfig, OutputCorruption};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use qlearn::QTable;
 pub use replay::ReplayBuffer;

@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::loss::Loss;
 use crate::optim::Optimizer;
-use crate::tensor::Matrix;
+use crate::tensor::{row_times, Matrix};
 
 /// An element-wise activation function.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,6 +101,16 @@ impl MlpConfig {
             seed,
         }
     }
+}
+
+/// The two activation rows a single-row forward pass ping-pongs between
+/// (see [`Mlp::predict_into`]).
+///
+/// Owned by the caller and reused across calls: once each row has grown to
+/// the widest layer, inference allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct InferenceBuffers {
+    rows: [Vec<f64>; 2],
 }
 
 /// A fully-connected feed-forward network.
@@ -211,6 +221,14 @@ impl Mlp {
         }
     }
 
+    fn check_input_width(&self, width: usize) {
+        assert_eq!(
+            width, self.config.layers[0],
+            "input width {width} does not match network input {}",
+            self.config.layers[0]
+        );
+    }
+
     /// Runs a batch forward; `x` is `n x inputs`, the result `n x outputs`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut out = self.forward_cached(x).pop().expect("at least one layer");
@@ -223,13 +241,7 @@ impl Mlp {
     /// Runs a batch forward and returns all layer activations (including the
     /// input as element 0).
     fn forward_cached(&self, x: &Matrix) -> Vec<Matrix> {
-        assert_eq!(
-            x.cols(),
-            self.config.layers[0],
-            "input width {} does not match network input {}",
-            x.cols(),
-            self.config.layers[0]
-        );
+        self.check_input_width(x.cols());
         let mut acts = Vec::with_capacity(self.weights.len() + 1);
         acts.push(x.clone());
         for (l, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
@@ -244,8 +256,46 @@ impl Mlp {
 
     /// Predicts for a single input row.
     pub fn predict_one(&self, x: &[f64]) -> Vec<f64> {
-        let m = Matrix::from_vec(1, x.len(), x.to_vec());
-        self.forward(&m).row(0).to_vec()
+        self.predict_into(x, &mut InferenceBuffers::default())
+            .to_vec()
+    }
+
+    /// Predicts for a single input row into `bufs`, returning the output
+    /// row: the same bits as `forward` on a one-row matrix, corruption
+    /// included, without allocating once `bufs` is warm.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mlkit::{InferenceBuffers, Matrix, Mlp, MlpConfig};
+    ///
+    /// let net = Mlp::new(MlpConfig::linnos(2, 7));
+    /// let mut bufs = InferenceBuffers::default();
+    /// let x = [0.5, -1.0];
+    /// let batch = net.forward(&Matrix::from_rows(&[&x]));
+    /// assert_eq!(net.predict_into(&x, &mut bufs), batch.row(0));
+    /// ```
+    pub fn predict_into<'b>(&self, x: &[f64], bufs: &'b mut InferenceBuffers) -> &'b [f64] {
+        self.check_input_width(x.len());
+        let [first, second] = &mut bufs.rows;
+        let (mut cur, mut next) = (first, second);
+        cur.clear();
+        cur.extend_from_slice(x);
+        for (l, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
+            next.resize(w.cols(), 0.0);
+            row_times(cur, w, next);
+            let act = self.activation_for_layer(l);
+            for (v, &bias) in next.iter_mut().zip(b) {
+                *v = act.apply(*v + bias);
+            }
+            std::mem::swap(&mut cur, &mut next);
+        }
+        if let Some(corruption) = self.corruption {
+            for v in cur.iter_mut() {
+                *v = corruption.corrupt(*v);
+            }
+        }
+        cur
     }
 
     /// Performs one minibatch training step; returns the pre-step loss.
@@ -328,6 +378,8 @@ impl Mlp {
 mod tests {
     use super::*;
     use crate::optim::{Adam, Sgd};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn xor_data() -> (Matrix, Matrix) {
         (
@@ -471,5 +523,69 @@ mod tests {
         // ReLU away from the kink.
         assert_eq!(Activation::Relu.derivative_from_output(2.0), 1.0);
         assert_eq!(Activation::Relu.derivative_from_output(0.0), 0.0);
+    }
+
+    const ACTIVATIONS: [Activation; 4] = [
+        Activation::Relu,
+        Activation::Sigmoid,
+        Activation::Tanh,
+        Activation::Identity,
+    ];
+
+    const CORRUPTIONS: [Option<OutputCorruption>; 4] = [
+        None,
+        Some(OutputCorruption::Nan),
+        Some(OutputCorruption::Inf),
+        Some(OutputCorruption::OutOfRange),
+    ];
+
+    /// The first `width` draws as an input row; a draw tagged 0 is an
+    /// exact zero, which `row_times` skips.
+    fn input_row(draws: &[(u8, f64)], width: usize) -> Vec<f64> {
+        draws[..width]
+            .iter()
+            .map(|&(tag, v)| if tag == 0 { 0.0 } else { v })
+            .collect()
+    }
+
+    fn bits(row: &[f64]) -> Vec<u64> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Single-row inference ≡ the batch forward pass's first row, bit
+        /// for bit, on random nets (after one training step, so biases are
+        /// non-zero) and inputs with exact zeros, with and without each
+        /// output corruption, through one reused set of buffers.
+        #[test]
+        fn predict_into_matches_batch_forward(
+            layers in vec(1usize..21, 2..5),
+            acts in (0usize..4, 0usize..4),
+            corruption in 0usize..4,
+            seed in 0u64..1_000_000,
+            draws in vec((0u8..4, -3.0..3.0f64), 40),
+        ) {
+            let mut net = Mlp::new(MlpConfig {
+                layers: layers.clone(),
+                hidden_activation: ACTIVATIONS[acts.0],
+                output_activation: ACTIVATIONS[acts.1],
+                seed,
+            });
+            let inputs = layers[0];
+            let outputs = layers[layers.len() - 1];
+            let x = Matrix::from_vec(1, inputs, input_row(&draws, inputs));
+            let y = Matrix::from_vec(1, outputs, vec![0.5; outputs]);
+            net.train_batch(&x, &y, Loss::Mse, &mut Adam::new(0.05));
+            net.set_output_corruption(CORRUPTIONS[corruption]);
+
+            let mut bufs = InferenceBuffers::default();
+            for row in [input_row(&draws, inputs), input_row(&draws[20..], inputs)] {
+                let batch = net.forward(&Matrix::from_vec(1, inputs, row.clone()));
+                prop_assert_eq!(bits(net.predict_into(&row, &mut bufs)), bits(batch.row(0)));
+                prop_assert_eq!(bits(&net.predict_one(&row)), bits(batch.row(0)));
+            }
+        }
     }
 }

@@ -79,11 +79,24 @@ impl OnlineScaler {
 
     /// Standardizes `x` to z-scores against the running statistics.
     pub fn transform(&self, x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; x.len()];
+        self.transform_into(x, &mut out);
+        out
+    }
+
+    /// Standardizes `x` into `out`, element for element what
+    /// [`OnlineScaler::transform`] returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` has the wrong number of features or `out` another
+    /// length than `x`.
+    pub fn transform_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.mean.len(), "feature count mismatch");
-        x.iter()
-            .enumerate()
-            .map(|(i, &v)| (v - self.mean[i]) / self.std_dev(i))
-            .collect()
+        assert_eq!(out.len(), x.len(), "output length mismatch");
+        for (i, (o, &v)) in out.iter_mut().zip(x).enumerate() {
+            *o = (v - self.mean[i]) / self.std_dev(i);
+        }
     }
 
     /// Observes and transforms in one call.
@@ -112,6 +125,8 @@ impl OnlineScaler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn transform_standardizes() {
@@ -176,5 +191,31 @@ mod tests {
         b.observe(&[2.0]);
         let zb = b.transform(&[2.0]);
         assert_eq!(za, zb);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `transform_into` ≡ `transform` ≡ the per-feature z-score
+        /// `(v - mean[i]) / std_dev(i)`, bit for bit, from 0, 1 or many
+        /// observations (so both `std_dev` branches and constant features).
+        #[test]
+        fn transform_into_matches_transform(
+            history in vec(vec(-50.0..50.0f64, 3), 0..12),
+            constant in any::<bool>(),
+            x in vec(-100.0..100.0f64, 3),
+        ) {
+            let mut s = OnlineScaler::new(3);
+            for row in &history {
+                s.observe(&[row[0], if constant { 7.0 } else { row[1] }, row[2]]);
+            }
+            let mut out = [f64::NAN; 3];
+            s.transform_into(&x, &mut out);
+            let reference: Vec<u64> = (0..3)
+                .map(|i| ((x[i] - s.mean()[i]) / s.std_dev(i)).to_bits())
+                .collect();
+            prop_assert_eq!(out.map(f64::to_bits).to_vec(), reference.clone());
+            prop_assert_eq!(s.transform(&x).iter().map(|v| v.to_bits()).collect::<Vec<_>>(), reference);
+        }
     }
 }

@@ -111,17 +111,7 @@ impl Matrix {
         );
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let rhs_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                    *o += a * b;
-                }
-            }
+            row_times(self.row(i), rhs, out.row_mut(i));
         }
         out
     }
@@ -219,6 +209,37 @@ impl Matrix {
     /// Frobenius norm.
     pub fn norm(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
+    }
+}
+
+/// Writes the row vector `x` times `rhs` into `out`: the one kernel behind
+/// [`Matrix::matmul`] and single-row inference.
+///
+/// Each output element accumulates `x[k] * rhs[(k, j)]` in increasing `k`
+/// from `0.0`, skipping the terms where `x[k] == 0.0` (ReLU zeros make the
+/// skip pay in training).
+///
+/// # Panics
+///
+/// Panics unless `x.len() == rhs.rows()` and `out.len() == rhs.cols()`.
+pub(crate) fn row_times(x: &[f64], rhs: &Matrix, out: &mut [f64]) {
+    assert_eq!(
+        (x.len(), out.len()),
+        (rhs.rows, rhs.cols),
+        "row_times dimension mismatch: 1x{} * {}x{} into 1x{}",
+        x.len(),
+        rhs.rows,
+        rhs.cols,
+        out.len()
+    );
+    out.fill(0.0);
+    for (k, &a) in x.iter().enumerate() {
+        if a == 0.0 {
+            continue;
+        }
+        for (o, &b) in out.iter_mut().zip(rhs.row(k)) {
+            *o += a * b;
+        }
     }
 }
 

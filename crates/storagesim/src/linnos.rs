@@ -7,7 +7,10 @@
 //! `features → 16 → 16 → 1` shape), trained online from completion feedback.
 
 use guardrails::policy::LearnedPolicy;
-use mlkit::{Adam, Loss, Matrix, Mlp, MlpConfig, OnlineScaler, OutputCorruption, ReplayBuffer};
+use mlkit::{
+    Adam, InferenceBuffers, Loss, Matrix, Mlp, MlpConfig, OnlineScaler, OutputCorruption,
+    ReplayBuffer,
+};
 use simkernel::Nanos;
 
 /// Number of model features: queue depth + 4-deep latency history.
@@ -46,6 +49,11 @@ impl Default for LinnosConfig {
 
 /// The learned fast/slow classifier.
 ///
+/// One decision ([`LinnosClassifier::predict_slow`]) and one completion
+/// ([`LinnosClassifier::observe`]) allocate nothing once the classifier has
+/// served its first inference: the z-scores and the network's activation
+/// rows live in buffers it owns, and the replay buffer is a flat ring.
+///
 /// # Examples
 ///
 /// ```
@@ -69,8 +77,13 @@ pub struct LinnosClassifier {
     scaler: OnlineScaler,
     buffer: ReplayBuffer,
     optimizer: Adam,
+    /// Scratch for one inference: the z-scored features, then the
+    /// network's activation rows.
+    z: [f64; NUM_FEATURES],
+    rows: InferenceBuffers,
     trained: bool,
     inferences: u64,
+    dropped_rows: u64,
     retrains: u64,
 }
 
@@ -82,8 +95,11 @@ impl LinnosClassifier {
             scaler: OnlineScaler::new(NUM_FEATURES),
             buffer: ReplayBuffer::new(config.buffer),
             optimizer: Adam::new(0.005),
+            z: [0.0; NUM_FEATURES],
+            rows: InferenceBuffers::default(),
             trained: false,
             inferences: 0,
+            dropped_rows: 0,
             retrains: 0,
             config,
         }
@@ -95,10 +111,18 @@ impl LinnosClassifier {
     }
 
     /// Records a completed I/O's features and ground-truth label.
+    ///
+    /// A row with a non-finite feature is dropped (and counted in
+    /// [`LinnosClassifier::dropped_rows`]) before it reaches the scaler or
+    /// the replay buffer: one NaN would turn the running mean NaN for good,
+    /// and with it every z-score the model is trained on and queried with.
     pub fn observe(&mut self, features: &[f64; NUM_FEATURES], was_slow: bool) {
+        if !features.iter().all(|f| f.is_finite()) {
+            self.dropped_rows += 1;
+            return;
+        }
         self.scaler.observe(features);
-        self.buffer
-            .push(features.to_vec(), if was_slow { 1.0 } else { 0.0 });
+        self.buffer.push(features, if was_slow { 1.0 } else { 0.0 });
     }
 
     /// Runs one training round over replay-buffer minibatches.
@@ -108,20 +132,24 @@ impl LinnosClassifier {
         if self.buffer.is_empty() {
             return None;
         }
+        // The scaler does not change during a round: read its statistics
+        // once and standardize each sampled row straight into the batch.
+        let mean = self.scaler.mean();
+        let std: [f64; NUM_FEATURES] = std::array::from_fn(|i| self.scaler.std_dev(i));
+        let mut xm = Matrix::zeros(self.config.batch, NUM_FEATURES);
+        let mut ym = Matrix::zeros(self.config.batch, 1);
         let mut last = None;
         for epoch in 0..self.config.epochs {
             let sample = self.buffer.sample(
                 self.config.batch,
                 self.config.seed ^ (epoch as u64) ^ self.retrains,
             );
-            let mut x = Vec::with_capacity(sample.len() * NUM_FEATURES);
-            let mut y = Vec::with_capacity(sample.len());
-            for (features, label) in &sample {
-                x.extend(self.scaler.transform(features));
-                y.push(*label);
+            for (r, (features, label)) in sample.into_iter().enumerate() {
+                for (i, (z, &v)) in xm.row_mut(r).iter_mut().zip(features).enumerate() {
+                    *z = (v - mean[i]) / std[i];
+                }
+                ym[(r, 0)] = label;
             }
-            let xm = Matrix::from_vec(sample.len(), NUM_FEATURES, x);
-            let ym = Matrix::from_vec(sample.len(), 1, y);
             last = Some(
                 self.net
                     .train_batch(&xm, &ym, Loss::Bce, &mut self.optimizer),
@@ -139,8 +167,8 @@ impl LinnosClassifier {
         if !self.trained {
             return 0.0;
         }
-        let z = self.scaler.transform(features);
-        self.net.predict_one(&z)[0]
+        self.scaler.transform_into(features, &mut self.z);
+        self.net.predict_into(&self.z, &mut self.rows)[0]
     }
 
     /// Hard fast/slow decision.
@@ -169,6 +197,11 @@ impl LinnosClassifier {
     /// Total inferences served.
     pub fn inferences(&self) -> u64 {
         self.inferences
+    }
+
+    /// Observed rows dropped for a non-finite feature.
+    pub fn dropped_rows(&self) -> u64 {
+        self.dropped_rows
     }
 
     /// Total retrains performed.
@@ -283,6 +316,59 @@ mod tests {
             }
         }
         assert!(correct > 80, "post-retrain accuracy {correct}/100");
+    }
+
+    const DEEP: [f64; NUM_FEATURES] = [30.0, 400.0, 380.0, 420.0, 390.0];
+    const SHALLOW: [f64; NUM_FEATURES] = [0.5, 95.0, 88.0, 92.0, 90.0];
+
+    /// The type-level doc example's history: 2000 rows alternating a deep
+    /// (slow) and a shallow (fast) queue.
+    fn doc_history() -> LinnosClassifier {
+        let mut clf = LinnosClassifier::new(LinnosConfig::default());
+        for i in 0..2000 {
+            let deep = i % 2 == 0;
+            clf.observe(if deep { &DEEP } else { &SHALLOW }, deep);
+        }
+        clf
+    }
+
+    /// Bits of `train_round`'s loss and of the two doc-example predictions.
+    fn trained_bits(mut clf: LinnosClassifier) -> (u64, u64, u64) {
+        let loss = clf.train_round().expect("a non-empty buffer trains");
+        (
+            loss.to_bits(),
+            clf.predict_proba(&DEEP).to_bits(),
+            clf.predict_proba(&SHALLOW).to_bits(),
+        )
+    }
+
+    /// Pins the doc example's training loss and predictions to the bits
+    /// the classifier produced before inference and training stopped
+    /// allocating: the in-place paths must not move a single bit.
+    #[test]
+    fn doc_history_trains_to_pinned_bits() {
+        assert_eq!(
+            trained_bits(doc_history()),
+            (
+                0x3f95_7109_55a4_2487,
+                0x3fee_b9ba_cf98_6d21,
+                0x3f65_c361_5a7e_217d
+            )
+        );
+    }
+
+    /// History plus one NaN row ≡ history: the row is dropped before it
+    /// can poison the scaler (it used to leave a ln 2 loss and a 0.5014
+    /// slow-probability for every input, so every I/O failed over).
+    #[test]
+    fn a_non_finite_row_does_not_poison_training() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut clf = doc_history();
+            clf.observe(&[bad, 95.0, 88.0, 92.0, 90.0], false);
+            clf.observe(&[30.0, 400.0, 380.0, bad, 390.0], true);
+            assert_eq!(clf.dropped_rows(), 2);
+            assert_eq!(trained_bits(clf), trained_bits(doc_history()), "{bad}");
+        }
     }
 
     #[test]
