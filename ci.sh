@@ -25,6 +25,10 @@ fi
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 
+# Rustdoc gate: a doc link to a type that no longer exists (or to a private
+# item) is a warning, and warnings fail CI.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # Determinism gate: E10 is seeded and wall-clock-free, so its CSV must be
 # byte-identical on every run. Regenerate and diff against the committed copy.
 cargo run --release -p gr-bench --bin exp_recovery >/dev/null

@@ -97,14 +97,14 @@ fn build_engine(optimize: bool) -> MonitorEngine {
 }
 
 /// Everything observable about a run except wall-clock noise.
-fn fingerprint(engine: &MonitorEngine) -> (u64, u64, u64, Vec<(String, f64)>) {
+fn fingerprint(engine: &MonitorEngine) -> (u64, u64, String, Vec<(String, f64)>) {
     let stats = engine.stats();
     let mut scalars = engine.store().scalars();
     scalars.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
     (
         stats.evaluations,
         stats.violations,
-        engine.violation_log().total(),
+        engine.events().export_json_lines(),
         scalars,
     )
 }

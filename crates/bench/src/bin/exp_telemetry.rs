@@ -120,7 +120,7 @@ fn build_engine(telemetry: bool) -> MonitorEngine {
 
 /// Everything user-visible about a run. `__telemetry/` keys are filtered:
 /// the reserved namespace is observability, not behavior.
-fn fingerprint(engine: &MonitorEngine) -> (u64, u64, u64, Vec<(String, f64)>) {
+fn fingerprint(engine: &MonitorEngine) -> (u64, u64, String, Vec<(String, f64)>) {
     let stats = engine.stats();
     let mut scalars = engine.store().scalars();
     scalars.retain(|(key, _)| !is_reserved(key));
@@ -128,7 +128,7 @@ fn fingerprint(engine: &MonitorEngine) -> (u64, u64, u64, Vec<(String, f64)>) {
     (
         stats.evaluations,
         stats.violations,
-        engine.violation_log().total(),
+        engine.events().export_json_lines(),
         scalars,
     )
 }
@@ -259,7 +259,7 @@ fn main() {
                     assert_eq!(guardrail, "overhead-budget");
                     assert_eq!(target, "hog");
                     engine.set_enabled("hog", false).expect("hog exists");
-                    reports_at_demotion = engine.reports().len();
+                    reports_at_demotion = engine.reports().count();
                 }
             }
         }
@@ -279,11 +279,11 @@ fn main() {
     ));
     csv.push_str(&format!("budget,hog_rule_fuel,{}\n", hog.account.rule_fuel));
     csv.push_str(&format!("budget,deprioritize_cmds,{deprioritize_cmds}\n"));
-    csv.push_str(&format!("budget,reports,{}\n", engine.reports().len()));
+    csv.push_str(&format!("budget,reports,{}\n", engine.reports().count()));
     eprintln!(
         "[exp_telemetry] budget: hog fraction {hog_fraction:.4}, \
          {deprioritize_cmds} demotions, {} reports",
-        engine.reports().len()
+        engine.reports().count()
     );
 
     let path = write_results("exp_telemetry.csv", &csv);

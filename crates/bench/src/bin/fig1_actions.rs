@@ -32,10 +32,10 @@ fn a1_report() -> Row {
     store.save("io_model.input.psi", 0.8);
     store.save("io_model.input.oob_fraction", 0.4);
     engine.advance_to(Nanos::from_secs(1));
-    let records = engine.reports().records();
+    let records: Vec<&str> = engine.reports().filter_map(|r| r.text()).collect();
     let logged = records
         .iter()
-        .any(|r| r.message.contains("psi=0.8") && r.message.contains("oob_fraction=0.4"));
+        .any(|text| text.contains("psi=0.8") && text.contains("oob_fraction=0.4"));
     Row {
         id: "A1",
         action: "REPORT",

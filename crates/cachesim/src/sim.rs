@@ -220,7 +220,7 @@ pub fn run_cache_sim(config: CacheSimConfig) -> CacheReport {
         phase2_tail_hit_rate: tail_hits as f64 / tail_total.max(1) as f64,
         shadow_lru_phase2: 0.0_f64.max(shadow_lru.hit_rate()),
         shadow_random_phase2: 0.0_f64.max(shadow_random.hit_rate()),
-        violations: engine.violations().len(),
+        violations: engine.stats().violations as usize,
         learned_active_at_end: registry.is_active("cache_policy", VARIANT_LEARNED),
         telemetry: engine.telemetry_snapshot(),
     }

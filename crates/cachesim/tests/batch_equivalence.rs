@@ -77,7 +77,6 @@ fn accesses() -> impl Strategy<Value = Vec<Access>> {
 struct Observable {
     violations: Vec<guardrails::monitor::Violation>,
     scalars: Vec<(String, f64)>,
-    total_violations: u64,
     stats: EngineStats,
     telemetry: TelemetrySnapshot,
 }
@@ -90,7 +89,6 @@ fn observe(engine: &MonitorEngine) -> Observable {
     Observable {
         violations: engine.violations(),
         scalars,
-        total_violations: engine.violation_log().total(),
         stats,
         telemetry: engine.telemetry_snapshot(),
     }

@@ -2,18 +2,17 @@
 //!
 //! Actions split into two delivery classes:
 //!
-//! - **Immediate**: `REPORT` (written to the shared [`report::ReportSink`]),
-//!   `REPLACE` (applied to the shared [`crate::policy::PolicyRegistry`]), and
-//!   `SAVE`/`RECORD` (applied to the feature store). These touch state the
-//!   engine shares with subsystems, so they take effect atomically at the
-//!   violation.
+//! - **Immediate**: `REPORT` (recorded in the engine's decision stream,
+//!   [`crate::monitor::EventLog`]), `REPLACE` (applied to the shared
+//!   [`crate::policy::PolicyRegistry`]), and `SAVE`/`RECORD` (applied to the
+//!   feature store). These touch state the engine shares with subsystems, so
+//!   they take effect atomically at the violation.
 //! - **Deferred**: `DEPRIORITIZE` and `RETRAIN` are emitted as [`Command`]s
 //!   into a bounded outbox that the embedding system drains — demoting tasks
 //!   needs the scheduler's task table, and retraining is explicitly an
 //!   asynchronous offline process in the paper. This mirrors how an OOM
 //!   killer runs as deferred work rather than in the detecting context.
 
-pub mod report;
 pub mod retrain;
 
 use std::collections::VecDeque;

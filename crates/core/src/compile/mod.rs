@@ -10,6 +10,8 @@ pub mod lower;
 pub mod opt;
 pub mod verify;
 
+use std::sync::Arc;
+
 use simkernel::Nanos;
 
 use crate::error::Result;
@@ -110,8 +112,9 @@ static NO_PROGRAM: Program = Program {
 pub struct CompiledRule {
     /// The verified program (evaluates to a boolean).
     pub program: Program,
-    /// Canonical source text of the rule (for violation records).
-    pub source: String,
+    /// Canonical source text of the rule, shared with its violation
+    /// events.
+    pub source: Arc<str>,
     /// What the verifier proved.
     pub report: VerifyReport,
 }
@@ -119,8 +122,8 @@ pub struct CompiledRule {
 /// A fully compiled guardrail, ready to install into the monitor engine.
 #[derive(Clone, Debug)]
 pub struct CompiledGuardrail {
-    /// The guardrail name.
-    pub name: String,
+    /// The guardrail name, shared with every event it records.
+    pub name: Arc<str>,
     /// Resolved periodic triggers.
     pub timers: Vec<TimerSpec>,
     /// Tracepoints to attach to.
@@ -177,7 +180,7 @@ pub fn compile_guardrail(g: &CheckedGuardrail, opts: &CompileOptions) -> Result<
         let report = verify_named(&program, ExpectedType::Bool, &opts.limits, &g.name)?;
         rules.push(CompiledRule {
             program,
-            source,
+            source: source.into(),
             report,
         });
     }
@@ -188,7 +191,7 @@ pub fn compile_guardrail(g: &CheckedGuardrail, opts: &CompileOptions) -> Result<
     }
 
     Ok(CompiledGuardrail {
-        name: g.name.clone(),
+        name: g.name.as_str().into(),
         timers: g.timers.clone(),
         hooks: g.hooks.clone(),
         rules,
@@ -249,7 +252,7 @@ fn compile_action(
 /// let compiled = guardrails::compile::compile_str(
 ///     "guardrail g { trigger: { TIMER(0, 1s) }, rule: { LOAD(x) < 1 }, action: { REPORT(\"x\") } }",
 /// ).unwrap();
-/// assert_eq!(compiled[0].name, "g");
+/// assert_eq!(&*compiled[0].name, "g");
 /// assert_eq!(compiled[0].rules[0].program.len(), 1);
 /// ```
 pub fn compile_str(source: &str) -> Result<Vec<CompiledGuardrail>> {
@@ -273,7 +276,7 @@ mod tests {
         )
         .unwrap();
         let g = &compiled[0];
-        assert_eq!(g.name, "low-false-submit");
+        assert_eq!(&*g.name, "low-false-submit");
         assert_eq!(g.timers[0].interval, Nanos::from_secs(1));
         assert_eq!(
             g.rules[0].program.ops,
@@ -283,7 +286,7 @@ mod tests {
                 constant: 0.05
             }]
         );
-        assert_eq!(g.rules[0].source, "LOAD(false_submit_rate) <= 0.05");
+        assert_eq!(&*g.rules[0].source, "LOAD(false_submit_rate) <= 0.05");
         match &g.actions[0] {
             CompiledAction::Save { key, value } => {
                 assert_eq!(key, "ml_enabled");

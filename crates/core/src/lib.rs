@@ -18,18 +18,18 @@
 //!    fold constants, and run an eBPF-style verifier (instruction budget,
 //!    bounded stack, forward-only jumps, operand typing).
 //! 3. [`monitor`] — the in-kernel engine: trigger scheduling, rule
-//!    evaluation on the [`vm`], violation records, per-monitor overhead
-//!    accounting (property P5), and anti-oscillation hysteresis (§6).
+//!    evaluation on the [`vm`], one bounded stream of its decisions
+//!    (violations, actions, notices), per-monitor overhead accounting
+//!    (property P5), and anti-oscillation hysteresis (§6).
 //! 4. [`action`] — the A1–A4 action semantics and the command outbox that
 //!    subsystems drain to apply `DEPRIORITIZE`/`RETRAIN`.
 //! 5. [`store`] — the `SAVE`/`LOAD` feature store with windowed series,
 //!    counters, EWMA, and histograms (§4.3).
 //! 6. [`props`] — synthesized guardrail templates for the paper's property
 //!    taxonomy P1–P6 (Figure 1).
-//! 7. [`telemetry`] — the runtime's own observability: a metrics registry,
-//!    a lock-free trace ring, and self-monitoring via the reserved
-//!    `__telemetry/` feature-store namespace (property P5 over the monitor
-//!    collection itself).
+//! 7. [`telemetry`] — the runtime's own observability: a metrics registry
+//!    and self-monitoring via the reserved `__telemetry/` feature-store
+//!    namespace (property P5 over the monitor collection itself).
 //!
 //! # Examples
 //!

@@ -1,27 +1,25 @@
 //! The monitor engine: trigger scheduling, evaluation, and action dispatch.
 
+use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 
 use simkernel::Nanos;
 
-use crate::action::report::ReportSink;
 use crate::action::retrain::RetrainLimiter;
 use crate::action::{Command, CommandOutbox};
 use crate::compile::ir::Program;
 use crate::compile::{compile_str, CompiledAction, CompiledGuardrail};
 use crate::error::{GuardrailError, Result};
 use crate::monitor::checkpoint::EngineCheckpoint;
+use crate::monitor::events::{Event, EventKind, EventLog, TriggerKind, Violation};
 use crate::monitor::hysteresis::Hysteresis;
 use crate::monitor::overhead::{OverheadAccount, OverheadReport};
 use crate::monitor::resilience::{FailMode, ResilienceConfig, RuntimeConfig};
 use crate::monitor::state::{self, MonitorState, PendingRetrain};
-use crate::monitor::violation::{TriggerKind, Violation, ViolationLog};
 use crate::policy::PolicyRegistry;
 use crate::store::fxhash::FxHashMap;
 use crate::store::{FeatureStore, Slot};
-use crate::telemetry::{
-    ActionKind, Telemetry, TelemetrySnapshot, TraceKind, NO_MONITOR, RESERVED_PREFIX,
-};
+use crate::telemetry::{ActionKind, Telemetry, TelemetrySnapshot, RESERVED_PREFIX};
 use crate::vm::{DeltaState, EvalCtx, Vm};
 
 /// Aggregate engine statistics: a view over the accounts, read with
@@ -72,20 +70,21 @@ pub struct FnEvent<'a> {
     pub args: &'a [f64],
 }
 
-/// A borrowed trigger descriptor used on the hot path, materialized into an
-/// owning [`TriggerKind`] only when a violation is actually recorded — the
-/// overwhelmingly common healthy evaluation allocates nothing.
+/// A borrowed trigger descriptor used on the hot path, turned into a
+/// [`TriggerKind`] only when a violation is recorded: the hook name is the
+/// dispatch index's own `Arc`, so that costs a reference count, and the
+/// overwhelmingly common healthy evaluation touches nothing.
 #[derive(Clone, Copy, Debug)]
 enum TriggerRef<'a> {
     Timer,
-    Function(&'a str),
+    Function(&'a Arc<str>),
 }
 
 impl TriggerRef<'_> {
     fn to_kind(self) -> TriggerKind {
         match self {
             TriggerRef::Timer => TriggerKind::Timer,
-            TriggerRef::Function(hook) => TriggerKind::Function(hook.to_string()),
+            TriggerRef::Function(hook) => TriggerKind::Function(Arc::clone(hook)),
         }
     }
 }
@@ -155,16 +154,17 @@ impl Monitor {
 pub struct MonitorEngine {
     store: Arc<FeatureStore>,
     registry: Arc<PolicyRegistry>,
-    reports: ReportSink,
     outbox: CommandOutbox,
     limiter: RetrainLimiter,
     /// The installed monitors, in installation order.
     monitors: Vec<Monitor>,
     /// The hook→subscribers dispatch index: one fast-hash lookup per event
     /// (or per batch) resolves every monitor attached to a tracepoint.
-    /// Maintained incrementally by `install`/`uninstall`.
-    hooks: FxHashMap<String, Vec<usize>>,
-    violations: ViolationLog,
+    /// Maintained incrementally by `install`/`uninstall`. The key is the
+    /// hook name function-triggered violation events share.
+    hooks: FxHashMap<Arc<str>, Vec<usize>>,
+    /// Every decision, recorded once.
+    events: EventLog,
     vm: Vm,
     now: Nanos,
     /// The summed accounts of uninstalled monitors.
@@ -173,9 +173,9 @@ pub struct MonitorEngine {
     /// Dynamic per-evaluation rule fuel budget (fault-injection knob; the
     /// verifier's static bound still applies regardless).
     rule_fuel_limit: Option<u64>,
-    /// Optional observability bundle: the registry's own metrics and the
-    /// trace ring. `None` (the default) costs one pointer-is-none check per
-    /// site; counting does not depend on it.
+    /// Optional observability bundle: the registry's own metrics. `None`
+    /// (the default) costs one pointer-is-none check per site; counting and
+    /// the decision stream do not depend on it.
     telemetry: Option<Arc<Telemetry>>,
     /// When set, `advance_to` republishes telemetry into the store's
     /// reserved namespace at this cadence (default off: published values
@@ -205,12 +205,11 @@ impl MonitorEngine {
         MonitorEngine {
             store,
             registry,
-            reports: ReportSink::new(),
             outbox: CommandOutbox::default(),
             limiter: RetrainLimiter::default_policy(),
             monitors: Vec::new(),
             hooks: FxHashMap::default(),
-            violations: ViolationLog::default(),
+            events: EventLog::default(),
             vm: Vm::new(),
             now: Nanos::ZERO,
             retired: OverheadAccount::default(),
@@ -222,8 +221,8 @@ impl MonitorEngine {
         }
     }
 
-    /// Attaches an observability bundle. Registry metrics and trace events
-    /// are recorded from this point on.
+    /// Attaches an observability bundle. Registry metrics are recorded from
+    /// this point on.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         self.telemetry = Some(telemetry);
     }
@@ -291,11 +290,6 @@ impl MonitorEngine {
         Arc::clone(&self.registry)
     }
 
-    /// The report sink (cloneable; shares the underlying log).
-    pub fn reports(&self) -> ReportSink {
-        self.reports.clone()
-    }
-
     /// Installs a compiled guardrail; names must be unique per engine.
     pub fn install(&mut self, compiled: CompiledGuardrail) -> Result<()> {
         if self.lookup(&compiled.name).is_ok() {
@@ -303,7 +297,10 @@ impl MonitorEngine {
         }
         let idx = self.monitors.len();
         for hook in &compiled.hooks {
-            self.hooks.entry(hook.clone()).or_default().push(idx);
+            self.hooks
+                .entry(hook.as_str().into())
+                .or_default()
+                .push(idx);
         }
         let rule_slots = compiled
             .rules
@@ -391,7 +388,7 @@ impl MonitorEngine {
     fn lookup(&self, name: &str) -> Result<usize> {
         self.monitors
             .iter()
-            .position(|m| m.compiled.name == name)
+            .position(|m| &*m.compiled.name == name)
             .ok_or_else(|| GuardrailError::Config(format!("no installed guardrail '{name}'")))
     }
 
@@ -399,7 +396,7 @@ impl MonitorEngine {
     pub fn monitor_names(&self) -> Vec<String> {
         self.monitors
             .iter()
-            .map(|m| m.compiled.name.clone())
+            .map(|m| m.compiled.name.to_string())
             .collect()
     }
 
@@ -472,7 +469,7 @@ impl MonitorEngine {
                     self.outbox.push(
                         now,
                         Command::Retrain {
-                            guardrail: name.clone(),
+                            guardrail: name.to_string(),
                             model: p.model.clone(),
                         },
                     );
@@ -481,7 +478,7 @@ impl MonitorEngine {
                 }
                 p.attempt += 1;
                 if p.attempt >= retry.max_attempts {
-                    self.reports.info(
+                    self.events.notice(
                         now,
                         name,
                         format!(
@@ -505,29 +502,28 @@ impl MonitorEngine {
     /// Delivers a batch of tracepoint firings for one hook.
     ///
     /// Semantically identical to calling [`MonitorEngine::on_function`] once
-    /// per event in order — violation logs and store effects are
+    /// per event in order — the decision stream and store effects are
     /// bit-identical — but the hook is resolved through the dispatch index
     /// once, the wall clock is read twice per *batch* instead of twice per
     /// evaluation, and no per-event allocations occur. The measured batch
     /// wall time is apportioned across the evaluating monitors by their
-    /// evaluation counts (see [`MonitorEngine::apportion_wall`]; modelled
-    /// fuel accounting is exact either way).
+    /// evaluation counts (the shares sum to exactly the measured time;
+    /// modelled fuel accounting is exact either way).
     pub fn on_function_batch(&mut self, hook: &str, events: &[FnEvent<'_>]) {
         if events.is_empty() {
             return;
         }
-        if !self.hooks.contains_key(hook) {
+        // Detach the hook's entry for the duration of the batch so
+        // `evaluate_inner` can borrow the engine mutably. Installs and
+        // uninstalls only happen between engine entry points, never inside
+        // an evaluation, so the list cannot change underneath us.
+        let Some((hook, subscribers)) = self.hooks.remove_entry(hook) else {
             // No subscribers: the clock still advances, as it would have
             // under sequential delivery.
             let last = events.iter().map(|e| e.now).max().unwrap_or(self.now);
             self.now = self.now.max(last);
             return;
-        }
-        // Detach the subscriber list for the duration of the batch so
-        // `evaluate_inner` can borrow the engine mutably. Installs and
-        // uninstalls only happen between engine entry points, never inside
-        // an evaluation, so the list cannot change underneath us.
-        let subscribers = std::mem::take(self.hooks.get_mut(hook).expect("checked above"));
+        };
         let evals_before: Vec<u64> = subscribers
             .iter()
             .map(|&m| self.monitors[m].state.account.evaluations)
@@ -535,30 +531,20 @@ impl MonitorEngine {
         if let Some(t) = &self.telemetry {
             t.m.batches.inc();
             t.m.batch_events.add(events.len() as u64);
-            t.trace.record(
-                self.now,
-                TraceKind::EvalStart,
-                NO_MONITOR,
-                events.len() as f64,
-            );
         }
         let started = std::time::Instant::now();
         for event in events {
             self.now = self.now.max(event.now);
             for &midx in &subscribers {
-                self.evaluate_inner(midx, event.now, event.args, TriggerRef::Function(hook));
+                self.evaluate_inner(midx, event.now, event.args, TriggerRef::Function(&hook));
             }
         }
         let wall_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         if let Some(t) = &self.telemetry {
             t.m.eval_wall_hist.observe(wall_ns);
-            t.trace
-                .record(self.now, TraceKind::EvalEnd, NO_MONITOR, wall_ns as f64);
         }
         self.apportion_wall(&subscribers, &evals_before, wall_ns);
-        if let Some(list) = self.hooks.get_mut(hook) {
-            *list = subscribers;
-        }
+        self.hooks.insert(hook, subscribers);
     }
 
     /// Charges `wall_ns` to the monitors in `subscribers` in proportion to
@@ -595,9 +581,6 @@ impl MonitorEngine {
     /// evaluation (the batch path measures once per batch instead).
     fn evaluate(&mut self, midx: usize, now: Nanos, args: &[f64], trigger: TriggerRef<'_>) {
         let evals_before = self.monitors[midx].state.account.evaluations;
-        if let Some(t) = &self.telemetry {
-            t.trace.record(now, TraceKind::EvalStart, midx as u32, 1.0);
-        }
         let started = std::time::Instant::now();
         self.evaluate_inner(midx, now, args, trigger);
         let wall_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
@@ -605,8 +588,6 @@ impl MonitorEngine {
             if self.monitors[midx].state.account.evaluations > evals_before {
                 t.m.eval_wall_hist.observe(wall_ns);
             }
-            t.trace
-                .record(now, TraceKind::EvalEnd, midx as u32, wall_ns as f64);
         }
         self.apportion_wall(&[midx], &[evals_before], wall_ns);
     }
@@ -629,10 +610,10 @@ impl MonitorEngine {
             state.watchdog_tripped = false;
             state.consecutive_faults = 0;
             state.probation_until = None;
-            self.reports.info(
+            self.events.notice(
                 now,
                 &compiled.name,
-                "watchdog probation over, monitor re-enabled",
+                "watchdog probation over, monitor re-enabled".into(),
             );
         }
         let mut fuel = 0u64;
@@ -694,22 +675,20 @@ impl MonitorEngine {
             return;
         };
         state.account.violations += 1;
-        if let Some(t) = &self.telemetry {
-            t.trace
-                .record(now, TraceKind::Violation, midx as u32, rule_index as f64);
-        }
         let fire = state.hysteresis.observe(true, now);
         if fire {
             state.account.trips += 1;
         }
-        self.violations.push(Violation {
-            at: now,
-            guardrail: compiled.name.clone(),
-            rule_index,
-            rule_source: compiled.rules[rule_index].source.clone(),
-            trigger: trigger.to_kind(),
-            actions_fired: fire,
-        });
+        self.events.record(
+            now,
+            Some(&compiled.name),
+            EventKind::Violation {
+                rule_index,
+                rule: Arc::clone(&compiled.rules[rule_index].source),
+                trigger: trigger.to_kind(),
+                actions_fired: fire,
+            },
+        );
         if fire {
             self.dispatch_actions(midx, now, args);
         }
@@ -723,10 +702,11 @@ impl MonitorEngine {
         let Monitor {
             compiled, state, ..
         } = &mut self.monitors[midx];
+        let name = &compiled.name;
         state.account.rule_faults += 1;
         state.consecutive_faults += 1;
-        self.reports
-            .info(now, &compiled.name, format!("rule fault: {reason}"));
+        self.events
+            .notice(now, name, format!("rule fault: {reason}"));
         let Some(watchdog) = self.resilience.watchdog else {
             return;
         };
@@ -737,14 +717,13 @@ impl MonitorEngine {
         state.watchdog_tripped = true;
         state.probation_until = watchdog.probation.map(|p| now + p);
         state.account.watchdog_trips += 1;
-        self.reports.report(
+        self.events.notice(
             now,
-            &compiled.name,
-            &format!(
+            name,
+            format!(
                 "watchdog disabled monitor after {} consecutive rule faults ({reason})",
                 watchdog.max_consecutive_faults
             ),
-            &[],
         );
         if watchdog.fail_mode == FailMode::FailClosed {
             // The property can no longer be checked: presume it violated
@@ -786,19 +765,18 @@ impl MonitorEngine {
 
     fn dispatch_actions(&mut self, midx: usize, now: Nanos, args: &[f64]) {
         // Borrow the engine field by field so the monitor's actions are
-        // walked in place while the outbox, reports and counters are
+        // walked in place while the outbox, the stream and counters are
         // written.
         let MonitorEngine {
             store,
             registry,
-            reports,
             outbox,
             limiter,
             monitors,
+            events,
             vm,
             resilience,
             rule_fuel_limit,
-            telemetry,
             ..
         } = self;
         let Monitor {
@@ -819,6 +797,7 @@ impl MonitorEngine {
         for (aidx, (action, slots)) in compiled.actions.iter().zip(action_slots.iter()).enumerate()
         {
             let mut fuel = 0u64;
+            let mut text = None;
             let kind = match action {
                 CompiledAction::Report { .. } => ActionKind::Report,
                 CompiledAction::Replace { .. } => ActionKind::Replace,
@@ -840,7 +819,15 @@ impl MonitorEngine {
             };
             match action {
                 CompiledAction::Report { message, .. } => {
-                    reports.report(now, name, message, &slots.keys);
+                    // The message plus a snapshot of the listed keys (absent
+                    // keys read 0): "logging information about the violated
+                    // property" (§3.2).
+                    let mut report = message.clone();
+                    for slot in slots.keys.iter() {
+                        let value = slot.load().unwrap_or(0.0);
+                        let _ = write!(report, " {}={value}", slot.key());
+                    }
+                    text = Some(report);
                 }
                 CompiledAction::Replace { slot, variant } => {
                     let outcome = if resilience.replace_fallback {
@@ -848,7 +835,7 @@ impl MonitorEngine {
                         // slot's registered default instead of doing nothing.
                         registry.replace_with_fallback(slot, variant).map(|chosen| {
                             if &chosen != variant {
-                                reports.info(
+                                events.notice(
                                     now,
                                     name,
                                     format!(
@@ -863,9 +850,9 @@ impl MonitorEngine {
                     };
                     if let Err(e) = outcome {
                         // A REPLACE against an unknown slot is a deployment
-                        // bug; surface it in the report log rather than
-                        // crashing the monitor (crash-free semantics, §4.2).
-                        reports.info(now, name, format!("REPLACE failed: {e}"));
+                        // bug; surface it in the stream rather than crashing
+                        // the monitor (crash-free semantics, §4.2).
+                        events.notice(now, name, format!("REPLACE failed: {e}"));
                     }
                 }
                 CompiledAction::Retrain { model } => {
@@ -873,7 +860,7 @@ impl MonitorEngine {
                         outbox.push(
                             now,
                             Command::Retrain {
-                                guardrail: name.clone(),
+                                guardrail: name.to_string(),
                                 model: model.clone(),
                             },
                         );
@@ -899,13 +886,10 @@ impl MonitorEngine {
                                 r.value.round().clamp(i32::MIN as f64, i32::MAX as f64) as i32
                             }
                             Err(reason) => {
-                                reports.info(
+                                events.notice(
                                     now,
                                     name,
-                                    format!(
-                                        "DEPRIORITIZE operand fault: {reason}; \
-                                         action skipped"
-                                    ),
+                                    format!("DEPRIORITIZE operand fault: {reason}; action skipped"),
                                 );
                                 continue;
                             }
@@ -915,7 +899,7 @@ impl MonitorEngine {
                     outbox.push(
                         now,
                         Command::Deprioritize {
-                            guardrail: name.clone(),
+                            guardrail: name.to_string(),
                             target: target.clone(),
                             steps: steps_value,
                         },
@@ -928,7 +912,7 @@ impl MonitorEngine {
                         store.save_slot(&slots.keys[0], r.value);
                     }
                     Err(reason) => {
-                        reports.info(
+                        events.notice(
                             now,
                             name,
                             format!("SAVE operand fault: {reason}; action skipped"),
@@ -942,7 +926,7 @@ impl MonitorEngine {
                         store.record_slot(&slots.keys[0], now, r.value);
                     }
                     Err(reason) => {
-                        reports.info(
+                        events.notice(
                             now,
                             name,
                             format!("RECORD operand fault: {reason}; action skipped"),
@@ -953,10 +937,7 @@ impl MonitorEngine {
             }
             account.actions[kind as usize] += 1;
             account.action_fuel += fuel;
-            if let Some(t) = telemetry {
-                t.trace
-                    .record(now, TraceKind::Action, midx as u32, kind as usize as f64);
-            }
+            events.record(now, Some(name), EventKind::Action { kind, text });
         }
     }
 
@@ -976,14 +957,23 @@ impl MonitorEngine {
         self.outbox.drain_into(buf);
     }
 
-    /// Snapshot of recorded violations, oldest first.
-    pub fn violations(&self) -> Vec<Violation> {
-        self.violations.iter().cloned().collect()
+    /// The decision stream: every violation, action, notice, checkpoint and
+    /// restart, oldest first, bounded at
+    /// [`crate::monitor::EVENT_CAPACITY`] retained events.
+    pub fn events(&self) -> &EventLog {
+        &self.events
     }
 
-    /// The violation log (bounded ring).
-    pub fn violation_log(&self) -> &ViolationLog {
-        &self.violations
+    /// The retained violations, oldest first: a view of the stream. The
+    /// count of every violation ever detected is [`Self::stats`]'s.
+    pub fn violations(&self) -> Vec<Violation> {
+        self.events.iter().filter_map(Event::violation).collect()
+    }
+
+    /// The retained events that carry text, oldest first: `REPORT`
+    /// messages with their key snapshots, and notices.
+    pub fn reports(&self) -> impl Iterator<Item = &Event> + '_ {
+        self.events.iter().filter(|e| e.text().is_some())
     }
 
     /// The field-wise sum of the retired total and every installed
@@ -1004,17 +994,9 @@ impl MonitorEngine {
     }
 
     /// The deterministic counter summary: the sum of every account, as in
-    /// [`MonitorEngine::stats`], plus the attached trace ring's non-span
-    /// events (0 without telemetry).
+    /// [`MonitorEngine::stats`], without wall time.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         let sum = self.account_sum();
-        let trace_marks = self.telemetry.as_ref().map_or(0, |t| {
-            t.trace
-                .snapshot()
-                .iter()
-                .filter(|e| !matches!(e.kind, TraceKind::EvalStart | TraceKind::EvalEnd))
-                .count() as u64
-        });
         TelemetrySnapshot {
             evaluations: sum.evaluations,
             violations: sum.violations,
@@ -1022,7 +1004,6 @@ impl MonitorEngine {
             rule_fuel: sum.rule_fuel,
             action_fuel: sum.action_fuel,
             actions: sum.actions,
-            trace_marks,
         }
     }
 
@@ -1033,6 +1014,8 @@ impl MonitorEngine {
     ///   `__telemetry/engine/{evaluations,violations,trips,rule_fuel,
     ///   action_fuel,eval_wall_ns}` and `__telemetry/actions/<kind>`;
     /// - the store's write count under `__telemetry/store/saves`;
+    /// - the decision stream's recorded and evicted counts under
+    ///   `__telemetry/events/{recorded,overwritten}`;
     /// - per-guardrail P5 accounts under
     ///   `__telemetry/guardrail/<name>/{evaluations,rule_fuel,action_fuel,
     ///   wall_ns,modeled_ns,overhead_fraction}`. The fraction is
@@ -1060,6 +1043,8 @@ impl MonitorEngine {
             ("engine/action_fuel", sum.action_fuel),
             ("engine/eval_wall_ns", sum.wall_ns),
             ("store/saves", saves),
+            ("events/recorded", self.events.recorded()),
+            ("events/overwritten", self.events.overwritten()),
         ] {
             save(name, value as f64);
         }
@@ -1090,7 +1075,7 @@ impl MonitorEngine {
         self.monitors
             .iter()
             .map(|m| OverheadReport {
-                guardrail: m.compiled.name.clone(),
+                guardrail: m.compiled.name.to_string(),
                 account: m.state.account,
             })
             .collect()
@@ -1111,13 +1096,13 @@ impl MonitorEngine {
     /// every installed monitor's [`MonitorState`] with its name and
     /// fingerprint, the retired total, and the active variant of every
     /// policy slot. Take a checkpoint after `advance_to`/`on_function`
-    /// returns — never mid-dispatch.
-    pub fn checkpoint(&self) -> EngineCheckpoint {
+    /// returns — never mid-dispatch. The capture is recorded in the
+    /// decision stream.
+    pub fn checkpoint(&mut self) -> EngineCheckpoint {
         if let Some(t) = &self.telemetry {
             t.m.checkpoints.inc();
-            t.trace
-                .record(self.now, TraceKind::Checkpoint, NO_MONITOR, 0.0);
         }
+        self.events.record(self.now, None, EventKind::Checkpoint);
         EngineCheckpoint {
             now: self.now,
             slots: self.registry.active_variants(),
@@ -1127,7 +1112,7 @@ impl MonitorEngine {
                 .iter()
                 .map(|m| {
                     (
-                        m.compiled.name.clone(),
+                        m.compiled.name.to_string(),
                         Some(m.fingerprint()),
                         m.state.clone(),
                     )
@@ -1183,9 +1168,8 @@ impl MonitorEngine {
         }
         if let Some(t) = &self.telemetry {
             t.m.restores.inc();
-            t.trace
-                .record(self.now, TraceKind::Restart, NO_MONITOR, 0.0);
         }
+        self.events.record(self.now, None, EventKind::Restart);
         Ok(())
     }
 }
@@ -1198,6 +1182,13 @@ fn already_installed(name: &str) -> GuardrailError {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether a retained `REPORT` message or notice contains `needle`.
+    fn reported(engine: &MonitorEngine, needle: &str) -> bool {
+        engine
+            .reports()
+            .any(|r| r.text().is_some_and(|t| t.contains(needle)))
+    }
 
     const LISTING_2: &str = r#"
 guardrail low-false-submit {
@@ -1278,7 +1269,7 @@ guardrail low-false-submit {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].trigger, TriggerKind::Function("io_submit".into()));
         assert_eq!(engine.store().load("io_size"), Some(8192.0));
-        assert_eq!(engine.reports().len(), 1);
+        assert_eq!(engine.reports().count(), 1);
         // Unrelated hooks are ignored.
         engine.on_function("other", Nanos::from_micros(3), &[1.0]);
         assert_eq!(engine.violations().len(), 1);
@@ -1410,8 +1401,7 @@ guardrail low-false-submit {
             )
             .unwrap();
         engine.advance_to(Nanos::ZERO);
-        let reports = engine.reports().records();
-        assert!(reports.iter().any(|r| r.message.contains("REPLACE failed")));
+        assert!(reported(&engine, "REPLACE failed"));
     }
 
     #[test]
@@ -1502,11 +1492,8 @@ guardrail low-false-submit {
             engine.violations().is_empty(),
             "faulted rules record no violations"
         );
-        let reports = engine.reports().records();
-        assert!(reports.iter().any(|r| r.message.contains("rule fault")));
-        assert!(reports
-            .iter()
-            .any(|r| r.message.contains("watchdog disabled monitor after 3")));
+        assert!(reported(&engine, "rule fault"));
+        assert!(reported(&engine, "watchdog disabled monitor after 3"));
         // Manual re-enable clears the trip state.
         engine.set_rule_fuel_limit(None);
         engine.set_enabled("g", true).unwrap();
@@ -1534,11 +1521,7 @@ guardrail low-false-submit {
         engine.advance_to(Nanos::from_secs(2));
         assert!(engine.stats().trips > 0, "the violation still trips");
         assert_eq!(store.load("y"), Some(7.0), "starved SAVE left y untouched");
-        assert!(engine
-            .reports()
-            .records()
-            .iter()
-            .any(|r| r.message.contains("SAVE operand fault")));
+        assert!(reported(&engine, "SAVE operand fault"));
         // With the budget lifted the action completes again.
         engine.set_rule_fuel_limit(None);
         engine.advance_to(Nanos::from_secs(4));
@@ -1596,11 +1579,7 @@ guardrail low-false-submit {
             !engine.violations().is_empty(),
             "rule evaluates (and violates) again after re-enable"
         );
-        assert!(engine
-            .reports()
-            .records()
-            .iter()
-            .any(|r| r.message.contains("probation over")));
+        assert!(reported(&engine, "probation over"));
     }
 
     #[test]
@@ -1705,11 +1684,7 @@ guardrail low-false-submit {
         engine.advance_to(Nanos::from_secs(30));
         assert_eq!(engine.drain_commands().len(), 1, "only the first lands");
         assert_eq!(engine.pending_retrains(), 0, "gave up, not queued forever");
-        assert!(engine
-            .reports()
-            .records()
-            .iter()
-            .any(|r| r.message.contains("gave up after 2 attempts")));
+        assert!(reported(&engine, "gave up after 2 attempts"));
     }
 
     #[test]
@@ -1725,11 +1700,7 @@ guardrail low-false-submit {
         engine.install_str(spec).unwrap();
         engine.advance_to(Nanos::ZERO);
         assert!(engine.registry().is_active("io_policy", "learned"));
-        assert!(engine
-            .reports()
-            .records()
-            .iter()
-            .any(|r| r.message.contains("REPLACE failed")));
+        assert!(reported(&engine, "REPLACE failed"));
         // Hardened: it degrades to the slot's safe default.
         let mut engine = MonitorEngine::new();
         engine.set_resilience(ResilienceConfig {
@@ -1743,11 +1714,7 @@ guardrail low-false-submit {
         engine.install_str(spec).unwrap();
         engine.advance_to(Nanos::ZERO);
         assert!(engine.registry().is_active("io_policy", "fallback"));
-        assert!(engine
-            .reports()
-            .records()
-            .iter()
-            .any(|r| r.message.contains("fell back to 'fallback'")));
+        assert!(reported(&engine, "fell back to 'fallback'"));
     }
 
     #[test]
@@ -1768,7 +1735,7 @@ guardrail low-false-submit {
         assert_eq!(
             engine.violations().len(),
             violations_before,
-            "the violation log survives uninstall"
+            "recorded violations survive uninstall"
         );
         let commands = engine.drain_commands();
         assert!(
@@ -1941,7 +1908,7 @@ guardrail low-false-submit {
     }
 
     #[test]
-    fn telemetry_counters_and_trace_follow_the_engine() {
+    fn telemetry_counters_and_the_stream_follow_the_engine() {
         let t = Telemetry::new();
         let mut engine = MonitorEngine::new();
         engine.set_telemetry(Arc::clone(&t));
@@ -1960,33 +1927,73 @@ guardrail low-false-submit {
             3,
             "SAVE fired each tick"
         );
-        assert_eq!(snap.trace_marks, 6, "violations and actions; no eval spans");
-        // An engine without telemetry counts the same, and the two engines'
-        // different wall times never enter the snapshot.
+        // Each violation and each SAVE is one event; evaluations are none.
+        let kinds: Vec<&EventKind> = engine.events().iter().map(|e| &e.kind).collect();
+        assert_eq!(kinds.len(), 6, "violations and actions; no eval spans");
+        for pair in kinds.chunks(2) {
+            assert!(matches!(pair[0], EventKind::Violation { .. }));
+            let save = EventKind::Action {
+                kind: ActionKind::Save,
+                text: None,
+            };
+            assert_eq!(pair[1], &save);
+        }
+        // An engine without telemetry counts and records the same, and the
+        // two engines' different wall times enter neither.
         let mut plain = MonitorEngine::new();
         plain.install_str(LISTING_2).unwrap();
         plain.store().save("false_submit_rate", 0.2);
         plain.advance_to(Nanos::from_secs(2));
+        assert_eq!(plain.telemetry_snapshot(), snap);
         assert_eq!(
-            plain.telemetry_snapshot(),
-            TelemetrySnapshot {
-                trace_marks: 0,
-                ..snap
-            }
+            plain.events().export_json_lines(),
+            engine.events().export_json_lines()
         );
-        let events = t.trace.snapshot();
-        assert!(events.iter().any(|e| e.kind == TraceKind::Violation));
-        assert!(events.iter().any(|e| e.kind == TraceKind::EvalEnd));
-        // Checkpoint/restore leave their own marks and counters.
+        // Checkpoint and restore record their own engine events and count.
         let checkpoint = engine.checkpoint();
         engine.restore(&checkpoint).unwrap();
         assert_eq!(t.m.checkpoints.get(), 1);
         assert_eq!(t.m.restores.get(), 1);
-        assert!(t
-            .trace
-            .snapshot()
+        let tail: Vec<(Option<&str>, &EventKind)> = engine
+            .events()
             .iter()
-            .any(|e| e.kind == TraceKind::Restart));
+            .skip(6)
+            .map(|e| (e.guardrail.as_deref(), &e.kind))
+            .collect();
+        assert_eq!(
+            tail,
+            [(None, &EventKind::Checkpoint), (None, &EventKind::Restart)]
+        );
+    }
+
+    #[test]
+    fn attribution_survives_update_str() {
+        let mut engine = MonitorEngine::new();
+        engine
+            .install_str(
+                "guardrail a { trigger: { FUNCTION(io_submit) }, rule: { ARG(0) < 1 }, action: { RECORD(a_hits, 1) } }
+                 guardrail b { trigger: { FUNCTION(io_submit) }, rule: { ARG(0) >= 0 }, action: { RECORD(b_hits, 1) } }",
+            )
+            .unwrap();
+        engine.on_function("io_submit", Nanos::from_micros(1), &[5.0]);
+        // Updating `a` reinstalls it behind the bystander: the monitors
+        // are renumbered, the decision already recorded is not.
+        engine
+            .update_str(
+                "guardrail a { trigger: { FUNCTION(io_submit) }, rule: { ARG(0) < 10 }, action: { RECORD(a_hits, 1) } }",
+            )
+            .unwrap();
+        assert_eq!(engine.monitor_names(), ["b", "a"]);
+        let decision: Vec<&Event> = engine.events().iter().collect();
+        assert_eq!(decision.len(), 2, "a's violation and its RECORD");
+        assert!(matches!(decision[0].kind, EventKind::Violation { .. }));
+        for event in decision {
+            assert_eq!(event.guardrail.as_deref(), Some("a"), "{event:?}");
+        }
+        let violations = engine.violations();
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].guardrail, "a");
+        assert_eq!(violations[0].rule_source, "ARG(0) < 1");
     }
 
     #[test]
@@ -2071,14 +2078,13 @@ guardrail low-false-submit {
         published.sort();
         let mut expected: Vec<String> = "actions/deprioritize actions/record actions/replace \
              actions/report actions/retrain actions/save engine/action_fuel engine/batch_events \
-             engine/batches engine/checkpoints engine/eval_wall_ns engine/eval_wall_ns_hist/count \
+             engine/batches engine/checkpoints events/overwritten events/recorded engine/eval_wall_ns engine/eval_wall_ns_hist/count \
              engine/eval_wall_ns_hist/p50 engine/eval_wall_ns_hist/p95 \
              engine/eval_wall_ns_hist/p99 engine/eval_wall_ns_hist/sum engine/evaluations \
              engine/restores engine/rule_fuel engine/trips engine/violations \
              guardrail/low-false-submit/action_fuel guardrail/low-false-submit/evaluations \
              guardrail/low-false-submit/modeled_ns guardrail/low-false-submit/overhead_fraction \
-             guardrail/low-false-submit/rule_fuel guardrail/low-false-submit/wall_ns store/saves \
-             trace/overwritten trace/recorded"
+             guardrail/low-false-submit/rule_fuel guardrail/low-false-submit/wall_ns store/saves"
             .split_whitespace()
             .map(|k| format!("{RESERVED_PREFIX}{k}"))
             .collect();
@@ -2090,6 +2096,8 @@ guardrail low-false-submit {
         );
         assert_eq!(store.load("__telemetry/engine/evaluations"), Some(3.0));
         assert_eq!(store.load("__telemetry/actions/save"), Some(3.0));
+        assert_eq!(store.load("__telemetry/events/recorded"), Some(6.0));
+        assert_eq!(store.load("__telemetry/events/overwritten"), Some(0.0));
         assert_eq!(
             store.load("__telemetry/store/saves"),
             Some(4.0),
@@ -2354,7 +2362,7 @@ guardrail low-false-submit {
         assert_eq!(engine.stats().violations, 1);
         assert_eq!(store.load("ml_enabled"), Some(0.0));
         assert_eq!(store.keys(), ["ml_enabled", "rate", "trips"]);
-        let reports = engine.reports().records();
-        assert_eq!(reports[0].message, "rate high rate=0.5 seen=0");
+        let report = engine.reports().next().unwrap();
+        assert_eq!(report.text(), Some("rate high rate=0.5 seen=0"));
     }
 }

@@ -11,5 +11,5 @@ pub use crate::policy::{
 };
 pub use crate::spec::{parse, parse_and_check};
 pub use crate::store::FeatureStore;
-pub use crate::telemetry::{Telemetry, TelemetrySnapshot, TraceKind, RESERVED_PREFIX};
+pub use crate::telemetry::{Telemetry, TelemetrySnapshot, RESERVED_PREFIX};
 pub use simkernel::Nanos;

@@ -3,7 +3,7 @@
 //! The paper's property taxonomy includes P5 (decision overhead), and its
 //! action set is anchored by A1 (`REPORT`) — yet a monitor collection that
 //! cannot observe *itself* leaves the operator guessing about where monitor
-//! time goes. This module closes that gap with three pieces:
+//! time goes. This module closes that gap with two pieces:
 //!
 //! 1. **One counter source.** The engine counts every evaluation,
 //!    violation, trip, fuel unit, action firing and measured nanosecond
@@ -16,15 +16,16 @@
 //!    histograms holds only what telemetry itself measures
 //!    ([`EngineMetrics`]): batches, batch events, the eval-wall-time
 //!    histogram, checkpoints and restores.
-//! 2. **A trace ring** ([`TraceRing`]): a lock-free, bounded,
-//!    overwrite-oldest ring of spans and events (eval start/end, violation,
-//!    action, checkpoint, restart) with text and JSON exporters.
-//! 3. **Self-monitoring**: [`crate::monitor::MonitorEngine::publish_telemetry`]
+//! 2. **Self-monitoring**: [`crate::monitor::MonitorEngine::publish_telemetry`]
 //!    writes the metrics into the feature store under the reserved
 //!    `__telemetry/` namespace, so a guardrail spec can `LOAD` them — the
 //!    worked "overhead guardrail" (`examples/overhead_guardrail.rs`)
 //!    `REPORT`s and `DEPRIORITIZE`s a monitor whose own P5 overhead exceeds
 //!    budget, closing the paper's loop.
+//!
+//! What the engine *decided* — violations, actions, notices, checkpoints,
+//! restarts — is not here: the engine records each decision once in its
+//! own stream ([`crate::monitor::EventLog`]).
 //!
 //! Reserved keys are process-lifetime observations, not durable state: the
 //! store's write-ahead journal skips them, snapshots exclude them, and WAL
@@ -34,17 +35,14 @@
 //! Everything on the hot path is allocation-free and the per-evaluation
 //! path is atomic-free: counting is a plain `+=` on the monitor's account,
 //! the same with telemetry attached or not. Registry updates happen once per
-//! entry point (once per batch, not once per event), histogram observes are
-//! a shift plus two adds, and trace records (rare events only: violations,
-//! actions, checkpoints) are five atomic stores into a pre-sized ring.
+//! entry point (once per batch, not once per event), and histogram observes
+//! are a shift plus two adds.
 
 pub mod metrics;
-pub mod trace;
 
 use std::sync::Arc;
 
 pub use metrics::{Counter, LogHistogram, MetricValue, MetricsRegistry, HIST_BUCKETS};
-pub use trace::{TraceEvent, TraceKind, TraceRing, NO_MONITOR};
 
 use crate::store::FeatureStore;
 
@@ -154,47 +152,30 @@ pub struct TelemetrySnapshot {
     pub action_fuel: u64,
     /// Action firings by kind, indexed by [`ActionKind`].
     pub actions: [u64; 6],
-    /// Trace events recorded that are not wall-time spans (violations,
-    /// actions, checkpoints, restarts).
-    pub trace_marks: u64,
 }
 
-/// The telemetry bundle a host attaches to an engine: one registry, the
-/// pre-registered engine handles, and the trace ring.
+/// The telemetry bundle a host attaches to an engine: one registry and the
+/// pre-registered engine handles.
 #[derive(Debug)]
 pub struct Telemetry {
     registry: MetricsRegistry,
     /// Recording handles (hot-path side).
     pub m: EngineMetrics,
-    /// The span/event trace.
-    pub trace: TraceRing,
 }
 
-/// Default trace-ring capacity (events).
-pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
-
 impl Telemetry {
-    /// Creates a telemetry bundle with the default trace capacity.
+    /// Creates a telemetry bundle.
     pub fn new() -> Arc<Self> {
-        Self::with_trace_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// Creates a telemetry bundle whose trace ring holds `capacity` events.
-    pub fn with_trace_capacity(capacity: usize) -> Arc<Self> {
         let registry = MetricsRegistry::new();
         let m = EngineMetrics::register(&registry);
-        Arc::new(Telemetry {
-            registry,
-            m,
-            trace: TraceRing::new(capacity),
-        })
+        Arc::new(Telemetry { registry, m })
     }
 
     /// Publishes every registered metric into `store` under the reserved
     /// `__telemetry/` namespace (`__telemetry/<metric-name>` for scalars,
-    /// `.../{count,sum,p50,p95,p99}` for histograms), plus the trace ring's
-    /// own occupancy. Reserved keys skip the write-ahead journal, so
-    /// publishing is cheap and never pollutes durable state.
+    /// `.../{count,sum,p50,p95,p99}` for histograms). Reserved keys skip the
+    /// write-ahead journal, so publishing is cheap and never pollutes durable
+    /// state.
     pub fn publish_registry(&self, store: &FeatureStore) {
         let mut key = String::with_capacity(64);
         for (name, value) in self.registry.snapshot() {
@@ -225,14 +206,6 @@ impl Telemetry {
                 }
             }
         }
-        store.save(
-            &format!("{RESERVED_PREFIX}trace/recorded"),
-            self.trace.recorded() as f64,
-        );
-        store.save(
-            &format!("{RESERVED_PREFIX}trace/overwritten"),
-            self.trace.overwritten() as f64,
-        );
     }
 }
 
@@ -261,7 +234,6 @@ mod tests {
             store.load("__telemetry/engine/eval_wall_ns_hist/count"),
             Some(1.0)
         );
-        assert_eq!(store.load("__telemetry/trace/recorded"), Some(0.0));
         // Publishing is repeatable (overwrite-in-place).
         t.m.batches.inc();
         t.publish_registry(&store);

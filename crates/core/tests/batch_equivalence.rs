@@ -1,6 +1,6 @@
 //! Property test: the engine's batched ingestion path is *observationally
 //! identical* to the sequential path. `on_function_batch(hook, events)`
-//! must produce the same violation log, the same store state, the same
+//! must produce the same decision stream, the same store state, the same
 //! deferred commands, and the same deterministic stats as N sequential
 //! `on_function` calls — for any event history and any chunking of it into
 //! batches, including a checkpoint/restore in the middle.
@@ -85,9 +85,11 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
 #[derive(Debug, PartialEq)]
 struct Observable {
     violations: Vec<guardrails::monitor::Violation>,
+    /// The decision stream's JSON-lines export.
+    stream: String,
     scalars: Vec<(String, f64)>,
-    total_violations: u64,
     stats: EngineStats,
+    telemetry: TelemetrySnapshot,
 }
 
 fn observe(engine: &MonitorEngine) -> Observable {
@@ -97,9 +99,10 @@ fn observe(engine: &MonitorEngine) -> Observable {
     stats.eval_wall_ns = 0; // machine noise, excluded by design
     Observable {
         violations: engine.violations(),
+        stream: engine.events().export_json_lines(),
         scalars,
-        total_violations: engine.violation_log().total(),
         stats,
+        telemetry: engine.telemetry_snapshot(),
     }
 }
 
@@ -115,9 +118,8 @@ fn check_counts_are_account_sums(engine: &MonitorEngine) {
         sum.merge(&report.account);
     }
     prop_assert_eq!(engine.stats(), EngineStats::from(sum));
-    let snapshot = engine.telemetry_snapshot();
     prop_assert_eq!(
-        snapshot,
+        engine.telemetry_snapshot(),
         TelemetrySnapshot {
             evaluations: sum.evaluations,
             violations: sum.violations,
@@ -125,7 +127,6 @@ fn check_counts_are_account_sums(engine: &MonitorEngine) {
             rule_fuel: sum.rule_fuel,
             action_fuel: sum.action_fuel,
             actions: sum.actions,
-            trace_marks: snapshot.trace_marks,
         }
     );
     engine.publish_telemetry();
@@ -281,9 +282,9 @@ proptest! {
         run_sequential_chunked(&mut sequential, &second, &cuts, mid_seq);
         run_batched(&mut restored, &second, &cuts, mid_bat);
 
-        // The violation *log* does not cross a restart (it is in-memory
-        // telemetry; decisions persist via the store and checkpoint), so
-        // compare store state, stats, and post-restore behaviour instead.
+        // The decision stream does not cross a restart (it is in-memory;
+        // decisions persist via the store and checkpoint), so compare store
+        // state, stats, and post-restore behaviour instead.
         let mut seq_obs = observe(&sequential);
         let mut res_obs = observe(&restored);
         // Restored log holds only post-restore violations; trim the
@@ -293,9 +294,58 @@ proptest! {
         prop_assert_eq!(&seq_obs.violations, &res_obs.violations);
         seq_obs.violations.clear();
         res_obs.violations.clear();
-        seq_obs.total_violations = 0;
-        res_obs.total_violations = 0;
+        seq_obs.stream.clear();
+        res_obs.stream.clear();
         prop_assert_eq!(seq_obs, res_obs);
         check_counts_are_account_sums(&sequential);
     }
+}
+
+/// One monitor whose every evaluation violates and `SAVE`s.
+const ALWAYS_VIOLATES: &str = r#"
+guardrail oversized {
+    trigger: { FUNCTION(io_submit) },
+    rule: { ARG(0) <= 4096 },
+    action: { SAVE(io_size, ARG(0)) }
+}
+"#;
+
+#[test]
+fn a_history_that_overflows_the_stream_is_delivery_independent() {
+    // 70 000 violations and their 70 000 SAVEs overflow the stream's ring
+    // more than twice over; what it retains, and every counter, must not
+    // depend on whether the events came one by one or in batches of 256.
+    const EVENTS: u64 = 70_000;
+    let engine = || {
+        let mut engine = MonitorEngine::new();
+        engine.set_telemetry(Telemetry::new());
+        engine.install_str(ALWAYS_VIOLATES).unwrap();
+        engine
+    };
+    let args: Vec<[f64; 1]> = (0..EVENTS).map(|i| [5000.0 + (i % 97) as f64]).collect();
+    let events: Vec<FnEvent<'_>> = args
+        .iter()
+        .enumerate()
+        .map(|(i, a)| FnEvent {
+            now: Nanos::from_micros(i as u64 + 1),
+            args: a,
+        })
+        .collect();
+    let mut sequential = engine();
+    for event in &events {
+        sequential.on_function("io_submit", event.now, event.args);
+    }
+    let mut batched = engine();
+    for batch in events.chunks(256) {
+        batched.on_function_batch("io_submit", batch);
+    }
+    let stream = sequential.events();
+    assert_eq!(stream.recorded(), 2 * EVENTS);
+    assert!(stream.overwritten() > 0, "the history overflows the ring");
+    assert_eq!(sequential.telemetry_snapshot().violations, EVENTS);
+    let (seq, bat) = (observe(&sequential), observe(&batched));
+    assert_eq!(seq.stream.lines().count(), stream.len());
+    assert!(seq.stream == bat.stream, "the exported streams differ");
+    assert_eq!(seq.telemetry, bat.telemetry);
+    assert_eq!(seq, bat);
 }

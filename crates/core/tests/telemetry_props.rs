@@ -1,6 +1,5 @@
 //! Property and invariant tests for the telemetry layer: log-histogram
-//! bucket monotonicity, trace-ring wraparound (overwrite-oldest, never
-//! block, never grow), and the reserved `__telemetry/` namespace's
+//! bucket monotonicity and the reserved `__telemetry/` namespace's
 //! durability contract — observations are process-lifetime state and must
 //! never be journaled, snapshotted, or replayed back into user state.
 
@@ -11,7 +10,7 @@ use guardrails::store::durable::{
 };
 use guardrails::store::snapshot::Snapshot;
 use guardrails::store::wal::{encode_frame, WalRecord};
-use guardrails::telemetry::{is_reserved, LogHistogram, Telemetry, TraceKind, TraceRing};
+use guardrails::telemetry::{is_reserved, LogHistogram, Telemetry};
 use guardrails::{MonitorEngine, PolicyRegistry};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -92,40 +91,6 @@ fn histogram_bucket_edges_at_u64_extremes() {
     assert_eq!(LogHistogram::bucket_index((1u64 << 63) - 1), 63);
     assert_eq!(LogHistogram::bucket_upper_bound(64), u64::MAX);
     assert!(u64::MAX > LogHistogram::bucket_upper_bound(63));
-}
-
-// ---------------------------------------------------------------------------
-// Trace ring wraparound.
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// For any capacity and any number of records, the ring retains exactly
-    /// the newest `capacity` events in sequence order, reports the rest as
-    /// overwritten, and never grows.
-    #[test]
-    fn trace_ring_wraparound_keeps_newest(capacity in 0usize..100, total in 0u64..600) {
-        let ring = TraceRing::new(capacity);
-        let cap = ring.capacity() as u64;
-        prop_assert!(cap >= 8 && cap.is_power_of_two());
-        for i in 0..total {
-            ring.record(Nanos::from_nanos(i), TraceKind::Violation, 0, i as f64);
-        }
-        let events = ring.snapshot();
-        let retained = total.min(cap);
-        prop_assert_eq!(events.len() as u64, retained);
-        prop_assert_eq!(ring.recorded(), total);
-        prop_assert_eq!(ring.overwritten(), total.saturating_sub(cap));
-        // Oldest-first, contiguous, and exactly the newest `retained` seqs;
-        // payloads travel with their seq (no slot mixes two writes).
-        for (offset, event) in events.iter().enumerate() {
-            let expected = total - retained + offset as u64;
-            prop_assert_eq!(event.seq, expected);
-            prop_assert_eq!(event.at, Nanos::from_nanos(expected));
-            prop_assert_eq!(event.value, expected as f64);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

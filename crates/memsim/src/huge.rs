@@ -276,7 +276,7 @@ pub fn run_huge_sim(config: HugeSimConfig) -> HugeReport {
         worst_fault: worst,
         stalls,
         huge_allocated,
-        violations: engine.violations().len(),
+        violations: engine.stats().violations as usize,
         learned_active_at_end: registry.is_active("thp_policy", VARIANT_LEARNED),
     }
 }

@@ -280,7 +280,7 @@ pub fn run_tiering_sim(config: TieringSimConfig) -> TieringReport {
         phase2_hit_rate: phase2_hits as f64 / config.phase2_accesses.max(1) as f64,
         phase2_tail_hit_rate: tail_hits as f64 / tail_total.max(1) as f64,
         invalid_allocs: mem.rejected(),
-        violations: engine.violations().len(),
+        violations: engine.stats().violations as usize,
         swaps: registry.swap_count("mem_policy"),
         learned_active_at_end: registry.is_active("mem_policy", VARIANT_LEARNED),
         retrained,

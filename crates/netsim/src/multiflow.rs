@@ -221,7 +221,7 @@ pub fn run_fairness_sim(config: FairnessSimConfig) -> FairnessReport {
             tail_acked[0] / total_acked.max(1e-9),
             tail_acked[1] / total_acked.max(1e-9),
         ],
-        violations: engine.violations().len(),
+        violations: engine.stats().violations as usize,
         learned_active_at_end: registry.is_active("cc_policy", VARIANT_LEARNED),
     }
 }

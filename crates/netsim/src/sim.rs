@@ -209,7 +209,7 @@ pub fn run_cc_sim(config: CcSimConfig) -> CcReport {
         clean_utilization: clean_util / config.clean_rounds.max(1) as f64,
         noisy_utilization: noisy_util / config.noisy_rounds.max(1) as f64,
         noisy_tail_utilization: tail_util / tail_rounds.max(1) as f64,
-        violations: engine.violations().len(),
+        violations: engine.stats().violations as usize,
         learned_active_at_end: registry.is_active("cc_policy", VARIANT_LEARNED),
         series,
         telemetry: engine.telemetry_snapshot(),

@@ -73,7 +73,6 @@ fn acks() -> impl Strategy<Value = Vec<Ack>> {
 struct Observable {
     violations: Vec<guardrails::monitor::Violation>,
     scalars: Vec<(String, f64)>,
-    total_violations: u64,
     stats: EngineStats,
     telemetry: TelemetrySnapshot,
 }
@@ -86,7 +85,6 @@ fn observe(engine: &MonitorEngine) -> Observable {
     Observable {
         violations: engine.violations(),
         scalars,
-        total_violations: engine.violation_log().total(),
         stats,
         telemetry: engine.telemetry_snapshot(),
     }

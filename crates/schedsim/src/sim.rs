@@ -294,7 +294,7 @@ pub fn run_sched_sim(config: SchedSimConfig) -> SchedReport {
         batch_max_wait,
         max_wait,
         jain: JainIndex::of(&shares),
-        violations: engine.violations().len(),
+        violations: engine.stats().violations as usize,
         commands_applied,
         telemetry: engine.telemetry_snapshot(),
     }

@@ -5,8 +5,7 @@
 //! provides the kernel-shaped substrate those monitors attach to in this
 //! reproduction: a nanosecond-resolution simulated clock, task control blocks
 //! with priorities (the surface the `DEPRIORITIZE` action manipulates), a
-//! deterministic RNG for workload generation, a bounded kernel log, and
-//! lightweight metric helpers.
+//! deterministic RNG for workload generation, and lightweight metric helpers.
 //!
 //! Everything is deterministic given a seed: simulations in the evaluation can
 //! be replayed exactly, which addresses one of the debuggability concerns (§1
@@ -14,13 +13,11 @@
 
 #![warn(missing_docs)]
 
-pub mod log;
 pub mod metrics;
 pub mod rng;
 pub mod task;
 pub mod time;
 
-pub use log::{KernelLog, LogLevel, LogRecord};
 pub use metrics::{JainIndex, MovingAverage, RunningStats};
 pub use rng::DetRng;
 pub use task::{Priority, TaskControl, TaskId, TaskState, TaskTable, Tcb};

@@ -607,7 +607,7 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
         detection_delay: detection_at.map(|t| t.saturating_sub(fault_start)),
         recovery,
         violations: stats.violations,
-        reports: engine.reports().len(),
+        reports: engine.reports().count(),
         rule_faults: stats.rule_faults,
         watchdog_trips: stats.watchdog_trips,
         retrain_retries: stats.retrain_retries,

@@ -492,7 +492,7 @@ fn run_plan(
         }
 
         ios += 1;
-        if let (Some(durable_store), Some(engine)) = (&node.durable, &node.engine) {
+        if let (Some(durable_store), Some(engine)) = (&node.durable, &mut node.engine) {
             durable_store
                 .maybe_compact()
                 .expect("in-memory backend cannot fail");

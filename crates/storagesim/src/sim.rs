@@ -279,13 +279,12 @@ impl LinnosSim {
         let end_stats = self.array.stats();
         let healthy = PhaseStats::from_delta(stats_at_train, stats_at_shift);
         let shifted_stats = PhaseStats::from_delta(stats_at_shift, end_stats);
-        let violations = self.engine.violations();
         SimReport {
             series,
-            guardrail_triggered_at: violations.first().map(|v| v.at),
+            guardrail_triggered_at: self.engine.violations().first().map(|v| v.at),
             healthy,
             shifted: shifted_stats,
-            violations: violations.len(),
+            violations: self.engine.stats().violations as usize,
             ml_enabled_at_end: ml_enabled.flag(),
             telemetry: self.engine.telemetry_snapshot(),
         }

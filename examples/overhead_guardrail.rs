@@ -56,9 +56,8 @@ guardrail overhead-budget {
 "#;
 
 fn main() {
-    let telemetry = Telemetry::new();
     let mut engine = MonitorEngine::new();
-    engine.set_telemetry(telemetry.clone());
+    engine.set_telemetry(Telemetry::new());
     engine.set_telemetry_publish_interval(Some(Nanos::from_millis(1)));
     engine.install_str(HOG).expect("hog installs");
     engine.install_str(BUDGET).expect("budget installs");
@@ -98,12 +97,12 @@ fn main() {
         .load("__telemetry/guardrail/hog/overhead_fraction")
         .unwrap_or(0.0);
     println!("\n== REPORT log (A1) ==");
-    for record in engine.reports().records() {
+    for record in engine.reports() {
         println!(
             "  [{}] {}: {}",
             record.at.as_nanos(),
-            record.source,
-            record.message
+            record.guardrail.as_deref().unwrap_or("-"),
+            record.text().unwrap_or_default()
         );
     }
 
@@ -120,13 +119,16 @@ fn main() {
     }
     println!("\nhog overhead fraction at the end: {fraction:.4} (budget 0.01)");
 
-    println!("\n== trace ring (last 8 events) ==");
-    let resolve = {
-        let names = engine.monitor_names();
-        move |m: u32| names.get(m as usize).cloned()
-    };
-    let text = telemetry.trace.export_text(&resolve);
-    for line in text.lines().rev().take(8).collect::<Vec<_>>().iter().rev() {
+    println!("\n== decision stream (last 8 events, JSON lines) ==");
+    let stream = engine.events().export_json_lines();
+    for line in stream
+        .lines()
+        .rev()
+        .take(8)
+        .collect::<Vec<_>>()
+        .iter()
+        .rev()
+    {
         println!("  {line}");
     }
 }

@@ -26,7 +26,7 @@ fn listing2_compiles_to_a_tiny_verified_monitor() {
     let compiled = compile_str(LISTING_2).unwrap();
     assert_eq!(compiled.len(), 1);
     let g = &compiled[0];
-    assert_eq!(g.name, "low-false-submit");
+    assert_eq!(&*g.name, "low-false-submit");
     assert_eq!(g.timers.len(), 1);
     assert_eq!(g.timers[0].interval, Nanos::from_secs(1));
     // The whole rule is one load-compare superinstruction; the verifier

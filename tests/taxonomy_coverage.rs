@@ -44,7 +44,7 @@ fn p1_in_distribution_detects_drift_and_requests_retrain() {
     drift.publish(&store, Nanos::from_secs(3));
     engine.advance_to(Nanos::from_secs(4));
     assert!(!engine.violations().is_empty(), "P1 fires on drift");
-    assert!(!engine.reports().is_empty(), "A1 report written");
+    assert!(engine.reports().next().is_some(), "A1 report written");
     let commands = engine.drain_commands();
     assert!(
         commands
