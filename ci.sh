@@ -25,6 +25,12 @@ fi
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 
+# The benchmark package is outside the workspace but builds against its
+# crates by path: lint it here, so a public-API change that breaks its build
+# or its lints fails CI rather than the benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+cargo fmt --manifest-path perfbench/Cargo.toml --check
+
 # Rustdoc gate: a doc link to a type that no longer exists (or to a private
 # item) is a warning, and warnings fail CI.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -91,6 +91,7 @@ pub fn run_cache_sim(config: CacheSimConfig) -> CacheReport {
     registry
         .register("cache_policy", &[VARIANT_LEARNED, VARIANT_FALLBACK])
         .expect("fresh registry");
+    let learned = registry.handle("cache_policy", VARIANT_LEARNED);
     let mut engine = MonitorEngine::with_parts(
         Arc::new(guardrails::FeatureStore::new()),
         Arc::clone(&registry),
@@ -148,7 +149,7 @@ pub fn run_cache_sim(config: CacheSimConfig) -> CacheReport {
         }
 
         // The main cache runs the active policy.
-        let learned_active = registry.is_active("cache_policy", VARIANT_LEARNED);
+        let learned_active = learned.is_active();
         let hit = main.access(key);
         if !hit {
             let admit = if learned_active && admission.is_frozen() {
@@ -208,7 +209,7 @@ pub fn run_cache_sim(config: CacheSimConfig) -> CacheReport {
 
         // A REPLACE swap also flips the main cache's eviction policy: the
         // fallback is the paper's comparator, random replacement.
-        if !registry.is_active("cache_policy", VARIANT_LEARNED) {
+        if !learned.is_active() {
             main.set_policy(EvictionPolicy::Random);
         }
     }
@@ -221,7 +222,7 @@ pub fn run_cache_sim(config: CacheSimConfig) -> CacheReport {
         shadow_lru_phase2: 0.0_f64.max(shadow_lru.hit_rate()),
         shadow_random_phase2: 0.0_f64.max(shadow_random.hit_rate()),
         violations: engine.stats().violations as usize,
-        learned_active_at_end: registry.is_active("cache_policy", VARIANT_LEARNED),
+        learned_active_at_end: learned.is_active(),
         telemetry: engine.telemetry_snapshot(),
     }
 }

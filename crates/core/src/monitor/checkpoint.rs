@@ -33,14 +33,14 @@
 //! fingerprint and restore by name with empty `DELTA` state, zero
 //! accounts, no pending retries and timers anchored at their start times.
 
-use std::fmt::Write as _;
-
 use simkernel::Nanos;
 
 use crate::error::Result;
 use crate::monitor::engine::EngineStats;
 use crate::monitor::overhead::OverheadAccount;
-use crate::monitor::state::{corrupt, parse, parse_account, write_account, MonitorState};
+use crate::monitor::state::{
+    corrupt, parse, parse_account, write_account, MonitorState, PutText, HEX_DIGITS,
+};
 use crate::store::wal::crc32;
 
 /// First token of an encoded checkpoint (magic + format version).
@@ -78,26 +78,17 @@ impl EngineCheckpoint {
 
     /// Encodes the checkpoint as a checksummed, line-oriented GRCP2 blob.
     pub fn encode(&self) -> Vec<u8> {
-        // The header's checksum field is filled in once the body is written.
-        let mut out = format!("{CHECKPOINT_MAGIC} 00000000\n");
-        let header = out.len();
-        self.write_body(&mut out)
-            .expect("writing to a String cannot fail");
-        let crc = format!("{:08x}", crc32(&out.as_bytes()[header..]));
-        out.replace_range(header - 9..header - 1, &crc);
-        out.into_bytes()
-    }
-
-    fn write_body(&self, out: &mut String) -> std::fmt::Result {
-        writeln!(out, "now {}", self.now.as_nanos())?;
-        write_account(out, "retired", &self.retired)?;
-        for (slot, variant) in &self.slots {
-            writeln!(out, "slot {slot} {variant}")?;
-        }
-        for (name, fingerprint, state) in &self.monitors {
-            state.encode(name, *fingerprint, out)?;
-        }
-        Ok(())
+        let mut out = Vec::new();
+        encode_into(
+            &mut out,
+            self.now,
+            &self.retired,
+            self.slots.iter().map(|(s, v)| (s.as_str(), v.as_str())),
+            self.monitors
+                .iter()
+                .map(|(name, fingerprint, state)| (name.as_str(), *fingerprint, state)),
+        );
+        out
     }
 
     /// Decodes and validates a GRCP2 or GRCP1 checkpoint blob.
@@ -178,6 +169,35 @@ impl EngineCheckpoint {
             retired: retired.ok_or_else(|| corrupt("missing retired line"))?,
             monitors,
         })
+    }
+}
+
+/// Writes a GRCP2 blob into `out`, replacing its contents: the one
+/// encoder behind [`EngineCheckpoint::encode`] and
+/// [`MonitorEngine::checkpoint_into`](super::MonitorEngine::checkpoint_into).
+/// It allocates only to grow `out`.
+pub(crate) fn encode_into<'s, 'm>(
+    out: &mut Vec<u8>,
+    now: Nanos,
+    retired: &OverheadAccount,
+    slots: impl Iterator<Item = (&'s str, &'s str)>,
+    monitors: impl Iterator<Item = (&'m str, Option<u32>, &'m MonitorState)>,
+) {
+    out.clear();
+    // The header's checksum field is filled in once the body is written.
+    out.put(CHECKPOINT_MAGIC).put(" 00000000\n");
+    let header = out.len();
+    out.put("now ").put_u64(now.as_nanos()).put("\n");
+    write_account(out, "retired", retired);
+    for (slot, variant) in slots {
+        out.put("slot ").put(slot).put(" ").put(variant).put("\n");
+    }
+    for (name, fingerprint, state) in monitors {
+        state.encode(name, fingerprint, out);
+    }
+    let crc = crc32(&out[header..]);
+    for (i, digit) in out[header - 9..header - 1].iter_mut().enumerate() {
+        *digit = HEX_DIGITS[(crc >> (28 - 4 * i)) as usize & 0xf];
     }
 }
 

@@ -10,7 +10,7 @@ use crate::action::{Command, CommandOutbox};
 use crate::compile::ir::Program;
 use crate::compile::{compile_str, CompiledAction, CompiledGuardrail};
 use crate::error::{GuardrailError, Result};
-use crate::monitor::checkpoint::EngineCheckpoint;
+use crate::monitor::checkpoint::{self, EngineCheckpoint};
 use crate::monitor::events::{Event, EventKind, EventLog, TriggerKind, Violation};
 use crate::monitor::hysteresis::Hysteresis;
 use crate::monitor::overhead::{OverheadAccount, OverheadReport};
@@ -1099,10 +1099,7 @@ impl MonitorEngine {
     /// returns — never mid-dispatch. The capture is recorded in the
     /// decision stream.
     pub fn checkpoint(&mut self) -> EngineCheckpoint {
-        if let Some(t) = &self.telemetry {
-            t.m.checkpoints.inc();
-        }
-        self.events.record(self.now, None, EventKind::Checkpoint);
+        self.record_checkpoint();
         EngineCheckpoint {
             now: self.now,
             slots: self.registry.active_variants(),
@@ -1119,6 +1116,31 @@ impl MonitorEngine {
                 })
                 .collect(),
         }
+    }
+
+    /// Writes the GRCP2 encoding of [`MonitorEngine::checkpoint`] into
+    /// `out`, replacing its contents: the bytes `checkpoint().encode()`
+    /// returns, recorded in the decision stream and telemetry the same way,
+    /// but without copying any monitor's state or any name. A host that
+    /// checkpoints periodically keeps one buffer and allocates only while
+    /// it grows.
+    pub fn checkpoint_into(&mut self, out: &mut Vec<u8>) {
+        self.record_checkpoint();
+        let monitors = self
+            .monitors
+            .iter()
+            .map(|m| (&*m.compiled.name, Some(m.fingerprint()), &m.state));
+        self.registry.with_active_variants(|slots| {
+            checkpoint::encode_into(out, self.now, &self.retired, slots, monitors);
+        });
+    }
+
+    /// Counts and records a checkpoint capture.
+    fn record_checkpoint(&mut self) {
+        if let Some(t) = &self.telemetry {
+            t.m.checkpoints.inc();
+        }
+        self.events.record(self.now, None, EventKind::Checkpoint);
     }
 
     /// Restores a checkpoint into this engine, all or nothing: on `Err`

@@ -12,7 +12,7 @@
 //! (see [`super::checkpoint`] for the format as a whole).
 
 use std::collections::VecDeque;
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 
 use simkernel::Nanos;
 
@@ -124,67 +124,61 @@ impl MonitorState {
     ///
     /// Key-table sizes are comma-separated, one per program; an absent
     /// fingerprint or time is `-`.
-    pub(crate) fn encode(
-        &self,
-        name: &str,
-        fingerprint: Option<u32>,
-        out: &mut String,
-    ) -> fmt::Result {
-        write!(out, "monitor {name} ")?;
+    pub(crate) fn encode(&self, name: &str, fingerprint: Option<u32>, out: &mut Vec<u8>) {
+        out.put("monitor ").put(name).put(" ");
         match fingerprint {
-            Some(fingerprint) => write!(out, "{fingerprint:08x}")?,
-            None => out.push('-'),
-        }
-        write!(
-            out,
-            " {} {} {} ",
-            u8::from(self.enabled),
-            u8::from(self.watchdog_tripped),
-            self.consecutive_faults,
-        )?;
-        write_opt_nanos(out, self.probation_until)?;
+            Some(fingerprint) => out.put_hex(u64::from(fingerprint), 8),
+            None => out.put("-"),
+        };
+        out.put_fields([
+            u64::from(self.enabled),
+            u64::from(self.watchdog_tripped),
+            u64::from(self.consecutive_faults),
+        ])
+        .put(" ")
+        .put_opt_nanos(self.probation_until);
         for (i, deltas) in self.deltas.iter().enumerate() {
-            write!(out, "{}{}", if i == 0 { " " } else { "," }, deltas.len())?;
+            out.put(if i == 0 { " " } else { "," })
+                .put_u64(deltas.len() as u64);
         }
         if self.deltas.is_empty() {
-            out.push_str(" -");
+            out.put(" -");
         }
         let h = &self.hysteresis;
-        write!(
-            out,
-            "\nhyst {} {} {} ",
-            h.config.trip_threshold,
-            h.config.window,
-            h.config.cooldown.as_nanos()
-        )?;
-        write_opt_nanos(out, h.last_fire)?;
-        write!(out, " {} ", h.suppressed)?;
+        out.put("\nhyst")
+            .put_fields([
+                u64::from(h.config.trip_threshold),
+                u64::from(h.config.window),
+                h.config.cooldown.as_nanos(),
+            ])
+            .put(" ")
+            .put_opt_nanos(h.last_fire)
+            .put_fields([h.suppressed])
+            .put(" ");
         if h.recent.is_empty() {
-            out.push('-');
+            out.put("-");
         }
-        out.extend(h.recent.iter().map(|&v| if v { '1' } else { '0' }));
-        out.push('\n');
-        write_account(out, "account", &self.account)?;
+        out.extend(h.recent.iter().map(|&v| if v { b'1' } else { b'0' }));
+        out.put("\n");
+        write_account(out, "account", &self.account);
         for &due in &self.next_due {
-            out.push_str("timer ");
-            write_opt_nanos(out, due)?;
-            out.push('\n');
+            out.put("timer ").put_opt_nanos(due).put("\n");
         }
         for (program, deltas) in self.deltas.iter().enumerate() {
             for (key, value) in deltas.seen() {
-                writeln!(out, "delta {program} {key} {:016x}", value.to_bits())?;
+                out.put("delta")
+                    .put_fields([program as u64, u64::from(key)])
+                    .put(" ")
+                    .put_hex(value.to_bits(), 16)
+                    .put("\n");
             }
         }
         for r in &self.retrains {
-            writeln!(
-                out,
-                "retrain {} {} {}",
-                r.model,
-                r.attempt,
-                r.next_attempt.as_nanos()
-            )?;
+            out.put("retrain ")
+                .put(&r.model)
+                .put_fields([u64::from(r.attempt), r.next_attempt.as_nanos()])
+                .put("\n");
         }
-        Ok(())
     }
 
     /// Parses the fields of a `monitor` line after its name and fingerprint:
@@ -300,24 +294,82 @@ pub(crate) fn fingerprint(compiled: &CompiledGuardrail) -> u32 {
 /// Writes `<tag>` and the 16 counters of `account` as one line:
 /// evaluations, violations, trips, commands, rule faults, watchdog trips,
 /// retrain retries, rule fuel, action fuel, the six action counts, wall ns.
-pub(crate) fn write_account(out: &mut String, tag: &str, a: &OverheadAccount) -> fmt::Result {
-    write!(
-        out,
-        "{tag} {} {} {} {} {} {} {} {} {}",
-        a.evaluations,
-        a.violations,
-        a.trips,
-        a.commands_emitted,
-        a.rule_faults,
-        a.watchdog_trips,
-        a.retrain_retries,
-        a.rule_fuel,
-        a.action_fuel
-    )?;
-    for n in a.actions {
-        write!(out, " {n}")?;
+pub(crate) fn write_account(out: &mut Vec<u8>, tag: &str, a: &OverheadAccount) {
+    out.put(tag)
+        .put_fields([
+            a.evaluations,
+            a.violations,
+            a.trips,
+            a.commands_emitted,
+            a.rule_faults,
+            a.watchdog_trips,
+            a.retrain_retries,
+            a.rule_fuel,
+            a.action_fuel,
+        ])
+        .put_fields(a.actions)
+        .put_fields([a.wall_ns])
+        .put("\n");
+}
+
+/// The checkpoint's text writer: strings verbatim, integers in decimal,
+/// hex zero-padded and lowercase — the bytes `write!` with `{}` and
+/// `{:0Nx}` produces, without going through `core::fmt`.
+pub(crate) trait PutText {
+    /// Appends `s`.
+    fn put(&mut self, s: &str) -> &mut Self;
+    /// Appends `n` in decimal.
+    fn put_u64(&mut self, n: u64) -> &mut Self;
+    /// Appends the low `digits` hex digits of `n`.
+    fn put_hex(&mut self, n: u64, digits: u32) -> &mut Self;
+    /// Appends each of `fields` in decimal, each after a space.
+    fn put_fields(&mut self, fields: impl IntoIterator<Item = u64>) -> &mut Self {
+        for n in fields {
+            self.put(" ").put_u64(n);
+        }
+        self
     }
-    writeln!(out, " {}", a.wall_ns)
+    /// Appends a time in nanoseconds, or `-` for none.
+    fn put_opt_nanos(&mut self, v: Option<Nanos>) -> &mut Self {
+        match v {
+            Some(n) => self.put_u64(n.as_nanos()),
+            None => self.put("-"),
+        }
+    }
+}
+
+/// Lowercase hex digits, by value.
+pub(crate) const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+impl PutText for Vec<u8> {
+    fn put(&mut self, s: &str) -> &mut Self {
+        self.extend_from_slice(s.as_bytes());
+        self
+    }
+
+    fn put_u64(&mut self, mut n: u64) -> &mut Self {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.extend_from_slice(&digits[start..]);
+        self
+    }
+
+    fn put_hex(&mut self, n: u64, digits: u32) -> &mut Self {
+        self.extend(
+            (0..digits)
+                .rev()
+                .map(|i| HEX_DIGITS[(n >> (4 * i)) as usize & 0xf]),
+        );
+        self
+    }
 }
 
 /// Parses the counters [`write_account`] writes after its tag.
@@ -362,16 +414,6 @@ pub(crate) fn parse_opt_nanos(s: &str) -> Result<Option<Nanos>> {
     match s {
         "-" => Ok(None),
         n => Ok(Some(Nanos::from_nanos(parse(n)?))),
-    }
-}
-
-fn write_opt_nanos(out: &mut String, v: Option<Nanos>) -> fmt::Result {
-    match v {
-        Some(n) => write!(out, "{}", n.as_nanos()),
-        None => {
-            out.push('-');
-            Ok(())
-        }
     }
 }
 

@@ -6,12 +6,20 @@
 //! every decision to know which is active. The `REPLACE(slot, variant)`
 //! action swaps the active variant in the registry; the policy object itself
 //! never moves, so swaps are cheap and atomic.
+//!
+//! Decision paths ask through a [`VariantHandle`], resolved once like a
+//! store [`Slot`](crate::store::Slot): every registry mutation bumps a
+//! registry-wide generation, and a handle re-reads the slot under the lock
+//! only when the generation has moved since its last read. A decision whose
+//! registry has not changed costs two atomic loads and a compare: no string
+//! hash and no lock.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockWriteGuard};
 
 use crate::error::{GuardrailError, Result};
 
@@ -86,7 +94,20 @@ impl Slot {
 /// ```
 #[derive(Debug, Default)]
 pub struct PolicyRegistry {
-    slots: RwLock<HashMap<String, Slot>>,
+    /// Sorted by name, so checkpoints list slots without sorting.
+    slots: RwLock<BTreeMap<String, Slot>>,
+    /// Bumped under the write lock by every mutation (see
+    /// [`PolicyRegistry::slots_mut`]); a [`VariantHandle`] whose last read
+    /// saw this generation needs no lock.
+    generation: AtomicU64,
+}
+
+/// Whether `name` can be a slot or variant name: an engine checkpoint
+/// stores `slot <name> <variant>` lines split on whitespace, so a name
+/// that is empty or holds whitespace would make every checkpoint
+/// undecodable.
+fn valid_name(name: &str) -> bool {
+    !name.is_empty() && !name.chars().any(char::is_whitespace)
 }
 
 impl PolicyRegistry {
@@ -95,16 +116,64 @@ impl PolicyRegistry {
         Self::default()
     }
 
+    /// The slots under the write lock, with the generation bumped: every
+    /// mutation goes through here, so no [`VariantHandle`] can miss one. A
+    /// handle that loads the new generation re-reads under the read lock,
+    /// which waits for this guard to drop. The generation publishes no
+    /// data (the slots are only ever read under the lock), so it is
+    /// `Relaxed` throughout.
+    fn slots_mut(&self) -> RwLockWriteGuard<'_, BTreeMap<String, Slot>> {
+        let slots = self.slots.write();
+        self.generation.fetch_add(1, Ordering::Relaxed);
+        slots
+    }
+
+    /// A handle answering "is `variant` active in `slot`?" without hashing
+    /// `slot` or locking while the registry is unchanged. The slot need not
+    /// be registered yet: the handle reads `false` until it is.
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use guardrails::policy::{PolicyRegistry, VARIANT_FALLBACK, VARIANT_LEARNED};
+    ///
+    /// let reg = Arc::new(PolicyRegistry::new());
+    /// reg.register("io_latency", &[VARIANT_LEARNED, VARIANT_FALLBACK]).unwrap();
+    /// let learned = reg.handle("io_latency", VARIANT_LEARNED);
+    /// assert!(learned.is_active());
+    /// reg.replace("io_latency", VARIANT_FALLBACK).unwrap();
+    /// assert!(!learned.is_active());
+    /// ```
+    pub fn handle(self: &Arc<Self>, slot: &str, variant: &str) -> VariantHandle {
+        let handle = VariantHandle {
+            registry: Arc::clone(self),
+            slot: slot.into(),
+            variant: variant.into(),
+            cached: AtomicU64::new(0),
+        };
+        handle.resolve();
+        handle
+    }
+
     /// Registers a slot with its allowed variants; the first is active.
     ///
-    /// Returns an error on empty variants or a duplicate slot name.
+    /// Returns an error on empty variants, a duplicate slot name, or a slot
+    /// or variant name that is empty or holds whitespace (an engine
+    /// checkpoint could not carry it).
     pub fn register(&self, slot: &str, variants: &[&str]) -> Result<()> {
         if variants.is_empty() {
             return Err(GuardrailError::Config(format!(
                 "slot '{slot}' needs at least one variant"
             )));
         }
-        let mut slots = self.slots.write();
+        if let Some(bad) = std::iter::once(&slot)
+            .chain(variants)
+            .find(|name| !valid_name(name))
+        {
+            return Err(GuardrailError::Config(format!(
+                "policy name {bad:?} is empty or holds whitespace"
+            )));
+        }
+        let mut slots = self.slots_mut();
         if slots.contains_key(slot) {
             return Err(GuardrailError::Config(format!(
                 "slot '{slot}' already registered"
@@ -125,7 +194,7 @@ impl PolicyRegistry {
     /// Marks `variant` as the known-safe default `replace_with_fallback`
     /// degrades to when a requested variant is missing.
     pub fn set_default_variant(&self, slot: &str, variant: &str) -> Result<()> {
-        let mut slots = self.slots.write();
+        let mut slots = self.slots_mut();
         let s = slots
             .get_mut(slot)
             .ok_or_else(|| GuardrailError::Config(format!("no policy slot '{slot}'")))?;
@@ -144,7 +213,7 @@ impl PolicyRegistry {
     ///
     /// The active variant and the last remaining variant cannot be removed.
     pub fn unregister_variant(&self, slot: &str, variant: &str) -> Result<()> {
-        let mut slots = self.slots.write();
+        let mut slots = self.slots_mut();
         let s = slots
             .get_mut(slot)
             .ok_or_else(|| GuardrailError::Config(format!("no policy slot '{slot}'")))?;
@@ -173,7 +242,7 @@ impl PolicyRegistry {
     /// activated. Unknown *slots* still error — there is nothing safe to
     /// activate in a slot that does not exist.
     pub fn replace_with_fallback(&self, slot: &str, variant: &str) -> Result<String> {
-        let mut slots = self.slots.write();
+        let mut slots = self.slots_mut();
         let s = slots.get_mut(slot).ok_or_else(|| {
             GuardrailError::Config(format!("REPLACE on unknown policy slot '{slot}'"))
         })?;
@@ -207,7 +276,7 @@ impl PolicyRegistry {
     /// Replacing with the already-active variant is a counted no-op, so
     /// repeated violations do not thrash.
     pub fn replace(&self, slot: &str, variant: &str) -> Result<()> {
-        let mut slots = self.slots.write();
+        let mut slots = self.slots_mut();
         let s = slots.get_mut(slot).ok_or_else(|| {
             GuardrailError::Config(format!("REPLACE on unknown policy slot '{slot}'"))
         })?;
@@ -230,7 +299,7 @@ impl PolicyRegistry {
     /// Restoring an engine checkpoint uses this to re-apply `REPLACE`
     /// decisions (see [`PolicyRegistry::active_variants`]).
     pub fn pin_variants(&self, active: &[(String, String)]) -> Result<()> {
-        let mut slots = self.slots.write();
+        let mut slots = self.slots_mut();
         for (slot, variant) in active {
             if let Some(s) = slots.get(slot) {
                 if !s.variants.contains(variant) {
@@ -256,14 +325,24 @@ impl PolicyRegistry {
     /// registry state an engine checkpoint persists so a `REPLACE` decision
     /// survives a crash.
     pub fn active_variants(&self) -> Vec<(String, String)> {
-        let mut out: Vec<(String, String)> = self
-            .slots
-            .read()
+        self.with_active_variants(|slots| {
+            slots
+                .map(|(name, active)| (name.to_string(), active.to_string()))
+                .collect()
+        })
+    }
+
+    /// Runs `f` over every slot's `(name, active variant)`, sorted by
+    /// name, under the read lock: [`PolicyRegistry::active_variants`]
+    /// without copying a string.
+    pub(crate) fn with_active_variants<R>(
+        &self,
+        f: impl for<'a> FnOnce(&mut dyn Iterator<Item = (&'a str, &'a str)>) -> R,
+    ) -> R {
+        let slots = self.slots.read();
+        f(&mut slots
             .iter()
-            .map(|(name, s)| (name.clone(), s.active.clone()))
-            .collect();
-        out.sort();
-        out
+            .map(|(name, s)| (name.as_str(), s.active.as_str())))
     }
 
     /// Pins `slot` to its known-safe fallback variant (explicit default,
@@ -273,7 +352,7 @@ impl PolicyRegistry {
     /// forced onto its safe variant regardless of what the (possibly lost)
     /// monitor state said.
     pub fn pin_fallback(&self, slot: &str) -> Result<String> {
-        let mut slots = self.slots.write();
+        let mut slots = self.slots_mut();
         let s = slots
             .get_mut(slot)
             .ok_or_else(|| GuardrailError::Config(format!("no policy slot '{slot}'")))?;
@@ -289,8 +368,7 @@ impl PolicyRegistry {
     /// [`PolicyRegistry::pin_fallback`]); returns `(slot, variant)` pairs,
     /// sorted by slot.
     pub fn pin_all_fallbacks(&self) -> Vec<(String, String)> {
-        let mut slots = self.slots.write();
-        let mut out: Vec<(String, String)> = slots
+        self.slots_mut()
             .iter_mut()
             .map(|(name, s)| {
                 let chosen = s.fallback_variant().to_string();
@@ -300,9 +378,7 @@ impl PolicyRegistry {
                 }
                 (name.clone(), chosen)
             })
-            .collect();
-        out.sort();
-        out
+            .collect()
     }
 
     /// How many effective swaps `slot` has seen.
@@ -312,9 +388,58 @@ impl PolicyRegistry {
 
     /// Lists registered slot names, sorted.
     pub fn slots(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.slots.read().keys().cloned().collect();
-        names.sort();
-        names
+        self.slots.read().keys().cloned().collect()
+    }
+}
+
+/// Whether one variant is active in one slot, resolved once (see
+/// [`PolicyRegistry::handle`]).
+///
+/// The handle caches its last answer with the registry generation it read
+/// it at. [`VariantHandle::is_active`] loads the generation and, while it
+/// is unchanged, returns the cached answer; after any mutation it re-reads
+/// the slot under the read lock.
+#[derive(Debug)]
+pub struct VariantHandle {
+    registry: Arc<PolicyRegistry>,
+    slot: Box<str>,
+    variant: Box<str>,
+    /// `generation << 1 | active` of the last read. Only this handle
+    /// writes it, and it publishes nothing else, so `Relaxed` suffices.
+    cached: AtomicU64,
+}
+
+impl VariantHandle {
+    /// Whether the variant is active: [`PolicyRegistry::is_active`] without
+    /// a lock or a hash while the registry is unchanged.
+    #[inline]
+    pub fn is_active(&self) -> bool {
+        let cached = self.cached.load(Ordering::Relaxed);
+        if cached >> 1 == self.registry.generation.load(Ordering::Relaxed) {
+            cached & 1 == 1
+        } else {
+            self.resolve()
+        }
+    }
+
+    /// Re-reads the slot under the read lock. The generation read under
+    /// it cannot move until the lock drops, so the cached pair is one
+    /// consistent observation.
+    #[cold]
+    fn resolve(&self) -> bool {
+        let slots = self.registry.slots.read();
+        let generation = self.registry.generation.load(Ordering::Relaxed);
+        let active = slots
+            .get(&*self.slot)
+            .is_some_and(|s| *s.active == *self.variant);
+        self.cached
+            .store(generation << 1 | u64::from(active), Ordering::Relaxed);
+        active
+    }
+
+    /// The slot this handle watches.
+    pub fn slot(&self) -> &str {
+        &self.slot
     }
 }
 
@@ -324,8 +449,8 @@ impl PolicyRegistry {
 /// wrapper dispatches to whichever variant the registry says is active and
 /// tracks how many decisions each variant served.
 pub struct GuardedPolicy<L, F> {
-    slot: String,
-    registry: Arc<PolicyRegistry>,
+    /// Whether the learned variant is active in the pair's slot.
+    learned_active: VariantHandle,
     learned: L,
     fallback: F,
     learned_decisions: u64,
@@ -340,8 +465,7 @@ impl<L: LearnedPolicy, F: FallbackPolicy> GuardedPolicy<L, F> {
     pub fn new(slot: &str, registry: Arc<PolicyRegistry>, learned: L, fallback: F) -> Result<Self> {
         registry.register(slot, &[VARIANT_LEARNED, VARIANT_FALLBACK])?;
         Ok(GuardedPolicy {
-            slot: slot.to_string(),
-            registry,
+            learned_active: registry.handle(slot, VARIANT_LEARNED),
             learned,
             fallback,
             learned_decisions: 0,
@@ -351,7 +475,7 @@ impl<L: LearnedPolicy, F: FallbackPolicy> GuardedPolicy<L, F> {
 
     /// Decides via the active variant.
     pub fn decide(&mut self, features: &[f64]) -> f64 {
-        if self.registry.is_active(&self.slot, VARIANT_LEARNED) {
+        if self.learned_active.is_active() {
             self.learned_decisions += 1;
             self.learned.decide(features)
         } else {
@@ -362,7 +486,7 @@ impl<L: LearnedPolicy, F: FallbackPolicy> GuardedPolicy<L, F> {
 
     /// Returns `true` when the learned variant is currently active.
     pub fn learned_active(&self) -> bool {
-        self.registry.is_active(&self.slot, VARIANT_LEARNED)
+        self.learned_active.is_active()
     }
 
     /// Inference cost of the *active* variant (fallbacks are free in the P5
@@ -387,14 +511,14 @@ impl<L: LearnedPolicy, F: FallbackPolicy> GuardedPolicy<L, F> {
 
     /// The slot name this pair is registered under.
     pub fn slot(&self) -> &str {
-        &self.slot
+        self.learned_active.slot()
     }
 }
 
 impl<L, F> fmt::Debug for GuardedPolicy<L, F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("GuardedPolicy")
-            .field("slot", &self.slot)
+            .field("slot", &self.learned_active.slot())
             .field("learned_decisions", &self.learned_decisions)
             .field("fallback_decisions", &self.fallback_decisions)
             .finish()
@@ -483,6 +607,63 @@ mod tests {
         );
         assert!(reg.unregister_variant("io", "nope").is_err());
         assert!(reg.unregister_variant("ghost", "x").is_err());
+    }
+
+    #[test]
+    fn names_a_checkpoint_cannot_carry_are_rejected() {
+        let reg = PolicyRegistry::new();
+        for bad in ["io submit", "io\nsubmit", "", "io\tsubmit", "io\r"] {
+            assert!(reg.register(bad, &["a", "b"]).is_err(), "slot {bad:?}");
+            assert!(reg.register("s", &["a", bad]).is_err(), "variant {bad:?}");
+        }
+        assert!(reg.slots().is_empty(), "nothing half-registered");
+        reg.register("io_submit", &["learned", "safe-mode"])
+            .unwrap();
+    }
+
+    #[test]
+    fn a_handle_sees_every_registry_mutation() {
+        let reg = Arc::new(PolicyRegistry::new());
+        // Created before its slot exists: false until it is registered.
+        let learned = reg.handle("io", VARIANT_LEARNED);
+        let fallback = reg.handle("io", VARIANT_FALLBACK);
+        let v2 = reg.handle("io", "v2");
+        assert!(!learned.is_active());
+        reg.register("io", &[VARIANT_LEARNED, VARIANT_FALLBACK, "v2"])
+            .unwrap();
+        reg.register("net", &["a", "b"]).unwrap();
+        let active = || (learned.is_active(), fallback.is_active(), v2.is_active());
+        assert_eq!(active(), (true, false, false), "register");
+        reg.replace("io", "v2").unwrap();
+        assert_eq!(active(), (false, false, true), "replace");
+        reg.replace_with_fallback("io", "gone").unwrap();
+        assert_eq!(active(), (false, true, false), "replace_with_fallback");
+        reg.pin_variants(&[("io".to_string(), VARIANT_LEARNED.to_string())])
+            .unwrap();
+        assert_eq!(active(), (true, false, false), "pin_variants");
+        reg.set_default_variant("io", "v2").unwrap();
+        assert_eq!(active(), (true, false, false), "set_default_variant");
+        reg.pin_fallback("io").unwrap();
+        assert_eq!(
+            active(),
+            (false, false, true),
+            "pin_fallback to the default"
+        );
+        reg.replace("io", VARIANT_LEARNED).unwrap();
+        reg.unregister_variant("io", "v2").unwrap();
+        assert_eq!(active(), (true, false, false), "unregister_variant");
+        reg.pin_all_fallbacks();
+        assert_eq!(active(), (false, true, false), "pin_all_fallbacks");
+        // Failed mutations change nothing a handle reports.
+        assert!(reg.replace("io", "v2").is_err());
+        assert!(reg
+            .pin_variants(&[("io".to_string(), "v2".to_string())])
+            .is_err());
+        assert_eq!(active(), (false, true, false));
+        // Each answer is the string API's.
+        for (handle, variant) in [(&learned, VARIANT_LEARNED), (&fallback, VARIANT_FALLBACK)] {
+            assert_eq!(handle.is_active(), reg.is_active("io", variant));
+        }
     }
 
     #[test]

@@ -30,10 +30,13 @@
 //! Lock order: the compaction lock, then a key's slot lock, then the
 //! appender's tail lock, then the backend's region lock.
 //! [`DurableStore::compact`] never calls into the store while it holds the
-//! tail lock.
+//! tail lock. A journaled write takes only its slot lock, the tail lock and
+//! (when a frame goes out) the backend's: the store finds the journal with
+//! an atomic load, and [`DurableStore::maybe_compact`] reads the record
+//! budget from an atomic, locking only when it compacts.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -302,6 +305,18 @@ struct WalAppender {
     backend: Arc<dyn PersistBackend>,
     /// Sequence assignment, buffering and appending, under one lock.
     tail: Mutex<Tail>,
+    /// Records numbered since the last compaction's snapshot (or since
+    /// open): [`DurableStore::maybe_compact`] compares it with its budget
+    /// without taking the tail lock. Written only under the tail lock,
+    /// wherever `Tail::seq` moves or a compaction lands; it publishes
+    /// nothing else, so `Relaxed`.
+    since_compaction: AtomicU64,
+    /// Set when the owning [`DurableStore`] drops: later saves through a
+    /// store handle that outlives it record nothing. Set under the tail
+    /// lock and checked under it, so once the drop has set it no record
+    /// reaches the backend; a save also checks it before locking, so an
+    /// orphaned store does not take the tail lock.
+    detached: AtomicBool,
     /// Set when an append fails; the store keeps serving (availability over
     /// durability for a *monitoring* substrate) but the failure is visible.
     append_failed: AtomicBool,
@@ -314,10 +329,6 @@ struct WalAppender {
 struct Tail {
     /// Last sequence number assigned (frames are 1-based).
     seq: u64,
-    /// The sequence number the last compaction's snapshot covered (or the
-    /// one recovered at open): [`DurableStore::maybe_compact`] counts its
-    /// record budget from here.
-    compacted_seq: u64,
     /// Reused buffer each frame is written into before its append.
     frame: Vec<u8>,
     /// Record payloads buffered for the next frame, back to back.
@@ -369,11 +380,19 @@ impl std::fmt::Debug for DurableStore {
 
 impl SaveJournal for WalAppender {
     fn record_save(&self, key: &str, value: f64) {
+        if self.detached.load(Ordering::Relaxed) {
+            return;
+        }
         // Numbering and appending under one lock puts frames in the log in
         // sequence order, whichever thread writes.
         let mut guard = self.tail.lock();
         let tail = &mut *guard;
+        if self.detached.load(Ordering::Relaxed) {
+            return;
+        }
         tail.seq += 1;
+        let since = self.since_compaction.load(Ordering::Relaxed);
+        self.since_compaction.store(since + 1, Ordering::Relaxed);
         put_record(&mut tail.group, tail.seq, key, value);
         tail.grouped += 1;
         if tail.grouped >= self.group_commit {
@@ -460,14 +479,15 @@ impl DurableStore {
             backend: Arc::clone(&backend),
             tail: Mutex::new(Tail {
                 seq: max_seq,
-                compacted_seq: max_seq,
                 logged: decoded.valid_len,
                 ..Tail::default()
             }),
+            since_compaction: AtomicU64::new(0),
+            detached: AtomicBool::new(false),
             append_failed: AtomicBool::new(false),
             group_commit: config.group_commit.max(1),
         });
-        store.set_journal(Some(appender.clone()));
+        store.attach_journal(appender.clone())?;
         Ok((
             DurableStore {
                 store,
@@ -565,17 +585,17 @@ impl DurableStore {
         }
         self.backend.replace(Region::Wal, &wal[cut..])?;
         tail.logged -= cut;
-        tail.compacted_seq = seq;
+        self.appender
+            .since_compaction
+            .store(tail.seq - seq, Ordering::Relaxed);
         Ok(())
     }
 
     /// Compacts when the configured record budget has been reached. Call
     /// from the host's main loop. Returns `true` when a compaction ran.
+    /// Below the budget it takes no lock.
     pub fn maybe_compact(&self) -> Result<bool> {
-        let since = {
-            let tail = self.appender.tail.lock();
-            tail.seq - tail.compacted_seq
-        };
+        let since = self.appender.since_compaction.load(Ordering::Relaxed);
         if since < self.config.snapshot_every {
             return Ok(false);
         }
@@ -597,11 +617,14 @@ impl DurableStore {
 impl Drop for DurableStore {
     fn drop(&mut self) {
         // An orderly shutdown flushes the group buffer — only a real crash
-        // (or `mem::forget`) loses the in-flight group.
-        self.flush();
-        // Detach the journal so a store Arc that outlives this DurableStore
-        // does not keep appending to a log nobody will compact.
-        self.store.set_journal(None);
+        // (or `mem::forget`) loses the in-flight group. Detaching under the
+        // same lock means a store Arc that outlives this DurableStore
+        // appends nothing more to a log nobody will compact. Such a store
+        // still holds the appender (its journal is set once), so its saves
+        // keep the journaled path and return at the `detached` check.
+        let mut tail = self.appender.tail.lock();
+        self.appender.flush(&mut tail);
+        self.appender.detached.store(true, Ordering::Relaxed);
     }
 }
 
@@ -609,6 +632,8 @@ impl Drop for DurableStore {
 mod tests {
     use super::*;
     use crate::store::wal::{encode_frame, WalRecord};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn open_mem(backend: &Arc<MemBackend>) -> (DurableStore, RecoveryReport) {
         let b: Arc<dyn PersistBackend> = backend.clone();
@@ -767,6 +792,64 @@ mod tests {
         let wal = backend.load(Region::Wal).unwrap();
         assert!(durable.compact().is_err());
         assert_eq!(backend.load(Region::Wal).unwrap(), wal, "nothing cut");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `maybe_compact` compacts at exactly the records where a model
+        /// counting journaled writes since the last compaction says it is
+        /// due, with and without group commit.
+        #[test]
+        fn maybe_compact_triggers_where_a_model_says(
+            grouped in any::<bool>(),
+            budget in 1u64..24,
+            ops in vec(0u8..12, 1..400),
+        ) {
+            let backend = Arc::new(MemBackend::new());
+            let b: Arc<dyn PersistBackend> = backend.clone();
+            let config = DurabilityConfig {
+                snapshot_every: budget,
+                group_commit: if grouped { 8 } else { 1 },
+            };
+            let (durable, _) = DurableStore::open(b, config).unwrap();
+            let store = durable.store();
+            // The model: journaled writes so far, and how many of them the
+            // last compaction covered.
+            let mut journaled = 0u64;
+            let mut compacted = 0u64;
+            for (i, op) in ops.into_iter().enumerate() {
+                match op {
+                    0..=3 => {
+                        store.save("k", i as f64);
+                        journaled += 1;
+                    }
+                    4 => {
+                        store.incr("n", 1.0);
+                        journaled += 1;
+                    }
+                    // Neither a quarantined value nor a reserved key is
+                    // journaled, so neither counts.
+                    5 => store.save("k", f64::NAN),
+                    6 => store.save("__telemetry/x", 1.0),
+                    7 => durable.flush(),
+                    8 => {
+                        durable.compact().unwrap();
+                        compacted = journaled;
+                    }
+                    _ => {
+                        let due = journaled - compacted >= budget;
+                        prop_assert_eq!(durable.maybe_compact().unwrap(), due);
+                        if due {
+                            compacted = journaled;
+                            let snapshot = backend.load(Region::Snapshot).unwrap();
+                            prop_assert_eq!(Snapshot::decode(&snapshot).unwrap().seq, journaled);
+                        }
+                    }
+                }
+                prop_assert_eq!(durable.seq(), journaled);
+            }
+        }
     }
 
     #[test]

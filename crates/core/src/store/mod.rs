@@ -28,11 +28,12 @@ use std::borrow::Borrow;
 use std::collections::HashSet;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 use simkernel::Nanos;
 
+use crate::error::{GuardrailError, Result};
 use crate::spec::ast::AggKind;
 use ewma::Ewma;
 use fxhash::FxBuildHasher;
@@ -46,7 +47,7 @@ use window::WindowSeries;
 ///
 /// Frames record post-state (`key = value`), never deltas, so replay is
 /// idempotent. The default store has no journal; the durable store
-/// ([`durable::DurableStore`]) attaches its WAL appender here.
+/// ([`durable::DurableStore`]) attaches its WAL appender here, once.
 pub trait SaveJournal: Send + Sync + std::fmt::Debug {
     /// Records that `key` is about to hold `value`.
     fn record_save(&self, key: &str, value: f64);
@@ -306,10 +307,10 @@ pub struct FeatureStore {
     quarantine: AtomicBool,
     poisoned_total: AtomicU64,
     /// Optional write-ahead journal, called for accepted scalar writes.
-    journal: RwLock<Option<Arc<dyn SaveJournal>>>,
-    /// Read-mostly fast flag mirroring `journal.is_some()`: the common
-    /// no-journal store skips the journal rwlock entirely on every write.
-    journal_attached: AtomicBool,
+    /// Set at most once, so a write finds it with one atomic load and no
+    /// lock; a journal that must stop recording (the durable store's, on
+    /// drop) turns itself off.
+    journal: OnceLock<Arc<dyn SaveJournal>>,
 }
 
 impl Default for FeatureStore {
@@ -335,20 +336,19 @@ impl FeatureStore {
             series_max_samples: max_samples,
             quarantine: AtomicBool::new(true),
             poisoned_total: AtomicU64::new(0),
-            journal: RwLock::new(None),
-            journal_attached: AtomicBool::new(false),
+            journal: OnceLock::new(),
         }
     }
 
-    /// Attaches (or detaches, with `None`) the write-ahead journal hook.
-    /// See [`SaveJournal`] for the ordering contract.
-    pub fn set_journal(&self, journal: Option<Arc<dyn SaveJournal>>) {
-        let mut guard = self.journal.write();
-        // Flip the fast flag while holding the journal lock so a writer
-        // that sees the flag set always finds the journal present.
-        self.journal_attached
-            .store(journal.is_some(), Ordering::Release);
-        *guard = journal;
+    /// Attaches the write-ahead journal hook; a store takes one journal for
+    /// its lifetime, so a second attach fails, and it is never released: a
+    /// store that outlives a [`durable::DurableStore`]
+    /// keeps its detached appender and the journaled write path. See
+    /// [`SaveJournal`] for the ordering contract.
+    pub fn attach_journal(&self, journal: Arc<dyn SaveJournal>) -> Result<()> {
+        self.journal
+            .set(journal)
+            .map_err(|_| GuardrailError::Config("the store already has a journal".into()))
     }
 
     /// The index stripe holding `key`: bits 52–55 of its Fx hash, which
@@ -399,7 +399,7 @@ impl FeatureStore {
     /// append; with a journal the operation clones the handle out first.
     #[inline]
     fn under_stripe(&self) -> bool {
-        !self.journal_attached.load(Ordering::Acquire)
+        self.journal.get().is_none()
     }
 
     /// Runs `f` on `key`'s slot if the key was ever interned (the string
@@ -443,8 +443,8 @@ impl FeatureStore {
     /// Journals an accepted scalar write; the caller holds the slot lock.
     #[inline]
     fn journal(&self, cell: &SlotCell, value: f64) {
-        if cell.journaled && self.journal_attached.load(Ordering::Acquire) {
-            if let Some(journal) = self.journal.read().as_ref() {
+        if cell.journaled {
+            if let Some(journal) = self.journal.get() {
                 journal.record_save(&cell.key, value);
             }
         }
@@ -876,11 +876,13 @@ mod tests {
         store.save(&neighbour, 1.0);
         let (entered_tx, entered_rx) = channel();
         let (release_tx, release_rx) = channel();
-        store.set_journal(Some(Arc::new(GatedJournal {
-            key: blocked,
-            entered: Mutex::new(entered_tx),
-            release: Mutex::new(release_rx),
-        })));
+        store
+            .attach_journal(Arc::new(GatedJournal {
+                key: blocked,
+                entered: Mutex::new(entered_tx),
+                release: Mutex::new(release_rx),
+            }))
+            .unwrap();
 
         // One writer is stuck in its append, holding `blocked`'s slot lock.
         let writer = {

@@ -8,10 +8,19 @@
 //! The specs cover what a restart could lose: `DELTA` state in a rule and
 //! in an action operand, a windowed aggregate, N-of-M hysteresis, and a
 //! timer installed mid-period (its phase must survive the restart).
+//!
+//! A second property checks the checkpoint's two encoders against each
+//! other: over the same histories, with pending retrains, watchdog
+//! probation and `REPLACE`-pinned slots added, the bytes
+//! `MonitorEngine::checkpoint_into` writes are `checkpoint().encode()`'s.
 
 use std::sync::Arc;
 
-use guardrails::monitor::{EngineCheckpoint, EngineStats, Hysteresis, MonitorEngine};
+use guardrails::action::retrain::RetrainLimiter;
+use guardrails::monitor::{
+    EngineCheckpoint, EngineStats, Hysteresis, MonitorEngine, ResilienceConfig, RetryPolicy,
+    WatchdogConfig,
+};
 use guardrails::{FeatureStore, PolicyRegistry};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -154,8 +163,89 @@ fn observe(engine: &MonitorEngine, since: Nanos) -> Observed {
     }
 }
 
+/// Guardrails whose state a checkpoint carries beyond `SPECS`'s: a
+/// `RETRAIN` the limiter rejects (a pending retry), and `REPLACE`s that pin
+/// the `io_submit` slot one way or the other.
+const HISTORY_SPECS: &str = r#"
+guardrail retrain-on-depth {
+    trigger: { FUNCTION(io) },
+    rule: { LOAD(qdepth) < 24 },
+    action: { RETRAIN(io_model) }
+}
+guardrail failover {
+    trigger: { TIMER(0, 50ms) },
+    rule: { LOAD(qdepth) < 20 },
+    action: { REPLACE(io_submit, safe) }
+}
+guardrail failback {
+    trigger: { TIMER(0, 50ms) },
+    rule: { LOAD(qdepth) >= 10 },
+    action: { REPLACE(io_submit, learned) }
+}
+"#;
+
+/// An engine whose history can reach every part of a checkpoint: `SPECS`
+/// and `HISTORY_SPECS`, retrain retries, a watchdog with probation, and a
+/// registry with the slot the `REPLACE`s pin.
+fn history_engine() -> MonitorEngine {
+    let registry = Arc::new(PolicyRegistry::new());
+    registry
+        .register("io_submit", &["learned", "safe"])
+        .unwrap();
+    registry.register("cache", &["learned", "lru"]).unwrap();
+    let mut engine = MonitorEngine::with_parts(Arc::new(FeatureStore::new()), registry);
+    engine.set_retrain_limiter(RetrainLimiter::new(
+        Nanos::from_secs(1),
+        100,
+        Nanos::from_secs(1_000),
+    ));
+    engine.set_resilience(ResilienceConfig {
+        retrain_retry: Some(RetryPolicy::exponential(3, Nanos::from_millis(200))),
+        watchdog: Some(
+            WatchdogConfig::default()
+                .with_max_faults(2)
+                .with_probation(Nanos::from_millis(300)),
+        ),
+        ..ResilienceConfig::default()
+    });
+    install_specs(&mut engine);
+    engine.install_str(HISTORY_SPECS).unwrap();
+    engine
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn checkpoint_into_writes_the_encoded_checkpoint(
+        steps in steps(),
+        faults in vec(any::<bool>(), 80),
+        install_ms in 1u64..250,
+    ) {
+        let mut engine = history_engine();
+        let install_at = Nanos::from_millis(install_ms);
+        let mut now = Nanos::ZERO;
+        let mut beats = 0.0;
+        let mut late_installed = false;
+        // One buffer for the whole run, as a checkpointing host keeps it.
+        let mut buf = Vec::new();
+        for (s, &fault) in steps.iter().zip(&faults) {
+            now += Nanos::from_millis(s.dt_ms);
+            if !late_installed && now >= install_at {
+                engine.advance_to(install_at);
+                install_late_spec(&mut engine);
+                late_installed = true;
+            }
+            // A starved fuel budget faults every rule: the watchdog trips
+            // monitors and probation brings them back.
+            engine.set_rule_fuel_limit(fault.then_some(1));
+            step(&mut engine, s, now, &mut beats);
+            engine.checkpoint_into(&mut buf);
+            let expected = engine.checkpoint().encode();
+            prop_assert_eq!(&buf, &expected);
+        }
+        prop_assert!(EngineCheckpoint::decode(&buf).is_ok());
+    }
 
     #[test]
     fn a_restored_engine_matches_an_uninterrupted_one(

@@ -186,6 +186,7 @@ pub fn run_huge_sim(config: HugeSimConfig) -> HugeReport {
     registry
         .register("thp_policy", &[VARIANT_LEARNED, VARIANT_FALLBACK])
         .expect("fresh registry");
+    let learned = registry.handle("thp_policy", VARIANT_LEARNED);
     let mut engine = MonitorEngine::with_parts(
         Arc::new(guardrails::FeatureStore::new()),
         Arc::clone(&registry),
@@ -216,7 +217,7 @@ pub fn run_huge_sim(config: HugeSimConfig) -> HugeReport {
         now += FAULT_GAP;
         store.save("mem.free_fraction", memory.free_fraction);
 
-        let use_learned = registry.is_active("thp_policy", VARIANT_LEARNED);
+        let use_learned = learned.is_active();
         let want_huge = match config.policy {
             ThpPolicy::Always => use_learned, // Fallback still means base-only.
             ThpPolicy::Never => false,
@@ -277,7 +278,7 @@ pub fn run_huge_sim(config: HugeSimConfig) -> HugeReport {
         stalls,
         huge_allocated,
         violations: engine.stats().violations as usize,
-        learned_active_at_end: registry.is_active("thp_policy", VARIANT_LEARNED),
+        learned_active_at_end: learned.is_active(),
     }
 }
 

@@ -126,6 +126,7 @@ pub fn run_tiering_sim(config: TieringSimConfig) -> TieringReport {
     registry
         .register("mem_policy", &[VARIANT_LEARNED, VARIANT_FALLBACK])
         .expect("fresh registry");
+    let learned_active = registry.handle("mem_policy", VARIANT_LEARNED);
     if config.policy == MemPolicyKind::Heuristic {
         registry
             .replace("mem_policy", VARIANT_FALLBACK)
@@ -234,9 +235,8 @@ pub fn run_tiering_sim(config: TieringSimConfig) -> TieringReport {
         // On a miss, consult the active policy (warmup runs the heuristic
         // so the fast tier is realistic while the model trains offline).
         if !result.fast_hit {
-            let use_learned = tick > config.warmup_accesses
-                && registry.is_active("mem_policy", VARIANT_LEARNED)
-                && learned.is_frozen();
+            let use_learned =
+                tick > config.warmup_accesses && learned_active.is_active() && learned.is_frozen();
             let (admit, frame) = if use_learned {
                 let admit = learned.admit(access.page, &page_stats);
                 let frame = learned.choose_frame(&mem, access.page, &page_stats);
@@ -282,7 +282,7 @@ pub fn run_tiering_sim(config: TieringSimConfig) -> TieringReport {
         invalid_allocs: mem.rejected(),
         violations: engine.stats().violations as usize,
         swaps: registry.swap_count("mem_policy"),
-        learned_active_at_end: registry.is_active("mem_policy", VARIANT_LEARNED),
+        learned_active_at_end: learned_active.is_active(),
         retrained,
         telemetry: engine.telemetry_snapshot(),
     }

@@ -164,6 +164,7 @@ pub fn run_fairness_sim(config: FairnessSimConfig) -> FairnessReport {
     registry
         .register("cc_policy", &[VARIANT_LEARNED, VARIANT_FALLBACK])
         .expect("fresh registry");
+    let learned_active = registry.handle("cc_policy", VARIANT_LEARNED);
     if config.fallback_vs_aimd {
         registry
             .replace("cc_policy", VARIANT_FALLBACK)
@@ -193,7 +194,7 @@ pub fn run_fairness_sim(config: FairnessSimConfig) -> FairnessReport {
 
     for round in 0..config.compete_rounds {
         let now = link_config.base_rtt * u64::from(round + 1);
-        let w0 = if registry.is_active("cc_policy", VARIANT_LEARNED) {
+        let w0 = if learned_active.is_active() {
             learned.next_window(&outcomes[0])
         } else {
             fallback.next_window(&outcomes[0])
@@ -222,7 +223,7 @@ pub fn run_fairness_sim(config: FairnessSimConfig) -> FairnessReport {
             tail_acked[1] / total_acked.max(1e-9),
         ],
         violations: engine.stats().violations as usize,
-        learned_active_at_end: registry.is_active("cc_policy", VARIANT_LEARNED),
+        learned_active_at_end: learned_active.is_active(),
     }
 }
 

@@ -108,6 +108,7 @@ pub fn run_cc_sim(config: CcSimConfig) -> CcReport {
     registry
         .register("cc_policy", &[VARIANT_LEARNED, VARIANT_FALLBACK])
         .expect("fresh registry");
+    let learned_active = registry.handle("cc_policy", VARIANT_LEARNED);
     if config.policy == CcPolicyKind::Cubic {
         registry
             .replace("cc_policy", VARIANT_FALLBACK)
@@ -156,7 +157,7 @@ pub fn run_cc_sim(config: CcSimConfig) -> CcReport {
             link.set_rtt_noise(config.noise);
         }
 
-        let use_learned = registry.is_active("cc_policy", VARIANT_LEARNED);
+        let use_learned = learned_active.is_active();
         let window = if use_learned {
             let w = learned.next_window(&outcome);
             recent_mults.push_back(learned.last_multiplier());
@@ -210,7 +211,7 @@ pub fn run_cc_sim(config: CcSimConfig) -> CcReport {
         noisy_utilization: noisy_util / config.noisy_rounds.max(1) as f64,
         noisy_tail_utilization: tail_util / tail_rounds.max(1) as f64,
         violations: engine.stats().violations as usize,
-        learned_active_at_end: registry.is_active("cc_policy", VARIANT_LEARNED),
+        learned_active_at_end: learned_active.is_active(),
         series,
         telemetry: engine.telemetry_snapshot(),
     }

@@ -304,6 +304,7 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
 
     // Install the guardrail(s) the scenario exercises.
     let registry = engine.registry();
+    let slot_learned = registry.handle("io_submit", VARIANT_LEARNED);
     let mut retrainer = None;
     match &kind {
         FaultKind::DeviceBrownout { .. } | FaultKind::GcStorm => {
@@ -500,10 +501,7 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
         if ml_off_at.is_none() && !ml_enabled.flag() {
             ml_off_at = Some(now);
         }
-        if uses_registry_gate
-            && replaced_at.is_none()
-            && !registry.is_active("io_submit", VARIANT_LEARNED)
-        {
+        if uses_registry_gate && replaced_at.is_none() && !slot_learned.is_active() {
             replaced_at = Some(now);
         }
         if detection_at.is_none() {
@@ -519,9 +517,8 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
         }
 
         // The datapath decision.
-        let ml_on = trained
-            && ml_enabled.flag()
-            && (!uses_registry_gate || registry.is_active("io_submit", VARIANT_LEARNED));
+        let ml_on =
+            trained && ml_enabled.flag() && (!uses_registry_gate || slot_learned.is_active());
         let mut proba = f64::NAN;
         let classifier_ref = &mut classifier;
         let outcome = array.submit(now, |features| {

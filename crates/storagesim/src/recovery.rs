@@ -15,7 +15,7 @@
 //!   re-detects the violation from scratch.
 //! - **recovery** runtime: the feature store is a
 //!   [`DurableStore`] (WAL + snapshot) and the host checkpoints the engine
-//!   ([`MonitorEngine::checkpoint`]) into it. On reboot the store replays,
+//!   ([`MonitorEngine::checkpoint_into`]) into it. On reboot the store replays,
 //!   the checkpoint restores, and the engine *resumes*: the model stays
 //!   disabled, the `REPLACE` stays pinned, and the latency trajectory
 //!   converges to the no-crash Figure 2 run.
@@ -45,7 +45,7 @@ use guardrails::monitor::{
     fail_closed, EngineCheckpoint, MonitorEngine, RecoveryConfig, RestartDecision, RuntimeConfig,
     Supervisor,
 };
-use guardrails::policy::{PolicyRegistry, VARIANT_LEARNED};
+use guardrails::policy::{PolicyRegistry, VariantHandle, VARIANT_LEARNED};
 use guardrails::store::durable::{DurableStore, MemBackend};
 use guardrails::store::Slot;
 use simkernel::Nanos;
@@ -141,7 +141,10 @@ struct Node {
     /// The per-I/O keys, interned in `store`.
     ml_enabled: Slot,
     false_submit_rate: Slot,
-    registry: Arc<PolicyRegistry>,
+    /// Whether the learned variant is active in [`SLOT`], asked per I/O.
+    slot_learned: VariantHandle,
+    /// The engine checkpoint is encoded into this buffer, reused.
+    checkpoint: Vec<u8>,
     /// `stats().violations` right after boot/restore, to delta against.
     violations_at_boot: u64,
 }
@@ -232,7 +235,8 @@ impl Driver {
             ml_enabled: store.slot("ml_enabled"),
             false_submit_rate: store.slot("false_submit_rate"),
             store,
-            registry,
+            slot_learned: registry.handle(SLOT, VARIANT_LEARNED),
+            checkpoint: Vec::new(),
             violations_at_boot,
         }
     }
@@ -285,7 +289,8 @@ impl Driver {
             ml_enabled: store.slot("ml_enabled"),
             false_submit_rate: store.slot("false_submit_rate"),
             store,
-            registry,
+            slot_learned: registry.handle(SLOT, VARIANT_LEARNED),
+            checkpoint: Vec::new(),
             violations_at_boot: 0,
         }
     }
@@ -464,8 +469,7 @@ fn run_plan(
         }
 
         // The datapath decision, gated by the (possibly restored) state.
-        let ml_on =
-            trained && node.ml_enabled.flag() && node.registry.is_active(SLOT, VARIANT_LEARNED);
+        let ml_on = trained && node.ml_enabled.flag() && node.slot_learned.is_active();
         if !disabled_once && trained && !node.ml_enabled.flag() {
             disabled_once = true;
             driver.report.disabled_at = Some(now);
@@ -497,8 +501,9 @@ fn run_plan(
                 .maybe_compact()
                 .expect("in-memory backend cannot fail");
             if ios.is_multiple_of(CHECKPOINT_EVERY) {
+                engine.checkpoint_into(&mut node.checkpoint);
                 durable_store
-                    .save_checkpoint(&engine.checkpoint().encode())
+                    .save_checkpoint(&node.checkpoint)
                     .expect("in-memory backend cannot fail");
             }
         }
@@ -518,7 +523,7 @@ fn run_plan(
             driver.report.violations += engine.stats().violations - node.violations_at_boot;
         }
         driver.report.ml_enabled_at_end = node.ml_enabled.flag();
-        driver.report.slot_learned_at_end = node.registry.is_active(SLOT, VARIANT_LEARNED);
+        driver.report.slot_learned_at_end = node.slot_learned.is_active();
     }
     driver.report.healthy_latency_us = mean_us(healthy_lat);
     driver.report.post_crash_latency_us = mean_us(post_lat);
