@@ -22,6 +22,11 @@ if [ "${test_count}" -ne "${baseline}" ]; then
     exit 1
 fi
 
+# The model crates' tests again, optimised: the bitwise kernel and training
+# proptests and the allocation counts then also hold for the vectorised
+# code the benchmark times, not only for the debug build above.
+cargo test --release -q -p mlkit -p storagesim
+
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 

@@ -6,7 +6,7 @@
 //! queried inside a simulation loop. This crate implements them from scratch:
 //! a row-major matrix type, a multi-layer perceptron with backpropagation,
 //! SGD/Adam optimizers, logistic regression, online feature standardization,
-//! a replay buffer, tabular Q-learning, and classification metrics.
+//! a replay buffer, and tabular Q-learning.
 //!
 //! The models are deliberately *imperfect in realistic ways* — they are
 //! trained on data from the simulation and degrade under distribution shift,
@@ -16,7 +16,6 @@
 
 pub mod linear;
 pub mod loss;
-pub mod metrics;
 pub mod mlp;
 pub mod optim;
 pub mod qlearn;
@@ -26,8 +25,7 @@ pub mod tensor;
 
 pub use linear::LogisticRegression;
 pub use loss::Loss;
-pub use metrics::ConfusionMatrix;
-pub use mlp::{Activation, InferenceBuffers, Mlp, MlpConfig, OutputCorruption};
+pub use mlp::{Activation, InferenceBuffers, Mlp, MlpConfig, OutputCorruption, TrainBuffers};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use qlearn::QTable;
 pub use replay::ReplayBuffer;

@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::loss::Loss;
 use crate::optim::Optimizer;
-use crate::tensor::{row_times, Matrix};
+use crate::tensor::{all_finite, row_times, Matrix};
 
 /// An element-wise activation function.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,6 +30,45 @@ impl Activation {
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
             Activation::Tanh => x.tanh(),
             Activation::Identity => x,
+        }
+    }
+
+    /// Adds `bias` to every row of `z` and activates it in place: the
+    /// activation is chosen once, not per element.
+    fn apply_rows(self, z: &mut [f64], bias: &[f64]) {
+        fn each(z: &mut [f64], bias: &[f64], f: impl Fn(f64) -> f64) {
+            if bias.is_empty() {
+                return;
+            }
+            for row in z.chunks_exact_mut(bias.len()) {
+                for (v, &b) in row.iter_mut().zip(bias) {
+                    *v = f(*v + b);
+                }
+            }
+        }
+        match self {
+            Activation::Relu => each(z, bias, |x| Activation::Relu.apply(x)),
+            Activation::Sigmoid => each(z, bias, |x| Activation::Sigmoid.apply(x)),
+            Activation::Tanh => each(z, bias, |x| Activation::Tanh.apply(x)),
+            Activation::Identity => each(z, bias, |x| x),
+        }
+    }
+
+    /// Multiplies each element of `delta` by the derivative at the matching
+    /// activated value in `a`, choosing the activation once.
+    fn scale_by_derivative(self, delta: &mut [f64], a: &[f64]) {
+        fn each(delta: &mut [f64], a: &[f64], f: impl Fn(f64) -> f64) {
+            for (d, &a) in delta.iter_mut().zip(a) {
+                *d *= f(a);
+            }
+        }
+        match self {
+            Activation::Relu => each(delta, a, |a| Activation::Relu.derivative_from_output(a)),
+            Activation::Sigmoid => {
+                each(delta, a, |a| Activation::Sigmoid.derivative_from_output(a))
+            }
+            Activation::Tanh => each(delta, a, |a| Activation::Tanh.derivative_from_output(a)),
+            Activation::Identity => {}
         }
     }
 
@@ -113,6 +152,23 @@ pub struct InferenceBuffers {
     rows: [Vec<f64>; 2],
 }
 
+/// Everything a training step writes, kept between steps (see
+/// [`Mlp::train_step`]): the activations, the delta being propagated and
+/// the one it is propagated into, the transposed weights it is propagated
+/// through, and the flat parameters and gradients the optimizer steps.
+///
+/// Owned by the caller and reused across steps: once grown to a batch
+/// size, a step allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct TrainBuffers {
+    acts: Vec<Matrix>,
+    delta: Matrix,
+    spare: Matrix,
+    weights_t: Vec<Matrix>,
+    params: Vec<f64>,
+    grads: Vec<f64>,
+}
+
 /// A fully-connected feed-forward network.
 ///
 /// # Examples
@@ -142,6 +198,10 @@ pub struct Mlp {
     config: MlpConfig,
     weights: Vec<Matrix>,
     biases: Vec<Vec<f64>>,
+    /// Whether every weight is finite, kept by whatever writes the weights
+    /// (`new` and `train_step`): single-row inference then needs no masking
+    /// of the terms it skips.
+    weights_finite: bool,
     corruption: Option<OutputCorruption>,
 }
 
@@ -178,6 +238,7 @@ impl Mlp {
         }
         Mlp {
             config,
+            weights_finite: weights.iter().all(|w| all_finite(w.as_slice())),
             weights,
             biases,
             corruption: None,
@@ -213,6 +274,13 @@ impl Mlp {
             + self.biases.iter().map(Vec::len).sum::<usize>()
     }
 
+    /// The parameters in the order the optimizer sees them flattened:
+    /// every weight matrix, then every bias vector, in layer order.
+    fn params_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
+        let weights = self.weights.iter_mut().map(Matrix::as_mut_slice);
+        weights.chain(self.biases.iter_mut().map(Vec::as_mut_slice))
+    }
+
     fn activation_for_layer(&self, layer: usize) -> Activation {
         if layer + 1 == self.weights.len() {
             self.config.output_activation
@@ -231,27 +299,27 @@ impl Mlp {
 
     /// Runs a batch forward; `x` is `n x inputs`, the result `n x outputs`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut out = self.forward_cached(x).pop().expect("at least one layer");
+        let mut acts = Vec::new();
+        self.forward_into(x, &mut acts);
+        let mut out = acts.pop().expect("at least one layer");
         if let Some(corruption) = self.corruption {
             out.map_inplace(|v| corruption.corrupt(v));
         }
         out
     }
 
-    /// Runs a batch forward and returns all layer activations (including the
-    /// input as element 0).
-    fn forward_cached(&self, x: &Matrix) -> Vec<Matrix> {
+    /// Runs a clean batch forward into `acts`: `acts[l]` becomes layer
+    /// `l`'s activations (the input is not copied).
+    fn forward_into(&self, x: &Matrix, acts: &mut Vec<Matrix>) {
         self.check_input_width(x.cols());
-        let mut acts = Vec::with_capacity(self.weights.len() + 1);
-        acts.push(x.clone());
+        acts.resize_with(self.weights.len(), Matrix::default);
         for (l, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
-            let mut z = acts.last().expect("non-empty").matmul(w);
-            z.add_row_inplace(b);
-            let act = self.activation_for_layer(l);
-            z.map_inplace(|v| act.apply(v));
-            acts.push(z);
+            let (done, rest) = acts.split_at_mut(l);
+            let input = done.last().unwrap_or(x);
+            let z = &mut rest[0];
+            input.matmul_into(w, z);
+            self.activation_for_layer(l).apply_rows(z.as_mut_slice(), b);
         }
-        acts
     }
 
     /// Predicts for a single input row.
@@ -283,11 +351,8 @@ impl Mlp {
         cur.extend_from_slice(x);
         for (l, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
             next.resize(w.cols(), 0.0);
-            row_times(cur, w, next);
-            let act = self.activation_for_layer(l);
-            for (v, &bias) in next.iter_mut().zip(b) {
-                *v = act.apply(*v + bias);
-            }
+            row_times(cur, w, next, self.weights_finite);
+            self.activation_for_layer(l).apply_rows(next, b);
             std::mem::swap(&mut cur, &mut next);
         }
         if let Some(corruption) = self.corruption {
@@ -306,59 +371,103 @@ impl Mlp {
         loss: Loss,
         opt: &mut dyn Optimizer,
     ) -> f64 {
+        let mut bufs = TrainBuffers::default();
+        let output = self.train_step(x, y, loss, opt, &mut bufs);
+        loss.value(output, y.as_slice())
+    }
+
+    /// Performs one minibatch training step in `bufs` and returns the
+    /// pre-step predictions, row-major: [`Mlp::train_batch`] without the
+    /// loss value, allocating nothing once `bufs` has grown to the batch.
+    ///
+    /// The loss value is left to the caller (`loss.value(output, y)`), who
+    /// may want it for only some steps.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mlkit::{Adam, Loss, Matrix, Mlp, MlpConfig, TrainBuffers};
+    ///
+    /// let x = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
+    /// let y = Matrix::from_rows(&[&[1.0], &[0.0]]);
+    /// let (mut a, mut b) = (Mlp::new(MlpConfig::linnos(2, 7)), Mlp::new(MlpConfig::linnos(2, 7)));
+    /// let (mut opt_a, mut opt_b) = (Adam::new(0.01), Adam::new(0.01));
+    /// let mut bufs = TrainBuffers::default();
+    /// for _ in 0..3 {
+    ///     let stepped = a.train_step(&x, &y, Loss::Bce, &mut opt_a, &mut bufs);
+    ///     let loss = Loss::Bce.value(stepped, y.as_slice());
+    ///     assert_eq!(loss, b.train_batch(&x, &y, Loss::Bce, &mut opt_b));
+    /// }
+    /// ```
+    pub fn train_step<'b>(
+        &mut self,
+        x: &Matrix,
+        y: &Matrix,
+        loss: Loss,
+        opt: &mut dyn Optimizer,
+        bufs: &'b mut TrainBuffers,
+    ) -> &'b [f64] {
         assert_eq!(x.rows(), y.rows(), "batch size mismatch");
-        let acts = self.forward_cached(x);
-        let output = acts.last().expect("non-empty");
-        let loss_value = loss.value(output.as_slice(), y.as_slice());
+        let TrainBuffers {
+            acts,
+            delta,
+            spare,
+            weights_t,
+            params,
+            grads,
+        } = bufs;
+        self.forward_into(x, acts);
+        let output = acts.last().expect("at least one layer");
+
+        // Gradients go straight into their places in the optimizer's flat
+        // layout (`params_mut`), filled from the last layer back.
+        let num_params = self.num_params();
+        params.resize(num_params, 0.0);
+        grads.resize(num_params, 0.0);
+        weights_t.resize_with(self.weights.len(), Matrix::default);
+        let weight_count = self
+            .weights
+            .iter()
+            .map(|w| w.rows() * w.cols())
+            .sum::<usize>();
+        let mut w_end = weight_count;
+        let mut b_end = num_params;
 
         // dL/d(output activations).
-        let mut delta = Matrix::zeros(output.rows(), output.cols());
+        delta.reshape(output.rows(), output.cols());
         loss.gradient(output.as_slice(), y.as_slice(), delta.as_mut_slice());
-
-        let mut w_grads: Vec<Matrix> = Vec::with_capacity(self.weights.len());
-        let mut b_grads: Vec<Vec<f64>> = Vec::with_capacity(self.weights.len());
         for l in (0..self.weights.len()).rev() {
             // Fold in the activation derivative: delta ⊙ act'(a_l).
-            let a_l = &acts[l + 1];
-            let act = self.activation_for_layer(l);
-            for (d, &a) in delta.as_mut_slice().iter_mut().zip(a_l.as_slice()) {
-                *d *= act.derivative_from_output(a);
-            }
+            self.activation_for_layer(l)
+                .scale_by_derivative(delta.as_mut_slice(), acts[l].as_slice());
             // Gradients for this layer.
-            w_grads.push(acts[l].t_matmul(&delta));
-            b_grads.push(delta.col_sums());
+            let input = if l == 0 { x } else { &acts[l - 1] };
+            let w = &self.weights[l];
+            let (w_start, b_start) = (w_end - w.rows() * w.cols(), b_end - w.cols());
+            input.t_matmul_into(delta, &mut grads[w_start..w_end]);
+            delta.col_sums_into(&mut grads[b_start..b_end]);
+            (w_end, b_end) = (w_start, b_start);
             // Propagate to the previous layer: delta = delta * W_l^T.
             if l > 0 {
-                delta = delta.matmul_t(&self.weights[l]);
+                w.transpose_into(&mut weights_t[l]);
+                delta.matmul_t_into(&weights_t[l], spare);
+                std::mem::swap(delta, spare);
             }
         }
-        w_grads.reverse();
-        b_grads.reverse();
 
-        // Flatten params and grads for the optimizer, then scatter back.
-        let mut params = Vec::with_capacity(self.num_params());
-        let mut grads = Vec::with_capacity(self.num_params());
-        for (w, g) in self.weights.iter().zip(&w_grads) {
-            params.extend_from_slice(w.as_slice());
-            grads.extend_from_slice(g.as_slice());
-        }
-        for (b, g) in self.biases.iter().zip(&b_grads) {
-            params.extend_from_slice(b);
-            grads.extend_from_slice(g);
-        }
-        opt.step(&mut params, &grads);
         let mut off = 0;
-        for w in &mut self.weights {
-            let n = w.rows() * w.cols();
-            w.as_mut_slice().copy_from_slice(&params[off..off + n]);
-            off += n;
+        for p in self.params_mut() {
+            params[off..off + p.len()].copy_from_slice(p);
+            off += p.len();
         }
-        for b in &mut self.biases {
-            let n = b.len();
-            b.copy_from_slice(&params[off..off + n]);
-            off += n;
+        opt.step(params, grads);
+        let mut off = 0;
+        for p in self.params_mut() {
+            p.copy_from_slice(&params[off..off + p.len()]);
+            off += p.len();
         }
-        loss_value
+        self.weights_finite = all_finite(&params[..weight_count]);
+        acts.last().expect("at least one layer").as_slice()
     }
 
     /// Re-initializes all weights from a new seed (used by `RETRAIN` flows
@@ -378,8 +487,80 @@ impl Mlp {
 mod tests {
     use super::*;
     use crate::optim::{Adam, Sgd};
+    use crate::tensor::reference;
     use proptest::collection::vec;
     use proptest::prelude::*;
+
+    /// A training step in its plainest form, on the reference kernels: an
+    /// allocating forward pass that keeps every activation, a loss value
+    /// every step, per-element activation dispatch, and gradients
+    /// flattened into fresh buffers.
+    fn reference_train_batch(
+        net: &mut Mlp,
+        x: &Matrix,
+        y: &Matrix,
+        loss: Loss,
+        opt: &mut dyn Optimizer,
+    ) -> f64 {
+        let mut acts = vec![x.clone()];
+        for (l, (w, b)) in net.weights.iter().zip(&net.biases).enumerate() {
+            let mut z = reference::matmul(acts.last().unwrap(), w);
+            z.add_row_inplace(b);
+            let act = net.activation_for_layer(l);
+            z.map_inplace(|v| act.apply(v));
+            acts.push(z);
+        }
+        let output = acts.last().unwrap();
+        let loss_value = loss.value(output.as_slice(), y.as_slice());
+        let mut delta = Matrix::zeros(output.rows(), output.cols());
+        loss.gradient(output.as_slice(), y.as_slice(), delta.as_mut_slice());
+        let mut w_grads = Vec::new();
+        let mut b_grads = Vec::new();
+        for l in (0..net.weights.len()).rev() {
+            let act = net.activation_for_layer(l);
+            for (d, &a) in delta.as_mut_slice().iter_mut().zip(acts[l + 1].as_slice()) {
+                *d *= act.derivative_from_output(a);
+            }
+            w_grads.push(reference::t_matmul(&acts[l], &delta));
+            b_grads.push(reference::col_sums(&delta));
+            if l > 0 {
+                delta = reference::matmul_t(&delta, &net.weights[l]);
+            }
+        }
+        w_grads.reverse();
+        b_grads.reverse();
+        let mut params = Vec::new();
+        let mut grads = Vec::new();
+        for (w, g) in net.weights.iter().zip(&w_grads) {
+            params.extend_from_slice(w.as_slice());
+            grads.extend_from_slice(g.as_slice());
+        }
+        for (b, g) in net.biases.iter().zip(&b_grads) {
+            params.extend_from_slice(b);
+            grads.extend_from_slice(g);
+        }
+        opt.step(&mut params, &grads);
+        let mut off = 0;
+        for w in &mut net.weights {
+            let n = w.rows() * w.cols();
+            w.as_mut_slice().copy_from_slice(&params[off..off + n]);
+            off += n;
+        }
+        for b in &mut net.biases {
+            let n = b.len();
+            b.copy_from_slice(&params[off..off + n]);
+            off += n;
+        }
+        net.weights_finite = net.weights.iter().all(|w| all_finite(w.as_slice()));
+        loss_value
+    }
+
+    /// Every weight and bias of `net`, as bits.
+    fn param_bits(net: &Mlp) -> Vec<u64> {
+        let weights = net.weights.iter().flat_map(|w| w.as_slice());
+        let biases = net.biases.iter().flatten();
+        crate::tensor::tests::bits(&weights.chain(biases).copied().collect::<Vec<_>>())
+    }
 
     fn xor_data() -> (Matrix, Matrix) {
         (
@@ -500,6 +681,28 @@ mod tests {
         );
     }
 
+    /// The flag that lets inference skip masking follows the weights: a
+    /// step that makes them infinite or NaN clears it, and inference then
+    /// still matches the batch forward pass.
+    #[test]
+    fn diverged_weights_are_tracked_and_still_predict_like_forward() {
+        let (x, y) = xor_data();
+        let mut net = Mlp::new(MlpConfig::linnos(2, 5));
+        assert!(net.weights_finite);
+        net.train_batch(&x, &y, Loss::Mse, &mut Sgd::new(0.1));
+        assert!(net.weights_finite);
+        net.train_batch(&x, &y, Loss::Mse, &mut Sgd::new(f64::INFINITY));
+        assert!(!net.weights_finite, "an infinite step leaves no finite net");
+        let mut bufs = InferenceBuffers::default();
+        for row in [[0.0, 1.0], [0.0, 0.0], [1.0, 0.5]] {
+            let batch = net.forward(&Matrix::from_rows(&[&row]));
+            assert_eq!(
+                crate::tensor::tests::bits(net.predict_into(&row, &mut bufs)),
+                crate::tensor::tests::bits(batch.row(0))
+            );
+        }
+    }
+
     #[test]
     #[should_panic(expected = "input width")]
     fn input_width_checked() {
@@ -555,6 +758,44 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
+        /// Five Adam steps of `train_batch`, and of `train_step` through one
+        /// reused set of buffers, ≡ five steps of the reference, bit for
+        /// bit: every loss and every weight after, for `Bce` and `Mse`, on
+        /// random nets, activations and batches with exact zeros.
+        #[test]
+        fn train_batch_matches_reference(
+            layers in vec(1usize..21, 2..5),
+            acts in (0usize..4, 0usize..4),
+            rows in 1usize..21,
+            bce in any::<bool>(),
+            seed in 0u64..1_000_000,
+            draws in vec((0u8..4, -3.0..3.0f64), 420),
+            targets in vec(0.0..1.0f64, 420),
+        ) {
+            let config = MlpConfig {
+                layers: layers.clone(),
+                hidden_activation: ACTIVATIONS[acts.0],
+                output_activation: ACTIVATIONS[acts.1],
+                seed,
+            };
+            let loss = if bce { Loss::Bce } else { Loss::Mse };
+            let (inputs, outputs) = (layers[0], layers[layers.len() - 1]);
+            let x = Matrix::from_vec(rows, inputs, input_row(&draws, rows * inputs));
+            let y = Matrix::from_vec(rows, outputs, targets[..rows * outputs].to_vec());
+            let (mut expected, mut batched, mut stepped) =
+                (Mlp::new(config.clone()), Mlp::new(config.clone()), Mlp::new(config));
+            let (mut opt_e, mut opt_b, mut opt_s) = (Adam::new(0.05), Adam::new(0.05), Adam::new(0.05));
+            let mut bufs = TrainBuffers::default();
+            for _ in 0..5 {
+                let want = reference_train_batch(&mut expected, &x, &y, loss, &mut opt_e).to_bits();
+                prop_assert_eq!(batched.train_batch(&x, &y, loss, &mut opt_b).to_bits(), want);
+                let output = stepped.train_step(&x, &y, loss, &mut opt_s, &mut bufs);
+                prop_assert_eq!(loss.value(output, y.as_slice()).to_bits(), want);
+            }
+            prop_assert_eq!(param_bits(&batched), param_bits(&expected));
+            prop_assert_eq!(param_bits(&stepped), param_bits(&expected));
+        }
+
         /// Single-row inference ≡ the batch forward pass's first row, bit
         /// for bit, on random nets (after one training step, so biases are
         /// non-zero) and inputs with exact zeros, with and without each
@@ -580,6 +821,10 @@ mod tests {
             net.train_batch(&x, &y, Loss::Mse, &mut Adam::new(0.05));
             net.set_output_corruption(CORRUPTIONS[corruption]);
 
+            prop_assert_eq!(
+                net.weights_finite,
+                net.weights.iter().all(|w| all_finite(w.as_slice()))
+            );
             let mut bufs = InferenceBuffers::default();
             for row in [input_row(&draws, inputs), input_row(&draws[20..], inputs)] {
                 let batch = net.forward(&Matrix::from_vec(1, inputs, row.clone()));

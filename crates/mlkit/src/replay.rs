@@ -92,7 +92,11 @@ impl ReplayBuffer {
     }
 
     /// The `i`-th retained example, oldest first (`i < len()`).
-    fn get(&self, i: usize) -> (&[f64], f64) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer is empty.
+    pub fn get(&self, i: usize) -> (&[f64], f64) {
         let slot = (self.head + i) % self.labels.len();
         let start = slot * self.width;
         (&self.rows[start..start + self.width], self.labels[slot])
@@ -106,13 +110,22 @@ impl ReplayBuffer {
     /// Samples `n` examples uniformly with replacement (deterministic for a
     /// given seed). Returns fewer only when the buffer is empty.
     pub fn sample(&self, n: usize, seed: u64) -> Vec<(&[f64], f64)> {
+        let mut indices = Vec::new();
+        self.sample_into(n, seed, &mut indices);
+        indices.into_iter().map(|i| self.get(i)).collect()
+    }
+
+    /// Writes the positions ([`ReplayBuffer::get`]) of the examples
+    /// [`ReplayBuffer::sample`] draws into `indices`, replacing its
+    /// contents: the same draws, without allocating once `indices` has
+    /// grown to `n`.
+    pub fn sample_into(&self, n: usize, seed: u64, indices: &mut Vec<usize>) {
+        indices.clear();
         if self.is_empty() {
-            return Vec::new();
+            return;
         }
         let mut rng = SmallRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| self.get(rng.gen_range(0..self.len())))
-            .collect()
+        indices.extend((0..n).map(|_| rng.gen_range(0..self.len())));
     }
 
     /// Drops all examples (keeping the ring's storage).

@@ -9,7 +9,7 @@
 use guardrails::policy::LearnedPolicy;
 use mlkit::{
     Adam, InferenceBuffers, Loss, Matrix, Mlp, MlpConfig, OnlineScaler, OutputCorruption,
-    ReplayBuffer,
+    ReplayBuffer, TrainBuffers,
 };
 use simkernel::Nanos;
 
@@ -47,6 +47,17 @@ impl Default for LinnosConfig {
     }
 }
 
+/// What a training round reuses from one minibatch to the next: the
+/// sampled replay positions, the standardized batch and its labels, and the
+/// network's training buffers.
+#[derive(Clone, Debug, Default)]
+struct TrainScratch {
+    indices: Vec<usize>,
+    x: Matrix,
+    y: Matrix,
+    bufs: TrainBuffers,
+}
+
 /// The learned fast/slow classifier.
 ///
 /// One decision ([`LinnosClassifier::predict_slow`]) and one completion
@@ -81,6 +92,9 @@ pub struct LinnosClassifier {
     /// network's activation rows.
     z: [f64; NUM_FEATURES],
     rows: InferenceBuffers,
+    /// Scratch for [`LinnosClassifier::train_round`], grown on its first
+    /// call (not here, so a classifier that never trains never holds it).
+    train: TrainScratch,
     trained: bool,
     inferences: u64,
     dropped_rows: u64,
@@ -97,6 +111,7 @@ impl LinnosClassifier {
             optimizer: Adam::new(0.005),
             z: [0.0; NUM_FEATURES],
             rows: InferenceBuffers::default(),
+            train: TrainScratch::default(),
             trained: false,
             inferences: 0,
             dropped_rows: 0,
@@ -128,6 +143,8 @@ impl LinnosClassifier {
     /// Runs one training round over replay-buffer minibatches.
     ///
     /// Returns the final minibatch loss, or `None` when the buffer is empty.
+    /// Once a first round has grown the classifier's training scratch, a
+    /// round allocates nothing, however many epochs it runs.
     pub fn train_round(&mut self) -> Option<f64> {
         if self.buffer.is_empty() {
             return None;
@@ -136,24 +153,38 @@ impl LinnosClassifier {
         // once and standardize each sampled row straight into the batch.
         let mean = self.scaler.mean();
         let std: [f64; NUM_FEATURES] = std::array::from_fn(|i| self.scaler.std_dev(i));
-        let mut xm = Matrix::zeros(self.config.batch, NUM_FEATURES);
-        let mut ym = Matrix::zeros(self.config.batch, 1);
+        let TrainScratch {
+            indices,
+            x,
+            y,
+            bufs,
+        } = &mut self.train;
+        if x.rows() != self.config.batch {
+            *x = Matrix::zeros(self.config.batch, NUM_FEATURES);
+            *y = Matrix::zeros(self.config.batch, 1);
+        }
         let mut last = None;
         for epoch in 0..self.config.epochs {
-            let sample = self.buffer.sample(
+            self.buffer.sample_into(
                 self.config.batch,
                 self.config.seed ^ (epoch as u64) ^ self.retrains,
+                indices,
             );
-            for (r, (features, label)) in sample.into_iter().enumerate() {
-                for (i, (z, &v)) in xm.row_mut(r).iter_mut().zip(features).enumerate() {
-                    *z = (v - mean[i]) / std[i];
+            for (r, &i) in indices.iter().enumerate() {
+                let (features, label) = self.buffer.get(i);
+                for (j, (z, &v)) in x.row_mut(r).iter_mut().zip(features).enumerate() {
+                    *z = (v - mean[j]) / std[j];
                 }
-                ym[(r, 0)] = label;
+                y[(r, 0)] = label;
             }
-            last = Some(
-                self.net
-                    .train_batch(&xm, &ym, Loss::Bce, &mut self.optimizer),
-            );
+            let output = self
+                .net
+                .train_step(x, y, Loss::Bce, &mut self.optimizer, bufs);
+            // Only the last minibatch's loss is returned: the others are
+            // never computed (each costs two logarithms per row).
+            if epoch + 1 == self.config.epochs {
+                last = Some(Loss::Bce.value(output, y.as_slice()));
+            }
         }
         self.trained = true;
         last

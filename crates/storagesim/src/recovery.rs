@@ -33,6 +33,10 @@
 //!   ([`RecoveryConfig::fail_closed_on_taint`]): fallbacks pinned, model
 //!   disabled.
 //!
+//! An engine checkpoint that does not decode is treated the same way: the
+//! monitors boot without it, and the loss is recorded
+//! ([`RecoveryRunReport::checkpoint_discarded`]) and taints the recovery.
+//!
 //! [`run_crash_loop`] adds the supervisor ladder: repeated rapid crashes
 //! escalate through doubled restart backoffs to a fail-closed stop
 //! ([`Supervisor`]), after which the system keeps serving I/O on the safe
@@ -119,7 +123,11 @@ pub struct RecoveryRunReport {
     pub torn_tail_bytes: usize,
     /// Whether any reopen discarded a corrupt snapshot.
     pub snapshot_discarded: bool,
-    /// Whether any reopen was tainted (corrupt snapshot or WAL frame).
+    /// Whether any reboot found an engine checkpoint it could not decode
+    /// and booted without it (every `REPLACE` pin and monitor state lost).
+    pub checkpoint_discarded: bool,
+    /// Whether any reopen was tainted (corrupt snapshot, WAL frame or
+    /// engine checkpoint).
     pub tainted: bool,
 }
 
@@ -167,6 +175,44 @@ struct Driver {
 }
 
 impl Driver {
+    /// A driver for one run of the seed (`durable = false`) or the
+    /// recovery runtime, with an empty medium and an empty report.
+    fn new(label: String, durable: bool) -> Self {
+        let recovery_cfg = RecoveryConfig::default();
+        let runtime = if durable {
+            RuntimeConfig::seed().with_recovery(recovery_cfg)
+        } else {
+            RuntimeConfig::seed()
+        };
+        Driver {
+            durable,
+            backend: Arc::new(MemBackend::new()),
+            recovery_cfg,
+            runtime,
+            report: RecoveryRunReport {
+                label,
+                durable,
+                crashes: 0,
+                restarts: 0,
+                failed_closed: false,
+                downtime: Nanos::ZERO,
+                skipped_ios: 0,
+                rearmed_ios: 0,
+                disabled_at: None,
+                violations: 0,
+                ml_enabled_at_end: false,
+                slot_learned_at_end: false,
+                healthy_latency_us: 0.0,
+                post_crash_latency_us: 0.0,
+                wal_records_applied: 0,
+                torn_tail_bytes: 0,
+                snapshot_discarded: false,
+                checkpoint_discarded: false,
+                tainted: false,
+            },
+        }
+    }
+
     fn fresh_registry(&self) -> Arc<PolicyRegistry> {
         let registry = Arc::new(PolicyRegistry::new());
         registry
@@ -208,8 +254,14 @@ impl Driver {
             if let Some(d) = &durable {
                 let blob = d.load_checkpoint().expect("in-memory backend cannot fail");
                 if !blob.is_empty() {
-                    if let Ok(cp) = EngineCheckpoint::decode(&blob) {
-                        engine.restore(&cp).expect("same specs installed");
+                    match EngineCheckpoint::decode(&blob) {
+                        Ok(cp) => engine.restore(&cp).expect("same specs installed"),
+                        // The monitors boot fresh: state that cannot be
+                        // vouched for, so the recovery is tainted.
+                        Err(_) => {
+                            self.report.checkpoint_discarded = true;
+                            self.report.tainted = true;
+                        }
                     }
                 }
             }
@@ -352,39 +404,8 @@ fn run_plan(
     seed: u64,
 ) -> RecoveryRunReport {
     let base = LinnosSimConfig::default();
-    let recovery_cfg = RecoveryConfig::default();
-    let runtime = if durable {
-        RuntimeConfig::seed().with_recovery(recovery_cfg)
-    } else {
-        RuntimeConfig::seed()
-    };
-    let mut driver = Driver {
-        durable,
-        backend: Arc::new(MemBackend::new()),
-        recovery_cfg,
-        runtime,
-        report: RecoveryRunReport {
-            label,
-            durable,
-            crashes: 0,
-            restarts: 0,
-            failed_closed: false,
-            downtime: Nanos::ZERO,
-            skipped_ios: 0,
-            rearmed_ios: 0,
-            disabled_at: None,
-            violations: 0,
-            ml_enabled_at_end: false,
-            slot_learned_at_end: false,
-            healthy_latency_us: 0.0,
-            post_crash_latency_us: 0.0,
-            wal_records_applied: 0,
-            torn_tail_bytes: 0,
-            snapshot_discarded: false,
-            tainted: false,
-        },
-    };
-    let mut supervisor = Supervisor::new(recovery_cfg.supervisor);
+    let mut driver = Driver::new(label, durable);
+    let mut supervisor = Supervisor::new(driver.recovery_cfg.supervisor);
 
     let mut array = FlashArray::new(base.device, 2, base.revoke_overhead, seed);
     let mut classifier = LinnosClassifier::new(base.linnos);
@@ -541,6 +562,7 @@ fn mean_us(acc: (u64, u64)) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use guardrails::store::durable::{PersistBackend, Region};
 
     const SEED: u64 = 0xF162;
 
@@ -600,6 +622,42 @@ mod tests {
         assert_eq!(recovered.rearmed_ios, 0);
         assert!(!recovered.ml_enabled_at_end);
         assert!(!recovered.slot_learned_at_end, "fallback pinned");
+    }
+
+    /// A checkpoint region that no longer decodes is recorded and taints
+    /// the recovery, so the node reboots fail-closed (model off, fallback
+    /// pinned) rather than with the learned policy armed, every monitor's
+    /// state gone and a clean report.
+    #[test]
+    fn an_undecodable_checkpoint_taints_recovery_and_fails_closed() {
+        let mut driver = Driver::new("checkpoint_corrupt".to_string(), true);
+        let mut node = driver.boot(Nanos::ZERO, true);
+        let engine = node.engine.as_mut().expect("booted with monitors");
+        engine.checkpoint_into(&mut node.checkpoint);
+        let durable = node.durable.as_ref().expect("the recovery runtime");
+        durable.save_checkpoint(&node.checkpoint).unwrap();
+        driver.crash(node, &FaultKind::Crash);
+
+        // Rot one bit of the persisted checkpoint.
+        let mut blob = driver.backend.load(Region::Checkpoint).unwrap();
+        assert!(!blob.is_empty(), "a checkpoint was persisted");
+        let middle = blob.len() / 2;
+        blob[middle] ^= 0x20;
+        driver.backend.replace(Region::Checkpoint, &blob).unwrap();
+        assert!(EngineCheckpoint::decode(&blob).is_err());
+
+        let node = driver.boot(CRASH_AT, false);
+        assert!(driver.report.checkpoint_discarded, "the loss is recorded");
+        assert!(driver.report.tainted, "and taints the recovery");
+        assert!(
+            !driver.report.snapshot_discarded,
+            "nothing else was damaged"
+        );
+        assert!(!node.ml_enabled.flag(), "fail-closed: the model is off");
+        assert!(
+            !node.slot_learned.is_active(),
+            "fail-closed: fallback pinned"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! One LinnOS decision and one completion allocate nothing once the
 //! classifier is warm: the per-I/O path of the Figure-2 run stays off the
-//! allocator.
+//! allocator. Nor does a warm training round allocate per epoch.
 //!
 //! A counting global allocator counts the allocations made on each thread;
 //! the test reads its own thread's count around the measured loop.
@@ -99,5 +99,34 @@ fn warm_decisions_and_completions_do_not_allocate() {
     assert!(
         (3000..=3700).contains(&predicted_slow),
         "predicted {predicted_slow} of 10 000 slow"
+    );
+}
+
+/// Allocations made by a second `train_round` of a classifier that runs
+/// `epochs` minibatches per round (the first round grows its scratch).
+fn warm_round_allocations(epochs: usize) -> u64 {
+    let mut clf = LinnosClassifier::new(LinnosConfig {
+        epochs,
+        ..LinnosConfig::default()
+    });
+    for i in 0..3000 {
+        let (x, slow) = features(i);
+        clf.observe(&x, slow);
+    }
+    clf.train_round();
+    let before = allocations();
+    let loss = clf.train_round();
+    let allocated = allocations() - before;
+    assert!(loss.is_some_and(f64::is_finite), "{epochs} epochs trained");
+    allocated
+}
+
+#[test]
+fn a_warm_training_round_allocates_nothing_per_epoch() {
+    let few = warm_round_allocations(2);
+    let many = warm_round_allocations(40);
+    assert_eq!(
+        few, many,
+        "a warm round allocated {few} times over 2 epochs, {many} over 40"
     );
 }
