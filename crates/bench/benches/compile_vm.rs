@@ -71,11 +71,13 @@ fn stages(c: &mut Criterion) {
         })
     });
     let compiled = compile(&checked, &CompileOptions::default()).unwrap();
-    let program = &compiled[0].rules[0].program;
+    let program = compiled[0].rules[0].program.program();
+    // The verifier takes its program by value: each iteration includes
+    // one clone of this one-instruction program.
     c.bench_function("verifier_alone_on_compiled_rule", |b| {
         b.iter(|| {
             verify(
-                black_box(program),
+                black_box(program.clone()),
                 ExpectedType::Bool,
                 &VerifyLimits::default(),
             )

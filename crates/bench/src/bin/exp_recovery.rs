@@ -1,7 +1,7 @@
 //! E10: crash-restart vs the guardrail runtime (crash consistency).
 //!
 //! For every crash-damage variant (clean crash, torn WAL tail, corrupt
-//! snapshot) plus a rapid crash loop, runs the LinnOS setting twice with
+//! snapshot, corrupt engine checkpoint) plus a rapid crash loop, runs the LinnOS setting twice with
 //! identical seeds — once on the **seed** runtime (no persistence: every
 //! reboot re-runs init and re-arms the learned policy) and once on the
 //! **recovery** runtime (WAL + snapshot durable store, engine checkpoint,
@@ -33,7 +33,7 @@ fn opt_secs(v: Option<simkernel::Nanos>) -> String {
 
 fn csv_row(r: &RecoveryRunReport) -> String {
     format!(
-        "{},{},{},{},{},{:.2},{},{},{},{},{:.1},{:.1},{},{},{},{},{},{}\n",
+        "{},{},{},{},{},{:.2},{},{},{},{},{:.1},{:.1},{},{},{},{},{},{},{}\n",
         r.label,
         if r.durable { "recovery" } else { "seed" },
         r.crashes,
@@ -51,6 +51,7 @@ fn csv_row(r: &RecoveryRunReport) -> String {
         r.wal_records_applied,
         r.torn_tail_bytes,
         r.snapshot_discarded,
+        r.checkpoint_discarded,
         r.tainted,
     )
 }
@@ -60,7 +61,7 @@ fn main() {
         "scenario,runtime,crashes,restarts,failed_closed,downtime_s,skipped_ios,\
          rearmed_ios,disabled_at_s,violations,healthy_latency_us,post_crash_latency_us,\
          ml_enabled_at_end,slot_learned_at_end,wal_records_applied,torn_tail_bytes,\
-         snapshot_discarded,tainted\n",
+         snapshot_discarded,checkpoint_discarded,tainted\n",
     );
 
     eprintln!("running no-crash reference");
@@ -155,7 +156,12 @@ fn main() {
         rot.snapshot_discarded && rot.tainted && !rot.ml_enabled_at_end,
         "a corrupt snapshot is discarded and the boot fails closed"
     );
-    let (loop_seed, loop_rec) = &pairs[3];
+    let (_, rot) = &pairs[3];
+    assert!(
+        rot.checkpoint_discarded && rot.tainted && !rot.ml_enabled_at_end && rot.rearmed_ios == 0,
+        "an undecodable checkpoint is recorded and the boot fails closed"
+    );
+    let (loop_seed, loop_rec) = &pairs[4];
     assert!(
         loop_rec.failed_closed && loop_rec.restarts == 2 && loop_rec.rearmed_ios == 0,
         "the supervisor escalates the crash loop to fail-closed"

@@ -19,7 +19,7 @@ use crate::spec::ast::ActionStmt;
 use crate::spec::check::{CheckedGuardrail, CheckedSpec, TimerSpec};
 use crate::spec::pretty::print_expr;
 use ir::Program;
-use verify::{verify_named, ExpectedType, VerifyLimits, VerifyReport};
+use verify::{verify_named, ExpectedType, Verified, VerifyLimits};
 
 /// Options controlling compilation.
 #[derive(Clone, Copy, Debug)]
@@ -67,28 +67,28 @@ pub enum CompiledAction {
         /// Task-selection key.
         target: String,
         /// Demotion amount program (`None` = default of 5 nice levels).
-        steps: Option<Program>,
+        steps: Option<Verified>,
     },
     /// Write `value` to the scalar `key`.
     Save {
         /// Destination key.
         key: String,
         /// Value program.
-        value: Program,
+        value: Verified,
     },
     /// Append `value` to the series `key`.
     Record {
         /// Destination series key.
         key: String,
         /// Value program.
-        value: Program,
+        value: Verified,
     },
 }
 
 impl CompiledAction {
     /// The operand program, for the actions that take one (`DEPRIORITIZE`
     /// with explicit steps, `SAVE`, `RECORD`).
-    pub fn operand(&self) -> Option<&Program> {
+    pub fn operand(&self) -> Option<&Verified> {
         match self {
             CompiledAction::Deprioritize { steps, .. } => steps.as_ref(),
             CompiledAction::Save { value, .. } | CompiledAction::Record { value, .. } => {
@@ -110,13 +110,12 @@ static NO_PROGRAM: Program = Program {
 /// A rule compiled to bytecode, with its source text for diagnostics.
 #[derive(Clone, Debug)]
 pub struct CompiledRule {
-    /// The verified program (evaluates to a boolean).
-    pub program: Program,
+    /// The verified program (evaluates to a boolean), with what the
+    /// verifier proved about it.
+    pub program: Verified,
     /// Canonical source text of the rule, shared with its violation
     /// events.
     pub source: Arc<str>,
-    /// What the verifier proved.
-    pub report: VerifyReport,
 }
 
 /// A fully compiled guardrail, ready to install into the monitor engine.
@@ -137,18 +136,21 @@ pub struct CompiledGuardrail {
 impl CompiledGuardrail {
     /// Static worst-case fuel to evaluate all rules once.
     pub fn worst_case_rule_fuel(&self) -> u64 {
-        self.rules.iter().map(|r| r.report.worst_case_fuel).sum()
+        self.rules
+            .iter()
+            .map(|r| r.program.report().worst_case_fuel)
+            .sum()
     }
 
     /// Every program of the guardrail: one per rule, then one per action
     /// (the empty program for an action without an operand). A monitor's
     /// `DELTA` state and its checkpoint address programs in this order.
     pub fn programs(&self) -> impl Iterator<Item = &Program> {
-        let rules = self.rules.iter().map(|r| &r.program);
+        let rules = self.rules.iter().map(|r| r.program.program());
         let actions = self
             .actions
             .iter()
-            .map(|a| a.operand().unwrap_or(&NO_PROGRAM));
+            .map(|a| a.operand().map_or(&NO_PROGRAM, Verified::program));
         rules.chain(actions)
     }
 
@@ -177,11 +179,9 @@ pub fn compile_guardrail(g: &CheckedGuardrail, opts: &CompileOptions) -> Result<
             rule.clone()
         };
         let program = lower::lower_expr(&folded)?;
-        let report = verify_named(&program, ExpectedType::Bool, &opts.limits, &g.name)?;
         rules.push(CompiledRule {
-            program,
+            program: verify_named(program, ExpectedType::Bool, &opts.limits, &g.name)?,
             source: source.into(),
-            report,
         });
     }
 
@@ -204,15 +204,13 @@ fn compile_action(
     g: &CheckedGuardrail,
     opts: &CompileOptions,
 ) -> Result<CompiledAction> {
-    let compile_operand = |e: &crate::spec::ast::Expr, expect: ExpectedType| -> Result<Program> {
+    let compile_operand = |e: &crate::spec::ast::Expr, expect: ExpectedType| -> Result<Verified> {
         let folded = if opts.optimize {
             opt::fold_expr(e)
         } else {
             e.clone()
         };
-        let program = lower::lower_expr(&folded)?;
-        verify_named(&program, expect, &opts.limits, &g.name)?;
-        Ok(program)
+        verify_named(lower::lower_expr(&folded)?, expect, &opts.limits, &g.name)
     };
     Ok(match action {
         ActionStmt::Report { message, keys } => CompiledAction::Report {
@@ -331,7 +329,7 @@ mod tests {
             compiled[0]
                 .rules
                 .iter()
-                .map(|r| r.report.worst_case_fuel)
+                .map(|r| r.program.report().worst_case_fuel)
                 .sum::<u64>()
         );
         assert_eq!(compiled[0].min_timer_interval(), Some(Nanos::from_nanos(1)));

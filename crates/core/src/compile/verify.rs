@@ -17,10 +17,15 @@
 //! A verified program cannot fail at runtime: the VM's arithmetic is total
 //! (division by zero yields 0) and every other error class is excluded here.
 //! This is the "reason about their correctness and crash-free semantics"
-//! property of §4.2.
+//! property of §4.2. The verifier is the isolation: the VM runs only
+//! [`Verified`] programs, which only [`verify`] and [`verify_named`] build,
+//! and no runtime guard stands between a rule and the engine.
+
+use std::ops::Deref;
 
 use crate::compile::ir::{Op, Program};
 use crate::error::{GuardrailError, Result};
+use crate::vm::STACK_SLOTS;
 
 /// Maximum numeric arguments a tracepoint passes to its monitors: `ARG(i)`
 /// verifies only for `i` below this.
@@ -31,7 +36,8 @@ pub const MAX_TRACE_ARGS: usize = 8;
 pub struct VerifyLimits {
     /// Maximum number of instructions per program.
     pub max_instrs: usize,
-    /// Maximum stack depth.
+    /// Maximum stack depth. The VM's fixed stack caps it: a program
+    /// deeper than [`STACK_SLOTS`] is rejected whatever this says.
     pub max_stack: usize,
     /// Maximum worst-case fuel (static cost sum).
     pub max_fuel: u64,
@@ -41,7 +47,7 @@ impl Default for VerifyLimits {
     fn default() -> Self {
         VerifyLimits {
             max_instrs: 4096,
-            max_stack: 64,
+            max_stack: STACK_SLOTS,
             max_fuel: 65_536,
         }
     }
@@ -98,23 +104,69 @@ pub struct VerifyReport {
     pub worst_case_fuel: u64,
 }
 
-/// Verifies `program`, returning its static resource bounds.
-pub fn verify(
-    program: &Program,
-    expect: ExpectedType,
-    limits: &VerifyLimits,
-) -> Result<VerifyReport> {
+/// A program the verifier accepted, with what it proved about it.
+///
+/// Only [`verify`] and [`verify_named`] build one, and
+/// [`crate::vm::Vm::try_run`] takes nothing else, so no unverified program
+/// reaches the VM. It dereferences to its [`Program`].
+#[derive(Clone, Debug)]
+pub struct Verified {
+    program: Program,
+    report: VerifyReport,
+}
+
+impl Verified {
+    /// The verified program.
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
+    /// What the verifier proved.
+    pub fn report(&self) -> VerifyReport {
+        self.report
+    }
+}
+
+impl Deref for Verified {
+    type Target = Program;
+
+    fn deref(&self) -> &Program {
+        &self.program
+    }
+}
+
+/// The program's listing.
+impl std::fmt::Display for Verified {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.program.fmt(f)
+    }
+}
+
+/// Verifies `program`, returning it with its static resource bounds.
+pub fn verify(program: Program, expect: ExpectedType, limits: &VerifyLimits) -> Result<Verified> {
     verify_named(program, expect, limits, "<anonymous>")
 }
 
 /// Verifies `program`, attributing failures to `guardrail` in errors.
 pub fn verify_named(
+    program: Program,
+    expect: ExpectedType,
+    limits: &VerifyLimits,
+    guardrail: &str,
+) -> Result<Verified> {
+    let report = check(&program, expect, limits, guardrail)?;
+    Ok(Verified { program, report })
+}
+
+/// The proof itself: what `program` needs at most, or why it is rejected.
+fn check(
     program: &Program,
     expect: ExpectedType,
     limits: &VerifyLimits,
     guardrail: &str,
 ) -> Result<VerifyReport> {
     let err = |msg: String| GuardrailError::verify(guardrail, msg);
+    let max_stack = limits.max_stack.min(STACK_SLOTS);
     let n = program.ops.len();
     if n == 0 {
         return Err(err("empty program".into()));
@@ -275,11 +327,10 @@ pub fn verify_named(
                 pop(&mut stack)?;
             }
         }
-        if stack.len() > limits.max_stack {
+        if stack.len() > max_stack {
             return Err(err(format!(
-                "stack depth {} exceeds limit {} at instruction {i}",
+                "stack depth {} exceeds limit {max_stack} at instruction {i}",
                 stack.len(),
-                limits.max_stack
             )));
         }
         max_depth = max_depth.max(stack.len());
@@ -389,7 +440,7 @@ mod tests {
     }
 
     fn verify_rule(e: &Expr) -> Result<VerifyReport> {
-        verify(&lower_expr(e).unwrap(), ExpectedType::Bool, &limits())
+        verify(lower_expr(e).unwrap(), ExpectedType::Bool, &limits()).map(|v| v.report())
     }
 
     #[test]
@@ -425,7 +476,7 @@ mod tests {
             ops: vec![Op::Arith(ArithKind::Add)],
             keys: vec![],
         };
-        let err = verify(&p, ExpectedType::Num, &limits()).unwrap_err();
+        let err = verify(p, ExpectedType::Num, &limits()).unwrap_err();
         assert!(format!("{err}").contains("underflow"), "{err}");
     }
 
@@ -435,7 +486,7 @@ mod tests {
             ops: vec![Op::Push(1.0), Op::JumpIfTruePeek(0)],
             keys: vec![],
         };
-        let err = verify(&p, ExpectedType::Bool, &limits()).unwrap_err();
+        let err = verify(p, ExpectedType::Bool, &limits()).unwrap_err();
         assert!(format!("{err}").contains("backward"), "{err}");
     }
 
@@ -445,7 +496,7 @@ mod tests {
             ops: vec![Op::Load(3)],
             keys: vec!["only".into()],
         };
-        assert!(verify(&p, ExpectedType::Num, &limits()).is_err());
+        assert!(verify(p, ExpectedType::Num, &limits()).is_err());
     }
 
     #[test]
@@ -454,7 +505,7 @@ mod tests {
             ops: vec![Op::Push(1.0), Op::Push(2.0)],
             keys: vec![],
         };
-        let err = verify(&p, ExpectedType::Num, &limits()).unwrap_err();
+        let err = verify(p, ExpectedType::Num, &limits()).unwrap_err();
         assert!(format!("{err}").contains("exactly one"), "{err}");
     }
 
@@ -471,14 +522,14 @@ mod tests {
             ],
             keys: vec!["k".into()],
         };
-        let err = verify(&p, ExpectedType::Num, &limits()).unwrap_err();
+        let err = verify(p, ExpectedType::Num, &limits()).unwrap_err();
         assert!(format!("{err}").contains("arithmetic on boolean"), "{err}");
         // Not on a number.
         let p = Program {
             ops: vec![Op::Load(0), Op::Not],
             keys: vec!["k".into()],
         };
-        assert!(verify(&p, ExpectedType::Bool, &limits()).is_err());
+        assert!(verify(p, ExpectedType::Bool, &limits()).is_err());
     }
 
     #[test]
@@ -487,15 +538,15 @@ mod tests {
             ops: vec![Op::Load(0)],
             keys: vec!["k".into()],
         };
-        assert!(verify(&num, ExpectedType::Bool, &limits()).is_err());
-        assert!(verify(&num, ExpectedType::Num, &limits()).is_ok());
-        assert!(verify(&num, ExpectedType::Either, &limits()).is_ok());
+        assert!(verify(num.clone(), ExpectedType::Bool, &limits()).is_err());
+        assert!(verify(num.clone(), ExpectedType::Num, &limits()).is_ok());
+        assert!(verify(num, ExpectedType::Either, &limits()).is_ok());
         let boolean = Program {
             ops: vec![Op::Load(0), Op::Push(1.0), Op::Cmp(CmpKind::Lt)],
             keys: vec!["k".into()],
         };
-        assert!(verify(&boolean, ExpectedType::Num, &limits()).is_err());
-        assert!(verify(&boolean, ExpectedType::Bool, &limits()).is_ok());
+        assert!(verify(boolean.clone(), ExpectedType::Num, &limits()).is_err());
+        assert!(verify(boolean, ExpectedType::Bool, &limits()).is_ok());
     }
 
     #[test]
@@ -510,13 +561,13 @@ mod tests {
             max_instrs: 10,
             ..VerifyLimits::default()
         };
-        assert!(verify(&p, ExpectedType::Num, &tight).is_err());
+        assert!(verify(p.clone(), ExpectedType::Num, &tight).is_err());
         let fuel_tight = VerifyLimits {
             max_fuel: 5,
             ..VerifyLimits::default()
         };
-        assert!(verify(&p, ExpectedType::Num, &fuel_tight).is_err());
-        assert!(verify(&p, ExpectedType::Num, &limits()).is_ok());
+        assert!(verify(p.clone(), ExpectedType::Num, &fuel_tight).is_err());
+        assert!(verify(p, ExpectedType::Num, &limits()).is_ok());
     }
 
     #[test]
@@ -527,7 +578,16 @@ mod tests {
             max_stack: 4,
             ..VerifyLimits::default()
         };
-        let err = verify(&p, ExpectedType::Num, &tight).unwrap_err();
+        let err = verify(p, ExpectedType::Num, &tight).unwrap_err();
+        assert!(format!("{err}").contains("stack depth"), "{err}");
+        // A looser limit cannot take a program past the VM's fixed stack.
+        let mut ops: Vec<Op> = (0..=STACK_SLOTS).map(|_| Op::Push(1.0)).collect();
+        ops.extend((0..STACK_SLOTS).map(|_| Op::Arith(ArithKind::Add)));
+        let loose = VerifyLimits {
+            max_stack: 4 * STACK_SLOTS,
+            ..VerifyLimits::default()
+        };
+        let err = verify(Program { ops, keys: vec![] }, ExpectedType::Num, &loose).unwrap_err();
         assert!(format!("{err}").contains("stack depth"), "{err}");
     }
 
@@ -541,7 +601,7 @@ mod tests {
             }],
             keys: vec!["k".into()],
         };
-        assert!(verify(&p, ExpectedType::Num, &limits()).is_err());
+        assert!(verify(p, ExpectedType::Num, &limits()).is_err());
         let p = Program {
             ops: vec![Op::Agg {
                 kind: crate::spec::ast::AggKind::Avg,
@@ -550,18 +610,18 @@ mod tests {
             }],
             keys: vec!["k".into()],
         };
-        assert!(verify(&p, ExpectedType::Num, &limits()).is_err());
+        assert!(verify(p, ExpectedType::Num, &limits()).is_err());
     }
 
     #[test]
     fn rejects_empty_program_and_non_finite_immediates() {
         let p = Program::default();
-        assert!(verify(&p, ExpectedType::Num, &limits()).is_err());
+        assert!(verify(p, ExpectedType::Num, &limits()).is_err());
         let p = Program {
             ops: vec![Op::Push(f64::NAN)],
             keys: vec![],
         };
-        assert!(verify(&p, ExpectedType::Num, &limits()).is_err());
+        assert!(verify(p, ExpectedType::Num, &limits()).is_err());
     }
 
     #[test]
@@ -586,11 +646,11 @@ mod tests {
             constant,
         };
         // Well-formed: comparisons yield booleans, arithmetic a number.
-        assert!(verify(&one(load_cmp(0, 0.05)), ExpectedType::Bool, &limits()).is_ok());
-        assert!(verify(&one(arg_cmp(7, 1.0)), ExpectedType::Bool, &limits()).is_ok());
-        assert!(verify(&one(load_arith(0, 4.0)), ExpectedType::Num, &limits()).is_ok());
-        assert!(verify(&one(load_cmp(0, 0.05)), ExpectedType::Num, &limits()).is_err());
-        assert!(verify(&one(load_arith(0, 4.0)), ExpectedType::Bool, &limits()).is_err());
+        assert!(verify(one(load_cmp(0, 0.05)), ExpectedType::Bool, &limits()).is_ok());
+        assert!(verify(one(arg_cmp(7, 1.0)), ExpectedType::Bool, &limits()).is_ok());
+        assert!(verify(one(load_arith(0, 4.0)), ExpectedType::Num, &limits()).is_ok());
+        assert!(verify(one(load_cmp(0, 0.05)), ExpectedType::Num, &limits()).is_err());
+        assert!(verify(one(load_arith(0, 4.0)), ExpectedType::Bool, &limits()).is_err());
         // Key, argument and immediate checks.
         for (op, expect) in [
             (load_cmp(1, 0.05), ExpectedType::Bool),
@@ -600,7 +660,7 @@ mod tests {
             (arg_cmp(0, f64::INFINITY), ExpectedType::Bool),
             (load_arith(0, f64::NEG_INFINITY), ExpectedType::Num),
         ] {
-            assert!(verify(&one(op), expect, &limits()).is_err(), "{op:?}");
+            assert!(verify(one(op), expect, &limits()).is_err(), "{op:?}");
         }
     }
 }

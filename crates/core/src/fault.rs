@@ -99,6 +99,9 @@ pub enum FaultKind {
     /// The persisted snapshot blob is bit-rotted and must be detected and
     /// discarded on recovery.
     SnapshotCorrupt,
+    /// The persisted engine checkpoint is bit-rotted: the monitors boot
+    /// without it, and the loss must be recorded and taint the recovery.
+    CheckpointCorrupt,
 }
 
 impl FaultKind {
@@ -115,6 +118,7 @@ impl FaultKind {
             FaultKind::Crash => "crash",
             FaultKind::TornWrite { .. } => "torn_write",
             FaultKind::SnapshotCorrupt => "snapshot_corrupt",
+            FaultKind::CheckpointCorrupt => "checkpoint_corrupt",
         }
     }
 }
@@ -441,5 +445,6 @@ mod tests {
         assert_eq!(FaultKind::Crash.name(), "crash");
         assert_eq!(FaultKind::TornWrite { bytes: 7 }.name(), "torn_write");
         assert_eq!(FaultKind::SnapshotCorrupt.name(), "snapshot_corrupt");
+        assert_eq!(FaultKind::CheckpointCorrupt.name(), "checkpoint_corrupt");
     }
 }

@@ -225,7 +225,7 @@ mod tests {
                 window: 3,
                 cooldown: Nanos::from_secs(5),
             },
-            recent: [false, true, true].into(),
+            recent: [false, true, true].into_iter().collect(),
             last_fire: Some(Nanos::from_secs(8)),
             suppressed: 7,
         }

@@ -7,7 +7,7 @@ use simkernel::Nanos;
 
 use crate::action::retrain::RetrainLimiter;
 use crate::action::{Command, CommandOutbox};
-use crate::compile::ir::Program;
+use crate::compile::verify::Verified;
 use crate::compile::{compile_str, CompiledAction, CompiledGuardrail};
 use crate::error::{GuardrailError, Result};
 use crate::monitor::checkpoint::{self, EngineCheckpoint};
@@ -20,7 +20,7 @@ use crate::policy::PolicyRegistry;
 use crate::store::fxhash::FxHashMap;
 use crate::store::{FeatureStore, Slot};
 use crate::telemetry::{ActionKind, Telemetry, TelemetrySnapshot, RESERVED_PREFIX};
-use crate::vm::{DeltaState, EvalCtx, Vm};
+use crate::vm::{EvalCtx, Vm};
 
 /// Aggregate engine statistics: a view over the accounts, read with
 /// [`MonitorEngine::stats`].
@@ -34,7 +34,7 @@ pub struct EngineStats {
     pub trips: u64,
     /// Deferred commands emitted to the outbox.
     pub commands_emitted: u64,
-    /// Rule evaluations aborted by a fault (fuel exhaustion or panic).
+    /// Rule evaluations aborted by a fault (fuel exhaustion).
     pub rule_faults: u64,
     /// Monitors auto-disabled by the watchdog.
     pub watchdog_trips: u64,
@@ -166,6 +166,9 @@ pub struct MonitorEngine {
     /// Every decision, recorded once.
     events: EventLog,
     vm: Vm,
+    /// Each subscriber's evaluation count when a batch's clock started,
+    /// reused from batch to batch.
+    evals_before: Vec<u64>,
     now: Nanos,
     /// The summed accounts of uninstalled monitors.
     retired: OverheadAccount,
@@ -211,6 +214,7 @@ impl MonitorEngine {
             hooks: FxHashMap::default(),
             events: EventLog::default(),
             vm: Vm::new(),
+            evals_before: Vec::new(),
             now: Nanos::ZERO,
             retired: OverheadAccount::default(),
             resilience: ResilienceConfig::default(),
@@ -524,10 +528,13 @@ impl MonitorEngine {
             self.now = self.now.max(last);
             return;
         };
-        let evals_before: Vec<u64> = subscribers
-            .iter()
-            .map(|&m| self.monitors[m].state.account.evaluations)
-            .collect();
+        let mut evals_before = std::mem::take(&mut self.evals_before);
+        evals_before.clear();
+        evals_before.extend(
+            subscribers
+                .iter()
+                .map(|&m| self.monitors[m].state.account.evaluations),
+        );
         if let Some(t) = &self.telemetry {
             t.m.batches.inc();
             t.m.batch_events.add(events.len() as u64);
@@ -544,6 +551,7 @@ impl MonitorEngine {
             t.m.eval_wall_hist.observe(wall_ns);
         }
         self.apportion_wall(&subscribers, &evals_before, wall_ns);
+        self.evals_before = evals_before;
         self.hooks.insert(hook, subscribers);
     }
 
@@ -623,36 +631,24 @@ impl MonitorEngine {
             let vm = &mut self.vm;
             let limit = self.rule_fuel_limit;
             for (i, rule) in compiled.rules.iter().enumerate() {
-                let slots = &rule_slots[i];
-                let deltas = &mut state.deltas[i];
-                // Isolate the evaluation: a fuel-starved or panicking rule
-                // must fault *this monitor*, never take down the engine.
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    vm.try_run(
-                        &rule.program,
-                        &mut EvalCtx {
-                            slots,
-                            now,
-                            args,
-                            deltas,
-                        },
-                        limit,
-                    )
-                }));
-                match run {
-                    Ok(Ok(result)) => {
+                // No unwind guard: the program is verified, so the only way
+                // it can fail is a fuel limit, which faults this monitor.
+                let mut ctx = EvalCtx {
+                    slots: &rule_slots[i],
+                    now,
+                    args,
+                    deltas: &mut state.deltas[i],
+                };
+                match vm.try_run(&rule.program, &mut ctx, limit) {
+                    Ok(result) => {
                         fuel += result.fuel;
                         if !result.as_bool() {
                             failed = Some(i);
                             break;
                         }
                     }
-                    Ok(Err(vm_fault)) => {
+                    Err(vm_fault) => {
                         fault = Some(format!("rule {i}: {vm_fault}"));
-                        break;
-                    }
-                    Err(_) => {
-                        fault = Some(format!("rule {i}: evaluation panicked"));
                         break;
                     }
                 }
@@ -694,7 +690,7 @@ impl MonitorEngine {
         }
     }
 
-    /// Handles a rule evaluation that aborted (fuel exhaustion or panic):
+    /// Handles a rule evaluation that aborted (fuel exhaustion):
     /// counts it, and — when a watchdog is configured — disables a monitor
     /// that keeps faulting instead of leaving it silently wedged. Fail-closed
     /// watchdogs dispatch the monitor's actions once on the way down.
@@ -729,37 +725,6 @@ impl MonitorEngine {
             // The property can no longer be checked: presume it violated
             // and leave the system in its corrected configuration.
             self.dispatch_actions(midx, now, args);
-        }
-    }
-
-    /// Evaluates an action operand with the same containment as rule
-    /// evaluation: a fuel-starved or panicking operand yields an error the
-    /// caller reports and skips, instead of taking down the engine.
-    fn eval_operand(
-        vm: &mut Vm,
-        slots: &[Slot],
-        program: &Program,
-        now: Nanos,
-        args: &[f64],
-        deltas: &mut DeltaState,
-        limit: Option<u64>,
-    ) -> std::result::Result<crate::vm::EvalResult, String> {
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            vm.try_run(
-                program,
-                &mut EvalCtx {
-                    slots,
-                    now,
-                    args,
-                    deltas,
-                },
-                limit,
-            )
-        }));
-        match run {
-            Ok(Ok(result)) => Ok(result),
-            Ok(Err(vm_fault)) => Err(vm_fault.to_string()),
-            Err(_) => Err("evaluation panicked".to_string()),
         }
     }
 
@@ -806,14 +771,17 @@ impl MonitorEngine {
                 CompiledAction::Save { .. } => ActionKind::Save,
                 CompiledAction::Record { .. } => ActionKind::Record,
             };
-            let mut operand = |program: &Program| {
-                Self::eval_operand(
-                    vm,
-                    &slots.operand,
+            // Verified like the rules, so only the fuel limit can fault an
+            // operand; the action is then reported and skipped.
+            let mut operand = |program: &Verified| {
+                vm.try_run(
                     program,
-                    now,
-                    args,
-                    &mut action_deltas[aidx],
+                    &mut EvalCtx {
+                        slots: &slots.operand,
+                        now,
+                        args,
+                        deltas: &mut action_deltas[aidx],
+                    },
                     *rule_fuel_limit,
                 )
             };

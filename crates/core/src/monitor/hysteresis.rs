@@ -12,8 +12,9 @@
 //!   fight over shared state.
 //!
 //! Experiment E6 measures the oscillation rate with and without these.
-
-use std::collections::VecDeque;
+//!
+//! Observing an evaluation is O(1) whatever the window: the window is a
+//! ring of bits with a running violation count.
 
 use simkernel::Nanos;
 
@@ -66,14 +67,125 @@ impl Hysteresis {
     }
 }
 
+/// Recent evaluation outcomes, oldest first (`true` = violated), as a ring
+/// of bits with a running count of the violations among them.
+///
+/// The capacity is a power of two, so a mask wraps the position. It grows
+/// (doubling, from one 64-bit word) only when the outcomes kept outgrow
+/// it: a wide window costs memory once it has filled, not when it is
+/// configured. Two rings are equal when they hold the same outcomes.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct OutcomeRing {
+    words: Vec<u64>,
+    /// Bit position of the oldest outcome.
+    head: usize,
+    len: usize,
+    violations: usize,
+}
+
+impl OutcomeRing {
+    /// Appends `violated`, first dropping the oldest outcomes so that at
+    /// most `window` remain: the outcomes of the last `window` evaluations,
+    /// none for a window of 0. Drops more than one only after the window
+    /// shrank.
+    #[inline]
+    pub(crate) fn push_within(&mut self, violated: bool, window: usize) {
+        let same = if violated { self.len } else { 0 };
+        if self.len == window && self.violations == same {
+            // A full window of this one outcome stays as it is: the steady
+            // state of a healthy monitor, and of every window-1 monitor
+            // that saw this outcome last time.
+            return;
+        }
+        while self.len >= window.max(1) {
+            self.pop_front();
+        }
+        if window > 0 {
+            self.push_back(violated);
+        }
+    }
+
+    /// Whether no outcome is kept.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// How many of the kept outcomes are violations.
+    pub(crate) fn violations(&self) -> usize {
+        self.violations
+    }
+
+    /// The kept outcomes, oldest first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = bool> + '_ {
+        let mask = self.mask();
+        (0..self.len).map(move |i| self.bit((self.head + i) & mask))
+    }
+
+    fn mask(&self) -> usize {
+        (self.words.len() * 64).wrapping_sub(1)
+    }
+
+    fn bit(&self, pos: usize) -> bool {
+        self.words[pos / 64] >> (pos % 64) & 1 == 1
+    }
+
+    fn pop_front(&mut self) {
+        self.violations -= usize::from(self.bit(self.head));
+        self.head = (self.head + 1) & self.mask();
+        self.len -= 1;
+    }
+
+    fn push_back(&mut self, violated: bool) {
+        if self.len == self.words.len() * 64 {
+            self.grow();
+        }
+        let pos = (self.head + self.len) & self.mask();
+        let word = &mut self.words[pos / 64];
+        *word = *word & !(1 << (pos % 64)) | u64::from(violated) << (pos % 64);
+        self.violations += usize::from(violated);
+        self.len += 1;
+    }
+
+    /// Doubles the capacity (to one word from none), oldest outcome first.
+    fn grow(&mut self) {
+        let mut grown = OutcomeRing {
+            words: vec![0; (self.words.len() * 2).max(1)],
+            ..OutcomeRing::default()
+        };
+        for violated in self.iter() {
+            grown.push_back(violated);
+        }
+        *self = grown;
+    }
+}
+
+impl PartialEq for OutcomeRing {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl FromIterator<bool> for OutcomeRing {
+    fn from_iter<I: IntoIterator<Item = bool>>(outcomes: I) -> Self {
+        let mut ring = OutcomeRing::default();
+        for violated in outcomes {
+            ring.push_back(violated);
+        }
+        ring
+    }
+}
+
 /// The runtime state tracking recent evaluations for one guardrail. All of
 /// it is checkpointed: a restarted monitor neither re-fires inside a
 /// cooldown nor forgets a partially accumulated N-of-M streak.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct HysteresisState {
     pub(crate) config: Hysteresis,
-    /// The recent-evaluation window, oldest first.
-    pub(crate) recent: VecDeque<bool>,
+    /// The recent-evaluation window, oldest first. It can hold more than
+    /// `config.window` outcomes between a `set_config` that shrank the
+    /// window and the next `observe`, which trims it (and a checkpoint
+    /// taken in between keeps them).
+    pub(crate) recent: OutcomeRing,
     pub(crate) last_fire: Option<Nanos>,
     pub(crate) suppressed: u64,
 }
@@ -83,7 +195,7 @@ impl HysteresisState {
     pub fn new(config: Hysteresis) -> Self {
         HysteresisState {
             config,
-            recent: VecDeque::new(),
+            recent: OutcomeRing::default(),
             last_fire: None,
             suppressed: 0,
         }
@@ -103,16 +215,14 @@ impl HysteresisState {
     ///
     /// Call with `violated = true/false` for every evaluation; returns
     /// `true` exactly when the debounce trips *and* the cooldown has passed.
+    #[inline]
     pub fn observe(&mut self, violated: bool, now: Nanos) -> bool {
-        self.recent.push_back(violated);
-        while self.recent.len() > self.config.window as usize {
-            self.recent.pop_front();
-        }
+        self.recent
+            .push_within(violated, self.config.window as usize);
         if !violated {
             return false;
         }
-        let hits = self.recent.iter().filter(|&&v| v).count() as u32;
-        if hits < self.config.trip_threshold {
+        if self.recent.violations() < self.config.trip_threshold as usize {
             self.suppressed += 1;
             return false;
         }
@@ -139,7 +249,84 @@ impl HysteresisState {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The window as a deque rescanned on every violation: the reference
+    /// `observe` is checked against.
+    #[derive(Default)]
+    struct Model {
+        config: Hysteresis,
+        recent: VecDeque<bool>,
+        last_fire: Option<Nanos>,
+        suppressed: u64,
+    }
+
+    impl Model {
+        fn observe(&mut self, violated: bool, now: Nanos) -> bool {
+            self.recent.push_back(violated);
+            while self.recent.len() > self.config.window as usize {
+                self.recent.pop_front();
+            }
+            if !violated {
+                return false;
+            }
+            let hits = self.recent.iter().filter(|&&v| v).count() as u32;
+            if hits < self.config.trip_threshold
+                || self
+                    .last_fire
+                    .is_some_and(|last| now.saturating_sub(last) < self.config.cooldown)
+            {
+                self.suppressed += 1;
+                return false;
+            }
+            self.last_fire = Some(now);
+            true
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The bit ring decides, counts and keeps exactly what the deque
+        /// model does, through window changes in both directions (a shrink
+        /// keeps the old outcomes until the next `observe`), windows of 0
+        /// and thresholds of 0, across the ring's growth past 64 and 128
+        /// outcomes, and after a round trip through its outcomes.
+        #[test]
+        fn bit_ring_matches_the_deque_model(
+            steps in proptest::collection::vec((0u8..16, any::<bool>()), 1..600),
+            windows in proptest::collection::vec((0u32..4, 0u32..200), 1..6),
+        ) {
+            let mut ring = HysteresisState::default();
+            let mut model = Model::default();
+            for (t, &(op, violated)) in steps.iter().enumerate() {
+                let now = Nanos::from_secs(t as u64);
+                if op == 0 {
+                    let (threshold, window) = windows[t % windows.len()];
+                    let config = Hysteresis {
+                        trip_threshold: threshold,
+                        window,
+                        cooldown: Nanos::from_secs(u64::from(threshold % 3)),
+                    };
+                    ring.set_config(config);
+                    model.config = config;
+                } else {
+                    prop_assert_eq!(ring.observe(violated, now), model.observe(violated, now));
+                }
+                prop_assert!(ring.recent.iter().eq(model.recent.iter().copied()));
+                let violations = model.recent.iter().filter(|&&v| v).count();
+                prop_assert_eq!(ring.recent.violations(), violations);
+                prop_assert_eq!(ring.suppressed(), model.suppressed);
+                prop_assert_eq!(ring.last_fire(), model.last_fire);
+                let copy: OutcomeRing = ring.recent.iter().collect();
+                prop_assert!(copy == ring.recent);
+            }
+        }
+    }
 
     #[test]
     fn default_fires_on_every_violation() {

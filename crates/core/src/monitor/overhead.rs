@@ -33,7 +33,7 @@ pub struct OverheadAccount {
     pub trips: u64,
     /// Deferred commands emitted to the outbox.
     pub commands_emitted: u64,
-    /// Rule evaluations aborted by a fault (fuel exhaustion or panic).
+    /// Rule evaluations aborted by a fault (fuel exhaustion).
     pub rule_faults: u64,
     /// Times the watchdog disabled this monitor.
     pub watchdog_trips: u64,

@@ -11,14 +11,13 @@
 //! This module also holds the state's line encoding inside a checkpoint
 //! (see [`super::checkpoint`] for the format as a whole).
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 use simkernel::Nanos;
 
 use crate::compile::CompiledGuardrail;
 use crate::error::{GuardrailError, Result};
-use crate::monitor::hysteresis::{Hysteresis, HysteresisState};
+use crate::monitor::hysteresis::{Hysteresis, HysteresisState, OutcomeRing};
 use crate::monitor::overhead::OverheadAccount;
 use crate::spec::check::TimerSpec;
 use crate::store::wal::crc32;
@@ -158,7 +157,7 @@ impl MonitorState {
         if h.recent.is_empty() {
             out.put("-");
         }
-        out.extend(h.recent.iter().map(|&v| if v { b'1' } else { b'0' }));
+        out.extend(h.recent.iter().map(|v| if v { b'1' } else { b'0' }));
         out.put("\n");
         write_account(out, "account", &self.account);
         for &due in &self.next_due {
@@ -214,8 +213,8 @@ impl MonitorState {
     pub(crate) fn decode_line(&mut self, fields: &[&str]) -> Result<()> {
         match fields {
             ["hyst", threshold, window, cooldown, last_fire, suppressed, recent] => {
-                let recent: Result<VecDeque<bool>> = match *recent {
-                    "-" => Ok(VecDeque::new()),
+                let recent: Result<OutcomeRing> = match *recent {
+                    "-" => Ok(OutcomeRing::default()),
                     bits => bits.chars().map(parse_bit).collect(),
                 };
                 self.hysteresis = HysteresisState {

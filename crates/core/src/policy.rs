@@ -1,11 +1,12 @@
-//! Learned policies, fallbacks, and the registry the `REPLACE` action drives.
+//! Learned policies and the registry the `REPLACE` action drives.
 //!
 //! "Most systems deploying learned policies supplement but do not replace
-//! existing ones" (§3.2): a [`GuardedPolicy`] owns both a learned policy and
-//! its heuristic fallback, and consults the shared [`PolicyRegistry`] on
-//! every decision to know which is active. The `REPLACE(slot, variant)`
-//! action swaps the active variant in the registry; the policy object itself
-//! never moves, so swaps are cheap and atomic.
+//! existing ones" (§3.2): a subsystem keeps both its learned policy and its
+//! heuristic fallback, and consults the shared [`PolicyRegistry`] on every
+//! decision to know which is active, often together with conditions of its
+//! own. The `REPLACE(slot, variant)` action swaps the active variant in the
+//! registry; the policy objects themselves never move, so swaps are cheap
+//! and atomic.
 //!
 //! Decision paths ask through a [`VariantHandle`], resolved once like a
 //! store [`Slot`](crate::store::Slot): every registry mutation bumps a
@@ -15,7 +16,6 @@
 //! hash and no lock.
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -37,18 +37,6 @@ pub trait LearnedPolicy {
     }
     /// Retrains/refreshes the policy (the `RETRAIN` action's entry point).
     fn retrain(&mut self) {}
-}
-
-/// A known-safe fallback policy (usually a hand-coded heuristic).
-pub trait FallbackPolicy {
-    /// Computes the fallback decision for `features`.
-    fn decide(&mut self, features: &[f64]) -> f64;
-}
-
-impl<F: FnMut(&[f64]) -> f64> FallbackPolicy for F {
-    fn decide(&mut self, features: &[f64]) -> f64 {
-        self(features)
-    }
 }
 
 /// The canonical variant name for the learned policy in a slot.
@@ -443,101 +431,9 @@ impl VariantHandle {
     }
 }
 
-/// A policy pair (learned + fallback) gated by the registry.
-///
-/// Subsystems call [`GuardedPolicy::decide`] on their decision path; the
-/// wrapper dispatches to whichever variant the registry says is active and
-/// tracks how many decisions each variant served.
-pub struct GuardedPolicy<L, F> {
-    /// Whether the learned variant is active in the pair's slot.
-    learned_active: VariantHandle,
-    learned: L,
-    fallback: F,
-    learned_decisions: u64,
-    fallback_decisions: u64,
-}
-
-impl<L: LearnedPolicy, F: FallbackPolicy> GuardedPolicy<L, F> {
-    /// Creates the pair and registers `slot` with the standard two variants
-    /// (learned active first).
-    ///
-    /// Returns an error if the slot is already registered.
-    pub fn new(slot: &str, registry: Arc<PolicyRegistry>, learned: L, fallback: F) -> Result<Self> {
-        registry.register(slot, &[VARIANT_LEARNED, VARIANT_FALLBACK])?;
-        Ok(GuardedPolicy {
-            learned_active: registry.handle(slot, VARIANT_LEARNED),
-            learned,
-            fallback,
-            learned_decisions: 0,
-            fallback_decisions: 0,
-        })
-    }
-
-    /// Decides via the active variant.
-    pub fn decide(&mut self, features: &[f64]) -> f64 {
-        if self.learned_active.is_active() {
-            self.learned_decisions += 1;
-            self.learned.decide(features)
-        } else {
-            self.fallback_decisions += 1;
-            self.fallback.decide(features)
-        }
-    }
-
-    /// Returns `true` when the learned variant is currently active.
-    pub fn learned_active(&self) -> bool {
-        self.learned_active.is_active()
-    }
-
-    /// Inference cost of the *active* variant (fallbacks are free in the P5
-    /// accounting, matching the paper's framing of inference overhead).
-    pub fn inference_cost(&self) -> u64 {
-        if self.learned_active() {
-            self.learned.inference_cost()
-        } else {
-            0
-        }
-    }
-
-    /// Decisions served by (learned, fallback) so far.
-    pub fn decision_counts(&self) -> (u64, u64) {
-        (self.learned_decisions, self.fallback_decisions)
-    }
-
-    /// Mutable access to the learned policy (for retraining).
-    pub fn learned_mut(&mut self) -> &mut L {
-        &mut self.learned
-    }
-
-    /// The slot name this pair is registered under.
-    pub fn slot(&self) -> &str {
-        self.learned_active.slot()
-    }
-}
-
-impl<L, F> fmt::Debug for GuardedPolicy<L, F> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("GuardedPolicy")
-            .field("slot", &self.learned_active.slot())
-            .field("learned_decisions", &self.learned_decisions)
-            .field("fallback_decisions", &self.fallback_decisions)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct ConstPolicy(f64);
-    impl LearnedPolicy for ConstPolicy {
-        fn decide(&mut self, _: &[f64]) -> f64 {
-            self.0
-        }
-        fn inference_cost(&self) -> u64 {
-            500
-        }
-    }
 
     #[test]
     fn registry_register_and_replace() {
@@ -664,39 +560,5 @@ mod tests {
         for (handle, variant) in [(&learned, VARIANT_LEARNED), (&fallback, VARIANT_FALLBACK)] {
             assert_eq!(handle.is_active(), reg.is_active("io", variant));
         }
-    }
-
-    #[test]
-    fn guarded_policy_dispatches_on_registry() {
-        let reg = Arc::new(PolicyRegistry::new());
-        let mut gp =
-            GuardedPolicy::new("io", Arc::clone(&reg), ConstPolicy(0.9), |_: &[f64]| 0.1).unwrap();
-        assert_eq!(gp.decide(&[]), 0.9);
-        assert!(gp.learned_active());
-        assert_eq!(gp.inference_cost(), 500);
-        reg.replace("io", VARIANT_FALLBACK).unwrap();
-        assert_eq!(gp.decide(&[]), 0.1);
-        assert_eq!(gp.inference_cost(), 0);
-        assert_eq!(gp.decision_counts(), (1, 1));
-        assert_eq!(gp.slot(), "io");
-    }
-
-    #[test]
-    fn duplicate_guarded_slot_fails() {
-        let reg = Arc::new(PolicyRegistry::new());
-        let _a =
-            GuardedPolicy::new("x", Arc::clone(&reg), ConstPolicy(1.0), |_: &[f64]| 0.0).unwrap();
-        assert!(
-            GuardedPolicy::new("x", Arc::clone(&reg), ConstPolicy(1.0), |_: &[f64]| 0.0).is_err()
-        );
-    }
-
-    #[test]
-    fn learned_mut_allows_retraining() {
-        let reg = Arc::new(PolicyRegistry::new());
-        let mut gp =
-            GuardedPolicy::new("y", Arc::clone(&reg), ConstPolicy(1.0), |_: &[f64]| 0.0).unwrap();
-        gp.learned_mut().0 = 2.0;
-        assert_eq!(gp.decide(&[]), 2.0);
     }
 }

@@ -75,6 +75,18 @@ pub trait PersistBackend: Send + Sync + std::fmt::Debug {
     fn append(&self, region: Region, bytes: &[u8]) -> Result<()>;
     /// Atomically replaces the contents of `region` with `bytes`.
     fn replace(&self, region: Region, bytes: &[u8]) -> Result<()>;
+    /// The length of `region` in bytes (0 if never written), without
+    /// reading it.
+    fn len(&self, region: Region) -> Result<usize>;
+    /// Atomically drops the first `n` bytes of `region`, keeping the rest
+    /// verbatim; fails, changing nothing, when the region is shorter. It
+    /// costs what the kept bytes cost, not what the dropped ones do:
+    /// compaction cuts the log with it.
+    fn cut_front(&self, region: Region, n: usize) -> Result<()>;
+    /// Drops every byte of `region` past its first `len`; a region no
+    /// longer than that is left as it is. The durable store cuts back what
+    /// a failed append left with it.
+    fn truncate(&self, region: Region, len: usize) -> Result<()>;
 }
 
 /// Deterministic in-memory backend.
@@ -153,6 +165,31 @@ impl PersistBackend for MemBackend {
         guard.extend_from_slice(bytes);
         Ok(())
     }
+
+    fn len(&self, region: Region) -> Result<usize> {
+        Ok(self.region(region).lock().len())
+    }
+
+    fn cut_front(&self, region: Region, n: usize) -> Result<()> {
+        let mut guard = self.region(region).lock();
+        if n > guard.len() {
+            return Err(cut_past_end(region, n, guard.len()));
+        }
+        guard.drain(..n);
+        Ok(())
+    }
+
+    fn truncate(&self, region: Region, len: usize) -> Result<()> {
+        self.region(region).lock().truncate(len);
+        Ok(())
+    }
+}
+
+/// The error for cutting `n` bytes from a region of `len`.
+fn cut_past_end(region: Region, n: usize, len: usize) -> GuardrailError {
+    GuardrailError::Persist(format!(
+        "cannot cut {n} bytes from the {len}-byte {region:?} region"
+    ))
 }
 
 /// File-backed persistence: `snapshot.bin`, `wal.bin`, and `checkpoint.bin`
@@ -224,6 +261,59 @@ impl PersistBackend for FileBackend {
 
     fn replace(&self, region: Region, bytes: &[u8]) -> Result<()> {
         let _guard = self.append_lock.lock();
+        self.write_renamed(region, bytes)
+    }
+
+    fn len(&self, region: Region) -> Result<usize> {
+        let path = self.path(region);
+        match std::fs::metadata(&path) {
+            Ok(meta) => Ok(meta.len() as usize),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
+            Err(e) => Err(GuardrailError::Persist(format!(
+                "stat {}: {e}",
+                path.display()
+            ))),
+        }
+    }
+
+    /// Reads only the bytes it keeps, and writes them to a temporary file
+    /// renamed over the region, like `replace`.
+    fn cut_front(&self, region: Region, n: usize) -> Result<()> {
+        use std::io::{Read, Seek, SeekFrom};
+        let _guard = self.append_lock.lock();
+        let len = self.len(region)?;
+        if n > len {
+            return Err(cut_past_end(region, n, len));
+        }
+        let path = self.path(region);
+        let io =
+            |e: std::io::Error| GuardrailError::Persist(format!("cut {}: {e}", path.display()));
+        let mut kept = Vec::with_capacity(len - n);
+        if len > 0 {
+            let mut file = std::fs::File::open(&path).map_err(io)?;
+            file.seek(SeekFrom::Start(n as u64)).map_err(io)?;
+            file.read_to_end(&mut kept).map_err(io)?;
+        }
+        self.write_renamed(region, &kept)
+    }
+
+    fn truncate(&self, region: Region, len: usize) -> Result<()> {
+        let _guard = self.append_lock.lock();
+        if self.len(region)? <= len {
+            return Ok(());
+        }
+        let path = self.path(region);
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .and_then(|file| file.set_len(len as u64))
+            .map_err(|e| GuardrailError::Persist(format!("truncate {}: {e}", path.display())))
+    }
+}
+
+impl FileBackend {
+    /// Writes `bytes` to a temporary file and renames it over `region`.
+    fn write_renamed(&self, region: Region, bytes: &[u8]) -> Result<()> {
         let path = self.path(region);
         let tmp = path.with_extension("tmp");
         std::fs::write(&tmp, bytes)
@@ -360,11 +450,7 @@ impl WalAppender {
                 // land behind the stray bytes and be lost at the next open.
                 // If this fails too, `compact` sees the length mismatch and
                 // refuses to cut.
-                if let Ok(wal) = self.backend.load(Region::Wal) {
-                    if wal.len() > tail.logged {
-                        let _ = self.backend.replace(Region::Wal, &wal[..tail.logged]);
-                    }
-                }
+                let _ = self.backend.truncate(Region::Wal, tail.logged);
             }
         }
     }
@@ -546,9 +632,11 @@ impl DurableStore {
     ///    land meanwhile are applied to the store and appended after the
     ///    cut; replaying them over the snapshot is idempotent.
     /// 3. Under the tail lock again: check that the WAL is as long as the
-    ///    appends wrote it, then replace it with its bytes after the cut.
-    ///    Holding the lock from load to replace means no append can land in
-    ///    between and be overwritten.
+    ///    appends wrote it, then drop its bytes up to the cut
+    ///    ([`PersistBackend::cut_front`]), which copies only the bytes after
+    ///    it and reads none before it. Holding the lock from the length
+    ///    check to the cut means no append can land in between and be
+    ///    overwritten.
     ///
     /// Crash-ordered: the snapshot lands before the cut, and frames the
     /// snapshot already covers are skipped by seq on replay. Nothing is
@@ -575,15 +663,14 @@ impl DurableStore {
         let snapshot = Snapshot { seq, entries };
         self.backend.replace(Region::Snapshot, &snapshot.encode())?;
         let mut tail = self.appender.tail.lock();
-        let wal = self.backend.load(Region::Wal)?;
-        if wal.len() != tail.logged {
+        let len = self.backend.len(Region::Wal)?;
+        if len != tail.logged {
             return Err(GuardrailError::Persist(format!(
-                "WAL holds {} bytes, not the {} appended to it; not cutting",
-                wal.len(),
+                "WAL holds {len} bytes, not the {} appended to it; not cutting",
                 tail.logged
             )));
         }
-        self.backend.replace(Region::Wal, &wal[cut..])?;
+        self.backend.cut_front(Region::Wal, cut)?;
         tail.logged -= cut;
         self.appender
             .since_compaction
@@ -1046,6 +1133,41 @@ mod tests {
         assert_eq!(durable.store().load("k"), Some(8.0));
         assert_eq!(durable.load_checkpoint().unwrap(), b"cp");
         drop(durable);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `len`, `cut_front` and `truncate` on both backends: what they keep
+    /// is what slicing the loaded region keeps.
+    #[test]
+    fn backends_measure_cut_and_truncate_regions() {
+        let dir = std::env::temp_dir().join(format!(
+            "guardrails-durable-cut-test-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let backends: [Arc<dyn PersistBackend>; 2] = [
+            Arc::new(MemBackend::new()),
+            Arc::new(FileBackend::open(&dir).unwrap()),
+        ];
+        for backend in backends {
+            let case = format!("{backend:?}");
+            assert_eq!(backend.len(Region::Wal).unwrap(), 0, "{case}");
+            backend.cut_front(Region::Wal, 0).unwrap();
+            backend.truncate(Region::Wal, 5).unwrap();
+            backend.append(Region::Wal, b"0123456789").unwrap();
+            assert_eq!(backend.len(Region::Wal).unwrap(), 10, "{case}");
+            assert!(backend.cut_front(Region::Wal, 11).is_err(), "{case}");
+            assert_eq!(backend.load(Region::Wal).unwrap(), b"0123456789");
+            backend.cut_front(Region::Wal, 3).unwrap();
+            assert_eq!(backend.load(Region::Wal).unwrap(), b"3456789", "{case}");
+            backend.truncate(Region::Wal, 9).unwrap();
+            backend.truncate(Region::Wal, 4).unwrap();
+            assert_eq!(backend.load(Region::Wal).unwrap(), b"3456", "{case}");
+            backend.append(Region::Wal, b"ab").unwrap();
+            backend.cut_front(Region::Wal, 6).unwrap();
+            assert_eq!(backend.len(Region::Wal).unwrap(), 0, "{case}");
+            assert_eq!(backend.len(Region::Snapshot).unwrap(), 0, "{case}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

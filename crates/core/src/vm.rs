@@ -10,6 +10,7 @@
 use simkernel::Nanos;
 
 use crate::compile::ir::{clamp, Op, Program};
+use crate::compile::verify::Verified;
 use crate::store::Slot;
 
 /// Per-program persistent state for `DELTA(key)`: the last value read for
@@ -111,7 +112,8 @@ impl EvalResult {
 
 /// A fault aborting a [`Vm::try_run`] evaluation.
 ///
-/// Verified programs cannot underflow or jump out of bounds, but a caller
+/// Verified programs cannot underflow, overflow the fixed stack or jump out
+/// of bounds, but a caller
 /// may impose a *dynamic* fuel budget tighter than the verifier's static
 /// bound (or a fault-injection harness may shrink it mid-run); exhausting
 /// it aborts the evaluation without a result.
@@ -138,6 +140,10 @@ impl std::fmt::Display for VmFault {
 
 impl std::error::Error for VmFault {}
 
+/// The VM's stack size: the most values a verified program holds at once
+/// (the verifier rejects a deeper program, whatever its limits say).
+pub const STACK_SLOTS: usize = 64;
+
 /// A reusable stack VM.
 ///
 /// # Examples
@@ -150,7 +156,7 @@ impl std::error::Error for VmFault {}
 ///
 /// let compiled = compile_str(
 ///     "guardrail g { trigger: { TIMER(0,1s) }, rule: { LOAD(x) <= 0.05 }, action: { REPORT(m) } }",
-/// ).unwrap();
+/// )?;
 /// let store = FeatureStore::new();
 /// store.save("x", 0.2);
 /// let program = &compiled[0].rules[0].program;
@@ -162,30 +168,86 @@ impl std::error::Error for VmFault {}
 ///     &mut EvalCtx { slots: &slots, now: Nanos::ZERO, args: &[], deltas: &mut deltas },
 /// );
 /// assert!(!result.as_bool()); // 0.2 > 0.05: the rule does not hold.
+/// # Ok::<(), guardrails::GuardrailError>(())
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Vm {
-    stack: Vec<f64>,
+    /// Boxed, so an engine that holds a VM stays small: with the 512 bytes
+    /// inline, the recovery runtime's per-I/O loop (which seldom
+    /// evaluates) ran about 2 % slower (ten benchmark pairs on a 2-vCPU
+    /// x86 host).
+    stack: Box<[f64; STACK_SLOTS]>,
+}
+
+impl Default for Vm {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The stack of one evaluation: the VM's slots and a stack pointer. With
+/// `DEPTH` it also tracks the deepest depth reached (compiled out
+/// otherwise). Indexing stays bounds-checked: a program the verifier did
+/// not prove could only panic here, never read or write past the slots.
+struct Stack<'a, const DEPTH: bool> {
+    slots: &'a mut [f64; STACK_SLOTS],
+    sp: usize,
+    deepest: usize,
+}
+
+impl<const DEPTH: bool> Stack<'_, DEPTH> {
+    #[inline(always)]
+    fn push(&mut self, v: f64) {
+        self.slots[self.sp] = v;
+        self.sp += 1;
+        if DEPTH {
+            self.deepest = self.deepest.max(self.sp);
+        }
+    }
+
+    #[inline(always)]
+    fn push_bool(&mut self, b: bool) {
+        self.push(if b { 1.0 } else { 0.0 });
+    }
+
+    #[inline(always)]
+    fn pop(&mut self) -> f64 {
+        self.sp -= 1;
+        self.slots[self.sp]
+    }
+
+    #[inline(always)]
+    fn peek(&self) -> f64 {
+        self.slots[self.sp - 1]
+    }
+
+    /// The value a finished program left, 0 for none.
+    fn result(&self) -> f64 {
+        match self.sp {
+            0 => 0.0,
+            sp => self.slots[sp - 1],
+        }
+    }
 }
 
 impl Vm {
     /// Creates a VM with an empty stack.
     pub fn new() -> Self {
         Vm {
-            stack: Vec::with_capacity(16),
+            stack: Box::new([0.0; STACK_SLOTS]),
         }
     }
 
-    /// Executes a *verified* program to completion.
+    /// Executes a verified program to completion.
     ///
     /// # Panics
     ///
-    /// Panics on stack underflow or malformed jumps, which the verifier
-    /// excludes; running an unverified program is a programming error. Also
-    /// panics when `ctx.slots` was not bound from this program's key table.
-    pub fn run(&mut self, program: &Program, ctx: &mut EvalCtx<'_>) -> EvalResult {
-        self.try_run(program, ctx, None)
-            .expect("unlimited fuel cannot exhaust")
+    /// Panics when `ctx.slots` was not bound from this program's key table.
+    pub fn run(&mut self, program: &Verified, ctx: &mut EvalCtx<'_>) -> EvalResult {
+        match self.exec::<false>(program, ctx, u64::MAX) {
+            Ok((result, _)) => result,
+            Err(fault) => unreachable!("{fault} without a fuel limit"),
+        }
     }
 
     /// Executes a verified program under a dynamic fuel budget.
@@ -194,91 +256,118 @@ impl Vm {
     /// `fuel_limit` before the program finishes; the engine's watchdog uses
     /// this to detect rules that can no longer complete within budget
     /// instead of letting them run unbounded.
-    ///
-    /// One loop, one flat `match` over the verified stream. Superinstructions
-    /// keep their operands in the instruction and their intermediates in
-    /// locals, so the dominant `LOAD(k) <= c` rule is one dispatch and one
-    /// stack push; each is charged its full cost before it runs.
     pub fn try_run(
         &mut self,
-        program: &Program,
+        program: &Verified,
         ctx: &mut EvalCtx<'_>,
         fuel_limit: Option<u64>,
     ) -> Result<EvalResult, VmFault> {
-        self.stack.clear();
+        let limit = fuel_limit.unwrap_or(u64::MAX);
+        self.exec::<false>(program, ctx, limit)
+            .map(|(result, _)| result)
+    }
+
+    /// [`Vm::try_run`], also returning the deepest stack depth the
+    /// evaluation reached: what the verifier's
+    /// [`max_stack_depth`](crate::compile::verify::VerifyReport::max_stack_depth)
+    /// bounds.
+    pub fn try_run_with_depth(
+        &mut self,
+        program: &Verified,
+        ctx: &mut EvalCtx<'_>,
+        fuel_limit: Option<u64>,
+    ) -> Result<(EvalResult, usize), VmFault> {
+        self.exec::<true>(program, ctx, fuel_limit.unwrap_or(u64::MAX))
+    }
+
+    /// One loop, one flat `match` over the verified stream, on the fixed
+    /// stack; fuel is one compare per instruction. Superinstructions keep
+    /// their operands in the instruction and their intermediates in
+    /// locals, so the dominant `LOAD(k) <= c` rule is one dispatch and one
+    /// stack push; each is charged its full cost before it runs.
+    #[inline(always)]
+    fn exec<const DEPTH: bool>(
+        &mut self,
+        program: &Verified,
+        ctx: &mut EvalCtx<'_>,
+        limit: u64,
+    ) -> Result<(EvalResult, usize), VmFault> {
+        let mut stack = Stack::<DEPTH> {
+            slots: &mut self.stack,
+            sp: 0,
+            deepest: 0,
+        };
         let mut fuel = 0u64;
         let mut pc = 0usize;
         let ops = &program.ops;
         while pc < ops.len() {
             let op = ops[pc];
             fuel += op.cost();
-            if let Some(limit) = fuel_limit {
-                if fuel > limit {
-                    return Err(VmFault::FuelExhausted { used: fuel, limit });
-                }
+            if fuel > limit {
+                return Err(VmFault::FuelExhausted { used: fuel, limit });
             }
             pc += 1;
             match op {
-                Op::Push(v) => self.stack.push(v),
-                Op::Load(k) => self.stack.push(ctx.slot(k).load().unwrap_or(0.0)),
-                Op::Arg(i) => self.stack.push(ctx.arg(i)),
+                Op::Push(v) => stack.push(v),
+                Op::Load(k) => stack.push(ctx.slot(k).load().unwrap_or(0.0)),
+                Op::Arg(i) => stack.push(ctx.arg(i)),
                 Op::Agg {
                     kind,
                     key,
                     window_ns,
-                } => self.stack.push(ctx.slot(key).aggregate(
+                } => stack.push(ctx.slot(key).aggregate(
                     kind,
                     Nanos::from_nanos(window_ns),
                     ctx.now,
                 )),
-                Op::Quantile { key, q, window_ns } => self.stack.push(ctx.slot(key).quantile(
+                Op::Quantile { key, q, window_ns } => stack.push(ctx.slot(key).quantile(
                     q,
                     Nanos::from_nanos(window_ns),
                     ctx.now,
                 )),
-                Op::Ewma(k) => self.stack.push(ctx.slot(k).ewma()),
-                Op::Hist { key, q } => self.stack.push(ctx.slot(key).hist_quantile(q)),
+                Op::Ewma(k) => stack.push(ctx.slot(k).ewma()),
+                Op::Hist { key, q } => stack.push(ctx.slot(key).hist_quantile(q)),
                 Op::Delta(k) => {
                     let current = ctx.slot(k).load().unwrap_or(0.0);
                     let last = ctx.deltas.0[usize::from(k)]
                         .replace(current)
                         .unwrap_or(current);
-                    self.stack.push(current - last);
+                    stack.push(current - last);
                 }
                 Op::Abs => {
-                    let x = self.pop();
-                    self.stack.push(x.abs());
+                    let x = stack.pop();
+                    stack.push(x.abs());
                 }
                 Op::Neg => {
-                    let x = self.pop();
-                    self.stack.push(-x);
+                    let x = stack.pop();
+                    stack.push(-x);
                 }
                 Op::Not => {
-                    let x = self.pop();
-                    self.push_bool(x == 0.0);
+                    let x = stack.pop();
+                    stack.push_bool(x == 0.0);
                 }
                 Op::Arith(arith) => {
-                    let b = self.pop();
-                    let a = self.pop();
-                    self.stack.push(arith.eval(a, b));
+                    let b = stack.pop();
+                    let a = stack.pop();
+                    stack.push(arith.eval(a, b));
                 }
                 Op::Clamp => {
-                    let hi = self.pop();
-                    let lo = self.pop();
-                    let x = self.pop();
-                    self.stack.push(clamp(x, lo, hi));
+                    let hi = stack.pop();
+                    let lo = stack.pop();
+                    let x = stack.pop();
+                    stack.push(clamp(x, lo, hi));
                 }
                 Op::Cmp(cmp) => {
-                    let b = self.pop();
-                    let a = self.pop();
-                    self.push_bool(cmp.eval(a, b));
+                    let b = stack.pop();
+                    let a = stack.pop();
+                    stack.push_bool(cmp.eval(a, b));
                 }
                 Op::LoadCmp { key, cmp, constant } => {
                     let v = ctx.slot(key).load().unwrap_or(0.0);
-                    self.push_bool(cmp.eval(v, constant));
+                    stack.push_bool(cmp.eval(v, constant));
                 }
                 Op::ArgCmp { arg, cmp, constant } => {
-                    self.push_bool(cmp.eval(ctx.arg(arg), constant));
+                    stack.push_bool(cmp.eval(ctx.arg(arg), constant));
                 }
                 Op::LoadArith {
                     key,
@@ -286,40 +375,25 @@ impl Vm {
                     constant,
                 } => {
                     let v = ctx.slot(key).load().unwrap_or(0.0);
-                    self.stack.push(arith.eval(v, constant));
+                    stack.push(arith.eval(v, constant));
                 }
                 Op::JumpIfFalsePeek(t) => {
-                    if self.peek() == 0.0 {
+                    if stack.peek() == 0.0 {
                         pc = usize::from(t);
                     }
                 }
                 Op::JumpIfTruePeek(t) => {
-                    if self.peek() != 0.0 {
+                    if stack.peek() != 0.0 {
                         pc = usize::from(t);
                     }
                 }
                 Op::Pop => {
-                    self.pop();
+                    stack.pop();
                 }
             }
         }
-        let value = self.stack.pop().unwrap_or(0.0);
-        Ok(EvalResult { value, fuel })
-    }
-
-    fn pop(&mut self) -> f64 {
-        self.stack.pop().expect("verified program cannot underflow")
-    }
-
-    fn peek(&self) -> f64 {
-        *self
-            .stack
-            .last()
-            .expect("verified program cannot peek empty stack")
-    }
-
-    fn push_bool(&mut self, b: bool) {
-        self.stack.push(if b { 1.0 } else { 0.0 });
+        let value = stack.result();
+        Ok((EvalResult { value, fuel }, stack.deepest))
     }
 }
 
@@ -328,11 +402,24 @@ mod tests {
     use super::*;
     use crate::compile::lower::lower_expr;
     use crate::compile::opt::fold_expr;
+    use crate::compile::verify::{verify, ExpectedType, VerifyLimits};
     use crate::spec::ast::{AggKind, BinOp, Expr, UnOp};
     use crate::store::FeatureStore;
 
+    /// `e` lowered (unfolded) and verified.
+    fn verified(e: &Expr) -> Verified {
+        let lowered = lower_expr(e).map_err(|e| e.to_string());
+        let program = lowered.and_then(|p| {
+            verify(p, ExpectedType::Either, &VerifyLimits::default()).map_err(|e| e.to_string())
+        });
+        match program {
+            Ok(program) => program,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
     fn eval_with(store: &FeatureStore, now: Nanos, args: &[f64], e: &Expr) -> EvalResult {
-        let program = lower_expr(&fold_expr(e)).unwrap();
+        let program = verified(&fold_expr(e));
         let slots = store.bind(&program.keys);
         let mut deltas = DeltaState::for_program(&program);
         Vm::new().run(
@@ -423,7 +510,7 @@ mod tests {
     fn delta_tracks_change_between_evaluations() {
         let store = FeatureStore::new();
         store.save("errors", 10.0);
-        let program = lower_expr(&Expr::Delta("errors".into())).unwrap();
+        let program = verified(&Expr::Delta("errors".into()));
         let slots = store.bind(&program.keys);
         let mut deltas = DeltaState::for_program(&program);
         let mut vm = Vm::new();
@@ -508,7 +595,7 @@ mod tests {
     #[test]
     fn fuel_matches_static_worst_case_for_straightline_code() {
         let e = Expr::bin(BinOp::Le, Expr::Load("x".into()), num(0.05));
-        let program = lower_expr(&e).unwrap();
+        let program = verified(&e);
         let store = FeatureStore::new();
         let slots = store.bind(&program.keys);
         let mut deltas = DeltaState::for_program(&program);
@@ -527,7 +614,7 @@ mod tests {
     #[test]
     fn try_run_enforces_the_fuel_limit() {
         let e = Expr::bin(BinOp::Le, Expr::Load("x".into()), num(0.05));
-        let program = lower_expr(&e).unwrap();
+        let program = verified(&e);
         let store = FeatureStore::new();
         let slots = store.bind(&program.keys);
         let mut deltas = DeltaState::for_program(&program);
@@ -539,10 +626,12 @@ mod tests {
             deltas: &mut deltas,
         };
         // A generous limit behaves exactly like `run`.
-        let ok = vm.try_run(&program, &mut ctx, Some(1_000)).unwrap();
-        assert_eq!(ok.fuel, program.worst_case_fuel());
+        let ok = vm.try_run(&program, &mut ctx, Some(1_000));
+        assert_eq!(ok.map(|r| r.fuel), Ok(program.worst_case_fuel()));
         // A starved limit faults mid-program.
-        let fault = vm.try_run(&program, &mut ctx, Some(1)).unwrap_err();
+        let Err(fault) = vm.try_run(&program, &mut ctx, Some(1)) else {
+            panic!("a starved limit must fault");
+        };
         let VmFault::FuelExhausted { used, limit } = fault;
         assert_eq!(limit, 1);
         assert!(used > limit);
@@ -555,7 +644,7 @@ mod tests {
     fn short_circuit_uses_less_fuel_than_worst_case() {
         let lhs = Expr::bin(BinOp::Lt, Expr::Load("a".into()), num(-1.0)); // False.
         let rhs = Expr::bin(BinOp::Lt, Expr::Load("b".into()), num(1.0));
-        let program = lower_expr(&Expr::bin(BinOp::And, lhs, rhs)).unwrap();
+        let program = verified(&Expr::bin(BinOp::And, lhs, rhs));
         let store = FeatureStore::new();
         let slots = store.bind(&program.keys);
         let mut deltas = DeltaState::for_program(&program);

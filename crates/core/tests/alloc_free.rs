@@ -1,6 +1,7 @@
 //! The durable node's per-I/O bookkeeping stays off the allocator once
 //! warm: a journaled save, a `maybe_compact` below its budget, and an
-//! engine checkpoint encoded into a reused buffer and persisted.
+//! engine checkpoint encoded into a reused buffer and persisted. So does
+//! the monitors' hot path: a batch of healthy tracepoint events.
 //!
 //! A counting global allocator counts the allocations made on each thread;
 //! the test reads its own thread's count around the measured loop.
@@ -9,8 +10,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
+use guardrails::monitor::engine::FnEvent;
 use guardrails::monitor::{Hysteresis, MonitorEngine, EVENT_CAPACITY};
-use guardrails::{DurabilityConfig, DurableStore, MemBackend, PersistBackend, PolicyRegistry};
+use guardrails::{
+    DurabilityConfig, DurableStore, MemBackend, PersistBackend, PolicyRegistry, Telemetry,
+};
 use simkernel::Nanos;
 
 thread_local! {
@@ -145,4 +149,67 @@ fn warm_checkpoints_and_journaled_saves_do_not_allocate() {
         "the buffer is a checkpoint"
     );
     assert!(buf.windows(6).any(|w| w == b"delta "), "with DELTA state");
+}
+
+/// Monitors on one hook that every event below satisfies: argument rules,
+/// a store read and a short-circuit rule, with actions that never run.
+const HOT_SPECS: &str = r#"
+guardrail io-size { trigger: { FUNCTION(io_submit) }, rule: { ARG(0) <= 4096 }, action: { RECORD(oversized, 1) } }
+guardrail io-latency { trigger: { FUNCTION(io_submit) }, rule: { ARG(1) < 900 }, action: { RECORD(slow_ios, ARG(1)) } }
+guardrail queue-depth { trigger: { FUNCTION(io_submit) }, rule: { LOAD(qdepth) < 64 }, action: { SAVE(deep_queue, LOAD(qdepth)) } }
+guardrail either { trigger: { FUNCTION(io_submit) }, rule: { ARG(0) >= 0 || LOAD(qdepth) > 1 }, action: { REPORT("negative") } }
+"#;
+
+/// Delivers one event per `args` entry, 1 µs apart, as one batch.
+fn healthy_batch<'a>(
+    engine: &mut MonitorEngine,
+    batch: &mut Vec<FnEvent<'a>>,
+    args: &'a [[f64; 2]],
+    now: &mut Nanos,
+) {
+    batch.clear();
+    for event in args {
+        *now += Nanos::from_micros(1);
+        batch.push(FnEvent {
+            now: *now,
+            args: event,
+        });
+    }
+    engine.on_function_batch("io_submit", batch);
+}
+
+#[test]
+fn a_warm_healthy_function_batch_allocates_nothing() {
+    let mut engine = MonitorEngine::new();
+    engine.set_telemetry(Telemetry::new());
+    engine.install_str(HOT_SPECS).unwrap();
+    // A window wider than one ring word, so warming grows it.
+    engine
+        .set_hysteresis("io-latency", Hysteresis::n_of_m(3, 200))
+        .unwrap();
+    let store = engine.store();
+    let qdepth = store.slot("qdepth");
+    let args: Vec<[f64; 2]> = (0..256u32)
+        .map(|i| [f64::from(i * 16), f64::from(i * 3)])
+        .collect();
+    let mut batch = Vec::with_capacity(args.len());
+    let mut now = Nanos::ZERO;
+    for _ in 0..4 {
+        healthy_batch(&mut engine, &mut batch, &args, &mut now);
+    }
+
+    let before = allocations();
+    for i in 0..64u32 {
+        store.save_slot(&qdepth, f64::from(i % 64));
+        healthy_batch(&mut engine, &mut batch, &args, &mut now);
+    }
+    let allocated = allocations() - before;
+
+    assert_eq!(
+        allocated, 0,
+        "64 healthy batches allocated {allocated} times"
+    );
+    let stats = engine.stats();
+    assert_eq!(stats.evaluations, 68 * 256 * 4);
+    assert_eq!(stats.violations, 0, "every event is healthy");
 }

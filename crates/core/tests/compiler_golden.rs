@@ -61,9 +61,9 @@ fn render(source: &str, opts: &CompileOptions) -> String {
                 out,
                 "  rule {i}: {} (instrs={} max_stack={} worst_fuel={})",
                 rule.source,
-                rule.report.instrs,
-                rule.report.max_stack_depth,
-                rule.report.worst_case_fuel
+                rule.program.report().instrs,
+                rule.program.report().max_stack_depth,
+                rule.program.report().worst_case_fuel
             );
             for line in rule.program.to_string().lines() {
                 let _ = writeln!(out, "    {line}");

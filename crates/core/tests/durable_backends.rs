@@ -2,9 +2,10 @@
 //! second thread at a chosen point inside a compaction (a save racing the
 //! WAL rewrite, a second compaction racing the first), one fails a single
 //! WAL append, writing nothing or part of the frame. None may cost a value
-//! the store accepted.
+//! the store accepted, and neither compaction nor the failed append reads
+//! the log back.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -19,8 +20,8 @@ use guardrails::GuardrailError;
 /// Where [`Interleave`] runs its action.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum At {
-    /// Inside a WAL load, after the bytes were read.
-    WalLoad,
+    /// Inside the WAL's length check, after the length was read.
+    WalLen,
     /// Inside a snapshot replace, before the bytes are written.
     SnapshotReplace,
 }
@@ -78,11 +79,7 @@ impl Interleave {
 
 impl PersistBackend for Interleave {
     fn load(&self, region: Region) -> Result<Vec<u8>> {
-        let bytes = self.inner.load(region)?;
-        if region == Region::Wal {
-            self.interleave(At::WalLoad);
-        }
-        Ok(bytes)
+        self.inner.load(region)
     }
 
     fn append(&self, region: Region, bytes: &[u8]) -> Result<()> {
@@ -94,6 +91,22 @@ impl PersistBackend for Interleave {
             self.interleave(At::SnapshotReplace);
         }
         self.inner.replace(region, bytes)
+    }
+
+    fn len(&self, region: Region) -> Result<usize> {
+        let len = self.inner.len(region)?;
+        if region == Region::Wal {
+            self.interleave(At::WalLen);
+        }
+        Ok(len)
+    }
+
+    fn cut_front(&self, region: Region, n: usize) -> Result<()> {
+        self.inner.cut_front(region, n)
+    }
+
+    fn truncate(&self, region: Region, len: usize) -> Result<()> {
+        self.inner.truncate(region, len)
     }
 }
 
@@ -112,8 +125,8 @@ fn a_save_during_the_wal_rewrite_survives_compaction() {
         let store = durable.store();
         store.save("early", 1.0);
         let late = Arc::clone(&store);
-        // The load hands the compaction the log as it was before the save.
-        backend.arm(At::WalLoad, move || late.save("late", 7.0));
+        // The length check sees the log as it was before the save.
+        backend.arm(At::WalLen, move || late.save("late", 7.0));
         durable.compact().unwrap();
         backend.join();
         assert_eq!(store.load("late"), Some(7.0), "the store applied it");
@@ -155,16 +168,20 @@ fn concurrent_compactions_lose_nothing() {
 
 /// A backend whose WAL append fails once, when told to: writing nothing,
 /// or, when `torn`, the first half of the bytes (a disk that fills up
-/// mid-write).
+/// mid-write). It counts the WAL loads.
 #[derive(Debug, Default)]
 struct FailOnce {
     inner: MemBackend,
     fail_next_append: AtomicBool,
     torn: bool,
+    wal_loads: AtomicUsize,
 }
 
 impl PersistBackend for FailOnce {
     fn load(&self, region: Region) -> Result<Vec<u8>> {
+        if region == Region::Wal {
+            self.wal_loads.fetch_add(1, Ordering::SeqCst);
+        }
         self.inner.load(region)
     }
 
@@ -180,6 +197,18 @@ impl PersistBackend for FailOnce {
 
     fn replace(&self, region: Region, bytes: &[u8]) -> Result<()> {
         self.inner.replace(region, bytes)
+    }
+
+    fn len(&self, region: Region) -> Result<usize> {
+        self.inner.len(region)
+    }
+
+    fn cut_front(&self, region: Region, n: usize) -> Result<()> {
+        self.inner.cut_front(region, n)
+    }
+
+    fn truncate(&self, region: Region, len: usize) -> Result<()> {
+        self.inner.truncate(region, len)
     }
 }
 
@@ -197,6 +226,7 @@ fn a_failed_append_is_reported_and_compaction_recovers_the_value() {
         });
         {
             let (durable, _) = DurableStore::open(backend.clone(), config).unwrap();
+            let loads_at_open = backend.wal_loads.load(Ordering::SeqCst);
             let store = durable.store();
             store.save("a", 1.0);
             durable.flush();
@@ -213,6 +243,11 @@ fn a_failed_append_is_reported_and_compaction_recovers_the_value() {
             // the lengths would disagree and the compaction would fail.
             durable.compact().unwrap();
             assert_eq!(backend.inner.wal_len(), 0, "{case}");
+            assert_eq!(
+                backend.wal_loads.load(Ordering::SeqCst),
+                loads_at_open,
+                "{case}: the cut-back and the compaction read the log"
+            );
             store.save("d", 4.0);
         }
         let (durable, report) = DurableStore::open(backend, config).unwrap();

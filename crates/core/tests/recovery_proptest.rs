@@ -6,17 +6,27 @@
 //! first write. The appender's bytes are pinned to literal frames and to a
 //! frame encoder spelled out here from the documented layout, and a
 //! compaction leaves exactly the records its snapshot does not cover.
+//!
+//! The decoders cannot be broken: the WAL decoder, the snapshot decoder,
+//! `DurableStore::open` and GRCP1/GRCP2 checkpoint `decode` + `restore`,
+//! fed arbitrary bytes, truncations, bit flips (with checksums re-fixed,
+//! so the damage reaches the parsers behind them) and splices of two valid
+//! blobs, each return an error or a valid state, and none panics; a failed
+//! `restore` leaves the engine as it was.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use guardrails::monitor::{EngineCheckpoint, Hysteresis, MonitorEngine};
 use guardrails::store::durable::{
     DurabilityConfig, DurableStore, MemBackend, PersistBackend, RecoveryReport, Region,
 };
+use guardrails::store::snapshot::Snapshot;
 use guardrails::store::wal::{
-    crc32, decode_stream, encode_frame, encode_group_frame, WalRecord, WalStop,
+    crc32, decode_stream, decode_strict, encode_frame, encode_group_frame, WalRecord, WalStop,
 };
 use guardrails::telemetry::is_reserved;
+use guardrails::PolicyRegistry;
 use guardrails::{FeatureStore, Slot};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -472,5 +482,337 @@ proptest! {
         prop_assert!(!report.tainted());
         prop_assert_eq!(report.wal_records_applied, journaled_writes(&writes[cut..]));
         prop_assert_eq!(sorted_scalars(&durable.store()), uninterrupted(&writes));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Decoder robustness
+// ---------------------------------------------------------------------------
+
+/// One kind of damage to a blob; positions wrap to its length.
+#[derive(Clone, Copy, Debug)]
+enum Damage {
+    /// Flip one bit.
+    Flip(usize, u8),
+    /// Keep only a prefix.
+    Truncate(usize),
+    /// A prefix of this blob, then a suffix of another valid one.
+    Splice(usize, usize),
+    /// Flip one bit, then make the blob's checksum match again, so the
+    /// structure behind the checksum is what gets parsed.
+    FlipAndReseal(usize, u8),
+    /// Overwrite one whitespace-separated field with another field of the
+    /// blob, then re-seal it: well-formed text that says something else.
+    SwapFieldAndReseal(usize, usize),
+    /// Replace the blob with arbitrary bytes.
+    Arbitrary,
+}
+
+fn arb_damage() -> impl Strategy<Value = Damage> {
+    prop_oneof![
+        (0usize..1 << 16, 0u8..8).prop_map(|(at, bit)| Damage::Flip(at, bit)),
+        (0usize..1 << 16).prop_map(Damage::Truncate),
+        (0usize..1 << 16, 0usize..1 << 16).prop_map(|(a, b)| Damage::Splice(a, b)),
+        (0usize..1 << 16, 0u8..8).prop_map(|(at, bit)| Damage::FlipAndReseal(at, bit)),
+        (0usize..1 << 16, 0usize..1 << 16).prop_map(|(a, b)| Damage::SwapFieldAndReseal(a, b)),
+        Just(Damage::Arbitrary),
+    ]
+}
+
+/// Applies `damage` to `valid`: `other` is the second blob of a splice,
+/// `garbage` the arbitrary bytes, and `reseal` recomputes the checksum of
+/// a blob of this kind after its bit flip.
+fn damaged(
+    valid: &[u8],
+    other: &[u8],
+    garbage: &[u8],
+    damage: Damage,
+    reseal: impl Fn(&mut [u8]),
+) -> Vec<u8> {
+    let mut bytes = valid.to_vec();
+    let flip = |bytes: &mut Vec<u8>, at: usize, bit: u8| {
+        if !bytes.is_empty() {
+            let at = at % bytes.len();
+            bytes[at] ^= 1 << bit;
+        }
+    };
+    match damage {
+        Damage::Flip(at, bit) => flip(&mut bytes, at, bit),
+        Damage::Truncate(at) => bytes.truncate(at % (valid.len() + 1)),
+        Damage::Splice(a, b) => {
+            bytes.truncate(a % (valid.len() + 1));
+            bytes.extend_from_slice(&other[b % (other.len() + 1)..]);
+        }
+        Damage::FlipAndReseal(at, bit) => {
+            flip(&mut bytes, at, bit);
+            reseal(&mut bytes);
+        }
+        Damage::SwapFieldAndReseal(a, b) => {
+            let fields: Vec<(usize, usize)> = field_spans(&bytes);
+            if !fields.is_empty() {
+                let (to, from) = (fields[a % fields.len()], fields[b % fields.len()]);
+                let with = bytes[from.0..from.1].to_vec();
+                bytes.splice(to.0..to.1, with);
+                reseal(&mut bytes);
+            }
+        }
+        Damage::Arbitrary => bytes = garbage.to_vec(),
+    }
+    bytes
+}
+
+/// The `(start, end)` of every run of non-whitespace bytes.
+fn field_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut start = None;
+    for (i, b) in bytes.iter().chain([&b' ']).enumerate() {
+        match (b.is_ascii_whitespace(), start) {
+            (false, None) => start = Some(i),
+            (true, Some(s)) => {
+                spans.push((s, i));
+                start = None;
+            }
+            _ => {}
+        }
+    }
+    spans
+}
+
+/// A WAL log of `writes` from sequence number `first_seq`, in plain and
+/// group frames of up to `group` records.
+fn wal_log(writes: &[(usize, f64)], first_seq: u64, group: usize) -> Vec<u8> {
+    let history = records(writes, first_seq);
+    history
+        .chunks(group.max(1))
+        .flat_map(|chunk| match chunk {
+            [one] => encode_frame(one),
+            many => encode_group_frame(many),
+        })
+        .collect()
+}
+
+/// Re-seals every complete WAL frame's CRC, walking frames by their
+/// length fields as far as they stay in bounds.
+fn reseal_wal(bytes: &mut [u8]) {
+    let mut at = 0;
+    while at + 6 <= bytes.len() {
+        let len = u32::from_le_bytes(bytes[at + 2..at + 6].try_into().unwrap()) as usize;
+        let end = at + 6 + len;
+        if end + 4 > bytes.len() {
+            return;
+        }
+        let crc = crc32(&bytes[at + 6..end]);
+        bytes[end..end + 4].copy_from_slice(&crc.to_le_bytes());
+        at = end + 4;
+    }
+}
+
+/// Re-seals a snapshot blob: `[magic u32][body][crc32(body)]`.
+fn reseal_snapshot(bytes: &mut [u8]) {
+    if bytes.len() >= 8 {
+        let end = bytes.len() - 4;
+        let crc = crc32(&bytes[4..end]);
+        bytes[end..].copy_from_slice(&crc.to_le_bytes());
+    }
+}
+
+/// Re-seals a checkpoint blob: `<magic> <crc32(body) as 8 hex digits>\n<body>`.
+fn reseal_checkpoint(bytes: &mut [u8]) {
+    let Some(newline) = bytes.iter().position(|&b| b == b'\n') else {
+        return;
+    };
+    if newline >= 9 && bytes[newline - 9] == b' ' {
+        let crc = format!("{:08x}", crc32(&bytes[newline + 1..]));
+        bytes[newline - 8..newline].copy_from_slice(crc.as_bytes());
+    }
+}
+
+/// Listing 2, a `DELTA` guardrail with an operand and a two-timer
+/// guardrail: the checkpoints below carry every kind of line.
+const CHECKPOINT_SPECS: &str = r#"
+guardrail low-false-submit {
+    trigger: { TIMER(0, 1s) },
+    rule: { LOAD(false_submit_rate) <= 0.05 },
+    action: { SAVE(ml_enabled, false) REPLACE(io_latency, fallback) RETRAIN(linnos) }
+}
+guardrail queue-jump {
+    trigger: { FUNCTION(io) },
+    rule: { DELTA(qdepth) < 8 },
+    action: { SAVE(last_jump, DELTA(qdepth)) }
+}
+guardrail two-timers {
+    trigger: { TIMER(0, 300ms) TIMER(100ms, 700ms, 5s) },
+    rule: { LOAD(qdepth) < 12 },
+    action: { RECORD(deep, LOAD(qdepth)) }
+}
+"#;
+
+/// An engine with the specs above installed and a policy slot registered.
+fn checkpoint_engine() -> MonitorEngine {
+    let registry = Arc::new(PolicyRegistry::new());
+    registry
+        .register("io_latency", &["learned", "fallback"])
+        .unwrap();
+    let mut engine = MonitorEngine::with_parts(Arc::new(FeatureStore::new()), registry);
+    engine.install_str(CHECKPOINT_SPECS).unwrap();
+    engine
+        .set_hysteresis("queue-jump", Hysteresis::n_of_m(2, 5))
+        .unwrap();
+    engine
+}
+
+/// The GRCP2 checkpoints of an engine driven for `steps` 100 ms steps
+/// with the values of `values`, and the GRCP1 blob of an older engine.
+fn valid_checkpoints(values: &[f64], steps: usize) -> (Vec<u8>, Vec<u8>) {
+    let mut engine = checkpoint_engine();
+    let store = engine.store();
+    for i in 0..steps {
+        let v = values[i % values.len()];
+        let now = simkernel::Nanos::from_millis(100 * i as u64 + 50);
+        store.save("false_submit_rate", v / 100.0);
+        store.save("qdepth", v);
+        engine.on_function("io", now, &[]);
+        engine.advance_to(now);
+    }
+    let body = "now 9000000000\n\
+        stats 12 3 2 1 0 0 4 52000\n\
+        slot io_latency fallback\n\
+        monitor low-false-submit 1 0 0 11000000000\n\
+        hyst 2 3 5000000000 8000000000 7 011\n";
+    let grcp1 = format!("GRCP1 {:08x}\n{body}", crc32(body.as_bytes()));
+    (engine.checkpoint().encode(), grcp1.into_bytes())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The WAL decoder keeps a prefix it vouches for: decoding just that
+    /// prefix gives the same records cleanly, `decode_strict` accepts
+    /// exactly the clean logs, and a store opened on the damaged log
+    /// replays its records, keeps working and reopens to the same state.
+    #[test]
+    fn a_damaged_wal_decodes_to_a_valid_prefix(
+        writes in vec((0usize..KEYS.len(), -1e6f64..1e6), 1..30),
+        others in vec((0usize..KEYS.len(), -1e6f64..1e6), 1..30),
+        group in 1usize..5,
+        damage in arb_damage(),
+        garbage in vec(0u8..=255, 0..200),
+    ) {
+        let valid = wal_log(&writes, 1, group);
+        let other = wal_log(&others, 1_000, group + 1);
+        let bytes = damaged(&valid, &other, &garbage, damage, reseal_wal);
+        let decoded = decode_stream(&bytes);
+        prop_assert!(decoded.valid_len <= bytes.len());
+        let prefix = decode_stream(&bytes[..decoded.valid_len]);
+        prop_assert_eq!(prefix.stop, WalStop::Clean);
+        prop_assert_eq!(&prefix.records, &decoded.records);
+        match decode_strict(&bytes) {
+            Ok(records) => {
+                prop_assert_eq!(decoded.stop, WalStop::Clean);
+                prop_assert_eq!(records, decoded.records.clone());
+            }
+            Err(_) => prop_assert!(decoded.stop != WalStop::Clean),
+        }
+
+        let backend = Arc::new(MemBackend::new());
+        backend.replace(Region::Wal, &bytes).unwrap();
+        let (durable, report) = open(&backend);
+        prop_assert_eq!(
+            report.wal_records_applied
+                + report.wal_records_skipped
+                + report.wal_records_reserved,
+            decoded.records.len() as u64
+        );
+        durable.store().save(KEYS[0], 0.5);
+        durable.compact().unwrap();
+        let state = sorted_scalars(&durable.store());
+        drop(durable);
+        let (reopened, _) = open(&backend);
+        prop_assert_eq!(sorted_scalars(&reopened.store()), state);
+    }
+
+    /// The snapshot decoder accepts only blobs it would write itself (or
+    /// nothing at all), and a store opened on a damaged snapshot discards
+    /// it whole or applies it whole.
+    #[test]
+    fn a_damaged_snapshot_is_rejected_whole(
+        entries in vec((0usize..KEYS.len(), -1e6f64..1e6), 0..10),
+        seq in 0u64..1_000,
+        damage in arb_damage(),
+        garbage in vec(0u8..=255, 0..200),
+    ) {
+        let snapshot = |entries: &[(usize, f64)], seq| {
+            let mut map = BTreeMap::new();
+            for &(k, v) in entries {
+                map.insert(KEYS[k].to_string(), v);
+            }
+            Snapshot { seq, entries: map.into_iter().collect() }.encode()
+        };
+        let valid = snapshot(&entries, seq);
+        let other = snapshot(&entries[entries.len() / 2..], seq + 7);
+        let bytes = damaged(&valid, &other, &garbage, damage, reseal_snapshot);
+        if let Ok(decoded) = Snapshot::decode(&bytes) {
+            prop_assert!(bytes.is_empty() || decoded.encode() == bytes);
+        }
+        let backend = Arc::new(MemBackend::new());
+        backend.replace(Region::Snapshot, &bytes).unwrap();
+        let (durable, report) = open(&backend);
+        match Snapshot::decode(&bytes) {
+            Ok(decoded) => {
+                prop_assert!(!report.snapshot_corrupt);
+                prop_assert_eq!(report.snapshot_entries, decoded.entries.len());
+            }
+            Err(_) => {
+                prop_assert!(report.snapshot_corrupt);
+                prop_assert!(durable.store().scalars().is_empty());
+            }
+        }
+    }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(768))]
+
+    /// A damaged GRCP2 or GRCP1 checkpoint decodes to a checkpoint that
+    /// round-trips, or fails; restoring one either succeeds, leaving an
+    /// engine that runs and checkpoints, or fails and changes nothing.
+    #[test]
+    fn a_damaged_checkpoint_fails_or_restores_whole(
+        values in vec(0.0f64..20.0, 1..8),
+        steps in 1usize..60,
+        legacy in any::<bool>(),
+        damage in arb_damage(),
+        garbage in vec(0u8..=255, 0..200),
+    ) {
+        let (grcp2, grcp1) = valid_checkpoints(&values, steps);
+        let (valid, other) = if legacy { (&grcp1, &grcp2) } else { (&grcp2, &grcp1) };
+        let bytes = damaged(valid, other, &garbage, damage, reseal_checkpoint);
+        if let Ok(checkpoint) = EngineCheckpoint::decode(&bytes) {
+            prop_assert_eq!(&EngineCheckpoint::decode(&checkpoint.encode()).unwrap(), &checkpoint);
+
+            let mut engine = checkpoint_engine();
+            engine.store().save("qdepth", 3.0);
+            engine.advance_to(simkernel::Nanos::from_millis(1_250));
+            let mut before = Vec::new();
+            engine.checkpoint_into(&mut before);
+            match engine.restore(&checkpoint) {
+                Err(_) => {
+                    let mut after = Vec::new();
+                    engine.checkpoint_into(&mut after);
+                    prop_assert_eq!(after, before, "a failed restore changed the engine");
+                }
+                Ok(()) => {
+                    let start = engine.now();
+                    for i in 1..20u64 {
+                        let now = start + simkernel::Nanos::from_millis(150 * i);
+                        engine.on_function("io", now, &[]);
+                        engine.advance_to(now);
+                    }
+                    let blob = engine.checkpoint().encode();
+                    prop_assert!(EngineCheckpoint::decode(&blob).is_ok());
+                }
+            }
+        }
     }
 }

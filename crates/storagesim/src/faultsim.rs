@@ -256,7 +256,10 @@ fn timeline_for(kind: &FaultKind) -> Timeline {
         // Crash-family faults are whole-node events, not in-flight ones:
         // they are exercised by the `recovery` module's crash-restart
         // scenarios (E10), which own their own timeline.
-        FaultKind::Crash | FaultKind::TornWrite { .. } | FaultKind::SnapshotCorrupt => Timeline {
+        FaultKind::Crash
+        | FaultKind::TornWrite { .. }
+        | FaultKind::SnapshotCorrupt
+        | FaultKind::CheckpointCorrupt => Timeline {
             total: secs(14),
             shift_at: Some(secs(5)),
             window: (secs(8), secs(8)),
@@ -448,7 +451,8 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
                 | FaultKind::RetrainPanic
                 | FaultKind::Crash
                 | FaultKind::TornWrite { .. }
-                | FaultKind::SnapshotCorrupt => {}
+                | FaultKind::SnapshotCorrupt
+                | FaultKind::CheckpointCorrupt => {}
             }
         }
 
@@ -590,9 +594,10 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
         FaultKind::RetrainPanic => retrain_applied_at,
         // Crash-family faults run in the `recovery` scenarios; under this
         // in-process harness they are no-ops, so nothing needs recovering.
-        FaultKind::Crash | FaultKind::TornWrite { .. } | FaultKind::SnapshotCorrupt => {
-            Some(fault_end)
-        }
+        FaultKind::Crash
+        | FaultKind::TornWrite { .. }
+        | FaultKind::SnapshotCorrupt
+        | FaultKind::CheckpointCorrupt => Some(fault_end),
     };
     let recovery = recovered_at.map(|t| t.saturating_sub(fault_start));
     let stats = engine.stats();

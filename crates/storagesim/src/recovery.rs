@@ -32,10 +32,10 @@
 //!   the state can no longer be vouched for — boots fail-closed
 //!   ([`RecoveryConfig::fail_closed_on_taint`]): fallbacks pinned, model
 //!   disabled.
-//!
-//! An engine checkpoint that does not decode is treated the same way: the
-//! monitors boot without it, and the loss is recorded
-//! ([`RecoveryRunReport::checkpoint_discarded`]) and taints the recovery.
+//! - [`FaultKind::CheckpointCorrupt`] — the engine checkpoint bit-rots. It
+//!   no longer decodes, so the monitors boot without it; the loss is
+//!   recorded ([`RecoveryRunReport::checkpoint_discarded`]) and taints the
+//!   recovery, which boots fail-closed the same way.
 //!
 //! [`run_crash_loop`] adds the supervisor ladder: repeated rapid crashes
 //! escalate through doubled restart backoffs to a fail-closed stop
@@ -50,7 +50,7 @@ use guardrails::monitor::{
     Supervisor,
 };
 use guardrails::policy::{PolicyRegistry, VariantHandle, VARIANT_LEARNED};
-use guardrails::store::durable::{DurableStore, MemBackend};
+use guardrails::store::durable::{DurableStore, MemBackend, PersistBackend, Region};
 use guardrails::store::Slot;
 use simkernel::Nanos;
 
@@ -83,7 +83,8 @@ const SLOT: &str = "io_submit";
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecoveryRunReport {
     /// Stable scenario label (`crash`, `torn_write`, `snapshot_corrupt`,
-    /// `crash_loop`, or `no_crash` for the reference).
+    /// `checkpoint_corrupt`, `crash_loop`, or `no_crash` for the
+    /// reference).
     pub label: String,
     /// Whether the recovery runtime (durable store + checkpoint +
     /// supervisor) was active; `false` is the seed runtime.
@@ -131,12 +132,13 @@ pub struct RecoveryRunReport {
     pub tainted: bool,
 }
 
-/// The E10 sweep: the three crash-damage variants.
+/// The E10 sweep: the four crash-damage variants.
 pub fn recovery_matrix() -> Vec<FaultKind> {
     vec![
         FaultKind::Crash,
         FaultKind::TornWrite { bytes: 9 },
         FaultKind::SnapshotCorrupt,
+        FaultKind::CheckpointCorrupt,
     ]
 }
 
@@ -315,7 +317,27 @@ impl Driver {
                     self.backend.tear_wal_tail(*bytes);
                 }
             }
+            FaultKind::CheckpointCorrupt => {
+                drop(node);
+                self.corrupt_checkpoint();
+            }
             _ => drop(node),
+        }
+    }
+
+    /// Crash damage: flips one bit in the middle of the persisted engine
+    /// checkpoint (no-op when none was persisted).
+    fn corrupt_checkpoint(&self) {
+        let mut blob = self
+            .backend
+            .load(Region::Checkpoint)
+            .expect("in-memory backend cannot fail");
+        if !blob.is_empty() {
+            let middle = blob.len() / 2;
+            blob[middle] ^= 0x20;
+            self.backend
+                .replace(Region::Checkpoint, &blob)
+                .expect("in-memory backend cannot fail");
         }
     }
 
@@ -562,7 +584,6 @@ fn mean_us(acc: (u64, u64)) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use guardrails::store::durable::{PersistBackend, Region};
 
     const SEED: u64 = 0xF162;
 
@@ -636,15 +657,10 @@ mod tests {
         engine.checkpoint_into(&mut node.checkpoint);
         let durable = node.durable.as_ref().expect("the recovery runtime");
         durable.save_checkpoint(&node.checkpoint).unwrap();
-        driver.crash(node, &FaultKind::Crash);
-
-        // Rot one bit of the persisted checkpoint.
-        let mut blob = driver.backend.load(Region::Checkpoint).unwrap();
+        driver.crash(node, &FaultKind::CheckpointCorrupt);
+        let blob = driver.backend.load(Region::Checkpoint).unwrap();
         assert!(!blob.is_empty(), "a checkpoint was persisted");
-        let middle = blob.len() / 2;
-        blob[middle] ^= 0x20;
-        driver.backend.replace(Region::Checkpoint, &blob).unwrap();
-        assert!(EngineCheckpoint::decode(&blob).is_err());
+        assert!(EngineCheckpoint::decode(&blob).is_err(), "and rotted");
 
         let node = driver.boot(CRASH_AT, false);
         assert!(driver.report.checkpoint_discarded, "the loss is recorded");
@@ -658,6 +674,23 @@ mod tests {
             !node.slot_learned.is_active(),
             "fail-closed: fallback pinned"
         );
+    }
+
+    /// The E10 scenario: the crash rots the checkpoint the recovery runtime
+    /// persisted; it reboots fail-closed, so no I/O re-arms the model.
+    #[test]
+    fn a_corrupt_checkpoint_scenario_fails_closed() {
+        let (seed_run, recovered) = run_crash_pair(FaultKind::CheckpointCorrupt, SEED);
+        assert!(
+            !seed_run.checkpoint_discarded,
+            "the seed runtime persists none"
+        );
+        assert!(recovered.checkpoint_discarded);
+        assert!(recovered.tainted);
+        assert!(!recovered.snapshot_discarded);
+        assert_eq!(recovered.rearmed_ios, 0);
+        assert!(!recovered.ml_enabled_at_end);
+        assert!(!recovered.slot_learned_at_end, "fallback pinned");
     }
 
     #[test]

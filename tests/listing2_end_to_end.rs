@@ -32,8 +32,8 @@ fn listing2_compiles_to_a_tiny_verified_monitor() {
     // The whole rule is one load-compare superinstruction; the verifier
     // bounded it.
     assert_eq!(g.rules[0].program.len(), 1);
-    assert!(g.rules[0].report.worst_case_fuel < 10);
-    assert_eq!(g.rules[0].report.max_stack_depth, 1);
+    assert!(g.rules[0].program.report().worst_case_fuel < 10);
+    assert_eq!(g.rules[0].program.report().max_stack_depth, 1);
 }
 
 #[test]
