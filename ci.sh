@@ -123,3 +123,16 @@ for workload in ingest healthy durable linnos; do
             ;;
     esac
 done
+
+# The benchmark's files stay as committed: building or running anything
+# above must not touch them. A dependency change to a crate perfbench
+# builds against (guardrails, storagesim, simkernel, mlkit) makes cargo
+# rewrite perfbench/Cargo.lock, which shows up here. `git status` compares
+# the working tree and the index with HEAD, so staged, unstaged and
+# untracked changes all count.
+status="$(git status --porcelain -- perfbench BENCHMARK.json)"
+if [ -n "${status}" ]; then
+    echo "perfbench/ or BENCHMARK.json differs from HEAD (staged, unstaged or untracked):" >&2
+    echo "${status}" >&2
+    exit 1
+fi

@@ -32,7 +32,7 @@ fn run_with_probe_rate(probe: f64) -> (f64, f64, f64) {
             break;
         }
         let outcome = array.submit(t, |_| false);
-        classifier.observe(&outcome.features, outcome.was_slow);
+        classifier.observe_outcome(&outcome);
     }
     classifier.train_round();
     array.reset_stats();
@@ -45,11 +45,7 @@ fn run_with_probe_rate(probe: f64) -> (f64, f64, f64) {
         }
         let clf = &mut classifier;
         let outcome = array.submit(t, |f| clf.predict_slow(f));
-        if outcome.served_by == outcome.primary {
-            classifier.observe(&outcome.features, outcome.was_slow);
-        } else if let Some(probe_slow) = outcome.probe_was_slow {
-            classifier.observe(&outcome.features, probe_slow);
-        }
+        classifier.observe_outcome(&outcome);
     }
     let stats = array.stats();
     (

@@ -27,11 +27,8 @@
 //!
 //! The encoding (format GRCP2) is a line-oriented text format wrapped in a
 //! CRC-32 header: human-inspectable in a post-mortem, and any torn or
-//! bit-rotted blob is detected and rejected whole. GRCP1 blobs, written
-//! before monitor state was checkpointed whole, still decode: their
-//! `stats` line becomes the retired total, and their monitors carry no
-//! fingerprint and restore by name with empty `DELTA` state, zero
-//! accounts, no pending retries and timers anchored at their start times.
+//! bit-rotted blob is detected and rejected whole, as is a blob of any
+//! other format.
 
 use simkernel::Nanos;
 
@@ -46,9 +43,6 @@ use crate::store::wal::crc32;
 /// First token of an encoded checkpoint (magic + format version).
 pub const CHECKPOINT_MAGIC: &str = "GRCP2";
 
-/// The magic of the previous format, which still decodes.
-const CHECKPOINT_MAGIC_V1: &str = "GRCP1";
-
 /// A complete engine checkpoint.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EngineCheckpoint {
@@ -60,9 +54,8 @@ pub struct EngineCheckpoint {
     /// The summed accounts of monitors no longer installed.
     pub retired: OverheadAccount,
     /// `(name, fingerprint, state)` per installed monitor, in installation
-    /// order. The fingerprint is `None` for a monitor from a GRCP1 blob,
-    /// which predates fingerprints and restores by name alone.
-    pub monitors: Vec<(String, Option<u32>, MonitorState)>,
+    /// order.
+    pub monitors: Vec<(String, u32, MonitorState)>,
 }
 
 impl EngineCheckpoint {
@@ -91,7 +84,7 @@ impl EngineCheckpoint {
         out
     }
 
-    /// Decodes and validates a GRCP2 or GRCP1 checkpoint blob.
+    /// Decodes and validates a GRCP2 checkpoint blob.
     ///
     /// Any structural damage — bad magic, checksum mismatch, malformed line
     /// — rejects the whole blob: restore is all-or-nothing.
@@ -101,11 +94,9 @@ impl EngineCheckpoint {
             .split_once('\n')
             .ok_or_else(|| corrupt("missing header"))?;
         let mut header_parts = header.split_ascii_whitespace();
-        let legacy = match header_parts.next() {
-            Some(CHECKPOINT_MAGIC) => false,
-            Some(CHECKPOINT_MAGIC_V1) => true,
-            _ => return Err(corrupt("bad magic")),
-        };
+        if header_parts.next() != Some(CHECKPOINT_MAGIC) {
+            return Err(corrupt("bad magic"));
+        }
         let stored_crc = header_parts
             .next()
             .and_then(|h| u32::from_str_radix(h, 16).ok())
@@ -117,41 +108,18 @@ impl EngineCheckpoint {
         let mut now = None;
         let mut retired = None;
         let mut slots = Vec::new();
-        let mut monitors: Vec<(String, Option<u32>, MonitorState)> = Vec::new();
+        let mut monitors: Vec<(String, u32, MonitorState)> = Vec::new();
         for line in body.lines() {
             let fields: Vec<&str> = line.split_ascii_whitespace().collect();
             match fields.as_slice() {
                 ["now", n] => now = Some(Nanos::from_nanos(parse(n)?)),
-                ["retired", counters @ ..] if !legacy => {
-                    retired = Some(parse_account(counters)?);
-                }
-                ["stats", ev, vi, tr, cm, rf, wt, rr, wall] if legacy => {
-                    retired = Some(OverheadAccount {
-                        evaluations: parse(ev)?,
-                        violations: parse(vi)?,
-                        trips: parse(tr)?,
-                        commands_emitted: parse(cm)?,
-                        rule_faults: parse(rf)?,
-                        watchdog_trips: parse(wt)?,
-                        retrain_retries: parse(rr)?,
-                        wall_ns: parse(wall)?,
-                        ..OverheadAccount::default()
-                    });
-                }
+                ["retired", counters @ ..] => retired = Some(parse_account(counters)?),
                 ["slot", name, variant] => {
                     slots.push((name.to_string(), variant.to_string()));
                 }
-                ["monitor", name, e, t, f, p] if legacy => {
-                    let state = MonitorState::decode([e, t, f, p], "-")?;
-                    monitors.push((name.to_string(), None, state));
-                }
-                ["monitor", name, fingerprint, e, t, f, p, key_tables] if !legacy => {
-                    let fingerprint = match *fingerprint {
-                        "-" => None,
-                        hex => Some(
-                            u32::from_str_radix(hex, 16).map_err(|_| corrupt("bad fingerprint"))?,
-                        ),
-                    };
+                ["monitor", name, fingerprint, e, t, f, p, key_tables] => {
+                    let fingerprint = u32::from_str_radix(fingerprint, 16)
+                        .map_err(|_| corrupt("bad fingerprint"))?;
                     let state = MonitorState::decode([e, t, f, p], key_tables)?;
                     monitors.push((name.to_string(), fingerprint, state));
                 }
@@ -181,7 +149,7 @@ pub(crate) fn encode_into<'s, 'm>(
     now: Nanos,
     retired: &OverheadAccount,
     slots: impl Iterator<Item = (&'s str, &'s str)>,
-    monitors: impl Iterator<Item = (&'m str, Option<u32>, &'m MonitorState)>,
+    monitors: impl Iterator<Item = (&'m str, u32, &'m MonitorState)>,
 ) {
     out.clear();
     // The header's checksum field is filled in once the body is written.
@@ -204,13 +172,11 @@ pub(crate) fn encode_into<'s, 'm>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::engine::MonitorEngine;
     use crate::monitor::hysteresis::{Hysteresis, HysteresisState};
     use crate::monitor::state::PendingRetrain;
     use crate::vm::DeltaState;
 
-    /// The GRCP1 encoding of the checkpoint below, as the previous format
-    /// wrote it.
+    /// A blob in the format before GRCP2, checksum intact.
     const GRCP1_SAMPLE: &str = "GRCP1 6236b80e\n\
         now 9000000000\n\
         stats 12 3 2 1 0 0 4 52000\n\
@@ -251,7 +217,7 @@ mod tests {
             },
             monitors: vec![(
                 "low-false-submit".to_string(),
-                Some(0x1a2b_3c4d),
+                0x1a2b_3c4d,
                 MonitorState {
                     enabled: true,
                     watchdog_tripped: false,
@@ -307,7 +273,6 @@ mod tests {
         state.deltas.clear();
         state.next_due.clear();
         state.retrains.clear();
-        cp.monitors[0].1 = None;
         assert_eq!(EngineCheckpoint::decode(&cp.encode()).unwrap(), cp);
     }
 
@@ -320,63 +285,17 @@ mod tests {
         assert_eq!(stats.eval_wall_ns, 52_000);
     }
 
+    /// GRCP1 is not read: its blob is rejected whole, so no restore can
+    /// start from it.
     #[test]
-    fn grcp1_blobs_still_decode_and_restore() {
-        let cp = EngineCheckpoint::decode(GRCP1_SAMPLE.as_bytes()).unwrap();
-        assert_eq!(cp.now, Nanos::from_secs(9));
-        assert_eq!(cp.slots, sample().slots);
+    fn grcp1_blobs_are_rejected_whole() {
+        let body = GRCP1_SAMPLE.split_once('\n').unwrap().1;
         assert_eq!(
-            cp.stats(),
-            EngineStats {
-                evaluations: 12,
-                violations: 3,
-                trips: 2,
-                commands_emitted: 1,
-                rule_faults: 0,
-                watchdog_trips: 0,
-                retrain_retries: 4,
-                eval_wall_ns: 52_000,
-            },
-            "the stats line becomes the retired total"
+            GRCP1_SAMPLE[6..14],
+            format!("{:08x}", crc32(body.as_bytes())),
+            "the checksum is not what rejects it"
         );
-        let (name, fingerprint, state) = &cp.monitors[0];
-        assert_eq!((name.as_str(), *fingerprint), ("low-false-submit", None));
-        assert_eq!(state.probation_until, Some(Nanos::from_secs(11)));
-        assert_eq!(state.hysteresis, hysteresis());
-        assert_eq!(state.account, OverheadAccount::default());
-        assert!(state.deltas.is_empty() && state.next_due.is_empty() && state.retrains.is_empty());
-        // Re-encoded as GRCP2, the entry stays fingerprint-less.
-        assert_eq!(EngineCheckpoint::decode(&cp.encode()).unwrap(), cp);
-
-        // It restores by name into a monitor installed at 0.5 s: hysteresis
-        // and watchdog state come back, the counters continue from the
-        // stats line, and the timer is anchored at its start time.
-        let mut engine = MonitorEngine::new();
-        engine
-            .registry()
-            .register("io_latency", &["learned", "fallback"])
-            .unwrap();
-        engine.advance_to(Nanos::from_millis(500));
-        engine
-            .install_str(
-                "guardrail low-false-submit { trigger: { TIMER(0, 1s) }, \
-                 rule: { LOAD(false_submit_rate) <= 0.05 }, action: { SAVE(ml_enabled, false) } }",
-            )
-            .unwrap();
-        engine.restore(&cp).unwrap();
-        assert!(engine.registry().is_active("io_latency", "fallback"));
-        assert_eq!(engine.suppressed("low-false-submit").unwrap(), 7);
-        assert_eq!(engine.stats(), cp.stats());
-        assert_eq!(
-            engine.checkpoint().monitors[0].2.probation_until,
-            state.probation_until
-        );
-        engine.advance_to(Nanos::from_millis(10_900));
-        assert_eq!(
-            engine.stats().evaluations,
-            cp.stats().evaluations + 1,
-            "one tick, at 10 s"
-        );
+        assert!(EngineCheckpoint::decode(GRCP1_SAMPLE.as_bytes()).is_err());
     }
 
     #[test]

@@ -1078,7 +1078,7 @@ impl MonitorEngine {
                 .map(|m| {
                     (
                         m.compiled.name.to_string(),
-                        Some(m.fingerprint()),
+                        m.fingerprint(),
                         m.state.clone(),
                     )
                 })
@@ -1097,7 +1097,7 @@ impl MonitorEngine {
         let monitors = self
             .monitors
             .iter()
-            .map(|m| (&*m.compiled.name, Some(m.fingerprint()), &m.state));
+            .map(|m| (&*m.compiled.name, m.fingerprint(), &m.state));
         self.registry.with_active_variants(|slots| {
             checkpoint::encode_into(out, self.now, &self.retired, slots, monitors);
         });
@@ -1136,10 +1136,8 @@ impl MonitorEngine {
         let mut restored = Vec::new();
         for (name, fingerprint, state) in &checkpoint.monitors {
             match self.lookup(name) {
-                Ok(idx) if fingerprint.is_none_or(|f| f == self.monitors[idx].fingerprint()) => {
-                    let fitted =
-                        state.fitted_to(&self.monitors[idx].compiled, fingerprint.is_none())?;
-                    restored.push((idx, fitted));
+                Ok(idx) if *fingerprint == self.monitors[idx].fingerprint() => {
+                    restored.push((idx, state.fitted_to(&self.monitors[idx].compiled)?));
                 }
                 _ => retired.merge(&state.account),
             }

@@ -82,20 +82,10 @@ impl MonitorState {
         }
     }
 
-    /// This checkpointed state as the state of the installed `compiled`.
-    ///
-    /// A GRCP1 state (`legacy`) carries no `DELTA` state or timer phase: it
-    /// gets fresh `DELTA` state and timers anchored at their start times.
-    /// Any other state must have one `DELTA` state per program, sized to
-    /// that program's key table, and one entry per timer.
-    pub(crate) fn fitted_to(&self, compiled: &CompiledGuardrail, legacy: bool) -> Result<Self> {
-        if legacy {
-            return Ok(MonitorState {
-                deltas: compiled.programs().map(DeltaState::for_program).collect(),
-                next_due: compiled.timers.iter().map(|t| Some(t.start)).collect(),
-                ..self.clone()
-            });
-        }
+    /// This checkpointed state as the state of the installed `compiled`:
+    /// it must have one `DELTA` state per program, sized to that program's
+    /// key table, and one entry per timer.
+    pub(crate) fn fitted_to(&self, compiled: &CompiledGuardrail) -> Result<Self> {
         let key_tables_match = self
             .deltas
             .iter()
@@ -121,21 +111,20 @@ impl MonitorState {
     /// retrain <model> <attempt> <next-attempt>
     /// ```
     ///
-    /// Key-table sizes are comma-separated, one per program; an absent
-    /// fingerprint or time is `-`.
-    pub(crate) fn encode(&self, name: &str, fingerprint: Option<u32>, out: &mut Vec<u8>) {
-        out.put("monitor ").put(name).put(" ");
-        match fingerprint {
-            Some(fingerprint) => out.put_hex(u64::from(fingerprint), 8),
-            None => out.put("-"),
-        };
-        out.put_fields([
-            u64::from(self.enabled),
-            u64::from(self.watchdog_tripped),
-            u64::from(self.consecutive_faults),
-        ])
-        .put(" ")
-        .put_opt_nanos(self.probation_until);
+    /// Key-table sizes are comma-separated, one per program (`-` for a
+    /// monitor without programs); an absent time is `-`.
+    pub(crate) fn encode(&self, name: &str, fingerprint: u32, out: &mut Vec<u8>) {
+        out.put("monitor ")
+            .put(name)
+            .put(" ")
+            .put_hex(u64::from(fingerprint), 8)
+            .put_fields([
+                u64::from(self.enabled),
+                u64::from(self.watchdog_tripped),
+                u64::from(self.consecutive_faults),
+            ])
+            .put(" ")
+            .put_opt_nanos(self.probation_until);
         for (i, deltas) in self.deltas.iter().enumerate() {
             out.put(if i == 0 { " " } else { "," })
                 .put_u64(deltas.len() as u64);
@@ -181,9 +170,8 @@ impl MonitorState {
     }
 
     /// Parses the fields of a `monitor` line after its name and fingerprint:
-    /// the watchdog fields and the key-table sizes (`-` for none, as in a
-    /// GRCP1 line, which has no such field; a size fits the `u16` key
-    /// indices). Everything else starts empty until
+    /// the watchdog fields and the key-table sizes (`-` for none; a size
+    /// fits the `u16` key indices). Everything else starts empty until
     /// [`MonitorState::decode_line`] adds the monitor's other lines.
     pub(crate) fn decode(watchdog: [&str; 4], key_tables: &str) -> Result<Self> {
         let [enabled, tripped, faults, probation] = watchdog;

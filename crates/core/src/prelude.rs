@@ -1,7 +1,7 @@
 //! Commonly used re-exports.
 
 pub use crate::compile::{compile_str, CompileOptions};
-pub use crate::fault::{FaultInjector, FaultKind, FaultPlan, PoisonMode};
+pub use crate::fault::{FaultKind, PoisonMode};
 pub use crate::monitor::{
     FailMode, Hysteresis, MonitorEngine, ResilienceConfig, RetryPolicy, TriggerKind, Violation,
     WatchdogConfig,

@@ -476,7 +476,14 @@ impl SaveJournal for WalAppender {
         if self.detached.load(Ordering::Relaxed) {
             return;
         }
-        tail.seq += 1;
+        // A log whose last frame is numbered `u64::MAX` has no number left:
+        // fail this append as a backend error would, rather than wrap to a
+        // number the next open skips as covered by the snapshot.
+        let Some(seq) = tail.seq.checked_add(1) else {
+            self.append_failed.store(true, Ordering::Relaxed);
+            return;
+        };
+        tail.seq = seq;
         let since = self.since_compaction.load(Ordering::Relaxed);
         self.since_compaction.store(since + 1, Ordering::Relaxed);
         put_record(&mut tail.group, tail.seq, key, value);

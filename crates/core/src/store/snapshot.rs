@@ -74,53 +74,61 @@ impl Snapshot {
             return Ok(Snapshot::empty());
         }
         let corrupt = |why: &str| GuardrailError::Persist(format!("snapshot corrupt: {why}"));
-        if bytes.len() < 4 + 2 + 8 + 4 + 4 {
-            return Err(corrupt("truncated header"));
-        }
-        let magic = u32::from_le_bytes(bytes[0..4].try_into().expect("sized slice"));
-        if magic != SNAPSHOT_MAGIC {
+        let (magic, rest) = bytes
+            .split_first_chunk::<4>()
+            .ok_or_else(|| corrupt("truncated header"))?;
+        let (body, stored_crc) = rest
+            .split_last_chunk::<4>()
+            .filter(|(body, _)| body.len() >= 2 + 8 + 4)
+            .ok_or_else(|| corrupt("truncated header"))?;
+        if u32::from_le_bytes(*magic) != SNAPSHOT_MAGIC {
             return Err(corrupt("bad magic"));
         }
-        let body = &bytes[4..bytes.len() - 4];
-        let stored_crc =
-            u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("sized slice"));
-        if stored_crc != crc32(body) {
+        if u32::from_le_bytes(*stored_crc) != crc32(body) {
             return Err(corrupt("checksum mismatch"));
         }
-        let version = u16::from_le_bytes(body[0..2].try_into().expect("sized slice"));
-        if version != SNAPSHOT_VERSION {
+        let (version, rest) = body
+            .split_first_chunk::<2>()
+            .ok_or_else(|| corrupt("truncated header"))?;
+        if u16::from_le_bytes(*version) != SNAPSHOT_VERSION {
             return Err(corrupt("unsupported version"));
         }
-        let seq = u64::from_le_bytes(body[2..10].try_into().expect("sized slice"));
-        let count = u32::from_le_bytes(body[10..14].try_into().expect("sized slice"));
+        let (seq, rest) = rest
+            .split_first_chunk::<8>()
+            .ok_or_else(|| corrupt("truncated header"))?;
+        let (count, mut rest) = rest
+            .split_first_chunk::<4>()
+            .ok_or_else(|| corrupt("truncated header"))?;
+        let count = u32::from_le_bytes(*count);
         if count > MAX_ENTRIES {
             return Err(corrupt("entry count out of range"));
         }
-        let mut entries = Vec::with_capacity(count as usize);
-        let mut at = 14usize;
+        // Every entry takes at least 12 bytes (key length and value), so the
+        // body bounds how much a claimed count may reserve up front.
+        let mut entries = Vec::with_capacity((count as usize).min(rest.len() / 12));
         for _ in 0..count {
-            let key_len = body
-                .get(at..at + 4)
-                .map(|b| u32::from_le_bytes(b.try_into().expect("sized slice")) as usize)
+            let (key_len, after_len) = rest
+                .split_first_chunk::<4>()
                 .ok_or_else(|| corrupt("truncated entry"))?;
-            let key_bytes = body
-                .get(at + 4..at + 4 + key_len)
+            let (key_bytes, after_key) = after_len
+                .split_at_checked(u32::from_le_bytes(*key_len) as usize)
                 .ok_or_else(|| corrupt("truncated key"))?;
             let key = std::str::from_utf8(key_bytes)
                 .map_err(|_| corrupt("non-utf8 key"))?
                 .to_string();
-            let value_at = at + 4 + key_len;
-            let value = body
-                .get(value_at..value_at + 8)
-                .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("sized slice"))))
+            let (value, after_value) = after_key
+                .split_first_chunk::<8>()
                 .ok_or_else(|| corrupt("truncated value"))?;
-            entries.push((key, value));
-            at = value_at + 8;
+            entries.push((key, f64::from_bits(u64::from_le_bytes(*value))));
+            rest = after_value;
         }
-        if at != body.len() {
+        if !rest.is_empty() {
             return Err(corrupt("trailing bytes"));
         }
-        Ok(Snapshot { seq, entries })
+        Ok(Snapshot {
+            seq: u64::from_le_bytes(*seq),
+            entries,
+        })
     }
 }
 

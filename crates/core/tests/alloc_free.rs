@@ -1,10 +1,12 @@
 //! The durable node's per-I/O bookkeeping stays off the allocator once
 //! warm: a journaled save, a `maybe_compact` below its budget, and an
 //! engine checkpoint encoded into a reused buffer and persisted. So does
-//! the monitors' hot path: a batch of healthy tracepoint events.
+//! the monitors' hot path: a batch of healthy tracepoint events. And a
+//! snapshot decoder reserves no more than its input can hold.
 //!
-//! A counting global allocator counts the allocations made on each thread;
-//! the test reads its own thread's count around the measured loop.
+//! A counting global allocator counts the allocations made on each thread
+//! and keeps the largest request; a test reads its own thread's figures
+//! around the measured code.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -12,6 +14,8 @@ use std::sync::Arc;
 
 use guardrails::monitor::engine::FnEvent;
 use guardrails::monitor::{Hysteresis, MonitorEngine, EVENT_CAPACITY};
+use guardrails::store::snapshot::{Snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use guardrails::store::wal::crc32;
 use guardrails::{
     DurabilityConfig, DurableStore, MemBackend, PersistBackend, PolicyRegistry, Telemetry,
 };
@@ -19,32 +23,35 @@ use simkernel::Nanos;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(size: usize) {
     // `try_with`: the allocator may run while a thread's locals are torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|n| n.set(n.get().max(size)));
 }
 
-/// Forwards every call to [`System`], counting allocations and reallocations.
+/// Forwards every call to [`System`], counting allocations and reallocations
+/// and keeping the largest size asked for.
 struct Counting;
 
 // SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged, so `System`'s guarantees are this allocator's; the counter is a
-// thread-local `Cell` with const initialization, which never allocates.
+// unchanged, so `System`'s guarantees are this allocator's; the figures are
+// thread-local `Cell`s with const initialization, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -212,4 +219,28 @@ fn a_warm_healthy_function_batch_allocates_nothing() {
     let stats = engine.stats();
     assert_eq!(stats.evaluations, 68 * 256 * 4);
     assert_eq!(stats.violations, 0, "every event is healthy");
+}
+
+#[test]
+fn a_tiny_snapshot_claiming_many_entries_reserves_little() {
+    // A checksummed 22-byte blob whose header claims the largest count the
+    // decoder accepts, over a body with no entries. The decoder must report
+    // the truncation without first reserving room for that many entries.
+    let mut body = Vec::new();
+    body.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    body.extend_from_slice(&7u64.to_le_bytes());
+    body.extend_from_slice(&(1u32 << 24).to_le_bytes());
+    let mut blob = SNAPSHOT_MAGIC.to_le_bytes().to_vec();
+    blob.extend_from_slice(&body);
+    blob.extend_from_slice(&crc32(&body).to_le_bytes());
+    assert_eq!(blob.len(), 22);
+
+    LARGEST.with(|n| n.set(0));
+    let err = Snapshot::decode(&blob).unwrap_err().to_string();
+    let largest = LARGEST.with(Cell::get);
+    assert!(err.contains("truncated entry"), "{err}");
+    assert!(
+        largest <= 4096,
+        "decoding 22 bytes asked for {largest} bytes at once"
+    );
 }

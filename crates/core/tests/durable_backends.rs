@@ -3,7 +3,8 @@
 //! WAL rewrite, a second compaction racing the first), one fails a single
 //! WAL append, writing nothing or part of the frame. None may cost a value
 //! the store accepted, and neither compaction nor the failed append reads
-//! the log back.
+//! the log back. A log that has run out of sequence numbers fails the next
+//! append the same visible way.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -15,6 +16,7 @@ use guardrails::error::Result;
 use guardrails::store::durable::{
     DurabilityConfig, DurableStore, MemBackend, PersistBackend, RecoveryReport, Region,
 };
+use guardrails::store::wal::{encode_frame, WalRecord};
 use guardrails::GuardrailError;
 
 /// Where [`Interleave`] runs its action.
@@ -265,4 +267,48 @@ fn a_failed_append_is_reported_and_compaction_recovers_the_value() {
             assert_eq!(store.load(key), Some(value), "{case}: {key}");
         }
     }
+}
+
+/// A log whose last frame is numbered `u64::MAX` leaves no number for the
+/// next save. The append fails the way a backend error does: no panic, no
+/// frame, `append_failed`, and the save stands in memory. A reopen finds
+/// the log as it was, so no accepted write is dropped unreported (it used
+/// to wrap to sequence 0, which the next open skipped).
+#[test]
+fn a_save_past_the_last_sequence_number_fails_visibly() {
+    let backend = Arc::new(MemBackend::new());
+    let frame = encode_frame(&WalRecord {
+        seq: u64::MAX,
+        key: "a".to_string(),
+        value: 1.0,
+    });
+    backend.append(Region::Wal, &frame).unwrap();
+    let reopen = || {
+        let b: Arc<dyn PersistBackend> = backend.clone();
+        DurableStore::open(b, DurabilityConfig::default()).unwrap()
+    };
+    let replayed = RecoveryReport {
+        wal_records_applied: 1,
+        ..RecoveryReport::default()
+    };
+    {
+        let (durable, report) = reopen();
+        assert_eq!(report, replayed);
+        assert_eq!(durable.seq(), u64::MAX);
+        let store = durable.store();
+        store.save("a", 2.0);
+        durable.flush();
+        assert!(durable.append_failed(), "the unlogged save is reported");
+        assert_eq!(store.load("a"), Some(2.0), "the store keeps serving");
+        assert_eq!(durable.seq(), u64::MAX);
+    }
+    assert_eq!(
+        backend.load(Region::Wal).unwrap(),
+        frame,
+        "no frame written"
+    );
+    let (durable, report) = reopen();
+    assert_eq!(report, replayed, "nothing skipped");
+    assert_eq!(durable.store().load("a"), Some(1.0));
+    assert!(!durable.append_failed());
 }

@@ -8,7 +8,7 @@
 //! compaction leaves exactly the records its snapshot does not cover.
 //!
 //! The decoders cannot be broken: the WAL decoder, the snapshot decoder,
-//! `DurableStore::open` and GRCP1/GRCP2 checkpoint `decode` + `restore`,
+//! `DurableStore::open` and GRCP2 checkpoint `decode` + `restore`,
 //! fed arbitrary bytes, truncations, bit flips (with checksums re-fixed,
 //! so the damage reaches the parsers behind them) and splices of two valid
 //! blobs, each return an error or a valid state, and none panics; a failed
@@ -662,11 +662,15 @@ fn checkpoint_engine() -> MonitorEngine {
 }
 
 /// The GRCP2 checkpoints of an engine driven for `steps` 100 ms steps
-/// with the values of `values`, and the GRCP1 blob of an older engine.
+/// with the values of `values`: at the end, and halfway.
 fn valid_checkpoints(values: &[f64], steps: usize) -> (Vec<u8>, Vec<u8>) {
     let mut engine = checkpoint_engine();
     let store = engine.store();
+    let mut halfway = Vec::new();
     for i in 0..steps {
+        if i == steps / 2 {
+            engine.checkpoint_into(&mut halfway);
+        }
         let v = values[i % values.len()];
         let now = simkernel::Nanos::from_millis(100 * i as u64 + 50);
         store.save("false_submit_rate", v / 100.0);
@@ -674,13 +678,7 @@ fn valid_checkpoints(values: &[f64], steps: usize) -> (Vec<u8>, Vec<u8>) {
         engine.on_function("io", now, &[]);
         engine.advance_to(now);
     }
-    let body = "now 9000000000\n\
-        stats 12 3 2 1 0 0 4 52000\n\
-        slot io_latency fallback\n\
-        monitor low-false-submit 1 0 0 11000000000\n\
-        hyst 2 3 5000000000 8000000000 7 011\n";
-    let grcp1 = format!("GRCP1 {:08x}\n{body}", crc32(body.as_bytes()));
-    (engine.checkpoint().encode(), grcp1.into_bytes())
+    (engine.checkpoint().encode(), halfway)
 }
 
 proptest! {
@@ -774,20 +772,18 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(768))]
 
-    /// A damaged GRCP2 or GRCP1 checkpoint decodes to a checkpoint that
-    /// round-trips, or fails; restoring one either succeeds, leaving an
-    /// engine that runs and checkpoints, or fails and changes nothing.
+    /// A damaged checkpoint decodes to a checkpoint that round-trips, or
+    /// fails; restoring one either succeeds, leaving an engine that runs
+    /// and checkpoints, or fails and changes nothing.
     #[test]
     fn a_damaged_checkpoint_fails_or_restores_whole(
         values in vec(0.0f64..20.0, 1..8),
         steps in 1usize..60,
-        legacy in any::<bool>(),
         damage in arb_damage(),
         garbage in vec(0u8..=255, 0..200),
     ) {
-        let (grcp2, grcp1) = valid_checkpoints(&values, steps);
-        let (valid, other) = if legacy { (&grcp1, &grcp2) } else { (&grcp2, &grcp1) };
-        let bytes = damaged(valid, other, &garbage, damage, reseal_checkpoint);
+        let (valid, other) = valid_checkpoints(&values, steps);
+        let bytes = damaged(&valid, &other, &garbage, damage, reseal_checkpoint);
         if let Ok(checkpoint) = EngineCheckpoint::decode(&bytes) {
             prop_assert_eq!(&EngineCheckpoint::decode(&checkpoint.encode()).unwrap(), &checkpoint);
 

@@ -1,8 +1,8 @@
 //! Chaos-harness scenarios: the LinnOS setting under injected faults.
 //!
 //! Each scenario runs the Figure 2 datapath (flash array + learned
-//! classifier + guardrail monitor) while a [`FaultInjector`] breaks one
-//! thing on a schedule, twice: once with the **seed** runtime (all
+//! classifier + guardrail monitor, a [`Datapath`]) while one fault window
+//! breaks one thing, twice: once with the **seed** runtime (all
 //! resilience off, feature-store quarantine disabled — the engine exactly as
 //! it shipped) and once with the **hardened** runtime
 //! ([`RuntimeConfig::hardened`]: [`ResilienceConfig::hardened`] plus the
@@ -30,7 +30,7 @@ use std::time::Duration;
 
 use guardrails::action::retrain::AsyncRetrainer;
 use guardrails::action::Command;
-use guardrails::fault::{FaultInjector, FaultKind, FaultPhase, FaultPlan, PoisonMode};
+use guardrails::fault::{FaultKind, PoisonMode};
 use guardrails::monitor::{
     Hysteresis, MonitorEngine, ResilienceConfig, RuntimeConfig, WatchdogConfig,
 };
@@ -38,11 +38,9 @@ use guardrails::policy::VARIANT_LEARNED;
 use mlkit::OutputCorruption;
 use simkernel::{MovingAverage, Nanos};
 
-use crate::array::FlashArray;
+use crate::datapath::Datapath;
 use crate::device::FlashDeviceConfig;
-use crate::linnos::LinnosClassifier;
-use crate::sim::{FalseSubmitWindow, LinnosSimConfig, LISTING_2_SPEC};
-use crate::workload::Workload;
+use crate::sim::{LinnosSimConfig, PhaseStats, LISTING_2_SPEC};
 
 /// Latency-SLO guardrail for the transient device faults. A brownout slows
 /// *every* replica, so the learned policy correctly predicts "slow"
@@ -204,67 +202,41 @@ pub fn quiet_injected_panics() {
     }));
 }
 
-/// Per-kind timeline: how long to run, whether the Figure 2 distribution
-/// shift happens, and when the fault window sits.
-struct Timeline {
-    total: Nanos,
-    shift_at: Option<Nanos>,
-    window: (Nanos, Nanos),
-}
-
-fn timeline_for(kind: &FaultKind) -> Timeline {
+/// Per-kind schedule: the run's [`LinnosSimConfig`] (training ends at
+/// 2 s; a run without the Figure 2 distribution shift has
+/// `shift_at() == total()`) and the fault window `[start, end)`.
+fn schedule_for(kind: &FaultKind, seed: u64) -> (LinnosSimConfig, Nanos, Nanos) {
     let secs = Nanos::from_secs;
-    match kind {
+    // (shift instant, end of run, window start, window end)
+    let (shift_at, total, start, end) = match kind {
         // Transient environment faults on a healthy (never-shifted) system.
-        FaultKind::DeviceBrownout { .. } => Timeline {
-            total: secs(10),
-            shift_at: None,
-            window: (secs(4), secs(6)),
-        },
-        FaultKind::GcStorm => Timeline {
-            total: secs(10),
-            shift_at: None,
-            window: (secs(4), secs(7)),
-        },
-        FaultKind::PoisonModelOutput { .. } => Timeline {
-            total: secs(10),
-            shift_at: None,
-            window: (secs(4), secs(6)),
-        },
+        FaultKind::DeviceBrownout { .. } => (secs(10), secs(10), secs(4), secs(6)),
+        FaultKind::GcStorm => (secs(10), secs(10), secs(4), secs(7)),
+        FaultKind::PoisonModelOutput { .. } => (secs(10), secs(10), secs(4), secs(6)),
         // Guardrail-machinery faults paired with the Figure 2 shift, so the
         // guardrail has real work to do exactly while it is broken.
-        FaultKind::DroppedSaves { .. } => Timeline {
-            total: secs(12),
-            shift_at: Some(secs(5)),
-            window: (secs(4), Nanos::MAX),
-        },
-        FaultKind::FuelExhaustion { .. } => Timeline {
-            total: secs(12),
-            shift_at: Some(secs(5)),
-            window: (secs(5), Nanos::MAX),
-        },
-        FaultKind::ReplaceTargetMissing => Timeline {
-            total: secs(12),
-            shift_at: Some(secs(5)),
-            window: (secs(3), Nanos::MAX),
-        },
-        FaultKind::RetrainPanic => Timeline {
-            total: secs(14),
-            shift_at: Some(secs(5)),
-            window: (Nanos::from_millis(5_500), secs(8)),
-        },
+        FaultKind::DroppedSaves { .. } => (secs(5), secs(12), secs(4), Nanos::MAX),
+        FaultKind::FuelExhaustion { .. } => (secs(5), secs(12), secs(5), Nanos::MAX),
+        FaultKind::ReplaceTargetMissing => (secs(5), secs(12), secs(3), Nanos::MAX),
+        FaultKind::RetrainPanic => (secs(5), secs(14), Nanos::from_millis(5_500), secs(8)),
         // Crash-family faults are whole-node events, not in-flight ones:
         // they are exercised by the `recovery` module's crash-restart
-        // scenarios (E10), which own their own timeline.
+        // scenarios (E10), which own their own timeline. Their window here
+        // is empty and never opens.
         FaultKind::Crash
         | FaultKind::TornWrite { .. }
         | FaultKind::SnapshotCorrupt
-        | FaultKind::CheckpointCorrupt => Timeline {
-            total: secs(14),
-            shift_at: Some(secs(5)),
-            window: (secs(8), secs(8)),
-        },
-    }
+        | FaultKind::CheckpointCorrupt => (secs(5), secs(14), secs(8), secs(8)),
+    };
+    let warmup = secs(2);
+    let config = LinnosSimConfig {
+        seed,
+        warmup,
+        healthy: shift_at - warmup,
+        shifted: total - shift_at,
+        ..LinnosSimConfig::default()
+    };
+    (config, start, end)
 }
 
 /// Runs one fault scenario to completion.
@@ -280,10 +252,8 @@ fn timeline_for(kind: &FaultKind) -> Timeline {
 /// Panics if one of the scenario guardrail specs fails to compile; they are
 /// constants, so that would be a bug in this crate.
 pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRunReport {
-    let base = LinnosSimConfig::default();
-    let timeline = timeline_for(&kind);
-    let (fault_start, fault_end) = timeline.window;
-    let warmup_end = Nanos::from_secs(2);
+    let (config, fault_start, fault_end) = schedule_for(&kind, seed);
+    let total = config.total();
 
     let mut engine = MonitorEngine::new();
     let runtime = if hardened {
@@ -302,6 +272,8 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
     let store = engine.store();
     let ml_enabled = store.slot("ml_enabled");
     let false_submit_rate = store.slot("false_submit_rate");
+    let mean_io_latency_us = store.slot("mean_io_latency_us");
+    let prediction_health = store.slot("prediction_health");
     store.save_slot(&ml_enabled, 1.0);
     store.save_slot(&false_submit_rate, 0.0);
 
@@ -311,13 +283,13 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
     let mut retrainer = None;
     match &kind {
         FaultKind::DeviceBrownout { .. } | FaultKind::GcStorm => {
-            store.save("mean_io_latency_us", 0.0);
+            store.save_slot(&mean_io_latency_us, 0.0);
             engine
                 .install_str(LATENCY_SLO_SPEC)
                 .expect("latency-slo compiles");
         }
         FaultKind::PoisonModelOutput { .. } => {
-            store.save("prediction_health", 0.0);
+            store.save_slot(&prediction_health, 0.0);
             engine
                 .install_str(MODEL_HEALTH_SPEC)
                 .expect("model-health compiles");
@@ -354,110 +326,41 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
             .expect("just installed");
     }
 
-    let mut array = FlashArray::new(base.device, 2, base.revoke_overhead, seed);
-    let mut classifier = LinnosClassifier::new(base.linnos);
-    array.set_slow_threshold(classifier.config().slow_threshold);
-    let decision_threshold = classifier.config().decision_threshold;
-    let mut workload = Workload::new(base.workload, seed ^ 0xAB);
-
-    let plan = FaultPlan::new().inject(fault_start, fault_end, kind.clone());
-    let mut injector = FaultInjector::new(plan);
+    let mut datapath = Datapath::new(config);
 
     let uses_registry_gate = matches!(kind, FaultKind::ReplaceTargetMissing);
-    let mut recent_false = FalseSubmitWindow::new(base.rate_window);
-    let mut moving = MovingAverage::new(base.moving_avg_window);
+    let drops_rate_saves =
+        matches!(&kind, FaultKind::DroppedSaves { key } if key == "false_submit_rate");
+    let tracks_health = matches!(kind, FaultKind::PoisonModelOutput { .. });
+    // The window's edges: it opens at the first arrival at `fault_start`
+    // and closes at the first at `fault_end`; an empty window never opens.
+    let mut fault_started = false;
+    let mut fault_ended = false;
+    let mut moving = MovingAverage::new(datapath.config().moving_avg_window);
     let mut health_ewma = 0.0f64;
-    let mut trained = false;
-    let mut shifted = false;
     let mut baseline = None;
     let mut detection_at = None;
     let mut ml_off_at = None;
     let mut replaced_at = None;
     let mut retrain_applied_at = None;
     let mut retrains_applied = 0u64;
-    let mut healthy_lat = (0u64, 0u64); // (sum ns, ios)
-    let mut post_fault_lat = (0u64, 0u64);
     // Reused command buffer: drained every I/O, almost always empty.
     let mut cmd_buf = Vec::new();
 
-    loop {
-        let now = workload.next_arrival();
-        if now >= timeline.total {
-            break;
+    while let Some(now) = datapath.next_arrival() {
+        // Apply the fault window's edges crossed since the last arrival.
+        if !fault_started && now >= fault_start && fault_start < fault_end {
+            fault_started = true;
+            apply_fault(&kind, true, &mut datapath, &mut engine);
         }
-        if !trained && now >= warmup_end {
-            classifier.train_round();
-            trained = true;
+        if fault_started && !fault_ended && now >= fault_end {
+            fault_ended = true;
+            apply_fault(&kind, false, &mut datapath, &mut engine);
         }
-        if let Some(shift) = timeline.shift_at {
-            if !shifted && now >= shift {
-                array.set_device_config(base.shifted_device);
-                workload.set_config(base.shifted_workload);
-                shifted = true;
-            }
-        }
-
-        // Apply fault transitions crossed since the last arrival.
-        for transition in injector.poll(now) {
-            let starting = transition.phase == FaultPhase::Started;
-            match &transition.kind {
-                FaultKind::DeviceBrownout { slowdown } => {
-                    let config = if starting {
-                        FlashDeviceConfig {
-                            base_latency: Nanos::from_nanos(
-                                (base.device.base_latency.as_nanos() as f64 * slowdown) as u64,
-                            ),
-                            ..base.device
-                        }
-                    } else {
-                        base.device
-                    };
-                    array.set_device_config(config);
-                }
-                FaultKind::GcStorm => {
-                    let config = if starting {
-                        FlashDeviceConfig {
-                            gc_interval: Nanos::from_millis(3),
-                            gc_pause_min: Nanos::from_millis(2),
-                            gc_pause_max: Nanos::from_millis(8),
-                            ..base.device
-                        }
-                    } else {
-                        base.device
-                    };
-                    array.set_device_config(config);
-                }
-                FaultKind::PoisonModelOutput { mode } => {
-                    let corruption = starting.then_some(match mode {
-                        PoisonMode::Nan => OutputCorruption::Nan,
-                        PoisonMode::Inf => OutputCorruption::Inf,
-                        PoisonMode::OutOfRange => OutputCorruption::OutOfRange,
-                    });
-                    classifier.set_output_corruption(corruption);
-                }
-                FaultKind::FuelExhaustion { limit } => {
-                    engine.set_rule_fuel_limit(starting.then_some(*limit));
-                }
-                FaultKind::ReplaceTargetMissing => {
-                    if starting {
-                        registry
-                            .unregister_variant("io_submit", "safe")
-                            .expect("safe is registered and inactive");
-                    }
-                }
-                // Handled at their use sites via `injector.is_active`; the
-                // crash family is driven by the `recovery` scenarios.
-                FaultKind::DroppedSaves { .. }
-                | FaultKind::RetrainPanic
-                | FaultKind::Crash
-                | FaultKind::TornWrite { .. }
-                | FaultKind::SnapshotCorrupt
-                | FaultKind::CheckpointCorrupt => {}
-            }
-        }
+        let in_window = fault_start <= now && now < fault_end;
 
         if baseline.is_none() && now >= fault_start {
-            baseline = Some((engine.stats(), store.poisoned_total()));
+            baseline = Some((engine.stats(), store.poisoned_total(), datapath.stats()));
         }
 
         engine.advance_to(now);
@@ -468,8 +371,7 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
         for (_, command) in cmd_buf.drain(..) {
             if let Command::Retrain { model, .. } = command {
                 if let Some(retrainer) = &retrainer {
-                    let poisoned =
-                        injector.is_active(now, |k| matches!(k, FaultKind::RetrainPanic));
+                    let poisoned = in_window && matches!(kind, FaultKind::RetrainPanic);
                     let target = retrainer.completed().len() + 1;
                     let panics_before = retrainer.panicked();
                     retrainer.submit(&model, move || {
@@ -482,7 +384,7 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
                     // deterministic: applied at `now`, or not at all.
                     for _ in 0..6_000 {
                         if retrainer.completed().len() >= target {
-                            classifier.retrain();
+                            datapath.classifier_mut().retrain();
                             retrains_applied += 1;
                             if retrain_applied_at.is_none() && now >= fault_start {
                                 retrain_applied_at = Some(now);
@@ -509,7 +411,7 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
             replaced_at = Some(now);
         }
         if detection_at.is_none() {
-            if let Some((stats_then, poisoned_then)) = baseline {
+            if let Some((stats_then, poisoned_then, _)) = baseline {
                 let stats = engine.stats();
                 if stats.violations > stats_then.violations
                     || stats.watchdog_trips > stats_then.watchdog_trips
@@ -521,54 +423,27 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
         }
 
         // The datapath decision.
-        let ml_on =
-            trained && ml_enabled.flag() && (!uses_registry_gate || slot_learned.is_active());
-        let mut proba = f64::NAN;
-        let classifier_ref = &mut classifier;
-        let outcome = array.submit(now, |features| {
-            if !ml_on {
-                return false;
-            }
-            proba = classifier_ref.predict_proba(features);
-            proba >= decision_threshold
-        });
-        if outcome.served_by == outcome.primary {
-            classifier.observe(&outcome.features, outcome.was_slow);
-        } else if let Some(probe_slow) = outcome.probe_was_slow {
-            classifier.observe(&outcome.features, probe_slow);
-        }
+        let gate_open = ml_enabled.flag() && (!uses_registry_gate || slot_learned.is_active());
+        let (outcome, proba) = datapath.submit(now, gate_open);
 
         // Telemetry the guardrails read. The EWMA pipeline is deliberately
         // naive: one non-finite model output latches it forever, which is
         // exactly the poison pathway the store quarantine exists to contain.
-        if ml_on {
-            if matches!(kind, FaultKind::PoisonModelOutput { .. }) {
-                health_ewma = 0.98 * health_ewma + 0.02 * proba;
-                store.save("prediction_health", health_ewma);
-            }
-            recent_false.push(outcome.false_submit);
+        if let Some(proba) = proba.filter(|_| tracks_health) {
+            health_ewma = 0.98 * health_ewma + 0.02 * proba;
+            store.save_slot(&prediction_health, health_ewma);
         }
-        let saves_dropped = injector.is_active(
-            now,
-            |k| matches!(k, FaultKind::DroppedSaves { key } if key == "false_submit_rate"),
-        );
-        if let Some(rate) = recent_false.rate().filter(|_| !saves_dropped) {
+        let saves_dropped = in_window && drops_rate_saves;
+        if let Some(rate) = datapath.false_submit_rate().filter(|_| !saves_dropped) {
             store.save_slot(&false_submit_rate, rate);
         }
 
         let avg = moving.push(outcome.latency.as_micros_f64());
-        store.save("mean_io_latency_us", avg);
-        if now >= fault_start {
-            post_fault_lat.0 += outcome.latency.as_nanos();
-            post_fault_lat.1 += 1;
-        } else if now >= warmup_end {
-            healthy_lat.0 += outcome.latency.as_nanos();
-            healthy_lat.1 += 1;
-        }
+        store.save_slot(&mean_io_latency_us, avg);
     }
-    engine.advance_to(timeline.total);
+    engine.advance_to(total);
     if ml_off_at.is_none() && !ml_enabled.flag() {
-        ml_off_at = Some(timeline.total);
+        ml_off_at = Some(total);
     }
 
     // Scenario-specific safe/recovered state.
@@ -580,7 +455,7 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
         // still finite: then either the model is back (window end) or a
         // functioning monitor disabled it deliberately.
         FaultKind::PoisonModelOutput { .. } => {
-            let store_finite = store.load("prediction_health").is_some_and(f64::is_finite);
+            let store_finite = prediction_health.load().is_some_and(f64::is_finite);
             if !store_finite {
                 None
             } else if ml_enabled.flag() {
@@ -601,6 +476,8 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
     };
     let recovery = recovered_at.map(|t| t.saturating_sub(fault_start));
     let stats = engine.stats();
+    let end = datapath.stats();
+    let at_fault = baseline.map_or(end, |(_, _, at_fault)| at_fault);
     FaultRunReport {
         label: fault_label(&kind),
         hardened,
@@ -615,18 +492,76 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
         retrain_retries: stats.retrain_retries,
         poisoned_saves: store.poisoned_total(),
         retrains_applied,
-        post_fault_latency_us: mean_us(post_fault_lat),
-        healthy_latency_us: mean_us(healthy_lat),
+        post_fault_latency_us: PhaseStats::from_delta(at_fault, end).mean_latency_us,
+        healthy_latency_us: PhaseStats::from_delta(datapath.stats_at_training(), at_fault)
+            .mean_latency_us,
         ml_enabled_at_end: ml_enabled.flag(),
         wedged: recovery.is_none(),
     }
 }
 
-fn mean_us(acc: (u64, u64)) -> f64 {
-    if acc.1 == 0 {
-        0.0
-    } else {
-        acc.0 as f64 / acc.1 as f64 / 1_000.0
+/// Starts (`starting`) or ends `kind` on the datapath and engine. Dropped
+/// saves and retrain panics act at their use sites while the window is
+/// open; the crash family is driven by the `recovery` scenarios.
+fn apply_fault(
+    kind: &FaultKind,
+    starting: bool,
+    datapath: &mut Datapath,
+    engine: &mut MonitorEngine,
+) {
+    let healthy_device = datapath.config().device;
+    match kind {
+        FaultKind::DeviceBrownout { slowdown } => {
+            let config = if starting {
+                FlashDeviceConfig {
+                    base_latency: Nanos::from_nanos(
+                        (healthy_device.base_latency.as_nanos() as f64 * slowdown) as u64,
+                    ),
+                    ..healthy_device
+                }
+            } else {
+                healthy_device
+            };
+            datapath.array_mut().set_device_config(config);
+        }
+        FaultKind::GcStorm => {
+            let config = if starting {
+                FlashDeviceConfig {
+                    gc_interval: Nanos::from_millis(3),
+                    gc_pause_min: Nanos::from_millis(2),
+                    gc_pause_max: Nanos::from_millis(8),
+                    ..healthy_device
+                }
+            } else {
+                healthy_device
+            };
+            datapath.array_mut().set_device_config(config);
+        }
+        FaultKind::PoisonModelOutput { mode } => {
+            let corruption = starting.then_some(match mode {
+                PoisonMode::Nan => OutputCorruption::Nan,
+                PoisonMode::Inf => OutputCorruption::Inf,
+                PoisonMode::OutOfRange => OutputCorruption::OutOfRange,
+            });
+            datapath.classifier_mut().set_output_corruption(corruption);
+        }
+        FaultKind::FuelExhaustion { limit } => {
+            engine.set_rule_fuel_limit(starting.then_some(*limit));
+        }
+        FaultKind::ReplaceTargetMissing => {
+            if starting {
+                engine
+                    .registry()
+                    .unregister_variant("io_submit", "safe")
+                    .expect("safe is registered and inactive");
+            }
+        }
+        FaultKind::DroppedSaves { .. }
+        | FaultKind::RetrainPanic
+        | FaultKind::Crash
+        | FaultKind::TornWrite { .. }
+        | FaultKind::SnapshotCorrupt
+        | FaultKind::CheckpointCorrupt => {}
     }
 }
 

@@ -16,6 +16,9 @@
 //! - [`linnos`]: the LinnOS-style MLP classifier over queue-depth +
 //!   latency-history features, trained online;
 //! - [`mod@array`]: the 2-replica flash array with revoke/failover submission;
+//! - [`datapath`]: the per-I/O LinnOS datapath (array, classifier, arrivals,
+//!   false-submit window, training and shift schedule) that the three
+//!   simulations below drive;
 //! - [`sim`]: the end-to-end simulation that wires the array to the
 //!   guardrail monitor engine and produces Figure 2's latency series;
 //! - [`faultsim`]: chaos-harness scenarios that rerun the setting under
@@ -30,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod array;
+pub mod datapath;
 pub mod device;
 pub mod faultsim;
 pub mod linnos;
@@ -38,6 +42,7 @@ pub mod sim;
 pub mod workload;
 
 pub use array::{FlashArray, SubmitOutcome};
+pub use datapath::Datapath;
 pub use device::{FlashDevice, FlashDeviceConfig};
 pub use faultsim::{
     fault_label, fault_matrix, quiet_injected_panics, run_fault_pair, run_fault_scenario,
@@ -48,5 +53,5 @@ pub use recovery::{
     recovery_matrix, run_crash_loop, run_crash_pair, run_crash_scenario, run_no_crash_reference,
     RecoveryRunReport,
 };
-pub use sim::{run_fig2, FalseSubmitWindow, LinnosSim, LinnosSimConfig, SimReport};
+pub use sim::{run_fig2, LinnosSim, LinnosSimConfig, SimReport};
 pub use workload::{Workload, WorkloadConfig};

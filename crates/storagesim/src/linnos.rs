@@ -13,6 +13,8 @@ use mlkit::{
 };
 use simkernel::Nanos;
 
+use crate::array::SubmitOutcome;
+
 /// Number of model features: queue depth + 4-deep latency history.
 pub const NUM_FEATURES: usize = 5;
 
@@ -138,6 +140,21 @@ impl LinnosClassifier {
         }
         self.scaler.observe(features);
         self.buffer.push(features, if was_slow { 1.0 } else { 0.0 });
+    }
+
+    /// Learns from one completed submission. An I/O its primary served is
+    /// labelled by its own latency; a revoked one only by a hedged probe of
+    /// the primary, when one ran (otherwise its counterfactual is unseen
+    /// and it yields no row).
+    pub fn observe_outcome(&mut self, outcome: &SubmitOutcome) {
+        let label = if outcome.served_by == outcome.primary {
+            Some(outcome.was_slow)
+        } else {
+            outcome.probe_was_slow
+        };
+        if let Some(was_slow) = label {
+            self.observe(&outcome.features, was_slow);
+        }
     }
 
     /// Runs one training round over replay-buffer minibatches.
@@ -400,6 +417,32 @@ mod tests {
             assert_eq!(clf.dropped_rows(), 2);
             assert_eq!(trained_bits(clf), trained_bits(doc_history()), "{bad}");
         }
+    }
+
+    /// A submission served by its primary is labelled by its own latency,
+    /// a revoked one by its hedged probe, and a revoked one without a probe
+    /// adds no row.
+    #[test]
+    fn outcomes_are_labelled_by_the_device_that_saw_them() {
+        let outcome = |served_by, was_slow, probe_was_slow| SubmitOutcome {
+            latency: Nanos::from_micros(100),
+            primary: 0,
+            served_by,
+            predicted_slow: served_by != 0,
+            features: DEEP,
+            was_slow,
+            false_submit: false,
+            probe_was_slow,
+        };
+        let mut clf = LinnosClassifier::new(LinnosConfig::default());
+        clf.observe_outcome(&outcome(0, true, None));
+        assert_eq!(clf.buffer.len(), 1);
+        assert_eq!(clf.buffer.get(0), (&DEEP[..], 1.0), "served: was_slow");
+        clf.observe_outcome(&outcome(1, true, Some(false)));
+        assert_eq!(clf.buffer.len(), 2);
+        assert_eq!(clf.buffer.get(1), (&DEEP[..], 0.0), "revoked: the probe");
+        clf.observe_outcome(&outcome(1, false, None));
+        assert_eq!(clf.buffer.len(), 2, "revoked without a probe: no row");
     }
 
     #[test]

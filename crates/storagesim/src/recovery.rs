@@ -54,18 +54,22 @@ use guardrails::store::durable::{DurableStore, MemBackend, PersistBackend, Regio
 use guardrails::store::Slot;
 use simkernel::Nanos;
 
-use crate::array::FlashArray;
+use crate::datapath::Datapath;
 use crate::faultsim::{fault_label, FAILOVER_QUALITY_SPEC};
-use crate::linnos::LinnosClassifier;
-use crate::sim::{FalseSubmitWindow, LinnosSimConfig, LISTING_2_SPEC};
-use crate::workload::Workload;
+use crate::sim::{LinnosSimConfig, PhaseStats, LISTING_2_SPEC};
 
-/// End of the training phase.
-const WARMUP_END: Nanos = Nanos::from_secs(2);
-/// The Figure 2 distribution shift.
-const SHIFT_AT: Nanos = Nanos::from_secs(5);
-/// Total simulated duration.
-const TOTAL: Nanos = Nanos::from_secs(14);
+/// The run: training ends at 2 s, the Figure 2 distribution shift comes
+/// at 5 s, and the run ends at 14 s.
+fn scenario_config(seed: u64) -> LinnosSimConfig {
+    LinnosSimConfig {
+        seed,
+        warmup: Nanos::from_secs(2),
+        healthy: Nanos::from_secs(3),
+        shifted: Nanos::from_secs(9),
+        ..LinnosSimConfig::default()
+    }
+}
+
 /// First (or only) crash instant; also the start of the post-crash
 /// measurement window, applied uniformly so the no-crash reference is
 /// comparable.
@@ -425,39 +429,22 @@ fn run_plan(
     durable: bool,
     seed: u64,
 ) -> RecoveryRunReport {
-    let base = LinnosSimConfig::default();
     let mut driver = Driver::new(label, durable);
     let mut supervisor = Supervisor::new(driver.recovery_cfg.supervisor);
-
-    let mut array = FlashArray::new(base.device, 2, base.revoke_overhead, seed);
-    let mut classifier = LinnosClassifier::new(base.linnos);
-    array.set_slow_threshold(classifier.config().slow_threshold);
-    let mut workload = Workload::new(base.workload, seed ^ 0xAB);
+    let mut datapath = Datapath::new(scenario_config(seed));
+    let total = datapath.config().total();
 
     let mut state = NodeState::Up(Box::new(driver.boot(Nanos::ZERO, true)));
     let mut crash_idx = 0usize;
-    // Monitor-side telemetry: dies with the node.
-    let mut recent_false = FalseSubmitWindow::new(base.rate_window);
-    let mut trained = false;
-    let mut shifted = false;
     let mut disabled_once = false;
     let mut ios = 0u64;
-    let mut healthy_lat = (0u64, 0u64); // (sum ns, ios)
-    let mut post_lat = (0u64, 0u64);
+    // The array's counters at the first arrival at `CRASH_AT`, crashed or
+    // not, so the no-crash reference measures the same window.
+    let mut at_crash = None;
 
-    loop {
-        let now = workload.next_arrival();
-        if now >= TOTAL {
-            break;
-        }
-        if !trained && now >= WARMUP_END {
-            classifier.train_round();
-            trained = true;
-        }
-        if !shifted && now >= SHIFT_AT {
-            array.set_device_config(base.shifted_device);
-            workload.set_config(base.shifted_workload);
-            shifted = true;
+    while let Some(now) = datapath.next_arrival() {
+        if at_crash.is_none() && now >= CRASH_AT {
+            at_crash = Some(datapath.stats());
         }
 
         // Reboot if the backoff has elapsed.
@@ -477,7 +464,8 @@ fn run_plan(
                 if let NodeState::Up(node) = state {
                     driver.crash(*node, &kind);
                     crash_idx += 1;
-                    recent_false.clear();
+                    // Monitor-side telemetry dies with the node.
+                    datapath.forget_false_submits();
                     state = if durable {
                         match supervisor.on_crash(now) {
                             RestartDecision::Restart { at: t, .. } => NodeState::Down {
@@ -512,29 +500,19 @@ fn run_plan(
         }
 
         // The datapath decision, gated by the (possibly restored) state.
-        let ml_on = trained && node.ml_enabled.flag() && node.slot_learned.is_active();
+        let gate_open = node.ml_enabled.flag() && node.slot_learned.is_active();
+        let trained = datapath.is_trained();
         if !disabled_once && trained && !node.ml_enabled.flag() {
             disabled_once = true;
             driver.report.disabled_at = Some(now);
         }
-        if disabled_once && ml_on {
+        if disabled_once && trained && gate_open {
             driver.report.rearmed_ios += 1;
         }
-        let classifier_ref = &mut classifier;
-        let outcome = array.submit(now, |features| {
-            ml_on && classifier_ref.predict_slow(features)
-        });
-        if outcome.served_by == outcome.primary {
-            classifier.observe(&outcome.features, outcome.was_slow);
-        } else if let Some(probe_slow) = outcome.probe_was_slow {
-            classifier.observe(&outcome.features, probe_slow);
-        }
+        datapath.submit(now, gate_open);
 
-        // Telemetry for Listing 2 (same pipeline as `sim`).
-        if ml_on {
-            recent_false.push(outcome.false_submit);
-        }
-        if let Some(rate) = recent_false.rate() {
+        // Telemetry for Listing 2.
+        if let Some(rate) = datapath.false_submit_rate() {
             node.store.save_slot(&node.false_submit_rate, rate);
         }
 
@@ -550,35 +528,23 @@ fn run_plan(
                     .expect("in-memory backend cannot fail");
             }
         }
-
-        if now >= CRASH_AT {
-            post_lat.0 += outcome.latency.as_nanos();
-            post_lat.1 += 1;
-        } else if now >= WARMUP_END && now < SHIFT_AT {
-            healthy_lat.0 += outcome.latency.as_nanos();
-            healthy_lat.1 += 1;
-        }
     }
 
     if let NodeState::Up(node) = &mut state {
         if let Some(engine) = &mut node.engine {
-            engine.advance_to(TOTAL);
+            engine.advance_to(total);
             driver.report.violations += engine.stats().violations - node.violations_at_boot;
         }
         driver.report.ml_enabled_at_end = node.ml_enabled.flag();
         driver.report.slot_learned_at_end = node.slot_learned.is_active();
     }
-    driver.report.healthy_latency_us = mean_us(healthy_lat);
-    driver.report.post_crash_latency_us = mean_us(post_lat);
+    let end = datapath.stats();
+    driver.report.healthy_latency_us =
+        PhaseStats::from_delta(datapath.stats_at_training(), datapath.stats_at_shift())
+            .mean_latency_us;
+    driver.report.post_crash_latency_us =
+        PhaseStats::from_delta(at_crash.unwrap_or(end), end).mean_latency_us;
     driver.report
-}
-
-fn mean_us(acc: (u64, u64)) -> f64 {
-    if acc.1 == 0 {
-        0.0
-    } else {
-        acc.0 as f64 / acc.1 as f64 / 1_000.0
-    }
 }
 
 #[cfg(test)]

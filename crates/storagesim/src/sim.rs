@@ -16,16 +16,15 @@
 //!    `ml_enabled` off; the policy falls back to default submission and the
 //!    moving average recovers. Without the guardrail it stays degraded.
 
-use std::collections::VecDeque;
-
 use guardrails::monitor::MonitorEngine;
 use guardrails::{Telemetry, TelemetrySnapshot};
 use simkernel::{MovingAverage, Nanos};
 
-use crate::array::{ArrayStats, FlashArray};
+use crate::array::ArrayStats;
+use crate::datapath::Datapath;
 use crate::device::FlashDeviceConfig;
-use crate::linnos::{LinnosClassifier, LinnosConfig};
-use crate::workload::{Workload, WorkloadConfig};
+use crate::linnos::LinnosConfig;
+use crate::workload::WorkloadConfig;
 
 /// The guardrail from the paper's Listing 2, verbatim.
 pub const LISTING_2_SPEC: &str = r#"
@@ -126,7 +125,8 @@ pub struct PhaseStats {
 }
 
 impl PhaseStats {
-    fn from_delta(before: ArrayStats, after: ArrayStats) -> PhaseStats {
+    /// The phase between two snapshots of an array's counters.
+    pub(crate) fn from_delta(before: ArrayStats, after: ArrayStats) -> PhaseStats {
         let ios = after.ios - before.ios;
         if ios == 0 {
             return PhaseStats::default();
@@ -163,11 +163,8 @@ pub struct SimReport {
 
 /// The Figure 2 simulator.
 pub struct LinnosSim {
-    config: LinnosSimConfig,
     engine: MonitorEngine,
-    array: FlashArray,
-    workload: Workload,
-    classifier: LinnosClassifier,
+    datapath: Datapath,
 }
 
 impl LinnosSim {
@@ -185,19 +182,9 @@ impl LinnosSim {
                 .install_str(LISTING_2_SPEC)
                 .expect("Listing 2 compiles");
         }
-        let array = FlashArray::new(config.device, 2, config.revoke_overhead, config.seed);
-        let workload = Workload::new(config.workload, config.seed ^ 0xAB);
-        let mut classifier = LinnosClassifier::new(config.linnos);
-        // Match the array's slow threshold to the classifier's label.
-        let mut array = array;
-        array.set_slow_threshold(classifier.config().slow_threshold);
-        let _ = &mut classifier;
         LinnosSim {
-            config,
             engine,
-            array,
-            workload,
-            classifier,
+            datapath: Datapath::new(config),
         }
     }
 
@@ -209,81 +196,40 @@ impl LinnosSim {
         store.save_slot(&ml_enabled, 1.0);
         store.save_slot(&false_submit_rate, 0.0);
 
-        let total = self.config.total();
-        let shift_at = self.config.shift_at();
-        let warmup_end = self.config.warmup;
-
-        let mut moving = MovingAverage::new(self.config.moving_avg_window);
-        let mut recent_false = FalseSubmitWindow::new(self.config.rate_window);
+        let config = self.datapath.config();
+        let total = config.total();
+        let sample_every = config.sample_every as u64;
+        let mut moving = MovingAverage::new(config.moving_avg_window);
         let mut series = Vec::new();
         let mut ios: u64 = 0;
-        let mut trained = false;
-        let mut shifted = false;
-        let mut stats_at_train = ArrayStats::default();
-        let mut stats_at_shift = ArrayStats::default();
 
-        loop {
-            let now = self.workload.next_arrival();
-            if now >= total {
-                break;
-            }
-            // Phase transitions.
-            if !trained && now >= warmup_end {
-                self.classifier.train_round();
-                trained = true;
-                stats_at_train = self.array.stats();
-            }
-            if !shifted && now >= shift_at {
-                self.array.set_device_config(self.config.shifted_device);
-                self.workload.set_config(self.config.shifted_workload);
-                stats_at_shift = self.array.stats();
-                shifted = true;
-            }
+        while let Some(now) = self.datapath.next_arrival() {
             // Fire due TIMER checks before the decision — the monitor runs
             // concurrently with the datapath.
             self.engine.advance_to(now);
 
-            let ml_on = trained && ml_enabled.flag();
-            let classifier = &mut self.classifier;
-            let outcome = self
-                .array
-                .submit(now, |features| ml_on && classifier.predict_slow(features));
+            let (outcome, _) = self.datapath.submit(now, ml_enabled.flag());
 
-            // Completion feedback: only unrevoked I/Os yield a label for
-            // their primary (the counterfactual for revoked ones is unseen).
-            if outcome.served_by == outcome.primary {
-                self.classifier.observe(&outcome.features, outcome.was_slow);
-            } else if let Some(probe_slow) = outcome.probe_was_slow {
-                // Hedged probes label revoked decisions too.
-                self.classifier.observe(&outcome.features, probe_slow);
-            }
-
-            // Maintain the observable false-submit-rate feature (§5). The
-            // rate describes the *model's* false submits, so it only
-            // accumulates while the learned path is making decisions.
-            if ml_on {
-                recent_false.push(outcome.false_submit);
-            }
-            if let Some(rate) = recent_false.rate() {
+            // Maintain the observable false-submit-rate feature (§5): the
+            // *model's* false submits, over its learned decisions only.
+            if let Some(rate) = self.datapath.false_submit_rate() {
                 store.save_slot(&false_submit_rate, rate);
             }
 
             let avg = moving.push(outcome.latency.as_micros_f64());
             ios += 1;
-            if ios.is_multiple_of(self.config.sample_every as u64) {
+            if ios.is_multiple_of(sample_every) {
                 series.push((now.as_secs_f64(), avg));
             }
         }
         self.engine.advance_to(total);
 
-        let end_stats = self.array.stats();
-        let healthy = PhaseStats::from_delta(stats_at_train, stats_at_shift);
-        let shifted_stats = PhaseStats::from_delta(stats_at_shift, end_stats);
+        let at_shift = self.datapath.stats_at_shift();
         SimReport {
             series,
             guardrail_triggered_at: self.engine.violations().first().map(|v| v.at),
-            healthy,
-            shifted: shifted_stats,
+            healthy: PhaseStats::from_delta(self.datapath.stats_at_training(), at_shift),
+            shifted: PhaseStats::from_delta(at_shift, self.datapath.stats()),
             violations: self.engine.stats().violations as usize,
             ml_enabled_at_end: ml_enabled.flag(),
             telemetry: self.engine.telemetry_snapshot(),
@@ -307,81 +253,9 @@ pub fn run_fig2(config: LinnosSimConfig) -> (SimReport, SimReport) {
     (guarded, unguarded)
 }
 
-/// The false-submit rate over the last `capacity` learned-path I/Os — the
-/// observable feature Listing 2's rule reads (§5). Keeps a running count of
-/// the false submits in the window, so each I/O costs O(1).
-#[derive(Clone, Debug)]
-pub struct FalseSubmitWindow {
-    recent: VecDeque<bool>,
-    capacity: usize,
-    false_submits: usize,
-}
-
-impl FalseSubmitWindow {
-    /// An empty window over the last `capacity` outcomes.
-    pub fn new(capacity: usize) -> Self {
-        FalseSubmitWindow {
-            recent: VecDeque::with_capacity(capacity + 1),
-            capacity,
-            false_submits: 0,
-        }
-    }
-
-    /// Records one learned-path I/O, evicting the oldest beyond capacity.
-    pub fn push(&mut self, false_submit: bool) {
-        self.recent.push_back(false_submit);
-        self.false_submits += usize::from(false_submit);
-        if self.recent.len() > self.capacity && self.recent.pop_front() == Some(true) {
-            self.false_submits -= 1;
-        }
-    }
-
-    /// Forgets every outcome (the monitor-side state of a crashed node).
-    pub fn clear(&mut self) {
-        self.recent.clear();
-        self.false_submits = 0;
-    }
-
-    /// False submits over window length; `None` while the window is empty.
-    pub fn rate(&self) -> Option<f64> {
-        (!self.recent.is_empty()).then(|| self.false_submits as f64 / self.recent.len() as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn false_submit_window_matches_a_recount() {
-        // The running count must give exactly the rate a full recount of
-        // the last `capacity` outcomes gives, bit for bit.
-        for capacity in [0, 1, 3, 16] {
-            let mut window = FalseSubmitWindow::new(capacity);
-            let mut naive: VecDeque<bool> = VecDeque::new();
-            let mut x = 0x9E37_79B9u32;
-            for i in 0..200 {
-                x ^= x << 13;
-                x ^= x >> 17;
-                x ^= x << 5;
-                let outcome = x.is_multiple_of(3);
-                window.push(outcome);
-                naive.push_back(outcome);
-                if naive.len() > capacity {
-                    naive.pop_front();
-                }
-                let expected = (!naive.is_empty())
-                    .then(|| naive.iter().filter(|&&b| b).count() as f64 / naive.len() as f64);
-                assert_eq!(
-                    window.rate().map(f64::to_bits),
-                    expected.map(f64::to_bits),
-                    "capacity {capacity}, step {i}"
-                );
-            }
-            window.clear();
-            assert_eq!(window.rate(), None);
-        }
-    }
 
     fn quick_config() -> LinnosSimConfig {
         LinnosSimConfig {

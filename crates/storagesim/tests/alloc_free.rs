@@ -1,5 +1,6 @@
 //! One LinnOS decision and one completion allocate nothing once the
-//! classifier is warm: the per-I/O path of the Figure-2 run stays off the
+//! classifier is warm, and neither does one arrival and learned submit of
+//! the whole datapath: the per-I/O path of the Figure-2 run stays off the
 //! allocator. Nor does a warm training round allocate per epoch.
 //!
 //! A counting global allocator counts the allocations made on each thread;
@@ -8,7 +9,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use storagesim::{LinnosClassifier, LinnosConfig};
+use simkernel::Nanos;
+use storagesim::{Datapath, LinnosClassifier, LinnosConfig, LinnosSimConfig};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -100,6 +102,42 @@ fn warm_decisions_and_completions_do_not_allocate() {
         (3000..=3700).contains(&predicted_slow),
         "predicted {predicted_slow} of 10 000 slow"
     );
+}
+
+#[test]
+fn warm_datapath_submits_do_not_allocate() {
+    let mut datapath = Datapath::new(LinnosSimConfig {
+        warmup: Nanos::from_secs(1),
+        healthy: Nanos::from_secs(4),
+        shifted: Nanos::ZERO,
+        ..LinnosSimConfig::default()
+    });
+    // Past training, and the first learned decisions size the
+    // classifier's activation rows.
+    let mut learned = 0;
+    while learned < 100 {
+        let now = datapath.next_arrival().expect("the run outlasts warm-up");
+        learned += u32::from(datapath.submit(now, true).1.is_some());
+    }
+
+    let before = allocations();
+    let mut learned = 0u32;
+    let mut failovers = 0u32;
+    for _ in 0..10_000 {
+        let now = datapath.next_arrival().expect("the run outlasts the loop");
+        let (outcome, proba) = datapath.submit(now, true);
+        learned += u32::from(proba.is_some());
+        failovers += u32::from(outcome.served_by != outcome.primary);
+    }
+    let allocated = allocations() - before;
+
+    assert_eq!(
+        allocated, 0,
+        "10 000 warm arrivals and submits allocated {allocated} times"
+    );
+    assert_eq!(learned, 10_000, "every decision was the model's");
+    assert!(failovers > 0, "and some of them revoked");
+    assert!(datapath.false_submit_rate().is_some());
 }
 
 /// Allocations made by a second `train_round` of a classifier that runs
