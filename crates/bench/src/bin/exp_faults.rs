@@ -4,7 +4,7 @@
 //! twice with identical seeds — once on the **seed** runtime (resilience
 //! off, store quarantine off) and once on the **hardened** runtime
 //! (non-finite quarantine, `REPLACE` fallback, retrain retry/backoff,
-//! protected retrain worker, fail-closed watchdog) — and reports detection
+//! protected retrain executor, fail-closed watchdog) — and reports detection
 //! delay, recovery time, and post-fault latency for each.
 //!
 //! Emits `results/exp_faults.csv` (one row per fault × runtime; a fixed

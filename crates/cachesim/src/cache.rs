@@ -1,6 +1,6 @@
 //! A fixed-capacity cache with pluggable eviction.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use simkernel::DetRng;
 
@@ -33,7 +33,9 @@ pub struct Cache {
     policy: EvictionPolicy,
     /// Key -> (last-use tick, index into `order`).
     entries: HashMap<u64, (u64, usize)>,
-    /// Dense key list for deterministic victim selection.
+    /// Resident `(last-use tick, key)` pairs; the first is the LRU victim.
+    recency: BTreeSet<(u64, u64)>,
+    /// Dense key list for deterministic random victim selection.
     order: Vec<u64>,
     tick: u64,
     hits: u64,
@@ -48,6 +50,7 @@ impl Cache {
             capacity: capacity.max(1),
             policy,
             entries: HashMap::new(),
+            recency: BTreeSet::new(),
             order: Vec::new(),
             tick: 0,
             hits: 0,
@@ -61,6 +64,8 @@ impl Cache {
         self.tick += 1;
         self.lookups += 1;
         if let Some((stamp, _)) = self.entries.get_mut(&key) {
+            self.recency.remove(&(*stamp, key));
+            self.recency.insert((self.tick, key));
             *stamp = self.tick;
             self.hits += 1;
             true
@@ -76,11 +81,7 @@ impl Cache {
         }
         if self.entries.len() >= self.capacity {
             let victim = match self.policy {
-                EvictionPolicy::Lru => self
-                    .order
-                    .iter()
-                    .min_by_key(|k| (self.entries[k].0, **k))
-                    .copied(),
+                EvictionPolicy::Lru => self.recency.first().map(|&(_, k)| k),
                 EvictionPolicy::Random => {
                     let idx = self.rng.index(self.order.len());
                     self.order.get(idx).copied()
@@ -93,10 +94,12 @@ impl Cache {
         let pos = self.order.len();
         self.order.push(key);
         self.entries.insert(key, (self.tick, pos));
+        self.recency.insert((self.tick, key));
     }
 
     fn remove(&mut self, key: u64) {
-        if let Some((_, pos)) = self.entries.remove(&key) {
+        if let Some((stamp, pos)) = self.entries.remove(&key) {
+            self.recency.remove(&(stamp, key));
             self.order.swap_remove(pos);
             if let Some(&moved) = self.order.get(pos) {
                 if let Some(entry) = self.entries.get_mut(&moved) {
@@ -166,6 +169,36 @@ mod tests {
         assert!(!c.contains(2));
         assert!(c.contains(3));
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn lru_victim_is_the_least_stamp_key_pair_of_a_full_scan() {
+        let mut rng = DetRng::seed(7);
+        for capacity in [1, 2, 5, 16] {
+            let mut c = Cache::new(capacity, EvictionPolicy::Lru, 5);
+            for _ in 0..2_000 {
+                let key = rng.index(3 * capacity) as u64;
+                if rng.index(50) == 0 {
+                    // Random evictions must keep the LRU index current too.
+                    c.set_policy(match c.policy {
+                        EvictionPolicy::Lru => EvictionPolicy::Random,
+                        EvictionPolicy::Random => EvictionPolicy::Lru,
+                    });
+                } else if rng.index(2) == 0 {
+                    c.access(key);
+                } else {
+                    // The reference: scan every resident key.
+                    let scanned = c
+                        .order
+                        .iter()
+                        .min_by_key(|k| (c.entries[k].0, **k))
+                        .copied();
+                    assert_eq!(c.recency.first().map(|&(_, k)| k), scanned);
+                    assert_eq!(c.recency.len(), c.len());
+                    c.insert(key);
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,16 +4,12 @@
 //! must be protected to prevent abuse from malicious processes by
 //! intentionally triggering frequent retraining" (§3.2). The protection is
 //! the [`RetrainLimiter`]: a per-model minimum interval plus a budget over a
-//! rolling window. The [`AsyncRetrainer`] executes accepted jobs on a
-//! background thread, modelling the offline trainer.
+//! rolling window. The [`RetrainExecutor`] runs accepted jobs at the host's
+//! simulated instant, modelling the offline trainer.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Sender};
-use parking_lot::Mutex;
 use simkernel::Nanos;
 
 /// Why a retrain request was rejected.
@@ -99,128 +95,75 @@ impl RetrainLimiter {
     }
 }
 
-/// A retraining job: the model name plus the work to run.
-type Job = (String, Box<dyn FnOnce() + Send>);
-
-/// A background retraining executor.
+/// Runs accepted retraining jobs at the host's current simulated instant.
 ///
-/// Jobs run on a dedicated thread in submission order, modelling the
-/// asynchronous offline trainer; the kernel-side caller never blocks.
+/// The paper's trainer is asynchronous and offline; here the host's
+/// simulated clock models that, so a job submitted at `now` runs inline and
+/// its outcome is known at `now`, whatever the OS scheduler does.
 ///
-/// By default the worker is *panic-isolated*: a job that panics is counted
-/// and discarded, and the worker keeps serving subsequent jobs. Without
-/// isolation (see [`AsyncRetrainer::with_protection`]) a single bad job
-/// unwinds the worker thread and every later retrain is silently lost —
+/// A *protected* executor isolates each job under `catch_unwind`: a job that
+/// panics is counted in [`RetrainExecutor::panicked`] and later jobs still
+/// run. An unprotected one models a trainer with no isolation: the first
+/// panic kills it, and that job and every later one are silently lost —
 /// the unhardened behaviour the fault experiments contrast against.
-pub struct AsyncRetrainer {
-    tx: Option<Sender<Job>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    completed: Arc<Mutex<Vec<String>>>,
-    panicked: Arc<AtomicU64>,
+///
+/// # Examples
+///
+/// ```
+/// use guardrails::action::retrain::RetrainExecutor;
+///
+/// let mut trainer = RetrainExecutor::new(true);
+/// let mut retrained = 0;
+/// assert!(trainer.run(|| retrained += 1));
+/// assert_eq!(retrained, 1);
+/// ```
+#[derive(Debug)]
+pub struct RetrainExecutor {
     protected: bool,
+    dead: bool,
+    panicked: u64,
 }
 
-impl Default for AsyncRetrainer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl AsyncRetrainer {
-    /// Spawns the background trainer thread with panic isolation.
-    pub fn new() -> Self {
-        Self::with_protection(true)
-    }
-
-    /// Spawns the trainer thread, optionally without panic isolation
-    /// (`protected = false` models the unhardened runtime).
-    pub fn with_protection(protected: bool) -> Self {
-        let (tx, rx) = unbounded::<Job>();
-        let completed = Arc::new(Mutex::new(Vec::new()));
-        let completed_worker = Arc::clone(&completed);
-        let panicked = Arc::new(AtomicU64::new(0));
-        let panicked_worker = Arc::clone(&panicked);
-        let handle = std::thread::spawn(move || {
-            while let Ok((model, job)) = rx.recv() {
-                if protected {
-                    match catch_unwind(AssertUnwindSafe(job)) {
-                        Ok(()) => completed_worker.lock().push(model),
-                        Err(_) => {
-                            // The job died; the worker must not. Count it —
-                            // a guardrail can watch the counter and REPORT.
-                            panicked_worker.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                } else {
-                    job();
-                    completed_worker.lock().push(model);
-                }
-            }
-        });
-        AsyncRetrainer {
-            tx: Some(tx),
-            handle: Some(handle),
-            completed,
-            panicked,
+impl RetrainExecutor {
+    /// Creates an executor, isolating job panics iff `protected`.
+    pub fn new(protected: bool) -> Self {
+        RetrainExecutor {
             protected,
+            dead: false,
+            panicked: 0,
+        }
+    }
+
+    /// Runs `job` now; returns whether it completed.
+    pub fn run(&mut self, job: impl FnOnce()) -> bool {
+        if self.dead {
+            return false;
+        }
+        // Unprotected, the unwind is caught only to model the trainer's
+        // death: nothing counts the job, and nothing after it runs.
+        match catch_unwind(AssertUnwindSafe(job)) {
+            Ok(()) => true,
+            Err(_) if self.protected => {
+                self.panicked += 1;
+                false
+            }
+            Err(_) => {
+                self.dead = true;
+                false
+            }
         }
     }
 
     /// How many jobs have panicked (always 0 without protection: the first
-    /// panic kills the worker before it can be counted).
+    /// panic kills the trainer before it can be counted).
     pub fn panicked(&self) -> u64 {
-        self.panicked.load(Ordering::SeqCst)
-    }
-
-    /// Whether the worker isolates job panics.
-    pub fn is_protected(&self) -> bool {
-        self.protected
-    }
-
-    /// Whether the worker thread is still running (`false` after an
-    /// unprotected job panic or after shutdown).
-    pub fn worker_alive(&self) -> bool {
-        self.handle.as_ref().is_some_and(|h| !h.is_finished())
-    }
-
-    /// Submits a retraining job for `model`; returns immediately.
-    pub fn submit(&self, model: &str, job: impl FnOnce() + Send + 'static) {
-        if let Some(tx) = &self.tx {
-            // A send failure means the worker exited; losing the retrain is
-            // acceptable (the guardrail will fire again), so ignore it.
-            let _ = tx.send((model.to_string(), Box::new(job)));
-        }
-    }
-
-    /// Model names whose jobs have completed, in completion order.
-    pub fn completed(&self) -> Vec<String> {
-        self.completed.lock().clone()
-    }
-
-    /// Shuts the worker down, waiting for queued jobs to finish.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        // Dropping the sender lets the worker's recv loop end.
-        self.tx.take();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for AsyncRetrainer {
-    fn drop(&mut self) {
-        self.shutdown_inner();
+        self.panicked
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
 
     #[test]
     fn limiter_enforces_min_interval_per_model() {
@@ -250,22 +193,9 @@ mod tests {
         assert!(lim.request("m", Nanos::from_secs(101)).is_ok());
     }
 
-    #[test]
-    fn async_retrainer_runs_jobs_in_order() {
-        let retrainer = AsyncRetrainer::new();
-        let counter = Arc::new(AtomicU32::new(0));
-        for i in 0..3 {
-            let c = Arc::clone(&counter);
-            retrainer.submit(&format!("model{i}"), move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        retrainer.shutdown();
-        assert_eq!(counter.load(Ordering::SeqCst), 3);
-    }
-
     /// Silences the default panic hook for the duration of a test that
-    /// provokes intentional job panics (keeps `cargo test` output clean).
+    /// provokes intentional job panics (keeps `cargo test` output clean;
+    /// `catch_unwind` still calls the hook).
     fn with_quiet_panics(f: impl FnOnce()) {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
@@ -274,71 +204,28 @@ mod tests {
     }
 
     #[test]
-    fn panicking_job_does_not_poison_the_worker() {
+    fn protected_executor_counts_a_panic_and_runs_later_jobs_in_order() {
         with_quiet_panics(|| {
-            let retrainer = AsyncRetrainer::new();
-            assert!(retrainer.is_protected());
-            retrainer.submit("good1", || {});
-            retrainer.submit("bad", || panic!("boom"));
-            retrainer.submit("good2", || {});
-            // Drain by polling: all three jobs get consumed.
-            while retrainer.completed().len() + (retrainer.panicked() as usize) < 3 {
-                std::thread::yield_now();
-            }
-            assert_eq!(
-                retrainer.completed(),
-                vec!["good1".to_string(), "good2".to_string()]
-            );
-            assert_eq!(retrainer.panicked(), 1);
-            assert!(retrainer.worker_alive(), "worker survives the panic");
-            retrainer.shutdown();
+            let mut trainer = RetrainExecutor::new(true);
+            let mut ran = Vec::new();
+            assert!(trainer.run(|| ran.push("good1")));
+            assert!(!trainer.run(|| panic!("boom")));
+            assert!(trainer.run(|| ran.push("good2")));
+            assert_eq!(ran, ["good1", "good2"]);
+            assert_eq!(trainer.panicked(), 1);
         });
     }
 
     #[test]
-    fn unprotected_worker_dies_on_panic() {
+    fn unprotected_executor_dies_on_its_first_panic() {
         with_quiet_panics(|| {
-            let retrainer = AsyncRetrainer::with_protection(false);
-            assert!(!retrainer.is_protected());
-            retrainer.submit("bad", || panic!("boom"));
-            // The panic unwinds the worker; wait for the thread to finish.
-            while retrainer.worker_alive() {
-                std::thread::yield_now();
-            }
-            retrainer.submit("after", || {});
-            assert_eq!(retrainer.panicked(), 0, "nobody left to count it");
-            assert!(retrainer.completed().is_empty(), "later jobs are lost");
+            let mut trainer = RetrainExecutor::new(false);
+            let mut ran = Vec::new();
+            assert!(trainer.run(|| ran.push("before")));
+            assert!(!trainer.run(|| panic!("boom")));
+            assert!(!trainer.run(|| ran.push("after")), "later jobs are lost");
+            assert_eq!(ran, ["before"]);
+            assert_eq!(trainer.panicked(), 0, "nobody left to count it");
         });
-    }
-
-    #[test]
-    fn shutdown_drains_in_flight_jobs() {
-        let retrainer = AsyncRetrainer::new();
-        let counter = Arc::new(AtomicU32::new(0));
-        for i in 0..16 {
-            let c = Arc::clone(&counter);
-            retrainer.submit(&format!("m{i}"), move || {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        // Shutdown must wait for every queued job, not just the running one.
-        retrainer.shutdown();
-        assert_eq!(counter.load(Ordering::SeqCst), 16);
-    }
-
-    #[test]
-    fn completed_lists_models() {
-        let retrainer = AsyncRetrainer::new();
-        retrainer.submit("m1", || {});
-        retrainer.submit("m2", || {});
-        retrainer.shutdown_blocking_for_test();
-    }
-
-    impl AsyncRetrainer {
-        fn shutdown_blocking_for_test(mut self) {
-            self.shutdown_inner();
-            assert_eq!(self.completed(), vec!["m1".to_string(), "m2".to_string()]);
-        }
     }
 }

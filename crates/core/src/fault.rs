@@ -25,7 +25,7 @@ pub enum PoisonMode {
 /// Each variant corresponds to one way a real deployment of learned OS
 /// policies degrades: the device under the policy misbehaves, the model
 /// itself emits garbage, the telemetry feeding the guardrails goes stale,
-/// or the corrective machinery (rules, `REPLACE` targets, retrain workers)
+/// or the corrective machinery (rules, `REPLACE` targets, the retrain executor)
 /// breaks.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FaultKind {

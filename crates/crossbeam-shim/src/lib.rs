@@ -1,12 +1,12 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
-//! Provides the `channel::unbounded` MPSC subset the workspace uses, backed
-//! by `std::sync::mpsc`. The std sender is already clonable and the receiver
-//! blocking, which is all the retrain worker needs.
+//! Provides the `channel::unbounded` MPSC subset, backed by
+//! `std::sync::mpsc`. Nothing in the workspace uses it any more; it stays a
+//! dependency of `guardrails` so that `perfbench/Cargo.lock` does not change.
 
 #![warn(missing_docs)]
 
-/// Multi-producer channels (`crossbeam::channel` subset).
+/// Multi-producer channels (a subset of crossbeam's `channel` module).
 pub mod channel {
     use std::sync::mpsc;
 

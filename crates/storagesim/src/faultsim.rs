@@ -22,13 +22,11 @@
 //! | `dropped_saves` | Listing 2 (+ stale-telemetry watchdog when hardened) | Listing 2 reads a frozen healthy value forever → wedged | `DELTA` watchdog notices the feed stopped moving and fails safe |
 //! | `fuel_exhaustion` | Listing 2 | every evaluation aborts mid-rule; no violation is ever recorded → wedged | fail-closed watchdog trips after 3 consecutive faults and fires the actions on the way down |
 //! | `replace_target_missing` | failover-quality (`REPLACE`) | the action errors into a log line forever; the stale model stays active → wedged | `REPLACE` degrades to the slot's registered default variant |
-//! | `retrain_panic` | stale-model (`RETRAIN`) | the first panicking job kills the worker; every later retrain is silently lost → wedged | `catch_unwind` isolation keeps the worker alive; the post-window retrain lands |
+//! | `retrain_panic` | stale-model (`RETRAIN`) | the first panicking job kills the unprotected executor; every later retrain is silently lost → wedged | the protected executor counts the panic and keeps running jobs; the post-window retrain lands |
 
 use std::panic;
-use std::thread;
-use std::time::Duration;
 
-use guardrails::action::retrain::AsyncRetrainer;
+use guardrails::action::retrain::RetrainExecutor;
 use guardrails::action::Command;
 use guardrails::fault::{FaultKind, PoisonMode};
 use guardrails::monitor::{
@@ -244,7 +242,7 @@ fn schedule_for(kind: &FaultKind, seed: u64) -> (LinnosSimConfig, Nanos, Nanos) 
 /// `hardened` selects the runtime under test: `false` is the seed runtime
 /// (resilience disabled, store quarantine off), `true` enables
 /// [`ResilienceConfig::hardened`] (with a 3-fault fail-closed watchdog for
-/// the fuel scenario), the store quarantine, the protected retrain worker,
+/// the fuel scenario), the store quarantine, the protected retrain executor,
 /// and — for `dropped_saves` — the stale-telemetry watchdog guardrail.
 ///
 /// # Panics
@@ -280,7 +278,7 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
     // Install the guardrail(s) the scenario exercises.
     let registry = engine.registry();
     let slot_learned = registry.handle("io_submit", VARIANT_LEARNED);
-    let mut retrainer = None;
+    let mut trainer = None;
     match &kind {
         FaultKind::DeviceBrownout { .. } | FaultKind::GcStorm => {
             store.save_slot(&mean_io_latency_us, 0.0);
@@ -306,7 +304,7 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
                 .expect("failover-quality compiles");
         }
         FaultKind::RetrainPanic => {
-            retrainer = Some(AsyncRetrainer::with_protection(hardened));
+            trainer = Some(RetrainExecutor::new(hardened));
             engine
                 .install_str(STALE_MODEL_SPEC)
                 .expect("stale-model compiles");
@@ -332,6 +330,7 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
     let drops_rate_saves =
         matches!(&kind, FaultKind::DroppedSaves { key } if key == "false_submit_rate");
     let tracks_health = matches!(kind, FaultKind::PoisonModelOutput { .. });
+    let tracks_latency = matches!(kind, FaultKind::DeviceBrownout { .. } | FaultKind::GcStorm);
     // The window's edges: it opens at the first arrival at `fault_start`
     // and closes at the first at `fault_end`; an empty window never opens.
     let mut fault_started = false;
@@ -366,38 +365,21 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
         engine.advance_to(now);
 
         // Drain deferred commands; the only one these scenarios emit is
-        // RETRAIN, executed on the (possibly unprotected) async worker.
+        // RETRAIN, run at `now` on the (possibly unprotected) executor.
         engine.drain_commands_into(&mut cmd_buf);
         for (_, command) in cmd_buf.drain(..) {
-            if let Command::Retrain { model, .. } = command {
-                if let Some(retrainer) = &retrainer {
-                    let poisoned = in_window && matches!(kind, FaultKind::RetrainPanic);
-                    let target = retrainer.completed().len() + 1;
-                    let panics_before = retrainer.panicked();
-                    retrainer.submit(&model, move || {
-                        if poisoned {
-                            panic!("injected retrain fault");
-                        }
-                    });
-                    // The job itself is instant; wait (bounded, wall-clock)
-                    // for its outcome so the simulated timeline stays
-                    // deterministic: applied at `now`, or not at all.
-                    for _ in 0..6_000 {
-                        if retrainer.completed().len() >= target {
-                            datapath.classifier_mut().retrain();
-                            retrains_applied += 1;
-                            if retrain_applied_at.is_none() && now >= fault_start {
-                                retrain_applied_at = Some(now);
-                            }
-                            break;
-                        }
-                        if retrainer.panicked() > panics_before {
-                            break;
-                        }
-                        if !retrainer.worker_alive() {
-                            break;
-                        }
-                        thread::sleep(Duration::from_micros(200));
+            if let (Command::Retrain { .. }, Some(trainer)) = (command, &mut trainer) {
+                // Only `retrain_panic` makes a trainer, so its window poisons.
+                let applied = trainer.run(|| {
+                    if in_window {
+                        panic!("injected retrain fault");
+                    }
+                    datapath.classifier_mut().retrain();
+                });
+                if applied {
+                    retrains_applied += 1;
+                    if retrain_applied_at.is_none() && now >= fault_start {
+                        retrain_applied_at = Some(now);
                     }
                 }
             }
@@ -438,8 +420,10 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
             store.save_slot(&false_submit_rate, rate);
         }
 
-        let avg = moving.push(outcome.latency.as_micros_f64());
-        store.save_slot(&mean_io_latency_us, avg);
+        if tracks_latency {
+            let avg = moving.push(outcome.latency.as_micros_f64());
+            store.save_slot(&mean_io_latency_us, avg);
+        }
     }
     engine.advance_to(total);
     if ml_off_at.is_none() && !ml_enabled.flag() {
@@ -676,12 +660,12 @@ mod tests {
     }
 
     #[test]
-    fn retrain_panic_kills_the_seed_worker_for_good() {
+    fn retrain_panic_kills_the_seed_trainer_for_good() {
         quiet_injected_panics();
         let (seed_run, hardened) = run_fault_pair(FaultKind::RetrainPanic, SEED);
-        assert!(seed_run.wedged, "dead worker loses every later retrain");
+        assert!(seed_run.wedged, "dead trainer loses every later retrain");
         assert_eq!(seed_run.retrains_applied, 0);
-        assert!(!hardened.wedged, "protected worker survives the panic");
+        assert!(!hardened.wedged, "protected trainer survives the panic");
         assert!(hardened.retrains_applied >= 1);
         assert!(hardened.recovery.is_some());
     }
@@ -715,9 +699,15 @@ mod tests {
 
     #[test]
     fn scenario_runs_are_deterministic() {
-        let kind = FaultKind::FuelExhaustion { limit: 2 };
-        let a = run_fault_scenario(kind.clone(), true, SEED);
-        let b = run_fault_scenario(kind, true, SEED);
-        assert_eq!(a, b);
+        quiet_injected_panics();
+        for (kind, hardened) in [
+            (FaultKind::FuelExhaustion { limit: 2 }, true),
+            (FaultKind::RetrainPanic, false),
+            (FaultKind::RetrainPanic, true),
+        ] {
+            let a = run_fault_scenario(kind.clone(), hardened, SEED);
+            let b = run_fault_scenario(kind, hardened, SEED);
+            assert_eq!(a, b);
+        }
     }
 }
