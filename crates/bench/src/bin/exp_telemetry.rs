@@ -2,8 +2,9 @@
 //!
 //! Two sections:
 //!
-//! 1. **Overhead**: the E11 ingestion workload (100k events, 256-event
-//!    batches, four monitors on the hot hook) runs with and without a
+//! 1. **Overhead**: the shared ingestion workload ([`gr_bench::ingest`],
+//!    seed `0xE12`: 100k events, 256-event batches, four monitors on the
+//!    hot hook) runs with and without a
 //!    [`Telemetry`] bundle attached. Runs are interleaved and the best of
 //!    five kept, and the whole measurement is repeated (up to five
 //!    attempts, keeping the lowest overhead seen) when a noisy scheduler
@@ -25,22 +26,16 @@
 //! columns — counter values, identity flags, trip counts. Measured
 //! nanoseconds and the overhead percentage go to stdout only.
 
-use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
+use gr_bench::ingest::{build_engine, fingerprint, run_ingest, workload, BATCH, EVENTS};
 use gr_bench::{row, write_results};
 use guardrails::action::Command;
-use guardrails::compile::{compile, CompileOptions};
-use guardrails::monitor::engine::{FnEvent, MonitorEngine};
-use guardrails::spec::parse_and_check;
-use guardrails::telemetry::is_reserved;
-use guardrails::{FeatureStore, PolicyRegistry, Telemetry, TelemetrySnapshot};
+use guardrails::monitor::engine::MonitorEngine;
+use guardrails::{Telemetry, TelemetrySnapshot};
 use simkernel::Nanos;
 
 const SEED: u64 = 0xE12;
-const EVENTS: usize = 100_000;
-const BATCH: usize = 256;
 const REPS: usize = 5;
 /// Re-measure up to this many times when the overhead reading comes back
 /// above budget: scheduler noise only inflates wall time, so the minimum
@@ -48,17 +43,6 @@ const REPS: usize = 5;
 const ATTEMPTS: usize = 5;
 /// The P5 budget the ingestion comparison is held to.
 const OVERHEAD_BUDGET: f64 = 0.03;
-const HOT_HOOK: &str = "io_submit";
-
-/// The E11 workload shape: four monitors on the hot hook, two bystanders.
-const SPECS: &str = r#"
-guardrail io-size { trigger: { FUNCTION(io_submit) }, rule: { ARG(0) <= 4096 }, action: { RECORD(oversized, 1) } }
-guardrail io-latency { trigger: { FUNCTION(io_submit) }, rule: { ARG(1) < 900 }, action: { RECORD(slow_ios, 1) } }
-guardrail queue-depth { trigger: { FUNCTION(io_submit) }, rule: { LOAD(qdepth) < 64 }, action: { RECORD(deep_queue, 1) } }
-guardrail sane-size { trigger: { FUNCTION(io_submit) }, rule: { ARG(0) >= 0 }, action: { RECORD(negative_size, 1) } }
-guardrail bystander-a { trigger: { FUNCTION(mem_place) }, rule: { ARG(0) < 1e9 }, action: { RECORD(a_hits, 1) } }
-guardrail bystander-b { trigger: { FUNCTION(net_poll) }, rule: { ARG(0) < 1e9 }, action: { RECORD(b_hits, 1) } }
-"#;
 
 /// A monitor that burns noticeable rule fuel every microsecond: the rule is
 /// a tautology (so it never fires its action) whose only purpose is cost.
@@ -82,81 +66,16 @@ guardrail overhead-budget {
 }
 "#;
 
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-fn workload() -> Vec<[f64; 2]> {
-    let mut state = SEED;
-    (0..EVENTS)
-        .map(|_| {
-            let size = (xorshift(&mut state) % 4200) as f64;
-            let lat = (xorshift(&mut state) % 1000) as f64;
-            [size, lat]
-        })
-        .collect()
-}
-
-fn build_engine(telemetry: bool) -> MonitorEngine {
-    let mut engine = MonitorEngine::with_parts(
-        Arc::new(FeatureStore::new()),
-        Arc::new(PolicyRegistry::new()),
-    );
+/// Batched ingestion of `events` on a fresh engine, with or without
+/// telemetry attached; returns the engine and the wall nanoseconds.
+fn timed_ingest(events: &[[f64; 2]], telemetry: bool) -> (MonitorEngine, u64) {
+    let mut engine = build_engine(true);
     if telemetry {
         engine.set_telemetry(Telemetry::new());
     }
-    let checked = parse_and_check(SPECS).expect("specs parse");
-    for guardrail in compile(&checked, &CompileOptions::default()).expect("specs compile") {
-        engine.install(guardrail).expect("specs install");
-    }
-    engine.store().save("qdepth", 5.0);
-    engine
-}
-
-/// Everything user-visible about a run. `__telemetry/` keys are filtered:
-/// the reserved namespace is observability, not behavior.
-fn fingerprint(engine: &MonitorEngine) -> (u64, u64, String, Vec<(String, f64)>) {
-    let stats = engine.stats();
-    let mut scalars = engine.store().scalars();
-    scalars.retain(|(key, _)| !is_reserved(key));
-    scalars.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-    (
-        stats.evaluations,
-        stats.violations,
-        engine.events().export_json_lines(),
-        scalars,
-    )
-}
-
-/// Batched ingestion, identical to E11's overhauled path.
-fn run_ingest(events: &[[f64; 2]], telemetry: bool) -> (MonitorEngine, u64) {
-    let mut engine = build_engine(telemetry);
-    let mut cmd_buf = Vec::new();
-    let mut batch: Vec<FnEvent<'_>> = Vec::with_capacity(BATCH);
     let started = Instant::now();
-    let mut now = Nanos::ZERO;
-    for chunk in events.chunks(BATCH) {
-        batch.clear();
-        let base = now;
-        batch.extend(chunk.iter().enumerate().map(|(i, args)| FnEvent {
-            now: base + Nanos::from_micros(i as u64 + 1),
-            args: &args[..],
-        }));
-        now = base + Nanos::from_micros(chunk.len() as u64);
-        engine.on_function_batch(HOT_HOOK, &batch);
-        cmd_buf.clear();
-        engine.drain_commands_into(&mut cmd_buf);
-        for command in &cmd_buf {
-            black_box(command);
-        }
-    }
-    let wall = started.elapsed().as_nanos() as u64;
-    (engine, wall)
+    run_ingest(&mut engine, events);
+    (engine, started.elapsed().as_nanos() as u64)
 }
 
 /// One interleaved best-of-[`REPS`] comparison: returns the overhead
@@ -167,10 +86,10 @@ fn measure_overhead(events: &[[f64; 2]]) -> (f64, u64, u64, MonitorEngine, Monit
     let mut off_engine = None;
     let mut on_engine = None;
     for _ in 0..REPS {
-        let (engine, wall) = run_ingest(events, false);
+        let (engine, wall) = timed_ingest(events, false);
         off_wall = off_wall.min(wall);
         off_engine = Some(engine);
-        let (engine, wall) = run_ingest(events, true);
+        let (engine, wall) = timed_ingest(events, true);
         on_wall = on_wall.min(wall);
         on_engine = Some(engine);
     }
@@ -188,7 +107,7 @@ fn main() {
     let mut csv = String::from("section,metric,value\n");
 
     // ---- Section 1: telemetry overhead on the E11 workload --------------
-    let events = workload();
+    let events = workload(SEED);
     let mut best = measure_overhead(&events);
     for attempt in 2..=ATTEMPTS {
         if best.0 < OVERHEAD_BUDGET {

@@ -3,6 +3,9 @@
 
 #![warn(missing_docs)]
 
+pub mod ingest;
+pub mod ledger;
+
 use std::fs;
 use std::path::PathBuf;
 

@@ -24,8 +24,8 @@ use verify::{verify_named, ExpectedType, Verified, VerifyLimits};
 /// Options controlling compilation.
 #[derive(Clone, Copy, Debug)]
 pub struct CompileOptions {
-    /// Run the AST optimizer before lowering (on by default; the E2 ablation
-    /// bench measures its effect).
+    /// Run the AST optimizer before lowering (on by default; the compiler
+    /// goldens and E11's per-event run turn it off).
     pub optimize: bool,
     /// Verifier resource limits.
     pub limits: VerifyLimits,
