@@ -2,8 +2,9 @@
 //! in nanoseconds per operation, checked against the committed
 //! `BENCH_layers.json`. Rows are named by experiment: `e1.*` dispatch and
 //! evaluation, `e2.*` compiler and VM, `e3.*` feature store, `wal.*` and
-//! `ckpt.*` persistence, `e11.*` the shared ingestion workload
-//! (EXPERIMENTS.md describes each row).
+//! `ckpt.*` persistence, `e11.*` the shared ingestion workload, `linnos.*`
+//! the LinnOS classifier's decision and training round (EXPERIMENTS.md
+//! describes each row).
 //!
 //! Each row is the fastest of [`SAMPLES`] timed loops, taken round-robin
 //! with the other rows so that its samples spread over the whole run. Next
@@ -37,7 +38,9 @@ use guardrails::spec::parse_and_check;
 use guardrails::store::durable::{DurabilityConfig, DurableStore, MemBackend};
 use guardrails::vm::{DeltaState, EvalCtx, Vm};
 use guardrails::FeatureStore;
-use simkernel::Nanos;
+use simkernel::{DetRng, Nanos};
+use storagesim::linnos::NUM_FEATURES;
+use storagesim::{LinnosClassifier, LinnosConfig};
 
 const LEDGER: &str = "BENCH_layers.json";
 /// Timed loops per row; the fastest counts.
@@ -452,6 +455,50 @@ fn e11_ingest() -> Timed<'static> {
     })
 }
 
+/// A LinnOS feature row: queue depth and four recent latencies (µs), from
+/// a deep, slow queue or a shallow, fast one, with noise on every feature.
+fn linnos_features(rng: &mut DetRng) -> [f64; NUM_FEATURES] {
+    let (depth, latency) = if rng.chance(0.5) {
+        (24.0, 600.0)
+    } else {
+        (1.0, 90.0)
+    };
+    std::array::from_fn(|i| {
+        let mean = if i == 0 { depth } else { latency };
+        mean * (0.5 + rng.f64())
+    })
+}
+
+/// The LinnOS classifier after a training round on 4 096 labelled rows.
+fn trained_linnos(rng: &mut DetRng) -> LinnosClassifier {
+    let mut clf = LinnosClassifier::new(LinnosConfig::default());
+    for _ in 0..4_096 {
+        let features = linnos_features(rng);
+        clf.observe(&features, features[1] > 300.0);
+    }
+    clf.train_round();
+    clf
+}
+
+fn linnos() -> Vec<Timed<'static>> {
+    let mut rng = DetRng::seed(0x11_a905);
+    // 1 024 distinct rows, taken in turn: inputs that repeat would let the
+    // branch predictor learn the network's ReLU zero patterns.
+    let rows: Vec<_> = (0..1_024).map(|_| linnos_features(&mut rng)).collect();
+    let mut clf = trained_linnos(&mut rng);
+    let mut next = 0;
+    let mut training = trained_linnos(&mut rng);
+    vec![
+        timed("linnos.predict", 1, move || {
+            next = (next + 1) % rows.len();
+            black_box(clf.predict_slow(black_box(&rows[next])));
+        }),
+        timed("linnos.train_round", 1, move || {
+            black_box(training.train_round());
+        }),
+    ]
+}
+
 fn main() -> ExitCode {
     let store = FeatureStore::new();
     let mut timed_rows = e1_dispatch();
@@ -459,6 +506,7 @@ fn main() -> ExitCode {
     timed_rows.extend(e3_store(&store));
     timed_rows.extend(persistence());
     timed_rows.push(e11_ingest());
+    timed_rows.extend(linnos());
     let rows = measure(timed_rows);
 
     let changes = fs::read_to_string(LEDGER)

@@ -153,23 +153,26 @@ impl WindowSeries {
     }
 
     /// Computes the `q`-quantile (linear interpolation) over the window;
-    /// 0 when the window is empty.
+    /// 0 when the window is empty. Its two order statistics are selected
+    /// in linear time under `f64::total_cmp`, a total order on the bits, so
+    /// they are the values a sort by it would leave there, bit for bit.
     pub fn quantile(&self, q: f64, window: Nanos, now: Nanos) -> f64 {
         let mut vals: Vec<f64> = self.in_window(window, now).collect();
         if vals.is_empty() {
             return 0.0;
         }
-        vals.sort_by(f64::total_cmp);
         let q = q.clamp(0.0, 1.0);
         let pos = q * (vals.len() - 1) as f64;
         let lo = pos.floor() as usize;
         let hi = pos.ceil() as usize;
+        let (_, &mut at_lo, above) = vals.select_nth_unstable_by(lo, f64::total_cmp);
         if lo == hi {
-            vals[lo]
-        } else {
-            let frac = pos - lo as f64;
-            vals[lo] * (1.0 - frac) + vals[hi] * frac
+            return at_lo;
         }
+        // `hi == lo + 1`: the least of the values above `lo`.
+        let (_, &mut at_hi, _) = above.select_nth_unstable_by(0, f64::total_cmp);
+        let frac = pos - lo as f64;
+        at_lo * (1.0 - frac) + at_hi * frac
     }
 }
 

@@ -334,6 +334,46 @@ fn check(store: &FeatureStore, slots: &[Option<Slot>], model: &Model, at: usize)
     }
 }
 
+/// A window value from a small pool, so that windows hold duplicates,
+/// both signed zeros and a subnormal; now and then a non-finite value the
+/// series drops, or a fresh finite one.
+fn window_value(pick: usize, fresh: f64) -> f64 {
+    match pick {
+        0 => 0.0,
+        1 => -0.0,
+        2 | 3 => 1.5,
+        4 => -2.0,
+        5 => 5e-324,
+        6 => f64::NAN,
+        7 => f64::INFINITY,
+        _ => fresh,
+    }
+}
+
+/// The quantile as `WindowSeries` computed it before selection: every
+/// retained sample at or after `now - window`, sorted by `total_cmp`, the
+/// two order statistics around `q` interpolated.
+fn sorted_quantile(samples: &[(Nanos, f64)], q: f64, window: Nanos, now: Nanos) -> f64 {
+    let horizon = now.saturating_sub(window);
+    let mut vals: Vec<f64> = samples
+        .iter()
+        .filter(|&&(t, _)| t >= horizon)
+        .map(|&(_, v)| v)
+        .collect();
+    if vals.is_empty() {
+        return 0.0;
+    }
+    vals.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (vals.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    if lo == hi {
+        vals[lo]
+    } else {
+        let frac = pos - lo as f64;
+        vals[lo] * (1.0 - frac) + vals[hi] * frac
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -373,5 +413,46 @@ proptest! {
             prop_assert_eq!(store.load(slot.key()), None);
         }
         prop_assert_eq!(store.saves_total(), 0);
+    }
+
+    /// `WindowSeries::quantile` (by selection) ≡ the sort-based quantile
+    /// over a model of the series, bit for bit, after every push: windows
+    /// with duplicates and signed zeros, evicted by the sample cap and by
+    /// age, with out-of-order pushes clamped to the latest timestamp, at
+    /// clamped, extreme and interior `q`.
+    #[test]
+    fn window_quantile_matches_the_sorted_reference(
+        cap in 1usize..24,
+        pushes in vec((0u64..8, any::<bool>(), 0usize..12, -1e3..1e3f64), 0..60),
+        queries in vec((0usize..7, 0.0..1.0f64, 0u64..70), 3),
+    ) {
+        let mut series = WindowSeries::new(RETENTION, cap);
+        let mut model: Vec<(Nanos, f64)> = Vec::new();
+        let mut clock = Nanos::ZERO;
+        for &(dt_ms, backwards, pick, fresh) in &pushes {
+            clock += Nanos::from_millis(dt_ms);
+            // An out-of-order push names a time before the latest sample.
+            let at = if backwards { clock.saturating_sub(Nanos::from_millis(5)) } else { clock };
+            let value = window_value(pick, fresh);
+            series.push(at, value);
+            if value.is_finite() {
+                let at = model.last().map_or(at, |&(last, _)| at.max(last));
+                model.push((at, value));
+                let horizon = at.saturating_sub(RETENTION);
+                let keep = model.iter().position(|&(t, _)| t >= horizon).unwrap_or(model.len());
+                let keep = keep.max(model.len().saturating_sub(cap));
+                model.drain(..keep);
+            }
+            prop_assert_eq!(series.len(), model.len());
+            for &(which, interior, window_ms) in &queries {
+                let q = [0.0, 1.0, 0.5, 0.99, -0.5, 1.5, interior][which];
+                let window = Nanos::from_millis(window_ms);
+                prop_assert_eq!(
+                    series.quantile(q, window, clock).to_bits(),
+                    sorted_quantile(&model, q, window, clock).to_bits(),
+                    "q {} over {:?} of {:?}", q, window, model
+                );
+            }
+        }
     }
 }

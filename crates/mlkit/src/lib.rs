@@ -25,7 +25,7 @@ pub mod tensor;
 
 pub use linear::LogisticRegression;
 pub use loss::Loss;
-pub use mlp::{Activation, InferenceBuffers, Mlp, MlpConfig, OutputCorruption, TrainBuffers};
+pub use mlp::{Activation, FixedMlp, Mlp, MlpConfig, OutputCorruption, TrainBuffers};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use qlearn::QTable;
 pub use replay::ReplayBuffer;

@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::loss::Loss;
 use crate::optim::Optimizer;
-use crate::tensor::{all_finite, row_times, Matrix};
+use crate::tensor::{all_finite, row_product, Matrix};
 
 /// An element-wise activation function.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,6 +24,7 @@ pub enum Activation {
 }
 
 impl Activation {
+    #[inline]
     fn apply(self, x: f64) -> f64 {
         match self {
             Activation::Relu => x.max(0.0),
@@ -129,27 +130,21 @@ pub struct MlpConfig {
     pub seed: u64,
 }
 
+/// The width of both hidden layers of [`MlpConfig::linnos`] and
+/// [`FixedMlp`].
+const LINNOS_HIDDEN: usize = 16;
+
 impl MlpConfig {
     /// A LinnOS-shaped binary classifier: `inputs -> 16 -> 16 -> 1` with a
     /// sigmoid output, matching the paper's "light neural network".
     pub fn linnos(inputs: usize, seed: u64) -> Self {
         MlpConfig {
-            layers: vec![inputs, 16, 16, 1],
+            layers: vec![inputs, LINNOS_HIDDEN, LINNOS_HIDDEN, 1],
             hidden_activation: Activation::Relu,
             output_activation: Activation::Sigmoid,
             seed,
         }
     }
-}
-
-/// The two activation rows a single-row forward pass ping-pongs between
-/// (see [`Mlp::predict_into`]).
-///
-/// Owned by the caller and reused across calls: once each row has grown to
-/// the widest layer, inference allocates nothing.
-#[derive(Clone, Debug, Default)]
-pub struct InferenceBuffers {
-    rows: [Vec<f64>; 2],
 }
 
 /// Everything a training step writes, kept between steps (see
@@ -289,14 +284,6 @@ impl Mlp {
         }
     }
 
-    fn check_input_width(&self, width: usize) {
-        assert_eq!(
-            width, self.config.layers[0],
-            "input width {width} does not match network input {}",
-            self.config.layers[0]
-        );
-    }
-
     /// Runs a batch forward; `x` is `n x inputs`, the result `n x outputs`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut acts = Vec::new();
@@ -311,7 +298,11 @@ impl Mlp {
     /// Runs a clean batch forward into `acts`: `acts[l]` becomes layer
     /// `l`'s activations (the input is not copied).
     fn forward_into(&self, x: &Matrix, acts: &mut Vec<Matrix>) {
-        self.check_input_width(x.cols());
+        assert_eq!(
+            x.cols(),
+            self.config.layers[0],
+            "input width does not match network input"
+        );
         acts.resize_with(self.weights.len(), Matrix::default);
         for (l, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
             let (done, rest) = acts.split_at_mut(l);
@@ -322,45 +313,12 @@ impl Mlp {
         }
     }
 
-    /// Predicts for a single input row.
+    /// Predicts for a single input row: [`Mlp::forward`] on a one-row
+    /// matrix.
     pub fn predict_one(&self, x: &[f64]) -> Vec<f64> {
-        self.predict_into(x, &mut InferenceBuffers::default())
+        self.forward(&Matrix::from_vec(1, x.len(), x.to_vec()))
+            .row(0)
             .to_vec()
-    }
-
-    /// Predicts for a single input row into `bufs`, returning the output
-    /// row: the same bits as `forward` on a one-row matrix, corruption
-    /// included, without allocating once `bufs` is warm.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mlkit::{InferenceBuffers, Matrix, Mlp, MlpConfig};
-    ///
-    /// let net = Mlp::new(MlpConfig::linnos(2, 7));
-    /// let mut bufs = InferenceBuffers::default();
-    /// let x = [0.5, -1.0];
-    /// let batch = net.forward(&Matrix::from_rows(&[&x]));
-    /// assert_eq!(net.predict_into(&x, &mut bufs), batch.row(0));
-    /// ```
-    pub fn predict_into<'b>(&self, x: &[f64], bufs: &'b mut InferenceBuffers) -> &'b [f64] {
-        self.check_input_width(x.len());
-        let [first, second] = &mut bufs.rows;
-        let (mut cur, mut next) = (first, second);
-        cur.clear();
-        cur.extend_from_slice(x);
-        for (l, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
-            next.resize(w.cols(), 0.0);
-            row_times(cur, w, next, self.weights_finite);
-            self.activation_for_layer(l).apply_rows(next, b);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        if let Some(corruption) = self.corruption {
-            for v in cur.iter_mut() {
-                *v = corruption.corrupt(*v);
-            }
-        }
-        cur
     }
 
     /// Performs one minibatch training step; returns the pre-step loss.
@@ -481,6 +439,110 @@ impl Mlp {
         // redeploying the model does not fix it.
         self.corruption = corruption;
     }
+}
+
+/// The `I → 16 → 16 → 1` network [`MlpConfig::linnos`] builds (ReLU
+/// hidden layers, a sigmoid output), its input width fixed by the type,
+/// with a single-row forward at that shape: the rows are arrays on the
+/// stack and each weight row is read as `[f64; 16]`.
+///
+/// The layer widths are [`Mlp`]'s invariant: [`Mlp::new`] builds every
+/// layer from the config, and nothing changes a layer's size afterwards
+/// (`train_step` writes in place, `reinitialize` rebuilds from the same
+/// config). So a release-build decision checks only each bias's length,
+/// as it reads the bias as an array; a debug build also checks each
+/// layer's weight count (in a release build that check cost a tenth of a
+/// decision).
+///
+/// # Examples
+///
+/// ```
+/// use mlkit::{FixedMlp, Matrix};
+///
+/// let net = FixedMlp::<2>::new(7);
+/// let x = [0.5, -1.0];
+/// let batch = net.net().forward(&Matrix::from_rows(&[&x]));
+/// assert_eq!(net.predict(&x), batch[(0, 0)]);
+/// ```
+#[derive(Clone, Debug)]
+pub struct FixedMlp<const I: usize> {
+    net: Mlp,
+}
+
+impl<const I: usize> FixedMlp<I> {
+    /// An untrained network, `Mlp::new(MlpConfig::linnos(I, seed))`.
+    pub fn new(seed: u64) -> Self {
+        FixedMlp {
+            net: Mlp::new(MlpConfig::linnos(I, seed)),
+        }
+    }
+
+    /// The wrapped network.
+    pub fn net(&self) -> &Mlp {
+        &self.net
+    }
+
+    /// [`Mlp::train_step`] on the wrapped network.
+    pub fn train_step<'b>(
+        &mut self,
+        x: &Matrix,
+        y: &Matrix,
+        loss: Loss,
+        opt: &mut dyn Optimizer,
+        bufs: &'b mut TrainBuffers,
+    ) -> &'b [f64] {
+        self.net.train_step(x, y, loss, opt, bufs)
+    }
+
+    /// [`Mlp::reinitialize`] on the wrapped network.
+    pub fn reinitialize(&mut self, seed: u64) {
+        self.net.reinitialize(seed);
+    }
+
+    /// [`Mlp::set_output_corruption`] on the wrapped network.
+    pub fn set_output_corruption(&mut self, corruption: Option<OutputCorruption>) {
+        self.net.set_output_corruption(corruption);
+    }
+
+    /// Predicts for one input row: the same bits as [`Mlp::forward`] on a
+    /// one-row matrix, corruption included, without allocating.
+    pub fn predict(&self, x: &[f64; I]) -> f64 {
+        let out = if self.net.weights_finite {
+            self.forward::<false>(x)
+        } else {
+            self.forward::<true>(x)
+        };
+        self.net.corruption.map_or(out, |c| c.corrupt(out))
+    }
+
+    /// The clean forward pass, the skipped terms masked (`MASK`) or not.
+    #[inline(always)]
+    fn forward<const MASK: bool>(&self, x: &[f64; I]) -> f64 {
+        let (w, b) = (&self.net.weights, &self.net.biases);
+        let h0 = affine::<MASK, LINNOS_HIDDEN>(x, w[0].as_slice(), &b[0])
+            .map(|v| Activation::Relu.apply(v));
+        let h1 = affine::<MASK, LINNOS_HIDDEN>(&h0, w[1].as_slice(), &b[1])
+            .map(|v| Activation::Relu.apply(v));
+        let [z] = affine::<MASK, 1>(&h1, w[2].as_slice(), &b[2]);
+        Activation::Sigmoid.apply(z)
+    }
+}
+
+/// `x` times the row-major `x.len() x M` weights `w`, plus the bias `b`: a
+/// layer of [`Mlp::forward`] for one row, before its activation.
+///
+/// # Panics
+///
+/// Panics unless `b` holds `M` elements; debug builds also unless `w`
+/// holds `x.len() x M`.
+#[inline(always)]
+fn affine<const MASK: bool, const M: usize>(x: &[f64], w: &[f64], b: &[f64]) -> [f64; M] {
+    let b: &[f64; M] = b.try_into().expect("bias width mismatch");
+    let mut z = row_product::<MASK, M>(x, w);
+    for (z, &b) in z.iter_mut().zip(b) {
+        *z += b;
+    }
+    z
 }
 
 #[cfg(test)]
@@ -687,17 +749,31 @@ mod tests {
     #[test]
     fn diverged_weights_are_tracked_and_still_predict_like_forward() {
         let (x, y) = xor_data();
-        let mut net = Mlp::new(MlpConfig::linnos(2, 5));
-        assert!(net.weights_finite);
-        net.train_batch(&x, &y, Loss::Mse, &mut Sgd::new(0.1));
-        assert!(net.weights_finite);
-        net.train_batch(&x, &y, Loss::Mse, &mut Sgd::new(f64::INFINITY));
-        assert!(!net.weights_finite, "an infinite step leaves no finite net");
-        let mut bufs = InferenceBuffers::default();
+        let mut net = FixedMlp::<2>::new(5);
+        assert!(net.net().weights_finite);
+        net.train_step(
+            &x,
+            &y,
+            Loss::Mse,
+            &mut Sgd::new(0.1),
+            &mut TrainBuffers::default(),
+        );
+        assert!(net.net().weights_finite);
+        net.train_step(
+            &x,
+            &y,
+            Loss::Mse,
+            &mut Sgd::new(f64::INFINITY),
+            &mut TrainBuffers::default(),
+        );
+        assert!(
+            !net.net().weights_finite,
+            "an infinite step leaves no finite net"
+        );
         for row in [[0.0, 1.0], [0.0, 0.0], [1.0, 0.5]] {
-            let batch = net.forward(&Matrix::from_rows(&[&row]));
+            let batch = net.net().forward(&Matrix::from_rows(&[&row]));
             assert_eq!(
-                crate::tensor::tests::bits(net.predict_into(&row, &mut bufs)),
+                crate::tensor::tests::bits(&[net.predict(&row)]),
                 crate::tensor::tests::bits(batch.row(0))
             );
         }
@@ -743,7 +819,7 @@ mod tests {
     ];
 
     /// The first `width` draws as an input row; a draw tagged 0 is an
-    /// exact zero, which `row_times` skips.
+    /// exact zero, which the skipping products skip.
     fn input_row(draws: &[(u8, f64)], width: usize) -> Vec<f64> {
         draws[..width]
             .iter()
@@ -751,8 +827,52 @@ mod tests {
             .collect()
     }
 
-    fn bits(row: &[f64]) -> Vec<u64> {
-        row.iter().map(|v| v.to_bits()).collect()
+    /// A parameter from a draw: now and then NaN or an infinity (about one
+    /// LinnOS-shaped net in seven holds none), often `±0.0` or a subnormal.
+    fn param((tag, v): (u32, f64)) -> f64 {
+        match tag {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3..=40 => 0.0,
+            41..=60 => -0.0,
+            61..=80 => v * f64::MIN_POSITIVE / 4.0,
+            _ => v,
+        }
+    }
+
+    /// A `FixedMlp<I>` with its parameters from `params` (made finite
+    /// for `mode` 1 and 2; `mode` 2 also clears the finite flag, which is
+    /// always correct) predicts each `I`-wide row of `inputs` as its batch
+    /// forward pass does.
+    fn fixed_matches_forward<const I: usize>(
+        seed: u64,
+        corruption: Option<OutputCorruption>,
+        mode: usize,
+        params: &[(u32, f64)],
+        inputs: &[(u8, f64)],
+    ) {
+        let mut fixed = FixedMlp::<I>::new(seed);
+        let net = &mut fixed.net;
+        let mut draws = params.iter().map(|&d| match param(d) {
+            v if mode > 0 && !v.is_finite() => 0.5,
+            v => v,
+        });
+        for p in net.params_mut() {
+            p.fill_with(|| draws.next().expect("a draw per parameter"));
+        }
+        net.weights_finite = mode != 2 && net.weights.iter().all(|w| all_finite(w.as_slice()));
+        net.set_output_corruption(corruption);
+        let net = fixed;
+        for x in inputs.chunks_exact(I) {
+            let x: [f64; I] = std::array::from_fn(|i| crate::tensor::tests::element(x[i]));
+            let batch = net.net().forward(&Matrix::from_rows(&[&x]));
+            assert_eq!(
+                crate::tensor::tests::bits(&[net.predict(&x)]),
+                crate::tensor::tests::bits(batch.row(0)),
+                "input {x:?}"
+            );
+        }
     }
 
     proptest! {
@@ -796,41 +916,25 @@ mod tests {
             prop_assert_eq!(param_bits(&stepped), param_bits(&expected));
         }
 
-        /// Single-row inference ≡ the batch forward pass's first row, bit
-        /// for bit, on random nets (after one training step, so biases are
-        /// non-zero) and inputs with exact zeros, with and without each
-        /// output corruption, through one reused set of buffers.
+        /// The fixed-shape forward ≡ the batch forward pass's first row, bit
+        /// for bit (NaN as NaN), at LinnOS's input width and an odd one, with
+        /// and without each output corruption: on random weights and biases
+        /// that hold signed zeros, subnormals and now and then a NaN or an
+        /// infinity (the masked path; ReLU zeros often mask it), or only
+        /// finite values with the finite flag set (the unmasked path) or
+        /// cleared; on inputs with signed zeros, subnormals, NaN and
+        /// infinities.
         #[test]
-        fn predict_into_matches_batch_forward(
-            layers in vec(1usize..21, 2..5),
-            acts in (0usize..4, 0usize..4),
+        fn fixed_forward_matches_batch_forward(
             corruption in 0usize..4,
+            mode in 0usize..3,
             seed in 0u64..1_000_000,
-            draws in vec((0u8..4, -3.0..3.0f64), 40),
+            params in vec((0u32..600, -3.0..3.0f64), 5 * 16 + 16 * 16 + 16 + 16 + 16 + 1),
+            inputs in vec((0u8..64, -3.0..3.0f64), 4 * 5),
         ) {
-            let mut net = Mlp::new(MlpConfig {
-                layers: layers.clone(),
-                hidden_activation: ACTIVATIONS[acts.0],
-                output_activation: ACTIVATIONS[acts.1],
-                seed,
-            });
-            let inputs = layers[0];
-            let outputs = layers[layers.len() - 1];
-            let x = Matrix::from_vec(1, inputs, input_row(&draws, inputs));
-            let y = Matrix::from_vec(1, outputs, vec![0.5; outputs]);
-            net.train_batch(&x, &y, Loss::Mse, &mut Adam::new(0.05));
-            net.set_output_corruption(CORRUPTIONS[corruption]);
-
-            prop_assert_eq!(
-                net.weights_finite,
-                net.weights.iter().all(|w| all_finite(w.as_slice()))
-            );
-            let mut bufs = InferenceBuffers::default();
-            for row in [input_row(&draws, inputs), input_row(&draws[20..], inputs)] {
-                let batch = net.forward(&Matrix::from_vec(1, inputs, row.clone()));
-                prop_assert_eq!(bits(net.predict_into(&row, &mut bufs)), bits(batch.row(0)));
-                prop_assert_eq!(bits(&net.predict_one(&row)), bits(batch.row(0)));
-            }
+            let corruption = CORRUPTIONS[corruption];
+            fixed_matches_forward::<5>(seed, corruption, mode, &params, &inputs);
+            fixed_matches_forward::<3>(seed, corruption, mode, &params, &inputs);
         }
     }
 }

@@ -69,12 +69,17 @@ impl OnlineScaler {
     /// Returns the running standard deviation per feature (1.0 before two
     /// observations, so early transforms are identity-shifted).
     pub fn std_dev(&self, feature: usize) -> f64 {
+        self.spread(self.m2[feature])
+    }
+
+    /// The standard deviation of a feature whose sum of squared deviations
+    /// is `m2`, as [`OnlineScaler::std_dev`] returns it.
+    #[inline]
+    fn spread(&self, m2: f64) -> f64 {
         if self.count < 2 {
             return 1.0;
         }
-        (self.m2[feature] / (self.count - 1) as f64)
-            .sqrt()
-            .max(1e-9)
+        (m2 / (self.count - 1) as f64).sqrt().max(1e-9)
     }
 
     /// Standardizes `x` to z-scores against the running statistics.
@@ -85,17 +90,25 @@ impl OnlineScaler {
     }
 
     /// Standardizes `x` into `out`, element for element what
-    /// [`OnlineScaler::transform`] returns.
+    /// [`OnlineScaler::transform`] returns: the whole row of standard
+    /// deviations first, then `(v - mean) / std` over it, so that each pass
+    /// is one operation down the row and vectorises.
     ///
     /// # Panics
     ///
     /// Panics if `x` has the wrong number of features or `out` another
     /// length than `x`.
+    #[inline]
     pub fn transform_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.mean.len(), "feature count mismatch");
         assert_eq!(out.len(), x.len(), "output length mismatch");
-        for (i, (o, &v)) in out.iter_mut().zip(x).enumerate() {
-            *o = (v - self.mean[i]) / self.std_dev(i);
+        // The same length as `out`, which lets the loop vectorise.
+        let m2 = &self.m2[..out.len()];
+        for (std, &m2) in out.iter_mut().zip(m2) {
+            *std = self.spread(m2);
+        }
+        for ((z, &v), &mean) in out.iter_mut().zip(x).zip(&self.mean) {
+            *z = (v - mean) / *z;
         }
     }
 
@@ -197,8 +210,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// `transform_into` ≡ `transform` ≡ the per-feature z-score
-        /// `(v - mean[i]) / std_dev(i)`, bit for bit, from 0, 1 or many
-        /// observations (so both `std_dev` branches and constant features).
+        /// `(v - mean[i]) / std_i`, with `std_i` 1.0 below two observations
+        /// and otherwise `sqrt(m2[i] / (count - 1))` clamped to at least
+        /// `1e-9`, bit for bit, from 0, 1 or many observations (so both
+        /// branches and constant features).
         #[test]
         fn transform_into_matches_transform(
             history in vec(vec(-50.0..50.0f64, 3), 0..12),
@@ -211,6 +226,14 @@ mod tests {
             }
             let mut out = [f64::NAN; 3];
             s.transform_into(&x, &mut out);
+            for i in 0..3 {
+                let std = if s.count < 2 {
+                    1.0
+                } else {
+                    (s.m2[i] / (s.count - 1) as f64).sqrt().max(1e-9)
+                };
+                prop_assert_eq!(s.std_dev(i).to_bits(), std.to_bits());
+            }
             let reference: Vec<u64> = (0..3)
                 .map(|i| ((x[i] - s.mean()[i]) / s.std_dev(i)).to_bits())
                 .collect();

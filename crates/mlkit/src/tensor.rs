@@ -291,47 +291,32 @@ impl Matrix {
     }
 }
 
-/// Writes the row vector `x` times `rhs` into `out`: single-row
-/// inference's product, the same bits as a row of [`Matrix::matmul`].
+/// The row vector `x` times the flat row-major `x.len() x M` matrix `rhs`,
+/// the same bits as a row of [`Matrix::matmul`]: single-row inference's
+/// product, its `M` accumulators one array. `MASK` masks the skipped terms,
+/// which only an `rhs` holding an infinity or NaN needs (a network keeps a
+/// flag for that per training step); masking a finite `rhs` is correct too.
 ///
-/// `rhs_finite` says every element of `rhs` is finite, which the caller
-/// knows without looking (a network checks its weights once per training
-/// step, not once per inference); the skipped terms are then left
-/// unmasked. Passing `false` is always correct.
-///
-/// # Panics
-///
-/// Panics unless `x.len() == rhs.rows()` and `out.len() == rhs.cols()`.
-pub(crate) fn row_times(x: &[f64], rhs: &Matrix, out: &mut [f64], rhs_finite: bool) {
-    assert_eq!(
-        (x.len(), out.len()),
-        (rhs.rows, rhs.cols),
-        "row_times dimension mismatch: 1x{} * {}x{} into 1x{}",
-        x.len(),
-        rhs.rows,
-        rhs.cols,
-        out.len()
-    );
-    debug_assert!(!rhs_finite || all_finite(&rhs.data), "rhs is not finite");
-    let product = Product::<false> {
-        lhs: x,
-        rhs: &rhs.data,
-        n: 1,
-        depth: x.len(),
-        m: rhs.cols,
-        skip: true,
-    };
-    if rhs_finite {
-        product.row::<false>(0, out, true);
-    } else {
-        product.row::<true>(0, out, true);
+/// `rhs.len() == x.len() * M` is the caller's to keep: a debug build
+/// checks it, a release build leaves it unchecked, so a longer `rhs` is
+/// read short and a shorter one stops the sum early.
+#[inline(always)]
+pub(crate) fn row_product<const MASK: bool, const M: usize>(x: &[f64], rhs: &[f64]) -> [f64; M] {
+    debug_assert_eq!(rhs.len(), x.len() * M, "row_product dimension mismatch");
+    debug_assert!(MASK || all_finite(rhs), "unmasked rhs is not finite");
+    let mut acc = [0.0; M];
+    for (&a, rhs_row) in x.iter().zip(rhs.as_chunks::<M>().0) {
+        for (acc, &b) in acc.iter_mut().zip(rhs_row) {
+            *acc += term::<MASK>(a, b);
+        }
     }
+    acc
 }
 
 // The kernels. Every product here computes each output element as one sum
 // in increasing `k` (the inner index), exactly as a naive loop would:
 //
-// - skipping (`matmul`, `t_matmul`, `row_times`): from `0.0`, leaving out
+// - skipping (`matmul`, `t_matmul`, `row_product`): from `0.0`, leaving out
 //   the terms whose left factor `== 0.0` (ReLU zeros);
 // - not skipping (`matmul_t`): from `-0.0` over every term, because that
 //   is where `Iterator::sum` for `f64` starts;
@@ -679,7 +664,7 @@ pub(crate) mod tests {
     /// A draw as a matrix element: mostly ordinary values, often an exact
     /// `0.0` or `-0.0` (the skipped terms), sometimes NaN, an infinity or a
     /// subnormal.
-    fn element((tag, v): (u8, f64)) -> f64 {
+    pub(crate) fn element((tag, v): (u8, f64)) -> f64 {
         match tag {
             0..=7 => 0.0,
             8..=11 => -0.0,
@@ -745,6 +730,29 @@ pub(crate) mod tests {
         assert_eq!(sum.to_bits(), (-0.0f64).to_bits());
     }
 
+    /// `row_product` of `x` and an `x.len() x M` matrix from `draws` ≡ the
+    /// reference row, masked, and unmasked where the matrix is finite; and
+    /// the same for the matrix with its infinities and NaNs made finite.
+    fn row_product_matches_reference<const M: usize>(x: &[f64], draws: &[(u8, f64)]) {
+        let b = matrix(x.len(), M, draws);
+        let finite: Vec<f64> = b
+            .as_slice()
+            .iter()
+            .map(|v| if v.is_finite() { *v } else { 1.5 })
+            .collect();
+        let b_finite = Matrix::from_vec(x.len(), M, finite);
+        for (rhs, finite) in [(&b, all_finite(b.as_slice())), (&b_finite, true)] {
+            let mut expected = vec![0.0; M];
+            reference::row_times(x, rhs, &mut expected);
+            let masked = row_product::<true, M>(x, rhs.as_slice());
+            assert_eq!(bits(&masked), bits(&expected), "masked, width {M}");
+            if finite {
+                let unmasked = row_product::<false, M>(x, rhs.as_slice());
+                assert_eq!(bits(&unmasked), bits(&expected), "unmasked, width {M}");
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -786,19 +794,11 @@ pub(crate) mod tests {
             prop_assert_eq!(bits(out.as_slice()), bits(reference::matmul_t(&a, &d).as_slice()));
             prop_assert_eq!(bits(a.matmul_t(&d).as_slice()), bits(reference::matmul_t(&a, &d).as_slice()));
 
-            // One row of a times b, masked, and unmasked where b is finite.
-            let mut expected = vec![0.0; m];
-            reference::row_times(a.row(0), &b, &mut expected);
-            for rhs_finite in [false, all_finite(b.as_slice())] {
-                let mut row = vec![f64::NAN; m];
-                row_times(a.row(0), &b, &mut row, rhs_finite);
-                prop_assert_eq!(bits(&row), bits(&expected));
-            }
-            let mut expected = vec![0.0; m];
-            reference::row_times(a.row(0), &b_finite, &mut expected);
-            let mut row = vec![f64::NAN; m];
-            row_times(a.row(0), &b_finite, &mut row, true);
-            prop_assert_eq!(bits(&row), bits(&expected));
+            // One row of a times a matrix of each width single-row
+            // inference uses (16, 1) and one off the vector width (5).
+            row_product_matches_reference::<16>(a.row(0), &rhs_draws);
+            row_product_matches_reference::<5>(a.row(0), &rhs_draws);
+            row_product_matches_reference::<1>(a.row(0), &rhs_draws);
 
             prop_assert_eq!(bits(&c.col_sums()), bits(&reference::col_sums(&c)));
         }

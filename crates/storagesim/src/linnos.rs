@@ -8,8 +8,7 @@
 
 use guardrails::policy::LearnedPolicy;
 use mlkit::{
-    Adam, InferenceBuffers, Loss, Matrix, Mlp, MlpConfig, OnlineScaler, OutputCorruption,
-    ReplayBuffer, TrainBuffers,
+    Adam, FixedMlp, Loss, Matrix, OnlineScaler, OutputCorruption, ReplayBuffer, TrainBuffers,
 };
 use simkernel::Nanos;
 
@@ -63,9 +62,9 @@ struct TrainScratch {
 /// The learned fast/slow classifier.
 ///
 /// One decision ([`LinnosClassifier::predict_slow`]) and one completion
-/// ([`LinnosClassifier::observe`]) allocate nothing once the classifier has
-/// served its first inference: the z-scores and the network's activation
-/// rows live in buffers it owns, and the replay buffer is a flat ring.
+/// ([`LinnosClassifier::observe`]) allocate nothing: the z-scores and the
+/// network's activation rows are arrays on the stack, and the replay
+/// buffer is a flat ring.
 ///
 /// # Examples
 ///
@@ -86,14 +85,10 @@ struct TrainScratch {
 #[derive(Clone, Debug)]
 pub struct LinnosClassifier {
     config: LinnosConfig,
-    net: Mlp,
+    net: FixedMlp<NUM_FEATURES>,
     scaler: OnlineScaler,
     buffer: ReplayBuffer,
     optimizer: Adam,
-    /// Scratch for one inference: the z-scored features, then the
-    /// network's activation rows.
-    z: [f64; NUM_FEATURES],
-    rows: InferenceBuffers,
     /// Scratch for [`LinnosClassifier::train_round`], grown on its first
     /// call (not here, so a classifier that never trains never holds it).
     train: TrainScratch,
@@ -107,12 +102,10 @@ impl LinnosClassifier {
     /// Creates an untrained classifier.
     pub fn new(config: LinnosConfig) -> Self {
         LinnosClassifier {
-            net: Mlp::new(MlpConfig::linnos(NUM_FEATURES, config.seed)),
+            net: FixedMlp::new(config.seed),
             scaler: OnlineScaler::new(NUM_FEATURES),
             buffer: ReplayBuffer::new(config.buffer),
             optimizer: Adam::new(0.005),
-            z: [0.0; NUM_FEATURES],
-            rows: InferenceBuffers::default(),
             train: TrainScratch::default(),
             trained: false,
             inferences: 0,
@@ -215,8 +208,9 @@ impl LinnosClassifier {
         if !self.trained {
             return 0.0;
         }
-        self.scaler.transform_into(features, &mut self.z);
-        self.net.predict_into(&self.z, &mut self.rows)[0]
+        let mut z = [0.0; NUM_FEATURES];
+        self.scaler.transform_into(features, &mut z);
+        self.net.predict(&z)
     }
 
     /// Hard fast/slow decision.
@@ -234,7 +228,7 @@ impl LinnosClassifier {
 
     /// The currently injected output corruption, if any.
     pub fn output_corruption(&self) -> Option<OutputCorruption> {
-        self.net.output_corruption()
+        self.net.net().output_corruption()
     }
 
     /// Whether at least one training round has run.
@@ -269,10 +263,14 @@ impl LinnosClassifier {
 }
 
 impl LearnedPolicy for LinnosClassifier {
+    /// A row that is not [`NUM_FEATURES`] wide is no row this model was
+    /// built for: it gets the untrained model's answer, `0.0` (predict
+    /// fast, the default path), and counts as no inference.
     fn decide(&mut self, features: &[f64]) -> f64 {
-        let mut f = [0.0; NUM_FEATURES];
-        f.copy_from_slice(&features[..NUM_FEATURES]);
-        self.predict_proba(&f)
+        match features.try_into() {
+            Ok(features) => self.predict_proba(features),
+            Err(_) => 0.0,
+        }
     }
 
     fn inference_cost(&self) -> u64 {
@@ -451,5 +449,25 @@ mod tests {
         let p = LearnedPolicy::decide(&mut clf, &slow_features(0));
         assert!(p > 0.5);
         assert!(clf.inference_cost() > 0);
+    }
+
+    /// A row of another width than the model's is answered `0.0` (predict
+    /// fast) without an inference, rather than panicking on a short row or
+    /// silently truncating a long one.
+    #[test]
+    fn a_row_of_the_wrong_width_predicts_fast_without_inference() {
+        let mut clf = trained();
+        let slow = slow_features(0);
+        let long: Vec<f64> = slow.iter().chain(&[1.0]).copied().collect();
+        for row in [&[][..], &slow[..NUM_FEATURES - 1], &long[..]] {
+            let before = clf.inferences();
+            assert_eq!(
+                LearnedPolicy::decide(&mut clf, row).to_bits(),
+                0.0f64.to_bits()
+            );
+            assert_eq!(clf.inferences(), before, "width {}", row.len());
+        }
+        assert!(LearnedPolicy::decide(&mut clf, &slow) > 0.5);
+        assert_eq!(clf.inferences(), 1);
     }
 }
