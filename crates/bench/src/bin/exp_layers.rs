@@ -208,18 +208,6 @@ fn e1_dispatch() -> Vec<Timed<'static>> {
             engine.on_function(black_box(hook), now, black_box(&[512.0]));
         }));
     }
-    let mut engine = bounds_engine();
-    let mut now = Nanos::ZERO;
-    let mut batch: Vec<FnEvent<'static>> = Vec::with_capacity(64);
-    rows.push(timed("e1.batch64_per_event", 64, move || {
-        batch.clear();
-        batch.extend((1..=64).map(|i| FnEvent {
-            now: now + Nanos::from_micros(i),
-            args: &[512.0],
-        }));
-        now += Nanos::from_micros(64);
-        engine.on_function_batch(black_box("decide"), black_box(&batch));
-    }));
 
     for (row, rate) in [("e1.timer_healthy", 0.01), ("e1.timer_violation_save", 0.5)] {
         let mut engine = listing2_engine(rate);
@@ -246,6 +234,71 @@ fn e1_dispatch() -> Vec<Timed<'static>> {
             engine.on_function(black_box("hook"), now, black_box(&[1.0]));
         }));
     }
+    rows
+}
+
+/// A 64-event `on_function_batch` row, per event, on an engine whose one
+/// monitor is on `decide`; every event passes `ARG(0) = 512`.
+fn batch64(row: &str, mut engine: MonitorEngine) -> Timed<'static> {
+    let mut now = Nanos::ZERO;
+    let mut batch: Vec<FnEvent<'static>> = Vec::with_capacity(64);
+    timed(row, 64, move || {
+        batch.clear();
+        batch.extend((1..=64).map(|i| FnEvent {
+            now: now + Nanos::from_micros(i),
+            args: &[512.0],
+        }));
+        now += Nanos::from_micros(64);
+        engine.on_function_batch(black_box("decide"), black_box(&batch));
+    })
+}
+
+/// Per-evaluation engine overhead apart from VM time, by rule shape: each
+/// `e1.eval_*_per_event` row evaluates one monitor per event of a 64-event
+/// batch, and the `e2.vm_*` row beside it runs the same rule program alone
+/// on the same inputs, so the engine's share (dispatch amortised over the
+/// batch, the enable check, the counts, hysteresis) is the difference.
+/// Then one row where every evaluation violates and its `RECORD` action
+/// runs: the violation path of the ingestion workload.
+fn e1_eval_by_shape() -> Vec<Timed<'static>> {
+    let mut rows = Vec::new();
+    for (shape, rule) in [
+        ("argcmp", "ARG(0) < 4096"),
+        ("loadcmp", "LOAD(x) < 4096"),
+        ("and2", "ARG(0) >= 0 && ARG(0) < 4096"),
+    ] {
+        let spec = format!(
+            "guardrail g {{ trigger: {{ FUNCTION(decide) }}, rule: {{ {rule} }}, action: {{ REPORT(m) }} }}"
+        );
+        let mut engine = MonitorEngine::new();
+        engine.install_str(&spec).expect("shape monitor installs");
+        engine.store().save("x", 512.0);
+        rows.push(batch64(&format!("e1.eval_{shape}_per_event"), engine));
+
+        let compiled = compile_str(&spec).expect("shape monitor compiles");
+        let program = compiled[0].rules[0].program.clone();
+        let store = FeatureStore::new();
+        store.save("x", 512.0);
+        let slots = store.bind(&program.keys);
+        let mut deltas = DeltaState::for_program(&program);
+        let mut vm = Vm::new();
+        rows.push(timed(format!("e2.vm_{shape}"), 1, move || {
+            let ctx = &mut EvalCtx {
+                slots: &slots,
+                now: Nanos::from_secs(10),
+                args: &[512.0],
+                deltas: &mut deltas,
+            };
+            black_box(vm.run(black_box(&program), ctx).as_bool());
+        }));
+    }
+    let mut engine = MonitorEngine::new();
+    engine
+        .install_str(
+            "guardrail oversized { trigger: { FUNCTION(decide) }, rule: { ARG(0) <= 256 }, action: { RECORD(oversized, 1) } }",
+        )
+        .expect("violating monitor installs");
+    rows.push(batch64("e1.violation_record_per_event", engine));
     rows
 }
 
@@ -334,9 +387,12 @@ fn e3_store(store: &FeatureStore) -> Vec<Timed<'_>> {
     }
     // One series of 65 536 samples a microsecond apart (the default cap);
     // windows include both ends, so one of n - 1 microseconds ending at the
-    // last sample holds n of them.
+    // last sample holds n of them. The values are `j % 777` for every `j`
+    // below 65 536, in the order an odd multiplier permutes the `j`, so no
+    // window arrives sorted.
     for i in 0..65_536u64 {
-        store.record("lat", Nanos::from_micros(i + 1), (i % 777) as f64);
+        let j = i * 7_919 % 65_536;
+        store.record("lat", Nanos::from_micros(i + 1), (j % 777) as f64);
     }
     let mut now = Nanos::ZERO;
     let mut rows = vec![
@@ -502,6 +558,7 @@ fn linnos() -> Vec<Timed<'static>> {
 fn main() -> ExitCode {
     let store = FeatureStore::new();
     let mut timed_rows = e1_dispatch();
+    timed_rows.extend(e1_eval_by_shape());
     timed_rows.extend(e2_compiler_and_vm());
     timed_rows.extend(e3_store(&store));
     timed_rows.extend(persistence());
@@ -513,7 +570,7 @@ fn main() -> ExitCode {
         .map_err(|e| format!("cannot read {LEDGER}: {e}"))
         .and_then(|committed| ledger::compare(&committed, &rows));
     println!(
-        "{:<26} {:>12} {:>12} {:>10}",
+        "{:<30} {:>12} {:>12} {:>10}",
         "row", "ns", "reference_ns", "vs ledger"
     );
     for (i, row) in rows.iter().enumerate() {
@@ -523,7 +580,7 @@ fn main() -> ExitCode {
             Err(_) => "-".to_string(),
         };
         println!(
-            "{:<26} {:>12.3} {:>12.3} {:>10}",
+            "{:<30} {:>12.3} {:>12.3} {:>10}",
             row.row, row.ns, row.reference_ns, change
         );
     }

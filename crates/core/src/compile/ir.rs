@@ -118,6 +118,7 @@ impl Op {
     /// windowed aggregates cost the most (they scan samples). A
     /// superinstruction costs the sum of its parts, so choosing one at
     /// lowering never moves a fuel total.
+    #[inline]
     pub fn cost(self) -> u64 {
         match self {
             Op::Agg { .. } | Op::Quantile { .. } => 16,

@@ -20,7 +20,7 @@ use crate::policy::PolicyRegistry;
 use crate::store::fxhash::FxHashMap;
 use crate::store::{FeatureStore, Slot};
 use crate::telemetry::{ActionKind, Telemetry, TelemetrySnapshot, RESERVED_PREFIX};
-use crate::vm::{EvalCtx, Vm};
+use crate::vm::{EvalCtx, Vm, VmFault};
 
 /// Aggregate engine statistics: a view over the accounts, read with
 /// [`MonitorEngine::stats`].
@@ -600,57 +600,45 @@ impl MonitorEngine {
         self.apportion_wall(&[midx], &[evals_before], wall_ns);
     }
 
+    /// One evaluation's hot path, inlined into the batch loop and the timer
+    /// path: the enable check, each rule through the VM, the counts, and a
+    /// healthy outcome into the hysteresis window. A disabled monitor's
+    /// probation, a fault and a violation are handled out of line.
+    #[inline(always)]
     fn evaluate_inner(&mut self, midx: usize, now: Nanos, args: &[f64], trigger: TriggerRef<'_>) {
+        if !self.monitors[midx].state.enabled && !self.end_probation(midx, now) {
+            return;
+        }
         let Monitor {
             compiled,
             rule_slots,
             state,
             ..
         } = &mut self.monitors[midx];
-        if !state.enabled {
-            // A watchdog-tripped monitor on probation self-heals: re-enable
-            // and let this evaluation proceed. A persistent fault re-trips.
-            let due = state.probation_until.is_some_and(|p| now >= p);
-            if !(state.watchdog_tripped && due) {
-                return;
-            }
-            state.enabled = true;
-            state.watchdog_tripped = false;
-            state.consecutive_faults = 0;
-            state.probation_until = None;
-            self.events.notice(
-                now,
-                &compiled.name,
-                "watchdog probation over, monitor re-enabled".into(),
-            );
-        }
         let mut fuel = 0u64;
         let mut failed: Option<usize> = None;
-        let mut fault: Option<String> = None;
-        {
-            let vm = &mut self.vm;
-            let limit = self.rule_fuel_limit;
-            for (i, rule) in compiled.rules.iter().enumerate() {
-                // No unwind guard: the program is verified, so the only way
-                // it can fail is a fuel limit, which faults this monitor.
-                let mut ctx = EvalCtx {
-                    slots: &rule_slots[i],
-                    now,
-                    args,
-                    deltas: &mut state.deltas[i],
-                };
-                match vm.try_run(&rule.program, &mut ctx, limit) {
-                    Ok(result) => {
-                        fuel += result.fuel;
-                        if !result.as_bool() {
-                            failed = Some(i);
-                            break;
-                        }
-                    }
-                    Err(vm_fault) => {
-                        fault = Some(format!("rule {i}: {vm_fault}"));
+        let mut fault: Option<(usize, VmFault)> = None;
+        let (vm, limit) = (&mut self.vm, self.rule_fuel_limit);
+        for (i, rule) in compiled.rules.iter().enumerate() {
+            // No unwind guard: the program is verified, so the only way it
+            // can fail is a fuel limit, which faults this monitor.
+            let mut ctx = EvalCtx {
+                slots: &rule_slots[i],
+                now,
+                args,
+                deltas: &mut state.deltas[i],
+            };
+            match vm.try_run(&rule.program, &mut ctx, limit) {
+                Ok(result) => {
+                    fuel += result.fuel;
+                    if !result.as_bool() {
+                        failed = Some(i);
                         break;
                     }
+                }
+                Err(vm_fault) => {
+                    fault = Some((i, vm_fault));
+                    break;
                 }
             }
         }
@@ -659,17 +647,62 @@ impl MonitorEngine {
         state.account.evaluations += 1;
         state.account.rule_fuel += fuel;
 
-        if let Some(reason) = fault {
-            self.on_rule_fault(midx, now, args, &reason);
+        if let Some((rule_index, vm_fault)) = fault {
+            self.on_rule_fault(midx, now, args, rule_index, vm_fault);
             return;
         }
         state.consecutive_faults = 0;
-
-        let Some(rule_index) = failed else {
+        match failed {
             // Healthy evaluation still feeds the hysteresis window.
-            state.hysteresis.observe(false, now);
-            return;
-        };
+            None => {
+                state.hysteresis.observe(false, now);
+            }
+            Some(rule_index) => self.on_violation(midx, now, args, trigger, rule_index),
+        }
+    }
+
+    /// A disabled monitor's evaluation: a watchdog-tripped monitor whose
+    /// probation is over self-heals (re-enabled, and this evaluation
+    /// proceeds; a persistent fault re-trips). Returns whether it may
+    /// evaluate.
+    #[cold]
+    #[inline(never)]
+    fn end_probation(&mut self, midx: usize, now: Nanos) -> bool {
+        let Monitor {
+            compiled, state, ..
+        } = &mut self.monitors[midx];
+        let due = state.probation_until.is_some_and(|p| now >= p);
+        if !(state.watchdog_tripped && due) {
+            return false;
+        }
+        state.enabled = true;
+        state.watchdog_tripped = false;
+        state.consecutive_faults = 0;
+        state.probation_until = None;
+        self.events.notice(
+            now,
+            &compiled.name,
+            "watchdog probation over, monitor re-enabled".into(),
+        );
+        true
+    }
+
+    /// Rule `rule_index` did not hold: counts the violation, feeds the
+    /// hysteresis window, records it and, when hysteresis lets it trip,
+    /// dispatches the monitor's actions.
+    #[cold]
+    #[inline(never)]
+    fn on_violation(
+        &mut self,
+        midx: usize,
+        now: Nanos,
+        args: &[f64],
+        trigger: TriggerRef<'_>,
+        rule_index: usize,
+    ) {
+        let Monitor {
+            compiled, state, ..
+        } = &mut self.monitors[midx];
         state.account.violations += 1;
         let fire = state.hysteresis.observe(true, now);
         if fire {
@@ -694,11 +727,21 @@ impl MonitorEngine {
     /// counts it, and — when a watchdog is configured — disables a monitor
     /// that keeps faulting instead of leaving it silently wedged. Fail-closed
     /// watchdogs dispatch the monitor's actions once on the way down.
-    fn on_rule_fault(&mut self, midx: usize, now: Nanos, args: &[f64], reason: &str) {
+    #[cold]
+    #[inline(never)]
+    fn on_rule_fault(
+        &mut self,
+        midx: usize,
+        now: Nanos,
+        args: &[f64],
+        rule_index: usize,
+        vm_fault: VmFault,
+    ) {
         let Monitor {
             compiled, state, ..
         } = &mut self.monitors[midx];
         let name = &compiled.name;
+        let reason = format!("rule {rule_index}: {vm_fault}");
         state.account.rule_faults += 1;
         state.consecutive_faults += 1;
         self.events

@@ -88,7 +88,7 @@ impl OutcomeRing {
     /// most `window` remain: the outcomes of the last `window` evaluations,
     /// none for a window of 0. Drops more than one only after the window
     /// shrank.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn push_within(&mut self, violated: bool, window: usize) {
         let same = if violated { self.len } else { 0 };
         if self.len == window && self.violations == same {
@@ -121,20 +121,24 @@ impl OutcomeRing {
         (0..self.len).map(move |i| self.bit((self.head + i) & mask))
     }
 
+    #[inline]
     fn mask(&self) -> usize {
         (self.words.len() * 64).wrapping_sub(1)
     }
 
+    #[inline]
     fn bit(&self, pos: usize) -> bool {
         self.words[pos / 64] >> (pos % 64) & 1 == 1
     }
 
+    #[inline]
     fn pop_front(&mut self) {
         self.violations -= usize::from(self.bit(self.head));
         self.head = (self.head + 1) & self.mask();
         self.len -= 1;
     }
 
+    #[inline]
     fn push_back(&mut self, violated: bool) {
         if self.len == self.words.len() * 64 {
             self.grow();
@@ -147,6 +151,8 @@ impl OutcomeRing {
     }
 
     /// Doubles the capacity (to one word from none), oldest outcome first.
+    #[cold]
+    #[inline(never)]
     fn grow(&mut self) {
         let mut grown = OutcomeRing {
             words: vec![0; (self.words.len() * 2).max(1)],
@@ -215,7 +221,7 @@ impl HysteresisState {
     ///
     /// Call with `violated = true/false` for every evaluation; returns
     /// `true` exactly when the debounce trips *and* the cooldown has passed.
-    #[inline]
+    #[inline(always)]
     pub fn observe(&mut self, violated: bool, now: Nanos) -> bool {
         self.recent
             .push_within(violated, self.config.window as usize);

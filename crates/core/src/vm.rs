@@ -105,6 +105,7 @@ pub struct EvalResult {
 
 impl EvalResult {
     /// Interprets the result as a boolean.
+    #[inline]
     pub fn as_bool(self) -> bool {
         self.value != 0.0
     }
@@ -222,6 +223,7 @@ impl<const DEPTH: bool> Stack<'_, DEPTH> {
     }
 
     /// The value a finished program left, 0 for none.
+    #[inline(always)]
     fn result(&self) -> f64 {
         match self.sp {
             0 => 0.0,
@@ -256,6 +258,9 @@ impl Vm {
     /// `fuel_limit` before the program finishes; the engine's watchdog uses
     /// this to detect rules that can no longer complete within budget
     /// instead of letting them run unbounded.
+    ///
+    /// Inlinable, so the engine's batch loop runs a rule without a call.
+    #[inline]
     pub fn try_run(
         &mut self,
         program: &Verified,

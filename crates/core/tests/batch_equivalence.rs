@@ -15,11 +15,18 @@
 //! per-monitor accounts: on an engine that was never restored, `stats()`
 //! and `telemetry_snapshot()` equal the accounts' sum, and the monitors'
 //! wall-time shares add up exactly to the wall time the engine measured.
+//!
+//! The engine handles a violation, a rule fault and the end of a
+//! watchdog's probation out of line from its per-evaluation path, so one
+//! property also generates N-of-M hysteresis with a cooldown, a rule fuel
+//! limit that some evaluations exceed, and a watchdog with probation.
 
 use std::sync::Arc;
 
 use guardrails::monitor::engine::{EngineStats, FnEvent, MonitorEngine};
-use guardrails::monitor::{EngineCheckpoint, OverheadAccount};
+use guardrails::monitor::{
+    EngineCheckpoint, FailMode, Hysteresis, OverheadAccount, ResilienceConfig, WatchdogConfig,
+};
 use guardrails::{PolicyRegistry, Telemetry, TelemetrySnapshot};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -57,6 +64,72 @@ fn fresh_engine() -> MonitorEngine {
     let mut engine = MonitorEngine::with_parts(Arc::new(guardrails::FeatureStore::new()), registry);
     engine.set_telemetry(Telemetry::new());
     engine.install_str(SPECS).unwrap();
+    engine
+}
+
+/// A monitor whose rule is several instructions and short-circuits: an
+/// evaluation with a small argument stops after the first comparison,
+/// others also read the store, so a rule fuel limit between the two costs
+/// faults only some evaluations.
+const FUEL_HUNGRY: &str = r#"
+guardrail fuel-hungry {
+    trigger: { FUNCTION(io_submit) },
+    rule: { ARG(0) < 2000 || LOAD(qdepth) < 16 && ARG(0) < 8000 },
+    action: { RECORD(hungry_args, ARG(0)) }
+}
+"#;
+
+/// The engine configuration the violation, fault and probation paths run
+/// under.
+#[derive(Clone, Debug)]
+struct Resilient {
+    /// Set on `io-bound` and `fuel-hungry`.
+    hysteresis: Hysteresis,
+    rule_fuel_limit: u64,
+    watchdog: WatchdogConfig,
+}
+
+fn resilient() -> impl Strategy<Value = Resilient> {
+    (
+        (1u32..4, 0u32..4, 0u64..3_000),
+        3u64..20,
+        (1u32..4, 50u64..3_000, any::<bool>()),
+    )
+        .prop_map(
+            |((threshold, extra, cooldown_us), rule_fuel_limit, (faults, probation_us, closed))| {
+                Resilient {
+                    hysteresis: Hysteresis {
+                        trip_threshold: threshold,
+                        window: threshold + extra,
+                        cooldown: Nanos::from_micros(cooldown_us),
+                    },
+                    rule_fuel_limit,
+                    watchdog: WatchdogConfig {
+                        max_consecutive_faults: faults,
+                        fail_mode: if closed {
+                            FailMode::FailClosed
+                        } else {
+                            FailMode::FailOpen
+                        },
+                        probation: Some(Nanos::from_micros(probation_us)),
+                    },
+                }
+            },
+        )
+}
+
+/// [`fresh_engine`] plus [`FUEL_HUNGRY`], configured by `config`.
+fn resilient_engine(config: &Resilient) -> MonitorEngine {
+    let mut engine = fresh_engine();
+    engine.install_str(FUEL_HUNGRY).unwrap();
+    for name in ["io-bound", "fuel-hungry"] {
+        engine.set_hysteresis(name, config.hysteresis).unwrap();
+    }
+    engine.set_rule_fuel_limit(Some(config.rule_fuel_limit));
+    engine.set_resilience(ResilienceConfig {
+        watchdog: Some(config.watchdog),
+        ..ResilienceConfig::default()
+    });
     engine
 }
 
@@ -241,6 +314,30 @@ proptest! {
     }
 
     #[test]
+    fn batch_equivalence_holds_through_hysteresis_faults_and_probation(
+        config in resilient(),
+        steps in steps(),
+        cuts in vec(0usize..61, 0..6),
+    ) {
+        let mut sequential = resilient_engine(&config);
+        let mut batched = resilient_engine(&config);
+        run_sequential_chunked(&mut sequential, &steps, &cuts, Nanos::ZERO);
+        run_batched(&mut batched, &steps, &cuts, Nanos::ZERO);
+        prop_assert_eq!(observe(&sequential), observe(&batched));
+        prop_assert_eq!(
+            sequential.drain_commands(),
+            batched.drain_commands(),
+            "deferred commands must match"
+        );
+        for name in ["io-bound", "fuel-hungry"] {
+            prop_assert_eq!(sequential.suppressed(name), batched.suppressed(name));
+            prop_assert_eq!(sequential.watchdog_tripped(name), batched.watchdog_tripped(name));
+        }
+        check_counts_are_account_sums(&sequential);
+        check_counts_are_account_sums(&batched);
+    }
+
+    #[test]
     fn single_event_batches_match_plain_on_function(steps in steps()) {
         // Degenerate chunking: every batch holds exactly one event. This is
         // the contract `on_function` itself relies on (it delegates to the
@@ -299,6 +396,85 @@ proptest! {
         prop_assert_eq!(seq_obs, res_obs);
         check_counts_are_account_sums(&sequential);
     }
+}
+
+#[test]
+fn a_probation_that_ends_inside_a_batch_is_delivery_independent() {
+    // Under a fuel limit of 4 only `fuel-hungry`'s short-circuit path
+    // completes, so every large argument faults. The first two trip the
+    // watchdog at 20 µs; its probation ends at 220 µs, inside the second
+    // batch (30 µs to 600 µs). From then on two faults in a row every 70 µs
+    // re-trip it, and a probation also ends inside the third batch.
+    let config = Resilient {
+        hysteresis: Hysteresis::n_of_m(2, 3).with_cooldown(Nanos::from_micros(50)),
+        rule_fuel_limit: 4,
+        watchdog: WatchdogConfig::fail_closed()
+            .with_max_faults(2)
+            .with_probation(Nanos::from_micros(200)),
+    };
+    let engine = || {
+        let mut engine = MonitorEngine::new();
+        engine.set_telemetry(Telemetry::new());
+        engine.install_str(FUEL_HUNGRY).unwrap();
+        engine
+            .set_hysteresis("fuel-hungry", config.hysteresis)
+            .unwrap();
+        engine.set_rule_fuel_limit(Some(config.rule_fuel_limit));
+        engine.set_resilience(ResilienceConfig {
+            watchdog: Some(config.watchdog),
+            ..ResilienceConfig::default()
+        });
+        engine.store().save("qdepth", 4.0);
+        engine
+    };
+    let args: Vec<[f64; 1]> = (0..120u64)
+        .map(|i| [if i < 2 || i % 7 >= 5 { 5000.0 } else { 100.0 }])
+        .collect();
+    let events: Vec<FnEvent<'_>> = args
+        .iter()
+        .enumerate()
+        .map(|(i, a)| FnEvent {
+            now: Nanos::from_micros(10 * (i as u64 + 1)),
+            args: a,
+        })
+        .collect();
+    let (head, rest) = events.split_at(2);
+    let (middle, tail) = rest.split_at(58);
+    let mut sequential = engine();
+    for event in &events {
+        sequential.on_function("io_submit", event.now, event.args);
+    }
+    let mut batched = engine();
+    for batch in [head, middle, tail] {
+        batched.on_function_batch("io_submit", batch);
+    }
+    let reenabled: Vec<Nanos> = batched
+        .events()
+        .iter()
+        .filter(|e| e.text() == Some("watchdog probation over, monitor re-enabled"))
+        .map(|e| e.at)
+        .collect();
+    assert!(
+        reenabled.len() >= 2,
+        "probation ended {} times",
+        reenabled.len()
+    );
+    let inside =
+        |batch: &[FnEvent<'_>], at: Nanos| batch[0].now < at && at < batch[batch.len() - 1].now;
+    assert!(
+        inside(middle, reenabled[0]),
+        "first re-enable at {:?}",
+        reenabled[0]
+    );
+    assert!(reenabled.iter().any(|&at| inside(tail, at)));
+    let (seq, bat) = (observe(&sequential), observe(&batched));
+    assert!(bat.stats.watchdog_trips >= 2, "{:?}", bat.stats);
+    assert!(
+        bat.telemetry.actions.iter().sum::<u64>() > 0,
+        "fail-closed trips act"
+    );
+    assert_eq!(seq, bat);
+    assert_eq!(sequential.drain_commands(), batched.drain_commands());
 }
 
 /// One monitor whose every evaluation violates and `SAVE`s.

@@ -14,7 +14,8 @@
 /// let mut s = OnlineScaler::new(2);
 /// s.observe(&[1.0, 10.0]);
 /// s.observe(&[3.0, 30.0]);
-/// let z = s.transform(&[2.0, 20.0]);
+/// let mut z = [f64::NAN; 2];
+/// s.transform_into(&[2.0, 20.0], &mut z);
 /// assert!(z[0].abs() < 1e-9); // At the mean.
 /// assert!(z[1].abs() < 1e-9);
 /// ```
@@ -33,16 +34,6 @@ impl OnlineScaler {
             mean: vec![0.0; features],
             m2: vec![0.0; features],
         }
-    }
-
-    /// Number of feature dimensions.
-    pub fn features(&self) -> usize {
-        self.mean.len()
-    }
-
-    /// Number of observations folded in.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Folds one observation into the running statistics.
@@ -82,17 +73,10 @@ impl OnlineScaler {
         (m2 / (self.count - 1) as f64).sqrt().max(1e-9)
     }
 
-    /// Standardizes `x` to z-scores against the running statistics.
-    pub fn transform(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; x.len()];
-        self.transform_into(x, &mut out);
-        out
-    }
-
-    /// Standardizes `x` into `out`, element for element what
-    /// [`OnlineScaler::transform`] returns: the whole row of standard
-    /// deviations first, then `(v - mean) / std` over it, so that each pass
-    /// is one operation down the row and vectorises.
+    /// Standardizes `x` to z-scores against the running statistics, into
+    /// `out`: the whole row of standard deviations first, then
+    /// `(v - mean) / std` over it, so that each pass is one operation down
+    /// the row and vectorises.
     ///
     /// # Panics
     ///
@@ -111,28 +95,6 @@ impl OnlineScaler {
             *z = (v - mean) / *z;
         }
     }
-
-    /// Observes and transforms in one call.
-    pub fn observe_transform(&mut self, x: &[f64]) -> Vec<f64> {
-        self.observe(x);
-        self.transform(x)
-    }
-
-    /// Returns the largest absolute z-score of `x` under the running
-    /// statistics — a cheap out-of-distribution score for the P1 guardrail.
-    pub fn max_abs_z(&self, x: &[f64]) -> f64 {
-        self.transform(x)
-            .into_iter()
-            .map(f64::abs)
-            .fold(0.0, f64::max)
-    }
-
-    /// Clears all statistics (fresh retrain).
-    pub fn reset(&mut self) {
-        self.count = 0;
-        self.mean.iter_mut().for_each(|m| *m = 0.0);
-        self.m2.iter_mut().for_each(|m| *m = 0.0);
-    }
 }
 
 #[cfg(test)]
@@ -141,6 +103,13 @@ mod tests {
     use proptest::collection::vec;
     use proptest::prelude::*;
 
+    /// `x` standardized by `s`, through [`OnlineScaler::transform_into`].
+    fn z<const N: usize>(s: &OnlineScaler, x: [f64; N]) -> [f64; N] {
+        let mut out = [f64::NAN; N];
+        s.transform_into(&x, &mut out);
+        out
+    }
+
     #[test]
     fn transform_standardizes() {
         let mut s = OnlineScaler::new(1);
@@ -148,20 +117,17 @@ mod tests {
             s.observe(&[x]);
         }
         assert_eq!(s.mean()[0], 5.0);
-        let z = s.transform(&[5.0]);
-        assert!(z[0].abs() < 1e-12);
+        assert!(z(&s, [5.0])[0].abs() < 1e-12);
         // One std above the mean maps to z close to 1.
         let sd = s.std_dev(0);
-        let z1 = s.transform(&[5.0 + sd]);
-        assert!((z1[0] - 1.0).abs() < 1e-12);
+        assert!((z(&s, [5.0 + sd])[0] - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn early_transform_does_not_divide_by_zero() {
         let mut s = OnlineScaler::new(1);
         s.observe(&[3.0]);
-        let z = s.transform(&[4.0]);
-        assert_eq!(z[0], 1.0);
+        assert_eq!(z(&s, [4.0])[0], 1.0);
     }
 
     #[test]
@@ -171,51 +137,19 @@ mod tests {
             s.observe(&[7.0]);
         }
         // Std clamps at a tiny positive value; z-scores stay finite.
-        assert!(s.transform(&[8.0])[0].is_finite());
-    }
-
-    #[test]
-    fn max_abs_z_flags_outliers() {
-        let mut s = OnlineScaler::new(2);
-        for i in 0..100 {
-            s.observe(&[i as f64 % 10.0, 50.0 + (i % 5) as f64]);
-        }
-        assert!(s.max_abs_z(&[4.5, 52.0]) < 2.0, "in-distribution point");
-        assert!(s.max_abs_z(&[1000.0, 52.0]) > 10.0, "clear outlier");
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut s = OnlineScaler::new(1);
-        s.observe(&[5.0]);
-        s.reset();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean()[0], 0.0);
-        assert_eq!(s.features(), 1);
-    }
-
-    #[test]
-    fn observe_transform_is_consistent() {
-        let mut a = OnlineScaler::new(1);
-        let mut b = OnlineScaler::new(1);
-        a.observe(&[1.0]);
-        b.observe(&[1.0]);
-        let za = a.observe_transform(&[2.0]);
-        b.observe(&[2.0]);
-        let zb = b.transform(&[2.0]);
-        assert_eq!(za, zb);
+        assert!(z(&s, [8.0])[0].is_finite());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// `transform_into` ≡ `transform` ≡ the per-feature z-score
+        /// `transform_into` ≡ the per-feature z-score
         /// `(v - mean[i]) / std_i`, with `std_i` 1.0 below two observations
         /// and otherwise `sqrt(m2[i] / (count - 1))` clamped to at least
         /// `1e-9`, bit for bit, from 0, 1 or many observations (so both
         /// branches and constant features).
         #[test]
-        fn transform_into_matches_transform(
+        fn transform_into_matches_the_z_score_formula(
             history in vec(vec(-50.0..50.0f64, 3), 0..12),
             constant in any::<bool>(),
             x in vec(-100.0..100.0f64, 3),
@@ -237,8 +171,7 @@ mod tests {
             let reference: Vec<u64> = (0..3)
                 .map(|i| ((x[i] - s.mean()[i]) / s.std_dev(i)).to_bits())
                 .collect();
-            prop_assert_eq!(out.map(f64::to_bits).to_vec(), reference.clone());
-            prop_assert_eq!(s.transform(&x).iter().map(|v| v.to_bits()).collect::<Vec<_>>(), reference);
+            prop_assert_eq!(out.map(f64::to_bits).to_vec(), reference);
         }
     }
 }

@@ -133,15 +133,8 @@ impl Matrix {
         .run(&mut out.data);
     }
 
-    /// Computes `self^T * rhs` without materializing the transpose.
-    pub fn t_matmul(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        self.t_matmul_into(rhs, &mut out.data);
-        out
-    }
-
     /// Writes `self^T * rhs`, row-major, into `out` (a gradient's place in
-    /// a flat buffer).
+    /// a flat buffer), without materializing the transpose.
     ///
     /// # Panics
     ///
@@ -159,15 +152,6 @@ impl Matrix {
             skip: true,
         }
         .run(out);
-    }
-
-    /// Computes `self * rhs^T`.
-    pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
-        let mut rhs_t = Matrix::default();
-        rhs.transpose_into(&mut rhs_t);
-        let mut out = Matrix::default();
-        self.matmul_t_into(&rhs_t, &mut out);
-        out
     }
 
     /// Writes `self * rhs^T` into `out`, reshaping it, given `rhs_t`, the
@@ -218,34 +202,6 @@ impl Matrix {
         }
     }
 
-    /// Element-wise product in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn hadamard_inplace(&mut self, rhs: &Matrix) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "shape mismatch"
-        );
-        for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
-            *a *= b;
-        }
-    }
-
-    /// Adds `rhs` scaled by `alpha` in place (`self += alpha * rhs`).
-    pub fn axpy_inplace(&mut self, alpha: f64, rhs: &Matrix) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "shape mismatch"
-        );
-        for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += alpha * b;
-        }
-    }
-
     /// Adds a row vector to every row (broadcast bias add).
     pub fn add_row_inplace(&mut self, bias: &[f64]) {
         assert_eq!(self.cols, bias.len(), "bias length mismatch");
@@ -256,15 +212,8 @@ impl Matrix {
         }
     }
 
-    /// Sums each column into a vector (used for bias gradients).
-    pub fn col_sums(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.cols];
-        self.col_sums_into(&mut out);
-        out
-    }
-
     /// Writes each column's sum, from `0.0` in row order, into `out`,
-    /// summing a tile of columns per pass down the rows.
+    /// summing a tile of columns per pass down the rows (a bias gradient).
     ///
     /// # Panics
     ///
@@ -284,28 +233,28 @@ impl Matrix {
             j0 += tile.len();
         }
     }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
 }
 
-/// The row vector `x` times the flat row-major `x.len() x M` matrix `rhs`,
-/// the same bits as a row of [`Matrix::matmul`]: single-row inference's
-/// product, its `M` accumulators one array. `MASK` masks the skipped terms,
-/// which only an `rhs` holding an infinity or NaN needs (a network keeps a
-/// flag for that per training step); masking a finite `rhs` is correct too.
+/// The row vector `x` times the `x.len() x M` matrix `rhs`, given as its
+/// rows, the same bits as a row of [`Matrix::matmul`]: single-row
+/// inference's product, its `M` accumulators one array. `MASK` masks the
+/// skipped terms, which only an `rhs` holding an infinity or NaN needs (a
+/// network keeps a flag for that per training step); masking a finite
+/// `rhs` is correct too.
 ///
-/// `rhs.len() == x.len() * M` is the caller's to keep: a debug build
-/// checks it, a release build leaves it unchecked, so a longer `rhs` is
-/// read short and a shorter one stops the sum early.
+/// `rhs.len() == x.len()` is the caller's to check: the sum stops at the
+/// shorter of the two.
 #[inline(always)]
-pub(crate) fn row_product<const MASK: bool, const M: usize>(x: &[f64], rhs: &[f64]) -> [f64; M] {
-    debug_assert_eq!(rhs.len(), x.len() * M, "row_product dimension mismatch");
-    debug_assert!(MASK || all_finite(rhs), "unmasked rhs is not finite");
+pub(crate) fn row_product<const MASK: bool, const M: usize>(
+    x: &[f64],
+    rhs: &[[f64; M]],
+) -> [f64; M] {
+    debug_assert!(
+        MASK || all_finite(rhs.as_flattened()),
+        "unmasked rhs is not finite"
+    );
     let mut acc = [0.0; M];
-    for (&a, rhs_row) in x.iter().zip(rhs.as_chunks::<M>().0) {
+    for (&a, rhs_row) in x.iter().zip(rhs) {
         for (acc, &b) in acc.iter_mut().zip(rhs_row) {
             *acc += term::<MASK>(a, b);
         }
@@ -316,9 +265,9 @@ pub(crate) fn row_product<const MASK: bool, const M: usize>(x: &[f64], rhs: &[f6
 // The kernels. Every product here computes each output element as one sum
 // in increasing `k` (the inner index), exactly as a naive loop would:
 //
-// - skipping (`matmul`, `t_matmul`, `row_product`): from `0.0`, leaving out
+// - skipping (`matmul`, `t_matmul_into`, `row_product`): from `0.0`, leaving out
 //   the terms whose left factor `== 0.0` (ReLU zeros);
-// - not skipping (`matmul_t`): from `-0.0` over every term, because that
+// - not skipping (`matmul_t_into`): from `-0.0` over every term, because that
 //   is where `Iterator::sum` for `f64` starts;
 // - as `acc + a * b`, rounding the product and then the sum (no FMA).
 //
@@ -608,12 +557,11 @@ pub(crate) mod tests {
     fn t_matmul_matches_explicit_transpose() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         let b = Matrix::from_rows(&[&[7.0, 8.0], &[9.0, 10.0]]);
-        // a^T (3x2) * b (2x2) = 3x2.
-        let c = a.t_matmul(&b);
-        assert_eq!(c.rows(), 3);
-        assert_eq!(c.cols(), 2);
-        assert_eq!(c[(0, 0)], 1.0 * 7.0 + 4.0 * 9.0);
-        assert_eq!(c[(2, 1)], 3.0 * 8.0 + 6.0 * 10.0);
+        // a^T (3x2) * b (2x2) = 3x2, row-major.
+        let mut c = [f64::NAN; 6];
+        a.t_matmul_into(&b, &mut c);
+        assert_eq!(c[0], 1.0 * 7.0 + 4.0 * 9.0);
+        assert_eq!(c[5], 3.0 * 8.0 + 6.0 * 10.0);
     }
 
     #[test]
@@ -621,7 +569,9 @@ pub(crate) mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0]]);
         let b = Matrix::from_rows(&[&[3.0, 4.0], &[5.0, 6.0]]);
         // a (1x2) * b^T (2x2) = 1x2.
-        let c = a.matmul_t(&b);
+        let (mut b_t, mut c) = (Matrix::default(), Matrix::default());
+        b.transpose_into(&mut b_t);
+        a.matmul_t_into(&b_t, &mut c);
         assert_eq!(c[(0, 0)], 11.0);
         assert_eq!(c[(0, 1)], 17.0);
     }
@@ -631,20 +581,16 @@ pub(crate) mod tests {
         let mut a = Matrix::from_rows(&[&[1.0, -2.0]]);
         a.map_inplace(f64::abs);
         assert_eq!(a.row(0), &[1.0, 2.0]);
-        let b = Matrix::from_rows(&[&[3.0, 0.5]]);
-        a.hadamard_inplace(&b);
-        assert_eq!(a.row(0), &[3.0, 1.0]);
-        a.axpy_inplace(2.0, &b);
-        assert_eq!(a.row(0), &[9.0, 2.0]);
         a.add_row_inplace(&[1.0, 1.0]);
-        assert_eq!(a.row(0), &[10.0, 3.0]);
+        assert_eq!(a.row(0), &[2.0, 3.0]);
     }
 
     #[test]
-    fn col_sums_and_norm() {
+    fn col_sums_sum_each_column() {
         let a = Matrix::from_rows(&[&[3.0, 0.0], &[4.0, 1.0]]);
-        assert_eq!(a.col_sums(), vec![7.0, 1.0]);
-        assert!((a.norm() - 26.0f64.sqrt()).abs() < 1e-12);
+        let mut sums = [f64::NAN; 2];
+        a.col_sums_into(&mut sums);
+        assert_eq!(sums, [7.0, 1.0]);
     }
 
     #[test]
@@ -709,12 +655,13 @@ pub(crate) mod tests {
             bits(reference::matmul(&a, &b).as_slice())
         );
         let (a, c) = (Matrix::zeros(0, 3), Matrix::zeros(0, 2));
-        assert_eq!(
-            bits(a.t_matmul(&c).as_slice()),
-            bits(reference::t_matmul(&a, &c).as_slice())
-        );
+        let mut out = [f64::NAN; 6];
+        a.t_matmul_into(&c, &mut out);
+        assert_eq!(bits(&out), bits(reference::t_matmul(&a, &c).as_slice()));
         let (a, d) = (Matrix::zeros(3, 0), Matrix::zeros(2, 0));
-        let product = a.matmul_t(&d);
+        let (mut d_t, mut product) = (Matrix::default(), Matrix::default());
+        d.transpose_into(&mut d_t);
+        a.matmul_t_into(&d_t, &mut product);
         assert_eq!(
             bits(product.as_slice()),
             bits(reference::matmul_t(&a, &d).as_slice())
@@ -724,7 +671,7 @@ pub(crate) mod tests {
 
     #[test]
     fn iterator_sum_starts_at_negative_zero() {
-        // `matmul_t`'s sums start at -0.0 because `Iterator::sum` does:
+        // `matmul_t_into`'s sums start at -0.0 because `Iterator::sum` does:
         // an all-(-0.0) sum stays -0.0 only from that start.
         let sum: f64 = [-0.0f64, -0.0].iter().sum();
         assert_eq!(sum.to_bits(), (-0.0f64).to_bits());
@@ -744,10 +691,11 @@ pub(crate) mod tests {
         for (rhs, finite) in [(&b, all_finite(b.as_slice())), (&b_finite, true)] {
             let mut expected = vec![0.0; M];
             reference::row_times(x, rhs, &mut expected);
-            let masked = row_product::<true, M>(x, rhs.as_slice());
+            let rows = rhs.as_slice().as_chunks::<M>().0;
+            let masked = row_product::<true, M>(x, rows);
             assert_eq!(bits(&masked), bits(&expected), "masked, width {M}");
             if finite {
-                let unmasked = row_product::<false, M>(x, rhs.as_slice());
+                let unmasked = row_product::<false, M>(x, rows);
                 assert_eq!(bits(&unmasked), bits(&expected), "unmasked, width {M}");
             }
         }
@@ -779,11 +727,14 @@ pub(crate) mod tests {
             let b_finite = Matrix::from_vec(k, m, b.as_slice().iter().map(|v| if v.is_finite() { *v } else { 1.5 }).collect());
             prop_assert_eq!(bits(a.matmul(&b_finite).as_slice()), bits(reference::matmul(&a, &b_finite).as_slice()));
 
-            // a^T (k x n) * c (n x m).
+            // a^T (k x n) * c (n x m), into a flat buffer of stale values.
             let c = matrix(n, m, &rhs_draws);
-            prop_assert_eq!(bits(a.t_matmul(&c).as_slice()), bits(reference::t_matmul(&a, &c).as_slice()));
+            let mut flat = vec![f64::NAN; k * m];
+            a.t_matmul_into(&c, &mut flat);
+            prop_assert_eq!(bits(&flat), bits(reference::t_matmul(&a, &c).as_slice()));
             let c_finite = Matrix::from_vec(n, m, c.as_slice().iter().map(|v| if v.is_finite() { *v } else { -0.5 }).collect());
-            prop_assert_eq!(bits(a.t_matmul(&c_finite).as_slice()), bits(reference::t_matmul(&a, &c_finite).as_slice()));
+            a.t_matmul_into(&c_finite, &mut flat);
+            prop_assert_eq!(bits(&flat), bits(reference::t_matmul(&a, &c_finite).as_slice()));
 
             // a (n x k) * d^T, d (m x k), through a kept transpose.
             let d = matrix(m, k, &rhs_draws);
@@ -792,7 +743,6 @@ pub(crate) mod tests {
             let mut out = stale(stale_shape);
             a.matmul_t_into(&d_t, &mut out);
             prop_assert_eq!(bits(out.as_slice()), bits(reference::matmul_t(&a, &d).as_slice()));
-            prop_assert_eq!(bits(a.matmul_t(&d).as_slice()), bits(reference::matmul_t(&a, &d).as_slice()));
 
             // One row of a times a matrix of each width single-row
             // inference uses (16, 1) and one off the vector width (5).
@@ -800,7 +750,9 @@ pub(crate) mod tests {
             row_product_matches_reference::<5>(a.row(0), &rhs_draws);
             row_product_matches_reference::<1>(a.row(0), &rhs_draws);
 
-            prop_assert_eq!(bits(&c.col_sums()), bits(&reference::col_sums(&c)));
+            let mut sums = vec![f64::NAN; m];
+            c.col_sums_into(&mut sums);
+            prop_assert_eq!(bits(&sums), bits(&reference::col_sums(&c)));
         }
     }
 }
