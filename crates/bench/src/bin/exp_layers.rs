@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 
 use gr_bench::ingest::{self, EVENTS};
 use gr_bench::ledger::{self, Change, Row};
+use guardrails::action::retrain::RetrainLimiter;
 use guardrails::compile::verify::{verify, ExpectedType, VerifyLimits};
 use guardrails::compile::{compile, compile_str, CompileOptions};
 use guardrails::monitor::engine::FnEvent;
@@ -234,14 +235,33 @@ fn e1_dispatch() -> Vec<Timed<'static>> {
             engine.on_function(black_box("hook"), now, black_box(&[1.0]));
         }));
     }
+
+    // One subscriber among 64 installed monitors, each on its own hook: what
+    // a section costs per monitor the event does not reach.
+    let mut engine = MonitorEngine::new();
+    for i in 0..64 {
+        engine
+            .install_str(&format!(
+                "guardrail g{i} {{ trigger: {{ FUNCTION(hook{i}) }}, rule: {{ ARG(0) < 1e9 }}, action: {{ REPORT(m) }} }}"
+            ))
+            .expect("monitor installs");
+    }
+    let mut now = Nanos::ZERO;
+    rows.push(timed("e1.one_subscriber_of_64", 1, move || {
+        now += Nanos::from_micros(1);
+        engine.on_function(black_box("hook0"), now, black_box(&[1.0]));
+    }));
     rows
 }
 
 /// A 64-event `on_function_batch` row, per event, on an engine whose one
-/// monitor is on `decide`; every event passes `ARG(0) = 512`.
+/// monitor is on `decide`; every event passes `ARG(0) = 512`. The commands
+/// the batch emits are drained into one reused buffer, so the outbox does
+/// not grow from call to call.
 fn batch64(row: &str, mut engine: MonitorEngine) -> Timed<'static> {
     let mut now = Nanos::ZERO;
     let mut batch: Vec<FnEvent<'static>> = Vec::with_capacity(64);
+    let mut commands = Vec::new();
     timed(row, 64, move || {
         batch.clear();
         batch.extend((1..=64).map(|i| FnEvent {
@@ -250,6 +270,8 @@ fn batch64(row: &str, mut engine: MonitorEngine) -> Timed<'static> {
         }));
         now += Nanos::from_micros(64);
         engine.on_function_batch(black_box("decide"), black_box(&batch));
+        engine.drain_commands_into(&mut commands);
+        commands.clear();
     })
 }
 
@@ -258,8 +280,13 @@ fn batch64(row: &str, mut engine: MonitorEngine) -> Timed<'static> {
 /// batch, and the `e2.vm_*` row beside it runs the same rule program alone
 /// on the same inputs, so the engine's share (dispatch amortised over the
 /// batch, the enable check, the counts, hysteresis) is the difference.
-/// Then one row where every evaluation violates and its `RECORD` action
-/// runs: the violation path of the ingestion workload.
+/// Then one row per action kind where every evaluation violates and its one
+/// action runs: `RECORD` is the violation path of the ingestion workload.
+/// `REPLACE` targets a slot the registry holds, to a variant it holds, and
+/// `RETRAIN` asks a limiter that accepts every request, so neither row times
+/// a failure or rejection path. After the check-up violation the variant is
+/// already active, so the `REPLACE` row times the path every repeated
+/// violation takes: the slot's lookup and compare, with no write.
 fn e1_eval_by_shape() -> Vec<Timed<'static>> {
     let mut rows = Vec::new();
     for (shape, rule) in [
@@ -292,13 +319,35 @@ fn e1_eval_by_shape() -> Vec<Timed<'static>> {
             black_box(vm.run(black_box(&program), ctx).as_bool());
         }));
     }
-    let mut engine = MonitorEngine::new();
-    engine
-        .install_str(
-            "guardrail oversized { trigger: { FUNCTION(decide) }, rule: { ARG(0) <= 256 }, action: { RECORD(oversized, 1) } }",
-        )
-        .expect("violating monitor installs");
-    rows.push(batch64("e1.violation_record_per_event", engine));
+    for (kind, action) in [
+        ("record", "RECORD(oversized, 1)"),
+        ("report", "REPORT(\"oversized\", x)"),
+        ("replace", "REPLACE(io_policy, fallback)"),
+        ("retrain", "RETRAIN(io_model)"),
+        ("deprioritize", "DEPRIORITIZE(heaviest, 5)"),
+    ] {
+        let mut engine = MonitorEngine::new();
+        engine
+            .install_str(&format!(
+                "guardrail oversized {{ trigger: {{ FUNCTION(decide) }}, rule: {{ ARG(0) <= 256 }}, action: {{ {action} }} }}"
+            ))
+            .expect("violating monitor installs");
+        engine
+            .registry()
+            .register("io_policy", &["learned", "fallback"])
+            .expect("slot registers");
+        engine.set_retrain_limiter(RetrainLimiter::new(Nanos::ZERO, usize::MAX, Nanos::ZERO));
+        // One violation first: the action ran, and no notice says it failed.
+        engine.on_function("decide", Nanos::ZERO, &[512.0]);
+        let emits = matches!(kind, "retrain" | "deprioritize");
+        assert_eq!(engine.stats().commands_emitted, u64::from(emits), "{kind}");
+        assert_eq!(
+            engine.reports().count(),
+            usize::from(kind == "report"),
+            "{kind}"
+        );
+        rows.push(batch64(&format!("e1.violation_{kind}_per_event"), engine));
+    }
     rows
 }
 

@@ -5,7 +5,7 @@
 //! 1. **Overhead**: the shared ingestion workload ([`gr_bench::ingest`],
 //!    seed `0xE12`: 100k events, 256-event batches, four monitors on the
 //!    hot hook) runs with and without a
-//!    [`Telemetry`] bundle attached. Runs are interleaved and the best of
+//!    [`Telemetry`] attached. Runs are interleaved and the best of
 //!    five kept, and the whole measurement is repeated (up to five
 //!    attempts, keeping the lowest overhead seen) when a noisy scheduler
 //!    inflates it — noise only ever *adds* wall time, so the minimum over

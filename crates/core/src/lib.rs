@@ -27,8 +27,8 @@
 //!    counters, EWMA, and histograms (§4.3).
 //! 6. [`props`] — synthesized guardrail templates for the paper's property
 //!    taxonomy P1–P6 (Figure 1).
-//! 7. [`telemetry`] — the runtime's own observability: a metrics registry
-//!    and self-monitoring via the reserved `__telemetry/` feature-store
+//! 7. [`telemetry`] — the runtime's own observability: batch counts and a
+//!    wall-time histogram beside the monitors' accounts, and self-monitoring via the reserved `__telemetry/` feature-store
 //!    namespace (property P5 over the monitor collection itself).
 //!
 //! # Examples

@@ -166,8 +166,8 @@ pub struct MonitorEngine {
     /// Every decision, recorded once.
     events: EventLog,
     vm: Vm,
-    /// Each subscriber's evaluation count when a batch's clock started,
-    /// reused from batch to batch.
+    /// Each watched monitor's evaluation count when a timed section's
+    /// clock started, reused from section to section.
     evals_before: Vec<u64>,
     now: Nanos,
     /// The summed accounts of uninstalled monitors.
@@ -176,10 +176,10 @@ pub struct MonitorEngine {
     /// Dynamic per-evaluation rule fuel budget (fault-injection knob; the
     /// verifier's static bound still applies regardless).
     rule_fuel_limit: Option<u64>,
-    /// Optional observability bundle: the registry's own metrics. `None`
-    /// (the default) costs one pointer-is-none check per site; counting and
-    /// the decision stream do not depend on it.
-    telemetry: Option<Arc<Telemetry>>,
+    /// Optional telemetry: batch counts and the timed sections' wall-time
+    /// histogram. `None` (the default) costs one is-none check per timed
+    /// section; counting and the decision stream do not depend on it.
+    telemetry: Option<Telemetry>,
     /// When set, `advance_to` republishes telemetry into the store's
     /// reserved namespace at this cadence (default off: published values
     /// include wall time, which deterministic hosts must opt into).
@@ -225,9 +225,9 @@ impl MonitorEngine {
         }
     }
 
-    /// Attaches an observability bundle. Registry metrics are recorded from
-    /// this point on.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
+    /// Attaches telemetry, which the engine records into from this point
+    /// on.
+    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = Some(telemetry);
     }
 
@@ -412,14 +412,25 @@ impl MonitorEngine {
     /// Advances simulated time to `now`, evaluating every timer that comes
     /// due on the way (in timestamp order) and servicing any backoff-scheduled
     /// `RETRAIN` retries that come due alongside them.
+    ///
+    /// The ticks of one call are timed as one section, like a batch: the
+    /// clock is read only when some tick is due.
     pub fn advance_to(&mut self, now: Nanos) {
-        while let Some((due, midx, tidx)) = self.next_tick().filter(|&(due, ..)| due <= now) {
-            self.now = due;
-            self.service_retrain_retries(due);
-            self.evaluate(midx, due, &[], TriggerRef::Timer);
-            let m = &mut self.monitors[midx];
-            let timer = m.compiled.timers[tidx];
-            m.state.next_due[tidx] = Some(due + timer.interval).filter(|&next| next <= timer.stop);
+        let due_by = |tick: &(Nanos, usize, usize)| tick.0 <= now;
+        if let Some(first) = self.next_tick().filter(due_by) {
+            self.timed(0..self.monitors.len(), |engine| {
+                let mut tick = Some(first);
+                while let Some((due, midx, tidx)) = tick {
+                    engine.now = due;
+                    engine.service_retrain_retries(due);
+                    engine.evaluate_inner(midx, due, &[], TriggerRef::Timer);
+                    let m = &mut engine.monitors[midx];
+                    let timer = m.compiled.timers[tidx];
+                    m.state.next_due[tidx] =
+                        Some(due + timer.interval).filter(|&next| next <= timer.stop);
+                    tick = engine.next_tick().filter(due_by);
+                }
+            });
         }
         self.now = self.now.max(now);
         self.service_retrain_retries(self.now);
@@ -508,11 +519,11 @@ impl MonitorEngine {
     /// Semantically identical to calling [`MonitorEngine::on_function`] once
     /// per event in order — the decision stream and store effects are
     /// bit-identical — but the hook is resolved through the dispatch index
-    /// once, the wall clock is read twice per *batch* instead of twice per
-    /// evaluation, and no per-event allocations occur. The measured batch
-    /// wall time is apportioned across the evaluating monitors by their
-    /// evaluation counts (the shares sum to exactly the measured time;
-    /// modelled fuel accounting is exact either way).
+    /// once, the batch is timed as one section instead of one per event,
+    /// and no per-event allocations occur. The measured batch wall time is
+    /// apportioned across the evaluating monitors by their evaluation
+    /// counts (the shares sum to exactly the measured time; modelled fuel
+    /// accounting is exact either way).
     pub fn on_function_batch(&mut self, hook: &str, events: &[FnEvent<'_>]) {
         if events.is_empty() {
             return;
@@ -528,47 +539,69 @@ impl MonitorEngine {
             self.now = self.now.max(last);
             return;
         };
-        let mut evals_before = std::mem::take(&mut self.evals_before);
-        evals_before.clear();
-        evals_before.extend(
-            subscribers
-                .iter()
-                .map(|&m| self.monitors[m].state.account.evaluations),
-        );
-        if let Some(t) = &self.telemetry {
-            t.m.batches.inc();
-            t.m.batch_events.add(events.len() as u64);
+        if let Some(t) = &mut self.telemetry {
+            t.batches += 1;
+            t.batch_events += events.len() as u64;
         }
-        let started = std::time::Instant::now();
-        for event in events {
-            self.now = self.now.max(event.now);
-            for &midx in &subscribers {
-                self.evaluate_inner(midx, event.now, event.args, TriggerRef::Function(&hook));
+        self.timed(subscribers.iter().copied(), |engine| {
+            for event in events {
+                engine.now = engine.now.max(event.now);
+                for &midx in &subscribers {
+                    engine.evaluate_inner(midx, event.now, event.args, TriggerRef::Function(&hook));
+                }
             }
-        }
-        let wall_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        if let Some(t) = &self.telemetry {
-            t.m.eval_wall_hist.observe(wall_ns);
-        }
-        self.apportion_wall(&subscribers, &evals_before, wall_ns);
-        self.evals_before = evals_before;
+        });
         self.hooks.insert(hook, subscribers);
     }
 
-    /// Charges `wall_ns` to the monitors in `subscribers` in proportion to
-    /// the evaluations each ran since `evals_before` (its evaluation count
-    /// when the clock started). The shares sum to exactly `wall_ns`: the
-    /// rounding remainder goes to the last monitor that evaluated. Charges
-    /// nothing when none evaluated.
-    fn apportion_wall(&mut self, subscribers: &[usize], evals_before: &[u64], wall_ns: u64) {
+    /// The engine's one timing site: reads the wall clock around `section`,
+    /// adds one sample to the telemetry histogram if one of the `watched`
+    /// monitors evaluated in it, and charges the measured time to those that
+    /// did (see [`Self::apportion_wall`]). `watched` holds every monitor
+    /// `section` may evaluate: a hook's subscribers for a batch, all
+    /// monitors for timer ticks.
+    fn timed(
+        &mut self,
+        watched: impl Iterator<Item = usize> + Clone,
+        section: impl FnOnce(&mut Self),
+    ) {
+        let mut evals_before = std::mem::take(&mut self.evals_before);
+        evals_before.clear();
+        evals_before.extend(
+            watched
+                .clone()
+                .map(|midx| self.monitors[midx].state.account.evaluations),
+        );
+        let started = std::time::Instant::now();
+        section(self);
+        let wall_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        if self.apportion_wall(watched, &evals_before, wall_ns) {
+            if let Some(t) = &mut self.telemetry {
+                t.eval_wall_ns.observe(wall_ns as f64);
+            }
+        }
+        self.evals_before = evals_before;
+    }
+
+    /// Charges `wall_ns` to the `watched` monitors in proportion to the
+    /// evaluations each ran since `evals_before` (its evaluation count when
+    /// the clock started). The shares sum to exactly `wall_ns`: the rounding
+    /// remainder goes to the last monitor that evaluated. Charges nothing,
+    /// and returns `false`, when none evaluated.
+    fn apportion_wall(
+        &mut self,
+        watched: impl Iterator<Item = usize> + Clone,
+        evals_before: &[u64],
+        wall_ns: u64,
+    ) -> bool {
         let share_of = |m: &Monitor, before: u64| m.state.account.evaluations - before;
-        let evaluated: u64 = subscribers
-            .iter()
+        let evaluated: u64 = watched
+            .clone()
             .zip(evals_before)
-            .map(|(&m, &before)| share_of(&self.monitors[m], before))
+            .map(|(midx, &before)| share_of(&self.monitors[midx], before))
             .sum();
         let (mut evals_left, mut wall_left) = (evaluated, wall_ns);
-        for (&midx, &before) in subscribers.iter().zip(evals_before) {
+        for (midx, &before) in watched.zip(evals_before) {
             let monitor = &mut self.monitors[midx];
             let share = share_of(monitor, before);
             if share == 0 {
@@ -583,30 +616,20 @@ impl MonitorEngine {
             wall_left -= charge;
             monitor.state.account.wall_ns += charge;
         }
-    }
-
-    /// Timer-path evaluation wrapper: measures wall time around one
-    /// evaluation (the batch path measures once per batch instead).
-    fn evaluate(&mut self, midx: usize, now: Nanos, args: &[f64], trigger: TriggerRef<'_>) {
-        let evals_before = self.monitors[midx].state.account.evaluations;
-        let started = std::time::Instant::now();
-        self.evaluate_inner(midx, now, args, trigger);
-        let wall_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        if let Some(t) = &self.telemetry {
-            if self.monitors[midx].state.account.evaluations > evals_before {
-                t.m.eval_wall_hist.observe(wall_ns);
-            }
-        }
-        self.apportion_wall(&[midx], &[evals_before], wall_ns);
+        evaluated > 0
     }
 
     /// One evaluation's hot path, inlined into the batch loop and the timer
-    /// path: the enable check, each rule through the VM, the counts, and a
-    /// healthy outcome into the hysteresis window. A disabled monitor's
-    /// probation, a fault and a violation are handled out of line.
+    /// loop: the enable check, each rule through the VM, the counts, and a
+    /// healthy outcome into the hysteresis window. The end of a disabled
+    /// monitor's probation, a fault and a violation are handled out of
+    /// line.
     #[inline(always)]
     fn evaluate_inner(&mut self, midx: usize, now: Nanos, args: &[f64], trigger: TriggerRef<'_>) {
-        if !self.monitors[midx].state.enabled && !self.end_probation(midx, now) {
+        // Only a monitor on probation can end it: a flag test, not a call,
+        // for one switched off by `set_enabled(false)`.
+        let state = &self.monitors[midx].state;
+        if !(state.enabled || (state.probation_until.is_some() && self.end_probation(midx, now))) {
             return;
         }
         let Monitor {
@@ -642,8 +665,8 @@ impl MonitorEngine {
                 }
             }
         }
-        // Wall time is charged by the caller (per evaluation on the timer
-        // path, per batch on the function path); fuel is charged here.
+        // Wall time is charged per timed section (`timed`); fuel is
+        // charged here.
         state.account.evaluations += 1;
         state.account.rule_fuel += fuel;
 
@@ -1020,7 +1043,9 @@ impl MonitorEngine {
 
     /// Publishes the attached telemetry into the feature store's reserved
     /// `__telemetry/` namespace:
-    /// - every registry metric (see [`Telemetry::publish_registry`]);
+    /// - the [`Telemetry`] fields under `__telemetry/engine/{batches,
+    ///   batch_events}` and `__telemetry/engine/eval_wall_ns_hist/{count,
+    ///   sum,p50,p95,p99}`;
     /// - the sum of the monitors' accounts under
     ///   `__telemetry/engine/{evaluations,violations,trips,rule_fuel,
     ///   action_fuel,eval_wall_ns}` and `__telemetry/actions/<kind>`;
@@ -1041,10 +1066,21 @@ impl MonitorEngine {
         };
         // Read before this publish adds its own writes.
         let saves = self.store.saves_total();
-        t.publish_registry(&self.store);
         let save = |name: &str, value: f64| {
             self.store.save(&format!("{RESERVED_PREFIX}{name}"), value);
         };
+        let hist = &t.eval_wall_ns;
+        for (name, value) in [
+            ("engine/batches", t.batches as f64),
+            ("engine/batch_events", t.batch_events as f64),
+            ("engine/eval_wall_ns_hist/count", hist.count() as f64),
+            ("engine/eval_wall_ns_hist/sum", hist.sum()),
+            ("engine/eval_wall_ns_hist/p50", hist.quantile(0.50)),
+            ("engine/eval_wall_ns_hist/p95", hist.quantile(0.95)),
+            ("engine/eval_wall_ns_hist/p99", hist.quantile(0.99)),
+        ] {
+            save(name, value);
+        }
         let sum = self.account_sum();
         for (name, value) in [
             ("engine/evaluations", sum.evaluations),
@@ -1110,7 +1146,7 @@ impl MonitorEngine {
     /// returns — never mid-dispatch. The capture is recorded in the
     /// decision stream.
     pub fn checkpoint(&mut self) -> EngineCheckpoint {
-        self.record_checkpoint();
+        self.events.record(self.now, None, EventKind::Checkpoint);
         EngineCheckpoint {
             now: self.now,
             slots: self.registry.active_variants(),
@@ -1131,12 +1167,12 @@ impl MonitorEngine {
 
     /// Writes the GRCP2 encoding of [`MonitorEngine::checkpoint`] into
     /// `out`, replacing its contents: the bytes `checkpoint().encode()`
-    /// returns, recorded in the decision stream and telemetry the same way,
+    /// returns, recorded in the decision stream the same way,
     /// but without copying any monitor's state or any name. A host that
     /// checkpoints periodically keeps one buffer and allocates only while
     /// it grows.
     pub fn checkpoint_into(&mut self, out: &mut Vec<u8>) {
-        self.record_checkpoint();
+        self.events.record(self.now, None, EventKind::Checkpoint);
         let monitors = self
             .monitors
             .iter()
@@ -1144,14 +1180,6 @@ impl MonitorEngine {
         self.registry.with_active_variants(|slots| {
             checkpoint::encode_into(out, self.now, &self.retired, slots, monitors);
         });
-    }
-
-    /// Counts and records a checkpoint capture.
-    fn record_checkpoint(&mut self) {
-        if let Some(t) = &self.telemetry {
-            t.m.checkpoints.inc();
-        }
-        self.events.record(self.now, None, EventKind::Checkpoint);
     }
 
     /// Restores a checkpoint into this engine, all or nothing: on `Err`
@@ -1196,9 +1224,6 @@ impl MonitorEngine {
             for (due, timer) in m.state.next_due.iter_mut().zip(&m.compiled.timers) {
                 *due = due.and_then(|anchor| state::first_tick_after(anchor, timer, now));
             }
-        }
-        if let Some(t) = &self.telemetry {
-            t.m.restores.inc();
         }
         self.events.record(self.now, None, EventKind::Restart);
         Ok(())
@@ -1940,9 +1965,8 @@ guardrail low-false-submit {
 
     #[test]
     fn telemetry_counters_and_the_stream_follow_the_engine() {
-        let t = Telemetry::new();
         let mut engine = MonitorEngine::new();
-        engine.set_telemetry(Arc::clone(&t));
+        engine.set_telemetry(Telemetry::new());
         engine.install_str(LISTING_2).unwrap();
         let store = engine.store();
         store.save("false_submit_rate", 0.2); // Always violating.
@@ -1980,11 +2004,9 @@ guardrail low-false-submit {
             plain.events().export_json_lines(),
             engine.events().export_json_lines()
         );
-        // Checkpoint and restore record their own engine events and count.
+        // Checkpoint and restore record their own engine events.
         let checkpoint = engine.checkpoint();
         engine.restore(&checkpoint).unwrap();
-        assert_eq!(t.m.checkpoints.get(), 1);
-        assert_eq!(t.m.restores.get(), 1);
         let tail: Vec<(Option<&str>, &EventKind)> = engine
             .events()
             .iter()
@@ -2079,23 +2101,28 @@ guardrail low-false-submit {
         }
         // 3 evaluations share 100 ns: 33 to the first, the remainder (67)
         // to the last monitor that evaluated, nothing to the idle one.
-        engine.apportion_wall(&[0, 1, 2], &[0, 0, 0], 100);
-        let wall: Vec<u64> = engine
-            .monitors
-            .iter()
-            .map(|m| m.state.account.wall_ns)
-            .collect();
-        assert_eq!(wall, [33, 0, 67]);
+        assert!(engine.apportion_wall(0..3, &[0, 0, 0], 100));
+        let wall = |engine: &MonitorEngine| -> Vec<u64> {
+            engine
+                .monitors
+                .iter()
+                .map(|m| m.state.account.wall_ns)
+                .collect()
+        };
+        assert_eq!(wall(&engine), [33, 0, 67]);
         // No evaluations since the clock started: nothing is charged.
-        engine.apportion_wall(&[0, 1, 2], &[1, 0, 2], 1_000);
+        assert!(!engine.apportion_wall(0..3, &[1, 0, 2], 1_000));
         assert_eq!(engine.stats().eval_wall_ns, 100);
+        // Only watched monitors are charged: the first evaluated too, but
+        // the section watched the last alone.
+        assert!(engine.apportion_wall([2].into_iter(), &[1], 10));
+        assert_eq!(wall(&engine), [33, 0, 77]);
     }
 
     #[test]
     fn publish_telemetry_exposes_loadable_reserved_keys() {
-        let t = Telemetry::new();
         let mut engine = MonitorEngine::new();
-        engine.set_telemetry(Arc::clone(&t));
+        engine.set_telemetry(Telemetry::new());
         engine.install_str(LISTING_2).unwrap();
         let store = engine.store();
         store.save("false_submit_rate", 0.2);
@@ -2109,10 +2136,10 @@ guardrail low-false-submit {
         published.sort();
         let mut expected: Vec<String> = "actions/deprioritize actions/record actions/replace \
              actions/report actions/retrain actions/save engine/action_fuel engine/batch_events \
-             engine/batches engine/checkpoints events/overwritten events/recorded engine/eval_wall_ns engine/eval_wall_ns_hist/count \
+             engine/batches events/overwritten events/recorded engine/eval_wall_ns engine/eval_wall_ns_hist/count \
              engine/eval_wall_ns_hist/p50 engine/eval_wall_ns_hist/p95 \
              engine/eval_wall_ns_hist/p99 engine/eval_wall_ns_hist/sum engine/evaluations \
-             engine/restores engine/rule_fuel engine/trips engine/violations \
+             engine/rule_fuel engine/trips engine/violations \
              guardrail/low-false-submit/action_fuel guardrail/low-false-submit/evaluations \
              guardrail/low-false-submit/modeled_ns guardrail/low-false-submit/overhead_fraction \
              guardrail/low-false-submit/rule_fuel guardrail/low-false-submit/wall_ns store/saves"

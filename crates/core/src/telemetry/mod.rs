@@ -11,13 +11,11 @@
 //!    Engine-wide figures — [`crate::monitor::MonitorEngine::stats`],
 //!    [`crate::monitor::MonitorEngine::telemetry_snapshot`] and the
 //!    published `__telemetry/engine/*` and `actions/*` keys — are sums of
-//!    those accounts, read on demand. A metrics registry
-//!    ([`MetricsRegistry`]) of counters and fixed log-scale-bucket
-//!    histograms holds only what telemetry itself measures
-//!    ([`EngineMetrics`]): batches, batch events, the eval-wall-time
-//!    histogram, checkpoints and restores.
+//!    those accounts, read on demand. [`Telemetry`] holds only what the
+//!    accounts cannot: how many batches and batch events arrived, and the
+//!    distribution of the engine's timed sections.
 //! 2. **Self-monitoring**: [`crate::monitor::MonitorEngine::publish_telemetry`]
-//!    writes the metrics into the feature store under the reserved
+//!    writes these figures into the feature store under the reserved
 //!    `__telemetry/` namespace, so a guardrail spec can `LOAD` them — the
 //!    worked "overhead guardrail" (`examples/overhead_guardrail.rs`)
 //!    `REPORT`s and `DEPRIORITIZE`s a monitor whose own P5 overhead exceeds
@@ -32,19 +30,12 @@
 //! replay refuses to resurrect them into user state (see
 //! [`crate::store::durable`]).
 //!
-//! Everything on the hot path is allocation-free and the per-evaluation
-//! path is atomic-free: counting is a plain `+=` on the monitor's account,
-//! the same with telemetry attached or not. Registry updates happen once per
-//! entry point (once per batch, not once per event), and histogram observes
-//! are a shift plus two adds.
+//! Counting is a plain `+=` on the monitor's account, the same with
+//! telemetry attached or not. [`Telemetry`] is a plain value the engine
+//! owns, written once per timed section (a batch, or the timer ticks one
+//! `advance_to` runs), never per evaluation.
 
-pub mod metrics;
-
-use std::sync::Arc;
-
-pub use metrics::{Counter, LogHistogram, MetricValue, MetricsRegistry, HIST_BUCKETS};
-
-use crate::store::FeatureStore;
+use crate::store::histogram::Histogram;
 
 /// Prefix of the reserved self-monitoring namespace in the feature store.
 pub const RESERVED_PREFIX: &str = "__telemetry/";
@@ -99,38 +90,6 @@ impl ActionKind {
     }
 }
 
-/// Pre-registered metric handles for what telemetry itself measures.
-///
-/// Handles are `Arc`s shared with the owning [`MetricsRegistry`], so the
-/// engine records with one relaxed atomic op per entry point and the
-/// registry still sees every metric at export time. Evaluation, fuel and
-/// action counts are not here: they live on the monitors' accounts.
-#[derive(Debug)]
-pub struct EngineMetrics {
-    /// Batches ingested via `on_function_batch`.
-    pub batches: Arc<Counter>,
-    /// Events ingested across all batches.
-    pub batch_events: Arc<Counter>,
-    /// Wall-time distribution, one sample per timer evaluation or batch.
-    pub eval_wall_hist: Arc<LogHistogram>,
-    /// Engine checkpoints captured.
-    pub checkpoints: Arc<Counter>,
-    /// Engine restores (supervised restarts).
-    pub restores: Arc<Counter>,
-}
-
-impl EngineMetrics {
-    fn register(registry: &MetricsRegistry) -> Self {
-        EngineMetrics {
-            batches: registry.counter("engine/batches"),
-            batch_events: registry.counter("engine/batch_events"),
-            eval_wall_hist: registry.histogram("engine/eval_wall_ns_hist"),
-            checkpoints: registry.counter("engine/checkpoints"),
-            restores: registry.counter("engine/restores"),
-        }
-    }
-}
-
 /// A deterministic summary of the engine's counters, read with
 /// [`crate::monitor::MonitorEngine::telemetry_snapshot`].
 ///
@@ -154,58 +113,24 @@ pub struct TelemetrySnapshot {
     pub actions: [u64; 6],
 }
 
-/// The telemetry bundle a host attaches to an engine: one registry and the
-/// pre-registered engine handles.
-#[derive(Debug)]
+/// What telemetry measures beside the monitors' accounts, owned by the
+/// engine it is attached to ([`crate::monitor::MonitorEngine::set_telemetry`])
+/// and read through [`crate::monitor::MonitorEngine::publish_telemetry`].
+#[derive(Debug, Default)]
 pub struct Telemetry {
-    registry: MetricsRegistry,
-    /// Recording handles (hot-path side).
-    pub m: EngineMetrics,
+    /// Batches ingested via `on_function_batch` by a hook with subscribers.
+    pub(crate) batches: u64,
+    /// Events ingested across those batches.
+    pub(crate) batch_events: u64,
+    /// Wall time of the engine's timed sections, in nanoseconds: one sample
+    /// per batch or per `advance_to` call in which some monitor evaluated.
+    pub(crate) eval_wall_ns: Histogram,
 }
 
 impl Telemetry {
-    /// Creates a telemetry bundle.
-    pub fn new() -> Arc<Self> {
-        let registry = MetricsRegistry::new();
-        let m = EngineMetrics::register(&registry);
-        Arc::new(Telemetry { registry, m })
-    }
-
-    /// Publishes every registered metric into `store` under the reserved
-    /// `__telemetry/` namespace (`__telemetry/<metric-name>` for scalars,
-    /// `.../{count,sum,p50,p95,p99}` for histograms). Reserved keys skip the
-    /// write-ahead journal, so publishing is cheap and never pollutes durable
-    /// state.
-    pub fn publish_registry(&self, store: &FeatureStore) {
-        let mut key = String::with_capacity(64);
-        for (name, value) in self.registry.snapshot() {
-            key.clear();
-            key.push_str(RESERVED_PREFIX);
-            key.push_str(name);
-            match value {
-                MetricValue::Counter(v) => store.save(&key, v as f64),
-                MetricValue::Histogram {
-                    count,
-                    sum,
-                    p50,
-                    p95,
-                    p99,
-                } => {
-                    let base = key.len();
-                    for (suffix, v) in [
-                        ("/count", count),
-                        ("/sum", sum),
-                        ("/p50", p50),
-                        ("/p95", p95),
-                        ("/p99", p99),
-                    ] {
-                        key.truncate(base);
-                        key.push_str(suffix);
-                        store.save(&key, v as f64);
-                    }
-                }
-            }
-        }
+    /// Creates empty telemetry.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -220,24 +145,6 @@ mod tests {
         assert!(!is_reserved("__telemetry")); // No trailing slash: user key.
         assert!(!is_reserved("false_submit_rate"));
         assert!(!is_reserved(""));
-    }
-
-    #[test]
-    fn publish_writes_reserved_keys() {
-        let t = Telemetry::new();
-        t.m.batches.add(7);
-        t.m.eval_wall_hist.observe(100);
-        let store = FeatureStore::new();
-        t.publish_registry(&store);
-        assert_eq!(store.load("__telemetry/engine/batches"), Some(7.0));
-        assert_eq!(
-            store.load("__telemetry/engine/eval_wall_ns_hist/count"),
-            Some(1.0)
-        );
-        // Publishing is repeatable (overwrite-in-place).
-        t.m.batches.inc();
-        t.publish_registry(&store);
-        assert_eq!(store.load("__telemetry/engine/batches"), Some(8.0));
     }
 
     #[test]

@@ -183,7 +183,7 @@ fn observe(engine: &MonitorEngine) -> Observable {
 /// accounts as its stats (wall time included) and telemetry snapshot, and
 /// that the monitors' wall-time shares add up to the wall time the engine
 /// measured: the published account sum equals the published sum of the
-/// registry's wall-time histogram. Publishing writes reserved keys into the
+/// telemetry's wall-time histogram. Publishing writes reserved keys into the
 /// store, so call this after comparing store contents.
 fn check_counts_are_account_sums(engine: &MonitorEngine) {
     let mut sum = OverheadAccount::default();

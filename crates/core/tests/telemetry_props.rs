@@ -1,96 +1,130 @@
-//! Property and invariant tests for the telemetry layer: log-histogram
-//! bucket monotonicity and the reserved `__telemetry/` namespace's
-//! durability contract — observations are process-lifetime state and must
-//! never be journaled, snapshotted, or replayed back into user state.
+//! Tests for the telemetry layer: the wall-time histogram agrees with the
+//! accounts it sits beside, and the reserved `__telemetry/` namespace's
+//! durability contract holds — observations are process-lifetime state and
+//! must never be journaled, snapshotted, or replayed back into user state.
 
 use std::sync::Arc;
 
+use guardrails::monitor::engine::FnEvent;
 use guardrails::store::durable::{
     DurabilityConfig, DurableStore, MemBackend, PersistBackend, Region,
 };
 use guardrails::store::snapshot::Snapshot;
 use guardrails::store::wal::{encode_frame, WalRecord};
-use guardrails::telemetry::{is_reserved, LogHistogram, Telemetry};
+use guardrails::telemetry::{is_reserved, Telemetry};
 use guardrails::{MonitorEngine, PolicyRegistry};
-use proptest::collection::vec;
-use proptest::prelude::*;
 use simkernel::Nanos;
 
 // ---------------------------------------------------------------------------
-// Log-scale histogram.
+// Wall time: one histogram sample per timed section in which a monitor
+// evaluated, and the samples add up to the time charged to the accounts.
 // ---------------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The bucket index is monotone in the sample value — the property the
-    /// quantile estimator relies on to binary-search-by-scan. (Shifting by
-    /// a generated amount spreads samples across all 64 magnitudes.)
-    #[test]
-    fn histogram_bucket_index_is_monotone(
-        a in 0u64..1 << 16,
-        b in 0u64..1 << 16,
-        shift in 0u32..48,
-    ) {
-        let (a, b) = (a << shift, b << shift);
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        prop_assert!(LogHistogram::bucket_index(lo) <= LogHistogram::bucket_index(hi));
-    }
-
-    /// Every sample is bounded above by its bucket's upper bound and lies
-    /// strictly above the previous bucket's upper bound: buckets partition
-    /// the `u64` line with no gaps and no overlaps.
-    #[test]
-    fn histogram_buckets_partition_the_value_line(
-        raw in 0u64..1 << 16,
-        shift in 0u32..48,
-    ) {
-        let value = raw << shift;
-        let index = LogHistogram::bucket_index(value);
-        prop_assert!(value <= LogHistogram::bucket_upper_bound(index));
-        if index > 0 {
-            prop_assert!(value > LogHistogram::bucket_upper_bound(index - 1));
-        }
-    }
-
-    /// Quantiles are monotone in `q`, bound the extremes, and never lose a
-    /// sample: count and sum reproduce the inputs exactly.
-    #[test]
-    fn histogram_quantiles_are_monotone_and_bounding(
-        samples in vec(0u64..1 << 40, 1..64),
-        q1 in 0.0f64..1.0,
-        q2 in 0.0f64..1.0,
-    ) {
-        let hist = LogHistogram::new();
-        for &s in &samples {
-            hist.observe(s);
-        }
-        prop_assert_eq!(hist.count(), samples.len() as u64);
-        prop_assert_eq!(hist.sum(), samples.iter().sum::<u64>());
-        let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-        prop_assert!(hist.quantile(lo) <= hist.quantile(hi));
-        let max = *samples.iter().max().unwrap();
-        let min = *samples.iter().min().unwrap();
-        // The top quantile's bucket bound dominates every sample; the
-        // bottom quantile cannot exceed the smallest sample's bucket bound.
-        prop_assert!(hist.quantile(1.0) >= max);
-        prop_assert!(
-            hist.quantile(0.0) <= LogHistogram::bucket_upper_bound(
-                LogHistogram::bucket_index(min)
-            )
-        );
-    }
+/// Publishes `engine`'s telemetry and returns the published
+/// `(eval_wall_ns, eval_wall_ns_hist/count, eval_wall_ns_hist/sum)`.
+fn published_wall(engine: &MonitorEngine) -> (f64, f64, f64) {
+    engine.publish_telemetry();
+    let load = |key: &str| {
+        engine
+            .store()
+            .load(&format!("__telemetry/engine/{key}"))
+            .unwrap_or_else(|| panic!("{key} was published"))
+    };
+    (
+        load("eval_wall_ns"),
+        load("eval_wall_ns_hist/count"),
+        load("eval_wall_ns_hist/sum"),
+    )
 }
 
-/// The extreme magnitudes the range strategies above cannot reach.
+/// Events delivered only to a disabled monitor evaluate nothing, so they
+/// add no histogram sample and charge no account: the published wall time
+/// still equals the histogram's sum.
 #[test]
-fn histogram_bucket_edges_at_u64_extremes() {
-    assert_eq!(LogHistogram::bucket_index(0), 0);
-    assert_eq!(LogHistogram::bucket_index(u64::MAX), 64);
-    assert_eq!(LogHistogram::bucket_index(1u64 << 63), 64);
-    assert_eq!(LogHistogram::bucket_index((1u64 << 63) - 1), 63);
-    assert_eq!(LogHistogram::bucket_upper_bound(64), u64::MAX);
-    assert!(u64::MAX > LogHistogram::bucket_upper_bound(63));
+fn batches_to_disabled_monitors_add_no_wall_sample() {
+    let mut engine = MonitorEngine::new();
+    engine.set_telemetry(Telemetry::new());
+    engine
+        .install_str(
+            "guardrail g { trigger: { FUNCTION(io_submit) }, rule: { ARG(0) < 4096 }, action: { RECORD(big, 1) } }",
+        )
+        .expect("spec installs");
+    engine.on_function("io_submit", Nanos::from_micros(1), &[512.0]);
+    engine.set_enabled("g", false).unwrap();
+    for i in 2..1_002 {
+        engine.on_function("io_submit", Nanos::from_micros(i), &[512.0]);
+    }
+    assert_eq!(engine.stats().evaluations, 1);
+    let (wall, count, sum) = published_wall(&engine);
+    assert_eq!(count, 1.0, "only the batch that evaluated is a sample");
+    assert_eq!(wall, sum);
+}
+
+/// One `advance_to` that runs several ticks of two timer monitors is one
+/// timed section: one histogram sample, equal to the wall time the two
+/// accounts were charged.
+#[test]
+fn one_advance_over_many_ticks_is_one_wall_sample() {
+    let mut engine = MonitorEngine::new();
+    engine.set_telemetry(Telemetry::new());
+    engine
+        .install_str(
+            "guardrail fast { trigger: { TIMER(0, 100ms) }, rule: { LOAD(x) < 1 }, action: { SAVE(y, 1) } }
+             guardrail slow { trigger: { TIMER(50ms, 300ms) }, rule: { LOAD(x) > 1 }, action: { RECORD(z, 1) } }",
+        )
+        .expect("specs install");
+    engine.advance_to(Nanos::from_secs(1));
+    let reports = engine.overhead_reports();
+    assert_eq!(reports[0].account.evaluations, 11, "0, 100, ..., 1000 ms");
+    assert_eq!(reports[1].account.evaluations, 4, "50, 350, 650, 950 ms");
+    let (wall, count, sum) = published_wall(&engine);
+    assert_eq!(count, 1.0, "one sample for the call's fifteen ticks");
+    assert_eq!(wall, sum);
+    // A call in which no tick is due adds nothing.
+    engine.advance_to(Nanos::from_millis(1_050));
+    assert_eq!(published_wall(&engine), (wall, count, sum));
+}
+
+/// Publishing writes the batch counts under their fixed names, and
+/// publishing again overwrites them in place.
+#[test]
+fn publish_writes_reserved_keys() {
+    let mut engine = MonitorEngine::new();
+    engine.set_telemetry(Telemetry::new());
+    engine
+        .install_str(
+            "guardrail g { trigger: { FUNCTION(io_submit) }, rule: { ARG(0) < 4096 }, action: { RECORD(big, 1) } }",
+        )
+        .expect("spec installs");
+    let deliver = |engine: &mut MonitorEngine, first: u64, len: u64| {
+        let events: Vec<FnEvent<'_>> = (first..first + len)
+            .map(|i| FnEvent {
+                now: Nanos::from_micros(i),
+                args: &[512.0],
+            })
+            .collect();
+        engine.on_function_batch("io_submit", &events);
+    };
+    // Seven batches of 1..=7 events: 28 in all. A hook nothing subscribes
+    // to counts neither.
+    for len in 1..=7 {
+        deliver(&mut engine, len * 10, len);
+    }
+    engine.on_function("unsubscribed", Nanos::from_micros(100), &[512.0]);
+    let load = |engine: &MonitorEngine, key: &str| {
+        engine.store().load(&format!("__telemetry/engine/{key}"))
+    };
+    engine.publish_telemetry();
+    assert_eq!(load(&engine, "batches"), Some(7.0));
+    assert_eq!(load(&engine, "batch_events"), Some(28.0));
+    assert_eq!(load(&engine, "eval_wall_ns_hist/count"), Some(7.0));
+    assert_eq!(load(&engine, "evaluations"), Some(28.0));
+
+    deliver(&mut engine, 200, 3);
+    engine.publish_telemetry();
+    assert_eq!(load(&engine, "batches"), Some(8.0));
+    assert_eq!(load(&engine, "batch_events"), Some(31.0));
+    assert_eq!(load(&engine, "eval_wall_ns_hist/count"), Some(8.0));
 }
 
 // ---------------------------------------------------------------------------
@@ -137,8 +171,8 @@ fn reserved_saves_never_grow_the_wal() {
     );
 }
 
-/// A full `publish_telemetry` burst — every key the engine publishes:
-/// registry metrics, the accounts' sums, the store's write count and the
+/// A full `publish_telemetry` burst — every key the engine publishes: the
+/// telemetry's own figures, the accounts' sums, the store's write count and the
 /// per-guardrail accounts — journals nothing, and compaction plus reopen
 /// leaves no telemetry residue in durable state.
 #[test]

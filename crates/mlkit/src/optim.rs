@@ -13,49 +13,24 @@ pub trait Optimizer {
     fn learning_rate(&self) -> f64;
 }
 
-/// Plain SGD with optional momentum.
+/// Plain SGD.
 #[derive(Clone, Debug)]
 pub struct Sgd {
     lr: f64,
-    momentum: f64,
-    velocity: Vec<f64>,
 }
 
 impl Sgd {
-    /// Creates SGD with learning rate `lr` and no momentum.
+    /// Creates SGD with learning rate `lr`.
     pub fn new(lr: f64) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Creates SGD with momentum `beta` in `[0, 1)`.
-    pub fn with_momentum(lr: f64, beta: f64) -> Self {
-        Sgd {
-            lr,
-            momentum: beta.clamp(0.0, 0.999),
-            velocity: Vec::new(),
-        }
+        Sgd { lr }
     }
 }
 
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [f64], grads: &[f64]) {
         assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        if self.momentum == 0.0 {
-            for (p, &g) in params.iter_mut().zip(grads) {
-                *p -= self.lr * g;
-            }
-            return;
-        }
-        if self.velocity.len() != params.len() {
-            self.velocity = vec![0.0; params.len()];
-        }
-        for ((p, &g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
-            *v = self.momentum * *v + g;
-            *p -= self.lr * *v;
+        for (p, &g) in params.iter_mut().zip(grads) {
+            *p -= self.lr * g;
         }
     }
 
@@ -135,12 +110,6 @@ mod tests {
     fn sgd_converges_on_quadratic() {
         let x = converges(Sgd::new(0.1), 200);
         assert!((x - 3.0).abs() < 1e-6, "x = {x}");
-    }
-
-    #[test]
-    fn momentum_sgd_converges_on_quadratic() {
-        let x = converges(Sgd::with_momentum(0.05, 0.9), 400);
-        assert!((x - 3.0).abs() < 1e-4, "x = {x}");
     }
 
     #[test]

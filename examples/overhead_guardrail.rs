@@ -13,7 +13,7 @@
 //!
 //! 1. Install a deliberately hot "hog" monitor (a microsecond timer
 //!    burning rule fuel — the stand-in for an over-instrumented probe).
-//! 2. Attach a [`Telemetry`] bundle and turn on periodic
+//! 2. Attach [`Telemetry`] and turn on periodic
 //!    self-publication, so `__telemetry/guardrail/hog/overhead_fraction`
 //!    (fuel-modelled, deterministic) refreshes every simulated
 //!    millisecond.
