@@ -138,12 +138,6 @@ impl Cache {
         self.entries.is_empty()
     }
 
-    /// Resets hit counters (per-phase accounting), keeping contents.
-    pub fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.lookups = 0;
-    }
-
     /// Switches the eviction policy at runtime (used when a `REPLACE`
     /// action installs the fallback cache behaviour).
     pub fn set_policy(&mut self, policy: EvictionPolicy) {
@@ -228,8 +222,6 @@ mod tests {
         c.access(1);
         c.access(1);
         assert!((c.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-        c.reset_counters();
-        assert_eq!(c.lookups(), 0);
-        assert!(!c.is_empty());
+        assert_eq!(c.lookups(), 3);
     }
 }

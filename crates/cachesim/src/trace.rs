@@ -43,19 +43,6 @@ impl CacheTraceConfig {
             loop_keys: keys,
         }
     }
-
-    /// Phase 2: near-uniform traffic over a fresh key space — the frozen
-    /// admission filter (trained to reject unfamiliar keys) rejects nearly
-    /// everything and the learned cache decays below even random admission.
-    pub fn uniform_shift(keys: u64) -> Self {
-        CacheTraceConfig {
-            keys,
-            skew: 0.1,
-            scan_fraction: 0.0,
-            base_key: 1 << 40,
-            loop_keys: 0,
-        }
-    }
 }
 
 /// The trace generator.
@@ -134,7 +121,7 @@ mod tests {
     fn shift_moves_key_space() {
         let mut t = CacheTrace::new(CacheTraceConfig::zipf_with_scans(100), 3);
         let before = t.next_key();
-        t.set_config(CacheTraceConfig::uniform_shift(100));
+        t.set_config(CacheTraceConfig::cyclic_loop(100));
         let after = t.next_key();
         assert!(after > before);
         assert!(after >= 1 << 40);

@@ -131,28 +131,6 @@ impl Op {
             _ => 1,
         }
     }
-
-    /// How the instruction changes stack depth (pushes minus pops).
-    pub fn stack_effect(self) -> i32 {
-        match self {
-            Op::Push(_)
-            | Op::Load(_)
-            | Op::Arg(_)
-            | Op::Agg { .. }
-            | Op::Quantile { .. }
-            | Op::Ewma(_)
-            | Op::Hist { .. }
-            | Op::Delta(_)
-            | Op::LoadCmp { .. }
-            | Op::ArgCmp { .. }
-            | Op::LoadArith { .. } => 1,
-            Op::Abs | Op::Neg | Op::Not => 0,
-            Op::Arith(_) | Op::Cmp(_) => -1,
-            Op::Clamp => -2,
-            Op::JumpIfFalsePeek(_) | Op::JumpIfTruePeek(_) => 0,
-            Op::Pop => -1,
-        }
-    }
 }
 
 /// A comparison operator.
@@ -386,16 +364,6 @@ mod tests {
             .cost()
                 > Op::Load(0).cost()
         );
-    }
-
-    #[test]
-    fn stack_effects_sum_to_one_for_simple_program() {
-        // push 1; push 2; add  =>  net effect +1 (the result).
-        let net: i32 = [Op::Push(1.0), Op::Push(2.0), Op::Arith(ArithKind::Add)]
-            .iter()
-            .map(|op| op.stack_effect())
-            .sum();
-        assert_eq!(net, 1);
     }
 
     #[test]

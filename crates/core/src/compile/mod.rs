@@ -12,8 +12,6 @@ pub mod verify;
 
 use std::sync::Arc;
 
-use simkernel::Nanos;
-
 use crate::error::Result;
 use crate::spec::ast::ActionStmt;
 use crate::spec::check::{CheckedGuardrail, CheckedSpec, TimerSpec};
@@ -134,14 +132,6 @@ pub struct CompiledGuardrail {
 }
 
 impl CompiledGuardrail {
-    /// Static worst-case fuel to evaluate all rules once.
-    pub fn worst_case_rule_fuel(&self) -> u64 {
-        self.rules
-            .iter()
-            .map(|r| r.program.report().worst_case_fuel)
-            .sum()
-    }
-
     /// Every program of the guardrail: one per rule, then one per action
     /// (the empty program for an action without an operand). A monitor's
     /// `DELTA` state and its checkpoint address programs in this order.
@@ -152,11 +142,6 @@ impl CompiledGuardrail {
             .iter()
             .map(|a| a.operand().map_or(&NO_PROGRAM, Verified::program));
         rules.chain(actions)
-    }
-
-    /// The evaluation period of the fastest timer, if any timer exists.
-    pub fn min_timer_interval(&self) -> Option<Nanos> {
-        self.timers.iter().map(|t| t.interval).min()
     }
 }
 
@@ -169,7 +154,7 @@ pub fn compile(spec: &CheckedSpec, opts: &CompileOptions) -> Result<Vec<Compiled
 }
 
 /// Compiles one checked guardrail: optimize → lower → verify.
-pub fn compile_guardrail(g: &CheckedGuardrail, opts: &CompileOptions) -> Result<CompiledGuardrail> {
+fn compile_guardrail(g: &CheckedGuardrail, opts: &CompileOptions) -> Result<CompiledGuardrail> {
     let mut rules = Vec::with_capacity(g.rules.len());
     for rule in &g.rules {
         let source = print_expr(rule);
@@ -262,6 +247,7 @@ pub fn compile_str(source: &str) -> Result<Vec<CompiledGuardrail>> {
 mod tests {
     use super::*;
     use crate::compile::ir::{CmpKind, Op};
+    use simkernel::Nanos;
 
     #[test]
     fn compiles_listing_2() {
@@ -316,23 +302,6 @@ mod tests {
                 constant: 2500.0
             }]
         );
-    }
-
-    #[test]
-    fn worst_case_fuel_aggregates_rules() {
-        let compiled = compile_str(
-            "guardrail g { trigger: { TIMER(0,1) }, rule: { LOAD(a) < 1; LOAD(b) < 2 }, action: { REPORT(m) } }",
-        )
-        .unwrap();
-        assert_eq!(
-            compiled[0].worst_case_rule_fuel(),
-            compiled[0]
-                .rules
-                .iter()
-                .map(|r| r.program.report().worst_case_fuel)
-                .sum::<u64>()
-        );
-        assert_eq!(compiled[0].min_timer_interval(), Some(Nanos::from_nanos(1)));
     }
 
     #[test]

@@ -1957,7 +1957,7 @@ guardrail low-false-submit {
         assert!(engine.store().quarantine_enabled(), "store default");
         engine.apply_runtime(&RuntimeConfig::seed());
         assert!(!engine.store().quarantine_enabled());
-        assert_eq!(engine.resilience(), ResilienceConfig::disabled());
+        assert_eq!(engine.resilience(), ResilienceConfig::default());
         engine.apply_runtime(&RuntimeConfig::hardened());
         assert!(engine.store().quarantine_enabled());
         assert_eq!(engine.resilience(), ResilienceConfig::hardened());

@@ -5,8 +5,8 @@
 //! justified and to bound performance impact" (§1). The engine therefore
 //! charges every rule evaluation and action dispatch to an account, in both
 //! *modelled* nanoseconds (fuel × a per-unit cost, deterministic and usable
-//! inside the simulation) and *measured* wall nanoseconds (for the Criterion
-//! benches).
+//! inside the simulation) and *measured* wall nanoseconds (nondeterministic:
+//! published as telemetry and read by the benchmarks, never by a rule).
 
 use simkernel::Nanos;
 
@@ -58,14 +58,10 @@ impl OverheadAccount {
         self.actions.iter().sum()
     }
 
-    /// Total fuel (rules + actions).
-    pub fn total_fuel(&self) -> u64 {
-        self.rule_fuel + self.action_fuel
-    }
-
-    /// Modelled monitoring time in simulated nanoseconds.
+    /// Modelled monitoring time in simulated nanoseconds: all fuel, rules
+    /// and actions, at [`NS_PER_FUEL`].
     pub fn modeled(&self) -> Nanos {
-        Nanos::from_nanos(self.total_fuel() * NS_PER_FUEL)
+        Nanos::from_nanos((self.rule_fuel + self.action_fuel) * NS_PER_FUEL)
     }
 
     /// Modelled cost per evaluation.
@@ -129,7 +125,6 @@ mod tests {
             wall_ns: 150,
             ..OverheadAccount::default()
         };
-        assert_eq!(a.total_fuel(), 20);
         assert_eq!(a.actions_dispatched(), 3);
         assert_eq!(a.modeled(), Nanos::from_nanos(20 * NS_PER_FUEL));
         assert_eq!(a.modeled_per_evaluation(), Nanos::from_nanos(20));
@@ -176,7 +171,7 @@ mod tests {
                 ..b
             }
         );
-        assert_eq!(a.total_fuel(), 33);
+        assert_eq!(a.modeled(), Nanos::from_nanos(33 * NS_PER_FUEL));
     }
 
     #[test]

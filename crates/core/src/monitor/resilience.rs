@@ -31,10 +31,9 @@ use crate::store::durable::DurabilityConfig;
 pub struct RetryPolicy {
     /// Total attempts after the initial rejection before giving up.
     pub max_attempts: u32,
-    /// Delay before the first retry.
+    /// Delay before the first retry; each later retry waits twice as long
+    /// as the one before.
     pub initial_backoff: Nanos,
-    /// Backoff growth factor between attempts (≥ 1).
-    pub multiplier: u32,
 }
 
 impl RetryPolicy {
@@ -43,13 +42,13 @@ impl RetryPolicy {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
             initial_backoff,
-            multiplier: 2,
         }
     }
 
-    /// The delay before retry number `attempt` (0-based), saturating.
+    /// The delay before retry number `attempt` (0-based), saturating; the
+    /// doubling stops after 20 attempts.
     pub fn backoff(&self, attempt: u32) -> Nanos {
-        let factor = u64::from(self.multiplier.max(1)).saturating_pow(attempt.min(20));
+        let factor = 1u64 << attempt.min(20);
         Nanos::from_nanos(self.initial_backoff.as_nanos().saturating_mul(factor))
     }
 }
@@ -134,11 +133,6 @@ pub struct ResilienceConfig {
 }
 
 impl ResilienceConfig {
-    /// Everything off (the seed runtime's semantics).
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
     /// Everything on with default sub-policies: fallback `REPLACE`,
     /// doubling `RETRAIN` retry, fail-closed watchdog.
     pub fn hardened() -> Self {
@@ -152,27 +146,12 @@ impl ResilienceConfig {
 
 /// Crash-recovery configuration: the durable feature store plus the
 /// supervised restart loop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryConfig {
     /// WAL/snapshot knobs for the durable store.
     pub durability: DurabilityConfig,
     /// Restart-loop and escalation policy.
     pub supervisor: SupervisorConfig,
-    /// Boot fail-closed (policies pinned to fallbacks) when recovery found
-    /// damage it cannot vouch for — a corrupt snapshot or WAL frame — rather
-    /// than trusting half-restored state.
-    pub fail_closed_on_taint: bool,
-}
-
-impl Default for RecoveryConfig {
-    /// Default durability and supervisor policies; fail closed on taint.
-    fn default() -> Self {
-        RecoveryConfig {
-            durability: DurabilityConfig::default(),
-            supervisor: SupervisorConfig::default(),
-            fail_closed_on_taint: true,
-        }
-    }
 }
 
 /// The single composable runtime-hardening configuration.
@@ -224,7 +203,7 @@ impl RuntimeConfig {
     pub fn seed() -> Self {
         RuntimeConfig {
             quarantine: false,
-            resilience: ResilienceConfig::disabled(),
+            resilience: ResilienceConfig::default(),
             recovery: None,
         }
     }
@@ -237,12 +216,6 @@ impl RuntimeConfig {
             resilience: ResilienceConfig::hardened(),
             recovery: None,
         }
-    }
-
-    /// Returns this config with the quarantine toggled.
-    pub fn with_quarantine(mut self, enabled: bool) -> Self {
-        self.quarantine = enabled;
-        self
     }
 
     /// Returns this config with a different resilience bundle.
@@ -270,15 +243,11 @@ mod tests {
         assert_eq!(r.backoff(3), Nanos::from_secs(8));
         // Huge attempt counts clamp (exponent capped) rather than overflow.
         assert_eq!(r.backoff(u32::MAX), r.backoff(20));
-        // A multiplier of 1 is a constant backoff.
-        let flat = RetryPolicy { multiplier: 1, ..r };
-        assert_eq!(flat.backoff(7), Nanos::from_secs(1));
     }
 
     #[test]
     fn config_presets() {
         let off = ResilienceConfig::default();
-        assert_eq!(off, ResilienceConfig::disabled());
         assert!(!off.replace_fallback);
         assert!(off.retrain_retry.is_none());
         assert!(off.watchdog.is_none());

@@ -333,28 +333,12 @@ impl PolicyRegistry {
             .map(|(name, s)| (name.as_str(), s.active.as_str())))
     }
 
-    /// Pins `slot` to its known-safe fallback variant (explicit default,
-    /// else the conventional `"fallback"`, else the first registered) and
-    /// returns the variant chosen. This is the supervisor's fail-closed
-    /// escalation: after repeated crash loops, every learned policy is
-    /// forced onto its safe variant regardless of what the (possibly lost)
-    /// monitor state said.
-    pub fn pin_fallback(&self, slot: &str) -> Result<String> {
-        let mut slots = self.slots_mut();
-        let s = slots
-            .get_mut(slot)
-            .ok_or_else(|| GuardrailError::Config(format!("no policy slot '{slot}'")))?;
-        let chosen = s.fallback_variant().to_string();
-        if s.active != chosen {
-            s.active = chosen.clone();
-            s.swaps += 1;
-        }
-        Ok(chosen)
-    }
-
-    /// Pins every registered slot to its fallback variant (see
-    /// [`PolicyRegistry::pin_fallback`]); returns `(slot, variant)` pairs,
-    /// sorted by slot.
+    /// Pins every registered slot to its known-safe fallback variant
+    /// (explicit default, else the conventional `"fallback"`, else the
+    /// first registered); returns `(slot, variant)` pairs, sorted by slot.
+    /// This is the supervisor's fail-closed escalation: after repeated
+    /// crash loops, every learned policy is forced onto its safe variant
+    /// regardless of what the (possibly lost) monitor state said.
     pub fn pin_all_fallbacks(&self) -> Vec<(String, String)> {
         self.slots_mut()
             .iter_mut()
@@ -539,11 +523,11 @@ mod tests {
         assert_eq!(active(), (true, false, false), "pin_variants");
         reg.set_default_variant("io", "v2").unwrap();
         assert_eq!(active(), (true, false, false), "set_default_variant");
-        reg.pin_fallback("io").unwrap();
+        reg.pin_all_fallbacks();
         assert_eq!(
             active(),
             (false, false, true),
-            "pin_fallback to the default"
+            "pin_all_fallbacks to the default"
         );
         reg.replace("io", VARIANT_LEARNED).unwrap();
         reg.unregister_variant("io", "v2").unwrap();

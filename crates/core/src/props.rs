@@ -1,11 +1,12 @@
-//! Synthesized guardrail templates for the property taxonomy P1–P6.
+//! Synthesized guardrail templates for properties P1–P5 of the taxonomy.
 //!
 //! §3.3: "For learned policies, many of these can be determined
 //! automatically, e.g., the performance metric to track can be extracted
 //! from the reward function." This module is that synthesis path: given a
 //! few parameters, each builder emits canonical guardrail source text (which
-//! the developer can review, edit, and install). The builders cover every
-//! row of Figure 1's property table.
+//! the developer can review, edit, and install). The builders cover P1–P5;
+//! P6's starvation guardrail lives with its subsystem as
+//! `schedsim::P6_GUARDRAIL`.
 //!
 //! §3.3 also suggests deploying "guardrails with relaxed properties and
 //! automatically tighten\[ing\] the properties based on system behavior" —
@@ -127,30 +128,6 @@ pub fn p5_decision_overhead(
     )
 }
 
-/// P6: fairness and liveness. Bounds the published maximum task wait time
-/// (`<subsystem>.max_wait_ns`) — the paper's example: "No ready task should
-/// be starved for more than 100ms" — and deprioritizes the dominant task.
-pub fn p6_starvation_freedom(
-    name: &str,
-    subsystem: &str,
-    max_wait: Nanos,
-    check_every: Nanos,
-) -> String {
-    format!(
-        r#"guardrail {name} {{
-    trigger: {{ TIMER(0, {interval}) }},
-    rule: {{ LOAD({subsystem}.max_wait_ns) <= {max_wait} }},
-    action: {{
-        REPORT("task starvation detected", {subsystem}.max_wait_ns)
-        DEPRIORITIZE({subsystem}.dominant, 5)
-    }}
-}}
-"#,
-        max_wait = fmt_ns(max_wait),
-        interval = fmt_ns(check_every),
-    )
-}
-
 /// Auto-tightening of guardrail thresholds (§3.3).
 ///
 /// The threshold lives in the feature store at `threshold_key` (the rule
@@ -252,7 +229,6 @@ mod tests {
                 Nanos::from_secs(10),
                 tick,
             ),
-            p6_starvation_freedom("p6-liveness", "sched", Nanos::from_millis(100), tick),
         ];
         for spec in &specs {
             let compiled = compile_str(spec).unwrap_or_else(|e| panic!("{e}\n{spec}"));

@@ -132,7 +132,7 @@ impl BinOp {
     }
 
     /// Returns `true` for boolean connectives.
-    pub fn is_logical(self) -> bool {
+    fn is_logical(self) -> bool {
         matches!(self, BinOp::And | BinOp::Or)
     }
 
@@ -243,46 +243,6 @@ impl Expr {
     pub fn bin(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
         Expr::Binary(op, Box::new(lhs), Box::new(rhs))
     }
-
-    /// Walks the expression tree, calling `f` on every node (pre-order).
-    pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
-        f(self);
-        match self {
-            Expr::Aggregate { window, .. } => window.walk(f),
-            Expr::Quantile { q, window, .. } => {
-                q.walk(f);
-                window.walk(f);
-            }
-            Expr::Hist { q, .. } => q.walk(f),
-            Expr::Abs(x) => x.walk(f),
-            Expr::Clamp(x, lo, hi) => {
-                x.walk(f);
-                lo.walk(f);
-                hi.walk(f);
-            }
-            Expr::Unary(_, x) => x.walk(f),
-            Expr::Binary(_, l, r) => {
-                l.walk(f);
-                r.walk(f);
-            }
-            _ => {}
-        }
-    }
-
-    /// Collects every feature-store key the expression reads.
-    pub fn keys_read(&self) -> Vec<String> {
-        let mut keys = Vec::new();
-        self.walk(&mut |e| match e {
-            Expr::Load(k) | Expr::Ewma(k) | Expr::Delta(k) => keys.push(k.clone()),
-            Expr::Aggregate { key, .. } | Expr::Quantile { key, .. } | Expr::Hist { key, .. } => {
-                keys.push(key.clone())
-            }
-            _ => {}
-        });
-        keys.sort();
-        keys.dedup();
-        keys
-    }
 }
 
 #[cfg(test)]
@@ -296,36 +256,6 @@ mod tests {
         assert!(BinOp::Add.is_arithmetic());
         assert!(!BinOp::Add.is_comparison());
         assert!(!BinOp::Lt.is_arithmetic());
-    }
-
-    #[test]
-    fn keys_read_collects_and_dedups() {
-        let e = Expr::bin(
-            BinOp::And,
-            Expr::bin(BinOp::Lt, Expr::Load("a".into()), Expr::Number(1.0)),
-            Expr::bin(
-                BinOp::Lt,
-                Expr::Aggregate {
-                    kind: AggKind::Avg,
-                    key: "b".into(),
-                    window: Box::new(Expr::Number(1e9)),
-                },
-                Expr::Load("a".into()),
-            ),
-        );
-        assert_eq!(e.keys_read(), vec!["a".to_string(), "b".to_string()]);
-    }
-
-    #[test]
-    fn walk_visits_all_nodes() {
-        let e = Expr::Clamp(
-            Box::new(Expr::Number(1.0)),
-            Box::new(Expr::Number(0.0)),
-            Box::new(Expr::Abs(Box::new(Expr::Number(-2.0)))),
-        );
-        let mut n = 0;
-        e.walk(&mut |_| n += 1);
-        assert_eq!(n, 5);
     }
 
     #[test]

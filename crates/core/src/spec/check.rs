@@ -58,25 +58,22 @@ pub enum Type {
     Bool,
 }
 
-/// Default symbolic bindings: `start_time` = 0 and `stop_time` = never,
-/// letting the paper's Listing 2 check without edits.
-pub fn default_bindings() -> HashMap<String, f64> {
+/// The bindings [`check_spec`] resolves symbolic constants against.
+fn default_bindings() -> HashMap<String, f64> {
     HashMap::from([
         ("start_time".to_string(), 0.0),
         ("stop_time".to_string(), u64::MAX as f64),
     ])
 }
 
-/// Checks a spec with the [`default_bindings`].
+/// Checks a spec, binding the symbolic constants `start_time` to 0 and
+/// `stop_time` to never, so the paper's Listing 2 checks without edits.
 pub fn check_spec(spec: Spec) -> Result<CheckedSpec> {
     check_spec_with_bindings(spec, &default_bindings())
 }
 
 /// Checks a spec, resolving symbolic constants against `bindings`.
-pub fn check_spec_with_bindings(
-    spec: Spec,
-    bindings: &HashMap<String, f64>,
-) -> Result<CheckedSpec> {
+fn check_spec_with_bindings(spec: Spec, bindings: &HashMap<String, f64>) -> Result<CheckedSpec> {
     let mut checked = Vec::with_capacity(spec.guardrails.len());
     let mut seen = std::collections::HashSet::new();
     for g in &spec.guardrails {

@@ -21,13 +21,6 @@ pub fn print_spec(spec: &Spec) -> String {
     out
 }
 
-/// Renders one guardrail as canonical source text.
-pub fn print_guardrail(g: &Guardrail) -> String {
-    let mut out = String::new();
-    print_guardrail_into(&mut out, g);
-    out
-}
-
 fn print_guardrail_into(out: &mut String, g: &Guardrail) {
     let _ = writeln!(out, "guardrail {} {{", ident_or_quoted(&g.name));
     let _ = writeln!(out, "    trigger: {{");

@@ -155,22 +155,6 @@ impl DriftDetector {
             self.oob_fraction(),
         );
     }
-
-    /// Resets the detector for a retrained model: the live window becomes
-    /// the new reference seed, and live state clears.
-    pub fn reset_after_retrain(&mut self) {
-        self.reference.clear();
-        self.frozen = false;
-        self.ref_min = f64::INFINITY;
-        self.ref_max = f64::NEG_INFINITY;
-        let live: Vec<f64> = self.live_slice();
-        for x in live {
-            self.observe_reference(x);
-        }
-        self.live.clear();
-        self.live_oob = 0;
-        self.live_total = 0;
-    }
 }
 
 #[cfg(test)]
@@ -229,23 +213,6 @@ mod tests {
         assert!(store.load("m.psi").is_some());
         assert!(store.load("m.oob_fraction").is_some());
         assert_eq!(store.load("m.psi_series"), store.load("m.psi"));
-    }
-
-    #[test]
-    fn reset_after_retrain_adopts_live_window() {
-        let mut d = trained_detector();
-        for i in 0..500 {
-            d.observe_live((i % 100) as f64 + 300.0);
-        }
-        assert!(d.is_drifted(0.01));
-        d.reset_after_retrain();
-        // The shifted distribution is now the reference; fresh live samples
-        // from it should not look drifted.
-        for i in 0..500 {
-            d.observe_live((i % 100) as f64 + 300.0);
-        }
-        d.freeze();
-        assert!(!d.is_drifted(0.01), "ks = {}", d.ks());
     }
 
     #[test]

@@ -22,10 +22,10 @@
 //!   quarantine as live writes, so a poisoned log cannot re-poison a
 //!   restarted store.
 //!
-//! Backends: [`MemBackend`] is the deterministic in-memory medium the crash
-//! experiments mutate directly (torn tails, snapshot bit flips);
-//! [`FileBackend`] persists to three files in a directory for real
-//! deployments.
+//! Backend: [`MemBackend`] is the deterministic in-memory medium the crash
+//! experiments mutate directly (torn tails, snapshot bit flips). Tests
+//! implement [`PersistBackend`] over it to fail an append or to race a
+//! compaction.
 //!
 //! Lock order: the compaction lock, then a key's slot lock, then the
 //! appender's tail lock, then the backend's region lock.
@@ -35,7 +35,6 @@
 //! an atomic load, and [`DurableStore::maybe_compact`] reads the record
 //! budget from an atomic, locking only when it compacts.
 
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -142,11 +141,6 @@ impl MemBackend {
     pub fn wal_len(&self) -> usize {
         self.wal.lock().len()
     }
-
-    /// Current snapshot size in bytes.
-    pub fn snapshot_len(&self) -> usize {
-        self.snapshot.lock().len()
-    }
 }
 
 impl PersistBackend for MemBackend {
@@ -192,137 +186,6 @@ fn cut_past_end(region: Region, n: usize, len: usize) -> GuardrailError {
     ))
 }
 
-/// File-backed persistence: `snapshot.bin`, `wal.bin`, and `checkpoint.bin`
-/// in one directory. `replace` writes a temporary file and renames it over
-/// the target so a crash mid-replace leaves either the old or the new blob,
-/// never a mix.
-#[derive(Debug)]
-pub struct FileBackend {
-    dir: PathBuf,
-    /// Serializes appends; the OS guarantees little about concurrent
-    /// appends from one process without it.
-    append_lock: Mutex<()>,
-}
-
-impl FileBackend {
-    /// Opens (creating if needed) a backend rooted at `dir`.
-    pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| GuardrailError::Persist(format!("create {}: {e}", dir.display())))?;
-        Ok(FileBackend {
-            dir,
-            append_lock: Mutex::new(()),
-        })
-    }
-
-    fn path(&self, region: Region) -> PathBuf {
-        self.dir.join(match region {
-            Region::Snapshot => "snapshot.bin",
-            Region::Wal => "wal.bin",
-            Region::Checkpoint => "checkpoint.bin",
-        })
-    }
-}
-
-impl PersistBackend for FileBackend {
-    fn load(&self, region: Region) -> Result<Vec<u8>> {
-        let path = self.path(region);
-        match std::fs::read(&path) {
-            Ok(bytes) => Ok(bytes),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-            Err(e) => Err(GuardrailError::Persist(format!(
-                "read {}: {e}",
-                path.display()
-            ))),
-        }
-    }
-
-    fn append(&self, region: Region, bytes: &[u8]) -> Result<()> {
-        use std::io::Write;
-        let _guard = self.append_lock.lock();
-        let path = self.path(region);
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| GuardrailError::Persist(format!("open {}: {e}", path.display())))?;
-        let before = file
-            .metadata()
-            .map_err(|e| GuardrailError::Persist(format!("stat {}: {e}", path.display())))?
-            .len();
-        file.write_all(bytes).map_err(|e| {
-            // `write_all` may have written part of `bytes` (a full disk):
-            // drop that part so the region is as it was.
-            let _ = file.set_len(before);
-            GuardrailError::Persist(format!("append {}: {e}", path.display()))
-        })
-    }
-
-    fn replace(&self, region: Region, bytes: &[u8]) -> Result<()> {
-        let _guard = self.append_lock.lock();
-        self.write_renamed(region, bytes)
-    }
-
-    fn len(&self, region: Region) -> Result<usize> {
-        let path = self.path(region);
-        match std::fs::metadata(&path) {
-            Ok(meta) => Ok(meta.len() as usize),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
-            Err(e) => Err(GuardrailError::Persist(format!(
-                "stat {}: {e}",
-                path.display()
-            ))),
-        }
-    }
-
-    /// Reads only the bytes it keeps, and writes them to a temporary file
-    /// renamed over the region, like `replace`.
-    fn cut_front(&self, region: Region, n: usize) -> Result<()> {
-        use std::io::{Read, Seek, SeekFrom};
-        let _guard = self.append_lock.lock();
-        let len = self.len(region)?;
-        if n > len {
-            return Err(cut_past_end(region, n, len));
-        }
-        let path = self.path(region);
-        let io =
-            |e: std::io::Error| GuardrailError::Persist(format!("cut {}: {e}", path.display()));
-        let mut kept = Vec::with_capacity(len - n);
-        if len > 0 {
-            let mut file = std::fs::File::open(&path).map_err(io)?;
-            file.seek(SeekFrom::Start(n as u64)).map_err(io)?;
-            file.read_to_end(&mut kept).map_err(io)?;
-        }
-        self.write_renamed(region, &kept)
-    }
-
-    fn truncate(&self, region: Region, len: usize) -> Result<()> {
-        let _guard = self.append_lock.lock();
-        if self.len(region)? <= len {
-            return Ok(());
-        }
-        let path = self.path(region);
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .and_then(|file| file.set_len(len as u64))
-            .map_err(|e| GuardrailError::Persist(format!("truncate {}: {e}", path.display())))
-    }
-}
-
-impl FileBackend {
-    /// Writes `bytes` to a temporary file and renames it over `region`.
-    fn write_renamed(&self, region: Region, bytes: &[u8]) -> Result<()> {
-        let path = self.path(region);
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, bytes)
-            .map_err(|e| GuardrailError::Persist(format!("write {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, &path)
-            .map_err(|e| GuardrailError::Persist(format!("rename {}: {e}", path.display())))
-    }
-}
-
 /// Durability knobs for a [`DurableStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DurabilityConfig {
@@ -334,8 +197,8 @@ pub struct DurabilityConfig {
     /// Group-commit size: buffer this many journaled records and append
     /// them as **one** checksummed group frame. `1` (the default) appends
     /// each record immediately — the pre-group-commit behaviour, byte for
-    /// byte. Larger groups amortize the backend append (one syscall and one
-    /// CRC per group on a file backend) at the cost of a bounded durability
+    /// byte. Larger groups amortize the backend append (one append and one
+    /// CRC per group) at the cost of a bounded durability
     /// window: a crash loses at most the current unflushed group, and loses
     /// it atomically — the whole group or none of it, never a prefix.
     pub group_commit: usize,
@@ -770,7 +633,7 @@ mod tests {
             let wal_before = backend.wal_len();
             durable.compact().unwrap();
             assert!(backend.wal_len() < wal_before);
-            assert!(backend.snapshot_len() > 0);
+            assert!(backend.len(Region::Snapshot).unwrap() > 0);
             // Writes after compaction land in the (fresh) WAL.
             store.save("y", 5.0);
         }
@@ -1120,62 +983,27 @@ mod tests {
         assert_eq!(durable.load_checkpoint().unwrap(), b"blob");
     }
 
-    #[test]
-    fn file_backend_round_trips() {
-        let dir =
-            std::env::temp_dir().join(format!("guardrails-durable-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let backend: Arc<dyn PersistBackend> = Arc::new(FileBackend::open(&dir).unwrap());
-        {
-            let (durable, _) =
-                DurableStore::open(Arc::clone(&backend), DurabilityConfig::default()).unwrap();
-            durable.store().save("k", 7.0);
-            durable.compact().unwrap();
-            durable.store().save("k", 8.0);
-            durable.save_checkpoint(b"cp").unwrap();
-        }
-        let (durable, report) =
-            DurableStore::open(Arc::clone(&backend), DurabilityConfig::default()).unwrap();
-        assert_eq!(report.snapshot_entries, 1);
-        assert_eq!(durable.store().load("k"), Some(8.0));
-        assert_eq!(durable.load_checkpoint().unwrap(), b"cp");
-        drop(durable);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// `len`, `cut_front` and `truncate` on both backends: what they keep
-    /// is what slicing the loaded region keeps.
+    /// `len`, `cut_front` and `truncate`: what they keep is what slicing
+    /// the loaded region keeps.
     #[test]
     fn backends_measure_cut_and_truncate_regions() {
-        let dir = std::env::temp_dir().join(format!(
-            "guardrails-durable-cut-test-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let backends: [Arc<dyn PersistBackend>; 2] = [
-            Arc::new(MemBackend::new()),
-            Arc::new(FileBackend::open(&dir).unwrap()),
-        ];
-        for backend in backends {
-            let case = format!("{backend:?}");
-            assert_eq!(backend.len(Region::Wal).unwrap(), 0, "{case}");
-            backend.cut_front(Region::Wal, 0).unwrap();
-            backend.truncate(Region::Wal, 5).unwrap();
-            backend.append(Region::Wal, b"0123456789").unwrap();
-            assert_eq!(backend.len(Region::Wal).unwrap(), 10, "{case}");
-            assert!(backend.cut_front(Region::Wal, 11).is_err(), "{case}");
-            assert_eq!(backend.load(Region::Wal).unwrap(), b"0123456789");
-            backend.cut_front(Region::Wal, 3).unwrap();
-            assert_eq!(backend.load(Region::Wal).unwrap(), b"3456789", "{case}");
-            backend.truncate(Region::Wal, 9).unwrap();
-            backend.truncate(Region::Wal, 4).unwrap();
-            assert_eq!(backend.load(Region::Wal).unwrap(), b"3456", "{case}");
-            backend.append(Region::Wal, b"ab").unwrap();
-            backend.cut_front(Region::Wal, 6).unwrap();
-            assert_eq!(backend.len(Region::Wal).unwrap(), 0, "{case}");
-            assert_eq!(backend.len(Region::Snapshot).unwrap(), 0, "{case}");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        let backend = MemBackend::new();
+        assert_eq!(backend.len(Region::Wal).unwrap(), 0);
+        backend.cut_front(Region::Wal, 0).unwrap();
+        backend.truncate(Region::Wal, 5).unwrap();
+        backend.append(Region::Wal, b"0123456789").unwrap();
+        assert_eq!(backend.len(Region::Wal).unwrap(), 10);
+        assert!(backend.cut_front(Region::Wal, 11).is_err());
+        assert_eq!(backend.load(Region::Wal).unwrap(), b"0123456789");
+        backend.cut_front(Region::Wal, 3).unwrap();
+        assert_eq!(backend.load(Region::Wal).unwrap(), b"3456789");
+        backend.truncate(Region::Wal, 9).unwrap();
+        backend.truncate(Region::Wal, 4).unwrap();
+        assert_eq!(backend.load(Region::Wal).unwrap(), b"3456");
+        backend.append(Region::Wal, b"ab").unwrap();
+        backend.cut_front(Region::Wal, 6).unwrap();
+        assert_eq!(backend.len(Region::Wal).unwrap(), 0);
+        assert_eq!(backend.len(Region::Snapshot).unwrap(), 0);
     }
 
     #[test]

@@ -91,15 +91,6 @@ impl Histogram {
         self.sum
     }
 
-    /// Mean of recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
     /// Estimates the `q`-quantile from bucket midpoints (0 when empty).
     ///
     /// The estimate is exact to within one bucket's relative width (~15%);
@@ -150,13 +141,12 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_sum_are_exact() {
+    fn sum_and_count_are_exact() {
         let mut h = Histogram::new();
         for v in [1.0, 2.0, 3.0] {
             h.observe(v);
         }
         assert_eq!(h.sum(), 6.0);
-        assert_eq!(h.mean(), 2.0);
         assert_eq!(h.count(), 3);
     }
 
@@ -168,7 +158,7 @@ mod tests {
         h.observe(f64::INFINITY);
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.sum(), 0.0);
     }
 
     #[test]

@@ -218,14 +218,6 @@ impl Slot {
         }
     }
 
-    /// The histogram's mean; 0 for absent or non-histogram entries.
-    pub fn hist_mean(&self) -> f64 {
-        match &*self.0.entry.lock() {
-            Entry::Histogram(h) => h.mean(),
-            _ => 0.0,
-        }
-    }
-
     /// How many non-finite writes to this key have been quarantined.
     pub fn poison_count(&self) -> u64 {
         self.0.poisoned.load(Ordering::Relaxed)
@@ -624,11 +616,6 @@ impl FeatureStore {
             .unwrap_or(0.0)
     }
 
-    /// [`Slot::hist_mean`] by name; 0 for keys never interned.
-    pub fn hist_mean(&self, key: &str) -> f64 {
-        self.read_slot(key, Slot::hist_mean).unwrap_or(0.0)
-    }
-
     /// Removes the slot's entry, returning `true` if it existed. The slot
     /// stays interned (and bound handles stay valid); it reads as absent.
     pub fn remove_slot(&self, slot: &Slot) -> bool {
@@ -778,7 +765,6 @@ mod tests {
         for v in [100.0, 200.0, 300.0] {
             store.hist_observe("h", v);
         }
-        assert_eq!(store.hist_mean("h"), 200.0);
         assert!(store.hist_quantile("h", 0.5) > 100.0);
         assert_eq!(store.hist_quantile("missing", 0.5), 0.0);
     }

@@ -137,14 +137,6 @@ impl DetRng {
         let idx = (n_f * (eta * u - eta + 1.0).powf(alpha)) as usize;
         idx.min(n - 1)
     }
-
-    /// Shuffles a slice in place (Fisher-Yates).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.index(i + 1);
-            xs.swap(i, j);
-        }
-    }
 }
 
 /// Approximates the generalized harmonic number H_{n,theta} by integral
@@ -244,15 +236,5 @@ mod tests {
         assert!(r.chance(1.0));
         assert!(!r.chance(-5.0));
         assert!(r.chance(7.0));
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = DetRng::seed(8);
-        let mut xs: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
     }
 }

@@ -69,7 +69,7 @@ impl Nanos {
     }
 
     /// Returns the value in milliseconds as a float.
-    pub fn as_millis_f64(self) -> f64 {
+    fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
 
@@ -86,11 +86,6 @@ impl Nanos {
     /// Saturating addition; returns [`Nanos::MAX`] on overflow.
     pub fn saturating_add(self, rhs: Nanos) -> Nanos {
         Nanos(self.0.saturating_add(rhs.0))
-    }
-
-    /// Checked subtraction.
-    pub fn checked_sub(self, rhs: Nanos) -> Option<Nanos> {
-        self.0.checked_sub(rhs.0).map(Nanos)
     }
 
     /// Returns the larger of the two timestamps.
@@ -204,11 +199,6 @@ mod tests {
     fn arithmetic_saturates() {
         assert_eq!(Nanos::ZERO - Nanos::from_secs(1), Nanos::ZERO);
         assert_eq!(Nanos::MAX + Nanos::from_secs(1), Nanos::MAX);
-        assert_eq!(Nanos::from_secs(1).checked_sub(Nanos::from_secs(2)), None);
-        assert_eq!(
-            Nanos::from_secs(3).checked_sub(Nanos::from_secs(1)),
-            Some(Nanos::from_secs(2))
-        );
     }
 
     #[test]

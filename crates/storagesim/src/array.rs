@@ -87,6 +87,11 @@ pub struct FlashArray {
     devices: Vec<FlashDevice>,
     revoke_overhead: Nanos,
     slow_threshold: Nanos,
+    /// The latency above which an unrevoked I/O counts as a *false submit*.
+    /// Deliberately higher than the training-label threshold: the model
+    /// trains on a tight fast/slow boundary, but the guardrail metric counts
+    /// only the genuinely harmful stalls (GC-scale waits), matching how an
+    /// operator would define "submitted to a slow disk".
     false_submit_threshold: Nanos,
     next_primary: usize,
     stats: ArrayStats,
@@ -139,17 +144,6 @@ impl FlashArray {
         self.slow_threshold = threshold;
     }
 
-    /// Sets the latency above which an unrevoked I/O counts as a *false
-    /// submit*.
-    ///
-    /// Deliberately higher than the training-label threshold: the model
-    /// trains on a tight fast/slow boundary, but the guardrail metric counts
-    /// only the genuinely harmful stalls (GC-scale waits), matching how an
-    /// operator would define "submitted to a slow disk".
-    pub fn set_false_submit_threshold(&mut self, threshold: Nanos) {
-        self.false_submit_threshold = threshold;
-    }
-
     /// Applies a new device configuration to every replica (the mid-run
     /// distribution-shift knob for the Figure 2 scenario).
     pub fn set_device_config(&mut self, config: FlashDeviceConfig) {
@@ -164,7 +158,7 @@ impl FlashArray {
     }
 
     /// The feature vector the policy sees for device `idx` at `now`.
-    pub fn features_of(&self, idx: usize, now: Nanos) -> [f64; NUM_FEATURES] {
+    fn features_of(&self, idx: usize, now: Nanos) -> [f64; NUM_FEATURES] {
         let device = &self.devices[idx];
         let history = device.history();
         [
@@ -291,7 +285,7 @@ mod tests {
     fn false_submit_only_on_unrevoked_slow_io() {
         let mut a = array(3);
         a.set_slow_threshold(Nanos::ZERO); // Everything counts as slow.
-        a.set_false_submit_threshold(Nanos::ZERO);
+        a.false_submit_threshold = Nanos::ZERO;
         let submitted = a.submit(Nanos::from_micros(1), |_| false);
         assert!(submitted.false_submit, "submitted and slow");
         let revoked = a.submit(Nanos::from_micros(2), |_| true);

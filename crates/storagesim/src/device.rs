@@ -111,8 +111,6 @@ pub struct FlashDevice {
     /// Latencies of the most recent completions, newest last (LinnOS's
     /// history feature).
     history: [f64; 4],
-    completions: u64,
-    gc_hits: u64,
 }
 
 impl FlashDevice {
@@ -127,8 +125,6 @@ impl FlashDevice {
             next_gc: first_gc,
             gc_until: Nanos::ZERO,
             history: [config.base_latency.as_micros_f64(); 4],
-            completions: 0,
-            gc_hits: 0,
         }
     }
 
@@ -198,30 +194,12 @@ impl FlashDevice {
         let latency = completion_time - now;
         self.history.rotate_left(1);
         self.history[3] = latency.as_micros_f64();
-        self.completions += 1;
-        if hit_gc {
-            self.gc_hits += 1;
-        }
         IoCompletion { latency, hit_gc }
     }
 
     /// The latencies (µs) of the four most recent completions, oldest first.
     pub fn history(&self) -> [f64; 4] {
         self.history
-    }
-
-    /// Total completions served.
-    pub fn completions(&self) -> u64 {
-        self.completions
-    }
-
-    /// Fraction of completions that stalled behind GC.
-    pub fn gc_hit_fraction(&self) -> f64 {
-        if self.completions == 0 {
-            0.0
-        } else {
-            self.gc_hits as f64 / self.completions as f64
-        }
     }
 
     /// The device's base (fast-path) latency.
@@ -270,14 +248,10 @@ mod tests {
     }
 
     #[test]
-    fn gc_hits_match_flag() {
+    fn gc_hits_are_flagged_and_slow() {
         let mut dev = FlashDevice::new(FlashDeviceConfig::default(), 2);
         let ios = run_for(&mut dev, 1, 100);
-        let flagged = ios.iter().filter(|io| io.hit_gc).count() as u64;
-        assert_eq!(
-            flagged,
-            (dev.gc_hit_fraction() * dev.completions() as f64).round() as u64
-        );
+        assert!(ios.iter().any(|io| io.hit_gc), "a second of I/O meets GC");
         // GC-hit I/Os are slower than the fast path.
         for io in ios.iter().filter(|io| io.hit_gc) {
             assert!(io.latency >= Nanos::from_micros(100));
@@ -288,13 +262,13 @@ mod tests {
     fn aged_config_has_more_gc() {
         let mut young = FlashDevice::new(FlashDeviceConfig::default(), 3);
         let mut old = FlashDevice::new(FlashDeviceConfig::default().aged(), 3);
-        run_for(&mut young, 2, 200);
-        run_for(&mut old, 2, 200);
+        let gc_hits = |ios: Vec<IoCompletion>| ios.iter().filter(|io| io.hit_gc).count();
+        // Same arrivals, so the counts compare like the fractions.
+        let young_hits = gc_hits(run_for(&mut young, 2, 200));
+        let old_hits = gc_hits(run_for(&mut old, 2, 200));
         assert!(
-            old.gc_hit_fraction() > 2.0 * young.gc_hit_fraction(),
-            "aged {} vs young {}",
-            old.gc_hit_fraction(),
-            young.gc_hit_fraction()
+            old_hits > 2 * young_hits,
+            "aged {old_hits} vs young {young_hits}"
         );
     }
 
@@ -315,7 +289,8 @@ mod tests {
         let mut dev = FlashDevice::new(FlashDeviceConfig::default(), 5);
         let io = dev.submit(Nanos::from_millis(1));
         assert_eq!(dev.history()[3], io.latency.as_micros_f64());
-        assert_eq!(dev.completions(), 1);
+        let base = FlashDeviceConfig::default().base_latency.as_micros_f64();
+        assert_eq!(dev.history()[..3], [base; 3]);
     }
 
     #[test]

@@ -29,9 +29,8 @@
 //!   and is *not* tainted (a torn tail is expected crash damage).
 //! - [`FaultKind::SnapshotCorrupt`] — the snapshot blob bit-rots. Recovery
 //!   detects the bad checksum, discards the snapshot whole, and — because
-//!   the state can no longer be vouched for — boots fail-closed
-//!   ([`RecoveryConfig::fail_closed_on_taint`]): fallbacks pinned, model
-//!   disabled.
+//!   the state can no longer be vouched for — boots fail-closed:
+//!   fallbacks pinned, model disabled.
 //! - [`FaultKind::CheckpointCorrupt`] — the engine checkpoint bit-rots. It
 //!   no longer decodes, so the monitors boot without it; the loss is
 //!   recorded ([`RecoveryRunReport::checkpoint_discarded`]) and taints the
@@ -278,13 +277,10 @@ impl Driver {
             store.save("ml_enabled", 1.0);
             store.save("false_submit_rate", 0.0);
         }
-        if self.durable && !first {
-            let rec_tainted = self.report.tainted;
-            if rec_tainted && self.recovery_cfg.fail_closed_on_taint {
-                // Recovery found damage it cannot vouch for: boot in the
-                // fail-closed posture rather than trusting partial state.
-                fail_closed(&registry, &store, &["ml_enabled"]);
-            }
+        if self.durable && !first && self.report.tainted {
+            // Recovery found damage it cannot vouch for: boot in the
+            // fail-closed posture rather than trusting partial state.
+            fail_closed(&registry, &store, &["ml_enabled"]);
         }
         let violations_at_boot = engine.stats().violations;
         Node {
