@@ -40,25 +40,29 @@ cargo fmt --manifest-path perfbench/Cargo.toml --check
 # item) is a warning, and warnings fail CI.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-# Determinism gate: E10 is seeded and wall-clock-free, so its CSV must be
-# byte-identical on every run. Regenerate and diff against the committed copy.
-cargo run --release -p gr-bench --bin exp_recovery >/dev/null
-git diff --exit-code -- results/exp_recovery.csv || {
-    echo "exp_recovery.csv changed: E10 is no longer deterministic (or the" \
-         "committed results are stale — rerun and commit them)." >&2
-    exit 1
-}
-
-# E5, E7, E8 and E9 are seeded and wall-clock-free as well. E7, E8 and E9
-# read the engine's counters (evaluations, modelled overhead, rule faults,
-# watchdog trips, retrain retries), so a change to how the engine counts
-# shows up here. E4 (drift detection), the hedged-probe ablation, both
-# Figure 1 tables, Figure 2 (the LinnOS run: a change to the learned model's
-# arithmetic shows up here) and E6 (oscillation) are seeded too. About 7 s
-# for the ten.
-for experiment in exp_subsystems exp_dependency exp_incremental exp_faults \
-        exp_drift exp_probe_ablation fig1_properties fig1_actions fig2_linnos \
-        exp_oscillation; do
+# Determinism gate: every experiment below is seeded and wall-clock-free, so
+# its CSV must be byte-identical on every run. Each is regenerated and
+# diffed against the committed copy. What each one fences:
+# - E10 (exp_recovery): crash recovery, WAL bytes included.
+# - E5, E7, E8, E9 (exp_subsystems, exp_dependency, exp_incremental,
+#   exp_faults) read the engine's counters (evaluations, modelled overhead,
+#   rule faults, watchdog trips, retrain retries), so a change to how the
+#   engine counts shows up here.
+# - E4 (exp_drift: drift detection), the hedged-probe ablation, both Figure 1
+#   tables, Figure 2 (fig2_linnos, the LinnOS run: a change to the learned
+#   model's arithmetic shows up here) and E6 (exp_oscillation).
+# - E11 (exp_hotpath): the binary asserts that batched ingestion of
+#   optimized monitors is observationally identical to per-event ingestion
+#   of unoptimized ones, and that group commit shrinks the WAL while replay
+#   recovers the same state; nothing in it is timed.
+# - E12 (exp_telemetry): the binary asserts telemetry-on ingestion stays
+#   within 3% of telemetry-off with bit-identical outputs, and that the
+#   overhead-budget guardrail demotes the hog monitor; its CSV holds only
+#   deterministic counters.
+# About 10 s for the thirteen.
+for experiment in exp_recovery exp_subsystems exp_dependency exp_incremental \
+        exp_faults exp_drift exp_probe_ablation fig1_properties fig1_actions \
+        fig2_linnos exp_oscillation exp_hotpath exp_telemetry; do
     cargo run --release -p gr-bench --bin "${experiment}" >/dev/null
     git diff --exit-code -- "results/${experiment}.csv" || {
         echo "${experiment}.csv changed: the experiment is no longer" \
@@ -95,29 +99,6 @@ if [ "${ledger_status}" -ne 0 ]; then
     echo "exp_layers failed against the committed BENCH_layers.json." >&2
     exit 1
 fi
-
-# E11 determinism + hot-path invariants: the binary asserts that batched
-# ingestion of optimized monitors is observationally identical to per-event
-# ingestion of unoptimized ones, and that group commit shrinks the WAL while
-# replay recovers the same state; nothing in it is timed, and its CSV must
-# be byte-identical on every run.
-cargo run --release -p gr-bench --bin exp_hotpath >/dev/null
-git diff --exit-code -- results/exp_hotpath.csv || {
-    echo "exp_hotpath.csv changed: E11 is no longer deterministic (or the" \
-         "committed results are stale — rerun and commit them)." >&2
-    exit 1
-}
-
-# E12 determinism + telemetry invariants: the binary asserts telemetry-on
-# ingestion stays within 3% of telemetry-off with bit-identical outputs,
-# and that the overhead-budget guardrail demotes the hog monitor; its CSV
-# holds only deterministic counters and must be byte-identical every run.
-cargo run --release -p gr-bench --bin exp_telemetry >/dev/null
-git diff --exit-code -- results/exp_telemetry.csv || {
-    echo "exp_telemetry.csv changed: E12 is no longer deterministic (or the" \
-         "committed results are stale — rerun and commit them)." >&2
-    exit 1
-}
 
 # Benchmark smoke run: perfbench/ builds against the workspace crates by
 # path and checks every round's outputs, so a store or engine API change

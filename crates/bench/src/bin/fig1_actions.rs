@@ -5,7 +5,7 @@
 use gr_bench::write_results;
 use guardrails::action::Command;
 use guardrails::monitor::MonitorEngine;
-use simkernel::{Nanos, Priority, TaskControl, TaskTable};
+use simkernel::{Nanos, Priority, TaskTable};
 use storagesim::{LinnosClassifier, LinnosConfig};
 
 struct Row {

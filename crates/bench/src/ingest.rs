@@ -63,10 +63,7 @@ pub fn build_engine(optimize: bool) -> MonitorEngine {
         Arc::new(FeatureStore::new()),
         Arc::new(PolicyRegistry::new()),
     );
-    let opts = CompileOptions {
-        optimize,
-        ..CompileOptions::default()
-    };
+    let opts = CompileOptions { optimize };
     let checked = parse_and_check(SPECS).expect("specs parse");
     for guardrail in compile(&checked, &opts).expect("specs compile") {
         engine.install(guardrail).expect("specs install");

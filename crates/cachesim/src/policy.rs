@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 
-use guardrails::policy::LearnedPolicy;
 use mlkit::{LogisticRegression, Sgd};
 
 /// Learned admission: on a miss, decide whether the key deserves a cache
@@ -89,22 +88,6 @@ impl LearnedAdmission {
     }
 }
 
-impl LearnedPolicy for LearnedAdmission {
-    fn decide(&mut self, features: &[f64]) -> f64 {
-        self.inferences += 1;
-        self.model.predict_proba(features)
-    }
-
-    fn inference_cost(&self) -> u64 {
-        200
-    }
-
-    fn retrain(&mut self) {
-        self.frozen = false;
-        self.model.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,22 +135,10 @@ mod tests {
         p.train(&[2.0, 0.1], true);
         p.freeze();
         assert!(p.is_frozen());
-        let before = p.decide(&[2.0, 0.1]);
+        let before = p.model.predict_proba(&[2.0, 0.1]);
         for _ in 0..100 {
             p.train(&[2.0, 0.1], false);
         }
-        assert_eq!(p.decide(&[2.0, 0.1]), before);
-    }
-
-    #[test]
-    fn retrain_resets() {
-        let mut p = LearnedAdmission::new();
-        for _ in 0..500 {
-            p.train(&[2.0, 0.1], true);
-        }
-        p.freeze();
-        LearnedPolicy::retrain(&mut p);
-        assert!(!p.is_frozen());
-        assert_eq!(p.decide(&[2.0, 0.1]), 0.5, "reset to uninformative");
+        assert_eq!(p.model.predict_proba(&[2.0, 0.1]), before);
     }
 }

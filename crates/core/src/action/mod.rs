@@ -46,12 +46,12 @@ pub enum Command {
 ///
 /// Bounded so a misbehaving guardrail cannot queue unbounded kernel work;
 /// overflow drops the *newest* command (the violation will re-fire if the
-/// condition persists) and counts the drop.
+/// condition persists), and [`CommandOutbox::push`] says so: the engine
+/// records each drop as a notice in its decision stream.
 #[derive(Debug)]
 pub struct CommandOutbox {
     queue: VecDeque<(Nanos, Command)>,
     capacity: usize,
-    dropped: u64,
 }
 
 impl Default for CommandOutbox {
@@ -66,17 +66,18 @@ impl CommandOutbox {
         CommandOutbox {
             queue: VecDeque::new(),
             capacity: capacity.max(1),
-            dropped: 0,
         }
     }
 
-    /// Enqueues a command stamped at `now`; drops it (counted) when full.
-    pub fn push(&mut self, now: Nanos, command: Command) {
+    /// Enqueues a command stamped at `now` and returns `true`, or drops it
+    /// and returns `false` when the outbox is full.
+    #[must_use = "a full outbox drops the command"]
+    pub fn push(&mut self, now: Nanos, command: Command) -> bool {
         if self.queue.len() >= self.capacity {
-            self.dropped += 1;
-            return;
+            return false;
         }
         self.queue.push_back((now, command));
+        true
     }
 
     /// Drains all pending commands, oldest first.
@@ -104,11 +105,6 @@ impl CommandOutbox {
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
-
-    /// Commands dropped due to the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
 }
 
 #[cfg(test)]
@@ -125,8 +121,8 @@ mod tests {
     #[test]
     fn fifo_order_preserved() {
         let mut outbox = CommandOutbox::default();
-        outbox.push(Nanos::from_secs(1), cmd(1));
-        outbox.push(Nanos::from_secs(2), cmd(2));
+        assert!(outbox.push(Nanos::from_secs(1), cmd(1)));
+        assert!(outbox.push(Nanos::from_secs(2), cmd(2)));
         let drained = outbox.drain();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].0, Nanos::from_secs(1));
@@ -137,8 +133,8 @@ mod tests {
     #[test]
     fn drain_into_reuses_the_buffer() {
         let mut outbox = CommandOutbox::default();
-        outbox.push(Nanos::from_secs(1), cmd(1));
-        outbox.push(Nanos::from_secs(2), cmd(2));
+        assert!(outbox.push(Nanos::from_secs(1), cmd(1)));
+        assert!(outbox.push(Nanos::from_secs(2), cmd(2)));
         let mut buf = Vec::new();
         outbox.drain_into(&mut buf);
         assert_eq!(buf.len(), 2);
@@ -152,20 +148,18 @@ mod tests {
         assert_eq!(buf.capacity(), cap);
         // A non-empty drain appends rather than replacing.
         buf.push((Nanos::ZERO, cmd(0)));
-        outbox.push(Nanos::from_secs(3), cmd(3));
+        assert!(outbox.push(Nanos::from_secs(3), cmd(3)));
         outbox.drain_into(&mut buf);
         assert_eq!(buf.len(), 2);
         assert_eq!(buf[1].1, cmd(3));
     }
 
     #[test]
-    fn overflow_drops_newest_and_counts() {
+    fn overflow_drops_newest_and_says_so() {
         let mut outbox = CommandOutbox::with_capacity(2);
-        for i in 0..5 {
-            outbox.push(Nanos::ZERO, cmd(i));
-        }
+        let accepted: Vec<bool> = (0..5).map(|i| outbox.push(Nanos::ZERO, cmd(i))).collect();
+        assert_eq!(accepted, [true, true, false, false, false]);
         assert_eq!(outbox.len(), 2);
-        assert_eq!(outbox.dropped(), 3);
         let drained = outbox.drain();
         assert_eq!(drained[0].1, cmd(0), "oldest survives");
         assert_eq!(drained[1].1, cmd(1));

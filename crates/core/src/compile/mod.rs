@@ -17,7 +17,7 @@ use crate::spec::ast::ActionStmt;
 use crate::spec::check::{CheckedGuardrail, CheckedSpec, TimerSpec};
 use crate::spec::pretty::print_expr;
 use ir::Program;
-use verify::{verify_named, ExpectedType, Verified, VerifyLimits};
+use verify::{verify_named, ExpectedType, Verified};
 
 /// Options controlling compilation.
 #[derive(Clone, Copy, Debug)]
@@ -25,16 +25,11 @@ pub struct CompileOptions {
     /// Run the AST optimizer before lowering (on by default; the compiler
     /// goldens and E11's per-event run turn it off).
     pub optimize: bool,
-    /// Verifier resource limits.
-    pub limits: VerifyLimits,
 }
 
 impl Default for CompileOptions {
     fn default() -> Self {
-        CompileOptions {
-            optimize: true,
-            limits: VerifyLimits::default(),
-        }
+        CompileOptions { optimize: true }
     }
 }
 
@@ -165,7 +160,7 @@ fn compile_guardrail(g: &CheckedGuardrail, opts: &CompileOptions) -> Result<Comp
         };
         let program = lower::lower_expr(&folded)?;
         rules.push(CompiledRule {
-            program: verify_named(program, ExpectedType::Bool, &opts.limits, &g.name)?,
+            program: verify_named(program, ExpectedType::Bool, &g.name)?,
             source: source.into(),
         });
     }
@@ -195,7 +190,7 @@ fn compile_action(
         } else {
             e.clone()
         };
-        verify_named(lower::lower_expr(&folded)?, expect, &opts.limits, &g.name)
+        verify_named(lower::lower_expr(&folded)?, expect, &g.name)
     };
     Ok(match action {
         ActionStmt::Report { message, keys } => CompiledAction::Report {
@@ -285,14 +280,7 @@ mod tests {
         let src = "guardrail g { trigger: { TIMER(0,1) }, rule: { LOAD(x) < 2 * 1000 + 500 }, action: { REPORT(m) } }";
         let checked = crate::spec::parse_and_check(src).unwrap();
         let optimized = compile(&checked, &CompileOptions::default()).unwrap();
-        let unoptimized = compile(
-            &checked,
-            &CompileOptions {
-                optimize: false,
-                ..CompileOptions::default()
-            },
-        )
-        .unwrap();
+        let unoptimized = compile(&checked, &CompileOptions { optimize: false }).unwrap();
         assert!(optimized[0].rules[0].program.len() < unoptimized[0].rules[0].program.len());
         assert_eq!(
             optimized[0].rules[0].program.ops,
@@ -354,14 +342,7 @@ mod tests {
         let store = FeatureStore::new();
         store.save("x", 1.0);
         let value = |optimize| {
-            let compiled = compile(
-                &checked,
-                &CompileOptions {
-                    optimize,
-                    ..CompileOptions::default()
-                },
-            )
-            .unwrap();
+            let compiled = compile(&checked, &CompileOptions { optimize }).unwrap();
             let program = &compiled[0].rules[0].program;
             let slots = store.bind(&program.keys);
             Vm::new()

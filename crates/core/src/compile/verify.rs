@@ -144,17 +144,14 @@ impl std::fmt::Display for Verified {
 
 /// Verifies `program`, returning it with its static resource bounds.
 pub fn verify(program: Program, expect: ExpectedType, limits: &VerifyLimits) -> Result<Verified> {
-    verify_named(program, expect, limits, "<anonymous>")
+    let report = check(&program, expect, limits, "<anonymous>")?;
+    Ok(Verified { program, report })
 }
 
-/// Verifies `program`, attributing failures to `guardrail` in errors.
-pub fn verify_named(
-    program: Program,
-    expect: ExpectedType,
-    limits: &VerifyLimits,
-    guardrail: &str,
-) -> Result<Verified> {
-    let report = check(&program, expect, limits, guardrail)?;
+/// Verifies `program` under the default [`VerifyLimits`], the ones every
+/// compiled guardrail gets, attributing failures to `guardrail` in errors.
+pub fn verify_named(program: Program, expect: ExpectedType, guardrail: &str) -> Result<Verified> {
+    let report = check(&program, expect, &VerifyLimits::default(), guardrail)?;
     Ok(Verified { program, report })
 }
 

@@ -81,7 +81,7 @@ pub use error::GuardrailError;
 pub use monitor::engine::MonitorEngine;
 pub use monitor::resilience::{RecoveryConfig, RuntimeConfig};
 pub use monitor::supervisor::{Supervisor, SupervisorConfig};
-pub use policy::{LearnedPolicy, PolicyRegistry};
+pub use policy::PolicyRegistry;
 pub use store::durable::{DurabilityConfig, DurableStore, MemBackend, PersistBackend};
 pub use store::{FeatureStore, Slot};
 pub use telemetry::{Telemetry, TelemetrySnapshot};

@@ -481,14 +481,17 @@ impl MonitorEngine {
                 }
                 account.retrain_retries += 1;
                 if self.limiter.request(&p.model, now).is_ok() {
-                    self.outbox.push(
+                    emit(
+                        &mut self.outbox,
+                        &mut self.events,
+                        account,
                         now,
+                        name,
                         Command::Retrain {
                             guardrail: name.to_string(),
                             model: p.model.clone(),
                         },
                     );
-                    account.commands_emitted += 1;
                     return false;
                 }
                 p.attempt += 1;
@@ -891,14 +894,17 @@ impl MonitorEngine {
                 }
                 CompiledAction::Retrain { model } => {
                     if limiter.request(model, now).is_ok() {
-                        outbox.push(
+                        emit(
+                            outbox,
+                            events,
+                            account,
                             now,
+                            name,
                             Command::Retrain {
                                 guardrail: name.to_string(),
                                 model: model.clone(),
                             },
                         );
-                        account.commands_emitted += 1;
                     } else if let Some(retry) = resilience.retrain_retry {
                         // Rejected: schedule a backoff retry instead of
                         // dropping the request, unless one is already queued
@@ -930,15 +936,18 @@ impl MonitorEngine {
                         },
                         None => 5,
                     };
-                    outbox.push(
+                    emit(
+                        outbox,
+                        events,
+                        account,
                         now,
+                        name,
                         Command::Deprioritize {
                             guardrail: name.to_string(),
                             target: target.clone(),
                             steps: steps_value,
                         },
                     );
-                    account.commands_emitted += 1;
                 }
                 CompiledAction::Save { value, .. } => match operand(value) {
                     Ok(r) => {
@@ -976,7 +985,7 @@ impl MonitorEngine {
     }
 
     /// Drains the deferred-command outbox (apply these with your subsystem's
-    /// [`simkernel::TaskControl`] / model owner).
+    /// [`simkernel::TaskTable`] / model owner).
     ///
     /// Allocates a fresh `Vec` per call; event loops that poll every tick
     /// should prefer [`MonitorEngine::drain_commands_into`].
@@ -1227,6 +1236,32 @@ impl MonitorEngine {
         }
         self.events.record(self.now, None, EventKind::Restart);
         Ok(())
+    }
+}
+
+/// Queues `command` for `guardrail` and counts it in `account`, or, when
+/// the outbox is full and drops it, records a notice naming the action and
+/// the capacity: a command is counted emitted only if it can be drained.
+fn emit(
+    outbox: &mut CommandOutbox,
+    events: &mut EventLog,
+    account: &mut OverheadAccount,
+    now: Nanos,
+    guardrail: &Arc<str>,
+    command: Command,
+) {
+    let action = match command {
+        Command::Deprioritize { .. } => "DEPRIORITIZE",
+        Command::Retrain { .. } => "RETRAIN",
+    };
+    if outbox.push(now, command) {
+        account.commands_emitted += 1;
+    } else {
+        let text = format!(
+            "{action} command dropped: the outbox is full ({} commands)",
+            outbox.len()
+        );
+        events.notice(now, guardrail, text);
     }
 }
 
@@ -2084,6 +2119,36 @@ guardrail low-false-submit {
             used.stats().evaluations,
             "the snapshot continues from the checkpoint too"
         );
+    }
+
+    /// A command the full outbox drops is not counted as emitted: it is a
+    /// notice naming the action and the capacity instead, so
+    /// `commands_emitted` is what the embedder can drain.
+    #[test]
+    fn a_full_outbox_drops_commands_with_a_notice_and_does_not_count_them() {
+        let mut engine = MonitorEngine::new();
+        engine
+            .install_str(
+                "guardrail hog { trigger: { FUNCTION(tick) }, rule: { ARG(0) < 1 }, action: { DEPRIORITIZE(t, 3) } }",
+            )
+            .unwrap();
+        for i in 0..1030 {
+            engine.on_function("tick", Nanos::from_micros(i), &[5.0]);
+        }
+        assert_eq!(engine.stats().commands_emitted, 1024);
+        let notices: Vec<&str> = engine
+            .events()
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::Notice(text) => Some(text.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            notices,
+            ["DEPRIORITIZE command dropped: the outbox is full (1024 commands)"; 6]
+        );
+        assert_eq!(engine.drain_commands().len(), 1024);
     }
 
     #[test]

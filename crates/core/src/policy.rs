@@ -1,4 +1,4 @@
-//! Learned policies and the registry the `REPLACE` action drives.
+//! The registry of policy variants the `REPLACE` action drives.
 //!
 //! "Most systems deploying learned policies supplement but do not replace
 //! existing ones" (§3.2): a subsystem keeps both its learned policy and its
@@ -22,22 +22,6 @@ use std::sync::Arc;
 use parking_lot::{RwLock, RwLockWriteGuard};
 
 use crate::error::{GuardrailError, Result};
-
-/// A decision-making policy: maps a feature vector to a decision value.
-///
-/// The decision encoding is subsystem-specific (LinnOS: probability the I/O
-/// will be slow; scheduler: predicted burst length; ...). Policies also
-/// expose an inference-cost estimate so the engine can account P5 overhead.
-pub trait LearnedPolicy {
-    /// Computes a decision for `features`.
-    fn decide(&mut self, features: &[f64]) -> f64;
-    /// Estimated cost of one inference in simulated nanoseconds.
-    fn inference_cost(&self) -> u64 {
-        1_000
-    }
-    /// Retrains/refreshes the policy (the `RETRAIN` action's entry point).
-    fn retrain(&mut self) {}
-}
 
 /// The canonical variant name for the learned policy in a slot.
 pub const VARIANT_LEARNED: &str = "learned";

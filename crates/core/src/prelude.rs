@@ -6,7 +6,7 @@ pub use crate::monitor::{
     FailMode, Hysteresis, MonitorEngine, ResilienceConfig, RetryPolicy, TriggerKind, Violation,
     WatchdogConfig,
 };
-pub use crate::policy::{LearnedPolicy, PolicyRegistry, VARIANT_FALLBACK, VARIANT_LEARNED};
+pub use crate::policy::{PolicyRegistry, VARIANT_FALLBACK, VARIANT_LEARNED};
 pub use crate::spec::{parse, parse_and_check};
 pub use crate::store::FeatureStore;
 pub use crate::telemetry::{Telemetry, TelemetrySnapshot, RESERVED_PREFIX};

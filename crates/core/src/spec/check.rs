@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use simkernel::Nanos;
 
-use crate::compile::ir::{clamp, ArithKind};
+use crate::compile::opt::fold_expr;
 use crate::error::{GuardrailError, Result};
 use crate::spec::ast::{ActionStmt, BinOp, Expr, Guardrail, Spec, Trigger, UnOp};
 
@@ -394,6 +394,8 @@ fn expect_type(e: &Expr, want: Type, ctx: &ExprCtx<'_>, what: &str) -> Result<()
 }
 
 fn expect_const(e: &Expr, ctx: &ExprCtx<'_>, what: &str) -> Result<f64> {
+    // Typed first: the folder simplifies `true && 5` and `!!5` to `5`.
+    expect_type(e, Type::Num, ctx, what)?;
     const_fold(e).ok_or_else(|| {
         GuardrailError::check(
             ctx.guardrail,
@@ -413,17 +415,11 @@ fn expect_const_positive(e: &Expr, ctx: &ExprCtx<'_>, what: &str) -> Result<f64>
     Ok(v)
 }
 
-/// Evaluates a numeric constant expression (no loads, args, or aggregates).
+/// Evaluates a closed numeric expression (no loads, args, or aggregates):
+/// the number [`fold_expr`] folds it to, if it folds to one.
 pub fn const_fold(e: &Expr) -> Option<f64> {
-    match e {
-        Expr::Number(n) => Some(*n),
-        Expr::Unary(UnOp::Neg, x) => Some(-const_fold(x)?),
-        Expr::Abs(x) => Some(const_fold(x)?.abs()),
-        Expr::Clamp(x, lo, hi) => Some(clamp(const_fold(x)?, const_fold(lo)?, const_fold(hi)?)),
-        Expr::Binary(op, l, r) => {
-            let arith = ArithKind::from_binop(*op)?;
-            Some(arith.eval(const_fold(l)?, const_fold(r)?))
-        }
+    match fold_expr(e) {
+        Expr::Number(n) => Some(n),
         _ => None,
     }
 }
@@ -435,12 +431,11 @@ fn const_num(
     what: &str,
 ) -> Result<f64> {
     let resolved = substitute_symbols(e, bindings, guardrail)?;
-    const_fold(&resolved).ok_or_else(|| {
-        GuardrailError::check(
-            guardrail,
-            format!("{what} must be a compile-time numeric constant"),
-        )
-    })
+    let ctx = ExprCtx {
+        guardrail,
+        allow_args: false,
+    };
+    expect_const(&resolved, &ctx, what)
 }
 
 #[cfg(test)]
@@ -613,6 +608,26 @@ mod tests {
             Some(3.0)
         );
         assert_eq!(const_fold(&E::Load("x".into())), None);
+        assert_eq!(
+            const_fold(&E::bin(BinOp::Lt, E::Number(1.0), E::Number(2.0))),
+            None
+        );
+    }
+
+    /// The folder simplifies `true && 5` and `!!5` to `5`; the checker
+    /// types a constant before folding it, so neither is a number.
+    #[test]
+    fn boolean_operators_do_not_make_numeric_constants() {
+        for timer in ["TIMER(true && 5, 1)", "TIMER(0, !!5)"] {
+            let src = format!(
+                "guardrail g {{ trigger: {{ {timer} }}, rule: {{ true }}, action: {{ REPORT(m) }} }}"
+            );
+            assert!(check(&src).is_err(), "{timer}");
+        }
+        assert!(check(
+            "guardrail g { trigger: { TIMER(0,1) }, rule: { QUANTILE(k, 0.5 || false, 10) < 1 }, action: { REPORT(m) } }"
+        )
+        .is_err());
     }
 
     #[test]

@@ -131,10 +131,7 @@ fn check_golden(name: &str, rendered: &str) {
 }
 
 fn base_options() -> CompileOptions {
-    CompileOptions {
-        optimize: false,
-        ..CompileOptions::default()
-    }
+    CompileOptions { optimize: false }
 }
 
 #[test]

@@ -1,6 +1,5 @@
 //! Placement policies: the LRU-promotion baseline and the learned placer.
 
-use guardrails::policy::LearnedPolicy;
 use mlkit::{LogisticRegression, Sgd};
 
 use crate::tiers::{PageId, TieredMemory};
@@ -175,22 +174,6 @@ impl Placement for LearnedPlacement {
 
     fn name(&self) -> &'static str {
         "learned-placement"
-    }
-}
-
-impl LearnedPolicy for LearnedPlacement {
-    fn decide(&mut self, features: &[f64]) -> f64 {
-        self.inferences += 1;
-        self.admit_model.predict_proba(features)
-    }
-
-    fn inference_cost(&self) -> u64 {
-        // Logistic regression over 3 features: a few hundred ns.
-        300
-    }
-
-    fn retrain(&mut self) {
-        self.begin_retrain();
     }
 }
 

@@ -4,9 +4,10 @@
 //! classifier, the learned scheduler, the tiered-memory placer, the learned
 //! congestion controller) all need light models that can be trained and
 //! queried inside a simulation loop. This crate implements them from scratch:
-//! a row-major matrix type, a multi-layer perceptron with backpropagation,
-//! SGD/Adam optimizers, logistic regression, online feature standardization,
-//! a replay buffer, and tabular Q-learning.
+//! a row-major matrix type, LinnOS's `I → 16 → 16 → 1` network with
+//! backpropagation on binary cross-entropy, SGD/Adam optimizers, logistic
+//! regression, online feature standardization, a replay buffer, and tabular
+//! Q-learning.
 //!
 //! The models are deliberately *imperfect in realistic ways* — they are
 //! trained on data from the simulation and degrade under distribution shift,
@@ -24,8 +25,7 @@ pub mod scaler;
 pub mod tensor;
 
 pub use linear::LogisticRegression;
-pub use loss::Loss;
-pub use mlp::{Activation, FixedMlp, Mlp, MlpConfig, OutputCorruption, TrainBuffers};
+pub use mlp::{Mlp, OutputCorruption, TrainBuffers};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use qlearn::QTable;
 pub use replay::ReplayBuffer;

@@ -40,11 +40,6 @@ impl LogisticRegression {
         }
     }
 
-    /// Number of input features.
-    pub fn features(&self) -> usize {
-        self.weights.len()
-    }
-
     /// Returns `P(label = 1 | x)`.
     ///
     /// # Panics
@@ -135,7 +130,6 @@ mod tests {
         assert!(model.predict_proba(&[1.0]) > 0.6);
         model.reset();
         assert_eq!(model.predict_proba(&[1.0]), 0.5);
-        assert_eq!(model.features(), 1);
     }
 
     #[test]

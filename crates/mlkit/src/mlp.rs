@@ -1,81 +1,30 @@
-//! A multi-layer perceptron with backpropagation.
+//! The LinnOS classifier's network and its backpropagation.
 //!
-//! This is the model family used by LinnOS ("a light neural network"): a few
-//! small fully-connected layers, trained with minibatch gradient descent.
+//! LinnOS uses "a light neural network": `I → 16 → 16 → 1`, ReLU hidden
+//! layers and a sigmoid output, trained on binary cross-entropy with
+//! minibatch gradient descent. [`Mlp`] is that network, its input width
+//! fixed by the type.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::loss::Loss;
+use crate::loss::bce_gradient;
 use crate::optim::Optimizer;
 use crate::tensor::{all_finite, row_product, Matrix};
 
-/// An element-wise activation function.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Activation {
-    /// Rectified linear unit.
-    Relu,
-    /// Logistic sigmoid (outputs in `(0, 1)`).
-    Sigmoid,
+/// The width of both hidden layers.
+const HIDDEN: usize = 16;
+
+/// The hidden layers' activation.
+#[inline]
+fn relu(x: f64) -> f64 {
+    x.max(0.0)
 }
 
-impl Activation {
-    #[inline]
-    fn apply(self, x: f64) -> f64 {
-        match self {
-            Activation::Relu => x.max(0.0),
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-        }
-    }
-
-    /// Adds `bias` to every row of `z` and activates it in place: the
-    /// activation is chosen once, not per element.
-    fn apply_rows(self, z: &mut [f64], bias: &[f64]) {
-        fn each(z: &mut [f64], bias: &[f64], f: impl Fn(f64) -> f64) {
-            if bias.is_empty() {
-                return;
-            }
-            for row in z.chunks_exact_mut(bias.len()) {
-                for (v, &b) in row.iter_mut().zip(bias) {
-                    *v = f(*v + b);
-                }
-            }
-        }
-        match self {
-            Activation::Relu => each(z, bias, |x| Activation::Relu.apply(x)),
-            Activation::Sigmoid => each(z, bias, |x| Activation::Sigmoid.apply(x)),
-        }
-    }
-
-    /// Multiplies each element of `delta` by the derivative at the matching
-    /// activated value in `a`, choosing the activation once.
-    fn scale_by_derivative(self, delta: &mut [f64], a: &[f64]) {
-        fn each(delta: &mut [f64], a: &[f64], f: impl Fn(f64) -> f64) {
-            for (d, &a) in delta.iter_mut().zip(a) {
-                *d *= f(a);
-            }
-        }
-        match self {
-            Activation::Relu => each(delta, a, |a| Activation::Relu.derivative_from_output(a)),
-            Activation::Sigmoid => {
-                each(delta, a, |a| Activation::Sigmoid.derivative_from_output(a))
-            }
-        }
-    }
-
-    /// Derivative expressed in terms of the *activated* value `a`.
-    fn derivative_from_output(self, a: f64) -> f64 {
-        match self {
-            Activation::Relu => {
-                if a > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Activation::Sigmoid => a * (1.0 - a),
-        }
-    }
+/// The output layer's activation, a probability in `(0, 1)`.
+#[inline]
+fn sigmoid(x: f64) -> f64 {
+    1.0 / (1.0 + (-x).exp())
 }
 
 /// How a fault injector corrupts the network's *inference* output.
@@ -105,36 +54,6 @@ impl OutputCorruption {
     }
 }
 
-/// Configuration for an [`Mlp`].
-#[derive(Clone, Debug)]
-pub struct MlpConfig {
-    /// Layer widths, input first, output last (at least two entries).
-    pub layers: Vec<usize>,
-    /// Activation applied to hidden layers.
-    pub hidden_activation: Activation,
-    /// Activation applied to the output layer.
-    pub output_activation: Activation,
-    /// Weight-initialization seed (deterministic training).
-    pub seed: u64,
-}
-
-/// The width of both hidden layers of [`MlpConfig::linnos`] and
-/// [`FixedMlp`].
-const LINNOS_HIDDEN: usize = 16;
-
-impl MlpConfig {
-    /// A LinnOS-shaped binary classifier: `inputs -> 16 -> 16 -> 1` with a
-    /// sigmoid output, matching the paper's "light neural network".
-    pub fn linnos(inputs: usize, seed: u64) -> Self {
-        MlpConfig {
-            layers: vec![inputs, LINNOS_HIDDEN, LINNOS_HIDDEN, 1],
-            hidden_activation: Activation::Relu,
-            output_activation: Activation::Sigmoid,
-            seed,
-        }
-    }
-}
-
 /// Everything a training step writes, kept between steps (see
 /// [`Mlp::train_step`]): the activations, the delta being propagated and
 /// the one it is propagated into, the transposed weights it is propagated
@@ -152,87 +71,71 @@ pub struct TrainBuffers {
     grads: Vec<f64>,
 }
 
-/// A fully-connected feed-forward network.
+/// The `I → 16 → 16 → 1` network: ReLU hidden layers, a sigmoid output.
+///
+/// One decision ([`Mlp::predict`]) runs at that shape on the stack: the
+/// rows are arrays and each weight row is read as `[f64; 16]`. Training
+/// ([`Mlp::train_step`]) and the batch forward pass ([`Mlp::forward`])
+/// run on matrices.
 ///
 /// # Examples
 ///
 /// Learn XOR, the classic non-linearly-separable function:
 ///
 /// ```
-/// use mlkit::{Activation, Adam, Loss, Mlp, MlpConfig, Matrix, Optimizer};
+/// use mlkit::{loss, Adam, Matrix, Mlp, TrainBuffers};
 ///
-/// let mut net = Mlp::new(MlpConfig {
-///     layers: vec![2, 8, 1],
-///     hidden_activation: Activation::Relu,
-///     output_activation: Activation::Sigmoid,
-///     seed: 1,
-/// });
+/// let mut net = Mlp::<2>::new(1);
 /// let x = Matrix::from_rows(&[&[0.0, 0.0], &[0.0, 1.0], &[1.0, 0.0], &[1.0, 1.0]]);
 /// let y = Matrix::from_rows(&[&[0.0], &[1.0], &[1.0], &[0.0]]);
-/// let mut opt = Adam::new(0.05);
-/// for _ in 0..2000 {
-///     net.train_batch(&x, &y, Loss::Bce, &mut opt);
+/// let (mut opt, mut bufs) = (Adam::new(0.05), TrainBuffers::default());
+/// for _ in 0..500 {
+///     net.train_step(&x, &y, &mut opt, &mut bufs);
 /// }
-/// assert!(net.predict_one(&[1.0, 0.0])[0] > 0.8);
-/// assert!(net.predict_one(&[1.0, 1.0])[0] < 0.2);
+/// let output = net.train_step(&x, &y, &mut opt, &mut bufs);
+/// assert!(loss::bce(output, y.as_slice()) < 0.05);
+/// assert!(net.predict(&[1.0, 0.0]) > 0.8);
+/// assert!(net.predict(&[1.0, 1.0]) < 0.2);
+/// // One decision is the batch forward pass on one row, bit for bit.
+/// assert_eq!(net.predict(&[1.0, 0.0]), net.forward(&Matrix::from_rows(&[&[1.0, 0.0]]))[(0, 0)]);
 /// ```
 #[derive(Clone, Debug)]
-pub struct Mlp {
-    config: MlpConfig,
+pub struct Mlp<const I: usize> {
+    layers: Layers,
+    corruption: Option<OutputCorruption>,
+}
+
+/// The weights and biases, with nothing that depends on the input width:
+/// the training step and the batch forward pass are methods here, so they
+/// are compiled once, in this crate, whatever `I` is.
+///
+/// The widths are set by [`Layers::new`] and nothing changes a layer's size
+/// afterwards (`train_step` writes in place, `reinitialize` rebuilds at the
+/// same widths).
+#[derive(Clone, Debug)]
+struct Layers {
     weights: Vec<Matrix>,
     biases: Vec<Vec<f64>>,
     /// Whether every weight is finite, kept by whatever writes the weights
     /// (`new` and `train_step`): single-row inference then needs no masking
     /// of the terms it skips.
     weights_finite: bool,
-    corruption: Option<OutputCorruption>,
 }
 
-impl Mlp {
-    /// Creates a network with He/Xavier-style initialization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.layers` has fewer than two entries or a zero width.
-    pub fn new(config: MlpConfig) -> Self {
-        assert!(
-            config.layers.len() >= 2,
-            "need at least input and output layers"
-        );
-        assert!(
-            config.layers.iter().all(|&w| w > 0),
-            "layer widths must be positive"
-        );
-        let mut rng = SmallRng::seed_from_u64(config.seed);
-        let mut weights = Vec::new();
-        let mut biases = Vec::new();
-        for w in config.layers.windows(2) {
-            let (fan_in, fan_out) = (w[0], w[1]);
-            // He init for ReLU, Xavier otherwise.
-            let scale = match config.hidden_activation {
-                Activation::Relu => (2.0 / fan_in as f64).sqrt(),
-                _ => (1.0 / fan_in as f64).sqrt(),
-            };
-            let data: Vec<f64> = (0..fan_in * fan_out)
-                .map(|_| (rng.gen::<f64>() * 2.0 - 1.0) * scale)
-                .collect();
-            weights.push(Matrix::from_vec(fan_in, fan_out, data));
-            biases.push(vec![0.0; fan_out]);
-        }
+impl<const I: usize> Mlp<I> {
+    /// An untrained network, He-initialized from `seed`.
+    pub fn new(seed: u64) -> Self {
         Mlp {
-            config,
-            weights_finite: weights.iter().all(|w| all_finite(w.as_slice())),
-            weights,
-            biases,
+            layers: Layers::new(&[I, HIDDEN, HIDDEN, 1], seed),
             corruption: None,
         }
     }
 
     /// Injects (or with `None` clears) an inference-output corruption.
     ///
-    /// While set, [`Mlp::forward`] and [`Mlp::predict_one`] return the
+    /// While set, [`Mlp::forward`] and [`Mlp::predict`] return the
     /// corrupted value in place of every output element. Training via
-    /// [`Mlp::train_batch`] is unaffected (it runs the clean forward pass
+    /// [`Mlp::train_step`] is unaffected (it runs the clean forward pass
     /// internally) — see [`OutputCorruption`] for why.
     pub fn set_output_corruption(&mut self, corruption: Option<OutputCorruption>) {
         self.corruption = corruption;
@@ -243,18 +146,90 @@ impl Mlp {
         self.corruption
     }
 
-    /// Returns the layer widths.
-    pub fn layers(&self) -> &[usize] {
-        &self.config.layers
+    /// Runs a batch forward; `x` is `n x I`, the result `n x 1`.
+    pub fn forward(&self, x: &Matrix) -> Matrix {
+        assert_eq!(x.cols(), I, "input width does not match network input");
+        let mut acts = Vec::new();
+        self.layers.forward_into(x, &mut acts);
+        let mut out = acts.pop().expect("at least one layer");
+        if let Some(corruption) = self.corruption {
+            out.map_inplace(|v| corruption.corrupt(v));
+        }
+        out
     }
 
-    /// Number of trainable parameters.
-    pub fn num_params(&self) -> usize {
-        self.weights
-            .iter()
-            .map(|w| w.rows() * w.cols())
-            .sum::<usize>()
-            + self.biases.iter().map(Vec::len).sum::<usize>()
+    /// Performs one minibatch training step in `bufs` and returns the
+    /// pre-step predictions, row-major, allocating nothing once `bufs` has
+    /// grown to the batch.
+    ///
+    /// The loss value is left to the caller ([`crate::loss::bce`]), who
+    /// may want it for only some steps.
+    pub fn train_step<'b>(
+        &mut self,
+        x: &Matrix,
+        y: &Matrix,
+        opt: &mut dyn Optimizer,
+        bufs: &'b mut TrainBuffers,
+    ) -> &'b [f64] {
+        self.layers.train_step(x, y, opt, bufs)
+    }
+
+    /// Re-initializes all weights from a new seed (used by `RETRAIN` flows
+    /// that restart training from scratch on fresh data).
+    pub fn reinitialize(&mut self, seed: u64) {
+        // Corruption models a broken inference *path*, not broken weights —
+        // redeploying the model does not fix it.
+        *self = Mlp {
+            corruption: self.corruption,
+            ..Mlp::new(seed)
+        };
+    }
+
+    /// Predicts for one input row: the same bits as [`Mlp::forward`] on a
+    /// one-row matrix, corruption included, without allocating.
+    pub fn predict(&self, x: &[f64; I]) -> f64 {
+        let out = if self.layers.weights_finite {
+            self.forward_one::<false>(x)
+        } else {
+            self.forward_one::<true>(x)
+        };
+        self.corruption.map_or(out, |c| c.corrupt(out))
+    }
+
+    /// The clean forward pass of one row, the skipped terms masked (`MASK`)
+    /// or not.
+    #[inline(always)]
+    fn forward_one<const MASK: bool>(&self, x: &[f64; I]) -> f64 {
+        let (w, b) = (&self.layers.weights, &self.layers.biases);
+        let h0 = affine::<MASK, I, HIDDEN>(x, w[0].as_slice(), &b[0]).map(relu);
+        let h1 = affine::<MASK, HIDDEN, HIDDEN>(&h0, w[1].as_slice(), &b[1]).map(relu);
+        let [z] = affine::<MASK, HIDDEN, 1>(&h1, w[2].as_slice(), &b[2]);
+        sigmoid(z)
+    }
+}
+
+impl Layers {
+    /// Layers of the given widths, input first, each weight drawn uniformly
+    /// from `±sqrt(2 / fan_in)` (He initialization, for ReLU) and each bias
+    /// zero.
+    fn new(widths: &[usize], seed: u64) -> Self {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut weights = Vec::new();
+        let mut biases = Vec::new();
+        for w in widths.windows(2) {
+            let (fan_in, fan_out) = (w[0], w[1]);
+            let scale = (2.0 / fan_in as f64).sqrt();
+            let data: Vec<f64> = (0..fan_in * fan_out)
+                .map(|_| (rng.gen::<f64>() * 2.0 - 1.0) * scale)
+                .collect();
+            weights.push(Matrix::from_vec(fan_in, fan_out, data));
+            biases.push(vec![0.0; fan_out]);
+        }
+        Layers {
+            weights_finite: weights.iter().all(|w| all_finite(w.as_slice())),
+            weights,
+            biases,
+        }
     }
 
     /// The parameters in the order the optimizer sees them flattened:
@@ -264,92 +239,28 @@ impl Mlp {
         weights.chain(self.biases.iter_mut().map(Vec::as_mut_slice))
     }
 
-    fn activation_for_layer(&self, layer: usize) -> Activation {
-        if layer + 1 == self.weights.len() {
-            self.config.output_activation
-        } else {
-            self.config.hidden_activation
-        }
-    }
-
-    /// Runs a batch forward; `x` is `n x inputs`, the result `n x outputs`.
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut acts = Vec::new();
-        self.forward_into(x, &mut acts);
-        let mut out = acts.pop().expect("at least one layer");
-        if let Some(corruption) = self.corruption {
-            out.map_inplace(|v| corruption.corrupt(v));
-        }
-        out
-    }
-
     /// Runs a clean batch forward into `acts`: `acts[l]` becomes layer
     /// `l`'s activations (the input is not copied).
     fn forward_into(&self, x: &Matrix, acts: &mut Vec<Matrix>) {
-        assert_eq!(
-            x.cols(),
-            self.config.layers[0],
-            "input width does not match network input"
-        );
         acts.resize_with(self.weights.len(), Matrix::default);
         for (l, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
             let (done, rest) = acts.split_at_mut(l);
             let input = done.last().unwrap_or(x);
             let z = &mut rest[0];
             input.matmul_into(w, z);
-            self.activation_for_layer(l).apply_rows(z.as_mut_slice(), b);
+            if l + 1 == self.weights.len() {
+                add_and_activate(z.as_mut_slice(), b, sigmoid);
+            } else {
+                add_and_activate(z.as_mut_slice(), b, relu);
+            }
         }
     }
 
-    /// Predicts for a single input row: [`Mlp::forward`] on a one-row
-    /// matrix.
-    pub fn predict_one(&self, x: &[f64]) -> Vec<f64> {
-        self.forward(&Matrix::from_vec(1, x.len(), x.to_vec()))
-            .row(0)
-            .to_vec()
-    }
-
-    /// Performs one minibatch training step; returns the pre-step loss.
-    pub fn train_batch(
+    /// [`Mlp::train_step`].
+    fn train_step<'b>(
         &mut self,
         x: &Matrix,
         y: &Matrix,
-        loss: Loss,
-        opt: &mut dyn Optimizer,
-    ) -> f64 {
-        let mut bufs = TrainBuffers::default();
-        let output = self.train_step(x, y, loss, opt, &mut bufs);
-        loss.value(output, y.as_slice())
-    }
-
-    /// Performs one minibatch training step in `bufs` and returns the
-    /// pre-step predictions, row-major: [`Mlp::train_batch`] without the
-    /// loss value, allocating nothing once `bufs` has grown to the batch.
-    ///
-    /// The loss value is left to the caller (`loss.value(output, y)`), who
-    /// may want it for only some steps.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mlkit::{Adam, Loss, Matrix, Mlp, MlpConfig, TrainBuffers};
-    ///
-    /// let x = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-    /// let y = Matrix::from_rows(&[&[1.0], &[0.0]]);
-    /// let (mut a, mut b) = (Mlp::new(MlpConfig::linnos(2, 7)), Mlp::new(MlpConfig::linnos(2, 7)));
-    /// let (mut opt_a, mut opt_b) = (Adam::new(0.01), Adam::new(0.01));
-    /// let mut bufs = TrainBuffers::default();
-    /// for _ in 0..3 {
-    ///     let stepped = a.train_step(&x, &y, Loss::Bce, &mut opt_a, &mut bufs);
-    ///     let loss = Loss::Bce.value(stepped, y.as_slice());
-    ///     assert_eq!(loss, b.train_batch(&x, &y, Loss::Bce, &mut opt_b));
-    /// }
-    /// ```
-    pub fn train_step<'b>(
-        &mut self,
-        x: &Matrix,
-        y: &Matrix,
-        loss: Loss,
         opt: &mut dyn Optimizer,
         bufs: &'b mut TrainBuffers,
     ) -> &'b [f64] {
@@ -367,25 +278,30 @@ impl Mlp {
 
         // Gradients go straight into their places in the optimizer's flat
         // layout (`params_mut`), filled from the last layer back.
-        let num_params = self.num_params();
-        params.resize(num_params, 0.0);
-        grads.resize(num_params, 0.0);
-        weights_t.resize_with(self.weights.len(), Matrix::default);
         let weight_count = self
             .weights
             .iter()
             .map(|w| w.rows() * w.cols())
             .sum::<usize>();
+        let num_params = weight_count + self.biases.iter().map(Vec::len).sum::<usize>();
+        params.resize(num_params, 0.0);
+        grads.resize(num_params, 0.0);
+        weights_t.resize_with(self.weights.len(), Matrix::default);
         let mut w_end = weight_count;
         let mut b_end = num_params;
 
         // dL/d(output activations).
         delta.reshape(output.rows(), output.cols());
-        loss.gradient(output.as_slice(), y.as_slice(), delta.as_mut_slice());
+        bce_gradient(output.as_slice(), y.as_slice(), delta.as_mut_slice());
         for l in (0..self.weights.len()).rev() {
-            // Fold in the activation derivative: delta ⊙ act'(a_l).
-            self.activation_for_layer(l)
-                .scale_by_derivative(delta.as_mut_slice(), acts[l].as_slice());
+            // Fold in the activation derivative: delta ⊙ act'(a_l), in
+            // terms of the activated value.
+            let a = acts[l].as_slice();
+            if l + 1 == self.weights.len() {
+                scale_by(delta.as_mut_slice(), a, |a| a * (1.0 - a));
+            } else {
+                scale_by(delta.as_mut_slice(), a, |a| if a > 0.0 { 1.0 } else { 0.0 });
+            }
             // Gradients for this layer.
             let input = if l == 0 { x } else { &acts[l - 1] };
             let w = &self.weights[l];
@@ -415,104 +331,25 @@ impl Mlp {
         self.weights_finite = all_finite(&params[..weight_count]);
         acts.last().expect("at least one layer").as_slice()
     }
+}
 
-    /// Re-initializes all weights from a new seed (used by `RETRAIN` flows
-    /// that restart training from scratch on fresh data).
-    pub fn reinitialize(&mut self, seed: u64) {
-        let mut config = self.config.clone();
-        config.seed = seed;
-        let corruption = self.corruption;
-        *self = Mlp::new(config);
-        // Corruption models a broken inference *path*, not broken weights —
-        // redeploying the model does not fix it.
-        self.corruption = corruption;
+/// Adds `bias` to every row of `z` and applies `f` in place.
+fn add_and_activate(z: &mut [f64], bias: &[f64], f: impl Fn(f64) -> f64) {
+    if bias.is_empty() {
+        return;
     }
-}
-
-/// The `I → 16 → 16 → 1` network [`MlpConfig::linnos`] builds (ReLU
-/// hidden layers, a sigmoid output), its input width fixed by the type,
-/// with a single-row forward at that shape: the rows are arrays on the
-/// stack and each weight row is read as `[f64; 16]`.
-///
-/// The layer widths are [`Mlp`]'s invariant: [`Mlp::new`] builds every
-/// layer from the config, and nothing changes a layer's size afterwards
-/// (`train_step` writes in place, `reinitialize` rebuilds from the same
-/// config). A decision still checks each layer, in release builds too: its
-/// weights are read as rows of the layer's width and must be as many as its
-/// inputs, and its bias is read as an array. A layer of another size panics
-/// rather than being read short.
-///
-/// # Examples
-///
-/// ```
-/// use mlkit::{FixedMlp, Matrix};
-///
-/// let net = FixedMlp::<2>::new(7);
-/// let x = [0.5, -1.0];
-/// let batch = net.net().forward(&Matrix::from_rows(&[&x]));
-/// assert_eq!(net.predict(&x), batch[(0, 0)]);
-/// ```
-#[derive(Clone, Debug)]
-pub struct FixedMlp<const I: usize> {
-    net: Mlp,
-}
-
-impl<const I: usize> FixedMlp<I> {
-    /// An untrained network, `Mlp::new(MlpConfig::linnos(I, seed))`.
-    pub fn new(seed: u64) -> Self {
-        FixedMlp {
-            net: Mlp::new(MlpConfig::linnos(I, seed)),
+    for row in z.chunks_exact_mut(bias.len()) {
+        for (v, &b) in row.iter_mut().zip(bias) {
+            *v = f(*v + b);
         }
     }
+}
 
-    /// The wrapped network.
-    pub fn net(&self) -> &Mlp {
-        &self.net
-    }
-
-    /// [`Mlp::train_step`] on the wrapped network.
-    pub fn train_step<'b>(
-        &mut self,
-        x: &Matrix,
-        y: &Matrix,
-        loss: Loss,
-        opt: &mut dyn Optimizer,
-        bufs: &'b mut TrainBuffers,
-    ) -> &'b [f64] {
-        self.net.train_step(x, y, loss, opt, bufs)
-    }
-
-    /// [`Mlp::reinitialize`] on the wrapped network.
-    pub fn reinitialize(&mut self, seed: u64) {
-        self.net.reinitialize(seed);
-    }
-
-    /// [`Mlp::set_output_corruption`] on the wrapped network.
-    pub fn set_output_corruption(&mut self, corruption: Option<OutputCorruption>) {
-        self.net.set_output_corruption(corruption);
-    }
-
-    /// Predicts for one input row: the same bits as [`Mlp::forward`] on a
-    /// one-row matrix, corruption included, without allocating.
-    pub fn predict(&self, x: &[f64; I]) -> f64 {
-        let out = if self.net.weights_finite {
-            self.forward::<false>(x)
-        } else {
-            self.forward::<true>(x)
-        };
-        self.net.corruption.map_or(out, |c| c.corrupt(out))
-    }
-
-    /// The clean forward pass, the skipped terms masked (`MASK`) or not.
-    #[inline(always)]
-    fn forward<const MASK: bool>(&self, x: &[f64; I]) -> f64 {
-        let (w, b) = (&self.net.weights, &self.net.biases);
-        let h0 = affine::<MASK, I, LINNOS_HIDDEN>(x, w[0].as_slice(), &b[0])
-            .map(|v| Activation::Relu.apply(v));
-        let h1 = affine::<MASK, LINNOS_HIDDEN, LINNOS_HIDDEN>(&h0, w[1].as_slice(), &b[1])
-            .map(|v| Activation::Relu.apply(v));
-        let [z] = affine::<MASK, LINNOS_HIDDEN, 1>(&h1, w[2].as_slice(), &b[2]);
-        Activation::Sigmoid.apply(z)
+/// Multiplies each element of `delta` by `derivative` of the matching
+/// activated value in `a`.
+fn scale_by(delta: &mut [f64], a: &[f64], derivative: impl Fn(f64) -> f64) {
+    for (d, &a) in delta.iter_mut().zip(a) {
+        *d *= derivative(a);
     }
 }
 
@@ -549,40 +386,49 @@ fn affine<const MASK: bool, const K: usize, const M: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::bce;
     use crate::optim::{Adam, Sgd};
     use crate::tensor::reference;
+    use crate::tensor::tests::bits;
     use proptest::collection::vec;
     use proptest::prelude::*;
 
     /// A training step in its plainest form, on the reference kernels: an
     /// allocating forward pass that keeps every activation, a loss value
-    /// every step, per-element activation dispatch, and gradients
-    /// flattened into fresh buffers.
-    fn reference_train_batch(
-        net: &mut Mlp,
+    /// every step, per-element activation, and gradients flattened into
+    /// fresh buffers.
+    fn reference_train_step<const I: usize>(
+        net: &mut Mlp<I>,
         x: &Matrix,
         y: &Matrix,
-        loss: Loss,
         opt: &mut dyn Optimizer,
     ) -> f64 {
+        let net = &mut net.layers;
+        let last = net.weights.len() - 1;
         let mut acts = vec![x.clone()];
         for (l, (w, b)) in net.weights.iter().zip(&net.biases).enumerate() {
             let mut z = reference::matmul(acts.last().unwrap(), w);
-            z.add_row_inplace(b);
-            let act = net.activation_for_layer(l);
-            z.map_inplace(|v| act.apply(v));
+            for r in 0..z.rows() {
+                for (v, &b) in z.row_mut(r).iter_mut().zip(b) {
+                    *v += b;
+                }
+            }
+            z.map_inplace(if l == last { sigmoid } else { relu });
             acts.push(z);
         }
         let output = acts.last().unwrap();
-        let loss_value = loss.value(output.as_slice(), y.as_slice());
+        let loss_value = bce(output.as_slice(), y.as_slice());
         let mut delta = Matrix::zeros(output.rows(), output.cols());
-        loss.gradient(output.as_slice(), y.as_slice(), delta.as_mut_slice());
+        bce_gradient(output.as_slice(), y.as_slice(), delta.as_mut_slice());
         let mut w_grads = Vec::new();
         let mut b_grads = Vec::new();
         for l in (0..net.weights.len()).rev() {
-            let act = net.activation_for_layer(l);
             for (d, &a) in delta.as_mut_slice().iter_mut().zip(acts[l + 1].as_slice()) {
-                *d *= act.derivative_from_output(a);
+                *d *= match (l == last, a > 0.0) {
+                    (true, _) => a * (1.0 - a),
+                    (false, true) => 1.0,
+                    (false, false) => 0.0,
+                };
             }
             w_grads.push(reference::t_matmul(&acts[l], &delta));
             b_grads.push(reference::col_sums(&delta));
@@ -619,10 +465,10 @@ mod tests {
     }
 
     /// Every weight and bias of `net`, as bits.
-    fn param_bits(net: &Mlp) -> Vec<u64> {
-        let weights = net.weights.iter().flat_map(|w| w.as_slice());
-        let biases = net.biases.iter().flatten();
-        crate::tensor::tests::bits(&weights.chain(biases).copied().collect::<Vec<_>>())
+    fn param_bits<const I: usize>(net: &Mlp<I>) -> Vec<u64> {
+        let weights = net.layers.weights.iter().flat_map(|w| w.as_slice());
+        let biases = net.layers.biases.iter().flatten();
+        bits(&weights.chain(biases).copied().collect::<Vec<_>>())
     }
 
     fn xor_data() -> (Matrix, Matrix) {
@@ -635,73 +481,60 @@ mod tests {
     #[test]
     fn loss_decreases_during_training() {
         let (x, y) = xor_data();
-        let mut net = Mlp::new(MlpConfig {
-            layers: vec![2, 8, 1],
-            hidden_activation: Activation::Relu,
-            output_activation: Activation::Sigmoid,
-            seed: 3,
-        });
-        let mut opt = Adam::new(0.05);
-        let first = net.train_batch(&x, &y, Loss::Bce, &mut opt);
-        let mut last = first;
+        let mut net = Mlp::<2>::new(3);
+        let (mut opt, mut bufs) = (Adam::new(0.05), TrainBuffers::default());
+        let first = bce(net.train_step(&x, &y, &mut opt, &mut bufs), y.as_slice());
         for _ in 0..1500 {
-            last = net.train_batch(&x, &y, Loss::Bce, &mut opt);
+            net.train_step(&x, &y, &mut opt, &mut bufs);
         }
+        let last = bce(net.train_step(&x, &y, &mut opt, &mut bufs), y.as_slice());
         assert!(last < first * 0.2, "first {first} last {last}");
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let cfg = MlpConfig::linnos(4, 42);
-        let a = Mlp::new(cfg.clone());
-        let b = Mlp::new(cfg);
-        assert_eq!(
-            a.predict_one(&[1.0, 2.0, 3.0, 4.0]),
-            b.predict_one(&[1.0, 2.0, 3.0, 4.0])
-        );
+        let (a, b) = (Mlp::<4>::new(42), Mlp::<4>::new(42));
+        let x = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(a.predict(&x).to_bits(), b.predict(&x).to_bits());
     }
 
     #[test]
     fn linnos_shape_matches_paper() {
-        let net = Mlp::new(MlpConfig::linnos(5, 0));
-        assert_eq!(net.layers(), &[5, 16, 16, 1]);
-        let out = net.predict_one(&[0.0; 5]);
-        assert_eq!(out.len(), 1);
-        assert!(out[0] > 0.0 && out[0] < 1.0, "sigmoid output in (0,1)");
-    }
-
-    #[test]
-    fn num_params_counts_weights_and_biases() {
-        let net = Mlp::new(MlpConfig {
-            layers: vec![3, 4, 2],
-            hidden_activation: Activation::Relu,
-            output_activation: Activation::Sigmoid,
-            seed: 0,
-        });
-        assert_eq!(net.num_params(), 3 * 4 + 4 + 4 * 2 + 2);
+        let net = Mlp::<5>::new(0);
+        let shapes: Vec<_> = net
+            .layers
+            .weights
+            .iter()
+            .map(|w| (w.rows(), w.cols()))
+            .collect();
+        assert_eq!(shapes, [(5, 16), (16, 16), (16, 1)]);
+        let biases: Vec<_> = net.layers.biases.iter().map(Vec::len).collect();
+        assert_eq!(biases, [16, 16, 1]);
+        let out = net.predict(&[0.0; 5]);
+        assert!(out > 0.0 && out < 1.0, "sigmoid output in (0,1)");
     }
 
     #[test]
     fn reinitialize_changes_outputs() {
-        let mut net = Mlp::new(MlpConfig::linnos(4, 1));
-        let before = net.predict_one(&[1.0, 0.5, 0.2, 0.9]);
+        let mut net = Mlp::<4>::new(1);
+        let before = net.predict(&[1.0, 0.5, 0.2, 0.9]);
         net.reinitialize(999);
-        let after = net.predict_one(&[1.0, 0.5, 0.2, 0.9]);
+        let after = net.predict(&[1.0, 0.5, 0.2, 0.9]);
         assert_ne!(before, after);
     }
 
     #[test]
     fn output_corruption_poisons_inference_but_not_training() {
         let (x, y) = xor_data();
-        let mut net = Mlp::new(MlpConfig::linnos(2, 5));
+        let mut net = Mlp::<2>::new(5);
         assert_eq!(net.output_corruption(), None);
 
         net.set_output_corruption(Some(OutputCorruption::Nan));
-        assert!(net.predict_one(&[0.0, 1.0])[0].is_nan());
+        assert!(net.predict(&[0.0, 1.0]).is_nan());
         net.set_output_corruption(Some(OutputCorruption::Inf));
-        assert!(net.predict_one(&[0.0, 1.0])[0].is_infinite());
+        assert!(net.predict(&[0.0, 1.0]).is_infinite());
         net.set_output_corruption(Some(OutputCorruption::OutOfRange));
-        let oor = net.predict_one(&[0.0, 1.0])[0];
+        let oor = net.predict(&[0.0, 1.0]);
         assert!(
             oor.is_finite() && oor > 1.0,
             "out of a sigmoid's range: {oor}"
@@ -709,38 +542,19 @@ mod tests {
 
         // Training runs the clean forward pass: loss stays finite, and the
         // corruption survives a RETRAIN-style reinitialization.
-        let mut opt = Adam::new(0.01);
-        let loss = net.train_batch(&x, &y, Loss::Bce, &mut opt);
+        let mut bufs = TrainBuffers::default();
+        let output = net.train_step(&x, &y, &mut Adam::new(0.01), &mut bufs);
+        let loss = bce(output, y.as_slice());
         assert!(loss.is_finite(), "training unaffected, loss {loss}");
         net.reinitialize(123);
         assert_eq!(net.output_corruption(), Some(OutputCorruption::OutOfRange));
 
         net.set_output_corruption(None);
-        let healthy = net.predict_one(&[0.0, 1.0])[0];
+        let healthy = net.predict(&[0.0, 1.0]);
         assert!(
             healthy > 0.0 && healthy < 1.0,
             "clean sigmoid output: {healthy}"
         );
-    }
-
-    /// A network whose layers are not the fixed shape's panics on its first
-    /// decision, in release builds too, whether a layer is too small or
-    /// too large for the inputs it is read with.
-    #[test]
-    fn a_layer_of_the_wrong_size_panics() {
-        for (built_for, x) in [(2, [0.5; 3].as_slice()), (3, [0.5; 2].as_slice())] {
-            let net = Mlp::new(MlpConfig::linnos(built_for, 7));
-            let decision = std::panic::catch_unwind(|| match *x {
-                [a, b, c] => FixedMlp::<3> { net }.predict(&[a, b, c]),
-                [a, b] => FixedMlp::<2> { net }.predict(&[a, b]),
-                _ => unreachable!(),
-            });
-            let message = decision.expect_err("a wrong-size layer panics");
-            assert_eq!(
-                message.downcast_ref::<&str>(),
-                Some(&"layer weight count mismatch")
-            );
-        }
     }
 
     /// The flag that lets inference skip masking follows the weights: a
@@ -749,62 +563,71 @@ mod tests {
     #[test]
     fn diverged_weights_are_tracked_and_still_predict_like_forward() {
         let (x, y) = xor_data();
-        let mut net = FixedMlp::<2>::new(5);
-        assert!(net.net().weights_finite);
-        net.train_step(
-            &x,
-            &y,
-            Loss::Mse,
-            &mut Sgd::new(0.1),
-            &mut TrainBuffers::default(),
-        );
-        assert!(net.net().weights_finite);
-        net.train_step(
-            &x,
-            &y,
-            Loss::Mse,
-            &mut Sgd::new(f64::INFINITY),
-            &mut TrainBuffers::default(),
-        );
+        let mut net = Mlp::<2>::new(5);
+        let mut bufs = TrainBuffers::default();
+        assert!(net.layers.weights_finite);
+        net.train_step(&x, &y, &mut Sgd::new(0.1), &mut bufs);
+        assert!(net.layers.weights_finite);
+        net.train_step(&x, &y, &mut Sgd::new(f64::INFINITY), &mut bufs);
         assert!(
-            !net.net().weights_finite,
+            !net.layers.weights_finite,
             "an infinite step leaves no finite net"
         );
         for row in [[0.0, 1.0], [0.0, 0.0], [1.0, 0.5]] {
-            let batch = net.net().forward(&Matrix::from_rows(&[&row]));
-            assert_eq!(
-                crate::tensor::tests::bits(&[net.predict(&row)]),
-                crate::tensor::tests::bits(batch.row(0))
-            );
+            let batch = net.forward(&Matrix::from_rows(&[&row]));
+            assert_eq!(bits(&[net.predict(&row)]), bits(batch.row(0)));
         }
     }
 
     #[test]
     #[should_panic(expected = "input width")]
     fn input_width_checked() {
-        let net = Mlp::new(MlpConfig::linnos(4, 1));
-        let _ = net.predict_one(&[1.0, 2.0]);
+        let net = Mlp::<4>::new(1);
+        let _ = net.forward(&Matrix::from_rows(&[&[1.0, 2.0]]));
     }
 
     #[test]
     fn activation_derivatives_match_finite_differences() {
-        for act in [Activation::Sigmoid] {
-            for x in [-1.5, -0.2, 0.4, 2.0] {
-                let a = act.apply(x);
-                let eps = 1e-6;
-                let fd = (act.apply(x + eps) - act.apply(x - eps)) / (2.0 * eps);
-                assert!(
-                    (act.derivative_from_output(a) - fd).abs() < 1e-5,
-                    "{act:?} at {x}"
-                );
-            }
+        for x in [-1.5, -0.2, 0.4, 2.0] {
+            let a = sigmoid(x);
+            let eps = 1e-6;
+            let fd = (sigmoid(x + eps) - sigmoid(x - eps)) / (2.0 * eps);
+            assert!((a * (1.0 - a) - fd).abs() < 1e-5, "sigmoid at {x}");
         }
-        // ReLU away from the kink.
-        assert_eq!(Activation::Relu.derivative_from_output(2.0), 1.0);
-        assert_eq!(Activation::Relu.derivative_from_output(0.0), 0.0);
+        // ReLU away from the kink, the derivative `train_step` uses.
+        let mut delta = [1.0, 1.0];
+        scale_by(&mut delta, &[relu(2.0), relu(-2.0)], |a| {
+            if a > 0.0 {
+                1.0
+            } else {
+                0.0
+            }
+        });
+        assert_eq!(delta, [1.0, 0.0]);
     }
 
-    const ACTIVATIONS: [Activation; 2] = [Activation::Relu, Activation::Sigmoid];
+    /// Five Adam steps of `train_step` through one reused set of buffers ≡
+    /// five steps of the reference, bit for bit: every loss and every
+    /// weight after, on an `I`-input net from `seed` and a `rows`-row batch
+    /// with exact zeros.
+    fn train_step_matches_reference<const I: usize>(
+        seed: u64,
+        rows: usize,
+        draws: &[(u8, f64)],
+        targets: &[f64],
+    ) {
+        let x = Matrix::from_vec(rows, I, input_row(draws, rows * I));
+        let y = Matrix::from_vec(rows, 1, targets[..rows].to_vec());
+        let (mut expected, mut stepped) = (Mlp::<I>::new(seed), Mlp::<I>::new(seed));
+        let (mut opt_e, mut opt_s) = (Adam::new(0.05), Adam::new(0.05));
+        let mut bufs = TrainBuffers::default();
+        for _ in 0..5 {
+            let want = reference_train_step(&mut expected, &x, &y, &mut opt_e).to_bits();
+            let output = stepped.train_step(&x, &y, &mut opt_s, &mut bufs);
+            assert_eq!(bce(output, y.as_slice()).to_bits(), want);
+        }
+        assert_eq!(param_bits(&stepped), param_bits(&expected));
+    }
 
     const CORRUPTIONS: [Option<OutputCorruption>; 4] = [
         None,
@@ -836,91 +659,64 @@ mod tests {
         }
     }
 
-    /// A `FixedMlp<I>` with its parameters from `params` (made finite
-    /// for `mode` 1 and 2; `mode` 2 also clears the finite flag, which is
+    /// An `Mlp<I>` with its parameters from `params` (made finite for
+    /// `mode` 1 and 2; `mode` 2 also clears the finite flag, which is
     /// always correct) predicts each `I`-wide row of `inputs` as its batch
     /// forward pass does.
-    fn fixed_matches_forward<const I: usize>(
+    fn predict_matches_forward<const I: usize>(
         seed: u64,
         corruption: Option<OutputCorruption>,
         mode: usize,
         params: &[(u32, f64)],
         inputs: &[(u8, f64)],
     ) {
-        let mut fixed = FixedMlp::<I>::new(seed);
-        let net = &mut fixed.net;
+        let mut net = Mlp::<I>::new(seed);
         let mut draws = params.iter().map(|&d| match param(d) {
             v if mode > 0 && !v.is_finite() => 0.5,
             v => v,
         });
-        for p in net.params_mut() {
+        let layers = &mut net.layers;
+        for p in layers.params_mut() {
             p.fill_with(|| draws.next().expect("a draw per parameter"));
         }
-        net.weights_finite = mode != 2 && net.weights.iter().all(|w| all_finite(w.as_slice()));
+        layers.weights_finite =
+            mode != 2 && layers.weights.iter().all(|w| all_finite(w.as_slice()));
         net.set_output_corruption(corruption);
-        let net = fixed;
         for x in inputs.chunks_exact(I) {
             let x: [f64; I] = std::array::from_fn(|i| crate::tensor::tests::element(x[i]));
-            let batch = net.net().forward(&Matrix::from_rows(&[&x]));
-            assert_eq!(
-                crate::tensor::tests::bits(&[net.predict(&x)]),
-                crate::tensor::tests::bits(batch.row(0)),
-                "input {x:?}"
-            );
+            let batch = net.forward(&Matrix::from_rows(&[&x]));
+            assert_eq!(bits(&[net.predict(&x)]), bits(batch.row(0)), "input {x:?}");
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Five Adam steps of `train_batch`, and of `train_step` through one
-        /// reused set of buffers, ≡ five steps of the reference, bit for
-        /// bit: every loss and every weight after, for `Bce` and `Mse`, on
-        /// random nets, activations and batches with exact zeros.
+        /// `train_step` ≡ the reference step (see
+        /// `train_step_matches_reference`) at LinnOS's input width, one
+        /// input and twenty, on random batches of up to twenty rows.
         #[test]
-        fn train_batch_matches_reference(
-            layers in vec(1usize..21, 2..5),
-            acts in (0usize..2, 0usize..2),
+        fn train_step_matches_reference_step(
             rows in 1usize..21,
-            bce in any::<bool>(),
             seed in 0u64..1_000_000,
-            draws in vec((0u8..4, -3.0..3.0f64), 420),
-            targets in vec(0.0..1.0f64, 420),
+            draws in vec((0u8..4, -3.0..3.0f64), 400),
+            targets in vec(0.0..1.0f64, 20),
         ) {
-            let config = MlpConfig {
-                layers: layers.clone(),
-                hidden_activation: ACTIVATIONS[acts.0],
-                output_activation: ACTIVATIONS[acts.1],
-                seed,
-            };
-            let loss = if bce { Loss::Bce } else { Loss::Mse };
-            let (inputs, outputs) = (layers[0], layers[layers.len() - 1]);
-            let x = Matrix::from_vec(rows, inputs, input_row(&draws, rows * inputs));
-            let y = Matrix::from_vec(rows, outputs, targets[..rows * outputs].to_vec());
-            let (mut expected, mut batched, mut stepped) =
-                (Mlp::new(config.clone()), Mlp::new(config.clone()), Mlp::new(config));
-            let (mut opt_e, mut opt_b, mut opt_s) = (Adam::new(0.05), Adam::new(0.05), Adam::new(0.05));
-            let mut bufs = TrainBuffers::default();
-            for _ in 0..5 {
-                let want = reference_train_batch(&mut expected, &x, &y, loss, &mut opt_e).to_bits();
-                prop_assert_eq!(batched.train_batch(&x, &y, loss, &mut opt_b).to_bits(), want);
-                let output = stepped.train_step(&x, &y, loss, &mut opt_s, &mut bufs);
-                prop_assert_eq!(loss.value(output, y.as_slice()).to_bits(), want);
-            }
-            prop_assert_eq!(param_bits(&batched), param_bits(&expected));
-            prop_assert_eq!(param_bits(&stepped), param_bits(&expected));
+            train_step_matches_reference::<5>(seed, rows, &draws, &targets);
+            train_step_matches_reference::<1>(seed, rows, &draws, &targets);
+            train_step_matches_reference::<20>(seed, rows, &draws, &targets);
         }
 
-        /// The fixed-shape forward ≡ the batch forward pass's first row, bit
-        /// for bit (NaN as NaN), at LinnOS's input width and an odd one, with
-        /// and without each output corruption: on random weights and biases
+        /// One decision ≡ the batch forward pass's first row, bit for bit
+        /// (NaN as NaN), at LinnOS's input width and an odd one, with and
+        /// without each output corruption: on random weights and biases
         /// that hold signed zeros, subnormals and now and then a NaN or an
         /// infinity (the masked path; ReLU zeros often mask it), or only
         /// finite values with the finite flag set (the unmasked path) or
         /// cleared; on inputs with signed zeros, subnormals, NaN and
         /// infinities.
         #[test]
-        fn fixed_forward_matches_batch_forward(
+        fn predict_matches_batch_forward(
             corruption in 0usize..4,
             mode in 0usize..3,
             seed in 0u64..1_000_000,
@@ -928,8 +724,8 @@ mod tests {
             inputs in vec((0u8..64, -3.0..3.0f64), 4 * 5),
         ) {
             let corruption = CORRUPTIONS[corruption];
-            fixed_matches_forward::<5>(seed, corruption, mode, &params, &inputs);
-            fixed_matches_forward::<3>(seed, corruption, mode, &params, &inputs);
+            predict_matches_forward::<5>(seed, corruption, mode, &params, &inputs);
+            predict_matches_forward::<3>(seed, corruption, mode, &params, &inputs);
         }
     }
 }

@@ -8,9 +8,6 @@ pub trait Optimizer {
     ///
     /// Implementations panic if `params` and `grads` differ in length.
     fn step(&mut self, params: &mut [f64], grads: &[f64]);
-
-    /// Returns the configured learning rate.
-    fn learning_rate(&self) -> f64;
 }
 
 /// Plain SGD.
@@ -32,10 +29,6 @@ impl Optimizer for Sgd {
         for (p, &g) in params.iter_mut().zip(grads) {
             *p -= self.lr * g;
         }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
     }
 }
 
@@ -86,10 +79,6 @@ impl Optimizer for Adam {
             params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
     }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
 }
 
 #[cfg(test)]
@@ -116,12 +105,6 @@ mod tests {
     fn adam_converges_on_quadratic() {
         let x = converges(Adam::new(0.1), 500);
         assert!((x - 3.0).abs() < 1e-3, "x = {x}");
-    }
-
-    #[test]
-    fn learning_rate_is_reported() {
-        assert_eq!(Sgd::new(0.01).learning_rate(), 0.01);
-        assert_eq!(Adam::new(0.002).learning_rate(), 0.002);
     }
 
     #[test]

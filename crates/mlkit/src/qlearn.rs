@@ -35,7 +35,6 @@ use rand::{Rng, SeedableRng};
 /// ```
 #[derive(Clone, Debug)]
 pub struct QTable {
-    states: usize,
     actions: usize,
     q: Vec<f64>,
     visits: Vec<u64>,
@@ -61,7 +60,6 @@ impl QTable {
     ) -> Self {
         assert!(states > 0 && actions > 0, "need at least one state/action");
         QTable {
-            states,
             actions,
             q: vec![0.0; states * actions],
             visits: vec![0; states],
@@ -73,7 +71,7 @@ impl QTable {
     }
 
     fn idx(&self, s: usize, a: usize) -> usize {
-        debug_assert!(s < self.states && a < self.actions);
+        debug_assert!(s < self.visits.len() && a < self.actions);
         s * self.actions + a
     }
 
@@ -127,16 +125,6 @@ impl QTable {
     /// Sets the exploration rate (0 = deployed greedy policy).
     pub fn set_epsilon(&mut self, epsilon: f64) {
         self.epsilon = epsilon.clamp(0.0, 1.0);
-    }
-
-    /// Number of states.
-    pub fn states(&self) -> usize {
-        self.states
-    }
-
-    /// Number of actions.
-    pub fn actions(&self) -> usize {
-        self.actions
     }
 }
 
@@ -203,8 +191,6 @@ mod tests {
         let q = QTable::new(4, 3, 0.5, 0.9, 0.0, 4);
         assert_eq!(q.best(3), 0);
         assert_eq!(q.state_visits(3), 0);
-        assert_eq!(q.states(), 4);
-        assert_eq!(q.actions(), 3);
     }
 
     #[test]

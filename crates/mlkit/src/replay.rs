@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 /// buf.push(&[2.0], 1.0);
 /// buf.push(&[3.0], 1.0); // Evicts the oldest.
 /// assert_eq!(buf.len(), 2);
-/// assert_eq!(buf.iter().next().unwrap().0, &[2.0]);
+/// assert_eq!(buf.get(0), (&[2.0][..], 1.0));
 /// ```
 #[derive(Clone, Debug)]
 pub struct ReplayBuffer {
@@ -36,7 +36,6 @@ pub struct ReplayBuffer {
     labels: Vec<f64>,
     /// Slot of the oldest example (0 until the ring is full).
     head: usize,
-    pushed: u64,
 }
 
 impl ReplayBuffer {
@@ -48,7 +47,6 @@ impl ReplayBuffer {
             rows: Vec::new(),
             labels: Vec::new(),
             head: 0,
-            pushed: 0,
         }
     }
 
@@ -73,7 +71,6 @@ impl ReplayBuffer {
             self.labels[self.head] = label;
             self.head = (self.head + 1) % self.capacity;
         }
-        self.pushed += 1;
     }
 
     /// Number of retained examples.
@@ -84,11 +81,6 @@ impl ReplayBuffer {
     /// Returns `true` when no examples are retained.
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
-    }
-
-    /// Total examples ever pushed.
-    pub fn pushed(&self) -> u64 {
-        self.pushed
     }
 
     /// The `i`-th retained example, oldest first (`i < len()`).
@@ -102,23 +94,10 @@ impl ReplayBuffer {
         (&self.rows[start..start + self.width], self.labels[slot])
     }
 
-    /// Iterates over retained examples, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = (&[f64], f64)> {
-        (0..self.len()).map(|i| self.get(i))
-    }
-
-    /// Samples `n` examples uniformly with replacement (deterministic for a
-    /// given seed). Returns fewer only when the buffer is empty.
-    pub fn sample(&self, n: usize, seed: u64) -> Vec<(&[f64], f64)> {
-        let mut indices = Vec::new();
-        self.sample_into(n, seed, &mut indices);
-        indices.into_iter().map(|i| self.get(i)).collect()
-    }
-
-    /// Writes the positions ([`ReplayBuffer::get`]) of the examples
-    /// [`ReplayBuffer::sample`] draws into `indices`, replacing its
-    /// contents: the same draws, without allocating once `indices` has
-    /// grown to `n`.
+    /// Samples `n` examples uniformly with replacement, deterministic for a
+    /// given seed, and writes their positions ([`ReplayBuffer::get`]) into
+    /// `indices`, replacing its contents: no positions when the buffer is
+    /// empty, and no allocation once `indices` has grown to `n`.
     pub fn sample_into(&self, n: usize, seed: u64, indices: &mut Vec<usize>) {
         indices.clear();
         if self.is_empty() {
@@ -126,21 +105,6 @@ impl ReplayBuffer {
         }
         let mut rng = SmallRng::seed_from_u64(seed);
         indices.extend((0..n).map(|_| rng.gen_range(0..self.len())));
-    }
-
-    /// Drops all examples (keeping the ring's storage).
-    pub fn clear(&mut self) {
-        self.rows.clear();
-        self.labels.clear();
-        self.head = 0;
-    }
-
-    /// Fraction of retained labels equal to 1 (class balance diagnostics).
-    pub fn positive_fraction(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.labels.iter().filter(|&&y| y >= 0.5).count() as f64 / self.len() as f64
     }
 }
 
@@ -151,15 +115,33 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::VecDeque;
 
+    /// Every retained example, oldest first, as owned rows.
+    fn contents(buf: &ReplayBuffer) -> Vec<(Vec<f64>, f64)> {
+        (0..buf.len())
+            .map(|i| buf.get(i))
+            .map(|(x, y)| (x.to_vec(), y))
+            .collect()
+    }
+
+    /// The examples `sample_into` draws, as owned rows.
+    fn sample(buf: &ReplayBuffer, n: usize, seed: u64) -> Vec<(Vec<f64>, f64)> {
+        let mut indices = vec![usize::MAX; 3];
+        buf.sample_into(n, seed, &mut indices);
+        indices
+            .into_iter()
+            .map(|i| buf.get(i))
+            .map(|(x, y)| (x.to_vec(), y))
+            .collect()
+    }
+
     #[test]
     fn fifo_eviction_order() {
         let mut buf = ReplayBuffer::new(3);
         for i in 0..5 {
             buf.push(&[i as f64], 0.0);
         }
-        let firsts: Vec<f64> = buf.iter().map(|(x, _)| x[0]).collect();
+        let firsts: Vec<f64> = contents(&buf).iter().map(|(x, _)| x[0]).collect();
         assert_eq!(firsts, vec![2.0, 3.0, 4.0]);
-        assert_eq!(buf.pushed(), 5);
     }
 
     #[test]
@@ -168,28 +150,15 @@ mod tests {
         for i in 0..10 {
             buf.push(&[i as f64], (i % 2) as f64);
         }
-        let a: Vec<f64> = buf.sample(5, 42).iter().map(|(x, _)| x[0]).collect();
-        let b: Vec<f64> = buf.sample(5, 42).iter().map(|(x, _)| x[0]).collect();
-        assert_eq!(a, b);
-        assert_eq!(buf.sample(5, 42).len(), 5);
+        assert_eq!(sample(&buf, 5, 42), sample(&buf, 5, 42));
+        assert_eq!(sample(&buf, 5, 42).len(), 5);
     }
 
     #[test]
     fn sample_from_empty_is_empty() {
         let buf = ReplayBuffer::new(4);
-        assert!(buf.sample(3, 0).is_empty());
+        assert!(sample(&buf, 3, 0).is_empty());
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn positive_fraction_tracks_balance() {
-        let mut buf = ReplayBuffer::new(4);
-        assert_eq!(buf.positive_fraction(), 0.0);
-        buf.push(&[0.0], 1.0);
-        buf.push(&[0.0], 0.0);
-        assert_eq!(buf.positive_fraction(), 0.5);
-        buf.clear();
-        assert_eq!(buf.len(), 0);
     }
 
     /// Draws `n` examples from a deque of owned rows the way the buffer
@@ -208,54 +177,37 @@ mod tests {
             .collect()
     }
 
-    fn owned<'a>(rows: impl IntoIterator<Item = (&'a [f64], f64)>) -> Vec<(Vec<f64>, f64)> {
-        rows.into_iter().map(|(x, y)| (x.to_vec(), y)).collect()
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The ring ≡ a `VecDeque` of owned rows on random histories of
-        /// push, sample, clear and balance queries: same rows in the same
-        /// order, the same samples from the same seed.
+        /// pushes and samples: `get` reads the same rows in the same order,
+        /// and `sample_into` draws the same rows from the same seed.
         #[test]
         fn ring_matches_deque_model(
             capacity in 1usize..10,
             width in 0usize..4,
-            ops in vec((0u8..5, 0.0..1.0f64, 0u64..1000), 0..40),
+            ops in vec((0u8..3, 0.0..1.0f64, 0u64..1000), 0..40),
         ) {
             let mut buf = ReplayBuffer::new(capacity);
             let mut model: VecDeque<(Vec<f64>, f64)> = VecDeque::new();
             let mut pushed = 0u64;
             for (op, label, seed) in ops {
-                match op {
-                    0 | 1 => {
-                        let row: Vec<f64> = (0..width).map(|j| pushed as f64 + j as f64 / 8.0).collect();
-                        buf.push(&row, label);
-                        if model.len() == capacity {
-                            model.pop_front();
-                        }
-                        model.push_back((row, label));
-                        pushed += 1;
+                if op < 2 {
+                    let row: Vec<f64> = (0..width).map(|j| pushed as f64 + j as f64 / 8.0).collect();
+                    buf.push(&row, label);
+                    if model.len() == capacity {
+                        model.pop_front();
                     }
-                    2 => {
-                        let n = (seed % 7) as usize;
-                        prop_assert_eq!(owned(buf.sample(n, seed)), model_sample(&model, n, seed));
-                    }
-                    3 => {
-                        buf.clear();
-                        model.clear();
-                    }
-                    _ => {
-                        let positives = model.iter().filter(|(_, y)| *y >= 0.5).count();
-                        let expected = if model.is_empty() { 0.0 } else { positives as f64 / model.len() as f64 };
-                        prop_assert_eq!(buf.positive_fraction().to_bits(), expected.to_bits());
-                    }
+                    model.push_back((row, label));
+                    pushed += 1;
+                } else {
+                    let n = (seed % 7) as usize;
+                    prop_assert_eq!(sample(&buf, n, seed), model_sample(&model, n, seed));
                 }
                 prop_assert_eq!(buf.len(), model.len());
                 prop_assert_eq!(buf.is_empty(), model.is_empty());
-                prop_assert_eq!(buf.pushed(), pushed);
-                prop_assert_eq!(owned(buf.iter()), owned(model.iter().map(|(x, y)| (x.as_slice(), *y))));
+                prop_assert_eq!(contents(&buf), Vec::from(model.clone()));
             }
         }
     }

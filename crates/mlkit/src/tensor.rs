@@ -11,10 +11,9 @@ use std::ops::{Index, IndexMut};
 /// use mlkit::Matrix;
 ///
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// let b = Matrix::from_rows(&[&[5.0], &[6.0]]);
-/// let c = a.matmul(&b);
-/// assert_eq!(c[(0, 0)], 17.0);
-/// assert_eq!(c[(1, 0)], 39.0);
+/// assert_eq!((a.rows(), a.cols()), (2, 2));
+/// assert_eq!(a[(1, 0)], 3.0);
+/// assert_eq!(a.row(1), &[3.0, 4.0]);
 /// ```
 #[derive(Clone, Default, PartialEq)]
 pub struct Matrix {
@@ -98,19 +97,7 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Matrix multiplication `self * rhs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension mismatch.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.matmul_into(rhs, &mut out);
-        out
-    }
-
-    /// Writes `self * rhs` into `out`, reshaping it: [`Matrix::matmul`]
-    /// into a reused buffer.
+    /// Writes `self * rhs` into `out`, reshaping it.
     ///
     /// # Panics
     ///
@@ -202,16 +189,6 @@ impl Matrix {
         }
     }
 
-    /// Adds a row vector to every row (broadcast bias add).
-    pub fn add_row_inplace(&mut self, bias: &[f64]) {
-        assert_eq!(self.cols, bias.len(), "bias length mismatch");
-        for r in 0..self.rows {
-            for (x, &b) in self.row_mut(r).iter_mut().zip(bias) {
-                *x += b;
-            }
-        }
-    }
-
     /// Writes each column's sum, from `0.0` in row order, into `out`,
     /// summing a tile of columns per pass down the rows (a bias gradient).
     ///
@@ -236,7 +213,7 @@ impl Matrix {
 }
 
 /// The row vector `x` times the `x.len() x M` matrix `rhs`, given as its
-/// rows, the same bits as a row of [`Matrix::matmul`]: single-row
+/// rows, the same bits as a row of `matmul_into`: single-row
 /// inference's product, its `M` accumulators one array. `MASK` masks the
 /// skipped terms, which only an `rhs` holding an infinity or NaN needs (a
 /// network keeps a flag for that per training step); masking a finite
@@ -265,7 +242,7 @@ pub(crate) fn row_product<const MASK: bool, const M: usize>(
 // The kernels. Every product here computes each output element as one sum
 // in increasing `k` (the inner index), exactly as a naive loop would:
 //
-// - skipping (`matmul`, `t_matmul_into`, `row_product`): from `0.0`, leaving out
+// - skipping (`matmul_into`, `t_matmul_into`, `row_product`): from `0.0`, leaving out
 //   the terms whose left factor `== 0.0` (ReLU zeros);
 // - not skipping (`matmul_t_into`): from `-0.0` over every term, because that
 //   is where `Iterator::sum` for `f64` starts;
@@ -550,7 +527,9 @@ pub(crate) mod tests {
     fn matmul_identity() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let eye = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        assert_eq!(a.matmul(&eye), a);
+        let mut product = Matrix::default();
+        a.matmul_into(&eye, &mut product);
+        assert_eq!(product, a);
     }
 
     #[test]
@@ -581,8 +560,6 @@ pub(crate) mod tests {
         let mut a = Matrix::from_rows(&[&[1.0, -2.0]]);
         a.map_inplace(f64::abs);
         assert_eq!(a.row(0), &[1.0, 2.0]);
-        a.add_row_inplace(&[1.0, 1.0]);
-        assert_eq!(a.row(0), &[2.0, 3.0]);
     }
 
     #[test]
@@ -598,7 +575,7 @@ pub(crate) mod tests {
     fn matmul_shape_checked() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
+        a.matmul_into(&b, &mut Matrix::default());
     }
 
     #[test]
@@ -650,8 +627,10 @@ pub(crate) mod tests {
     #[test]
     fn an_empty_inner_dimension_leaves_the_start_values() {
         let (a, b) = (Matrix::zeros(3, 0), Matrix::zeros(0, 2));
+        let mut product = stale((2, 2));
+        a.matmul_into(&b, &mut product);
         assert_eq!(
-            bits(a.matmul(&b).as_slice()),
+            bits(product.as_slice()),
             bits(reference::matmul(&a, &b).as_slice())
         );
         let (a, c) = (Matrix::zeros(0, 3), Matrix::zeros(0, 2));
@@ -722,10 +701,10 @@ pub(crate) mod tests {
             let mut out = stale(stale_shape);
             a.matmul_into(&b, &mut out);
             prop_assert_eq!(bits(out.as_slice()), bits(reference::matmul(&a, &b).as_slice()));
-            prop_assert_eq!(bits(a.matmul(&b).as_slice()), bits(reference::matmul(&a, &b).as_slice()));
             // A finite right operand takes the unmasked path.
             let b_finite = Matrix::from_vec(k, m, b.as_slice().iter().map(|v| if v.is_finite() { *v } else { 1.5 }).collect());
-            prop_assert_eq!(bits(a.matmul(&b_finite).as_slice()), bits(reference::matmul(&a, &b_finite).as_slice()));
+            a.matmul_into(&b_finite, &mut out);
+            prop_assert_eq!(bits(out.as_slice()), bits(reference::matmul(&a, &b_finite).as_slice()));
 
             // a^T (k x n) * c (n x m), into a flat buffer of stale values.
             let c = matrix(n, m, &rhs_draws);

@@ -20,5 +20,5 @@ pub mod time;
 
 pub use metrics::{JainIndex, MovingAverage, RunningStats};
 pub use rng::DetRng;
-pub use task::{Priority, TaskControl, TaskId, TaskState, TaskTable, Tcb};
+pub use task::{Priority, TaskId, TaskState, TaskTable, Tcb};
 pub use time::Nanos;

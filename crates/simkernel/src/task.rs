@@ -97,28 +97,12 @@ pub struct Tcb {
     pub resident_bytes: u64,
 }
 
-/// The interface corrective actions use to manipulate tasks.
-///
-/// The guardrails crate holds a `&mut dyn TaskControl` when dispatching the
-/// `DEPRIORITIZE` action, so any subsystem simulation that exposes tasks can
-/// be the target of A4 without the framework knowing its concrete type.
-pub trait TaskControl {
-    /// Sets the priority of `task`; returns `false` if the task is unknown or dead.
-    fn set_priority(&mut self, task: TaskId, priority: Priority) -> bool;
-    /// Kills `task`, releasing its resources; returns `false` if unknown or already dead.
-    fn kill(&mut self, task: TaskId) -> bool;
-    /// Lists currently alive task ids.
-    fn alive_tasks(&self) -> Vec<TaskId>;
-    /// Returns the resident memory charged to `task`, if alive.
-    fn resident_bytes(&self, task: TaskId) -> Option<u64>;
-}
-
 /// An in-memory table of task control blocks.
 ///
 /// # Examples
 ///
 /// ```
-/// use simkernel::{Priority, TaskControl, TaskTable};
+/// use simkernel::{Priority, TaskTable};
 ///
 /// let mut table = TaskTable::new();
 /// let id = table.spawn("batch-job", Priority::DEFAULT);
@@ -185,14 +169,9 @@ impl TaskTable {
         self.tasks.is_empty()
     }
 
-    /// Returns the ids of tasks killed via [`TaskControl::kill`], in order.
-    pub fn killed(&self) -> &[TaskId] {
-        &self.killed
-    }
-}
-
-impl TaskControl for TaskTable {
-    fn set_priority(&mut self, task: TaskId, priority: Priority) -> bool {
+    /// Sets the priority of `task`; returns `false` if the task is unknown or
+    /// dead (the `DEPRIORITIZE` action's demotion).
+    pub fn set_priority(&mut self, task: TaskId, priority: Priority) -> bool {
         match self.tasks.get_mut(&task) {
             Some(tcb) if tcb.state != TaskState::Dead => {
                 tcb.priority = priority;
@@ -202,7 +181,9 @@ impl TaskControl for TaskTable {
         }
     }
 
-    fn kill(&mut self, task: TaskId) -> bool {
+    /// Kills `task`, releasing its memory; returns `false` if it is unknown
+    /// or already dead (`DEPRIORITIZE` past the nice range).
+    pub fn kill(&mut self, task: TaskId) -> bool {
         match self.tasks.get_mut(&task) {
             Some(tcb) if tcb.state != TaskState::Dead => {
                 tcb.state = TaskState::Dead;
@@ -214,7 +195,8 @@ impl TaskControl for TaskTable {
         }
     }
 
-    fn alive_tasks(&self) -> Vec<TaskId> {
+    /// Lists the ids of the tasks that are not dead.
+    pub fn alive_tasks(&self) -> Vec<TaskId> {
         self.tasks
             .values()
             .filter(|t| t.state != TaskState::Dead)
@@ -222,11 +204,9 @@ impl TaskControl for TaskTable {
             .collect()
     }
 
-    fn resident_bytes(&self, task: TaskId) -> Option<u64> {
-        self.tasks
-            .get(&task)
-            .filter(|t| t.state != TaskState::Dead)
-            .map(|t| t.resident_bytes)
+    /// Returns the ids of tasks killed via [`TaskTable::kill`], in order.
+    pub fn killed(&self) -> &[TaskId] {
+        &self.killed
     }
 }
 
@@ -267,14 +247,13 @@ mod tests {
         let mut t = TaskTable::new();
         let a = t.spawn("a", Priority::DEFAULT);
         t.get_mut(a).unwrap().resident_bytes = 4096;
-        assert_eq!(t.resident_bytes(a), Some(4096));
         assert!(t.kill(a));
         assert!(!t.kill(a), "double kill must fail");
         assert!(
             !t.set_priority(a, Priority::LOWEST),
             "dead task not adjustable"
         );
-        assert_eq!(t.resident_bytes(a), None);
+        assert_eq!(t.get(a).unwrap().resident_bytes, 0);
         assert_eq!(t.killed(), &[a]);
     }
 

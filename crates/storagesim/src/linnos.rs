@@ -6,10 +6,7 @@
 //! This module reproduces that model with [`mlkit`]'s MLP (the same
 //! `features → 16 → 16 → 1` shape), trained online from completion feedback.
 
-use guardrails::policy::LearnedPolicy;
-use mlkit::{
-    Adam, FixedMlp, Loss, Matrix, OnlineScaler, OutputCorruption, ReplayBuffer, TrainBuffers,
-};
+use mlkit::{loss, Adam, Matrix, Mlp, OnlineScaler, OutputCorruption, ReplayBuffer, TrainBuffers};
 use simkernel::Nanos;
 
 use crate::array::SubmitOutcome;
@@ -85,7 +82,7 @@ struct TrainScratch {
 #[derive(Clone, Debug)]
 pub struct LinnosClassifier {
     config: LinnosConfig,
-    net: FixedMlp<NUM_FEATURES>,
+    net: Mlp<NUM_FEATURES>,
     scaler: OnlineScaler,
     buffer: ReplayBuffer,
     optimizer: Adam,
@@ -102,7 +99,7 @@ impl LinnosClassifier {
     /// Creates an untrained classifier.
     pub fn new(config: LinnosConfig) -> Self {
         LinnosClassifier {
-            net: FixedMlp::new(config.seed),
+            net: Mlp::new(config.seed),
             scaler: OnlineScaler::new(NUM_FEATURES),
             buffer: ReplayBuffer::new(config.buffer),
             optimizer: Adam::new(0.005),
@@ -187,13 +184,11 @@ impl LinnosClassifier {
                 }
                 y[(r, 0)] = label;
             }
-            let output = self
-                .net
-                .train_step(x, y, Loss::Bce, &mut self.optimizer, bufs);
+            let output = self.net.train_step(x, y, &mut self.optimizer, bufs);
             // Only the last minibatch's loss is returned: the others are
             // never computed (each costs two logarithms per row).
             if epoch + 1 == self.config.epochs {
-                last = Some(Loss::Bce.value(output, y.as_slice()));
+                last = Some(loss::bce(output, y.as_slice()));
             }
         }
         self.trained = true;
@@ -228,7 +223,7 @@ impl LinnosClassifier {
 
     /// The currently injected output corruption, if any.
     pub fn output_corruption(&self) -> Option<OutputCorruption> {
-        self.net.net().output_corruption()
+        self.net.output_corruption()
     }
 
     /// Whether at least one training round has run.
@@ -259,27 +254,6 @@ impl LinnosClassifier {
             .reinitialize(self.config.seed ^ (0x5eed << 8) ^ self.retrains);
         self.optimizer = Adam::new(0.005);
         self.train_round();
-    }
-}
-
-impl LearnedPolicy for LinnosClassifier {
-    /// A row that is not [`NUM_FEATURES`] wide is no row this model was
-    /// built for: it gets the untrained model's answer, `0.0` (predict
-    /// fast, the default path), and counts as no inference.
-    fn decide(&mut self, features: &[f64]) -> f64 {
-        match features.try_into() {
-            Ok(features) => self.predict_proba(features),
-            Err(_) => 0.0,
-        }
-    }
-
-    fn inference_cost(&self) -> u64 {
-        // A 5-16-16-1 MLP in fixed point: ~4µs on the paper's testbed scale.
-        4_000
-    }
-
-    fn retrain(&mut self) {
-        LinnosClassifier::retrain(self);
     }
 }
 
@@ -441,33 +415,5 @@ mod tests {
         assert_eq!(clf.buffer.get(1), (&DEEP[..], 0.0), "revoked: the probe");
         clf.observe_outcome(&outcome(1, false, None));
         assert_eq!(clf.buffer.len(), 2, "revoked without a probe: no row");
-    }
-
-    #[test]
-    fn learned_policy_trait_roundtrip() {
-        let mut clf = trained();
-        let p = LearnedPolicy::decide(&mut clf, &slow_features(0));
-        assert!(p > 0.5);
-        assert!(clf.inference_cost() > 0);
-    }
-
-    /// A row of another width than the model's is answered `0.0` (predict
-    /// fast) without an inference, rather than panicking on a short row or
-    /// silently truncating a long one.
-    #[test]
-    fn a_row_of_the_wrong_width_predicts_fast_without_inference() {
-        let mut clf = trained();
-        let slow = slow_features(0);
-        let long: Vec<f64> = slow.iter().chain(&[1.0]).copied().collect();
-        for row in [&[][..], &slow[..NUM_FEATURES - 1], &long[..]] {
-            let before = clf.inferences();
-            assert_eq!(
-                LearnedPolicy::decide(&mut clf, row).to_bits(),
-                0.0f64.to_bits()
-            );
-            assert_eq!(clf.inferences(), before, "width {}", row.len());
-        }
-        assert!(LearnedPolicy::decide(&mut clf, &slow) > 0.5);
-        assert_eq!(clf.inferences(), 1);
     }
 }

@@ -6,7 +6,7 @@ use guardrails::action::Command;
 use guardrails::monitor::{Hysteresis, MonitorEngine};
 use guardrails::props;
 use guardrails::stats::{DriftDetector, SensitivityProbe};
-use simkernel::{Nanos, Priority, TaskControl, TaskTable};
+use simkernel::{Nanos, Priority, TaskTable};
 
 /// P1: a drift detector feeds the in-distribution guardrail, which reports
 /// and requests a retrain (A1 + A3).
@@ -224,7 +224,7 @@ fn p6_starvation_deprioritizes_and_kills_via_task_table() {
     }
     assert_eq!(table.get(victim).unwrap().priority, Priority::new(10));
     assert_eq!(table.alive_tasks(), vec![victim], "hog killed (A4)");
-    assert_eq!(table.resident_bytes(hog), None, "memory released");
+    assert_eq!(table.get(hog).unwrap().resident_bytes, 0, "memory released");
 }
 
 /// §3.2's abuse protection: a malicious tight loop of violations cannot
