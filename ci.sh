@@ -58,7 +58,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # - E12 (exp_telemetry): the binary asserts telemetry-on ingestion stays
 #   within 3% of telemetry-off with bit-identical outputs, and that the
 #   overhead-budget guardrail demotes the hog monitor; its CSV holds only
-#   deterministic counters.
+#   deterministic counters. The telemetry-off arm reads no clock, so the
+#   3% covers the engine's clock reads too.
 # About 10 s for the thirteen.
 for experiment in exp_recovery exp_subsystems exp_dependency exp_incremental \
         exp_faults exp_drift exp_probe_ablation fig1_properties fig1_actions \

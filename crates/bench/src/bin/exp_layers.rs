@@ -590,7 +590,7 @@ fn linnos() -> Vec<Timed<'static>> {
     // 1 024 distinct rows, taken in turn: inputs that repeat would let the
     // branch predictor learn the network's ReLU zero patterns.
     let rows: Vec<_> = (0..1_024).map(|_| linnos_features(&mut rng)).collect();
-    let mut clf = trained_linnos(&mut rng);
+    let clf = trained_linnos(&mut rng);
     let mut next = 0;
     let mut training = trained_linnos(&mut rng);
     vec![

@@ -32,7 +32,7 @@ use gr_bench::ingest::{build_engine, fingerprint, run_ingest, workload, BATCH, E
 use gr_bench::{row, write_results};
 use guardrails::action::Command;
 use guardrails::monitor::engine::MonitorEngine;
-use guardrails::{Telemetry, TelemetrySnapshot};
+use guardrails::Telemetry;
 use simkernel::Nanos;
 
 const SEED: u64 = 0xE12;
@@ -133,7 +133,7 @@ fn main() {
     let on_print = fingerprint(&on_engine);
     let identical = off_print == on_print;
 
-    let snap: TelemetrySnapshot = on_engine.telemetry_snapshot();
+    let snap = on_engine.telemetry_snapshot();
     csv.push_str(&format!("ingest,events,{EVENTS}\n"));
     csv.push_str(&format!("ingest,batch_size,{BATCH}\n"));
     csv.push_str(&format!("ingest,evaluations,{}\n", snap.evaluations));

@@ -20,7 +20,6 @@ pub struct LearnedAdmission {
     counts: HashMap<u64, (f64, u64)>,
     tick: u64,
     frozen: bool,
-    inferences: u64,
 }
 
 impl Default for LearnedAdmission {
@@ -38,7 +37,6 @@ impl LearnedAdmission {
             counts: HashMap::new(),
             tick: 0,
             frozen: false,
-            inferences: 0,
         }
     }
 
@@ -77,14 +75,8 @@ impl LearnedAdmission {
     }
 
     /// Should the key with `features` be admitted?
-    pub fn admit(&mut self, features: &[f64; 2]) -> bool {
-        self.inferences += 1;
+    pub fn admit(&self, features: &[f64; 2]) -> bool {
         self.model.predict(features)
-    }
-
-    /// Inferences served.
-    pub fn inferences(&self) -> u64 {
-        self.inferences
     }
 }
 
@@ -103,7 +95,6 @@ mod tests {
         p.freeze();
         assert!(p.admit(&[2.5, 0.05]));
         assert!(!p.admit(&[0.69, 10.0]));
-        assert!(p.inferences() >= 2);
     }
 
     #[test]

@@ -4,9 +4,8 @@
 
 use std::sync::Arc;
 
-use guardrails::monitor::{Hysteresis, MonitorEngine};
+use guardrails::monitor::{Hysteresis, MonitorEngine, OverheadAccount};
 use guardrails::policy::{PolicyRegistry, VARIANT_FALLBACK, VARIANT_LEARNED};
-use guardrails::{Telemetry, TelemetrySnapshot};
 use simkernel::Nanos;
 
 use crate::cache::{Cache, EvictionPolicy};
@@ -74,8 +73,9 @@ pub struct CacheReport {
     pub violations: usize,
     /// Whether the learned variant was active at the end.
     pub learned_active_at_end: bool,
-    /// Deterministic engine telemetry counters for the run.
-    pub telemetry: TelemetrySnapshot,
+    /// The engine's summed overhead accounts for the run: deterministic
+    /// counters, no wall time.
+    pub telemetry: OverheadAccount,
 }
 
 /// Nanoseconds per access (drives the TIMER trigger).
@@ -96,7 +96,6 @@ pub fn run_cache_sim(config: CacheSimConfig) -> CacheReport {
         Arc::new(guardrails::FeatureStore::new()),
         Arc::clone(&registry),
     );
-    engine.set_telemetry(Telemetry::new());
     if config.with_guardrail {
         engine
             .install_str(P4_CACHE_GUARDRAIL)

@@ -41,8 +41,6 @@ pub struct RetrainLimiter {
     budget: usize,
     budget_window: Nanos,
     history: HashMap<String, Vec<Nanos>>,
-    accepted: u64,
-    rejected: u64,
 }
 
 impl RetrainLimiter {
@@ -54,8 +52,6 @@ impl RetrainLimiter {
             budget: budget.max(1),
             budget_window,
             history: HashMap::new(),
-            accepted: 0,
-            rejected: 0,
         }
     }
 
@@ -64,34 +60,25 @@ impl RetrainLimiter {
         Self::new(Nanos::from_secs(5), 10, Nanos::from_secs(300))
     }
 
-    /// Requests a retrain of `model` at time `now`.
+    /// Requests a retrain of `model` at time `now`. Only a model's first
+    /// request allocates (its name and history); it is always accepted.
     pub fn request(&mut self, model: &str, now: Nanos) -> Result<(), RetrainRejection> {
-        let history = self.history.entry(model.to_string()).or_default();
+        let Some(history) = self.history.get_mut(model) else {
+            self.history.insert(model.to_string(), vec![now]);
+            return Ok(());
+        };
         let horizon = now.saturating_sub(self.budget_window);
         history.retain(|&t| t >= horizon);
         if let Some(&last) = history.last() {
             if now.saturating_sub(last) < self.min_interval {
-                self.rejected += 1;
                 return Err(RetrainRejection::TooSoon);
             }
         }
         if history.len() >= self.budget {
-            self.rejected += 1;
             return Err(RetrainRejection::BudgetExhausted);
         }
         history.push(now);
-        self.accepted += 1;
         Ok(())
-    }
-
-    /// Total accepted requests.
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-
-    /// Total rejected requests (the abuse the limiter absorbed).
-    pub fn rejected(&self) -> u64 {
-        self.rejected
     }
 }
 
@@ -176,8 +163,6 @@ mod tests {
         // A different model has its own clock.
         assert!(lim.request("b", Nanos::from_secs(5)).is_ok());
         assert!(lim.request("a", Nanos::from_secs(10)).is_ok());
-        assert_eq!(lim.accepted(), 3);
-        assert_eq!(lim.rejected(), 1);
     }
 
     #[test]

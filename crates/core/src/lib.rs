@@ -80,8 +80,8 @@ pub mod vm;
 pub use error::GuardrailError;
 pub use monitor::engine::MonitorEngine;
 pub use monitor::resilience::{RecoveryConfig, RuntimeConfig};
-pub use monitor::supervisor::{Supervisor, SupervisorConfig};
+pub use monitor::supervisor::Supervisor;
 pub use policy::PolicyRegistry;
 pub use store::durable::{DurabilityConfig, DurableStore, MemBackend, PersistBackend};
 pub use store::{FeatureStore, Slot};
-pub use telemetry::{Telemetry, TelemetrySnapshot};
+pub use telemetry::Telemetry;

@@ -25,15 +25,16 @@
 //! after the checkpoint instant: missed ticks are not replayed, and a
 //! monitor installed mid-period keeps its offset.
 //!
-//! The encoding (format GRCP2) is a line-oriented text format wrapped in a
+//! The encoding (format GRCP3) is a line-oriented text format wrapped in a
 //! CRC-32 header: human-inspectable in a post-mortem, and any torn or
 //! bit-rotted blob is detected and rejected whole, as is a blob of any
-//! other format.
+//! other format. No field is a wall-clock reading, so the bytes are a
+//! function of the engine's inputs: two identical runs checkpoint
+//! identically.
 
 use simkernel::Nanos;
 
 use crate::error::Result;
-use crate::monitor::engine::EngineStats;
 use crate::monitor::overhead::OverheadAccount;
 use crate::monitor::state::{
     corrupt, parse, parse_account, write_account, MonitorState, PutText, HEX_DIGITS,
@@ -41,7 +42,7 @@ use crate::monitor::state::{
 use crate::store::wal::crc32;
 
 /// First token of an encoded checkpoint (magic + format version).
-pub const CHECKPOINT_MAGIC: &str = "GRCP2";
+pub const CHECKPOINT_MAGIC: &str = "GRCP3";
 
 /// A complete engine checkpoint.
 #[derive(Clone, Debug, PartialEq)]
@@ -59,17 +60,7 @@ pub struct EngineCheckpoint {
 }
 
 impl EngineCheckpoint {
-    /// The engine-wide counters at checkpoint time: the retired total plus
-    /// every monitor's account.
-    pub fn stats(&self) -> EngineStats {
-        let mut sum = self.retired;
-        for (_, _, state) in &self.monitors {
-            sum.merge(&state.account);
-        }
-        sum.into()
-    }
-
-    /// Encodes the checkpoint as a checksummed, line-oriented GRCP2 blob.
+    /// Encodes the checkpoint as a checksummed, line-oriented GRCP3 blob.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         encode_into(
@@ -84,7 +75,7 @@ impl EngineCheckpoint {
         out
     }
 
-    /// Decodes and validates a GRCP2 checkpoint blob.
+    /// Decodes and validates a GRCP3 checkpoint blob.
     ///
     /// Any structural damage — bad magic, checksum mismatch, malformed line
     /// — rejects the whole blob: restore is all-or-nothing.
@@ -140,7 +131,7 @@ impl EngineCheckpoint {
     }
 }
 
-/// Writes a GRCP2 blob into `out`, replacing its contents: the one
+/// Writes a GRCP3 blob into `out`, replacing its contents: the one
 /// encoder behind [`EngineCheckpoint::encode`] and
 /// [`MonitorEngine::checkpoint_into`](super::MonitorEngine::checkpoint_into).
 /// It allocates only to grow `out`.
@@ -176,13 +167,28 @@ mod tests {
     use crate::monitor::state::PendingRetrain;
     use crate::vm::DeltaState;
 
-    /// A blob in the format before GRCP2, checksum intact.
-    const GRCP1_SAMPLE: &str = "GRCP1 6236b80e\n\
+    /// Blobs in the formats before GRCP3, checksums intact: GRCP1 kept
+    /// engine-wide stats, GRCP2 a measured wall time at the end of every
+    /// account line.
+    const OLD_SAMPLES: [&str; 2] = [
+        "GRCP1 6236b80e\n\
         now 9000000000\n\
         stats 12 3 2 1 0 0 4 52000\n\
         slot io_latency fallback\n\
         monitor low-false-submit 1 0 0 11000000000\n\
-        hyst 2 3 5000000000 8000000000 7 011\n";
+        hyst 2 3 5000000000 8000000000 7 011\n",
+        "GRCP2 7468c045\n\
+        now 9000000000\n\
+        retired 5 1 0 0 0 0 4 0 0 0 0 0 0 1 0 2000\n\
+        slot io_latency fallback\n\
+        monitor low-false-submit 1a2b3c4d 1 0 0 11000000000 2,0\n\
+        hyst 2 3 5000000000 8000000000 7 011\n\
+        account 7 2 2 1 0 0 0 42 6 0 0 1 0 1 0 50000\n\
+        timer 9500000000\n\
+        timer -\n\
+        delta 0 1 4044c00000000000\n\
+        retrain io_model 1 10000000000\n",
+    ];
 
     fn hysteresis() -> HysteresisState {
         HysteresisState {
@@ -212,7 +218,6 @@ mod tests {
                 violations: 1,
                 retrain_retries: 4,
                 actions: [0, 0, 0, 0, 1, 0],
-                wall_ns: 2_000,
                 ..OverheadAccount::default()
             },
             monitors: vec![(
@@ -233,7 +238,6 @@ mod tests {
                         rule_fuel: 42,
                         action_fuel: 6,
                         actions: [0, 0, 1, 0, 1, 0],
-                        wall_ns: 50_000,
                         ..OverheadAccount::default()
                     },
                     next_due: vec![Some(Nanos::from_millis(9_500)), None],
@@ -276,26 +280,19 @@ mod tests {
         assert_eq!(EngineCheckpoint::decode(&cp.encode()).unwrap(), cp);
     }
 
+    /// GRCP1 and GRCP2 are not read: their blobs are rejected whole, so no
+    /// restore can start from them.
     #[test]
-    fn stats_sum_the_retired_total_and_the_monitors() {
-        let stats = sample().stats();
-        assert_eq!(stats.evaluations, 12);
-        assert_eq!(stats.violations, 3);
-        assert_eq!(stats.retrain_retries, 4);
-        assert_eq!(stats.eval_wall_ns, 52_000);
-    }
-
-    /// GRCP1 is not read: its blob is rejected whole, so no restore can
-    /// start from it.
-    #[test]
-    fn grcp1_blobs_are_rejected_whole() {
-        let body = GRCP1_SAMPLE.split_once('\n').unwrap().1;
-        assert_eq!(
-            GRCP1_SAMPLE[6..14],
-            format!("{:08x}", crc32(body.as_bytes())),
-            "the checksum is not what rejects it"
-        );
-        assert!(EngineCheckpoint::decode(GRCP1_SAMPLE.as_bytes()).is_err());
+    fn older_format_blobs_are_rejected_whole() {
+        for blob in OLD_SAMPLES {
+            let body = blob.split_once('\n').unwrap().1;
+            assert_eq!(
+                blob[6..14],
+                format!("{:08x}", crc32(body.as_bytes())),
+                "the checksum is not what rejects it"
+            );
+            assert!(EngineCheckpoint::decode(blob.as_bytes()).is_err());
+        }
     }
 
     #[test]
@@ -339,11 +336,11 @@ mod tests {
         assert_eq!(cp.encode(), cp.encode());
         let text = String::from_utf8(cp.encode()).unwrap();
         for line in [
-            "retired 5 1 0 0 0 0 4 0 0 0 0 0 0 1 0 2000",
+            "retired 5 1 0 0 0 0 4 0 0 0 0 0 0 1 0",
             "slot io_latency fallback",
             "monitor low-false-submit 1a2b3c4d 1 0 0 11000000000 2,0",
             "hyst 2 3 5000000000 8000000000 7 011",
-            "account 7 2 2 1 0 0 0 42 6 0 0 1 0 1 0 50000",
+            "account 7 2 2 1 0 0 0 42 6 0 0 1 0 1 0",
             "timer 9500000000",
             "timer -",
             "delta 0 1 4044c00000000000",

@@ -19,11 +19,11 @@ use crate::monitor::state::{self, MonitorState, PendingRetrain};
 use crate::policy::PolicyRegistry;
 use crate::store::fxhash::FxHashMap;
 use crate::store::{FeatureStore, Slot};
-use crate::telemetry::{ActionKind, Telemetry, TelemetrySnapshot, RESERVED_PREFIX};
+use crate::telemetry::{ActionKind, Telemetry, RESERVED_PREFIX};
 use crate::vm::{EvalCtx, Vm, VmFault};
 
-/// Aggregate engine statistics: a view over the accounts, read with
-/// [`MonitorEngine::stats`].
+/// Aggregate engine statistics: a view over the accounts and the attached
+/// telemetry, read with [`MonitorEngine::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Rule-set evaluations performed.
@@ -40,25 +40,11 @@ pub struct EngineStats {
     pub watchdog_trips: u64,
     /// `RETRAIN` retry attempts serviced (successful or not).
     pub retrain_retries: u64,
-    /// Cumulative measured wall time spent in rule evaluation, in
-    /// nanoseconds: the sum of the accounts' [`OverheadAccount::wall_ns`].
-    /// Time in which no monitor evaluated is not counted.
+    /// Measured wall time of the timed sections in which a monitor
+    /// evaluated, in nanoseconds: the sum of the telemetry histogram, so 0
+    /// without telemetry attached. It is process-lifetime, not
+    /// checkpointed.
     pub eval_wall_ns: u64,
-}
-
-impl From<OverheadAccount> for EngineStats {
-    fn from(a: OverheadAccount) -> Self {
-        EngineStats {
-            evaluations: a.evaluations,
-            violations: a.violations,
-            trips: a.trips,
-            commands_emitted: a.commands_emitted,
-            rule_faults: a.rule_faults,
-            watchdog_trips: a.watchdog_trips,
-            retrain_retries: a.retrain_retries,
-            eval_wall_ns: a.wall_ns,
-        }
-    }
 }
 
 /// One tracepoint firing, as consumed by [`MonitorEngine::on_function_batch`].
@@ -166,9 +152,6 @@ pub struct MonitorEngine {
     /// Every decision, recorded once.
     events: EventLog,
     vm: Vm,
-    /// Each watched monitor's evaluation count when a timed section's
-    /// clock started, reused from section to section.
-    evals_before: Vec<u64>,
     now: Nanos,
     /// The summed accounts of uninstalled monitors.
     retired: OverheadAccount,
@@ -178,7 +161,8 @@ pub struct MonitorEngine {
     rule_fuel_limit: Option<u64>,
     /// Optional telemetry: batch counts and the timed sections' wall-time
     /// histogram. `None` (the default) costs one is-none check per timed
-    /// section; counting and the decision stream do not depend on it.
+    /// section and reads no clock; counting, the decision stream and the
+    /// checkpoint do not depend on it.
     telemetry: Option<Telemetry>,
     /// When set, `advance_to` republishes telemetry into the store's
     /// reserved namespace at this cadence (default off: published values
@@ -214,7 +198,6 @@ impl MonitorEngine {
             hooks: FxHashMap::default(),
             events: EventLog::default(),
             vm: Vm::new(),
-            evals_before: Vec::new(),
             now: Nanos::ZERO,
             retired: OverheadAccount::default(),
             resilience: ResilienceConfig::default(),
@@ -520,13 +503,10 @@ impl MonitorEngine {
     /// Delivers a batch of tracepoint firings for one hook.
     ///
     /// Semantically identical to calling [`MonitorEngine::on_function`] once
-    /// per event in order — the decision stream and store effects are
-    /// bit-identical — but the hook is resolved through the dispatch index
-    /// once, the batch is timed as one section instead of one per event,
-    /// and no per-event allocations occur. The measured batch wall time is
-    /// apportioned across the evaluating monitors by their evaluation
-    /// counts (the shares sum to exactly the measured time; modelled fuel
-    /// accounting is exact either way).
+    /// per event in order — the decision stream, the accounts and store
+    /// effects are bit-identical — but the hook is resolved through the
+    /// dispatch index once, the batch is timed as one section instead of
+    /// one per event, and no per-event allocations occur.
     pub fn on_function_batch(&mut self, hook: &str, events: &[FnEvent<'_>]) {
         if events.is_empty() {
             return;
@@ -557,69 +537,35 @@ impl MonitorEngine {
         self.hooks.insert(hook, subscribers);
     }
 
-    /// The engine's one timing site: reads the wall clock around `section`,
-    /// adds one sample to the telemetry histogram if one of the `watched`
-    /// monitors evaluated in it, and charges the measured time to those that
-    /// did (see [`Self::apportion_wall`]). `watched` holds every monitor
-    /// `section` may evaluate: a hook's subscribers for a batch, all
-    /// monitors for timer ticks.
+    /// The engine's one timing site. With telemetry attached it reads the
+    /// wall clock around `section` and adds one sample to the histogram if
+    /// one of the `watched` monitors evaluated in it; without, it reads no
+    /// clock. `watched` holds every monitor `section` may evaluate: a hook's
+    /// subscribers for a batch, all monitors for timer ticks.
     fn timed(
         &mut self,
         watched: impl Iterator<Item = usize> + Clone,
         section: impl FnOnce(&mut Self),
     ) {
-        let mut evals_before = std::mem::take(&mut self.evals_before);
-        evals_before.clear();
-        evals_before.extend(
+        let evaluations = |engine: &Self| -> u64 {
             watched
                 .clone()
-                .map(|midx| self.monitors[midx].state.account.evaluations),
-        );
-        let started = std::time::Instant::now();
+                .map(|midx| engine.monitors[midx].state.account.evaluations)
+                .sum()
+        };
+        let start = self
+            .telemetry
+            .is_some()
+            .then(|| (evaluations(self), std::time::Instant::now()));
         section(self);
-        let wall_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        if self.apportion_wall(watched, &evals_before, wall_ns) {
-            if let Some(t) = &mut self.telemetry {
-                t.eval_wall_ns.observe(wall_ns as f64);
+        if let Some((before, started)) = start {
+            let wall_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+            if evaluations(self) != before {
+                if let Some(t) = &mut self.telemetry {
+                    t.eval_wall_ns.observe(wall_ns as f64);
+                }
             }
         }
-        self.evals_before = evals_before;
-    }
-
-    /// Charges `wall_ns` to the `watched` monitors in proportion to the
-    /// evaluations each ran since `evals_before` (its evaluation count when
-    /// the clock started). The shares sum to exactly `wall_ns`: the rounding
-    /// remainder goes to the last monitor that evaluated. Charges nothing,
-    /// and returns `false`, when none evaluated.
-    fn apportion_wall(
-        &mut self,
-        watched: impl Iterator<Item = usize> + Clone,
-        evals_before: &[u64],
-        wall_ns: u64,
-    ) -> bool {
-        let share_of = |m: &Monitor, before: u64| m.state.account.evaluations - before;
-        let evaluated: u64 = watched
-            .clone()
-            .zip(evals_before)
-            .map(|(midx, &before)| share_of(&self.monitors[midx], before))
-            .sum();
-        let (mut evals_left, mut wall_left) = (evaluated, wall_ns);
-        for (midx, &before) in watched.zip(evals_before) {
-            let monitor = &mut self.monitors[midx];
-            let share = share_of(monitor, before);
-            if share == 0 {
-                continue;
-            }
-            evals_left -= share;
-            let charge = if evals_left == 0 {
-                wall_left
-            } else {
-                (u128::from(wall_ns) * u128::from(share) / u128::from(evaluated)) as u64
-            };
-            wall_left -= charge;
-            monitor.state.account.wall_ns += charge;
-        }
-        evaluated > 0
     }
 
     /// One evaluation's hot path, inlined into the batch loop and the timer
@@ -1019,9 +965,11 @@ impl MonitorEngine {
         self.events.iter().filter(|e| e.text().is_some())
     }
 
-    /// The field-wise sum of the retired total and every installed
-    /// monitor's account.
-    fn account_sum(&self) -> OverheadAccount {
+    /// The engine-wide counters: the field-wise sum of the retired total
+    /// and every installed monitor's account. The accounts are
+    /// checkpointed, so after a [`MonitorEngine::restore`] the sum
+    /// continues from the checkpoint.
+    pub fn telemetry_snapshot(&self) -> OverheadAccount {
         let mut sum = self.retired;
         for m in &self.monitors {
             sum.merge(&m.state.account);
@@ -1029,24 +977,23 @@ impl MonitorEngine {
         sum
     }
 
-    /// Aggregate engine statistics: the sum of every account, uninstalled
-    /// monitors' included. The accounts are checkpointed, so after a
-    /// [`MonitorEngine::restore`] the stats continue from the checkpoint.
+    /// Aggregate engine statistics: the counters of
+    /// [`MonitorEngine::telemetry_snapshot`], and the measured wall time of
+    /// the attached telemetry.
     pub fn stats(&self) -> EngineStats {
-        self.account_sum().into()
-    }
-
-    /// The deterministic counter summary: the sum of every account, as in
-    /// [`MonitorEngine::stats`], without wall time.
-    pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        let sum = self.account_sum();
-        TelemetrySnapshot {
-            evaluations: sum.evaluations,
-            violations: sum.violations,
-            trips: sum.trips,
-            rule_fuel: sum.rule_fuel,
-            action_fuel: sum.action_fuel,
-            actions: sum.actions,
+        let a = self.telemetry_snapshot();
+        EngineStats {
+            evaluations: a.evaluations,
+            violations: a.violations,
+            trips: a.trips,
+            commands_emitted: a.commands_emitted,
+            rule_faults: a.rule_faults,
+            watchdog_trips: a.watchdog_trips,
+            retrain_retries: a.retrain_retries,
+            eval_wall_ns: self
+                .telemetry
+                .as_ref()
+                .map_or(0, |t| t.eval_wall_ns.sum() as u64),
         }
     }
 
@@ -1054,19 +1001,19 @@ impl MonitorEngine {
     /// `__telemetry/` namespace:
     /// - the [`Telemetry`] fields under `__telemetry/engine/{batches,
     ///   batch_events}` and `__telemetry/engine/eval_wall_ns_hist/{count,
-    ///   sum,p50,p95,p99}`;
+    ///   sum,p50,p95,p99}`, and the histogram's sum again as
+    ///   `__telemetry/engine/eval_wall_ns`;
     /// - the sum of the monitors' accounts under
     ///   `__telemetry/engine/{evaluations,violations,trips,rule_fuel,
-    ///   action_fuel,eval_wall_ns}` and `__telemetry/actions/<kind>`;
+    ///   action_fuel}` and `__telemetry/actions/<kind>`;
     /// - the store's write count under `__telemetry/store/saves`;
     /// - the decision stream's recorded and evicted counts under
     ///   `__telemetry/events/{recorded,overwritten}`;
     /// - per-guardrail P5 accounts under
     ///   `__telemetry/guardrail/<name>/{evaluations,rule_fuel,action_fuel,
-    ///   wall_ns,modeled_ns,overhead_fraction}`. The fraction is
-    ///   `modeled_ns / now` — fuel-modeled, so it is deterministic and safe
-    ///   for guardrail rules to `LOAD` (the measured `wall_ns` key is the
-    ///   nondeterministic companion).
+    ///   modeled_ns,overhead_fraction}`. The fraction is `modeled_ns / now`
+    ///   — fuel-modeled, so it is deterministic and safe for guardrail
+    ///   rules to `LOAD`.
     ///
     /// No-op without telemetry attached.
     pub fn publish_telemetry(&self) {
@@ -1082,6 +1029,7 @@ impl MonitorEngine {
         for (name, value) in [
             ("engine/batches", t.batches as f64),
             ("engine/batch_events", t.batch_events as f64),
+            ("engine/eval_wall_ns", hist.sum()),
             ("engine/eval_wall_ns_hist/count", hist.count() as f64),
             ("engine/eval_wall_ns_hist/sum", hist.sum()),
             ("engine/eval_wall_ns_hist/p50", hist.quantile(0.50)),
@@ -1090,14 +1038,13 @@ impl MonitorEngine {
         ] {
             save(name, value);
         }
-        let sum = self.account_sum();
+        let sum = self.telemetry_snapshot();
         for (name, value) in [
             ("engine/evaluations", sum.evaluations),
             ("engine/violations", sum.violations),
             ("engine/trips", sum.trips),
             ("engine/rule_fuel", sum.rule_fuel),
             ("engine/action_fuel", sum.action_fuel),
-            ("engine/eval_wall_ns", sum.wall_ns),
             ("store/saves", saves),
             ("events/recorded", self.events.recorded()),
             ("events/overwritten", self.events.overwritten()),
@@ -1116,7 +1063,6 @@ impl MonitorEngine {
                 ("evaluations", o.evaluations as f64),
                 ("rule_fuel", o.rule_fuel as f64),
                 ("action_fuel", o.action_fuel as f64),
-                ("wall_ns", o.wall_ns as f64),
                 ("modeled_ns", o.modeled().as_nanos() as f64),
                 ("overhead_fraction", report.fraction_of(self.now)),
             ] {
@@ -1139,7 +1085,7 @@ impl MonitorEngine {
 
     /// Total modelled monitoring time, uninstalled monitors included.
     pub fn total_modeled_overhead(&self) -> Nanos {
-        self.account_sum().modeled()
+        self.telemetry_snapshot().modeled()
     }
 
     /// Violations suppressed by hysteresis for `name`.
@@ -1174,7 +1120,7 @@ impl MonitorEngine {
         }
     }
 
-    /// Writes the GRCP2 encoding of [`MonitorEngine::checkpoint`] into
+    /// Writes the GRCP3 encoding of [`MonitorEngine::checkpoint`] into
     /// `out`, replacing its contents: the bytes `checkpoint().encode()`
     /// returns, recorded in the decision stream the same way,
     /// but without copying any monitor's state or any name. A host that
@@ -1516,12 +1462,12 @@ guardrail low-false-submit {
         engine.install_str(LISTING_2).unwrap();
         engine.store().save("false_submit_rate", 0.5);
         engine.advance_to(Nanos::from_secs(2));
-        let evals_before = engine.stats().evaluations;
-        assert!(evals_before > 0);
+        let evaluations = engine.stats().evaluations;
+        assert!(evaluations > 0);
         engine.uninstall("low-false-submit").unwrap();
         assert!(engine.monitor_names().is_empty());
         engine.advance_to(Nanos::from_secs(10));
-        assert_eq!(engine.stats().evaluations, evals_before, "no further evals");
+        assert_eq!(engine.stats().evaluations, evaluations, "no further evals");
         // The name is reusable.
         engine.install_str(LISTING_2).unwrap();
         assert_eq!(engine.monitor_names(), vec!["low-false-submit".to_string()]);
@@ -1946,6 +1892,7 @@ guardrail low-false-submit {
         engine.set_rule_fuel_limit(Some(1));
         engine.advance_to(Nanos::from_secs(1)); // Two faults: watchdog trips.
         assert!(engine.watchdog_tripped("g").unwrap());
+        let evaluations = engine.stats().evaluations;
         let checkpoint = engine.checkpoint();
 
         let mut restarted = MonitorEngine::new();
@@ -1958,7 +1905,7 @@ guardrail low-false-submit {
         restarted.advance_to(Nanos::from_secs(5));
         assert_eq!(
             restarted.stats().evaluations,
-            checkpoint.stats().evaluations,
+            evaluations,
             "disabled monitor does not evaluate after restore"
         );
     }
@@ -1969,6 +1916,7 @@ guardrail low-false-submit {
         engine.registry().register("s", &["a", "b"]).unwrap();
         engine.install_str(LISTING_2).unwrap();
         engine.advance_to(Nanos::from_secs(2));
+        let evaluations = engine.stats().evaluations;
         let checkpoint = engine.checkpoint();
         // The restarted deployment has neither the slot nor the guardrail:
         // restore is a clean no-op for both.
@@ -1980,10 +1928,7 @@ guardrail low-false-submit {
         assert_eq!(restarted.now(), Nanos::from_secs(2));
         // The surviving monitor's timers fast-forwarded past the checkpoint.
         restarted.advance_to(Nanos::from_secs(3));
-        assert_eq!(
-            restarted.stats().evaluations,
-            checkpoint.stats().evaluations + 1
-        );
+        assert_eq!(restarted.stats().evaluations, evaluations + 1);
     }
 
     #[test]
@@ -2101,9 +2046,23 @@ guardrail low-false-submit {
         for report in engine.overhead_reports() {
             sum.merge(&report.account);
         }
-        assert_eq!(engine.stats(), EngineStats::from(sum), "retired included");
-        assert_eq!(engine.stats().evaluations, 7);
-        assert_eq!(engine.stats().commands_emitted, 3);
+        assert_eq!(engine.telemetry_snapshot(), sum, "retired included");
+        let stats = engine.stats();
+        assert_eq!(
+            stats,
+            EngineStats {
+                evaluations: sum.evaluations,
+                violations: sum.violations,
+                trips: sum.trips,
+                commands_emitted: sum.commands_emitted,
+                rule_faults: sum.rule_faults,
+                watchdog_trips: sum.watchdog_trips,
+                retrain_retries: sum.retrain_retries,
+                eval_wall_ns: 0,
+            },
+            "no telemetry, no wall time"
+        );
+        assert_eq!((stats.evaluations, stats.commands_emitted), (7, 3));
         // A restore into an engine that already counted continues from the
         // checkpoint, not from the sum of both histories.
         let checkpoint = engine.checkpoint();
@@ -2111,14 +2070,10 @@ guardrail low-false-submit {
         used.install_str(LISTING_2).unwrap();
         used.advance_to(Nanos::from_secs(1));
         used.restore(&checkpoint).unwrap();
-        assert_eq!(used.stats(), checkpoint.stats());
+        assert_eq!(used.telemetry_snapshot(), sum);
+        assert_eq!(used.stats(), stats);
         used.advance_to(Nanos::from_secs(4));
-        assert_eq!(used.stats().evaluations, checkpoint.stats().evaluations + 1);
-        assert_eq!(
-            used.telemetry_snapshot().evaluations,
-            used.stats().evaluations,
-            "the snapshot continues from the checkpoint too"
-        );
+        assert_eq!(used.stats().evaluations, sum.evaluations + 1);
     }
 
     /// A command the full outbox drops is not counted as emitted: it is a
@@ -2152,39 +2107,6 @@ guardrail low-false-submit {
     }
 
     #[test]
-    fn apportioned_wall_shares_sum_to_the_measured_time() {
-        let mut engine = MonitorEngine::new();
-        for name in ["a", "b", "c"] {
-            engine
-                .install_str(&format!(
-                    "guardrail {name} {{ trigger: {{ FUNCTION(h) }}, rule: {{ ARG(0) >= 0 }}, action: {{ REPORT(m) }} }}"
-                ))
-                .unwrap();
-        }
-        for (midx, evals) in [(0, 1), (1, 0), (2, 2)] {
-            engine.monitors[midx].state.account.evaluations = evals;
-        }
-        // 3 evaluations share 100 ns: 33 to the first, the remainder (67)
-        // to the last monitor that evaluated, nothing to the idle one.
-        assert!(engine.apportion_wall(0..3, &[0, 0, 0], 100));
-        let wall = |engine: &MonitorEngine| -> Vec<u64> {
-            engine
-                .monitors
-                .iter()
-                .map(|m| m.state.account.wall_ns)
-                .collect()
-        };
-        assert_eq!(wall(&engine), [33, 0, 67]);
-        // No evaluations since the clock started: nothing is charged.
-        assert!(!engine.apportion_wall(0..3, &[1, 0, 2], 1_000));
-        assert_eq!(engine.stats().eval_wall_ns, 100);
-        // Only watched monitors are charged: the first evaluated too, but
-        // the section watched the last alone.
-        assert!(engine.apportion_wall([2].into_iter(), &[1], 10));
-        assert_eq!(wall(&engine), [33, 0, 77]);
-    }
-
-    #[test]
     fn publish_telemetry_exposes_loadable_reserved_keys() {
         let mut engine = MonitorEngine::new();
         engine.set_telemetry(Telemetry::new());
@@ -2207,7 +2129,7 @@ guardrail low-false-submit {
              engine/rule_fuel engine/trips engine/violations \
              guardrail/low-false-submit/action_fuel guardrail/low-false-submit/evaluations \
              guardrail/low-false-submit/modeled_ns guardrail/low-false-submit/overhead_fraction \
-             guardrail/low-false-submit/rule_fuel guardrail/low-false-submit/wall_ns store/saves"
+             guardrail/low-false-submit/rule_fuel store/saves"
             .split_whitespace()
             .map(|k| format!("{RESERVED_PREFIX}{k}"))
             .collect();
@@ -2377,6 +2299,7 @@ guardrail low-false-submit {
         engine.install_str(&spec(3)).unwrap();
         engine.store().save("x", 1.0);
         engine.advance_to(Nanos::from_secs(2));
+        let stats = engine.stats();
         let checkpoint = engine.checkpoint();
         engine.store().save("x", 6.0);
         // The same spec restores its DELTA state and sees the jump from 1
@@ -2385,7 +2308,7 @@ guardrail low-false-submit {
             let mut restarted = MonitorEngine::with_parts(engine.store(), engine.registry());
             restarted.install_str(source).unwrap();
             restarted.restore(&checkpoint).unwrap();
-            assert_eq!(restarted.stats(), checkpoint.stats());
+            assert_eq!(restarted.stats(), stats);
             restarted.advance_to(Nanos::from_secs(3));
             restarted
         };
@@ -2395,10 +2318,7 @@ guardrail low-false-submit {
         // is retired, and its DELTA state starts fresh (reads 0).
         let changed = restarted(&spec(4));
         assert_eq!(changed.overhead_reports()[0].account.evaluations, 1);
-        assert_eq!(
-            changed.stats().evaluations,
-            checkpoint.stats().evaluations + 1
-        );
+        assert_eq!(changed.stats().evaluations, stats.evaluations + 1);
         assert_eq!(changed.stats().violations, 0);
     }
 

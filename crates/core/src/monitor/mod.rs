@@ -24,4 +24,4 @@ pub use resilience::{
     FailMode, RecoveryConfig, ResilienceConfig, RetryPolicy, RuntimeConfig, WatchdogConfig,
 };
 pub use state::{MonitorState, PendingRetrain};
-pub use supervisor::{fail_closed, RestartDecision, Supervisor, SupervisorConfig, SupervisorState};
+pub use supervisor::{fail_closed, RestartDecision, Supervisor, SupervisorState};

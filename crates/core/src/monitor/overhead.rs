@@ -3,10 +3,11 @@
 //! One of the paper's motivating complaints about prior work is that it
 //! provides "no way for practitioners to assess if inference overhead is
 //! justified and to bound performance impact" (§1). The engine therefore
-//! charges every rule evaluation and action dispatch to an account, in both
-//! *modelled* nanoseconds (fuel × a per-unit cost, deterministic and usable
-//! inside the simulation) and *measured* wall nanoseconds (nondeterministic:
-//! published as telemetry and read by the benchmarks, never by a rule).
+//! charges every rule evaluation and action dispatch to an account, in
+//! *modelled* nanoseconds: fuel × a per-unit cost, deterministic and usable
+//! inside the simulation. An account only counts, so it is a function of
+//! the engine's inputs; measured wall time is
+//! [`crate::telemetry::Telemetry`]'s, engine-wide and never checkpointed.
 
 use simkernel::Nanos;
 
@@ -18,11 +19,11 @@ pub const NS_PER_FUEL: u64 = 2;
 
 /// The overhead account of one monitor: the engine's only counters.
 ///
-/// Every evaluation, violation, trip, fault, fuel unit, action and measured
-/// nanosecond is counted once, here, on the monitor it belongs to. The
-/// engine-wide figures ([`crate::monitor::EngineStats`], the telemetry
-/// snapshot and the published `__telemetry/engine/*` keys) are sums of
-/// these accounts, read on demand.
+/// Every evaluation, violation, trip, fault, fuel unit and action is counted
+/// once, here, on the monitor it belongs to. The engine-wide figures
+/// ([`crate::monitor::EngineStats`], the telemetry snapshot and the
+/// published `__telemetry/engine/*` keys) are sums of these accounts, read
+/// on demand.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OverheadAccount {
     /// Rule-set evaluations performed.
@@ -46,10 +47,6 @@ pub struct OverheadAccount {
     /// Actions dispatched, by kind, indexed by
     /// [`crate::telemetry::ActionKind`].
     pub actions: [u64; 6],
-    /// Measured wall time spent evaluating, in nanoseconds. Only wall time
-    /// in which this monitor evaluated is charged: a batch in which no
-    /// subscriber evaluates charges nothing.
-    pub wall_ns: u64,
 }
 
 impl OverheadAccount {
@@ -87,7 +84,6 @@ impl OverheadAccount {
         for (mine, theirs) in self.actions.iter_mut().zip(other.actions) {
             *mine += theirs;
         }
-        self.wall_ns += other.wall_ns;
     }
 }
 
@@ -122,7 +118,6 @@ mod tests {
             rule_fuel: 16,
             action_fuel: 4,
             actions: [1, 0, 0, 0, 2, 0],
-            wall_ns: 150,
             ..OverheadAccount::default()
         };
         assert_eq!(a.actions_dispatched(), 3);
@@ -143,7 +138,6 @@ mod tests {
         let mut a = OverheadAccount {
             evaluations: 1,
             rule_fuel: 10,
-            wall_ns: 5,
             actions: [0, 0, 0, 0, 1, 0],
             ..OverheadAccount::default()
         };
@@ -158,7 +152,6 @@ mod tests {
             rule_fuel: 20,
             action_fuel: 3,
             actions: [0, 0, 0, 0, 1, 1],
-            wall_ns: 7,
         };
         a.merge(&b);
         assert_eq!(
@@ -166,7 +159,6 @@ mod tests {
             OverheadAccount {
                 evaluations: 2,
                 rule_fuel: 30,
-                wall_ns: 12,
                 actions: [0, 0, 0, 0, 2, 1],
                 ..b
             }

@@ -23,7 +23,6 @@
 
 use simkernel::Nanos;
 
-use crate::monitor::supervisor::SupervisorConfig;
 use crate::store::durable::DurabilityConfig;
 
 /// Exponential-backoff retry for rejected or failed `RETRAIN` requests.
@@ -144,14 +143,12 @@ impl ResilienceConfig {
     }
 }
 
-/// Crash-recovery configuration: the durable feature store plus the
-/// supervised restart loop.
+/// Crash-recovery configuration: the durable feature store. The supervised
+/// restart loop ([`crate::monitor::Supervisor`]) has fixed constants.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryConfig {
     /// WAL/snapshot knobs for the durable store.
     pub durability: DurabilityConfig,
-    /// Restart-loop and escalation policy.
-    pub supervisor: SupervisorConfig,
 }
 
 /// The single composable runtime-hardening configuration.

@@ -105,7 +105,7 @@ impl MonitorState {
     /// ```text
     /// monitor <name> <fingerprint> <enabled> <tripped> <faults> <probation> <key-table sizes>
     /// hyst <threshold> <window> <cooldown> <last-fire> <suppressed> <recent>
-    /// account <16 counters, see `write_account`>
+    /// account <15 counters, see `write_account`>
     /// timer <next-due>                   one per timer, in order
     /// delta <program> <key> <f64 bits>   one per key read
     /// retrain <model> <attempt> <next-attempt>
@@ -278,9 +278,9 @@ pub(crate) fn fingerprint(compiled: &CompiledGuardrail) -> u32 {
     crc32(text.as_bytes())
 }
 
-/// Writes `<tag>` and the 16 counters of `account` as one line:
+/// Writes `<tag>` and the 15 counters of `account` as one line:
 /// evaluations, violations, trips, commands, rule faults, watchdog trips,
-/// retrain retries, rule fuel, action fuel, the six action counts, wall ns.
+/// retrain retries, rule fuel, action fuel, the six action counts.
 pub(crate) fn write_account(out: &mut Vec<u8>, tag: &str, a: &OverheadAccount) {
     out.put(tag)
         .put_fields([
@@ -295,7 +295,6 @@ pub(crate) fn write_account(out: &mut Vec<u8>, tag: &str, a: &OverheadAccount) {
             a.action_fuel,
         ])
         .put_fields(a.actions)
-        .put_fields([a.wall_ns])
         .put("\n");
 }
 
@@ -361,7 +360,7 @@ impl PutText for Vec<u8> {
 
 /// Parses the counters [`write_account`] writes after its tag.
 pub(crate) fn parse_account(fields: &[&str]) -> Result<OverheadAccount> {
-    let [ev, vi, tr, cm, rf, wt, rr, rfu, afu, a0, a1, a2, a3, a4, a5, wall] = fields else {
+    let [ev, vi, tr, cm, rf, wt, rr, rfu, afu, a0, a1, a2, a3, a4, a5] = fields else {
         return Err(corrupt("bad account line"));
     };
     Ok(OverheadAccount {
@@ -382,7 +381,6 @@ pub(crate) fn parse_account(fields: &[&str]) -> Result<OverheadAccount> {
             parse(a4)?,
             parse(a5)?,
         ],
-        wall_ns: parse(wall)?,
     })
 }
 

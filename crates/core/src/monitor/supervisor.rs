@@ -5,12 +5,12 @@
 //! governs what happens when restarts keep happening. It implements the
 //! classic init-style ladder:
 //!
-//! 1. **Restart with capped exponential backoff** — each crash that lands
-//!    within [`SupervisorConfig::rapid_window`] of the previous one doubles
-//!    the restart delay, up to [`SupervisorConfig::max_backoff`]. A crash
-//!    after a quiet period resets the ladder.
-//! 2. **Fail closed** — after [`SupervisorConfig::max_rapid_crashes`]
-//!    consecutive rapid crashes the supervisor stops restarting and pins
+//! 1. **Restart with exponential backoff** — an isolated crash restarts
+//!    after 100 ms, and each crash that lands within 5 s of the previous
+//!    one doubles the restart delay. A crash after a quiet period resets
+//!    the ladder.
+//! 2. **Fail closed** — at the third consecutive rapid crash (a crash and
+//!    two rapid ones after it) the supervisor stops restarting and pins
 //!    every policy slot to its safe fallback variant
 //!    ([`fail_closed`]): if the guardrail runtime cannot stay up, the
 //!    learned policies it was guarding must not keep making decisions
@@ -26,46 +26,14 @@ use simkernel::Nanos;
 use crate::policy::PolicyRegistry;
 use crate::store::FeatureStore;
 
-/// Restart-loop policy knobs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SupervisorConfig {
-    /// Backoff before the first restart of a rapid-crash streak.
-    pub initial_backoff: Nanos,
-    /// Upper bound on the exponential backoff.
-    pub max_backoff: Nanos,
-    /// A crash within this interval of the previous crash counts as
-    /// "rapid" (part of a crash loop rather than an isolated incident).
-    pub rapid_window: Nanos,
-    /// Consecutive rapid crashes before escalating to fail-closed.
-    pub max_rapid_crashes: u32,
-}
-
-impl Default for SupervisorConfig {
-    /// 100ms initial backoff doubling to 10s; a 5s rapid window; escalate
-    /// after 3 consecutive rapid crashes.
-    fn default() -> Self {
-        SupervisorConfig {
-            initial_backoff: Nanos::from_millis(100),
-            max_backoff: Nanos::from_secs(10),
-            rapid_window: Nanos::from_secs(5),
-            max_rapid_crashes: 3,
-        }
-    }
-}
-
-impl SupervisorConfig {
-    /// Returns this config with a different escalation threshold.
-    pub fn with_max_rapid_crashes(mut self, n: u32) -> Self {
-        self.max_rapid_crashes = n.max(1);
-        self
-    }
-
-    /// Returns this config with a different rapid-crash window.
-    pub fn with_rapid_window(mut self, window: Nanos) -> Self {
-        self.rapid_window = window;
-        self
-    }
-}
+/// Backoff before the first restart of a rapid-crash streak.
+const INITIAL_BACKOFF: Nanos = Nanos::from_millis(100);
+/// A crash within this interval of the previous crash counts as "rapid"
+/// (part of a crash loop rather than an isolated incident).
+const RAPID_WINDOW: Nanos = Nanos::from_secs(5);
+/// Consecutive rapid crashes that escalate to fail-closed. The streak's
+/// longest backoff is therefore `INITIAL_BACKOFF` doubled once.
+const MAX_RAPID_CRASHES: u32 = 3;
 
 /// Where the supervisor currently is in its ladder.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,7 +67,6 @@ pub enum RestartDecision {
 /// The restart-loop state machine.
 #[derive(Clone, Debug)]
 pub struct Supervisor {
-    config: SupervisorConfig,
     state: SupervisorState,
     last_crash: Option<Nanos>,
     /// Length of the current rapid-crash streak (1 = isolated crash).
@@ -110,9 +77,8 @@ pub struct Supervisor {
 
 impl Supervisor {
     /// Creates a supervisor in the `Running` state.
-    pub fn new(config: SupervisorConfig) -> Self {
+    pub fn new() -> Self {
         Supervisor {
-            config,
             state: SupervisorState::Running,
             last_crash: None,
             consecutive_rapid: 0,
@@ -129,22 +95,16 @@ impl Supervisor {
         self.crashes += 1;
         let rapid = self
             .last_crash
-            .is_some_and(|prev| now.saturating_sub(prev) <= self.config.rapid_window);
+            .is_some_and(|prev| now.saturating_sub(prev) <= RAPID_WINDOW);
         self.consecutive_rapid = if rapid { self.consecutive_rapid + 1 } else { 1 };
         self.last_crash = Some(now);
-        if self.consecutive_rapid >= self.config.max_rapid_crashes {
+        if self.consecutive_rapid >= MAX_RAPID_CRASHES {
             self.state = SupervisorState::FailClosed;
             return RestartDecision::FailClosed;
         }
-        // Doubling backoff: initial, 2x, 4x, ... capped at max_backoff.
-        let exponent = self.consecutive_rapid.saturating_sub(1).min(20);
-        let backoff = Nanos::from_nanos(
-            self.config
-                .initial_backoff
-                .as_nanos()
-                .saturating_mul(1u64 << exponent),
-        )
-        .min(self.config.max_backoff);
+        // Doubling backoff: the streak's first crash waits the initial
+        // backoff, each rapid one after it twice the one before.
+        let backoff = INITIAL_BACKOFF * (1 << (self.consecutive_rapid - 1));
         let at = now + backoff;
         self.state = SupervisorState::BackingOff { until: at };
         RestartDecision::Restart { at, backoff }
@@ -179,6 +139,12 @@ impl Supervisor {
     }
 }
 
+impl Default for Supervisor {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// The fail-closed escalation: pins every policy slot to its safe fallback
 /// variant and zeroes the given enable flags in the feature store (e.g.
 /// `ml_enabled`), so learned policies stop making decisions even though no
@@ -206,7 +172,7 @@ mod tests {
 
     #[test]
     fn isolated_crashes_restart_with_initial_backoff() {
-        let mut sup = Supervisor::new(SupervisorConfig::default());
+        let mut sup = Supervisor::new();
         assert_eq!(sup.state(), SupervisorState::Running);
         // Crashes 100s apart never build a streak.
         for i in 0..10u64 {
@@ -228,28 +194,22 @@ mod tests {
 
     #[test]
     fn rapid_crashes_double_the_backoff_then_escalate() {
-        let config = SupervisorConfig::default().with_max_rapid_crashes(4);
-        let mut sup = Supervisor::new(config);
+        let mut sup = Supervisor::new();
         let d1 = sup.on_crash(secs(10));
         assert!(matches!(
             d1,
             RestartDecision::Restart { backoff, .. } if backoff == Nanos::from_millis(100)
         ));
         sup.on_restarted();
-        let d2 = sup.on_crash(secs(11));
+        // 5 s after the last crash is still rapid.
+        let d2 = sup.on_crash(secs(15));
         assert!(matches!(
             d2,
             RestartDecision::Restart { backoff, .. } if backoff == Nanos::from_millis(200)
         ));
         sup.on_restarted();
-        let d3 = sup.on_crash(secs(12));
-        assert!(matches!(
-            d3,
-            RestartDecision::Restart { backoff, .. } if backoff == Nanos::from_millis(400)
-        ));
-        sup.on_restarted();
-        // Fourth rapid crash: escalate.
-        assert_eq!(sup.on_crash(secs(13)), RestartDecision::FailClosed);
+        // Third rapid crash: escalate.
+        assert_eq!(sup.on_crash(secs(16)), RestartDecision::FailClosed);
         assert!(sup.failed_closed());
         assert_eq!(sup.state(), SupervisorState::FailClosed);
         // Further crashes stay escalated, and restarts are refused.
@@ -261,7 +221,7 @@ mod tests {
 
     #[test]
     fn a_quiet_period_resets_the_streak() {
-        let mut sup = Supervisor::new(SupervisorConfig::default());
+        let mut sup = Supervisor::new();
         sup.on_crash(secs(10));
         sup.on_restarted();
         sup.on_crash(secs(11));
@@ -273,24 +233,6 @@ mod tests {
             RestartDecision::Restart { backoff, .. } if backoff == Nanos::from_millis(100)
         ));
         assert!(!sup.failed_closed());
-    }
-
-    #[test]
-    fn backoff_is_capped() {
-        let config = SupervisorConfig {
-            initial_backoff: Nanos::from_secs(4),
-            max_backoff: Nanos::from_secs(6),
-            rapid_window: Nanos::from_secs(1_000),
-            max_rapid_crashes: 100,
-        };
-        let mut sup = Supervisor::new(config);
-        sup.on_crash(secs(0));
-        sup.on_restarted();
-        let decision = sup.on_crash(secs(10));
-        assert!(matches!(
-            decision,
-            RestartDecision::Restart { backoff, .. } if backoff == Nanos::from_secs(6)
-        ));
     }
 
     #[test]

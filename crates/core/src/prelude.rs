@@ -9,5 +9,5 @@ pub use crate::monitor::{
 pub use crate::policy::{PolicyRegistry, VARIANT_FALLBACK, VARIANT_LEARNED};
 pub use crate::spec::{parse, parse_and_check};
 pub use crate::store::FeatureStore;
-pub use crate::telemetry::{Telemetry, TelemetrySnapshot, RESERVED_PREFIX};
+pub use crate::telemetry::{Telemetry, RESERVED_PREFIX};
 pub use simkernel::Nanos;

@@ -5,15 +5,16 @@
 //! cannot observe *itself* leaves the operator guessing about where monitor
 //! time goes. This module closes that gap with two pieces:
 //!
-//! 1. **One counter source.** The engine counts every evaluation,
-//!    violation, trip, fuel unit, action firing and measured nanosecond
-//!    once, on the monitor's own [`crate::monitor::OverheadAccount`].
-//!    Engine-wide figures — [`crate::monitor::MonitorEngine::stats`],
-//!    [`crate::monitor::MonitorEngine::telemetry_snapshot`] and the
-//!    published `__telemetry/engine/*` and `actions/*` keys — are sums of
-//!    those accounts, read on demand. [`Telemetry`] holds only what the
-//!    accounts cannot: how many batches and batch events arrived, and the
-//!    distribution of the engine's timed sections.
+//! 1. **Accounts count, telemetry measures.** The engine counts every
+//!    evaluation, violation, trip, fuel unit and action firing once, on the
+//!    monitor's own [`crate::monitor::OverheadAccount`]. Engine-wide
+//!    counters — [`crate::monitor::MonitorEngine::telemetry_snapshot`],
+//!    [`crate::monitor::MonitorEngine::stats`] and the published
+//!    `__telemetry/engine/*` and `actions/*` keys — are sums of those
+//!    accounts, read on demand, and as deterministic as they are.
+//!    [`Telemetry`] is the one place that measures: how many batches and
+//!    batch events arrived, and the wall-time distribution of the engine's
+//!    timed sections. Nothing it records is checkpointed.
 //! 2. **Self-monitoring**: [`crate::monitor::MonitorEngine::publish_telemetry`]
 //!    writes these figures into the feature store under the reserved
 //!    `__telemetry/` namespace, so a guardrail spec can `LOAD` them — the
@@ -33,7 +34,8 @@
 //! Counting is a plain `+=` on the monitor's account, the same with
 //! telemetry attached or not. [`Telemetry`] is a plain value the engine
 //! owns, written once per timed section (a batch, or the timer ticks one
-//! `advance_to` runs), never per evaluation.
+//! `advance_to` runs), never per evaluation; without it the engine reads
+//! no clock.
 
 use crate::store::histogram::Histogram;
 
@@ -88,29 +90,6 @@ impl ActionKind {
             ActionKind::Record => "record",
         }
     }
-}
-
-/// A deterministic summary of the engine's counters, read with
-/// [`crate::monitor::MonitorEngine::telemetry_snapshot`].
-///
-/// Wall-clock fields are deliberately absent: two observationally identical
-/// runs (for example the batched and sequential ingestion paths) must
-/// produce *equal* snapshots, which is exactly what the sim equivalence
-/// proptests assert.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TelemetrySnapshot {
-    /// Rule-set evaluations performed.
-    pub evaluations: u64,
-    /// Violations detected.
-    pub violations: u64,
-    /// Post-hysteresis trips.
-    pub trips: u64,
-    /// Fuel burned by rules.
-    pub rule_fuel: u64,
-    /// Fuel burned by action operands.
-    pub action_fuel: u64,
-    /// Action firings by kind, indexed by [`ActionKind`].
-    pub actions: [u64; 6],
 }
 
 /// What telemetry measures beside the monitors' accounts, owned by the

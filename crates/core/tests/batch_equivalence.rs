@@ -1,20 +1,18 @@
 //! Property test: the engine's batched ingestion path is *observationally
 //! identical* to the sequential path. `on_function_batch(hook, events)`
 //! must produce the same decision stream, the same store state, the same
-//! deferred commands, and the same deterministic stats as N sequential
+//! deferred commands, and the same overhead accounts as N sequential
 //! `on_function` calls — for any event history and any chunking of it into
 //! batches, including a checkpoint/restore in the middle.
 //!
-//! The only permitted divergence is measured wall time (`eval_wall_ns` and
-//! the per-monitor `wall_ns`): the batch path reads the clock once per
-//! batch instead of once per evaluation, and wall time is machine noise by
-//! definition. Everything a decision, a report, or a replay can observe is
+//! Measured wall time lives only in the attached telemetry, never in an
+//! account, so everything a decision, a report, or a replay can observe is
 //! bit-identical.
 //!
 //! Each property also checks that the engine-wide figures are sums of the
-//! per-monitor accounts: on an engine that was never restored, `stats()`
-//! and `telemetry_snapshot()` equal the accounts' sum, and the monitors'
-//! wall-time shares add up exactly to the wall time the engine measured.
+//! per-monitor accounts: on an engine that was never restored,
+//! `telemetry_snapshot()` and `stats()` equal the accounts' sum, and the
+//! published wall time is the telemetry histogram's.
 //!
 //! The engine handles a violation, a rule fault and the end of a
 //! watchdog's probation out of line from its per-evaluation path, so one
@@ -23,11 +21,11 @@
 
 use std::sync::Arc;
 
-use guardrails::monitor::engine::{EngineStats, FnEvent, MonitorEngine};
+use guardrails::monitor::engine::{FnEvent, MonitorEngine};
 use guardrails::monitor::{
     EngineCheckpoint, FailMode, Hysteresis, OverheadAccount, ResilienceConfig, WatchdogConfig,
 };
-use guardrails::{PolicyRegistry, Telemetry, TelemetrySnapshot};
+use guardrails::{PolicyRegistry, Telemetry};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use simkernel::Nanos;
@@ -154,57 +152,65 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
     )
 }
 
-/// Everything observable about an engine run except wall-clock noise.
+/// Everything observable about an engine run.
 #[derive(Debug, PartialEq)]
 struct Observable {
     violations: Vec<guardrails::monitor::Violation>,
     /// The decision stream's JSON-lines export.
     stream: String,
     scalars: Vec<(String, f64)>,
-    stats: EngineStats,
-    telemetry: TelemetrySnapshot,
+    /// The summed overhead accounts.
+    account: OverheadAccount,
 }
 
 fn observe(engine: &MonitorEngine) -> Observable {
     let mut scalars = engine.store().scalars();
     scalars.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-    let mut stats = engine.stats();
-    stats.eval_wall_ns = 0; // machine noise, excluded by design
     Observable {
         violations: engine.violations(),
         stream: engine.events().export_json_lines(),
         scalars,
-        stats,
-        telemetry: engine.telemetry_snapshot(),
+        account: engine.telemetry_snapshot(),
     }
 }
 
 /// Checks that `engine` (never restored) reports the sum of its monitors'
-/// accounts as its stats (wall time included) and telemetry snapshot, and
-/// that the monitors' wall-time shares add up to the wall time the engine
-/// measured: the published account sum equals the published sum of the
-/// telemetry's wall-time histogram. Publishing writes reserved keys into the
-/// store, so call this after comparing store contents.
+/// accounts as its telemetry snapshot and its stats, and the telemetry's
+/// measured wall time as its stats' and its published `eval_wall_ns`.
+/// Publishing writes reserved keys into the store, so call this after
+/// comparing store contents.
 fn check_counts_are_account_sums(engine: &MonitorEngine) {
     let mut sum = OverheadAccount::default();
     for report in engine.overhead_reports() {
         sum.merge(&report.account);
     }
-    prop_assert_eq!(engine.stats(), EngineStats::from(sum));
+    prop_assert_eq!(engine.telemetry_snapshot(), sum);
+    let stats = engine.stats();
     prop_assert_eq!(
-        engine.telemetry_snapshot(),
-        TelemetrySnapshot {
-            evaluations: sum.evaluations,
-            violations: sum.violations,
-            trips: sum.trips,
-            rule_fuel: sum.rule_fuel,
-            action_fuel: sum.action_fuel,
-            actions: sum.actions,
-        }
+        [
+            stats.evaluations,
+            stats.violations,
+            stats.trips,
+            stats.commands_emitted,
+            stats.rule_faults,
+            stats.watchdog_trips,
+            stats.retrain_retries,
+        ],
+        [
+            sum.evaluations,
+            sum.violations,
+            sum.trips,
+            sum.commands_emitted,
+            sum.rule_faults,
+            sum.watchdog_trips,
+            sum.retrain_retries,
+        ]
     );
     engine.publish_telemetry();
     let load = |key: &str| engine.store().load(&format!("__telemetry/engine/{key}"));
-    prop_assert_eq!(load("eval_wall_ns"), load("eval_wall_ns_hist/sum"));
+    let wall = Some(stats.eval_wall_ns as f64);
+    prop_assert_eq!(load("eval_wall_ns"), wall);
+    prop_assert_eq!(load("eval_wall_ns_hist/sum"), wall);
 }
 
 /// Drives `engine` through `steps` sequentially: one `on_function` per event.
@@ -381,7 +387,7 @@ proptest! {
 
         // The decision stream does not cross a restart (it is in-memory;
         // decisions persist via the store and checkpoint), so compare store
-        // state, stats, and post-restore behaviour instead.
+        // state, accounts, and post-restore behaviour instead.
         let mut seq_obs = observe(&sequential);
         let mut res_obs = observe(&restored);
         // Restored log holds only post-restore violations; trim the
@@ -468,9 +474,9 @@ fn a_probation_that_ends_inside_a_batch_is_delivery_independent() {
     );
     assert!(reenabled.iter().any(|&at| inside(tail, at)));
     let (seq, bat) = (observe(&sequential), observe(&batched));
-    assert!(bat.stats.watchdog_trips >= 2, "{:?}", bat.stats);
+    assert!(bat.account.watchdog_trips >= 2, "{:?}", bat.account);
     assert!(
-        bat.telemetry.actions.iter().sum::<u64>() > 0,
+        bat.account.actions_dispatched() > 0,
         "fail-closed trips act"
     );
     assert_eq!(seq, bat);
@@ -522,6 +528,6 @@ fn a_history_that_overflows_the_stream_is_delivery_independent() {
     let (seq, bat) = (observe(&sequential), observe(&batched));
     assert_eq!(seq.stream.lines().count(), stream.len());
     assert!(seq.stream == bat.stream, "the exported streams differ");
-    assert_eq!(seq.telemetry, bat.telemetry);
+    assert_eq!(seq.account, bat.account);
     assert_eq!(seq, bat);
 }

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use guardrails::monitor::supervisor::{fail_closed, RestartDecision, Supervisor, SupervisorConfig};
+use guardrails::monitor::supervisor::{fail_closed, RestartDecision, Supervisor};
 use guardrails::monitor::EngineCheckpoint;
 use guardrails::store::durable::{DurabilityConfig, DurableStore, MemBackend, PersistBackend};
 use guardrails::{MonitorEngine, PolicyRegistry};
@@ -98,11 +98,7 @@ fn decisions_survive_a_mid_scenario_crash() {
 #[test]
 fn a_crash_loop_escalates_to_fail_closed() {
     let backend = Arc::new(MemBackend::new());
-    let mut supervisor = Supervisor::new(
-        SupervisorConfig::default()
-            .with_max_rapid_crashes(3)
-            .with_rapid_window(Nanos::from_secs(5)),
-    );
+    let mut supervisor = Supervisor::new();
 
     let mut now = Nanos::from_secs(1);
     let mut restarts = 0u32;

@@ -13,15 +13,21 @@
 //! other: over the same histories, with pending retrains, watchdog
 //! probation and `REPLACE`-pinned slots added, the bytes
 //! `MonitorEngine::checkpoint_into` writes are `checkpoint().encode()`'s.
+//!
+//! A third checks that observing an engine changes none of its state: one
+//! history of store writes, hook firings and timer advances, delivered in
+//! batches or one firing at a time and with or without telemetry attached,
+//! checkpoints to the same bytes every time.
 
 use std::sync::Arc;
 
 use guardrails::action::retrain::RetrainLimiter;
+use guardrails::monitor::engine::FnEvent;
 use guardrails::monitor::{
-    EngineCheckpoint, EngineStats, Hysteresis, MonitorEngine, ResilienceConfig, RetryPolicy,
+    EngineCheckpoint, Hysteresis, MonitorEngine, OverheadAccount, ResilienceConfig, RetryPolicy,
     WatchdogConfig,
 };
-use guardrails::{FeatureStore, PolicyRegistry};
+use guardrails::{FeatureStore, PolicyRegistry, Telemetry};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use simkernel::Nanos;
@@ -136,13 +142,13 @@ fn run(
     (engine, restarted_at)
 }
 
-/// Everything observable except measured wall time and the violations
-/// logged before the restart.
+/// Everything observable except the violations logged before the restart.
 #[derive(Debug, PartialEq)]
 struct Observed {
     violations: Vec<(Nanos, String, bool)>,
     scalars: Vec<(String, f64)>,
-    stats: EngineStats,
+    /// The summed overhead accounts.
+    account: OverheadAccount,
 }
 
 fn observe(engine: &MonitorEngine, since: Nanos) -> Observed {
@@ -154,12 +160,10 @@ fn observe(engine: &MonitorEngine, since: Nanos) -> Observed {
         .collect();
     let mut scalars = engine.store().scalars();
     scalars.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut stats = engine.stats();
-    stats.eval_wall_ns = 0;
     Observed {
         violations,
         scalars,
-        stats,
+        account: engine.telemetry_snapshot(),
     }
 }
 
@@ -213,8 +217,92 @@ fn history_engine() -> MonitorEngine {
     engine
 }
 
+/// Drives a [`history_engine`], with `telemetry` attached or not, through
+/// `steps` in chunks split at `cuts`, and returns its `checkpoint_into`
+/// bytes after every chunk, as text so that a failure shows the lines that
+/// differ. A chunk's store writes land first; then the late spec is
+/// installed once the clock passes `install_at`, the rule fuel limit is
+/// starved or lifted by the chunk's `faults` entry, the chunk's `io`
+/// firings are delivered (in one batch when `batched`, else one
+/// `on_function` each), and the timers advance to its last instant.
+fn checkpoints(
+    steps: &[Step],
+    cuts: &[usize],
+    faults: &[bool],
+    install_at: Nanos,
+    telemetry: bool,
+    batched: bool,
+) -> Vec<String> {
+    let mut engine = history_engine();
+    if telemetry {
+        engine.set_telemetry(Telemetry::new());
+    }
+    let store = engine.store();
+    let mut boundaries: Vec<usize> = cuts.iter().map(|&c| c % (steps.len() + 1)).collect();
+    boundaries.push(steps.len());
+    boundaries.sort_unstable();
+    boundaries.dedup();
+    let (mut begin, mut now, mut beats) = (0, Nanos::ZERO, 0.0);
+    let mut late_installed = false;
+    let mut out = Vec::new();
+    for (&end, &fault) in boundaries.iter().zip(faults.iter().cycle()) {
+        let mut times = Vec::new();
+        for s in &steps[begin..end] {
+            now += Nanos::from_millis(s.dt_ms);
+            if s.beat {
+                beats += 1.0;
+                store.save("beats", beats);
+            }
+            store.record("lat", now, s.lat);
+            store.save("qdepth", s.qdepth);
+            times.push(now);
+        }
+        begin = end;
+        if !late_installed && now >= install_at {
+            engine.advance_to(install_at);
+            install_late_spec(&mut engine);
+            late_installed = true;
+        }
+        engine.set_rule_fuel_limit(fault.then_some(1));
+        let events: Vec<FnEvent<'_>> = times
+            .iter()
+            .map(|&now| FnEvent { now, args: &[] })
+            .collect();
+        if batched {
+            engine.on_function_batch("io", &events);
+        } else {
+            for event in &events {
+                engine.on_function("io", event.now, event.args);
+            }
+        }
+        engine.advance_to(now);
+        let mut buf = Vec::new();
+        engine.checkpoint_into(&mut buf);
+        out.push(String::from_utf8(buf).expect("a checkpoint is text"));
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn observation_and_delivery_change_no_checkpoint_byte(
+        steps in steps(),
+        cuts in vec(0usize..81, 0..8),
+        faults in vec(any::<bool>(), 1..9),
+        install_ms in 1u64..250,
+    ) {
+        let install_at = Nanos::from_millis(install_ms);
+        let run = |telemetry, batched| {
+            checkpoints(&steps, &cuts, &faults, install_at, telemetry, batched)
+        };
+        let reference = run(false, true);
+        prop_assert_eq!(&run(false, true), &reference, "a repeat of one setting");
+        prop_assert_eq!(&run(true, true), &reference, "telemetry attached");
+        prop_assert_eq!(&run(false, false), &reference, "sequential delivery");
+        prop_assert_eq!(&run(true, false), &reference, "both");
+    }
 
     #[test]
     fn checkpoint_into_writes_the_encoded_checkpoint(

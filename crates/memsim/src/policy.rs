@@ -86,7 +86,6 @@ pub struct LearnedPlacement {
     min_page: f64,
     max_page: f64,
     frozen: bool,
-    inferences: u64,
 }
 
 impl Default for LearnedPlacement {
@@ -104,7 +103,6 @@ impl LearnedPlacement {
             min_page: f64::INFINITY,
             max_page: f64::NEG_INFINITY,
             frozen: false,
-            inferences: 0,
         }
     }
 
@@ -155,16 +153,10 @@ impl LearnedPlacement {
         // out-of-bounds failure the P3 guardrail exists to catch.
         (norm * (capacity as f64 - 1.0)).round() as usize
     }
-
-    /// Inferences served.
-    pub fn inferences(&self) -> u64 {
-        self.inferences
-    }
 }
 
 impl Placement for LearnedPlacement {
     fn admit(&mut self, _page: PageId, stats: &PageStats) -> bool {
-        self.inferences += 1;
         self.admit_model.predict(&stats.features())
     }
 
@@ -221,7 +213,6 @@ mod tests {
         let mut p = trained();
         assert!(p.admit(PageId(3), &hot_stats()));
         assert!(!p.admit(PageId(3), &cold_stats()));
-        assert!(p.inferences() >= 2);
     }
 
     #[test]

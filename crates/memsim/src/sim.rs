@@ -5,9 +5,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use guardrails::action::Command;
-use guardrails::monitor::MonitorEngine;
+use guardrails::monitor::{MonitorEngine, OverheadAccount};
 use guardrails::policy::{PolicyRegistry, VARIANT_FALLBACK, VARIANT_LEARNED};
-use guardrails::{Telemetry, TelemetrySnapshot};
 use simkernel::Nanos;
 
 use crate::policy::{HeuristicPlacement, LearnedPlacement, PageStats, Placement};
@@ -109,8 +108,9 @@ pub struct TieringReport {
     pub learned_active_at_end: bool,
     /// Whether a retrain completed.
     pub retrained: bool,
-    /// Deterministic engine telemetry counters for the run.
-    pub telemetry: TelemetrySnapshot,
+    /// The engine's summed overhead accounts for the run: deterministic
+    /// counters, no wall time.
+    pub telemetry: OverheadAccount,
 }
 
 /// Nanoseconds of simulated time per access (drives the TIMER triggers).
@@ -136,7 +136,6 @@ pub fn run_tiering_sim(config: TieringSimConfig) -> TieringReport {
         Arc::new(guardrails::FeatureStore::new()),
         Arc::clone(&registry),
     );
-    engine.set_telemetry(Telemetry::new());
     if config.with_guardrails {
         engine.install_str(P3_GUARDRAIL).expect("P3 spec compiles");
         engine.install_str(P4_GUARDRAIL).expect("P4 spec compiles");

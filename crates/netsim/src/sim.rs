@@ -4,9 +4,8 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use guardrails::monitor::MonitorEngine;
+use guardrails::monitor::{MonitorEngine, OverheadAccount};
 use guardrails::policy::{PolicyRegistry, VARIANT_FALLBACK, VARIANT_LEARNED};
-use guardrails::{Telemetry, TelemetrySnapshot};
 
 use crate::classic::Cubic;
 use crate::learned::LearnedCc;
@@ -94,8 +93,9 @@ pub struct CcReport {
     pub learned_active_at_end: bool,
     /// `(seconds, utilization)` series for plotting.
     pub series: Vec<(f64, f64)>,
-    /// Deterministic engine telemetry counters for the run.
-    pub telemetry: TelemetrySnapshot,
+    /// The engine's summed overhead accounts for the run: deterministic
+    /// counters, no wall time.
+    pub telemetry: OverheadAccount,
 }
 
 /// Runs the scenario.
@@ -118,7 +118,6 @@ pub fn run_cc_sim(config: CcSimConfig) -> CcReport {
         Arc::new(guardrails::FeatureStore::new()),
         Arc::clone(&registry),
     );
-    engine.set_telemetry(Telemetry::new());
     let store = engine.store();
 
     let mut link = Link::new(config.link, config.seed);

@@ -2,17 +2,15 @@
 //! identical* to sequential ingestion — the engine-level property from
 //! `crates/core/tests/batch_equivalence.rs`, instantiated with netsim's
 //! domain vocabulary (RTT samples, the P2 flip-rate stability signal) and
-//! extended to the telemetry layer: the deterministic [`TelemetrySnapshot`]
-//! counters must also match bit-for-bit, for any event history and any
-//! chunking of it into batches.
-//!
-//! The only permitted divergence is measured wall time, which the snapshot
-//! excludes by design.
+//! extended to the overhead accounts: the engine's summed
+//! [`OverheadAccount`] must also match bit-for-bit, for any event history
+//! and any chunking of it into batches, with telemetry attached.
 
 use std::sync::Arc;
 
-use guardrails::monitor::engine::{EngineStats, FnEvent, MonitorEngine};
-use guardrails::{PolicyRegistry, Telemetry, TelemetrySnapshot};
+use guardrails::monitor::engine::{FnEvent, MonitorEngine};
+use guardrails::monitor::OverheadAccount;
+use guardrails::{PolicyRegistry, Telemetry};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use simkernel::Nanos;
@@ -67,26 +65,21 @@ fn acks() -> impl Strategy<Value = Vec<Ack>> {
     )
 }
 
-/// Everything observable about a run except wall-clock noise, now including
-/// the telemetry counters.
+/// Everything observable about a run, the summed accounts included.
 #[derive(Debug, PartialEq)]
 struct Observable {
     violations: Vec<guardrails::monitor::Violation>,
     scalars: Vec<(String, f64)>,
-    stats: EngineStats,
-    telemetry: TelemetrySnapshot,
+    account: OverheadAccount,
 }
 
 fn observe(engine: &MonitorEngine) -> Observable {
     let mut scalars = engine.store().scalars();
     scalars.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-    let mut stats = engine.stats();
-    stats.eval_wall_ns = 0; // machine noise, excluded by design
     Observable {
         violations: engine.violations(),
         scalars,
-        stats,
-        telemetry: engine.telemetry_snapshot(),
+        account: engine.telemetry_snapshot(),
     }
 }
 

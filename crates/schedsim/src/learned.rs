@@ -29,7 +29,6 @@ pub struct LearnedScheduler {
     /// Partial-burst accumulation (preempted bursts still teach us).
     running_burst: HashMap<TaskId, f64>,
     alpha: f64,
-    inferences: u64,
 }
 
 impl Default for LearnedScheduler {
@@ -45,7 +44,6 @@ impl LearnedScheduler {
             predictors: HashMap::new(),
             running_burst: HashMap::new(),
             alpha: 0.3,
-            inferences: 0,
         }
     }
 
@@ -58,16 +56,10 @@ impl LearnedScheduler {
                 .map_or(100_000.0, |p| p.predicted) as u64,
         )
     }
-
-    /// Inferences served (for P5 accounting).
-    pub fn inferences(&self) -> u64 {
-        self.inferences
-    }
 }
 
 impl Scheduler for LearnedScheduler {
     fn pick(&mut self, ready: &[&SchedTask], _now: Nanos) -> usize {
-        self.inferences += 1;
         let mut best = 0;
         let mut best_score = f64::INFINITY;
         for (i, t) in ready.iter().enumerate() {

@@ -2,8 +2,7 @@
 //! P6 guardrail that bounds it with `DEPRIORITIZE`.
 
 use guardrails::action::Command;
-use guardrails::monitor::MonitorEngine;
-use guardrails::{Telemetry, TelemetrySnapshot};
+use guardrails::monitor::{MonitorEngine, OverheadAccount};
 use simkernel::{JainIndex, Nanos, Priority, TaskId};
 
 use crate::cfs::CfsScheduler;
@@ -111,8 +110,9 @@ pub struct SchedReport {
     pub violations: usize,
     /// `DEPRIORITIZE` commands applied.
     pub commands_applied: usize,
-    /// Deterministic engine telemetry counters for the run.
-    pub telemetry: TelemetrySnapshot,
+    /// The engine's summed overhead accounts for the run: deterministic
+    /// counters, no wall time.
+    pub telemetry: OverheadAccount,
 }
 
 /// Runs the scheduling scenario and reports.
@@ -122,7 +122,6 @@ pub struct SchedReport {
 /// Panics if the built-in guardrail spec fails to compile (a crate bug).
 pub fn run_sched_sim(config: SchedSimConfig) -> SchedReport {
     let mut engine = MonitorEngine::new();
-    engine.set_telemetry(Telemetry::new());
     if config.with_guardrail {
         engine.install_str(P6_GUARDRAIL).expect("P6 spec compiles");
     }

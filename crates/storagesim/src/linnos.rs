@@ -90,7 +90,6 @@ pub struct LinnosClassifier {
     /// call (not here, so a classifier that never trains never holds it).
     train: TrainScratch,
     trained: bool,
-    inferences: u64,
     dropped_rows: u64,
     retrains: u64,
 }
@@ -105,7 +104,6 @@ impl LinnosClassifier {
             optimizer: Adam::new(0.005),
             train: TrainScratch::default(),
             trained: false,
-            inferences: 0,
             dropped_rows: 0,
             retrains: 0,
             config,
@@ -198,8 +196,7 @@ impl LinnosClassifier {
     /// Predicted probability that the next I/O is slow (0.0 untrained —
     /// an untrained model optimistically predicts fast, like LinnOS before
     /// its first training round).
-    pub fn predict_proba(&mut self, features: &[f64; NUM_FEATURES]) -> f64 {
-        self.inferences += 1;
+    pub fn predict_proba(&self, features: &[f64; NUM_FEATURES]) -> f64 {
         if !self.trained {
             return 0.0;
         }
@@ -209,7 +206,7 @@ impl LinnosClassifier {
     }
 
     /// Hard fast/slow decision.
-    pub fn predict_slow(&mut self, features: &[f64; NUM_FEATURES]) -> bool {
+    pub fn predict_slow(&self, features: &[f64; NUM_FEATURES]) -> bool {
         self.predict_proba(features) >= self.config.decision_threshold
     }
 
@@ -229,11 +226,6 @@ impl LinnosClassifier {
     /// Whether at least one training round has run.
     pub fn is_trained(&self) -> bool {
         self.trained
-    }
-
-    /// Total inferences served.
-    pub fn inferences(&self) -> u64 {
-        self.inferences
     }
 
     /// Observed rows dropped for a non-finite feature.
@@ -286,7 +278,7 @@ mod tests {
 
     #[test]
     fn untrained_model_predicts_fast() {
-        let mut clf = LinnosClassifier::new(LinnosConfig::default());
+        let clf = LinnosClassifier::new(LinnosConfig::default());
         assert!(!clf.is_trained());
         assert_eq!(clf.predict_proba(&fast_features(0)), 0.0);
         assert!(!clf.predict_slow(&slow_features(0)));
@@ -294,7 +286,7 @@ mod tests {
 
     #[test]
     fn learns_queue_latency_separation() {
-        let mut clf = trained();
+        let clf = trained();
         let mut correct = 0;
         for i in 0..200 {
             if clf.predict_slow(&slow_features(i)) {
@@ -306,7 +298,6 @@ mod tests {
         }
         assert!(correct >= 360, "accuracy {correct}/400");
         assert!(clf.is_trained());
-        assert!(clf.inferences() >= 400);
     }
 
     #[test]

@@ -426,7 +426,7 @@ fn run_plan(
     seed: u64,
 ) -> RecoveryRunReport {
     let mut driver = Driver::new(label, durable);
-    let mut supervisor = Supervisor::new(driver.recovery_cfg.supervisor);
+    let mut supervisor = Supervisor::new();
     let mut datapath = Datapath::new(scenario_config(seed));
     let total = datapath.config().total();
 

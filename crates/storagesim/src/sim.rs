@@ -16,8 +16,7 @@
 //!    `ml_enabled` off; the policy falls back to default submission and the
 //!    moving average recovers. Without the guardrail it stays degraded.
 
-use guardrails::monitor::MonitorEngine;
-use guardrails::{Telemetry, TelemetrySnapshot};
+use guardrails::monitor::{MonitorEngine, OverheadAccount};
 use simkernel::{MovingAverage, Nanos};
 
 use crate::array::ArrayStats;
@@ -157,8 +156,9 @@ pub struct SimReport {
     pub violations: usize,
     /// Whether the learned policy was still enabled at the end.
     pub ml_enabled_at_end: bool,
-    /// Deterministic engine telemetry counters for the run.
-    pub telemetry: TelemetrySnapshot,
+    /// The engine's summed overhead accounts for the run: deterministic
+    /// counters, no wall time.
+    pub telemetry: OverheadAccount,
 }
 
 /// The Figure 2 simulator.
@@ -176,7 +176,6 @@ impl LinnosSim {
     /// that would be a bug in this crate.
     pub fn new(config: LinnosSimConfig) -> Self {
         let mut engine = MonitorEngine::new();
-        engine.set_telemetry(Telemetry::new());
         if config.with_guardrail {
             engine
                 .install_str(LISTING_2_SPEC)

@@ -10,9 +10,7 @@
 
 use std::sync::Arc;
 
-use guardrails_repro::guardrails::monitor::supervisor::{
-    fail_closed, RestartDecision, Supervisor, SupervisorConfig,
-};
+use guardrails_repro::guardrails::monitor::supervisor::{fail_closed, RestartDecision, Supervisor};
 use guardrails_repro::guardrails::monitor::EngineCheckpoint;
 use guardrails_repro::guardrails::prelude::*;
 use guardrails_repro::guardrails::store::durable::{
@@ -106,7 +104,7 @@ fn main() {
     // 3. The supervisor: isolated crashes restart with doubling backoff; a
     //    rapid crash loop escalates to fail-closed — fallbacks pinned, the
     //    enable flag zeroed, with no monitor left running at all.
-    let mut supervisor = Supervisor::new(SupervisorConfig::default());
+    let mut supervisor = Supervisor::new();
     let registry = Arc::new(PolicyRegistry::new());
     registry
         .register("io_submit", &[VARIANT_LEARNED, "safe"])
