@@ -5,8 +5,8 @@
 //! *reset*:
 //!
 //! - every installed monitor's [`MonitorState`], whole: hysteresis,
-//!   enablement, watchdog and probation state, `DELTA` state, its overhead
-//!   account, its timers' next ticks and its pending `RETRAIN` retries;
+//!   enablement and watchdog state, `DELTA` state, its overhead account,
+//!   its timers' next ticks and its pending `RETRAIN` retries;
 //! - the summed accounts of monitors that are gone, so engine-wide
 //!   counters (P5's overhead fraction included) continue across a restart;
 //! - the active variant of every policy slot — the `REPLACE` decision that
@@ -25,24 +25,33 @@
 //! after the checkpoint instant: missed ticks are not replayed, and a
 //! monitor installed mid-period keeps its offset.
 //!
-//! The encoding (format GRCP3) is a line-oriented text format wrapped in a
+//! The encoding (format GRCP4) is a line-oriented text format wrapped in a
 //! CRC-32 header: human-inspectable in a post-mortem, and any torn or
 //! bit-rotted blob is detected and rejected whole, as is a blob of any
-//! other format. No field is a wall-clock reading, so the bytes are a
-//! function of the engine's inputs: two identical runs checkpoint
-//! identically.
+//! other format. So is a blob whose checksum holds but whose counts no run
+//! can reach: a count past `u64::MAX >> 1`, alone or summed over the
+//! accounts, or a pending `RETRAIN` retry past its attempt budget. No field
+//! is a wall-clock reading, so the bytes are a function of the engine's
+//! inputs: two identical runs checkpoint identically.
 
 use simkernel::Nanos;
 
 use crate::error::Result;
 use crate::monitor::overhead::OverheadAccount;
 use crate::monitor::state::{
-    corrupt, parse, parse_account, write_account, MonitorState, PutText, HEX_DIGITS,
+    account_counters, corrupt, parse, parse_account, write_account, MonitorState, PutText,
+    HEX_DIGITS,
 };
 use crate::store::wal::crc32;
 
 /// First token of an encoded checkpoint (magic + format version).
-pub const CHECKPOINT_MAGIC: &str = "GRCP3";
+pub const CHECKPOINT_MAGIC: &str = "GRCP4";
+
+/// The largest count a checkpoint may hold in any counter of the retired
+/// total or of a monitor's account, in their field-wise sum, or in a
+/// monitor's suppression count: half the counters' range, so a restored
+/// engine counts on without overflow. No run counts that far.
+const MAX_COUNT: u64 = u64::MAX >> 1;
 
 /// A complete engine checkpoint.
 #[derive(Clone, Debug, PartialEq)]
@@ -60,7 +69,7 @@ pub struct EngineCheckpoint {
 }
 
 impl EngineCheckpoint {
-    /// Encodes the checkpoint as a checksummed, line-oriented GRCP3 blob.
+    /// Encodes the checkpoint as a checksummed, line-oriented GRCP4 blob.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         encode_into(
@@ -75,10 +84,11 @@ impl EngineCheckpoint {
         out
     }
 
-    /// Decodes and validates a GRCP3 checkpoint blob.
+    /// Decodes and validates a GRCP4 checkpoint blob.
     ///
     /// Any structural damage — bad magic, checksum mismatch, malformed line
-    /// — rejects the whole blob: restore is all-or-nothing.
+    /// — rejects the whole blob, and so does a count past `u64::MAX >> 1` or
+    /// a pending retry past its budget: restore is all-or-nothing.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
         let text = std::str::from_utf8(bytes).map_err(|_| corrupt("not utf-8"))?;
         let (header, body) = text
@@ -108,10 +118,10 @@ impl EngineCheckpoint {
                 ["slot", name, variant] => {
                     slots.push((name.to_string(), variant.to_string()));
                 }
-                ["monitor", name, fingerprint, e, t, f, p, key_tables] => {
+                ["monitor", name, fingerprint, e, t, f, key_tables] => {
                     let fingerprint = u32::from_str_radix(fingerprint, 16)
                         .map_err(|_| corrupt("bad fingerprint"))?;
-                    let state = MonitorState::decode([e, t, f, p], key_tables)?;
+                    let state = MonitorState::decode([e, t, f], key_tables)?;
                     monitors.push((name.to_string(), fingerprint, state));
                 }
                 [] => {}
@@ -122,16 +132,27 @@ impl EngineCheckpoint {
                     .decode_line(state_line)?,
             }
         }
+        let retired = retired.ok_or_else(|| corrupt("missing retired line"))?;
+        let mut sum = account_counters(&retired);
+        for (_, _, state) in &monitors {
+            for (total, n) in sum.iter_mut().zip(account_counters(&state.account)) {
+                *total = total.saturating_add(n);
+            }
+        }
+        let suppressed = monitors.iter().map(|m| m.2.hysteresis.suppressed);
+        if sum.into_iter().chain(suppressed).any(|n| n > MAX_COUNT) {
+            return Err(corrupt("count out of range"));
+        }
         Ok(EngineCheckpoint {
             now: now.ok_or_else(|| corrupt("missing now line"))?,
             slots,
-            retired: retired.ok_or_else(|| corrupt("missing retired line"))?,
+            retired,
             monitors,
         })
     }
 }
 
-/// Writes a GRCP3 blob into `out`, replacing its contents: the one
+/// Writes a GRCP4 blob into `out`, replacing its contents: the one
 /// encoder behind [`EngineCheckpoint::encode`] and
 /// [`MonitorEngine::checkpoint_into`](super::MonitorEngine::checkpoint_into).
 /// It allocates only to grow `out`.
@@ -167,10 +188,11 @@ mod tests {
     use crate::monitor::state::PendingRetrain;
     use crate::vm::DeltaState;
 
-    /// Blobs in the formats before GRCP3, checksums intact: GRCP1 kept
+    /// Blobs in the formats before GRCP4, checksums intact: GRCP1 kept
     /// engine-wide stats, GRCP2 a measured wall time at the end of every
-    /// account line.
-    const OLD_SAMPLES: [&str; 2] = [
+    /// account line, GRCP3 a watchdog probation deadline in every `monitor`
+    /// line.
+    const OLD_SAMPLES: [&str; 3] = [
         "GRCP1 6236b80e\n\
         now 9000000000\n\
         stats 12 3 2 1 0 0 4 52000\n\
@@ -184,6 +206,17 @@ mod tests {
         monitor low-false-submit 1a2b3c4d 1 0 0 11000000000 2,0\n\
         hyst 2 3 5000000000 8000000000 7 011\n\
         account 7 2 2 1 0 0 0 42 6 0 0 1 0 1 0 50000\n\
+        timer 9500000000\n\
+        timer -\n\
+        delta 0 1 4044c00000000000\n\
+        retrain io_model 1 10000000000\n",
+        "GRCP3 de330571\n\
+        now 9000000000\n\
+        retired 5 1 0 0 0 0 4 0 0 0 0 0 0 1 0\n\
+        slot io_latency fallback\n\
+        monitor low-false-submit 1a2b3c4d 1 0 0 11000000000 2,0\n\
+        hyst 2 3 5000000000 8000000000 7 011\n\
+        account 7 2 2 1 0 0 0 42 6 0 0 1 0 1 0\n\
         timer 9500000000\n\
         timer -\n\
         delta 0 1 4044c00000000000\n\
@@ -227,7 +260,6 @@ mod tests {
                     enabled: true,
                     watchdog_tripped: false,
                     consecutive_faults: 0,
-                    probation_until: Some(Nanos::from_secs(11)),
                     hysteresis: hysteresis(),
                     deltas,
                     account: OverheadAccount {
@@ -273,15 +305,14 @@ mod tests {
         let mut cp = sample();
         let state = &mut cp.monitors[0].2;
         state.hysteresis = HysteresisState::default();
-        state.probation_until = None;
         state.deltas.clear();
         state.next_due.clear();
         state.retrains.clear();
         assert_eq!(EngineCheckpoint::decode(&cp.encode()).unwrap(), cp);
     }
 
-    /// GRCP1 and GRCP2 are not read: their blobs are rejected whole, so no
-    /// restore can start from them.
+    /// GRCP1, GRCP2 and GRCP3 are not read: their blobs are rejected whole,
+    /// so no restore can start from them.
     #[test]
     fn older_format_blobs_are_rejected_whole() {
         for blob in OLD_SAMPLES {
@@ -293,6 +324,37 @@ mod tests {
             );
             assert!(EngineCheckpoint::decode(blob.as_bytes()).is_err());
         }
+    }
+
+    /// A count past `MAX_COUNT`, alone or summed over the accounts, and a
+    /// pending retry past its attempt budget are rejected; the largest
+    /// values a run could leave still decode.
+    #[test]
+    fn counts_no_run_reaches_are_rejected() {
+        use crate::monitor::resilience::RETRY_ATTEMPTS;
+        let decodes = |edit: &dyn Fn(&mut EngineCheckpoint)| {
+            let mut cp = sample();
+            edit(&mut cp);
+            EngineCheckpoint::decode(&cp.encode()).is_ok()
+        };
+        fn state(cp: &mut EngineCheckpoint) -> &mut MonitorState {
+            &mut cp.monitors[0].2
+        }
+        assert!(decodes(&|cp| state(cp).account.rule_fuel = MAX_COUNT));
+        // The retired total holds 5 evaluations.
+        assert!(decodes(&|cp| state(cp).account.evaluations = MAX_COUNT - 5));
+        assert!(!decodes(&|cp| state(cp).account.evaluations = MAX_COUNT - 4));
+        assert!(!decodes(&|cp| cp.retired.actions[5] = MAX_COUNT + 1));
+        assert!(decodes(&|cp| state(cp).hysteresis.suppressed = MAX_COUNT));
+        assert!(!decodes(
+            &|cp| state(cp).hysteresis.suppressed = MAX_COUNT + 1
+        ));
+        assert!(decodes(
+            &|cp| state(cp).retrains[0].attempt = RETRY_ATTEMPTS - 1
+        ));
+        assert!(!decodes(
+            &|cp| state(cp).retrains[0].attempt = RETRY_ATTEMPTS
+        ));
     }
 
     #[test]
@@ -338,7 +400,7 @@ mod tests {
         for line in [
             "retired 5 1 0 0 0 0 4 0 0 0 0 0 0 1 0",
             "slot io_latency fallback",
-            "monitor low-false-submit 1a2b3c4d 1 0 0 11000000000 2,0",
+            "monitor low-false-submit 1a2b3c4d 1 0 0 2,0",
             "hyst 2 3 5000000000 8000000000 7 011",
             "account 7 2 2 1 0 0 0 42 6 0 0 1 0 1 0",
             "timer 9500000000",

@@ -14,7 +14,9 @@ use crate::monitor::checkpoint::{self, EngineCheckpoint};
 use crate::monitor::events::{Event, EventKind, EventLog, TriggerKind, Violation};
 use crate::monitor::hysteresis::Hysteresis;
 use crate::monitor::overhead::{OverheadAccount, OverheadReport};
-use crate::monitor::resilience::{FailMode, ResilienceConfig, RuntimeConfig};
+use crate::monitor::resilience::{
+    retry_backoff, ResilienceConfig, RuntimeConfig, RETRY_ATTEMPTS, WATCHDOG_FAULTS,
+};
 use crate::monitor::state::{self, MonitorState, PendingRetrain};
 use crate::policy::PolicyRegistry;
 use crate::store::fxhash::FxHashMap;
@@ -367,7 +369,6 @@ impl MonitorEngine {
         if enabled {
             m.consecutive_faults = 0;
             m.watchdog_tripped = false;
-            m.probation_until = None;
         }
         Ok(())
     }
@@ -401,7 +402,7 @@ impl MonitorEngine {
     pub fn advance_to(&mut self, now: Nanos) {
         let due_by = |tick: &(Nanos, usize, usize)| tick.0 <= now;
         if let Some(first) = self.next_tick().filter(due_by) {
-            self.timed(0..self.monitors.len(), |engine| {
+            self.timed(|engine| {
                 let mut tick = Some(first);
                 while let Some((due, midx, tidx)) = tick {
                     engine.now = due;
@@ -448,12 +449,12 @@ impl MonitorEngine {
         if self.monitors.iter().all(|m| m.state.retrains.is_empty()) {
             return;
         }
-        let Some(retry) = self.resilience.retrain_retry else {
+        if !self.resilience.retrain_retry {
             for m in &mut self.monitors {
                 m.state.retrains.clear();
             }
             return;
-        };
+        }
         for m in &mut self.monitors {
             let name = &m.compiled.name;
             let state = &mut m.state;
@@ -478,18 +479,18 @@ impl MonitorEngine {
                     return false;
                 }
                 p.attempt += 1;
-                if p.attempt >= retry.max_attempts {
+                if p.attempt >= RETRY_ATTEMPTS {
                     self.events.notice(
                         now,
                         name,
                         format!(
-                            "RETRAIN {} gave up after {} attempts",
-                            p.model, retry.max_attempts
+                            "RETRAIN {} gave up after {RETRY_ATTEMPTS} attempts",
+                            p.model
                         ),
                     );
                     return false;
                 }
-                p.next_attempt = now + retry.backoff(p.attempt);
+                p.next_attempt = now + retry_backoff(p.attempt);
                 true
             });
         }
@@ -526,7 +527,7 @@ impl MonitorEngine {
             t.batches += 1;
             t.batch_events += events.len() as u64;
         }
-        self.timed(subscribers.iter().copied(), |engine| {
+        self.timed(|engine| {
             for event in events {
                 engine.now = engine.now.max(event.now);
                 for &midx in &subscribers {
@@ -539,28 +540,16 @@ impl MonitorEngine {
 
     /// The engine's one timing site. With telemetry attached it reads the
     /// wall clock around `section` and adds one sample to the histogram if
-    /// one of the `watched` monitors evaluated in it; without, it reads no
-    /// clock. `watched` holds every monitor `section` may evaluate: a hook's
-    /// subscribers for a batch, all monitors for timer ticks.
-    fn timed(
-        &mut self,
-        watched: impl Iterator<Item = usize> + Clone,
-        section: impl FnOnce(&mut Self),
-    ) {
-        let evaluations = |engine: &Self| -> u64 {
-            watched
-                .clone()
-                .map(|midx| engine.monitors[midx].state.account.evaluations)
-                .sum()
-        };
+    /// a monitor evaluated in it; without, it reads no clock.
+    fn timed(&mut self, section: impl FnOnce(&mut Self)) {
         let start = self
             .telemetry
             .is_some()
-            .then(|| (evaluations(self), std::time::Instant::now()));
+            .then(|| (self.evaluations(), std::time::Instant::now()));
         section(self);
         if let Some((before, started)) = start {
             let wall_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            if evaluations(self) != before {
+            if self.evaluations() != before {
                 if let Some(t) = &mut self.telemetry {
                     t.eval_wall_ns.observe(wall_ns as f64);
                 }
@@ -568,17 +557,30 @@ impl MonitorEngine {
         }
     }
 
+    /// Every installed monitor's evaluations, summed: whether this moved
+    /// across a timed section tells whether a monitor evaluated in it. Out
+    /// of line, so the summing loop stays out of the batch and timer loops
+    /// `timed` is inlined into; the benchmark's `healthy` workload measured
+    /// slower with it inlined.
+    #[inline(never)]
+    fn evaluations(&self) -> u64 {
+        self.monitors
+            .iter()
+            .map(|m| m.state.account.evaluations)
+            .sum()
+    }
+
     /// One evaluation's hot path, inlined into the batch loop and the timer
     /// loop: the enable check, each rule through the VM, the counts, and a
-    /// healthy outcome into the hysteresis window. The end of a disabled
-    /// monitor's probation, a fault and a violation are handled out of
-    /// line.
+    /// healthy outcome into the hysteresis window. A fault and a violation
+    /// are handled out of line.
     #[inline(always)]
     fn evaluate_inner(&mut self, midx: usize, now: Nanos, args: &[f64], trigger: TriggerRef<'_>) {
-        // Only a monitor on probation can end it: a flag test, not a call,
-        // for one switched off by `set_enabled(false)`.
-        let state = &self.monitors[midx].state;
-        if !(state.enabled || (state.probation_until.is_some() && self.end_probation(midx, now))) {
+        if !self.monitors[midx].state.enabled {
+            // Rare, and marked so: without the hint LLVM lays the rule-fault
+            // call out inside the batch loop, which measured slower on the
+            // benchmark's `healthy` and `ingest` workloads.
+            std::hint::cold_path();
             return;
         }
         let Monitor {
@@ -633,32 +635,6 @@ impl MonitorEngine {
         }
     }
 
-    /// A disabled monitor's evaluation: a watchdog-tripped monitor whose
-    /// probation is over self-heals (re-enabled, and this evaluation
-    /// proceeds; a persistent fault re-trips). Returns whether it may
-    /// evaluate.
-    #[cold]
-    #[inline(never)]
-    fn end_probation(&mut self, midx: usize, now: Nanos) -> bool {
-        let Monitor {
-            compiled, state, ..
-        } = &mut self.monitors[midx];
-        let due = state.probation_until.is_some_and(|p| now >= p);
-        if !(state.watchdog_tripped && due) {
-            return false;
-        }
-        state.enabled = true;
-        state.watchdog_tripped = false;
-        state.consecutive_faults = 0;
-        state.probation_until = None;
-        self.events.notice(
-            now,
-            &compiled.name,
-            "watchdog probation over, monitor re-enabled".into(),
-        );
-        true
-    }
-
     /// Rule `rule_index` did not hold: counts the violation, feeds the
     /// hysteresis window, records it and, when hysteresis lets it trip,
     /// dispatches the monitor's actions.
@@ -696,9 +672,10 @@ impl MonitorEngine {
     }
 
     /// Handles a rule evaluation that aborted (fuel exhaustion):
-    /// counts it, and — when a watchdog is configured — disables a monitor
-    /// that keeps faulting instead of leaving it silently wedged. Fail-closed
-    /// watchdogs dispatch the monitor's actions once on the way down.
+    /// counts it, and — when the watchdog is on — disables a monitor that
+    /// keeps faulting instead of leaving it silently wedged, dispatching its
+    /// actions once on the way down (fail closed). It stays disabled until
+    /// [`MonitorEngine::set_enabled`] re-enables it.
     #[cold]
     #[inline(never)]
     fn on_rule_fault(
@@ -715,32 +692,28 @@ impl MonitorEngine {
         let name = &compiled.name;
         let reason = format!("rule {rule_index}: {vm_fault}");
         state.account.rule_faults += 1;
-        state.consecutive_faults += 1;
+        // Saturating: without the watchdog, a monitor that faults on every
+        // evaluation keeps counting.
+        state.consecutive_faults = state.consecutive_faults.saturating_add(1);
         self.events
             .notice(now, name, format!("rule fault: {reason}"));
-        let Some(watchdog) = self.resilience.watchdog else {
-            return;
-        };
-        if state.consecutive_faults < watchdog.max_consecutive_faults {
+        if !self.resilience.watchdog || state.consecutive_faults < WATCHDOG_FAULTS {
             return;
         }
         state.enabled = false;
         state.watchdog_tripped = true;
-        state.probation_until = watchdog.probation.map(|p| now + p);
         state.account.watchdog_trips += 1;
         self.events.notice(
             now,
             name,
             format!(
-                "watchdog disabled monitor after {} consecutive rule faults ({reason})",
-                watchdog.max_consecutive_faults
+                "watchdog disabled monitor after {WATCHDOG_FAULTS} consecutive rule faults \
+                 ({reason})"
             ),
         );
-        if watchdog.fail_mode == FailMode::FailClosed {
-            // The property can no longer be checked: presume it violated
-            // and leave the system in its corrected configuration.
-            self.dispatch_actions(midx, now, args);
-        }
+        // The property can no longer be checked: presume it violated and
+        // leave the system in its corrected configuration.
+        self.dispatch_actions(midx, now, args);
     }
 
     fn dispatch_actions(&mut self, midx: usize, now: Nanos, args: &[f64]) {
@@ -851,7 +824,7 @@ impl MonitorEngine {
                                 model: model.clone(),
                             },
                         );
-                    } else if let Some(retry) = resilience.retrain_retry {
+                    } else if resilience.retrain_retry {
                         // Rejected: schedule a backoff retry instead of
                         // dropping the request, unless one is already queued
                         // for this model (no point stacking duplicates).
@@ -859,7 +832,7 @@ impl MonitorEngine {
                             retrains.push(PendingRetrain {
                                 model: model.clone(),
                                 attempt: 0,
-                                next_attempt: now + retry.backoff(0),
+                                next_attempt: now + retry_backoff(0),
                             });
                         }
                     }
@@ -1001,8 +974,7 @@ impl MonitorEngine {
     /// `__telemetry/` namespace:
     /// - the [`Telemetry`] fields under `__telemetry/engine/{batches,
     ///   batch_events}` and `__telemetry/engine/eval_wall_ns_hist/{count,
-    ///   sum,p50,p95,p99}`, and the histogram's sum again as
-    ///   `__telemetry/engine/eval_wall_ns`;
+    ///   sum,p50,p95,p99}`;
     /// - the sum of the monitors' accounts under
     ///   `__telemetry/engine/{evaluations,violations,trips,rule_fuel,
     ///   action_fuel}` and `__telemetry/actions/<kind>`;
@@ -1029,7 +1001,6 @@ impl MonitorEngine {
         for (name, value) in [
             ("engine/batches", t.batches as f64),
             ("engine/batch_events", t.batch_events as f64),
-            ("engine/eval_wall_ns", hist.sum()),
             ("engine/eval_wall_ns_hist/count", hist.count() as f64),
             ("engine/eval_wall_ns_hist/sum", hist.sum()),
             ("engine/eval_wall_ns_hist/p50", hist.quantile(0.50)),
@@ -1120,7 +1091,7 @@ impl MonitorEngine {
         }
     }
 
-    /// Writes the GRCP3 encoding of [`MonitorEngine::checkpoint`] into
+    /// Writes the GRCP4 encoding of [`MonitorEngine::checkpoint`] into
     /// `out`, replacing its contents: the bytes `checkpoint().encode()`
     /// returns, recorded in the decision stream the same way,
     /// but without copying any monitor's state or any name. A host that
@@ -1505,10 +1476,9 @@ guardrail low-false-submit {
 
     #[test]
     fn watchdog_disables_wedged_monitor_and_reports() {
-        use crate::monitor::resilience::{ResilienceConfig, WatchdogConfig};
         let mut engine = MonitorEngine::new();
         engine.set_resilience(ResilienceConfig {
-            watchdog: Some(WatchdogConfig::default().with_max_faults(3)),
+            watchdog: true,
             ..ResilienceConfig::default()
         });
         engine
@@ -1567,10 +1537,9 @@ guardrail low-false-submit {
 
     #[test]
     fn fail_closed_watchdog_fires_actions_on_the_way_down() {
-        use crate::monitor::resilience::{ResilienceConfig, WatchdogConfig};
         let mut engine = MonitorEngine::new();
         engine.set_resilience(ResilienceConfig {
-            watchdog: Some(WatchdogConfig::fail_closed().with_max_faults(2)),
+            watchdog: true,
             ..ResilienceConfig::default()
         });
         engine.install_str(LISTING_2).unwrap();
@@ -1580,51 +1549,24 @@ guardrail low-false-submit {
         engine.set_rule_fuel_limit(Some(1));
         engine.advance_to(Nanos::from_secs(5));
         // The check is broken, so fail-closed presumes violation: the model
-        // is disabled once, then the monitor goes quiet.
+        // is disabled once, then the monitor goes quiet, and stays quiet.
         assert_eq!(engine.stats().watchdog_trips, 1);
         assert!(!store.flag("ml_enabled"), "corrective action fired on trip");
-    }
-
-    #[test]
-    fn watchdog_probation_self_heals_transient_faults() {
-        use crate::monitor::resilience::{ResilienceConfig, WatchdogConfig};
-        let mut engine = MonitorEngine::new();
-        engine.set_resilience(ResilienceConfig {
-            watchdog: Some(
-                WatchdogConfig::default()
-                    .with_max_faults(2)
-                    .with_probation(Nanos::from_secs(3)),
-            ),
-            ..ResilienceConfig::default()
-        });
-        engine
-            .install_str(
-                "guardrail g { trigger: { TIMER(0, 1s) }, rule: { LOAD(x) < 0 }, action: { REPORT(m) } }",
-            )
-            .unwrap();
-        engine.set_rule_fuel_limit(Some(1));
-        engine.advance_to(Nanos::from_secs(1)); // Faults at 0 and 1: trip.
-        assert!(engine.watchdog_tripped("g").unwrap());
-        // The fault clears while the monitor sits out its probation.
         engine.set_rule_fuel_limit(None);
-        engine.advance_to(Nanos::from_secs(6));
-        assert!(
-            !engine.watchdog_tripped("g").unwrap(),
-            "probation re-enabled it"
+        engine.advance_to(Nanos::from_secs(60));
+        assert_eq!(
+            engine.stats().evaluations,
+            3,
+            "a trip lasts until set_enabled"
         );
-        assert!(
-            !engine.violations().is_empty(),
-            "rule evaluates (and violates) again after re-enable"
-        );
-        assert!(reported(&engine, "probation over"));
+        assert!(engine.watchdog_tripped("low-false-submit").unwrap());
     }
 
     #[test]
     fn clean_evaluation_resets_the_fault_streak() {
-        use crate::monitor::resilience::{ResilienceConfig, WatchdogConfig};
         let mut engine = MonitorEngine::new();
         engine.set_resilience(ResilienceConfig {
-            watchdog: Some(WatchdogConfig::default().with_max_faults(3)),
+            watchdog: true,
             ..ResilienceConfig::default()
         });
         engine
@@ -1664,7 +1606,6 @@ guardrail low-false-submit {
 
     #[test]
     fn rejected_retrains_retry_with_backoff() {
-        use crate::monitor::resilience::{ResilienceConfig, RetryPolicy};
         let mut engine = MonitorEngine::new();
         engine.set_retrain_limiter(RetrainLimiter::new(
             Nanos::from_secs(10),
@@ -1672,7 +1613,7 @@ guardrail low-false-submit {
             Nanos::from_secs(1000),
         ));
         engine.set_resilience(ResilienceConfig {
-            retrain_retry: Some(RetryPolicy::exponential(4, Nanos::from_millis(500))),
+            retrain_retry: true,
             ..ResilienceConfig::default()
         });
         engine
@@ -1698,7 +1639,6 @@ guardrail low-false-submit {
 
     #[test]
     fn retrain_retries_give_up_past_the_attempt_budget() {
-        use crate::monitor::resilience::{ResilienceConfig, RetryPolicy};
         let mut engine = MonitorEngine::new();
         // Budget of 1 in a huge window: the second request can never land.
         engine.set_retrain_limiter(RetrainLimiter::new(
@@ -1707,7 +1647,7 @@ guardrail low-false-submit {
             Nanos::from_secs(100_000),
         ));
         engine.set_resilience(ResilienceConfig {
-            retrain_retry: Some(RetryPolicy::exponential(2, Nanos::from_secs(1))),
+            retrain_retry: true,
             ..ResilienceConfig::default()
         });
         engine
@@ -1716,17 +1656,17 @@ guardrail low-false-submit {
             )
             .unwrap();
         // Retries are serviced as time advances; each step rejects again.
-        engine.advance_to(Nanos::from_secs(10));
-        engine.advance_to(Nanos::from_secs(20));
-        engine.advance_to(Nanos::from_secs(30));
+        for t in [10, 20, 30, 40, 50] {
+            engine.advance_to(Nanos::from_secs(t));
+        }
         assert_eq!(engine.drain_commands().len(), 1, "only the first lands");
         assert_eq!(engine.pending_retrains(), 0, "gave up, not queued forever");
-        assert!(reported(&engine, "gave up after 2 attempts"));
+        assert_eq!(engine.stats().retrain_retries, 4);
+        assert!(reported(&engine, "gave up after 4 attempts"));
     }
 
     #[test]
     fn replace_falls_back_to_default_variant_when_hardened() {
-        use crate::monitor::resilience::ResilienceConfig;
         let spec = "guardrail g { trigger: { TIMER(0, 1s) }, rule: { LOAD(x) > 0 }, action: { REPLACE(io_policy, experimental) } }";
         // Unhardened: the missing variant is only a log line.
         let mut engine = MonitorEngine::new();
@@ -1881,16 +1821,15 @@ guardrail low-false-submit {
 
     #[test]
     fn restore_preserves_disabled_and_watchdog_state() {
-        use crate::monitor::resilience::{ResilienceConfig, WatchdogConfig};
         let spec = "guardrail g { trigger: { TIMER(0, 1s) }, rule: { LOAD(x) < 0 }, action: { REPORT(m) } }";
         let mut engine = MonitorEngine::new();
         engine.set_resilience(ResilienceConfig {
-            watchdog: Some(WatchdogConfig::default().with_max_faults(2)),
+            watchdog: true,
             ..ResilienceConfig::default()
         });
         engine.install_str(spec).unwrap();
         engine.set_rule_fuel_limit(Some(1));
-        engine.advance_to(Nanos::from_secs(1)); // Two faults: watchdog trips.
+        engine.advance_to(Nanos::from_secs(2)); // Three faults: watchdog trips.
         assert!(engine.watchdog_tripped("g").unwrap());
         let evaluations = engine.stats().evaluations;
         let checkpoint = engine.checkpoint();
@@ -2123,7 +2062,7 @@ guardrail low-false-submit {
         published.sort();
         let mut expected: Vec<String> = "actions/deprioritize actions/record actions/replace \
              actions/report actions/retrain actions/save engine/action_fuel engine/batch_events \
-             engine/batches events/overwritten events/recorded engine/eval_wall_ns engine/eval_wall_ns_hist/count \
+             engine/batches events/overwritten events/recorded engine/eval_wall_ns_hist/count \
              engine/eval_wall_ns_hist/p50 engine/eval_wall_ns_hist/p95 \
              engine/eval_wall_ns_hist/p99 engine/eval_wall_ns_hist/sum engine/evaluations \
              engine/rule_fuel engine/trips engine/violations \
@@ -2360,6 +2299,83 @@ guardrail low-false-submit {
         assert!(restarted.registry().is_active("a", "learned"));
         assert_eq!(restarted.now(), Nanos::ZERO);
         assert_eq!(restarted.suppressed("g").unwrap(), 0);
+    }
+
+    /// Checkpoints whose checksums hold but whose counts no run reaches:
+    /// an account's evaluations at `u64::MAX`, a pending retry's attempt at
+    /// `u32::MAX`, a fault streak at `u32::MAX`, and rule and action fuel at
+    /// the largest count a checkpoint may hold. Each is rejected whole, or
+    /// restores into the seed and the hardened runtime, which then run 20 s
+    /// of ticks, retrains and rule faults without a count overflowing.
+    #[test]
+    fn a_checkpoint_at_the_counts_limits_is_rejected_or_runs_without_overflow() {
+        const SPECS: &str = r#"
+            guardrail stale-model {
+                trigger: { TIMER(0, 100ms) },
+                rule: { LOAD(healthy) > 0 },
+                action: { RETRAIN(io_model) }
+            }
+            guardrail slow-rule {
+                trigger: { TIMER(0, 100ms) },
+                rule: { AVG(lat, 1s) < 60 },
+                action: { REPORT(slow) }
+            }
+        "#;
+        let boot = |resilience: ResilienceConfig| {
+            let mut engine = MonitorEngine::new();
+            engine.set_resilience(resilience);
+            engine.install_str(SPECS).unwrap();
+            // Fuel for `stale-model`'s rule, which violates and retrains,
+            // but not for `slow-rule`'s windowed aggregate, which faults.
+            engine.set_rule_fuel_limit(Some(10));
+            engine
+        };
+        let mut engine = boot(ResilienceConfig::default());
+        engine.advance_to(Nanos::from_secs(1));
+        let base = engine.checkpoint();
+        let now = base.now;
+        type Edit = fn(&mut EngineCheckpoint);
+        let edits: [Edit; 4] = [
+            |cp| cp.monitors[0].2.account.evaluations = u64::MAX,
+            // Due after the first post-restore tick's RETRAIN, so the
+            // limiter rejects it.
+            |cp| {
+                cp.monitors[0].2.retrains.push(PendingRetrain {
+                    model: "io_model".to_string(),
+                    attempt: u32::MAX,
+                    next_attempt: cp.now + Nanos::from_millis(150),
+                })
+            },
+            |cp| cp.monitors[1].2.consecutive_faults = u32::MAX,
+            |cp| {
+                let account = &mut cp.monitors[0].2.account;
+                account.rule_fuel = u64::MAX >> 1;
+                account.action_fuel = u64::MAX >> 1;
+            },
+        ];
+        for edit in edits {
+            let mut cp = base.clone();
+            edit(&mut cp);
+            let Ok(decoded) = EngineCheckpoint::decode(&cp.encode()) else {
+                continue;
+            };
+            for resilience in [ResilienceConfig::default(), ResilienceConfig::hardened()] {
+                let mut restarted = boot(resilience);
+                restarted.restore(&decoded).unwrap();
+                restarted.advance_to(now + Nanos::from_secs(20));
+                let after = restarted.checkpoint();
+                assert!(
+                    after.monitors[0].2.account.evaluations > cp.monitors[0].2.account.evaluations
+                );
+                assert!(
+                    after.monitors[1].2.account.rule_faults > cp.monitors[1].2.account.rule_faults
+                );
+                assert!(
+                    after.monitors[1].2.consecutive_faults >= cp.monitors[1].2.consecutive_faults
+                );
+                assert!(restarted.total_modeled_overhead() >= cp.monitors[0].2.account.modeled());
+            }
+        }
     }
 
     #[test]

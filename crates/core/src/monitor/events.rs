@@ -1,9 +1,9 @@
 //! The decision stream: every decision the engine makes, recorded once.
 //!
 //! A violation, an action that fired, a notice (a rule or operand fault, a
-//! `REPLACE` fallback or failure, a watchdog disable, the end of probation,
-//! a `RETRAIN` that gave up), a checkpoint and a restart are each one
-//! [`Event`] in the engine's [`EventLog`]. The log is a bounded ring of
+//! `REPLACE` fallback or failure, a watchdog disable, a `RETRAIN` that gave
+//! up), a checkpoint and a restart are each one [`Event`] in the engine's
+//! [`EventLog`]. The log is a bounded ring of
 //! [`EVENT_CAPACITY`] events that evicts the oldest, and everything else is
 //! a view of it: [`crate::monitor::MonitorEngine::violations`] materializes
 //! [`Violation`]s, [`crate::monitor::MonitorEngine::reports`] yields the

@@ -20,8 +20,6 @@ pub use engine::{EngineStats, MonitorEngine};
 pub use events::{Event, EventKind, EventLog, TriggerKind, Violation, EVENT_CAPACITY};
 pub use hysteresis::{Hysteresis, HysteresisState};
 pub use overhead::{OverheadAccount, OverheadReport, NS_PER_FUEL};
-pub use resilience::{
-    FailMode, RecoveryConfig, ResilienceConfig, RetryPolicy, RuntimeConfig, WatchdogConfig,
-};
+pub use resilience::{RecoveryConfig, ResilienceConfig, RuntimeConfig};
 pub use state::{MonitorState, PendingRetrain};
-pub use supervisor::{fail_closed, RestartDecision, Supervisor, SupervisorState};
+pub use supervisor::{fail_closed, RestartDecision, Supervisor};

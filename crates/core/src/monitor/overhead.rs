@@ -56,9 +56,13 @@ impl OverheadAccount {
     }
 
     /// Modelled monitoring time in simulated nanoseconds: all fuel, rules
-    /// and actions, at [`NS_PER_FUEL`].
+    /// and actions, at [`NS_PER_FUEL`], saturating.
     pub fn modeled(&self) -> Nanos {
-        Nanos::from_nanos((self.rule_fuel + self.action_fuel) * NS_PER_FUEL)
+        Nanos::from_nanos(
+            self.rule_fuel
+                .saturating_add(self.action_fuel)
+                .saturating_mul(NS_PER_FUEL),
+        )
     }
 
     /// Modelled cost per evaluation.

@@ -1,122 +1,46 @@
-//! Fail-safe runtime configuration: retry, fallback, and watchdog policy.
+//! Fail-safe runtime configuration: retry, fallback, and watchdog switches.
 //!
 //! The monitor engine is the component that must *not* fail when everything
-//! around it does. This module holds the knobs that harden it:
+//! around it does. [`ResilienceConfig`] holds the three switches that harden
+//! it, each at fixed values:
 //!
-//! - [`RetryPolicy`] — `RETRAIN` requests rejected by the rate limiter are
-//!   retried with exponential backoff instead of dropped.
-//! - [`WatchdogConfig`] — a monitor whose rule evaluation faults (fuel
-//!   exhaustion, panic) repeatedly is auto-disabled with a report, instead
-//!   of silently wedging the property it guards. [`FailMode::FailClosed`]
-//!   additionally fires the monitor's actions once on the way down: if we
-//!   can no longer *check* the property, assume it is violated and correct.
-//! - [`ResilienceConfig`] — the bundle the engine consumes; [`hardened`]
-//!   turns everything on, [`Default`] leaves everything off so the seed
-//!   semantics are unchanged.
-//! - [`RuntimeConfig`] — the one composable builder over *all* runtime
-//!   hardening axes: the store's non-finite quarantine, the in-flight fault
-//!   resilience above, and the crash-recovery layer
-//!   ([`RecoveryConfig`]: durable store + supervisor). Hosts apply one
-//!   value instead of toggling each subsystem ad hoc.
+//! - `replace_fallback` — `REPLACE` with a missing variant degrades to the
+//!   slot's registered default variant.
+//! - `retrain_retry` — a `RETRAIN` request rejected by the rate limiter is
+//!   retried with exponential backoff instead of dropped: up to 4 retries,
+//!   the first 500 ms after the rejection, each later one twice as long
+//!   after the one before.
+//! - `watchdog` — a monitor whose rule evaluation faults (fuel exhaustion)
+//!   3 times in a row is disabled with a report instead of silently
+//!   wedging the property it guards, and it fails closed: its actions fire
+//!   once on the way down. If we can no longer *check* the property, assume
+//!   it is violated and correct. It stays disabled until an operator
+//!   re-enables it.
 //!
-//! [`hardened`]: ResilienceConfig::hardened
+//! [`ResilienceConfig::hardened`] turns everything on, [`Default`] leaves
+//! everything off so the seed semantics are unchanged. [`RuntimeConfig`] is
+//! the one composable builder over *all* runtime hardening axes: the store's
+//! non-finite quarantine, the in-flight fault resilience above, and the
+//! crash-recovery layer ([`RecoveryConfig`]: durable store + supervisor).
+//! Hosts apply one value instead of toggling each subsystem ad hoc.
 
 use simkernel::Nanos;
 
 use crate::store::durable::DurabilityConfig;
 
-/// Exponential-backoff retry for rejected or failed `RETRAIN` requests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts after the initial rejection before giving up.
-    pub max_attempts: u32,
-    /// Delay before the first retry; each later retry waits twice as long
-    /// as the one before.
-    pub initial_backoff: Nanos,
+/// Retries of a rejected `RETRAIN` before it is given up.
+pub(crate) const RETRY_ATTEMPTS: u32 = 4;
+
+/// The delay before retry number `attempt` (0-based, below
+/// [`RETRY_ATTEMPTS`]): 500 ms, doubling. The longest is 4 s.
+pub(crate) fn retry_backoff(attempt: u32) -> Nanos {
+    Nanos::from_millis(500) * (1 << attempt)
 }
 
-impl RetryPolicy {
-    /// A doubling backoff: `initial`, `2·initial`, `4·initial`, ...
-    pub fn exponential(max_attempts: u32, initial_backoff: Nanos) -> Self {
-        RetryPolicy {
-            max_attempts: max_attempts.max(1),
-            initial_backoff,
-        }
-    }
+/// Consecutive rule faults that trip the watchdog.
+pub(crate) const WATCHDOG_FAULTS: u32 = 3;
 
-    /// The delay before retry number `attempt` (0-based), saturating; the
-    /// doubling stops after 20 attempts.
-    pub fn backoff(&self, attempt: u32) -> Nanos {
-        let factor = 1u64 << attempt.min(20);
-        Nanos::from_nanos(self.initial_backoff.as_nanos().saturating_mul(factor))
-    }
-}
-
-impl Default for RetryPolicy {
-    /// Four attempts, doubling from 500ms.
-    fn default() -> Self {
-        Self::exponential(4, Nanos::from_millis(500))
-    }
-}
-
-/// What a tripped watchdog does with the faulting monitor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FailMode {
-    /// Disable the monitor and report; the guarded property goes unchecked
-    /// until probation (or an operator) re-enables it.
-    FailOpen,
-    /// Dispatch the monitor's corrective actions once, then disable it:
-    /// when the check itself is broken, presume the property violated and
-    /// leave the system in its safe configuration.
-    FailClosed,
-}
-
-/// Auto-disable policy for monitors whose rule evaluation keeps faulting.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WatchdogConfig {
-    /// Consecutive rule faults before the monitor is disabled.
-    pub max_consecutive_faults: u32,
-    /// What to do on trip.
-    pub fail_mode: FailMode,
-    /// If set, the monitor is re-enabled (counters reset) this long after
-    /// tripping — a transient fault self-heals, a persistent one re-trips.
-    pub probation: Option<Nanos>,
-}
-
-impl Default for WatchdogConfig {
-    /// Trip after 8 consecutive faults, fail open, no probation.
-    fn default() -> Self {
-        WatchdogConfig {
-            max_consecutive_faults: 8,
-            fail_mode: FailMode::FailOpen,
-            probation: None,
-        }
-    }
-}
-
-impl WatchdogConfig {
-    /// A fail-closed watchdog with the default trip threshold.
-    pub fn fail_closed() -> Self {
-        WatchdogConfig {
-            fail_mode: FailMode::FailClosed,
-            ..Self::default()
-        }
-    }
-
-    /// Returns this config with a probation period.
-    pub fn with_probation(mut self, probation: Nanos) -> Self {
-        self.probation = Some(probation);
-        self
-    }
-
-    /// Returns this config with a trip threshold.
-    pub fn with_max_faults(mut self, max: u32) -> Self {
-        self.max_consecutive_faults = max.max(1);
-        self
-    }
-}
-
-/// The engine's fail-safe configuration bundle.
+/// The engine's fail-safe switches.
 ///
 /// The default is everything off: the engine behaves exactly like the seed
 /// runtime, which existing guardrail deployments (and tests) rely on.
@@ -126,19 +50,19 @@ pub struct ResilienceConfig {
     /// default variant instead of failing with only a log line.
     pub replace_fallback: bool,
     /// Retry rejected `RETRAIN` requests with backoff.
-    pub retrain_retry: Option<RetryPolicy>,
-    /// Auto-disable monitors that fault repeatedly.
-    pub watchdog: Option<WatchdogConfig>,
+    pub retrain_retry: bool,
+    /// Disable, fail-closed, monitors that fault repeatedly.
+    pub watchdog: bool,
 }
 
 impl ResilienceConfig {
-    /// Everything on with default sub-policies: fallback `REPLACE`,
-    /// doubling `RETRAIN` retry, fail-closed watchdog.
+    /// Everything on: fallback `REPLACE`, doubling `RETRAIN` retry,
+    /// fail-closed watchdog.
     pub fn hardened() -> Self {
         ResilienceConfig {
             replace_fallback: true,
-            retrain_retry: Some(RetryPolicy::default()),
-            watchdog: Some(WatchdogConfig::fail_closed()),
+            retrain_retry: true,
+            watchdog: true,
         }
     }
 }
@@ -215,12 +139,6 @@ impl RuntimeConfig {
         }
     }
 
-    /// Returns this config with a different resilience bundle.
-    pub fn with_resilience(mut self, resilience: ResilienceConfig) -> Self {
-        self.resilience = resilience;
-        self
-    }
-
     /// Returns this config with crash recovery enabled.
     pub fn with_recovery(mut self, recovery: RecoveryConfig) -> Self {
         self.recovery = Some(recovery);
@@ -233,37 +151,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backoff_doubles_and_saturates() {
-        let r = RetryPolicy::exponential(5, Nanos::from_secs(1));
-        assert_eq!(r.backoff(0), Nanos::from_secs(1));
-        assert_eq!(r.backoff(1), Nanos::from_secs(2));
-        assert_eq!(r.backoff(3), Nanos::from_secs(8));
-        // Huge attempt counts clamp (exponent capped) rather than overflow.
-        assert_eq!(r.backoff(u32::MAX), r.backoff(20));
+    fn backoff_doubles_from_500ms() {
+        let backoffs: Vec<u64> = (0..RETRY_ATTEMPTS)
+            .map(|attempt| retry_backoff(attempt).as_nanos() / 1_000_000)
+            .collect();
+        assert_eq!(backoffs, [500, 1_000, 2_000, 4_000]);
     }
 
     #[test]
     fn config_presets() {
         let off = ResilienceConfig::default();
-        assert!(!off.replace_fallback);
-        assert!(off.retrain_retry.is_none());
-        assert!(off.watchdog.is_none());
-
+        assert!(!(off.replace_fallback || off.retrain_retry || off.watchdog));
         let on = ResilienceConfig::hardened();
-        assert!(on.replace_fallback);
-        assert_eq!(on.watchdog.unwrap().fail_mode, FailMode::FailClosed);
-        assert_eq!(
-            on.watchdog
-                .unwrap()
-                .with_probation(Nanos::from_secs(9))
-                .probation,
-            Some(Nanos::from_secs(9))
-        );
-        assert_eq!(
-            WatchdogConfig::default()
-                .with_max_faults(0)
-                .max_consecutive_faults,
-            1
-        );
+        assert!(on.replace_fallback && on.retrain_retry && on.watchdog);
     }
 }

@@ -19,6 +19,7 @@ use crate::compile::CompiledGuardrail;
 use crate::error::{GuardrailError, Result};
 use crate::monitor::hysteresis::{Hysteresis, HysteresisState, OutcomeRing};
 use crate::monitor::overhead::OverheadAccount;
+use crate::monitor::resilience::RETRY_ATTEMPTS;
 use crate::spec::check::TimerSpec;
 use crate::store::wal::crc32;
 use crate::vm::DeltaState;
@@ -44,8 +45,6 @@ pub struct MonitorState {
     pub watchdog_tripped: bool,
     /// Rule faults since the last clean evaluation (watchdog input).
     pub consecutive_faults: u32,
-    /// When set, a tripped monitor is re-enabled at this time.
-    pub probation_until: Option<Nanos>,
     /// Debounce window, cooldown phase and suppression count.
     pub hysteresis: HysteresisState,
     /// `DELTA` state, one per program in [`CompiledGuardrail::programs`]
@@ -69,7 +68,6 @@ impl MonitorState {
             enabled: true,
             watchdog_tripped: false,
             consecutive_faults: 0,
-            probation_until: None,
             hysteresis: HysteresisState::new(Hysteresis::default()),
             deltas: compiled.programs().map(DeltaState::for_program).collect(),
             account: OverheadAccount::default(),
@@ -103,7 +101,7 @@ impl MonitorState {
     /// Writes this state's checkpoint lines for monitor `name`:
     ///
     /// ```text
-    /// monitor <name> <fingerprint> <enabled> <tripped> <faults> <probation> <key-table sizes>
+    /// monitor <name> <fingerprint> <enabled> <tripped> <faults> <key-table sizes>
     /// hyst <threshold> <window> <cooldown> <last-fire> <suppressed> <recent>
     /// account <15 counters, see `write_account`>
     /// timer <next-due>                   one per timer, in order
@@ -122,9 +120,7 @@ impl MonitorState {
                 u64::from(self.enabled),
                 u64::from(self.watchdog_tripped),
                 u64::from(self.consecutive_faults),
-            ])
-            .put(" ")
-            .put_opt_nanos(self.probation_until);
+            ]);
         for (i, deltas) in self.deltas.iter().enumerate() {
             out.put(if i == 0 { " " } else { "," })
                 .put_u64(deltas.len() as u64);
@@ -173,8 +169,8 @@ impl MonitorState {
     /// the watchdog fields and the key-table sizes (`-` for none; a size
     /// fits the `u16` key indices). Everything else starts empty until
     /// [`MonitorState::decode_line`] adds the monitor's other lines.
-    pub(crate) fn decode(watchdog: [&str; 4], key_tables: &str) -> Result<Self> {
-        let [enabled, tripped, faults, probation] = watchdog;
+    pub(crate) fn decode(watchdog: [&str; 3], key_tables: &str) -> Result<Self> {
+        let [enabled, tripped, faults] = watchdog;
         let deltas = if key_tables == "-" {
             Vec::new()
         } else {
@@ -187,7 +183,6 @@ impl MonitorState {
             enabled: parse_flag(enabled)?,
             watchdog_tripped: parse_flag(tripped)?,
             consecutive_faults: parse(faults)?,
-            probation_until: parse_opt_nanos(probation)?,
             hysteresis: HysteresisState::default(),
             deltas,
             account: OverheadAccount::default(),
@@ -229,11 +224,19 @@ impl MonitorState {
                     return Err(corrupt("delta key out of range"));
                 }
             }
-            ["retrain", model, attempt, next_attempt] => self.retrains.push(PendingRetrain {
-                model: model.to_string(),
-                attempt: parse(attempt)?,
-                next_attempt: Nanos::from_nanos(parse(next_attempt)?),
-            }),
+            ["retrain", model, attempt, next_attempt] => {
+                // A pending retry has retries left: one whose budget is
+                // spent was given up when it was spent.
+                let attempt = parse(attempt)?;
+                if attempt >= RETRY_ATTEMPTS {
+                    return Err(corrupt("retrain attempt past the budget"));
+                }
+                self.retrains.push(PendingRetrain {
+                    model: model.to_string(),
+                    attempt,
+                    next_attempt: Nanos::from_nanos(parse(next_attempt)?),
+                });
+            }
             _ => return Err(corrupt("unrecognized line")),
         }
         Ok(())
@@ -282,20 +285,29 @@ pub(crate) fn fingerprint(compiled: &CompiledGuardrail) -> u32 {
 /// evaluations, violations, trips, commands, rule faults, watchdog trips,
 /// retrain retries, rule fuel, action fuel, the six action counts.
 pub(crate) fn write_account(out: &mut Vec<u8>, tag: &str, a: &OverheadAccount) {
-    out.put(tag)
-        .put_fields([
-            a.evaluations,
-            a.violations,
-            a.trips,
-            a.commands_emitted,
-            a.rule_faults,
-            a.watchdog_trips,
-            a.retrain_retries,
-            a.rule_fuel,
-            a.action_fuel,
-        ])
-        .put_fields(a.actions)
-        .put("\n");
+    out.put(tag).put_fields(account_counters(a)).put("\n");
+}
+
+/// The 15 counters of `a`, in [`write_account`]'s order.
+pub(crate) fn account_counters(a: &OverheadAccount) -> [u64; 15] {
+    let [a0, a1, a2, a3, a4, a5] = a.actions;
+    [
+        a.evaluations,
+        a.violations,
+        a.trips,
+        a.commands_emitted,
+        a.rule_faults,
+        a.watchdog_trips,
+        a.retrain_retries,
+        a.rule_fuel,
+        a.action_fuel,
+        a0,
+        a1,
+        a2,
+        a3,
+        a4,
+        a5,
+    ]
 }
 
 /// The checkpoint's text writer: strings verbatim, integers in decimal,

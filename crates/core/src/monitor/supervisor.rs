@@ -18,8 +18,8 @@
 //!
 //! The supervisor is deliberately a pure state machine over simulated time:
 //! the host (a storage simulation, a kernel module loader, a test) owns the
-//! actual rebuild of engine and store and drives [`Supervisor::on_crash`] /
-//! [`Supervisor::on_restarted`].
+//! actual rebuild of engine and store, calls [`Supervisor::on_crash`] at
+//! each crash and acts on the [`RestartDecision`] it returns.
 
 use simkernel::Nanos;
 
@@ -34,20 +34,6 @@ const RAPID_WINDOW: Nanos = Nanos::from_secs(5);
 /// Consecutive rapid crashes that escalate to fail-closed. The streak's
 /// longest backoff is therefore `INITIAL_BACKOFF` doubled once.
 const MAX_RAPID_CRASHES: u32 = 3;
-
-/// Where the supervisor currently is in its ladder.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SupervisorState {
-    /// The engine is (believed) running.
-    Running,
-    /// Waiting out a restart backoff.
-    BackingOff {
-        /// When the restart is due.
-        until: Nanos,
-    },
-    /// Escalated: no more restarts; policies pinned to fallbacks.
-    FailClosed,
-}
 
 /// What the host should do about a crash.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,75 +53,49 @@ pub enum RestartDecision {
 /// The restart-loop state machine.
 #[derive(Clone, Debug)]
 pub struct Supervisor {
-    state: SupervisorState,
     last_crash: Option<Nanos>,
     /// Length of the current rapid-crash streak (1 = isolated crash).
     consecutive_rapid: u32,
-    crashes: u64,
-    restarts: u64,
+    failed_closed: bool,
 }
 
 impl Supervisor {
-    /// Creates a supervisor in the `Running` state.
+    /// Creates a supervisor that has seen no crash.
     pub fn new() -> Self {
         Supervisor {
-            state: SupervisorState::Running,
             last_crash: None,
             consecutive_rapid: 0,
-            crashes: 0,
-            restarts: 0,
+            failed_closed: false,
         }
     }
 
     /// Records a crash at `now` and decides whether to restart or escalate.
+    /// Once escalated, every later crash gets [`RestartDecision::FailClosed`].
     pub fn on_crash(&mut self, now: Nanos) -> RestartDecision {
-        if self.state == SupervisorState::FailClosed {
+        if self.failed_closed {
             return RestartDecision::FailClosed;
         }
-        self.crashes += 1;
         let rapid = self
             .last_crash
             .is_some_and(|prev| now.saturating_sub(prev) <= RAPID_WINDOW);
         self.consecutive_rapid = if rapid { self.consecutive_rapid + 1 } else { 1 };
         self.last_crash = Some(now);
         if self.consecutive_rapid >= MAX_RAPID_CRASHES {
-            self.state = SupervisorState::FailClosed;
+            self.failed_closed = true;
             return RestartDecision::FailClosed;
         }
         // Doubling backoff: the streak's first crash waits the initial
         // backoff, each rapid one after it twice the one before.
         let backoff = INITIAL_BACKOFF * (1 << (self.consecutive_rapid - 1));
-        let at = now + backoff;
-        self.state = SupervisorState::BackingOff { until: at };
-        RestartDecision::Restart { at, backoff }
-    }
-
-    /// Records that the host completed a restart.
-    pub fn on_restarted(&mut self) {
-        if self.state != SupervisorState::FailClosed {
-            self.restarts += 1;
-            self.state = SupervisorState::Running;
+        RestartDecision::Restart {
+            at: now + backoff,
+            backoff,
         }
-    }
-
-    /// The current ladder position.
-    pub fn state(&self) -> SupervisorState {
-        self.state
     }
 
     /// `true` once the supervisor has escalated to fail-closed.
     pub fn failed_closed(&self) -> bool {
-        self.state == SupervisorState::FailClosed
-    }
-
-    /// Total crashes observed.
-    pub fn crashes(&self) -> u64 {
-        self.crashes
-    }
-
-    /// Total restarts performed.
-    pub fn restarts(&self) -> u64 {
-        self.restarts
+        self.failed_closed
     }
 }
 
@@ -170,68 +130,47 @@ mod tests {
         Nanos::from_secs(s)
     }
 
+    fn restart_after(backoff_ms: u64, now: Nanos) -> RestartDecision {
+        let backoff = Nanos::from_millis(backoff_ms);
+        RestartDecision::Restart {
+            at: now + backoff,
+            backoff,
+        }
+    }
+
     #[test]
     fn isolated_crashes_restart_with_initial_backoff() {
         let mut sup = Supervisor::new();
-        assert_eq!(sup.state(), SupervisorState::Running);
         // Crashes 100s apart never build a streak.
         for i in 0..10u64 {
             let now = secs(100 * (i + 1));
-            let decision = sup.on_crash(now);
-            assert_eq!(
-                decision,
-                RestartDecision::Restart {
-                    at: now + Nanos::from_millis(100),
-                    backoff: Nanos::from_millis(100),
-                }
-            );
-            sup.on_restarted();
+            assert_eq!(sup.on_crash(now), restart_after(100, now));
         }
-        assert_eq!(sup.crashes(), 10);
-        assert_eq!(sup.restarts(), 10);
         assert!(!sup.failed_closed());
     }
 
     #[test]
     fn rapid_crashes_double_the_backoff_then_escalate() {
         let mut sup = Supervisor::new();
-        let d1 = sup.on_crash(secs(10));
-        assert!(matches!(
-            d1,
-            RestartDecision::Restart { backoff, .. } if backoff == Nanos::from_millis(100)
-        ));
-        sup.on_restarted();
+        assert_eq!(sup.on_crash(secs(10)), restart_after(100, secs(10)));
         // 5 s after the last crash is still rapid.
-        let d2 = sup.on_crash(secs(15));
-        assert!(matches!(
-            d2,
-            RestartDecision::Restart { backoff, .. } if backoff == Nanos::from_millis(200)
-        ));
-        sup.on_restarted();
+        assert_eq!(sup.on_crash(secs(15)), restart_after(200, secs(15)));
+        assert!(!sup.failed_closed());
         // Third rapid crash: escalate.
         assert_eq!(sup.on_crash(secs(16)), RestartDecision::FailClosed);
         assert!(sup.failed_closed());
-        assert_eq!(sup.state(), SupervisorState::FailClosed);
-        // Further crashes stay escalated, and restarts are refused.
+        // Further crashes stay escalated, even after a quiet period.
         assert_eq!(sup.on_crash(secs(14)), RestartDecision::FailClosed);
-        let restarts = sup.restarts();
-        sup.on_restarted();
-        assert_eq!(sup.restarts(), restarts, "no restart once failed closed");
+        assert_eq!(sup.on_crash(secs(1_000)), RestartDecision::FailClosed);
     }
 
     #[test]
     fn a_quiet_period_resets_the_streak() {
         let mut sup = Supervisor::new();
-        sup.on_crash(secs(10));
-        sup.on_restarted();
-        sup.on_crash(secs(11));
-        sup.on_restarted();
+        assert_eq!(sup.on_crash(secs(10)), restart_after(100, secs(10)));
+        assert_eq!(sup.on_crash(secs(11)), restart_after(200, secs(11)));
         // 100s of stability: the next crash is isolated again.
-        let decision = sup.on_crash(secs(111));
-        assert!(matches!(
-            decision,
-            RestartDecision::Restart { backoff, .. } if backoff == Nanos::from_millis(100)
-        ));
+        assert_eq!(sup.on_crash(secs(111)), restart_after(100, secs(111)));
         assert!(!sup.failed_closed());
     }
 

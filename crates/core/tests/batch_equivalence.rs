@@ -11,20 +11,17 @@
 //!
 //! Each property also checks that the engine-wide figures are sums of the
 //! per-monitor accounts: on an engine that was never restored,
-//! `telemetry_snapshot()` and `stats()` equal the accounts' sum, and the
-//! published wall time is the telemetry histogram's.
+//! `telemetry_snapshot()` and `stats()` equal the accounts' sum.
 //!
-//! The engine handles a violation, a rule fault and the end of a
-//! watchdog's probation out of line from its per-evaluation path, so one
-//! property also generates N-of-M hysteresis with a cooldown, a rule fuel
-//! limit that some evaluations exceed, and a watchdog with probation.
+//! The engine handles a violation and a rule fault out of line from its
+//! per-evaluation path, so one property also generates N-of-M hysteresis
+//! with a cooldown and a rule fuel limit that some evaluations exceed,
+//! under the fail-closed watchdog.
 
 use std::sync::Arc;
 
 use guardrails::monitor::engine::{FnEvent, MonitorEngine};
-use guardrails::monitor::{
-    EngineCheckpoint, FailMode, Hysteresis, OverheadAccount, ResilienceConfig, WatchdogConfig,
-};
+use guardrails::monitor::{EngineCheckpoint, Hysteresis, OverheadAccount, ResilienceConfig};
 use guardrails::{PolicyRegistry, Telemetry};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -77,46 +74,29 @@ guardrail fuel-hungry {
 }
 "#;
 
-/// The engine configuration the violation, fault and probation paths run
-/// under.
+/// The engine configuration the violation and fault paths run under.
 #[derive(Clone, Debug)]
 struct Resilient {
     /// Set on `io-bound` and `fuel-hungry`.
     hysteresis: Hysteresis,
     rule_fuel_limit: u64,
-    watchdog: WatchdogConfig,
 }
 
 fn resilient() -> impl Strategy<Value = Resilient> {
-    (
-        (1u32..4, 0u32..4, 0u64..3_000),
-        3u64..20,
-        (1u32..4, 50u64..3_000, any::<bool>()),
-    )
-        .prop_map(
-            |((threshold, extra, cooldown_us), rule_fuel_limit, (faults, probation_us, closed))| {
-                Resilient {
-                    hysteresis: Hysteresis {
-                        trip_threshold: threshold,
-                        window: threshold + extra,
-                        cooldown: Nanos::from_micros(cooldown_us),
-                    },
-                    rule_fuel_limit,
-                    watchdog: WatchdogConfig {
-                        max_consecutive_faults: faults,
-                        fail_mode: if closed {
-                            FailMode::FailClosed
-                        } else {
-                            FailMode::FailOpen
-                        },
-                        probation: Some(Nanos::from_micros(probation_us)),
-                    },
-                }
+    ((1u32..4, 0u32..4, 0u64..3_000), 3u64..20).prop_map(
+        |((threshold, extra, cooldown_us), rule_fuel_limit)| Resilient {
+            hysteresis: Hysteresis {
+                trip_threshold: threshold,
+                window: threshold + extra,
+                cooldown: Nanos::from_micros(cooldown_us),
             },
-        )
+            rule_fuel_limit,
+        },
+    )
 }
 
-/// [`fresh_engine`] plus [`FUEL_HUNGRY`], configured by `config`.
+/// [`fresh_engine`] plus [`FUEL_HUNGRY`], configured by `config`, with the
+/// watchdog on.
 fn resilient_engine(config: &Resilient) -> MonitorEngine {
     let mut engine = fresh_engine();
     engine.install_str(FUEL_HUNGRY).unwrap();
@@ -125,7 +105,7 @@ fn resilient_engine(config: &Resilient) -> MonitorEngine {
     }
     engine.set_rule_fuel_limit(Some(config.rule_fuel_limit));
     engine.set_resilience(ResilienceConfig {
-        watchdog: Some(config.watchdog),
+        watchdog: true,
         ..ResilienceConfig::default()
     });
     engine
@@ -175,10 +155,7 @@ fn observe(engine: &MonitorEngine) -> Observable {
 }
 
 /// Checks that `engine` (never restored) reports the sum of its monitors'
-/// accounts as its telemetry snapshot and its stats, and the telemetry's
-/// measured wall time as its stats' and its published `eval_wall_ns`.
-/// Publishing writes reserved keys into the store, so call this after
-/// comparing store contents.
+/// accounts as its telemetry snapshot and its stats.
 fn check_counts_are_account_sums(engine: &MonitorEngine) {
     let mut sum = OverheadAccount::default();
     for report in engine.overhead_reports() {
@@ -206,11 +183,6 @@ fn check_counts_are_account_sums(engine: &MonitorEngine) {
             sum.retrain_retries,
         ]
     );
-    engine.publish_telemetry();
-    let load = |key: &str| engine.store().load(&format!("__telemetry/engine/{key}"));
-    let wall = Some(stats.eval_wall_ns as f64);
-    prop_assert_eq!(load("eval_wall_ns"), wall);
-    prop_assert_eq!(load("eval_wall_ns_hist/sum"), wall);
 }
 
 /// Drives `engine` through `steps` sequentially: one `on_function` per event.
@@ -320,7 +292,7 @@ proptest! {
     }
 
     #[test]
-    fn batch_equivalence_holds_through_hysteresis_faults_and_probation(
+    fn batch_equivalence_holds_through_hysteresis_and_faults(
         config in resilient(),
         steps in steps(),
         cuts in vec(0usize..61, 0..6),
@@ -402,85 +374,6 @@ proptest! {
         prop_assert_eq!(seq_obs, res_obs);
         check_counts_are_account_sums(&sequential);
     }
-}
-
-#[test]
-fn a_probation_that_ends_inside_a_batch_is_delivery_independent() {
-    // Under a fuel limit of 4 only `fuel-hungry`'s short-circuit path
-    // completes, so every large argument faults. The first two trip the
-    // watchdog at 20 µs; its probation ends at 220 µs, inside the second
-    // batch (30 µs to 600 µs). From then on two faults in a row every 70 µs
-    // re-trip it, and a probation also ends inside the third batch.
-    let config = Resilient {
-        hysteresis: Hysteresis::n_of_m(2, 3).with_cooldown(Nanos::from_micros(50)),
-        rule_fuel_limit: 4,
-        watchdog: WatchdogConfig::fail_closed()
-            .with_max_faults(2)
-            .with_probation(Nanos::from_micros(200)),
-    };
-    let engine = || {
-        let mut engine = MonitorEngine::new();
-        engine.set_telemetry(Telemetry::new());
-        engine.install_str(FUEL_HUNGRY).unwrap();
-        engine
-            .set_hysteresis("fuel-hungry", config.hysteresis)
-            .unwrap();
-        engine.set_rule_fuel_limit(Some(config.rule_fuel_limit));
-        engine.set_resilience(ResilienceConfig {
-            watchdog: Some(config.watchdog),
-            ..ResilienceConfig::default()
-        });
-        engine.store().save("qdepth", 4.0);
-        engine
-    };
-    let args: Vec<[f64; 1]> = (0..120u64)
-        .map(|i| [if i < 2 || i % 7 >= 5 { 5000.0 } else { 100.0 }])
-        .collect();
-    let events: Vec<FnEvent<'_>> = args
-        .iter()
-        .enumerate()
-        .map(|(i, a)| FnEvent {
-            now: Nanos::from_micros(10 * (i as u64 + 1)),
-            args: a,
-        })
-        .collect();
-    let (head, rest) = events.split_at(2);
-    let (middle, tail) = rest.split_at(58);
-    let mut sequential = engine();
-    for event in &events {
-        sequential.on_function("io_submit", event.now, event.args);
-    }
-    let mut batched = engine();
-    for batch in [head, middle, tail] {
-        batched.on_function_batch("io_submit", batch);
-    }
-    let reenabled: Vec<Nanos> = batched
-        .events()
-        .iter()
-        .filter(|e| e.text() == Some("watchdog probation over, monitor re-enabled"))
-        .map(|e| e.at)
-        .collect();
-    assert!(
-        reenabled.len() >= 2,
-        "probation ended {} times",
-        reenabled.len()
-    );
-    let inside =
-        |batch: &[FnEvent<'_>], at: Nanos| batch[0].now < at && at < batch[batch.len() - 1].now;
-    assert!(
-        inside(middle, reenabled[0]),
-        "first re-enable at {:?}",
-        reenabled[0]
-    );
-    assert!(reenabled.iter().any(|&at| inside(tail, at)));
-    let (seq, bat) = (observe(&sequential), observe(&batched));
-    assert!(bat.account.watchdog_trips >= 2, "{:?}", bat.account);
-    assert!(
-        bat.account.actions_dispatched() > 0,
-        "fail-closed trips act"
-    );
-    assert_eq!(seq, bat);
-    assert_eq!(sequential.drain_commands(), batched.drain_commands());
 }
 
 /// One monitor whose every evaluation violates and `SAVE`s.

@@ -101,7 +101,7 @@ fn a_crash_loop_escalates_to_fail_closed() {
     let mut supervisor = Supervisor::new();
 
     let mut now = Nanos::from_secs(1);
-    let mut restarts = 0u32;
+    let mut backoffs = Vec::new();
     loop {
         let (mut engine, durable, registry) = boot(&backend);
         let store = engine.store();
@@ -111,9 +111,8 @@ fn a_crash_loop_escalates_to_fail_closed() {
 
         match supervisor.on_crash(now) {
             RestartDecision::Restart { at, backoff } => {
-                assert!(backoff > Nanos::ZERO);
-                restarts += 1;
-                supervisor.on_restarted();
+                assert_eq!(at, now + backoff);
+                backoffs.push(backoff);
                 now = at;
             }
             RestartDecision::FailClosed => {
@@ -131,11 +130,12 @@ fn a_crash_loop_escalates_to_fail_closed() {
     }
 
     assert_eq!(
-        restarts, 2,
+        backoffs,
+        [Nanos::from_millis(100), Nanos::from_millis(200)],
         "third rapid crash escalates instead of restarting"
     );
     assert!(supervisor.failed_closed());
-    assert_eq!(supervisor.crashes(), 3);
+    assert_eq!(supervisor.on_crash(now), RestartDecision::FailClosed);
 
     // The fail-closed decision is itself durable: the zeroed flag was
     // journaled, so even a later reboot comes up with the model off.

@@ -8,7 +8,7 @@
 //! compaction leaves exactly the records its snapshot does not cover.
 //!
 //! The decoders cannot be broken: the WAL decoder, the snapshot decoder,
-//! `DurableStore::open` and GRCP3 checkpoint `decode` + `restore`,
+//! `DurableStore::open` and GRCP4 checkpoint `decode` + `restore`,
 //! fed arbitrary bytes, truncations, bit flips (with checksums re-fixed,
 //! so the damage reaches the parsers behind them) and splices of two valid
 //! blobs, each return an error or a valid state, and none panics; a failed
@@ -661,7 +661,7 @@ fn checkpoint_engine() -> MonitorEngine {
     engine
 }
 
-/// The GRCP3 checkpoints of an engine driven for `steps` 100 ms steps
+/// The GRCP4 checkpoints of an engine driven for `steps` 100 ms steps
 /// with the values of `values`: at the end, and halfway.
 fn valid_checkpoints(values: &[f64], steps: usize) -> (Vec<u8>, Vec<u8>) {
     let mut engine = checkpoint_engine();

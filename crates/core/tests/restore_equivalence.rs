@@ -10,8 +10,8 @@
 //! timer installed mid-period (its phase must survive the restart).
 //!
 //! A second property checks the checkpoint's two encoders against each
-//! other: over the same histories, with pending retrains, watchdog
-//! probation and `REPLACE`-pinned slots added, the bytes
+//! other: over the same histories, with pending retrains, watchdog trips
+//! and re-enables, and `REPLACE`-pinned slots added, the bytes
 //! `MonitorEngine::checkpoint_into` writes are `checkpoint().encode()`'s.
 //!
 //! A third checks that observing an engine changes none of its state: one
@@ -24,8 +24,7 @@ use std::sync::Arc;
 use guardrails::action::retrain::RetrainLimiter;
 use guardrails::monitor::engine::FnEvent;
 use guardrails::monitor::{
-    EngineCheckpoint, Hysteresis, MonitorEngine, OverheadAccount, ResilienceConfig, RetryPolicy,
-    WatchdogConfig,
+    EngineCheckpoint, Hysteresis, MonitorEngine, OverheadAccount, ResilienceConfig,
 };
 use guardrails::{FeatureStore, PolicyRegistry, Telemetry};
 use proptest::collection::vec;
@@ -189,8 +188,8 @@ guardrail failback {
 "#;
 
 /// An engine whose history can reach every part of a checkpoint: `SPECS`
-/// and `HISTORY_SPECS`, retrain retries, a watchdog with probation, and a
-/// registry with the slot the `REPLACE`s pin.
+/// and `HISTORY_SPECS`, retrain retries, the watchdog, and a registry with
+/// the slot the `REPLACE`s pin.
 fn history_engine() -> MonitorEngine {
     let registry = Arc::new(PolicyRegistry::new());
     registry
@@ -204,12 +203,8 @@ fn history_engine() -> MonitorEngine {
         Nanos::from_secs(1_000),
     ));
     engine.set_resilience(ResilienceConfig {
-        retrain_retry: Some(RetryPolicy::exponential(3, Nanos::from_millis(200))),
-        watchdog: Some(
-            WatchdogConfig::default()
-                .with_max_faults(2)
-                .with_probation(Nanos::from_millis(300)),
-        ),
+        retrain_retry: true,
+        watchdog: true,
         ..ResilienceConfig::default()
     });
     install_specs(&mut engine);
@@ -217,12 +212,28 @@ fn history_engine() -> MonitorEngine {
     engine
 }
 
+/// Sets the rule fuel limit for what comes next: starved when `fault`,
+/// which faults every rule, else lifted, and then every monitor the
+/// watchdog tripped is re-enabled, as an operator would once the fault is
+/// gone.
+fn set_fault(engine: &mut MonitorEngine, fault: bool) {
+    engine.set_rule_fuel_limit(fault.then_some(1));
+    if fault {
+        return;
+    }
+    for name in engine.monitor_names() {
+        if engine.watchdog_tripped(&name).unwrap() {
+            engine.set_enabled(&name, true).unwrap();
+        }
+    }
+}
+
 /// Drives a [`history_engine`], with `telemetry` attached or not, through
 /// `steps` in chunks split at `cuts`, and returns its `checkpoint_into`
 /// bytes after every chunk, as text so that a failure shows the lines that
 /// differ. A chunk's store writes land first; then the late spec is
-/// installed once the clock passes `install_at`, the rule fuel limit is
-/// starved or lifted by the chunk's `faults` entry, the chunk's `io`
+/// installed once the clock passes `install_at`, [`set_fault`] applies the
+/// chunk's `faults` entry, the chunk's `io`
 /// firings are delivered (in one batch when `batched`, else one
 /// `on_function` each), and the timers advance to its last instant.
 fn checkpoints(
@@ -263,7 +274,7 @@ fn checkpoints(
             install_late_spec(&mut engine);
             late_installed = true;
         }
-        engine.set_rule_fuel_limit(fault.then_some(1));
+        set_fault(&mut engine, fault);
         let events: Vec<FnEvent<'_>> = times
             .iter()
             .map(|&now| FnEvent { now, args: &[] })
@@ -325,8 +336,8 @@ proptest! {
                 late_installed = true;
             }
             // A starved fuel budget faults every rule: the watchdog trips
-            // monitors and probation brings them back.
-            engine.set_rule_fuel_limit(fault.then_some(1));
+            // monitors, and lifting it re-enables them.
+            set_fault(&mut engine, fault);
             step(&mut engine, s, now, &mut beats);
             engine.checkpoint_into(&mut buf);
             let expected = engine.checkpoint().encode();

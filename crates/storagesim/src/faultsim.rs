@@ -5,8 +5,9 @@
 //! breaks one thing, twice: once with the **seed** runtime (all
 //! resilience off, feature-store quarantine disabled — the engine exactly as
 //! it shipped) and once with the **hardened** runtime
-//! ([`RuntimeConfig::hardened`]: [`ResilienceConfig::hardened`] plus the
-//! store's non-finite quarantine, applied in one
+//! ([`RuntimeConfig::hardened`]:
+//! [`ResilienceConfig::hardened`](guardrails::monitor::ResilienceConfig::hardened) plus
+//! the store's non-finite quarantine, applied in one
 //! [`MonitorEngine::apply_runtime`] call).
 //! The paired [`FaultRunReport`]s are what the `exp_faults` experiment (E9)
 //! sweeps into a CSV.
@@ -29,9 +30,7 @@ use std::panic;
 use guardrails::action::retrain::RetrainExecutor;
 use guardrails::action::Command;
 use guardrails::fault::{FaultKind, PoisonMode};
-use guardrails::monitor::{
-    Hysteresis, MonitorEngine, ResilienceConfig, RuntimeConfig, WatchdogConfig,
-};
+use guardrails::monitor::{Hysteresis, MonitorEngine, RuntimeConfig};
 use guardrails::policy::VARIANT_LEARNED;
 use mlkit::OutputCorruption;
 use simkernel::{MovingAverage, Nanos};
@@ -241,9 +240,9 @@ fn schedule_for(kind: &FaultKind, seed: u64) -> (LinnosSimConfig, Nanos, Nanos) 
 ///
 /// `hardened` selects the runtime under test: `false` is the seed runtime
 /// (resilience disabled, store quarantine off), `true` enables
-/// [`ResilienceConfig::hardened`] (with a 3-fault fail-closed watchdog for
-/// the fuel scenario), the store quarantine, the protected retrain executor,
-/// and — for `dropped_saves` — the stale-telemetry watchdog guardrail.
+/// [`ResilienceConfig::hardened`](guardrails::monitor::ResilienceConfig::hardened),
+/// the store quarantine, the protected retrain executor, and — for
+/// `dropped_saves` — the stale-telemetry watchdog guardrail.
 ///
 /// # Panics
 ///
@@ -255,14 +254,7 @@ pub fn run_fault_scenario(kind: FaultKind, hardened: bool, seed: u64) -> FaultRu
 
     let mut engine = MonitorEngine::new();
     let runtime = if hardened {
-        let resilience = match kind {
-            FaultKind::FuelExhaustion { .. } => ResilienceConfig {
-                watchdog: Some(WatchdogConfig::fail_closed().with_max_faults(3)),
-                ..ResilienceConfig::hardened()
-            },
-            _ => ResilienceConfig::hardened(),
-        };
-        RuntimeConfig::hardened().with_resilience(resilience)
+        RuntimeConfig::hardened()
     } else {
         RuntimeConfig::seed()
     };

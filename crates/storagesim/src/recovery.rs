@@ -448,7 +448,6 @@ fn run_plan(
             if now >= until {
                 driver.report.downtime += until.saturating_sub(since);
                 driver.report.restarts += 1;
-                supervisor.on_restarted();
                 state = NodeState::Up(Box::new(driver.boot(until, false)));
             }
         }

@@ -122,7 +122,6 @@ fn main() {
                     now.as_secs_f64(),
                     backoff.as_nanos() / 1_000_000,
                 );
-                supervisor.on_restarted();
                 now = at + Nanos::from_millis(50); // ...and it crashes again
             }
             RestartDecision::FailClosed => {

@@ -8,7 +8,6 @@
 //!
 //! Run with: `cargo run --release --example fault_tolerance`
 
-use guardrails_repro::guardrails::monitor::{ResilienceConfig, WatchdogConfig};
 use guardrails_repro::guardrails::prelude::*;
 use guardrails_repro::storagesim::{run_fault_pair, FaultRunReport};
 
@@ -64,14 +63,12 @@ fn main() {
     );
 
     // 3. The watchdog: a rule that faults every evaluation (here: fuel
-    //    exhaustion mid-expression) must not wedge silently. Fail-closed
-    //    disables the monitor after N faults and fires its actions once on
-    //    the way down — wrong is allowed, silent is not.
+    //    exhaustion mid-expression) must not wedge silently. The watchdog
+    //    disables the monitor after 3 faults in a row and, failing closed,
+    //    fires its actions once on the way down — wrong is allowed, silent
+    //    is not.
     let mut engine = MonitorEngine::new();
-    engine.set_resilience(ResilienceConfig {
-        watchdog: Some(WatchdogConfig::fail_closed().with_max_faults(3)),
-        ..ResilienceConfig::hardened()
-    });
+    engine.set_resilience(ResilienceConfig::hardened());
     engine.install_str(LISTING_2).unwrap();
     let store = engine.store();
     store.save("ml_enabled", 1.0);
